@@ -213,8 +213,10 @@ class FlashOpIssued(TraceEvent):
 class ResourceBusy(TraceEvent):
     """One busy interval on a named device resource (channel or die).
 
-    Emitted by :class:`repro.sim.kernel.Resource` for every hold while a
-    sink is attached: ``busy_ns`` is the occupied interval's length and
+    Emitted for every hold while a sink is attached — by
+    :meth:`repro.sim.kernel.Resource.hold`, and by the timed device's
+    scheduling pass, which advances its resources' timelines in place:
+    ``busy_ns`` is the occupied interval's length and
     ``wait_ns`` how long the operation queued behind earlier holds
     before starting — summing per resource gives the utilization and
     queueing record behind the timed figures.

@@ -52,7 +52,7 @@ from repro.flash.onfi import (
 )
 from repro.flash.signals import SignalEmitter, SignalTrace
 from repro.flash.timing import PSLC, TimingProfile, profile
-from repro.obs.events import CacheStall, HostRequest
+from repro.obs.events import CacheStall, HostRequest, ResourceBusy
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.sim.kernel import CapacityPool, Kernel, PowerLoss, Process, Resource
 from repro.ssd.config import SsdConfig
@@ -60,6 +60,11 @@ from repro.ssd.ftl import Ftl
 from repro.ssd.host import HostDeviceBase
 from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.smart import SmartCounters
+
+# Enum members as module constants: the scheduling pass tells ops apart
+# by identity, which costs neither an attribute lookup nor an Enum hash.
+_READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
+_HOST, _PSLC = OpReason.HOST, OpReason.PSLC
 
 
 class CompletedRequest(NamedTuple):
@@ -158,6 +163,12 @@ class TimedSSD(HostDeviceBase):
         self.bus_tap = bus_tap
         #: blocks operated in pSLC mode program/erase at pSLC speed.
         self._pslc_blocks = frozenset(config.pslc_block_ids())
+        # Address divisors of the scheduling pass, fixed by the geometry.
+        geometry = self.geometry
+        self._pages_per_block = geometry.pages_per_block
+        self._blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
+        self._blocks_per_channel = geometry.total_blocks // geometry.channels
+        self._sectors_per_page = geometry.sectors_per_page
         self.obs: TraceSink = NULL_SINK
         self.kernel = Kernel()
         self._dies: list[Resource] = [
@@ -169,10 +180,13 @@ class TimedSSD(HostDeviceBase):
             for i in range(self.geometry.channels)
         ]
         self.completed: list[CompletedRequest] = []
-        #: cached per-(kind, nbytes) bus occupancy: ONFI bus time depends
-        #: only on cycle counts and payload length, never on address
-        #: values, so encoding once per shape is exact (see _op_bus_ns).
-        self._op_ns: dict[tuple[OpKind, int], int | tuple[int, int]] = {}
+        #: cached bus occupancy per op kind, keyed by payload length:
+        #: ONFI bus time depends only on cycle counts and payload length,
+        #: never on address values, so encoding once per shape is exact
+        #: (see _op_bus_ns).  Reads hold ``(cmd_ns, data_ns)``.
+        self._read_bus_ns: dict[int, tuple[int, int]] = {}
+        self._program_bus_ns: dict[int, int] = {}
+        self._erase_bus_ns: dict[int, int] = {}
         # Write-cache admission state: sectors admitted occupy RAM until
         # the flush program that carries them completes on flash.
         self._cache_pool = CapacityPool(self.ftl.cache.capacity)
@@ -242,21 +256,8 @@ class TimedSSD(HostDeviceBase):
         else:
             raise ValueError(f"unknown request kind {kind!r}")
 
-        flash_done = at_ns
-        if ops:
-            record = self.smart.record
-            schedule_op = self._schedule_op
-            spp = self.geometry.sectors_per_page
-            schedule_release = self._cache_pool.schedule_release
-            for op in ops:
-                record(op)
-                end = schedule_op(op, at_ns)
-                if end > flash_done:
-                    flash_done = end
-                if (op.kind is OpKind.PROGRAM
-                        and op.reason in (OpReason.HOST, OpReason.PSLC)):
-                    # This flush carries cached sectors back out of RAM.
-                    schedule_release(end, spp)
+        flash_done = (self._schedule_ops(ops, at_ns, release_cache=True)
+                      if ops else at_ns)
 
         if kind == "write":
             complete = self._admit_write(at_ns, nsectors)
@@ -319,10 +320,8 @@ class TimedSSD(HostDeviceBase):
         self.kernel.run_until(at_ns)
         self._last_host_ns = at_ns
         ops = self.ftl.flush()
-        complete = at_ns + self.controller_overhead_ns
-        for op in ops:
-            self.smart.record(op)
-            complete = max(complete, self._schedule_op(op, at_ns))
+        complete = max(at_ns + self.controller_overhead_ns,
+                       self._schedule_ops(ops, at_ns))
         request = CompletedRequest("flush", 0, 0, at_ns, complete)
         self.completed.append(request)
         if self.obs.enabled:
@@ -334,10 +333,8 @@ class TimedSSD(HostDeviceBase):
     def shutdown(self, at_ns: int | None = None) -> CompletedRequest:
         """Clean power-down: flush data, checkpoint the map — timed."""
         flushed = self.flush(at_ns)
-        complete = flushed.complete_ns
-        for op in self.ftl.checkpoint():
-            self.smart.record(op)
-            complete = max(complete, self._schedule_op(op, self.now))
+        complete = max(flushed.complete_ns,
+                       self._schedule_ops(self.ftl.checkpoint(), self.now))
         request = CompletedRequest("shutdown", 0, 0, flushed.submit_ns, complete)
         self.completed.append(request)
         if self.obs.enabled:
@@ -358,11 +355,7 @@ class TimedSSD(HostDeviceBase):
         form."""
         at_ns = self.now if at_ns is None else max(at_ns, self.now)
         self.kernel.run_until(at_ns)
-        end = at_ns
-        for op in self.ftl.idle_maintenance(max_blocks):
-            self.smart.record(op)
-            end = max(end, self._schedule_op(op, at_ns))
-        return end
+        return self._schedule_ops(self.ftl.idle_maintenance(max_blocks), at_ns)
 
     def enable_background_maintenance(
         self, policy: BackgroundPolicy | None = None
@@ -397,9 +390,7 @@ class TimedSSD(HostDeviceBase):
                 continue
             if self.kernel.horizon() > now:
                 continue  # flash still working; wait for a real gap
-            for op in self.ftl.idle_maintenance(policy.max_blocks):
-                self.smart.record(op)
-                self._schedule_op(op, now)
+            self._schedule_ops(self.ftl.idle_maintenance(policy.max_blocks), now)
 
     def quiesce(self) -> int:
         """Advance time past all outstanding flash work and cache
@@ -421,46 +412,130 @@ class TimedSSD(HostDeviceBase):
     # Scheduling
     # ------------------------------------------------------------------
 
-    def _schedule_op(self, op: FlashOp, earliest: int) -> int:
-        """Place one flash op on its channel/die timeline; returns its
-        end time.  The fast lane reuses cached bus occupancies instead of
-        re-encoding the ONFI cycle list per op; a bus tap needs the real
-        cycles, so it forces the encoded path."""
+    def _schedule_ops(self, ops, earliest: int,
+                      release_cache: bool = False) -> int:
+        """Place *ops*, in emission order, on their channel/die
+        timelines, none starting before *earliest*; returns when the
+        last one finishes (*earliest* for an empty list).
+
+        One pass does everything an op needs: SMART attribution, the
+        resource claims, their ``resource_busy`` events when a sink is
+        attached, and — with *release_cache*, for the programs that carry
+        cached sectors out of RAM — the cache release at the program's
+        end.  The claims follow the ONFI rules of
+        :meth:`_schedule_op_encoded` but advance the
+        :class:`~repro.sim.kernel.Resource` counters in place and take
+        bus occupancies from the per-shape caches.  A bus tap needs the
+        real cycle list of every op, and ``fast_path=False`` asks for the
+        re-encoding reference, so either sends the whole list through
+        the per-op encoded path instead.
+        """
+        flash_done = earliest
+        release = self._cache_pool.schedule_release
+        spp = self._sectors_per_page
         if self.bus_tap is not None or not self.fast_path:
-            return self._schedule_op_encoded(op, earliest)
-        kind = op.kind
-        key = (kind, op.nbytes)
-        ns = self._op_ns.get(key)
-        if ns is None:
-            ns = self._op_ns[key] = self._op_bus_ns(op)
-        geometry = self.geometry
-        if kind is OpKind.ERASE:
-            block = op.target
-            array_timing = PSLC if block in self._pslc_blocks else self.timing
-            die = self._dies[geometry.die_of_block(block)]
-            channel = self._channels[geometry.channel_of_block(block)]
-            start = max(earliest, channel.free_at, die.free_at)
-            channel.hold(start, start + ns, requested_ns=earliest)
-            return die.hold(start + ns, start + ns + array_timing.erase_ns,
-                            requested_ns=earliest)
-        ppn = op.target
-        die = self._dies[geometry.die_of_ppn(ppn)]
-        channel = self._channels[geometry.channel_of_ppn(ppn)]
-        block = ppn // geometry.pages_per_block
-        array_timing = PSLC if block in self._pslc_blocks else self.timing
-        if kind is OpKind.PROGRAM:
-            start = max(earliest, channel.free_at, die.free_at)
-            bus_end = channel.hold(start, start + ns, requested_ns=earliest)
-            return die.hold(bus_end, bus_end + array_timing.program_ns,
-                            requested_ns=earliest)
-        cmd_ns, data_ns = ns
-        start = max(earliest, channel.free_at, die.free_at)
-        cmd_end = channel.hold(start, start + cmd_ns, requested_ns=earliest)
-        array_end = die.hold(cmd_end, cmd_end + array_timing.read_ns,
-                             requested_ns=earliest)
-        bus_start = max(array_end, channel.free_at)
-        return channel.hold(bus_start, bus_start + data_ns,
-                            requested_ns=array_end)
+            record = self.smart.record
+            schedule_op = self._schedule_op_encoded
+            for op in ops:
+                record(op)
+                end = schedule_op(op, earliest)
+                if end > flash_done:
+                    flash_done = end
+                if (release_cache and op.kind is _PROGRAM
+                        and (op.reason is _HOST or op.reason is _PSLC)):
+                    release(end, spp)
+            return flash_done
+
+        smart = self.smart
+        dies = self._dies
+        channels = self._channels
+        pages_per_block = self._pages_per_block
+        blocks_per_die = self._blocks_per_die
+        blocks_per_channel = self._blocks_per_channel
+        pslc_blocks = self._pslc_blocks
+        timing = self.timing
+        obs = self.kernel.obs
+        emit = obs.emit if obs.enabled else None
+        for op in ops:
+            kind, target, reason, nbytes = op
+            block = target if kind is _ERASE else target // pages_per_block
+            die = dies[block // blocks_per_die]
+            channel = channels[block // blocks_per_channel]
+            array_timing = PSLC if block in pslc_blocks else timing
+            # ONFI: the controller cannot issue to a busy die or over a
+            # busy channel.  Every hold below therefore ends at or past
+            # its resource's free_at, which it simply replaces.
+            start = earliest
+            if channel.free_at > start:
+                start = channel.free_at
+            if die.free_at > start:
+                start = die.free_at
+            if kind is _READ:
+                smart.read_pages += 1
+                ns = self._read_bus_ns.get(nbytes)
+                if ns is None:
+                    ns = self._read_bus_ns[nbytes] = self._op_bus_ns(op)
+                cmd_ns, data_ns = ns
+                array_ns = array_timing.read_ns
+                # Command cycles, array time (tR), data out.  Nothing
+                # else claims the channel in between, so the data moves
+                # the moment the array is done.
+                cmd_end = start + cmd_ns
+                array_end = cmd_end + array_ns
+                end = array_end + data_ns
+                channel.holds += 2
+                channel.busy_ns += cmd_ns + data_ns
+                channel.free_at = end
+                die.holds += 1
+                die.busy_ns += array_ns
+                die.free_at = array_end
+                if emit is not None:
+                    emit(ResourceBusy(resource=channel.name, start_ns=start,
+                                      busy_ns=cmd_ns,
+                                      wait_ns=start - earliest))
+                    emit(ResourceBusy(resource=die.name, start_ns=cmd_end,
+                                      busy_ns=array_ns,
+                                      wait_ns=cmd_end - earliest))
+                    emit(ResourceBusy(resource=channel.name,
+                                      start_ns=array_end, busy_ns=data_ns,
+                                      wait_ns=0))
+            else:
+                if kind is _PROGRAM:
+                    if reason is _HOST:
+                        smart.host_program_pages += 1
+                    else:
+                        smart.record(op)  # FTL page + its per-reason detail
+                    cache = self._program_bus_ns
+                    array_ns = array_timing.program_ns
+                else:
+                    smart.erase_count += 1
+                    cache = self._erase_bus_ns
+                    array_ns = array_timing.erase_ns
+                bus_ns = cache.get(nbytes)
+                if bus_ns is None:
+                    bus_ns = cache[nbytes] = self._op_bus_ns(op)
+                bus_end = start + bus_ns
+                end = bus_end + array_ns
+                channel.holds += 1
+                channel.busy_ns += bus_ns
+                channel.free_at = bus_end
+                die.holds += 1
+                die.busy_ns += array_ns
+                die.free_at = end
+                if emit is not None:
+                    emit(ResourceBusy(resource=channel.name, start_ns=start,
+                                      busy_ns=bus_ns,
+                                      wait_ns=start - earliest))
+                    emit(ResourceBusy(resource=die.name, start_ns=bus_end,
+                                      busy_ns=array_ns,
+                                      wait_ns=bus_end - earliest))
+                if (release_cache and kind is _PROGRAM
+                        and (reason is _HOST or reason is _PSLC)):
+                    # This flush carries cached sectors back out of RAM.
+                    release(end, spp)
+            if end > flash_done:
+                flash_done = end
+        return flash_done
 
     def _op_bus_ns(self, op: FlashOp) -> int | tuple[int, int]:
         """Bus occupancy for ops shaped like *op*.

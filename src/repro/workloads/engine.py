@@ -31,7 +31,7 @@ Two execution modes mirror the two device modes:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +81,24 @@ class _Degradation:
             self.ops_before = ok_requests
         if isinstance(exc, PowerLoss):
             self.dead = True
+
+
+class _SourceState:
+    """One source's progress through the general :func:`run_timed`
+    scheduler."""
+
+    __slots__ = ("source", "issued", "lat", "sectors", "done_at", "arrivals",
+                 "inflight", "failed")
+
+    def __init__(self, source: RequestSource) -> None:
+        self.source = source
+        self.issued = 0
+        self.lat: list[float] = []
+        self.sectors = 0
+        self.done_at = 0
+        self.arrivals: np.ndarray | None = None
+        self.inflight: list[int] = []
+        self.failed = 0
 
 
 @dataclass
@@ -453,18 +471,6 @@ def run_timed(
         return RunResult(jobs=results, smart_delta=delta, elapsed_ns=elapsed,
                          degraded_kind=deg.kind, degraded_at_ns=deg.at_ns,
                          ops_before_degraded=deg.ops_before)
-
-    # Per-source scheduler state.
-    @dataclass
-    class _SourceState:
-        source: RequestSource
-        issued: int = 0
-        lat: list[float] = field(default_factory=list)
-        sectors: int = 0
-        done_at: int = 0
-        arrivals: np.ndarray | None = None
-        inflight: list[int] = field(default_factory=list)
-        failed: int = 0
 
     states = {}
     ready: list[tuple[int, int, str]] = []  # (when, tiebreak, source name)

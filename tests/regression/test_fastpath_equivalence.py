@@ -7,15 +7,34 @@ per-slot bookkeeping).  The throughput bench uses it as its baseline;
 these tests pin that the two modes are observationally identical — op
 streams, timelines, statistics, and every state array."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.flash.timing import profile
+from repro.obs.events import ResourceBusy
 from repro.ssd.ftl import Ftl
-from repro.ssd.presets import mqsim_baseline, tiny
-from repro.ssd.timed import TimedSSD
+from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
+from repro.ssd.timed import BackgroundPolicy, BusTap, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
+
+
+class ListSink:
+    """Keeps every event, in emission order."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events = []
+
+    def emit(self, event) -> None:
+        self.events.append(event)
+
+    def close(self) -> None:
+        pass
 
 
 def _assert_same_state(fast: Ftl, ref: Ftl) -> None:
@@ -99,3 +118,134 @@ def test_single_job_engine_loop_matches_general_scheduler():
                                   runs[False].jobs["j"].latencies_us)
     assert runs[True].elapsed_ns == runs[False].elapsed_ns
     assert runs[True].smart_delta == runs[False].smart_delta
+
+
+# ----------------------------------------------------------------------
+# The fused scheduling pass against the per-op encoded reference
+# ----------------------------------------------------------------------
+
+def _timeline(device: TimedSSD) -> dict[str, tuple[int, int, int]]:
+    return {name: (r.free_at, r.busy_ns, r.holds)
+            for name, r in device.kernel.resources.items()}
+
+
+def _assert_same_device(fast: TimedSSD, ref: TimedSSD) -> None:
+    assert fast.completed == ref.completed
+    assert fast.smart == ref.smart
+    assert _timeline(fast) == _timeline(ref)
+    assert fast._cache_pool.occupied == ref._cache_pool.occupied
+    assert fast._cache_pool.pending_releases == ref._cache_pool.pending_releases
+    assert fast.now == ref.now
+    _assert_same_state(fast.ftl, ref.ftl)
+
+
+def _job(rw: str, config, io_count: int, **kwargs) -> JobSpec:
+    return JobSpec(name=rw, rw=rw, region=Region(0, config.logical_sectors),
+                   io_count=io_count, **kwargs)
+
+
+def _chunked_reads(device: TimedSSD) -> None:
+    # Random reads over a demand-loaded chunked map: every chunk miss is
+    # a META read ahead of the data read.
+    config = device.config
+    run_timed(device, [_job("randwrite", config, 1_500, bs_sectors=8, seed=5)])
+    device.flush()
+    device.quiesce()
+    loads = device.ftl.mapping.stats.chunk_loads
+    run_timed(device, [_job("randread", config, 1_200, bs_sectors=1,
+                            iodepth=4, seed=6)])
+    assert device.ftl.mapping.stats.chunk_loads - loads > 100
+    assert device.smart.read_pages > 1_000
+
+
+def _pslc_writes(device: TimedSSD) -> None:
+    # Writes land in the pSLC buffer (PSLC programs at pSLC speed); the
+    # buffer fills and drains into the TLC array, erasing its blocks.
+    run_timed(device, [_job("randwrite", device.config, 3_000, bs_sectors=2,
+                            iodepth=2, seed=7)])
+    assert device.smart.pslc_program_pages > 500
+    assert device.smart.erase_count > 0
+
+
+def _every_call_site(device: TimedSSD) -> None:
+    # submit (write/read/trim under GC churn), flush, idle, shutdown.
+    rng = np.random.default_rng(8)
+    n = device.num_sectors
+    for i in range(2_500):
+        roll = rng.random()
+        kind = "write" if roll < 0.6 else "read" if roll < 0.9 else "trim"
+        device.submit(kind, int(rng.integers(n - 4)), int(rng.integers(1, 5)),
+                      at_ns=device.now + int(rng.integers(50_000)))
+        if i % 600 == 599:
+            device.flush()
+            device.now = device.idle(max_blocks=2)
+    device.shutdown()
+    assert device.smart.gc_program_pages > 0
+    assert device.smart.meta_program_pages > 0
+
+
+def _background_maintenance(device: TimedSSD) -> None:
+    # Bursts separated by host-idle gaps the maintenance process fills.
+    device.enable_background_maintenance(BackgroundPolicy(
+        idle_threshold_ns=1_000_000, check_interval_ns=1_000_000,
+        max_blocks=2))
+    rng = np.random.default_rng(9)
+    n = device.num_sectors
+    for _ in range(6):
+        for _ in range(300):
+            device.submit("write", int(rng.integers(n)), 1, at_ns=device.now)
+        invocations = device.ftl.stats.gc_invocations
+        device.submit("read", int(rng.integers(n)), 1,
+                      at_ns=device.kernel.horizon() + 40_000_000)
+    assert device.ftl.stats.gc_invocations > invocations  # ran in the last gap
+    device.quiesce()
+
+
+@pytest.mark.parametrize("make_config,drive", [
+    (evo840_like, _chunked_reads),
+    (evo840_like, _pslc_writes),
+    (tiny, _every_call_site),
+    (tiny, _background_maintenance),
+], ids=lambda arg: arg.__name__.lstrip("_"))
+def test_fused_scheduling_matches_encoded_reference(make_config, drive):
+    devices, sinks = [], []
+    for fast in (True, False):
+        device = TimedSSD(make_config(), fast_path=fast)
+        sink = ListSink()
+        device.attach_sink(sink)
+        drive(device)
+        devices.append(device)
+        sinks.append(sink)
+    _assert_same_device(*devices)
+    assert sinks[0].events == sinks[1].events
+    assert any(isinstance(e, ResourceBusy) for e in sinks[0].events)
+
+
+def test_fused_scheduling_matches_reference_without_a_sink():
+    devices = []
+    for fast in (True, False):
+        device = TimedSSD(tiny(), fast_path=fast)
+        _every_call_site(device)
+        devices.append(device)
+    _assert_same_device(*devices)
+
+
+def test_bus_tap_still_sees_every_cycle():
+    # The tap needs the real ONFI cycle list, so it forces the encoded
+    # path; the digest below was taken at the commit before the fused
+    # pass existed.
+    config = tiny()
+    tapped = TimedSSD(config, bus_tap=BusTap(
+        config.geometry, profile(config.timing_name), channel=1))
+    plain = TimedSSD(config)
+    for device in (tapped, plain):
+        _every_call_site(device)
+    _assert_same_device(plain, tapped)
+    trace = tapped.bus_tap.trace
+    assert (len(trace.segments), len(trace.busy)) == (32_612, 4_165)
+    digest = hashlib.sha256(repr(
+        ([(s.t0, s.t1, s.cle, s.ale, s.dq, s.strobes, s.reading)
+          for s in trace.segments],
+         [(b.t0, b.t1) for b in trace.busy], trace.t_end)).encode())
+    assert digest.hexdigest() == (
+        "3ddde0de63b7366ea6a84c21bfd14805f88dd2c160640fa30de1185799e4b106")

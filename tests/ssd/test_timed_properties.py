@@ -6,61 +6,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.timing import PSLC, profile
+from repro.obs.events import FlashOpIssued, ResourceBusy
 from repro.ssd.device import SimulatedSSD
-from repro.ssd.ops import OpKind
 from repro.ssd.presets import tiny, vertex2_like
 from repro.ssd.timed import TimedSSD
+from tests.regression.test_fastpath_equivalence import ListSink
 
 
-class RecordingTimedSSD(TimedSSD):
-    """Capture every scheduled op with its resource windows."""
+def die_windows(sink):
+    """Every scheduled op with its die busy window, from the trace.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.windows: list[tuple[str, int, int, int]] = []  # kind, die, s, e
-
-    def _schedule_op(self, op, earliest):
-        die_before = [die.free_at for die in self._dies]
-        end = super()._schedule_op(op, earliest)
-        for index, before in enumerate(die_before):
-            after = self._dies[index].free_at
-            if after != before:
-                self.windows.append((op.kind.value, index, before, after))
-        return end
+    The FTL announces each op it emits (``flash_op``) and the timed
+    layer holds exactly one die interval per op (``resource_busy`` on
+    ``die/<n>``), both in emission order, so the two streams pair up.
+    """
+    ops = [e for e in sink.events if isinstance(e, FlashOpIssued)]
+    holds = [e for e in sink.events
+             if isinstance(e, ResourceBusy) and e.resource.startswith("die/")]
+    assert len(ops) == len(holds)
+    return [(op.kind, int(hold.resource.removeprefix("die/")),
+             hold.start_ns, hold.start_ns + hold.busy_ns)
+            for op, hold in zip(ops, holds)]  # kind, die, start, end
 
 
 class TestProtocolRules:
     def run_workload(self, config, writes=1500, seed=0):
-        device = RecordingTimedSSD(config)
+        device = TimedSSD(config)
+        sink = ListSink()
+        device.attach_sink(sink)
         rng = np.random.default_rng(seed)
         for _ in range(writes):
             device.submit("write", int(rng.integers(device.num_sectors)), 1,
                           at_ns=device.now)
         device.flush()
-        return device
+        return device, sink
 
     def test_die_busy_windows_never_overlap(self):
-        device = self.run_workload(tiny())
+        _, sink = self.run_workload(tiny())
         by_die: dict[int, list[tuple[int, int]]] = {}
-        for _, die, start, end in device.windows:
+        for _, die, start, end in die_windows(sink):
             by_die.setdefault(die, []).append((start, end))
         assert by_die
         for die, spans in by_die.items():
-            spans.sort()
+            assert spans == sorted(spans)  # claims resolve in call order
             for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-                assert b0 >= a0  # monotone claims
+                assert b0 >= a1  # a die does one thing at a time
                 # die_free only ever moves forward
                 assert b1 >= a1
 
     def test_resource_timelines_monotone(self):
-        device = self.run_workload(tiny(), writes=800, seed=1)
-        assert min(die.free_at for die in device._dies) >= 0
-        assert min(chan.free_at for chan in device._channels) >= 0
+        device, _ = self.run_workload(tiny(), writes=800, seed=1)
+        resources = device.kernel.resources.values()
+        assert min(r.free_at for r in resources) >= 0
         # The kernel's busy accounting agrees with the claims made.
-        assert all(die.busy_ns <= die.free_at for die in device._dies)
+        assert all(r.busy_ns <= r.free_at for r in resources
+                   if r.name.startswith("die/"))
 
     def test_request_completion_after_submission(self):
-        device = self.run_workload(tiny(), writes=500, seed=2)
+        device, _ = self.run_workload(tiny(), writes=500, seed=2)
         for request in device.completed:
             assert request.complete_ns >= request.submit_ns
 
@@ -68,18 +71,20 @@ class TestProtocolRules:
         config = vertex2_like(scale=2).with_changes(
             pslc_blocks=8, cache_sectors=4, pslc_drain_threshold=0.99,
         )
-        device = RecordingTimedSSD(config)
+        device = TimedSSD(config)
+        sink = ListSink()
+        device.attach_sink(sink)
         for lba in range(16):
             device.submit("write", lba, 1, at_ns=device.now)
         timing = profile(config.timing_name)
         program_windows = [
-            (end - start) for kind, _, start, end in device.windows
+            (end - start) for kind, _, start, end in die_windows(sink)
             if kind == "program"
         ]
         assert program_windows
         # Buffer-block programs take pSLC time, far below the async
         # profile's 900 us.
-        assert min(program_windows) < timing.program_ns
+        assert min(program_windows) == PSLC.program_ns < timing.program_ns
 
 
 @settings(max_examples=8, deadline=None)
