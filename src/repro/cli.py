@@ -25,6 +25,7 @@ documentation of the public API::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis.report import format_table
@@ -39,6 +40,15 @@ def _preset(name: str, scale: int):
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise SystemExit(f"unknown preset {name!r}; known: {known}")
+
+
+def _positive_int(text: str) -> int:
+    """``argparse`` type of every request-count option: a job of zero
+    requests is a usage error, not a ``JobSpec`` traceback."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _make_runner(args):
@@ -138,10 +148,6 @@ def cmd_trace(args) -> int:
         load_trace,
     )
     from repro.workloads.source import synthetic_source
-
-    if args.writes < 1:
-        print("trace: --writes must be >= 1")
-        return 1
 
     counter = CounterSink()
     histogram = HistogramSink()
@@ -851,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="counter-mode workload + SMART")
     common(p)
-    p.add_argument("--writes", type=int, default=20_000)
+    p.add_argument("--writes", type=_positive_int, default=20_000)
     p.add_argument("--bs", type=int, default=1, help="request size in sectors")
     p.add_argument("--pattern", default="uniform",
                    choices=["uniform", "sequential", "hotcold", "zipf"])
@@ -861,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a workload with the observability layer "
                             "attached; write a JSONL event trace")
     common(p, preset_default="tiny")
-    p.add_argument("--writes", type=int, default=4_000)
+    p.add_argument("--writes", type=_positive_int, default=4_000)
     p.add_argument("--bs", type=int, default=1, help="request size in sectors")
     p.add_argument("--mode", default="timed", choices=["timed", "counter"])
     p.add_argument("--iodepth", type=int, default=4)
@@ -907,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="timed workload, latency percentiles")
     common(p)
-    p.add_argument("--writes", type=int, default=8_000)
+    p.add_argument("--writes", type=_positive_int, default=8_000)
     p.add_argument("--bs", type=int, default=1)
     p.add_argument("--iodepth", type=int, default=4)
     p.add_argument("--submission", default="closed",
@@ -930,20 +936,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("waf-study", help="Fig 4b WAF extrapolation study")
     common(p)
-    p.add_argument("--io-count", type=int, default=12_000)
+    p.add_argument("--io-count", type=_positive_int, default=12_000)
     parallel(p)
     p.set_defaults(fn=cmd_waf_study)
 
     p = sub.add_parser("fidelity", help="Fig 3 FTL-variant latency study")
     p.add_argument("--scale", type=int, default=4)
-    p.add_argument("--io-count", type=int, default=2_000)
+    p.add_argument("--io-count", type=_positive_int, default=2_000)
     parallel(p)
     p.set_defaults(fn=cmd_fidelity)
 
     p = sub.add_parser("policy-grid",
                        help="sweep the GC x cache x allocation policy grid")
     p.add_argument("--scale", type=int, default=4)
-    p.add_argument("--io-count", type=int, default=2_000)
+    p.add_argument("--io-count", type=_positive_int, default=2_000)
     p.add_argument("--bs", type=int, default=1, help="request size in sectors")
     p.add_argument("--gc", default="",
                    help="comma-separated gc_policy axis override")
@@ -1007,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", default="default",
                    choices=sorted(TENANT_MIXES),
                    help="built-in tenant mix (default: default)")
-    p.add_argument("--io-count", type=int, default=150,
+    p.add_argument("--io-count", type=_positive_int, default=150,
                    help="requests per tenant per device (default 150)")
     p.add_argument("--rate-scale", type=float, default=1.0,
                    help="multiplier on every tenant arrival rate")
@@ -1034,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe-features", help="SSDCheck-style latency probes")
     p.add_argument("--scale", type=int, default=2)
     p.add_argument("--cache-sectors", type=int, default=128)
-    p.add_argument("--writes", type=int, default=8_000)
+    p.add_argument("--writes", type=_positive_int, default=8_000)
     p.set_defaults(fn=cmd_probe_features)
 
     return parser
@@ -1043,7 +1049,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``repro-ssd ... | head``).  That is not
+        # this program's failure, so no traceback and exit 0 — a caller
+        # under ``set -o pipefail`` keeps going.  Stdout goes to devnull
+        # so the interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return status
 
 
 if __name__ == "__main__":

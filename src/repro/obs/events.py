@@ -4,11 +4,21 @@ The paper's complaint is that SSDs hide the internal events — GC victim
 picks, cache flushes, pSLC migrations — that explain their performance.
 The simulator used to hide them too: everything surfaced as end-of-run
 aggregates.  These events are the missing per-occurrence record.  Each
-is a frozen dataclass with
+is a slotted dataclass (no ``__dict__``, compared by value) with
 
 * ``NAME`` — the stable wire name used in JSONL traces and summaries,
 * ``METRIC`` — the headline numeric field (if any) that
   :class:`~repro.obs.sinks.HistogramSink` builds distributions over.
+
+An event is immutable by convention: emitters build it, sinks read it,
+nobody assigns to it afterwards (the classes are not ``frozen`` because
+a frozen ``__init__`` pays one ``object.__setattr__`` per field, which
+made an enabled sink cost more than the simulation it explains).  The
+sites that emit nearly every event — ``TimedSSD``'s scheduling pass and
+``submit``, ``Ftl._emit``, ``WriteCache.insert``, the open-loop
+``QueueDepth`` sites — pass fields positionally, so **field order is
+part of each event's contract**; ``tests/obs/test_event_contract.py``
+pins it per class.  New fields go last, with a default.
 
 Events deliberately carry plain ints/strings (no enums, no numpy
 scalars) so a JSONL trace round-trips through ``json`` without custom
@@ -17,11 +27,11 @@ encoders and is byte-identical for identical seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """Base class: every event serializes to a flat dict."""
 
@@ -31,8 +41,10 @@ class TraceEvent:
 
     def to_record(self) -> dict:
         record = {"event": self.NAME}
-        for f in fields(self):
-            record[f.name] = getattr(self, f.name)
+        # Every event derives from TraceEvent directly, so its own
+        # ``__slots__`` is its full field list, in declaration order.
+        for name in self.__slots__:
+            record[name] = getattr(self, name)
         return record
 
     def metric_value(self) -> float | None:
@@ -46,7 +58,7 @@ class TraceEvent:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HostRequest(TraceEvent):
     """One host command as the device saw it.
 
@@ -74,7 +86,7 @@ class HostRequest(TraceEvent):
         return float(self.latency_ns)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueueDepth(TraceEvent):
     """Open-loop submission backlog after one arrival.
 
@@ -98,7 +110,7 @@ class QueueDepth(TraceEvent):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CacheAdmit(TraceEvent):
     """A host sector entered the RAM write cache.
 
@@ -112,7 +124,7 @@ class CacheAdmit(TraceEvent):
     absorbed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CacheFlush(TraceEvent):
     """The cache handed a batch of sectors to the FTL for programming."""
 
@@ -123,7 +135,7 @@ class CacheFlush(TraceEvent):
     pending: int  #: sectors still buffered after the batch left
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CacheStall(TraceEvent):
     """A timed write blocked on cache admission.
 
@@ -146,7 +158,7 @@ class CacheStall(TraceEvent):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GcVictimSelected(TraceEvent):
     """The victim selector picked a block (before migration starts)."""
 
@@ -160,7 +172,7 @@ class GcVictimSelected(TraceEvent):
     policy: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GcStarted(TraceEvent):
     """Block collection began. ``trigger`` is ``foreground`` (the host
     write path hit the low watermark) or ``idle`` (background GC)."""
@@ -175,7 +187,7 @@ class GcStarted(TraceEvent):
     policy: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GcFinished(TraceEvent):
     """Block collection completed (migration + erase or retirement)."""
 
@@ -193,7 +205,7 @@ class GcFinished(TraceEvent):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlashOpIssued(TraceEvent):
     """One physical flash operation left the FTL."""
 
@@ -209,7 +221,7 @@ class FlashOpIssued(TraceEvent):
     policy: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResourceBusy(TraceEvent):
     """One busy interval on a named device resource (channel or die).
 
@@ -231,7 +243,7 @@ class ResourceBusy(TraceEvent):
     wait_ns: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WearRebalance(TraceEvent):
     """Static wear leveling chose a cold block to rotate back into
     circulation."""
@@ -244,7 +256,7 @@ class WearRebalance(TraceEvent):
     spread: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlcMigration(TraceEvent):
     """A pSLC buffer block was drained to the main (MLC/TLC) area."""
 
@@ -260,7 +272,7 @@ class SlcMigration(TraceEvent):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemtableFlush(TraceEvent):
     """An LSM memtable reached its threshold and became an L0 SSTable."""
 
@@ -271,7 +283,7 @@ class MemtableFlush(TraceEvent):
     sectors: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SstableWritten(TraceEvent):
     """One SSTable materialized on flash (memtable flush or compaction
     output)."""
@@ -284,7 +296,7 @@ class SstableWritten(TraceEvent):
     sectors: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompactionStarted(TraceEvent):
     """Leveled compaction began merging ``sstables_in`` tables from
     ``level`` into ``level + 1``."""
@@ -297,7 +309,7 @@ class CompactionStarted(TraceEvent):
     sectors_in: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompactionFinished(TraceEvent):
     """A compaction completed: inputs were read and dropped, merged
     outputs written one level down.  ``sectors_written`` is the
@@ -312,7 +324,7 @@ class CompactionFinished(TraceEvent):
     sectors_written: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BtreePageSplit(TraceEvent):
     """A B-tree page overflowed and split in two."""
 
@@ -323,7 +335,7 @@ class BtreePageSplit(TraceEvent):
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BtreePageMerge(TraceEvent):
     """An underfull B-tree page merged into its sibling."""
 
@@ -339,7 +351,7 @@ class BtreePageMerge(TraceEvent):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultInjected(TraceEvent):
     """A planned fault fired at the NAND boundary.
 
@@ -354,7 +366,7 @@ class FaultInjected(TraceEvent):
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadRetry(TraceEvent):
     """One step of the read-retry ladder on an uncorrectable read.
 
@@ -370,7 +382,7 @@ class ReadRetry(TraceEvent):
     success: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RainReconstruction(TraceEvent):
     """An uncorrectable page was rebuilt from its RAIN stripe peers.
 
@@ -387,7 +399,7 @@ class RainReconstruction(TraceEvent):
     relocated: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockRetired(TraceEvent):
     """A grown bad block left circulation permanently.
 
@@ -403,7 +415,7 @@ class BlockRetired(TraceEvent):
     migrated_sectors: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DegradedModeChanged(TraceEvent):
     """The FTL changed degradation state (e.g. entered read-only mode
     because the spare-block pool was exhausted by grown bad blocks)."""
@@ -415,7 +427,7 @@ class DegradedModeChanged(TraceEvent):
     spare_blocks: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PowerCut(TraceEvent):
     """Power was cut (by the fault plan or the crash-consistency sweep).
 

@@ -67,10 +67,11 @@ class CounterSink:
         self.metric_totals: dict[str, float] = defaultdict(float)
 
     def emit(self, event: TraceEvent) -> None:
-        self.counts[event.NAME] += 1
+        name = event.NAME
+        self.counts[name] += 1
         value = event.metric_value()
         if value is not None:
-            self.metric_totals[event.NAME] += value
+            self.metric_totals[name] += value
 
     def close(self) -> None:
         pass
@@ -103,10 +104,11 @@ class HistogramSink:
         self.counts: dict[str, int] = defaultdict(int)
 
     def emit(self, event: TraceEvent) -> None:
-        self.counts[event.NAME] += 1
+        name = event.NAME
+        self.counts[name] += 1
         value = event.metric_value()
         if value is not None:
-            self.samples[event.NAME].append(value)
+            self.samples[name].append(value)
 
     def close(self) -> None:
         pass

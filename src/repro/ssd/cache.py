@@ -70,11 +70,11 @@ class WriteCache:
             self._on_hit(lpn, self._pending)
             self.hits += 1
             if self.obs.enabled:
-                self.obs.emit(CacheAdmit(lpn=lpn, absorbed=True))
+                self.obs.emit(CacheAdmit(lpn, True))
             return True
         self._pending[lpn] = None
         if self.obs.enabled:
-            self.obs.emit(CacheAdmit(lpn=lpn, absorbed=False))
+            self.obs.emit(CacheAdmit(lpn, False))
         return False
 
     def take_flush_batch(self, max_sectors: int) -> list[int]:

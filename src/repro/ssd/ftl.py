@@ -882,10 +882,13 @@ class Ftl:
     def _emit(self, op: FlashOp) -> None:
         self._ops.append(op)
         if self.obs.enabled:
-            self.obs.emit(FlashOpIssued(kind=op.kind.value, target=op.target,
-                                        reason=op.reason.value,
-                                        nbytes=op.nbytes,
-                                        policy=self._active_policy))
+            kind, target, reason, nbytes = op
+            # ``_value_`` is the plain attribute behind ``Enum.value``.
+            # The property is a Python-level descriptor call per access,
+            # and a ``{member: str}`` dict is no cheaper: ``Enum.__hash__``
+            # is Python-level too.
+            self.obs.emit(FlashOpIssued(kind._value_, target, reason._value_,
+                                        nbytes, self._active_policy))
 
     def _check_range(self, lpn: int, nsectors: int) -> None:
         if nsectors < 1:

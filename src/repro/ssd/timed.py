@@ -268,10 +268,8 @@ class TimedSSD(HostDeviceBase):
         if self.obs.enabled:
             stall = (complete - at_ns - self.controller_overhead_ns
                      if kind == "write" else 0)
-            self.obs.emit(HostRequest(
-                kind=kind, lba=lba, nsectors=nsectors, submit_ns=at_ns,
-                latency_ns=request.latency_ns, stall_ns=max(0, stall),
-            ))
+            self.obs.emit(HostRequest(kind, lba, nsectors, at_ns,
+                                      complete - at_ns, max(0, stall)))
         return request
 
     # -- synchronous sector commands (HostDevice surface) --------------
@@ -490,15 +488,12 @@ class TimedSSD(HostDeviceBase):
                 die.busy_ns += array_ns
                 die.free_at = array_end
                 if emit is not None:
-                    emit(ResourceBusy(resource=channel.name, start_ns=start,
-                                      busy_ns=cmd_ns,
-                                      wait_ns=start - earliest))
-                    emit(ResourceBusy(resource=die.name, start_ns=cmd_end,
-                                      busy_ns=array_ns,
-                                      wait_ns=cmd_end - earliest))
-                    emit(ResourceBusy(resource=channel.name,
-                                      start_ns=array_end, busy_ns=data_ns,
-                                      wait_ns=0))
+                    # ResourceBusy(resource, start_ns, busy_ns, wait_ns)
+                    emit(ResourceBusy(channel.name, start, cmd_ns,
+                                      start - earliest))
+                    emit(ResourceBusy(die.name, cmd_end, array_ns,
+                                      cmd_end - earliest))
+                    emit(ResourceBusy(channel.name, array_end, data_ns, 0))
             else:
                 if kind is _PROGRAM:
                     if reason is _HOST:
@@ -523,12 +518,10 @@ class TimedSSD(HostDeviceBase):
                 die.busy_ns += array_ns
                 die.free_at = end
                 if emit is not None:
-                    emit(ResourceBusy(resource=channel.name, start_ns=start,
-                                      busy_ns=bus_ns,
-                                      wait_ns=start - earliest))
-                    emit(ResourceBusy(resource=die.name, start_ns=bus_end,
-                                      busy_ns=array_ns,
-                                      wait_ns=bus_end - earliest))
+                    emit(ResourceBusy(channel.name, start, bus_ns,
+                                      start - earliest))
+                    emit(ResourceBusy(die.name, bus_end, array_ns,
+                                      bus_end - earliest))
                 if (release_cache and kind is _PROGRAM
                         and (reason is _HOST or reason is _PSLC)):
                     # This flush carries cached sectors back out of RAM.

@@ -344,8 +344,7 @@ def _run_timed_single(
                 while inflight and inflight[0] <= when:
                     heapq.heappop(inflight)
                 heapq.heappush(inflight, complete)
-                obs.emit(QueueDepth(job=source.name, at_ns=when,
-                                    depth=len(inflight)))
+                obs.emit(QueueDepth(source.name, when, len(inflight)))
         return lat, sectors_done, done_at, failed, deg
 
     if source.iodepth == 1:
@@ -531,8 +530,7 @@ def run_timed(
                 heapq.heappop(state.inflight)
             heapq.heappush(state.inflight, done.complete_ns)
             if device.obs.enabled:
-                device.obs.emit(QueueDepth(job=name, at_ns=when,
-                                           depth=len(state.inflight)))
+                device.obs.emit(QueueDepth(name, when, len(state.inflight)))
             if state.issued < len(state.arrivals):
                 seq += 1
                 next_at = int(state.arrivals[state.issued])

@@ -20,21 +20,7 @@ from repro.ssd.timed import BackgroundPolicy, BusTap, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
-
-
-class ListSink:
-    """Keeps every event, in emission order."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events = []
-
-    def emit(self, event) -> None:
-        self.events.append(event)
-
-    def close(self) -> None:
-        pass
+from tests.helpers import ListSink
 
 
 def _assert_same_state(fast: Ftl, ref: Ftl) -> None:

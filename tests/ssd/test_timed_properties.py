@@ -10,7 +10,7 @@ from repro.obs.events import FlashOpIssued, ResourceBusy
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny, vertex2_like
 from repro.ssd.timed import TimedSSD
-from tests.regression.test_fastpath_equivalence import ListSink
+from tests.helpers import ListSink
 
 
 def die_windows(sink):

@@ -1,7 +1,13 @@
 """CLI smoke tests: every subcommand runs and prints its table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 #: Every subcommand registered in cli.py.  TestCommands must smoke each
@@ -12,6 +18,16 @@ ALL_SUBCOMMANDS = [
     "policies", "policy-grid", "infer", "transparency", "fleet",
     "replay", "engine",
 ]
+
+
+def _count_options():
+    """Every (subcommand, option) pair that sets a job's request count."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return [(command, option)
+            for command, parser in sorted(subparsers.items())
+            for action in parser._actions
+            for option in action.option_strings
+            if option in ("--writes", "--io-count")]
 
 
 class TestParser:
@@ -28,6 +44,21 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--help"])
         assert excinfo.value.code == 0
+
+    def test_request_count_options_found(self):
+        assert len(_count_options()) == 8
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command, option", _count_options())
+    def test_request_count_must_be_positive(self, command, option, count,
+                                            capsys):
+        """A usage error (exit 2), not a JobSpec traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, option, count])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {option}: must be >= 1" in err
 
     def test_subcommand_list_is_complete(self):
         """ALL_SUBCOMMANDS mirrors the parser registry, so adding a
@@ -170,6 +201,29 @@ class TestCommands:
         assert "flash_op" in out
         assert "gc_started" in out
         assert out_path.exists()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_the_pipe_early_is_not_an_error(self, tmp_path,
+                                                           unbuffered):
+        """``repro-ssd ... | head``: no traceback, exit 0.  Stdout is a
+        pipe whose read end is already closed, so the first ``print``
+        (unbuffered) or the final flush (buffered) gets EPIPE."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = (str(Path(repro.__file__).resolve().parents[1])
+                             + os.pathsep + env.get("PYTHONPATH", ""))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "trace", "--preset",
+                 "tiny", "--writes", "200", "--out", str(tmp_path / "t.jsonl")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 0
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
 
     def _write_trace(self, tmp_path, max_lba=700):
         from repro.workloads.trace import BlockTrace, TraceRecord
