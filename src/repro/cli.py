@@ -42,13 +42,35 @@ def _preset(name: str, scale: int):
         raise SystemExit(f"unknown preset {name!r}; known: {known}")
 
 
-def _positive_int(text: str) -> int:
-    """``argparse`` type of every request-count option: a job of zero
-    requests is a usage error, not a ``JobSpec`` traceback."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An ``argparse`` type: an int, a usage error below *minimum*."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = f"int >= {minimum}"  # argparse: "invalid <name> value"
+    return parse
+
+
+#: every request-count, request-size and queue-depth option: a job of
+#: zero requests (or zero sectors, or depth 0) is a usage error, not a
+#: ``JobSpec`` traceback.
+_positive_int = _int_at_least(1)
+#: every ``--seed``: numpy's generators refuse a negative seed with a
+#: traceback of their own.
+_non_negative_int = _int_at_least(0)
+
+
+def _check_bs_fits(args, config) -> None:
+    """A request larger than the device is a usage error (exit 2), not
+    the address pattern's ``region smaller than one request``."""
+    if args.bs > config.logical_sectors:
+        print(f"repro-ssd {args.command}: --bs {args.bs} is larger than "
+              f"the device ({config.logical_sectors} sectors)",
+              file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _make_runner(args):
@@ -118,7 +140,9 @@ def cmd_simulate(args) -> int:
     from repro.workloads.patterns import Region
     from repro.workloads.spec import JobSpec
 
-    device = SimulatedSSD(_preset(args.preset, args.scale))
+    config = _preset(args.preset, args.scale)
+    _check_bs_fits(args, config)
+    device = SimulatedSSD(config)
     job = JobSpec(
         name="cli",
         rw="randwrite" if args.pattern != "sequential" else "write",
@@ -149,6 +173,8 @@ def cmd_trace(args) -> int:
     )
     from repro.workloads.source import synthetic_source
 
+    config = _preset(args.preset, args.scale)
+    _check_bs_fits(args, config)
     counter = CounterSink()
     histogram = HistogramSink()
     jsonl = JsonlSink(args.out)
@@ -163,13 +189,13 @@ def cmd_trace(args) -> int:
         from repro.ssd.timed import TimedSSD
         from repro.workloads.engine import run_timed
 
-        device = TimedSSD(_preset(args.preset, args.scale))
+        device = TimedSSD(config)
         run_timed(device, [source(device, iodepth=args.iodepth)], sink=sink)
     else:
         from repro.ssd.device import SimulatedSSD
         from repro.workloads.engine import run_counter
 
-        device = SimulatedSSD(_preset(args.preset, args.scale))
+        device = SimulatedSSD(config)
         run_counter(device, [source(device)], sink=sink)
     sink.close()
 
@@ -334,6 +360,7 @@ def cmd_latency(args) -> int:
         print("latency: --submission open needs --rate > 0 (IOPS)")
         return 1
     config = _preset(args.preset, args.scale)
+    _check_bs_fits(args, config)
     job = JobSpec("cli", "randwrite", Region(0, config.logical_sectors),
                   bs_sectors=args.bs, io_count=args.writes,
                   iodepth=args.iodepth, seed=args.seed,
@@ -453,9 +480,11 @@ def cmd_policy_grid(args) -> int:
         return tuple(s.strip() for s in raw.split(",") if s.strip()) \
             if raw else default
 
+    base = mqsim_baseline(scale=args.scale)
+    _check_bs_fits(args, base)
     runner = _make_runner(args)
     study = run_policy_grid(
-        mqsim_baseline(scale=args.scale),
+        base,
         block_sizes_sectors=(args.bs,),
         io_count=args.io_count,
         gc_policies=axis(args.gc, GRID_GC_POLICIES),
@@ -839,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"device preset (default {preset_default})")
         p.add_argument("--scale", type=int, default=2,
                        help="geometry down-scale factor (default 2)")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_non_negative_int, default=42)
 
     def parallel(p):
         p.add_argument("--jobs", type=int, default=None,
@@ -858,7 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="counter-mode workload + SMART")
     common(p)
     p.add_argument("--writes", type=_positive_int, default=20_000)
-    p.add_argument("--bs", type=int, default=1, help="request size in sectors")
+    p.add_argument("--bs", type=_positive_int, default=1,
+                   help="request size in sectors")
     p.add_argument("--pattern", default="uniform",
                    choices=["uniform", "sequential", "hotcold", "zipf"])
     p.set_defaults(fn=cmd_simulate)
@@ -868,9 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "attached; write a JSONL event trace")
     common(p, preset_default="tiny")
     p.add_argument("--writes", type=_positive_int, default=4_000)
-    p.add_argument("--bs", type=int, default=1, help="request size in sectors")
+    p.add_argument("--bs", type=_positive_int, default=1,
+                   help="request size in sectors")
     p.add_argument("--mode", default="timed", choices=["timed", "counter"])
-    p.add_argument("--iodepth", type=int, default=4)
+    p.add_argument("--iodepth", type=_positive_int, default=4)
     p.add_argument("--out", default="trace.jsonl",
                    help="JSONL trace output path (default trace.jsonl)")
     p.set_defaults(fn=cmd_trace)
@@ -889,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["open", "closed"],
                    help="open loop at the recorded timeline, or closed "
                         "loop at --iodepth (default open)")
-    p.add_argument("--iodepth", type=int, default=1)
+    p.add_argument("--iodepth", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("engine",
@@ -907,15 +938,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=0,
                    help="run-phase operations (default: 4x records)")
     p.add_argument("--value-sectors", type=int, default=1)
-    p.add_argument("--iodepth", type=int, default=1)
+    p.add_argument("--iodepth", type=_positive_int, default=1)
     parallel(p)
     p.set_defaults(fn=cmd_engine)
 
     p = sub.add_parser("latency", help="timed workload, latency percentiles")
     common(p)
     p.add_argument("--writes", type=_positive_int, default=8_000)
-    p.add_argument("--bs", type=int, default=1)
-    p.add_argument("--iodepth", type=int, default=4)
+    p.add_argument("--bs", type=_positive_int, default=1)
+    p.add_argument("--iodepth", type=_positive_int, default=4)
     p.add_argument("--submission", default="closed",
                    choices=["closed", "open"],
                    help="closed loop (iodepth) or open loop (arrival rate)")
@@ -950,7 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the GC x cache x allocation policy grid")
     p.add_argument("--scale", type=int, default=4)
     p.add_argument("--io-count", type=_positive_int, default=2_000)
-    p.add_argument("--bs", type=int, default=1, help="request size in sectors")
+    p.add_argument("--bs", type=_positive_int, default=1,
+                   help="request size in sectors")
     p.add_argument("--gc", default="",
                    help="comma-separated gc_policy axis override")
     p.add_argument("--cache", default="",
@@ -963,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer",
                        help="recover the six policy knobs from one "
                             "firmware image (black-box + gray-box)")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_non_negative_int, default=42,
                    help="selects the random policy-grid point")
     p.add_argument("--mode", default="both",
                    choices=["both", "blackbox", "graybox"])
@@ -973,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-knob recovery-rate score over N random "
                             "policy points")
     p.add_argument("--points", type=int, default=8)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     parallel(p)
     p.set_defaults(fn=cmd_transparency)
 

@@ -77,6 +77,35 @@ class WriteCache:
             self.obs.emit(CacheAdmit(lpn, False))
         return False
 
+    def insert_run(self, lpn: int, stop: int) -> tuple[int, int]:
+        """:meth:`insert` sectors ``lpn, lpn + 1, ...`` up to ``stop - 1``,
+        returning right after the first one that leaves the cache over
+        capacity (so the caller flushes exactly where a per-sector
+        ``insert`` + ``needs_flush`` loop would).  Returns
+        ``(next_lpn, hits)``: the first sector not yet inserted and how
+        many of the inserted ones were write hits."""
+        pending = self._pending
+        capacity = self.capacity
+        obs = self.obs
+        first = lpn
+        hits = 0
+        while lpn < stop:
+            if lpn in pending:
+                self._on_hit(lpn, pending)
+                hits += 1
+                if obs.enabled:
+                    obs.emit(CacheAdmit(lpn, True))
+            else:
+                pending[lpn] = None
+                if obs.enabled:
+                    obs.emit(CacheAdmit(lpn, False))
+            lpn += 1
+            if len(pending) > capacity:
+                break
+        self.insertions += lpn - first
+        self.hits += hits
+        return lpn, hits
+
     def take_flush_batch(self, max_sectors: int) -> list[int]:
         """Remove up to *max_sectors* of the oldest pending sectors.
 
@@ -86,9 +115,8 @@ class WriteCache:
         """
         if max_sectors < 1:
             raise ValueError("max_sectors must be >= 1")
-        batch = []
-        while self._pending and len(batch) < max_sectors:
-            batch.append(self._pop(self._pending))
+        pending, pop = self._pending, self._pop
+        batch = [pop(pending) for _ in range(min(max_sectors, len(pending)))]
         batch.sort()
         if batch and self.obs.enabled:
             self.obs.emit(CacheFlush(sectors=len(batch),

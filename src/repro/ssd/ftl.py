@@ -6,12 +6,15 @@ garbage collection, RAIN parity, and the pSLC buffer, and it emits a
 :class:`~repro.ssd.ops.FlashOp` stream describing every physical
 operation it causes.
 
-Write path (host sector granularity)::
+Write path (sectors in, flash pages out)::
 
-    host sector -> write cache (absorb/pack) -> [pSLC buffer] -> data page
-                                  \\-> mapping update -> dirty TP -> meta page
-                                  \\-> RAIN stripe accounting -> parity page
-                                  \\-> free-block pressure -> GC migrations
+    host request -> WriteCache.insert_run (absorb/pack, stops when over
+                    capacity) -> take_flush_batch -> [pSLC buffer] -> data page
+      per data page:  MappingTable.update_page (silent_update_page for GC)
+                      -> stamp p2l/sector_valid -> invalidate owned old copies
+                  \\-> deferred mapping events -> dirty TP -> meta page
+                  \\-> RAIN stripe accounting -> parity page
+                  \\-> free-block pressure -> GC migrations
 
 Accounting conventions (documented because the black-box experiments
 measure them):
@@ -119,7 +122,7 @@ class Ftl:
     ) -> None:
         self.config = config
         #: ``fast_path=False`` forces the pre-refactor-shaped general
-        #: code paths everywhere (per-slot bookkeeping, full plane scans,
+        #: code paths everywhere (per-slot GC scans, full plane scans,
         #: allocating mapping results).  It exists as the measured-in-job
         #: reference for the throughput bench and the fast==reference
         #: equivalence tests; results are byte-identical either way.
@@ -135,11 +138,22 @@ class Ftl:
 
         spp = self._spp = geometry.sectors_per_page
         self.num_lpns = config.logical_sectors
+        self._sectors_per_block = spp * geometry.pages_per_block
         total_psas = geometry.total_pages * spp
-        #: physical-sector -> logical-sector reverse map (see p2l codes above).
+        #: physical-sector -> logical-sector reverse map (see p2l codes
+        #: above).  Edited in place only — scalar views alias this buffer.
         self.p2l = np.full(total_psas, P2L_NONE, dtype=np.int64)
+        #: edited in place only — scalar views alias this buffer.
         self.sector_valid = np.zeros(total_psas, dtype=bool)
+        #: edited in place only — scalar views alias this buffer.
         self.block_valid = np.zeros(geometry.total_blocks, dtype=np.int32)
+        # One-entry reads and writes go through memoryviews of the three
+        # buffers (items are plain int/bool, several times cheaper than
+        # numpy scalars); array-wide work — GC's nonzero scan,
+        # check_invariants, recovery — uses the arrays.
+        self._p2l_view = memoryview(self.p2l)
+        self._sector_valid_view = memoryview(self.sector_valid)
+        self._block_valid_view = memoryview(self.block_valid)
 
         # pSLC buffer blocks are striped across planes (TurboWrite-style
         # fixed regions with full die parallelism).
@@ -240,31 +254,34 @@ class Ftl:
         self._check_writable()
         self._host_ops += 1
         self.injector.tick(self._host_ops)
-        if self._fast and nsectors == 1 and self._admit_always:
-            # Single-sector admit-always lane: the dominant request shape
-            # (one heap-ordered request per host op) without the range
-            # loop or the per-sector admission dispatch.
-            ops = self._ops = []
-            self.stats.host_sector_writes += 1
-            self._op_seq += 1
-            cache = self.cache
-            if cache.insert(lpn):
-                self.stats.cache_absorbed += 1
-            while cache.needs_flush:
-                self._flush_one_batch()
+        ops = self._ops = []
+        stats = self.stats
+        cache = self.cache
+        stop = lpn + nsectors
+        if self._admit_always:
+            # insert_run hands back control exactly where the cache went
+            # over capacity, so flushes interleave with admissions as a
+            # per-sector loop's would (block_birth reads _op_seq there).
+            while lpn < stop:
+                admitted_to, hits = cache.insert_run(lpn, stop)
+                stats.host_sector_writes += admitted_to - lpn
+                self._op_seq += admitted_to - lpn
+                stats.cache_absorbed += hits
+                lpn = admitted_to
+                while cache.needs_flush:
+                    self._flush_one_batch()
             return ops
-        self._ops = []
-        for sector in range(lpn, lpn + nsectors):
-            self.stats.host_sector_writes += 1
+        for sector in range(lpn, stop):
+            stats.host_sector_writes += 1
             self._op_seq += 1
-            if not self._admit_always and not self._admit(sector, self.cache):
+            if not self._admit(sector, cache):
                 self._stage_direct(sector)
                 continue
-            if self.cache.insert(sector):
-                self.stats.cache_absorbed += 1
-            while self.cache.needs_flush:
+            if cache.insert(sector):
+                stats.cache_absorbed += 1
+            while cache.needs_flush:
                 self._flush_one_batch()
-        return self._ops
+        return ops
 
     def read(self, lpn: int, nsectors: int = 1) -> list[FlashOp]:
         """Read *nsectors* consecutive logical sectors starting at *lpn*."""
@@ -443,43 +460,49 @@ class Ftl:
         self.nand.program(ppn, lpn=lpns[0], oob=tuple(lpns[:spp]))
         self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, geometry.page_size))
         block = ppn // geometry.pages_per_block
-        # Mapping-eviction events are deferred until every sector of the
-        # page is mapped: applying them mid-loop programs meta pages,
-        # whose allocation can trigger foreground GC while a later slot's
-        # old copy is still marked valid — GC would then migrate that
+        # Mapping-eviction events come back merged and are applied only
+        # once every sector of the page is mapped and its old copy
+        # invalidated: applying them mid-page programs meta pages, whose
+        # allocation can trigger foreground GC while a later slot's old
+        # copy is still marked valid — GC would then migrate that
         # superseded copy with a *newer* program sequence than the live
         # data, and newest-wins recovery would resurrect stale sectors.
-        pending_events: MappingEvents | None = None
         lpns = lpns[:spp]
         base = ppn * spp
-        p2l = self.p2l
-        sector_valid = self.sector_valid
-        mapping = self.mapping
-        # One bump instead of one read-modify-write per slot: nothing
-        # reads block_valid mid-loop (metadata work is deferred), so the
-        # interleaving is unobservable — including for duplicate LPNs,
-        # where a later slot's invalidation of an earlier slot's copy
-        # decrements the same counter exactly as the per-slot order did.
-        self.block_valid[block] += len(lpns)
-        pslc_enabled = self.pslc.enabled
-        for slot, lpn in enumerate(lpns):
-            psa = base + slot
+        if silent_map:
+            olds = self.mapping.silent_update_page(lpns, base)
+            pending_events = None
+        else:
+            olds, pending_events = self.mapping.update_page(lpns, base)
+        p2l = self._p2l_view
+        sector_valid = self._sector_valid_view
+        block_valid = self._block_valid_view
+        psa = base
+        for lpn in lpns:
             p2l[psa] = lpn
             sector_valid[psa] = True
-            if silent_map:
-                old = mapping.silent_update(lpn, psa)
-            else:
-                old, events = mapping.update(lpn, psa)
-                if not events.empty:
-                    if pending_events is None:
-                        pending_events = MappingEvents()
-                    pending_events.merge(events)
-            self._invalidate_old_copy(lpn, old, psa)
-            if pslc_enabled:
+            psa += 1
+        # One bump for the page: nothing reads block_valid before the
+        # loop below (metadata work is deferred), and a duplicate LPN's
+        # later slot takes the earlier slot's copy back out of it there.
+        block_valid[block] += len(lpns)
+        sectors_per_block = self._sectors_per_block
+        psa = base
+        for lpn, old in zip(lpns, olds):
+            # The ownership rule of _invalidate_old_copy, inline.
+            if (old != UNMAPPED and old != psa and p2l[old] == lpn
+                    and sector_valid[old]):
+                sector_valid[old] = False
+                p2l[old] = P2L_NONE
+                block_valid[old // sectors_per_block] -= 1
+            psa += 1
+        if self.pslc.enabled:
+            pslc = self.pslc
+            for psa, lpn in enumerate(lpns, base):
                 # A fresh main-area copy supersedes any pSLC-resident one.
-                pslc_psa = self.pslc.lookup(lpn)
+                pslc_psa = pslc.lookup(lpn)
                 if pslc_psa is not None and pslc_psa != psa:
-                    self.pslc.invalidate(lpn)
+                    pslc.invalidate(lpn)
         if pending_events is not None:
             self._apply_mapping_events(pending_events)
         if self.rain.on_data_page(ppn):
@@ -504,9 +527,9 @@ class Ftl:
         if old >= 0:
             self._invalidate_meta_page(old)
         slot0 = ppn * geometry.sectors_per_page
-        self.p2l[slot0] = _tp_to_p2l(tp_id)
-        self.sector_valid[slot0] = True
-        self.block_valid[ppn // geometry.pages_per_block] += 1
+        self._p2l_view[slot0] = _tp_to_p2l(tp_id)
+        self._sector_valid_view[slot0] = True
+        self._block_valid_view[ppn // geometry.pages_per_block] += 1
         self.mapping.note_flushed(tp_id, ppn)
         if self.rain.on_data_page(ppn):
             self._program_parity_page()
@@ -659,10 +682,8 @@ class Ftl:
                 victim = self.selector.select_victim(
                     plane, exclude=self._gc_in_flight
                 )
-                if victim is None or int(self.block_valid[victim]) >= (
-                    self.geometry.pages_per_block
-                    * self.geometry.sectors_per_page
-                ):
+                if (victim is None or self._block_valid_view[victim]
+                        >= self._sectors_per_block):
                     break
                 self._collect_block(victim, trigger="idle")
                 self.stats.idle_gc_blocks += 1
@@ -699,7 +720,7 @@ class Ftl:
         stale = [
             block for block in range(self.geometry.total_blocks)
             if 0 <= int(self.block_birth[block]) <= horizon
-            and int(self.block_valid[block]) > 0
+            and self._block_valid_view[block] > 0
             and block not in self.allocator.active_blocks()
             and block not in self.allocator.retired_blocks
             and block not in self.allocator.excluded_blocks
@@ -751,7 +772,7 @@ class Ftl:
         self.stats.gc_invocations += 1
         if self.obs.enabled:
             self.obs.emit(GcStarted(victim=victim,
-                                    valid_sectors=int(self.block_valid[victim]),
+                                    valid_sectors=self._block_valid_view[victim],
                                     trigger=trigger,
                                     policy=self.selector.policy))
         migrated_before = self.stats.gc_migrated_sectors
@@ -812,19 +833,21 @@ class Ftl:
             live_lpns = []
             live_tps = []
             pages_to_read: set[int] = set()
+            p2l = self._p2l_view
+            sector_valid = self._sector_valid_view
             for psa in range(first_psa, last_psa):
-                if not self.sector_valid[psa]:
+                if not sector_valid[psa]:
                     continue
-                code = int(self.p2l[psa])
+                code = p2l[psa]
                 pages_to_read.add(psa // spp)
                 if code <= META_P2L_BASE:
                     live_tps.append(_p2l_to_tp(code))
                 elif code >= 0:
                     live_lpns.append(code)
-                self.sector_valid[psa] = False
-                self.p2l[psa] = P2L_NONE
+                sector_valid[psa] = False
+                p2l[psa] = P2L_NONE
             pages_sorted = sorted(pages_to_read)
-        self.block_valid[block] = 0
+        self._block_valid_view[block] = 0
         for ppn in pages_sorted:
             self._emit(FlashOp(OpKind.READ, int(ppn), reason, geometry.page_size))
         self.stats.gc_migrated_sectors += len(live_lpns)
@@ -862,21 +885,21 @@ class Ftl:
         """
         if old == UNMAPPED or old == new_psa:
             return
-        if int(self.p2l[old]) != lpn:
+        if self._p2l_view[old] != lpn:
             return  # the sector has since been reclaimed or re-owned
         self._invalidate_psa(old)
 
     def _invalidate_psa(self, psa: int) -> None:
-        if not self.sector_valid[psa]:
+        if not self._sector_valid_view[psa]:
             return
-        self.sector_valid[psa] = False
-        self.p2l[psa] = P2L_NONE
-        self.block_valid[psa // self.geometry.sectors_per_page
-                         // self.geometry.pages_per_block] -= 1
+        self._sector_valid_view[psa] = False
+        self._p2l_view[psa] = P2L_NONE
+        self._block_valid_view[psa // self._sectors_per_block] -= 1
 
     def _invalidate_meta_page(self, ppn: int) -> None:
         slot0 = ppn * self.geometry.sectors_per_page
-        if self.sector_valid[slot0] and int(self.p2l[slot0]) <= META_P2L_BASE:
+        if (self._sector_valid_view[slot0]
+                and self._p2l_view[slot0] <= META_P2L_BASE):
             self._invalidate_psa(slot0)
 
     def _emit(self, op: FlashOp) -> None:

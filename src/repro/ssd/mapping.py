@@ -102,7 +102,12 @@ class MappingTable:
         self.chunk_lpns = chunk_lpns
         self.resident_chunks = max(1, resident_chunks)
 
+        #: edited in place only — scalar views alias this buffer.
         self.l2p = np.full(num_lpns, UNMAPPED, dtype=np.int64)
+        #: the same buffer read and written one entry at a time: a
+        #: memoryview item is a plain int, several times cheaper than a
+        #: numpy scalar.  Array-wide readers keep using ``l2p``.
+        self._l2p_view = memoryview(self.l2p)
         self.num_tps = -(-num_lpns // tp_lpns)
         #: flash location of each TP's last flushed copy (-1 = never stored).
         self.tp_stored_ppn = np.full(self.num_tps, -1, dtype=np.int64)
@@ -147,9 +152,9 @@ class MappingTable:
         self.stats.lookups += 1
         if self.fast_path and not self.chunk_lpns:
             # Unchunked map: lookups never trigger metadata work.
-            return int(self.l2p[lpn]), EMPTY_EVENTS
+            return self._l2p_view[lpn], EMPTY_EVENTS
         events = self._ensure_resident(lpn)
-        return int(self.l2p[lpn]), events
+        return self._l2p_view[lpn], events
 
     def update(self, lpn: int, psa: int) -> tuple[int, MappingEvents]:
         """Map *lpn* to physical sector *psa*; returns (old_psa, events)."""
@@ -165,13 +170,14 @@ class MappingTable:
             dirty = self._dirty
             if tp_id in dirty:
                 dirty.move_to_end(tp_id)
-                old = int(self.l2p[lpn])
-                self.l2p[lpn] = psa
+                l2p = self._l2p_view
+                old = l2p[lpn]
+                l2p[lpn] = psa
                 self._since_sync += 1
                 return old, EMPTY_EVENTS
         events = self._ensure_resident(lpn)
-        old = int(self.l2p[lpn])
-        self.l2p[lpn] = psa
+        old = self._l2p_view[lpn]
+        self._l2p_view[lpn] = psa
         events.merge(self._mark_dirty(self.tp_of(lpn)))
         self._since_sync += 1
         if self._since_sync >= self.sync_interval:
@@ -187,9 +193,71 @@ class MappingTable:
         sector: real FTLs piggyback those map updates on the migration
         destination block's OOB and the eventual TP write)."""
         self._check_lpn(lpn)
-        old = int(self.l2p[lpn])
-        self.l2p[lpn] = psa
+        old = self._l2p_view[lpn]
+        self._l2p_view[lpn] = psa
         return old
+
+    def update_page(
+        self, lpns: list[int], first_psa: int,
+    ) -> tuple[list[int], MappingEvents | None]:
+        """Map ``lpns[i]`` to ``first_psa + i`` — one flash page's
+        sectors in one call.  Returns the old PSAs and the events of all
+        sectors merged in order (None when there were none).
+
+        Equal in every effect to calling :meth:`update` per sector: the
+        already-dirty-TP lane of ``update`` runs inline here, and every
+        other case (chunked map, first dirtying, eviction, checkpoint
+        due, ``fast_path=False``, out-of-range LPN) goes through
+        ``update`` itself.
+        """
+        olds: list[int] = []
+        merged: MappingEvents | None = None
+        l2p = self._l2p_view
+        dirty = self._dirty
+        tp_lpns = self.tp_lpns
+        sync_interval = self.sync_interval
+        # An upper bound of 0 sends every sector to update().
+        lane_lpns = (self.num_lpns
+                     if self.fast_path and not self.chunk_lpns else 0)
+        since = self._since_sync
+        psa = first_psa
+        for lpn in lpns:
+            if (0 <= lpn < lane_lpns and since + 1 < sync_interval
+                    and (tp_id := lpn // tp_lpns) in dirty):
+                dirty.move_to_end(tp_id)
+                olds.append(l2p[lpn])
+                l2p[lpn] = psa
+                since += 1
+            else:
+                # Inline updates so far == how far ``since`` ran ahead.
+                self.stats.updates += since - self._since_sync
+                self._since_sync = since
+                old, events = self.update(lpn, psa)
+                since = self._since_sync
+                olds.append(old)
+                if not events.empty:
+                    if merged is None:
+                        merged = MappingEvents()
+                    merged.merge(events)
+            psa += 1
+        self.stats.updates += since - self._since_sync
+        self._since_sync = since
+        return olds, merged
+
+    def silent_update_page(self, lpns: list[int], first_psa: int) -> list[int]:
+        """:meth:`silent_update` for one flash page's sectors
+        (``lpns[i]`` to ``first_psa + i``); returns the old PSAs."""
+        olds: list[int] = []
+        l2p = self._l2p_view
+        num_lpns = self.num_lpns
+        psa = first_psa
+        for lpn in lpns:
+            if not 0 <= lpn < num_lpns:
+                self._check_lpn(lpn)
+            olds.append(l2p[lpn])
+            l2p[lpn] = psa
+            psa += 1
+        return olds
 
     def checkpoint(self) -> MappingEvents:
         """Flush every dirty TP (periodic consistency point)."""

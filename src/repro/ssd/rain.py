@@ -41,8 +41,9 @@ class RainAccountant:
         #: parity program — GC triggered by parity allocation — closes
         #: and finalizes the inner stripe first).
         self._pending: list[list[int]] = []
-        #: data PPN -> the other pages of its stripe (peers + parity).
-        self._stripe_peers: dict[int, tuple[int, ...]] = {}
+        #: data PPN -> its stripe's ``(members, parity_ppn)`` record; one
+        #: record object per stripe, shared by all its members.
+        self._stripe_of: dict[int, tuple[list[int], int]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -80,17 +81,19 @@ class RainAccountant:
         if not self._pending:
             return
         members = self._pending.pop()
-        full = members + [parity_ppn]
+        stripe = (members, parity_ppn)
         for member in members:
-            self._stripe_peers[member] = tuple(
-                p for p in full if p != member
-            )
+            self._stripe_of[member] = stripe
 
     def peers_of(self, ppn: int) -> tuple[int, ...]:
         """Pages to read to reconstruct *ppn* (stripe peers + parity);
         empty when the stripe is unknown (page predates tracking or is
         itself parity)."""
-        return self._stripe_peers.get(ppn, ())
+        stripe = self._stripe_of.get(ppn)
+        if stripe is None:
+            return ()
+        members, parity_ppn = stripe
+        return tuple(p for p in (*members, parity_ppn) if p != ppn)
 
     def overhead_ratio(self) -> float:
         """Parity pages per data page so far."""

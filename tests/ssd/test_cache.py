@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.cache import WriteCache
+from tests.helpers import ListSink
 
 
 class TestInsert:
@@ -101,3 +102,55 @@ def test_every_write_flushed_or_absorbed_property(lpns):
     # Flushed multiset can repeat LPNs (re-inserted after flush) but the
     # total count is conserved, and nothing pending remains.
     assert len(cache) == 0
+
+
+def _insert_run_by_hand(cache, lpn, stop):
+    """The loop insert_run stands for: insert() until over capacity."""
+    hits = 0
+    while lpn < stop:
+        hits += cache.insert(lpn)
+        lpn += 1
+        if cache.needs_flush:
+            break
+    return lpn, hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 9)),
+                     max_size=60),
+       capacity=st.integers(1, 12),
+       eviction=st.sampled_from(["lru", "fifo"]),
+       with_sink=st.booleans())
+def test_insert_run_equals_an_insert_loop_property(runs, capacity, eviction,
+                                                   with_sink):
+    caches = [WriteCache(capacity, eviction=eviction) for _ in range(2)]
+    sinks = [ListSink(), ListSink()]
+    if with_sink:
+        for cache, sink in zip(caches, sinks):
+            cache.obs = sink
+    by_run, by_hand = caches
+    for start, length in runs:
+        lpn, stop = start, start + length
+        while lpn < stop:
+            got = by_run.insert_run(lpn, stop)
+            assert got == _insert_run_by_hand(by_hand, lpn, stop)
+            lpn = got[0]
+            assert by_run.needs_flush == by_hand.needs_flush
+            while by_run.needs_flush:
+                assert (by_run.take_flush_batch(4)
+                        == by_hand.take_flush_batch(4))
+        assert list(by_run._pending) == list(by_hand._pending)
+        assert (by_run.hits, by_run.insertions) == (by_hand.hits,
+                                                    by_hand.insertions)
+    assert sinks[0].events == sinks[1].events
+    assert bool(sinks[0].events) == (with_sink and bool(runs))
+
+
+def test_insert_run_stops_at_the_sector_that_overfills():
+    cache = WriteCache(4)
+    assert cache.insert_run(10, 13) == (13, 0)      # fits: whole run
+    assert cache.insert_run(12, 20) == (15, 1)      # 12 hits; 14 overfills
+    assert cache.needs_flush
+    assert cache.take_flush_batch(2) == [10, 11]
+    assert cache.insert_run(15, 15) == (15, 0)      # empty run
+    assert (cache.hits, cache.insertions) == (1, 6)

@@ -350,3 +350,49 @@ def test_invariants_hold_under_random_workloads(seed, writes):
             ftl.trim(lpn)
     ftl.flush()
     ftl.check_invariants()
+
+
+def test_state_arrays_are_only_ever_edited_in_place():
+    """ftl.py and mapping.py read and write single entries of p2l,
+    sector_valid, block_valid and l2p through memoryviews taken in
+    ``__init__``; rebinding one of the four attributes to a new array
+    anywhere would leave its view on a dead buffer."""
+    from types import SimpleNamespace
+
+    from repro.fleet.shard import _audit_durability
+    from repro.ssd.recovery import recover_ftl
+    from repro.ssd.timed import TimedSSD
+
+    def arrays_and_views(ftl):
+        return ((ftl.p2l, ftl._p2l_view),
+                (ftl.sector_valid, ftl._sector_valid_view),
+                (ftl.block_valid, ftl._block_valid_view),
+                (ftl.mapping.l2p, ftl.mapping._l2p_view))
+
+    def assert_views_alias(ftl, created=None):
+        for index, (array, view) in enumerate(arrays_and_views(ftl)):
+            assert view.obj is array
+            assert view.tolist() == array.tolist()
+            if created is not None:
+                assert array is created[index][0]
+
+    device = TimedSSD(small_config())
+    ftl = device.ftl
+    created = arrays_and_views(ftl)
+    rng = np.random.default_rng(4)
+    for _ in range(3_000):
+        device.write_sectors(int(rng.integers(ftl.num_lpns - 2)),
+                             int(rng.integers(1, 3)))
+    assert ftl.stats.gc_invocations > 100
+    assert_views_alias(ftl, created)
+    assert ftl.idle_maintenance(max_blocks=8)
+    assert_views_alias(ftl, created)
+    lost = _audit_durability(device, SimpleNamespace(degraded_kind=None),
+                             SimpleNamespace(offline_dies=()))
+    assert lost == 0
+    assert_views_alias(ftl, created)
+    recovered, _ = recover_ftl(device.config, ftl.nand.clone())
+    assert_views_alias(recovered)
+    assert recovered.mapping.mapped_count() > 0
+    recovered.check_invariants()
+    ftl.check_invariants()

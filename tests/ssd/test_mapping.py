@@ -193,3 +193,91 @@ def test_dirty_never_exceeds_limit_property(lpns):
     for i, lpn in enumerate(lpns):
         table.update(lpn, i)
         assert table.dirty_tp_count <= 4
+
+
+# ----------------------------------------------------------------------
+# Page-level calls against the per-sector calls they stand for
+# ----------------------------------------------------------------------
+
+def _visible_state(table):
+    return (table.l2p.tolist(), list(table._dirty), table._since_sync,
+            table.stats, table.resident_chunk_ids())
+
+
+def _events_tuple(events):
+    if events is None:
+        return ([], [], [])
+    return (events.flush_tps, events.load_tp_ppns, events.loaded_chunks)
+
+
+def _update_per_sector(table, lpns, first_psa):
+    """What a page commit did before update_page: one update() per
+    sector, non-empty events merged in order."""
+    olds, merged = [], ([], [], [])
+    for psa, lpn in enumerate(lpns, first_psa):
+        old, events = table.update(lpn, psa)
+        olds.append(old)
+        for total, part in zip(merged, _events_tuple(events)):
+            total.extend(part)
+    return olds, merged
+
+
+_pages = st.lists(
+    st.tuples(st.booleans(),
+              # the tables below hold LPNs 0..191: both ends overshoot
+              st.lists(st.integers(-2, 194), min_size=1, max_size=8)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pages=_pages, chunked=st.booleans(), dirty=st.integers(1, 4),
+       sync=st.sampled_from([3, 7, 10_000]), fast=st.booleans(),
+       stored=st.booleans())
+def test_page_calls_equal_per_sector_calls_property(pages, chunked, dirty,
+                                                    sync, fast, stored):
+    tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
+                   chunk=64 if chunked else 0, resident=2)
+              for _ in range(2)]
+    for table in tables:
+        table.fast_path = fast
+        if stored:  # chunk loads then report flash reads
+            for tp_id in range(table.num_tps):
+                table.note_flushed(tp_id, 1_000 + tp_id)
+    paged, looped = tables
+    first_psa = 0
+    for silent, lpns in pages:
+        outcomes = []
+        for table, by_page in ((paged, True), (looped, False)):
+            try:
+                if silent and by_page:
+                    outcome = (table.silent_update_page(lpns, first_psa), None)
+                elif silent:
+                    outcome = ([table.silent_update(lpn, psa) for psa, lpn
+                                in enumerate(lpns, first_psa)], None)
+                elif by_page:
+                    olds, events = table.update_page(lpns, first_psa)
+                    assert events is None or not events.empty
+                    outcome = (olds, _events_tuple(events))
+                else:
+                    outcome = _update_per_sector(table, lpns, first_psa)
+            except IndexError as exc:
+                # Sectors ahead of the bad LPN are applied, the rest not
+                # — on both sides, as the state comparison below shows.
+                outcome = str(exc)
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
+        assert _visible_state(paged) == _visible_state(looped)
+        first_psa += 8
+
+
+def test_update_page_applies_nothing_after_an_out_of_range_lpn():
+    table = make(num_lpns=64, tp_lpns=16)
+    with pytest.raises(IndexError, match="lpn 64 out of range"):
+        table.update_page([3, 64, 5], 100)
+    assert table.lookup(3)[0] == 100
+    assert table.lookup(5)[0] == UNMAPPED
+    assert table.stats.updates == 1
+    with pytest.raises(IndexError, match="lpn -1 out of range"):
+        table.silent_update_page([4, -1, 6], 200)
+    assert table.lookup(4)[0] == 200
+    assert table.lookup(6)[0] == UNMAPPED

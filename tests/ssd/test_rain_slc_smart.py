@@ -38,6 +38,54 @@ class TestRain:
         with pytest.raises(ValueError):
             RainAccountant(1)
 
+    def test_peers_are_the_rest_of_the_stripe_then_parity(self):
+        rain = RainAccountant(3)
+        for ppn in (10, 11):
+            assert not rain.on_data_page(ppn)
+        assert rain.on_data_page(12)
+        rain.note_parity(40)
+        assert rain.peers_of(10) == (11, 12, 40)
+        assert rain.peers_of(11) == (10, 12, 40)
+        assert rain.peers_of(12) == (10, 11, 40)
+        assert rain.peers_of(40) == ()  # parity itself
+        assert rain.peers_of(13) == ()  # never striped
+
+    def test_peers_of_a_flush_closed_partial_stripe(self):
+        rain = RainAccountant(4)
+        rain.on_data_page(5)
+        rain.on_data_page(6)
+        assert rain.flush()
+        rain.note_parity(9)
+        assert rain.peers_of(5) == (6, 9)
+        assert rain.peers_of(6) == (5, 9)
+
+    def test_nested_parity_finalizes_the_inner_stripe_first(self):
+        # Allocating the outer stripe's parity page can run GC, whose
+        # migrations close (and finalize) a second stripe before the
+        # outer parity is noted.
+        rain = RainAccountant(2)
+        rain.on_data_page(1)
+        assert rain.on_data_page(2)       # outer stripe closed
+        rain.on_data_page(3)
+        assert rain.on_data_page(4)       # inner stripe closed
+        rain.note_parity(50)              # inner parity lands first
+        rain.note_parity(60)
+        assert rain.peers_of(3) == (4, 50)
+        assert rain.peers_of(4) == (3, 50)
+        assert rain.peers_of(1) == (2, 60)
+        assert rain.peers_of(2) == (1, 60)
+
+    def test_a_stripe_is_stored_once(self):
+        # One record per stripe, not one peer tuple per member (which
+        # was k*k integers a stripe, kept for the life of the run).
+        rain = RainAccountant(15)
+        for ppn in range(15):
+            rain.on_data_page(ppn)
+        rain.note_parity(99)
+        records = {id(rain._stripe_of[ppn]) for ppn in range(15)}
+        assert len(records) == 1
+        assert rain._stripe_of[0] == (list(range(15)), 99)
+
 
 GEOM = Geometry(
     channels=1, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,

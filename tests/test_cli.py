@@ -20,14 +20,20 @@ ALL_SUBCOMMANDS = [
 ]
 
 
-def _count_options():
-    """Every (subcommand, option) pair that sets a job's request count."""
+def _options(*names):
+    """Every (subcommand, option) pair offering one of *names*."""
     subparsers = build_parser()._subparsers._group_actions[0].choices
     return [(command, option)
             for command, parser in sorted(subparsers.items())
             for action in parser._actions
             for option in action.option_strings
-            if option in ("--writes", "--io-count")]
+            if option in names]
+
+
+def _count_options():
+    """Every (subcommand, option) pair that sets a job's request count,
+    request size or queue depth."""
+    return _options("--writes", "--io-count", "--bs", "--iodepth")
 
 
 class TestParser:
@@ -46,7 +52,10 @@ class TestParser:
         assert excinfo.value.code == 0
 
     def test_request_count_options_found(self):
-        assert len(_count_options()) == 8
+        assert len(_options("--writes", "--io-count")) == 8
+        assert len(_options("--bs")) == 4
+        assert len(_options("--iodepth")) == 4
+        assert len(_options("--seed")) == 11
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     @pytest.mark.parametrize("command, option", _count_options())
@@ -59,6 +68,32 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {option}: must be >= 1" in err
+
+    @pytest.mark.parametrize("command, option", _options("--seed"))
+    def test_seed_must_not_be_negative(self, command, option, capsys):
+        """A usage error (exit 2), not numpy's ValueError."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, option, "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --seed: must be >= 0" in err
+
+    @pytest.mark.parametrize("command", [c for c, _ in _options("--bs")])
+    def test_request_larger_than_the_device(self, command, capsys, tmp_path):
+        """One line and exit 2, not the address pattern's ValueError
+        (from inside a worker cell, for latency and policy-grid)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--bs", "100000", "--scale", "4",
+                  *(["--out", str(tmp_path / "t.jsonl")]
+                    if command == "trace" else [])])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"repro-ssd {command}: --bs 100000 is larger than the device (")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_subcommand_list_is_complete(self):
         """ALL_SUBCOMMANDS mirrors the parser registry, so adding a
