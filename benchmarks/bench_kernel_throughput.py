@@ -1,28 +1,15 @@
-"""Throughput floor for the batched simulation hot path.
+"""Throughput floors for two simulator primitives.
 
-Correctness is pinned by goldens; simulator *speed* is pinned here.  Each
-scenario runs the refactored fast path head-to-head against a
-measured-in-job baseline — the same build with ``fast_path=False``, which
-forces the pre-refactor-shaped general code everywhere (per-op ONFI
-re-encoding, allocating mapping results, full plane scans, per-slot
-bookkeeping) — and asserts a minimum speedup *ratio*.  Ratios compare two
-runs on the same machine in the same job, so the floor is
-machine-tolerant where an absolute ops/sec floor would not be.
-
-Every scenario also asserts the two modes produce byte-identical
-simulated timelines: the refactor changes representation, never
-semantics.
+End-to-end simulator speed is measured by ``perfbench`` (absolute host
+cost per simulated op, per workload and per layer; see
+``perfbench/README.md``).  This bench keeps the two head-to-head checks
+nothing else makes: each scenario times a primitive against the work it
+replaced, in the same job on the same machine, asserts both produce the
+same answer, and asserts a minimum speedup *ratio* — machine-tolerant
+where an absolute ops/sec floor would not be.
 
 Scenarios:
 
-* ``closed_loop`` — the NullSink closed-loop path: one job, iodepth 1,
-  sequential single-sector writes, no sink attached.  The headline
-  end-to-end number.
-* ``gc_steady``   — same, but the region wraps so the device runs in
-  steady-state foreground GC (exercises the vectorized victim-block
-  scan and the O(1) watermark check).
-* ``open_loop``   — open-loop submission at a sustainable rate
-  (exercises bulk generator stepping: no per-op ready-heap churn).
 * ``wear_stats``  — ``NandArray.wear_summary`` from the incremental
   aggregates vs a full array rescan per call.
 * ``kernel_batch`` — ``Kernel.schedule_batch`` one-shot admission vs a
@@ -38,67 +25,17 @@ from benchmarks.conftest import run_once
 from repro.flash.nand import NandArray
 from repro.sim.kernel import Kernel
 from repro.ssd.presets import mqsim_baseline
-from repro.ssd.timed import TimedSSD
-from repro.workloads.engine import run_timed
-from repro.workloads.patterns import Region
-from repro.workloads.spec import JobSpec
 
-#: Pinned speedup floors (fast path vs measured-in-job baseline).  The
+#: Pinned speedup floors (primitive vs the work it replaced).  The
 #: measured ratios carry ~30-40% margin so a loaded CI machine does not
-#: flake; a real hot-path regression still trips them.
+#: flake; a real regression still trips them.
 FLOORS = {
-    "closed_loop": 1.35,
-    "gc_steady": 1.25,
-    "open_loop": 1.40,
     "wear_stats": 8.0,
     "kernel_batch": 0.90,
 }
 
-CLOSED_OPS = 25_000
-GC_OPS = 40_000
-OPEN_OPS = 25_000
 WEAR_CALLS = 1_500
 BATCH_EVENTS = 150_000
-
-
-def _timed_run(fast: bool, io_count: int, region: Region | None = None,
-               **job_kwargs):
-    config = mqsim_baseline()
-    device = TimedSSD(config, fast_path=fast)
-    job = JobSpec(name="bench", rw="write",
-                  region=region or Region(0, config.logical_sectors),
-                  io_count=io_count, bs_sectors=1, iodepth=1, seed=7,
-                  **job_kwargs)
-    started = time.perf_counter()
-    result = run_timed(device, [job])
-    elapsed = time.perf_counter() - started
-    job_result = result.jobs["bench"]
-    fingerprint = (result.elapsed_ns,
-                   round(float(job_result.latencies_us.sum()), 6))
-    return io_count / elapsed, fingerprint
-
-
-def _scenario_closed() -> dict:
-    fast, fp_fast = _timed_run(True, CLOSED_OPS)
-    base, fp_base = _timed_run(False, CLOSED_OPS)
-    assert fp_fast == fp_base, "fast path changed the simulated timeline"
-    return {"fast": fast, "baseline": base, "ops": CLOSED_OPS}
-
-
-def _scenario_gc() -> dict:
-    region = Region(0, 20_000)  # wraps -> steady-state foreground GC
-    fast, fp_fast = _timed_run(True, GC_OPS, region=region)
-    base, fp_base = _timed_run(False, GC_OPS, region=region)
-    assert fp_fast == fp_base, "fast path changed the simulated timeline"
-    return {"fast": fast, "baseline": base, "ops": GC_OPS}
-
-
-def _scenario_open() -> dict:
-    kwargs = dict(submission="open", rate_iops=50_000.0)
-    fast, fp_fast = _timed_run(True, OPEN_OPS, **kwargs)
-    base, fp_base = _timed_run(False, OPEN_OPS, **kwargs)
-    assert fp_fast == fp_base, "fast path changed the simulated timeline"
-    return {"fast": fast, "baseline": base, "ops": OPEN_OPS}
 
 
 def _scenario_wear() -> dict:
@@ -153,9 +90,6 @@ def _scenario_batch() -> dict:
 
 
 SCENARIOS = [
-    ("closed_loop", _scenario_closed),
-    ("gc_steady", _scenario_gc),
-    ("open_loop", _scenario_open),
     ("wear_stats", _scenario_wear),
     ("kernel_batch", _scenario_batch),
 ]
@@ -180,8 +114,8 @@ def test_kernel_throughput_floor(benchmark, figure_output):
 
     figure_output(
         "kernel_throughput",
-        "Simulation hot-path throughput — fast path vs measured-in-job "
-        "baseline (fast_path=False)",
+        "Simulator primitives — incremental wear stats and batch event "
+        "admission vs the per-call work they replaced",
         ["scenario", "ops", "baseline ops/s", "fast ops/s", "speedup",
          "floor"],
         rows,

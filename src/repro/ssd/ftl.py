@@ -117,16 +117,8 @@ class Ftl:
         nand: NandArray | None = None,
         injector: FailureInjector | None = None,
         reliability: ReliabilityModel | None = None,
-        *,
-        fast_path: bool = True,
     ) -> None:
         self.config = config
-        #: ``fast_path=False`` forces the pre-refactor-shaped general
-        #: code paths everywhere (per-slot GC scans, full plane scans,
-        #: allocating mapping results).  It exists as the measured-in-job
-        #: reference for the throughput bench and the fast==reference
-        #: equivalence tests; results are byte-identical either way.
-        self._fast = fast_path
         geometry = config.geometry
         self.geometry = geometry
         self.nand = nand if nand is not None else NandArray(
@@ -177,8 +169,8 @@ class Ftl:
                                 eviction=config.cache_eviction)
 
         admission = cache_admission_policies.resolve(config.cache_admission)()
-        #: fast-path flag: skip the per-sector admit() call when the
-        #: policy admits unconditionally (the default).
+        #: the policy admits unconditionally (the default): the write
+        #: path skips the per-sector admit() call.
         self._admit_always = admission.always
         self._admit = admission.admit
         #: direct page-packing staging buffer for cache-bypassing
@@ -193,7 +185,6 @@ class Ftl:
             chunk_lpns=config.mapping_chunk_lpns,
             resident_chunks=config.mapping_resident_chunks,
         )
-        self.mapping.fast_path = fast_path
         self.allocator.set_gc_watermark(config.gc_low_water_blocks)
         self.selector = VictimSelector(
             config.gc_policy,
@@ -751,7 +742,7 @@ class Ftl:
     def _ensure_free_space(self) -> None:
         if self._in_gc:
             return
-        if self._fast and not self.allocator.planes_at_watermark:
+        if not self.allocator.planes_at_watermark:
             # No plane is at or below the low watermark, so the scan
             # below would visit every plane and do nothing.
             return
@@ -817,36 +808,17 @@ class Ftl:
         spp = geometry.sectors_per_page
         first_psa = block * geometry.pages_per_block * spp
         last_psa = first_psa + geometry.pages_per_block * spp
-        if self._fast:
-            # Array form of the scan below: nonzero() walks ascending, so
-            # live_lpns/live_tps keep the same psa order, and clearing
-            # the whole slice only re-falsifies already-invalid slots.
-            window = self.sector_valid[first_psa:last_psa]
-            psas = np.nonzero(window)[0] + first_psa
-            codes = self.p2l[psas]
-            live_tps = [_p2l_to_tp(int(c)) for c in codes[codes <= META_P2L_BASE]]
-            live_lpns = [int(c) for c in codes[codes >= 0]]
-            pages_sorted = np.unique(psas // spp)
-            self.sector_valid[first_psa:last_psa] = False
-            self.p2l[psas] = P2L_NONE
-        else:
-            live_lpns = []
-            live_tps = []
-            pages_to_read: set[int] = set()
-            p2l = self._p2l_view
-            sector_valid = self._sector_valid_view
-            for psa in range(first_psa, last_psa):
-                if not sector_valid[psa]:
-                    continue
-                code = p2l[psa]
-                pages_to_read.add(psa // spp)
-                if code <= META_P2L_BASE:
-                    live_tps.append(_p2l_to_tp(code))
-                elif code >= 0:
-                    live_lpns.append(code)
-                sector_valid[psa] = False
-                p2l[psa] = P2L_NONE
-            pages_sorted = sorted(pages_to_read)
+        # nonzero() walks ascending, so live_lpns/live_tps keep psa
+        # order; clearing the whole slice only re-falsifies
+        # already-invalid slots.
+        window = self.sector_valid[first_psa:last_psa]
+        psas = np.nonzero(window)[0] + first_psa
+        codes = self.p2l[psas]
+        live_tps = [_p2l_to_tp(int(c)) for c in codes[codes <= META_P2L_BASE]]
+        live_lpns = [int(c) for c in codes[codes >= 0]]
+        pages_sorted = np.unique(psas // spp)
+        self.sector_valid[first_psa:last_psa] = False
+        self.p2l[psas] = P2L_NONE
         self._block_valid_view[block] = 0
         for ppn in pages_sorted:
             self._emit(FlashOp(OpKind.READ, int(ppn), reason, geometry.page_size))

@@ -87,28 +87,6 @@ class VictimSelector:
             return sorted(b for b in sealed if b not in exclude)
         return sorted(sealed)
 
-    def candidates_scan(self, plane: int, exclude: Iterable[int] = ()) -> list[int]:
-        """Reference implementation: full plane scan.
-
-        Kept as the ground truth the incremental index is validated
-        against (``tests/ssd/test_gc.py``) and as the baseline for
-        ``benchmarks/bench_micro_gc_candidates.py``.
-        """
-        geometry = self.geometry
-        start = plane * geometry.blocks_per_plane
-        end = start + geometry.blocks_per_plane
-        active = self.allocator.active_blocks()
-        retired = self.allocator.retired_blocks
-        excluded = set(exclude) | set(self.allocator.excluded_blocks)
-        result = []
-        for block in range(start, end):
-            if block in active or block in retired or block in excluded:
-                continue
-            if self.nand.block_write_ptr[block] < geometry.pages_per_block:
-                continue  # not fully written: still has free pages
-            result.append(block)
-        return result
-
     def select_victim(self, plane: int, exclude: Iterable[int] = ()) -> int | None:
         """Pick a victim block in *plane*, or None if nothing is reclaimable."""
         pool = self.candidates(plane, exclude)

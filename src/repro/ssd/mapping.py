@@ -115,9 +115,6 @@ class MappingTable:
         self._resident: OrderedDict[int, None] = OrderedDict()
         self._since_sync = 0
         self.stats = MappingStats()
-        #: False forces the allocating general paths (reference mode for
-        #: the throughput bench); results are identical either way.
-        self.fast_path = True
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -150,7 +147,7 @@ class MappingTable:
         """Translate one LPN; may require a chunk load."""
         self._check_lpn(lpn)
         self.stats.lookups += 1
-        if self.fast_path and not self.chunk_lpns:
+        if not self.chunk_lpns:
             # Unchunked map: lookups never trigger metadata work.
             return self._l2p_view[lpn], EMPTY_EVENTS
         events = self._ensure_resident(lpn)
@@ -164,8 +161,7 @@ class MappingTable:
         # exactly the case where the general path below would allocate two
         # MappingEvents just to report "nothing happened".  This is the
         # steady state of every sequential/looping write workload.
-        if (self.fast_path and not self.chunk_lpns
-                and self._since_sync + 1 < self.sync_interval):
+        if not self.chunk_lpns and self._since_sync + 1 < self.sync_interval:
             tp_id = lpn // self.tp_lpns
             dirty = self._dirty
             if tp_id in dirty:
@@ -207,8 +203,7 @@ class MappingTable:
         Equal in every effect to calling :meth:`update` per sector: the
         already-dirty-TP lane of ``update`` runs inline here, and every
         other case (chunked map, first dirtying, eviction, checkpoint
-        due, ``fast_path=False``, out-of-range LPN) goes through
-        ``update`` itself.
+        due, out-of-range LPN) goes through ``update`` itself.
         """
         olds: list[int] = []
         merged: MappingEvents | None = None
@@ -217,8 +212,7 @@ class MappingTable:
         tp_lpns = self.tp_lpns
         sync_interval = self.sync_interval
         # An upper bound of 0 sends every sector to update().
-        lane_lpns = (self.num_lpns
-                     if self.fast_path and not self.chunk_lpns else 0)
+        lane_lpns = 0 if self.chunk_lpns else self.num_lpns
         since = self._since_sync
         psa = first_psa
         for lpn in lpns:

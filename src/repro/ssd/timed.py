@@ -31,7 +31,9 @@ has left an idle gap, so background work overlaps the gaps between
 submissions instead of needing an explicit call.
 
 A :class:`BusTap` can be attached to render every op on one channel into
-ONFI pin signals — the hardware-probe substrate of §3.1.
+ONFI pin signals — the hardware-probe substrate of §3.1.  It is fed from
+inside the one scheduling pass every op list takes, so probing a device
+never changes how it is scheduled.
 """
 
 from __future__ import annotations
@@ -144,18 +146,13 @@ class TimedSSD(HostDeviceBase):
         controller_overhead_ns: int = 8_000,
         bus_tap: BusTap | None = None,
         injector: FailureInjector | None = None,
-        fast_path: bool = True,
     ) -> None:
         self.config = config
         self.model = model
         self.geometry = config.geometry
         self.timing = profile(config.timing_name)
         self.controller_overhead_ns = controller_overhead_ns
-        #: ``fast_path=False`` forces the per-op ONFI re-encoding path
-        #: (and the FTL's general paths) — the measured-in-job reference
-        #: for the throughput bench.  Timelines are identical either way.
-        self.fast_path = fast_path
-        self.ftl = Ftl(config, injector=injector, fast_path=fast_path)
+        self.ftl = Ftl(config, injector=injector)
         #: with an injector attached, a pending planned power cut is
         #: honored at the next submission (see :meth:`submit`).
         self._watch_power = injector is not None
@@ -418,32 +415,16 @@ class TimedSSD(HostDeviceBase):
 
         One pass does everything an op needs: SMART attribution, the
         resource claims, their ``resource_busy`` events when a sink is
-        attached, and — with *release_cache*, for the programs that carry
+        attached, the ONFI cycles a :class:`BusTap` on the op's channel
+        sees, and — with *release_cache*, for the programs that carry
         cached sectors out of RAM — the cache release at the program's
-        end.  The claims follow the ONFI rules of
-        :meth:`_schedule_op_encoded` but advance the
-        :class:`~repro.sim.kernel.Resource` counters in place and take
-        bus occupancies from the per-shape caches.  A bus tap needs the
-        real cycle list of every op, and ``fast_path=False`` asks for the
-        re-encoding reference, so either sends the whole list through
-        the per-op encoded path instead.
+        end.  The claims advance the :class:`~repro.sim.kernel.Resource`
+        counters in place and take bus occupancies from the per-shape
+        caches; only a tapped channel's ops are encoded one by one.
         """
         flash_done = earliest
         release = self._cache_pool.schedule_release
         spp = self._sectors_per_page
-        if self.bus_tap is not None or not self.fast_path:
-            record = self.smart.record
-            schedule_op = self._schedule_op_encoded
-            for op in ops:
-                record(op)
-                end = schedule_op(op, earliest)
-                if end > flash_done:
-                    flash_done = end
-                if (release_cache and op.kind is _PROGRAM
-                        and (op.reason is _HOST or op.reason is _PSLC)):
-                    release(end, spp)
-            return flash_done
-
         smart = self.smart
         dies = self._dies
         channels = self._channels
@@ -454,6 +435,8 @@ class TimedSSD(HostDeviceBase):
         timing = self.timing
         obs = self.kernel.obs
         emit = obs.emit if obs.enabled else None
+        tap = self.bus_tap
+        tapped = channels[tap.channel] if tap is not None else None
         for op in ops:
             kind, target, reason, nbytes = op
             block = target if kind is _ERASE else target // pages_per_block
@@ -468,6 +451,10 @@ class TimedSSD(HostDeviceBase):
                 start = channel.free_at
             if die.free_at > start:
                 start = die.free_at
+            if channel is tapped:
+                # The probe sees the op from the instant its bus phase
+                # begins.
+                tap.observe(op, self._encode(op), start)
             if kind is _READ:
                 smart.read_pages += 1
                 ns = self._read_bus_ns.get(nbytes)
@@ -540,74 +527,25 @@ class TimedSSD(HostDeviceBase):
         Reads return ``(cmd_ns, data_ns)``: command cycles and data-out
         occupy the channel on either side of the array busy time.
         """
+        timing = self.timing
+        bus_ns = operation_bus_ns(self._encode(op), timing)
+        if op.kind is not _READ:
+            return bus_ns
+        data_ns = timing.transfer_ns(op.nbytes or self.geometry.page_size)
+        return (bus_ns - data_ns, data_ns)
+
+    def _encode(self, op: FlashOp) -> OnfiOperation:
+        """*op* as its ONFI cycle list — the one place an op becomes bus
+        cycles, for the occupancy caches and the tap alike."""
         geometry = self.geometry
         timing = self.timing
-        if op.kind is OpKind.ERASE:
-            onfi = encode_erase(geometry, timing,
+        if op.kind is _ERASE:
+            return encode_erase(geometry, timing,
                                 geometry.block_address(op.target))
-            return operation_bus_ns(onfi, timing)
         addr = geometry.address(op.target)
-        if op.kind is OpKind.PROGRAM:
-            onfi = encode_program(geometry, timing, addr, op.nbytes or None)
-            return operation_bus_ns(onfi, timing)
-        onfi = encode_read(geometry, timing, addr, op.nbytes or None)
-        data_ns = timing.transfer_ns(op.nbytes or geometry.page_size)
-        return (operation_bus_ns(onfi, timing) - data_ns, data_ns)
-
-    def _schedule_op_encoded(self, op: FlashOp, earliest: int) -> int:
-        geometry = self.geometry
-        timing = self.timing
-        if op.kind is OpKind.ERASE:
-            block = op.target
-            array_timing = PSLC if block in self._pslc_blocks else timing
-            die = self._dies[geometry.die_of_block(block)]
-            channel = self._channels[geometry.channel_of_block(block)]
-            onfi = encode_erase(geometry, timing, geometry.block_address(block))
-            bus = operation_bus_ns(onfi, timing)
-            start = max(earliest, channel.free_at, die.free_at)
-            channel.hold(start, start + bus, requested_ns=earliest)
-            end = die.hold(start + bus, start + bus + array_timing.erase_ns,
-                           requested_ns=earliest)
-            self._tap(op, onfi, channel, start)
-            return end
-
-        ppn = op.target
-        die = self._dies[geometry.die_of_ppn(ppn)]
-        channel = self._channels[geometry.channel_of_ppn(ppn)]
-        addr = geometry.address(ppn)
-        block = ppn // geometry.pages_per_block
-        array_timing = PSLC if block in self._pslc_blocks else timing
-        if op.kind is OpKind.PROGRAM:
-            # ONFI: the controller cannot issue to a busy die, so the
-            # bus phase waits for both the channel and the die.
-            onfi = encode_program(geometry, timing, addr, op.nbytes or None)
-            bus = operation_bus_ns(onfi, timing)
-            start = max(earliest, channel.free_at, die.free_at)
-            bus_end = channel.hold(start, start + bus, requested_ns=earliest)
-            end = die.hold(bus_end, bus_end + array_timing.program_ns,
-                           requested_ns=earliest)
-            self._tap(op, onfi, channel, start)
-            return end
-
-        # Read: command cycles on the bus, array time (tR), then the
-        # data moves out over the bus.
-        onfi = encode_read(geometry, timing, addr, op.nbytes or None)
-        data_ns = timing.transfer_ns(op.nbytes or geometry.page_size)
-        cmd_ns = operation_bus_ns(onfi, timing) - data_ns
-        start = max(earliest, channel.free_at, die.free_at)
-        cmd_end = channel.hold(start, start + cmd_ns, requested_ns=earliest)
-        array_end = die.hold(cmd_end, cmd_end + array_timing.read_ns,
-                             requested_ns=earliest)
-        bus_start = max(array_end, channel.free_at)
-        end = channel.hold(bus_start, bus_start + data_ns,
-                           requested_ns=array_end)
-        self._tap(op, onfi, channel, start)
-        return end
-
-    def _tap(self, op: FlashOp, onfi: OnfiOperation, channel: Resource,
-             start: int) -> None:
-        if self.bus_tap is not None and channel is self._channels[self.bus_tap.channel]:
-            self.bus_tap.observe(op, onfi, start)
+        if op.kind is _PROGRAM:
+            return encode_program(geometry, timing, addr, op.nbytes or None)
+        return encode_read(geometry, timing, addr, op.nbytes or None)
 
     # ------------------------------------------------------------------
     # Results

@@ -5,8 +5,7 @@ synthetics, recorded block traces, file-system scenarios, storage
 engines (:mod:`repro.engines`) — reaches a device through one
 abstraction: the :class:`~repro.workloads.source.RequestSource`.  Both
 run functions accept specs and sources interchangeably (specs wrap into
-:class:`~repro.workloads.source.JobSource`, byte-identically to the
-pre-refactor inline loops).
+:class:`~repro.workloads.source.JobSource`).
 
 Two execution modes mirror the two device modes:
 
@@ -19,7 +18,9 @@ Two execution modes mirror the two device modes:
 
 * :func:`run_timed` drives a :class:`~repro.ssd.timed.TimedSSD` and
   reports latencies and IOPS — the mode for tail-latency studies
-  (Fig 3).  Each source submits **closed-loop** at its iodepth (fio's
+  (Fig 3).  One scheduler loop serves every run, one source or many:
+  a heap of ``(when, tiebreak, source)`` entries, popped in time order.
+  Each source submits **closed-loop** at its iodepth (fio's
   default model) or **open-loop** at its arrival schedule (a JobSpec's
   rate process, or a trace's recorded timeline): arrivals are
   independent of completions, so a device that cannot keep up
@@ -42,7 +43,7 @@ from repro.ssd.allocation import OutOfSpace
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.ftl import ReadOnlyError
 from repro.ssd.smart import SmartCounters
-from repro.ssd.timed import TimedSSD
+from repro.ssd.timed import CompletedRequest, TimedSSD
 from repro.workloads.source import RequestSource, as_source
 from repro.workloads.spec import JobSpec
 
@@ -59,7 +60,7 @@ _FAULT_EXCEPTIONS = (ReadOnlyError, OutOfSpace, PowerLoss)
 
 
 class _Degradation:
-    """First-failure bookkeeping shared by the timed run loops."""
+    """First-failure bookkeeping of a timed run."""
 
     __slots__ = ("kind", "at_ns", "ops_before", "dead")
 
@@ -84,19 +85,21 @@ class _Degradation:
 
 
 class _SourceState:
-    """One source's progress through the general :func:`run_timed`
-    scheduler."""
+    """One source's progress through :func:`run_timed`."""
 
-    __slots__ = ("source", "issued", "lat", "sectors", "done_at", "arrivals",
-                 "inflight", "failed")
+    __slots__ = ("source", "next_request", "issued", "done",
+                 "arrivals", "inflight", "failed")
 
     def __init__(self, source: RequestSource) -> None:
         self.source = source
+        self.next_request = source.next_request
         self.issued = 0
-        self.lat: list[float] = []
-        self.sectors = 0
-        self.done_at = 0
+        #: what the device returned for each request it accepted.
+        self.done: list[CompletedRequest] = []
+        #: open-loop submission times; None for a closed-loop source.
         self.arrivals: np.ndarray | None = None
+        #: completion times of requests in flight, kept only while a
+        #: sink listens (it feeds nothing but ``QueueDepth`` events).
         self.inflight: list[int] = []
         self.failed = 0
 
@@ -289,138 +292,6 @@ def _bursty_gaps(job: JobSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(segments)[:job.io_count]
 
 
-def _run_timed_single(
-    device: TimedSSD, source: RequestSource, t0: int
-) -> tuple[list[float], int, int, int, _Degradation]:
-    """Bulk-step one source against a fast-path timed device.
-
-    Returns ``(latencies_us, sectors_done, done_at, failed,
-    degradation)``.  Byte-identical to the general scheduler loop run
-    with this single source: the per-request draws happen in the same
-    order, submissions carry the same ``at_ns``, and queue-depth
-    accounting (which only feeds trace events) runs exactly when a sink
-    is attached.  A degraded device yields a clean partial result:
-    refused requests are counted, the surviving ones keep their
-    latencies.
-    """
-    next_request = source.next_request
-    submit = device.submit
-    lat: list[float] = []
-    lat_append = lat.append
-    done_at = 0
-    failed = 0
-    sectors_done = 0
-    deg = _Degradation()
-
-    if source.is_open_loop:
-        arrivals = source.arrival_times(t0)
-        obs = device.obs
-        inflight: list[int] = []
-        idx = 0
-        while (request := next_request()) is not None:
-            when = int(arrivals[idx])
-            idx += 1
-            kind, lba, nsectors = request
-            if deg.dead:
-                failed += 1
-                continue
-            try:
-                if kind == "flush":
-                    done = device.flush(at_ns=when)
-                else:
-                    done = submit(kind, lba, nsectors, at_ns=when)
-            except _FAULT_EXCEPTIONS as exc:
-                deg.note(exc, when, len(lat))
-                failed += 1
-                continue
-            complete = done.complete_ns
-            lat_append((complete - done.submit_ns) / 1_000)
-            sectors_done += nsectors
-            if complete > done_at:
-                done_at = complete
-            if obs.enabled:
-                # The inflight heap only feeds QueueDepth events, so it
-                # is maintained exactly when someone is listening.
-                while inflight and inflight[0] <= when:
-                    heapq.heappop(inflight)
-                heapq.heappush(inflight, complete)
-                obs.emit(QueueDepth(source.name, when, len(inflight)))
-        return lat, sectors_done, done_at, failed, deg
-
-    if source.iodepth == 1:
-        # Strictly sequential: each request is submitted the instant the
-        # previous one completes — no ready heap at all.  A refused
-        # request takes no device time, so the next submits at the same
-        # instant.
-        when = t0
-        issued = False
-        while (request := next_request()) is not None:
-            kind, lba, nsectors = request
-            if deg.dead:
-                failed += 1
-                continue
-            try:
-                if kind == "flush":
-                    done = device.flush(at_ns=when)
-                else:
-                    done = submit(kind, lba, nsectors, at_ns=when)
-            except _FAULT_EXCEPTIONS as exc:
-                deg.note(exc, when, len(lat))
-                failed += 1
-                continue
-            complete = done.complete_ns
-            lat_append((complete - done.submit_ns) / 1_000)
-            sectors_done += nsectors
-            when = complete
-            issued = True
-        if issued:
-            done_at = when
-        return lat, sectors_done, done_at, failed, deg
-
-    # Closed loop, iodepth > 1: a slot heap of (ready time, tiebreak),
-    # seeded and sequenced exactly like the general scheduler so the
-    # submission order (and therefore every timeline) matches.
-    ready: list[tuple[int, int]] = [(t0, d) for d in range(source.iodepth)]
-    heapq.heapify(ready)
-    seq = 64
-    while ready:
-        when, _ = heapq.heappop(ready)
-        request = next_request()
-        if request is None:
-            break
-        kind, lba, nsectors = request
-        if deg.dead:
-            failed += 1
-            continue
-        try:
-            if kind == "flush":
-                done = device.flush(at_ns=when)
-            else:
-                done = submit(kind, lba, nsectors, at_ns=when)
-        except _FAULT_EXCEPTIONS as exc:
-            deg.note(exc, when, len(lat))
-            failed += 1
-            if not deg.dead and source.remaining != 0:
-                # The slot stays alive: re-arm at the same instant so
-                # the remaining budget drains (the stream is finite).
-                seq += 1
-                heapq.heappush(ready, (when, seq))
-            continue
-        complete = done.complete_ns
-        lat_append((complete - done.submit_ns) / 1_000)
-        sectors_done += nsectors
-        if complete > done_at:
-            done_at = complete
-        if source.remaining != 0:
-            seq += 1
-            heapq.heappush(ready, (complete, seq))
-    if deg.dead:
-        left = source.remaining
-        if left:  # slots died with the device; budget never ran
-            failed += left
-    return lat, sectors_done, done_at, failed, deg
-
-
 def run_timed(
     device: TimedSSD,
     jobs: "list[JobSpec | RequestSource]",
@@ -448,108 +319,95 @@ def run_timed(
     before = device.smart.snapshot()
     t0 = device.now if start_ns is None else max(start_ns, device.now)
 
-    if len(sources) == 1 and getattr(device, "fast_path", False):
-        # One source never contends with another for the ready heap, so
-        # the scheduler degenerates to stepping the stream in bulk; the
-        # specialized loops above produce the identical submission
-        # sequence (same draw order, same arrival/completion times)
-        # without one heap push-pop and dict lookup per request.
-        source = sources[0]
-        lat, sectors, done_at, failed, deg = _run_timed_single(
-            device, source, t0)
-        elapsed = max(0, done_at - t0)
-        results = {source.name: JobResult(
-            name=source.name,
-            requests=len(lat),
-            sectors=sectors,
-            latencies_us=np.asarray(lat),
-            elapsed_ns=elapsed,
-            failed_requests=failed,
-        )}
-        delta = device.smart.delta(before)
-        return RunResult(jobs=results, smart_delta=delta, elapsed_ns=elapsed,
-                         degraded_kind=deg.kind, degraded_at_ns=deg.at_ns,
-                         ops_before_degraded=deg.ops_before)
-
-    states = {}
-    ready: list[tuple[int, int, str]] = []  # (when, tiebreak, source name)
-    for i, source in enumerate(sources):
-        state = _SourceState(source)
-        states[source.name] = state
+    states = [_SourceState(source) for source in sources]
+    # (when, tiebreak, state): a tiebreak is never reused, so entries
+    # are totally ordered without ever comparing the states.
+    ready: list[tuple[int, int, _SourceState]] = []
+    for state in states:
+        source = state.source
         if source.is_open_loop:
             state.arrivals = source.arrival_times(t0)
-            heapq.heappush(ready, (int(state.arrivals[0]), i * 64, source.name))
+            if len(state.arrivals) > 0:
+                ready.append((int(state.arrivals[0]), len(ready), state))
         else:
-            for d in range(source.iodepth):
-                heapq.heappush(ready, (t0, i * 64 + d, source.name))
+            for _ in range(source.iodepth):
+                ready.append((t0, len(ready), state))
+    heapq.heapify(ready)
 
-    seq = len(sources) * 64
+    seq = len(ready)
     deg = _Degradation()
+    obs = device.obs
+    submit = device.submit
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
     while ready:
-        when, _, name = heapq.heappop(ready)
-        state = states[name]
-        source = state.source
-        request = source.next_request()
+        # The head stays in the heap while its request runs (the device
+        # never touches the heap) and is re-armed with one heapreplace.
+        when, _, state = ready[0]
+        request = state.next_request()
         if request is None:
+            heappop(ready)
             continue
-        state.issued += 1
         kind, lba, nsectors = request
         if deg.dead:
             state.failed += 1
+            heappop(ready)
             continue
+        arrivals = state.arrivals
         try:
             if kind == "flush":
                 done = device.flush(at_ns=when)
             else:
-                done = device.submit(kind, lba, nsectors, at_ns=when)
+                done = submit(kind, lba, nsectors, at_ns=when)
         except _FAULT_EXCEPTIONS as exc:
-            deg.note(exc, when,
-                     sum(len(s.lat) for s in states.values()))
+            deg.note(exc, when, sum(len(s.done) for s in states))
             state.failed += 1
             if deg.dead:
-                continue  # remaining pops drain as failures
+                heappop(ready)  # remaining pops drain as failures
+                continue
             # The source keeps going: open-loop arrivals are immutable,
             # a closed-loop slot re-arms at the same instant (a refused
             # request takes no device time).
-            if source.is_open_loop:
-                if state.issued < len(state.arrivals):
-                    seq += 1
-                    next_at = int(state.arrivals[state.issued])
-                    heapq.heappush(ready, (next_at, seq, name))
-            elif source.remaining != 0:
-                seq += 1
-                heapq.heappush(ready, (when, seq, name))
-            continue
-        state.lat.append(done.latency_us)
-        state.sectors += nsectors
-        state.done_at = max(state.done_at, done.complete_ns)
-        if source.is_open_loop:
-            # Queue-depth accounting: completions due by this arrival
-            # have drained; this request is now in flight.
-            while state.inflight and state.inflight[0] <= when:
-                heapq.heappop(state.inflight)
-            heapq.heappush(state.inflight, done.complete_ns)
-            if device.obs.enabled:
-                device.obs.emit(QueueDepth(name, when, len(state.inflight)))
-            if state.issued < len(state.arrivals):
-                seq += 1
-                next_at = int(state.arrivals[state.issued])
-                heapq.heappush(ready, (next_at, seq, name))
-        elif source.remaining != 0:
-            seq += 1
-            heapq.heappush(ready, (done.complete_ns, seq, name))
+            rearm_at = when
+        else:
+            # Latencies, sectors and the finish time are read off the
+            # completed requests after the loop.
+            state.done.append(done)
+            rearm_at = done.complete_ns
+            if arrivals is not None and obs.enabled:
+                # Queue-depth accounting: completions due by this arrival
+                # have drained; this request is now in flight.
+                inflight = state.inflight
+                while inflight and inflight[0] <= when:
+                    heappop(inflight)
+                heapq.heappush(inflight, rearm_at)
+                obs.emit(QueueDepth(state.source.name, when, len(inflight)))
+        seq += 1
+        if arrivals is None:
+            # Closed loop: the slot is free again.  An exhausted source's
+            # slots draw None on their next pop and leave the heap there.
+            heapreplace(ready, (rearm_at, seq, state))
+        else:
+            state.issued = issued = state.issued + 1
+            if issued < len(arrivals):
+                heapreplace(ready, (int(arrivals[issued]), seq, state))
+            else:
+                heappop(ready)
 
     results = {}
     elapsed_total = 0
-    for name, state in states.items():
-        elapsed = max(0, state.done_at - t0)
+    for state in states:
+        name = state.source.name
+        done = state.done
+        done_at = max([r.complete_ns for r in done], default=0)
+        elapsed = max(0, done_at - t0)
         elapsed_total = max(elapsed_total, elapsed)
         left = state.source.remaining
         results[name] = JobResult(
             name=name,
-            requests=len(state.lat),
-            sectors=state.sectors,
-            latencies_us=np.asarray(state.lat),
+            requests=len(done),
+            sectors=sum([r.nsectors for r in done]),
+            latencies_us=np.asarray(
+                [(r.complete_ns - r.submit_ns) / 1_000 for r in done]),
             elapsed_ns=elapsed,
             # a dead device leaves budget in the heap; it all failed.
             failed_requests=state.failed + (left if left else 0),

@@ -7,6 +7,7 @@ from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import PageAllocator
 from repro.ssd.gc import VictimSelector
+from tests.helpers import scan_candidates
 
 GEOM = Geometry(
     channels=1, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,
@@ -139,7 +140,7 @@ class TestIncrementalIndex:
     def assert_matches_scan(self, selector, exclude=()):
         for plane in range(selector.geometry.planes_total):
             assert selector.candidates(plane, exclude) == \
-                selector.candidates_scan(plane, exclude)
+                scan_candidates(selector, plane, exclude)
 
     def test_matches_scan_on_staged_blocks(self):
         selector, _, nand = build(fill_blocks=[0, 3, 5])
@@ -194,10 +195,10 @@ class TestIncrementalIndex:
             if i % 250 == 0:
                 for plane in range(selector.geometry.planes_total):
                     assert selector.candidates(plane) == \
-                        selector.candidates_scan(plane)
+                        scan_candidates(selector, plane)
                     checked += 1
         device.flush()
         for plane in range(selector.geometry.planes_total):
             assert selector.candidates(plane) == \
-                selector.candidates_scan(plane)
+                scan_candidates(selector, plane)
         assert checked > 0

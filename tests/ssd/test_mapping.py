@@ -231,15 +231,13 @@ _pages = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(pages=_pages, chunked=st.booleans(), dirty=st.integers(1, 4),
-       sync=st.sampled_from([3, 7, 10_000]), fast=st.booleans(),
-       stored=st.booleans())
+       sync=st.sampled_from([3, 7, 10_000]), stored=st.booleans())
 def test_page_calls_equal_per_sector_calls_property(pages, chunked, dirty,
-                                                    sync, fast, stored):
+                                                    sync, stored):
     tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
                    chunk=64 if chunked else 0, resident=2)
               for _ in range(2)]
     for table in tables:
-        table.fast_path = fast
         if stored:  # chunk loads then report flash reads
             for tp_id in range(table.num_tps):
                 table.note_flushed(tp_id, 1_000 + tp_id)

@@ -70,14 +70,15 @@ class TestReadOnlyMidRun:
         assert result.jobs["r"].requests == 200
 
     def test_closed_loop_partial_result(self):
-        device = read_only_device()
-        job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
-                      io_count=300, iodepth=4, seed=1)
-        result = run_timed(device, [job])
-        outcome = result.jobs["w"]
-        assert result.degraded_kind == "read_only"
-        assert outcome.failed_requests > 0
-        assert outcome.requests + outcome.failed_requests == 300
+        for iodepth in (4, 1):
+            device = read_only_device()
+            job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
+                          io_count=300, iodepth=iodepth, seed=1)
+            result = run_timed(device, [job])
+            outcome = result.jobs["w"]
+            assert result.degraded_kind == "read_only"
+            assert outcome.failed_requests > 0
+            assert outcome.requests + outcome.failed_requests == 300
 
     def test_fault_free_run_records_nothing(self):
         device = TimedSSD(tiny())
@@ -113,11 +114,12 @@ class TestPowerCutMidRun:
         assert total_done <= result.ops_before_degraded + len(jobs)
 
     def test_closed_loop_power_cut_terminates(self):
-        device = faulted_device(FaultSpec("power_cut", at_op=40))
-        job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
-                      io_count=200, iodepth=8, seed=3)
-        result = run_timed(device, [job])
-        outcome = result.jobs["w"]
-        assert result.degraded_kind == "power_cut"
-        assert outcome.requests + outcome.failed_requests == 200
-        assert outcome.failed_requests >= 200 - 41
+        for iodepth in (8, 1):
+            device = faulted_device(FaultSpec("power_cut", at_op=40))
+            job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
+                          io_count=200, iodepth=iodepth, seed=3)
+            result = run_timed(device, [job])
+            outcome = result.jobs["w"]
+            assert result.degraded_kind == "power_cut"
+            assert outcome.requests + outcome.failed_requests == 200
+            assert outcome.failed_requests >= 200 - 41

@@ -156,6 +156,20 @@ class TestTraceSource:
         assert result.jobs["trace"].requests == 4
         assert result.jobs["trace"].failed_requests == 0
 
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_empty_open_loop_trace_yields_an_empty_result(self, sources):
+        # An open-loop source with no requests has no first arrival to
+        # arm, alone or beside a source that does.
+        jobs = [TraceSource(BlockTrace(), name="empty")]
+        if sources == 2:
+            jobs.append(TraceSource(self._trace()))
+        result = run_timed(TimedSSD(tiny()), jobs)
+        empty = result.jobs["empty"]
+        assert (empty.requests, empty.failed_requests) == (0, 0)
+        assert len(empty.latencies_us) == 0
+        if sources == 2:
+            assert result.jobs["trace"].requests == 4
+
 
 class TestRecordingBackend:
     def test_captures_the_block_stream(self):
