@@ -97,7 +97,7 @@ class _SourceState:
         #: what the device returned for each request it accepted.
         self.done: list[CompletedRequest] = []
         #: open-loop submission times; None for a closed-loop source.
-        self.arrivals: np.ndarray | None = None
+        self.arrivals: list[int] | None = None
         #: completion times of requests in flight, kept only while a
         #: sink listens (it feeds nothing but ``QueueDepth`` events).
         self.inflight: list[int] = []
@@ -326,9 +326,9 @@ def run_timed(
     for state in states:
         source = state.source
         if source.is_open_loop:
-            state.arrivals = source.arrival_times(t0)
+            state.arrivals = source.arrival_times(t0).tolist()
             if len(state.arrivals) > 0:
-                ready.append((int(state.arrivals[0]), len(ready), state))
+                ready.append((state.arrivals[0], len(ready), state))
         else:
             for _ in range(source.iodepth):
                 ready.append((t0, len(ready), state))
@@ -389,7 +389,7 @@ def run_timed(
         else:
             state.issued = issued = state.issued + 1
             if issued < len(arrivals):
-                heapreplace(ready, (int(arrivals[issued]), seq, state))
+                heapreplace(ready, (arrivals[issued], seq, state))
             else:
                 heappop(ready)
 

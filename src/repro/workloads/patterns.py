@@ -40,7 +40,17 @@ class Region:
 
 
 class AddressPattern:
-    """Base class: yields aligned start sectors for fixed-size requests."""
+    """Base class: yields aligned start sectors for fixed-size requests.
+
+    Two ways to draw, one stream: :meth:`next_lba` draws one address,
+    :meth:`draw_block` draws *count* of them — returning exactly what
+    *count* ``next_lba`` calls return and leaving *rng* and the pattern
+    in exactly the state those calls would.  The base ``draw_block`` is
+    that loop; a subclass overrides it only where one numpy array draw
+    consumes the generator's stream the same way its scalar draws do
+    (``tests/workloads/test_patterns.py`` holds every pattern to it,
+    down to the final ``bit_generator.state``).
+    """
 
     def __init__(self, region: Region, bs_sectors: int) -> None:
         if bs_sectors < 1:
@@ -53,8 +63,16 @@ class AddressPattern:
     def next_lba(self, rng: np.random.Generator) -> int:
         raise NotImplementedError
 
+    def draw_block(self, rng: np.random.Generator, count: int) -> list[int]:
+        """The next *count* addresses, as *count* ``next_lba`` calls."""
+        next_lba = self.next_lba
+        return [next_lba(rng) for _ in range(count)]
+
     def _slot_to_lba(self, slot: int) -> int:
         return self.region.start + slot * self.bs_sectors
+
+    def _slots_to_lbas(self, slots: np.ndarray) -> list[int]:
+        return (self.region.start + slots * self.bs_sectors).tolist()
 
 
 class Sequential(AddressPattern):
@@ -69,6 +87,12 @@ class Sequential(AddressPattern):
         self._cursor = (self._cursor + 1) % self.region.slots(self.bs_sectors)
         return lba
 
+    def draw_block(self, rng: np.random.Generator, count: int) -> list[int]:
+        slots = self.region.slots(self.bs_sectors)
+        block = (self._cursor + np.arange(count)) % slots
+        self._cursor = (self._cursor + count) % slots
+        return self._slots_to_lbas(block)
+
 
 class Uniform(AddressPattern):
     """Uniformly random aligned addresses (fio ``random_distribution=random``)."""
@@ -76,10 +100,19 @@ class Uniform(AddressPattern):
     def next_lba(self, rng: np.random.Generator) -> int:
         return self._slot_to_lba(int(rng.integers(self.region.slots(self.bs_sectors))))
 
+    def draw_block(self, rng: np.random.Generator, count: int) -> list[int]:
+        return self._slots_to_lbas(
+            rng.integers(self.region.slots(self.bs_sectors), size=count))
+
 
 class HotCold(AddressPattern):
     """An 80/20-style skew: ``traffic_fraction`` of requests go to the
-    first ``space_fraction`` of the region (fio ``random_distribution=zoned``)."""
+    first ``space_fraction`` of the region (fio ``random_distribution=zoned``).
+
+    A one-slot region has no cold slot: every request goes to the hot set.
+    Blocks use the base per-address loop — the second draw's bound
+    depends on the first draw's outcome.
+    """
 
     def __init__(
         self,
@@ -95,10 +128,10 @@ class HotCold(AddressPattern):
         self.traffic_fraction = traffic_fraction
         slots = region.slots(bs_sectors)
         self._hot_slots = max(1, int(slots * space_fraction))
-        self._cold_slots = max(1, slots - self._hot_slots)
+        self._cold_slots = slots - self._hot_slots
 
     def next_lba(self, rng: np.random.Generator) -> int:
-        if rng.random() < self.traffic_fraction:
+        if rng.random() < self.traffic_fraction or not self._cold_slots:
             slot = int(rng.integers(self._hot_slots))
         else:
             slot = self._hot_slots + int(rng.integers(self._cold_slots))
@@ -127,6 +160,11 @@ class Zipf(AddressPattern):
         rank = int(np.searchsorted(self._cdf, rng.random()))
         rank = min(rank, len(self._slot_order) - 1)
         return self._slot_to_lba(int(self._slot_order[rank]))
+
+    def draw_block(self, rng: np.random.Generator, count: int) -> list[int]:
+        ranks = np.searchsorted(self._cdf, rng.random(count))
+        np.minimum(ranks, len(self._slot_order) - 1, out=ranks)
+        return self._slots_to_lbas(self._slot_order[ranks])
 
 
 PATTERNS = {

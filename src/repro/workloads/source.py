@@ -16,13 +16,16 @@ recorded block trace, a file-system scenario, and a storage engine
 ``run_counter``/``run_timed``, fleet tenant specs, cached experiment
 cells.
 
-Byte-identity is the load-bearing contract: :class:`JobSource` makes
-exactly the RNG draws the pre-refactor engine loops made, in the same
-order (LBA first, then request kind, from one ``default_rng(seed)``
-stream), so every golden figure, fleet pickle, and policy-equivalence
-fingerprint is unchanged.  ``tests/regression/
-test_request_source_equivalence.py`` pins this the way PR 5's
-``test_policy_equivalence.py`` pinned the policy engine.
+Byte-identity is the load-bearing contract: draw *order* is what a
+:class:`JobSource` promises — per request the LBA, then the request
+kind, all from one ``default_rng(seed)`` stream, exactly the draws the
+pre-refactor engine loops made — so every golden figure, fleet pickle,
+and policy-equivalence fingerprint is unchanged.  It draws a block of
+requests ahead of the engine; a fixed-direction job's block is one
+array draw, which consumes the stream exactly as that many scalar draws
+do.  ``tests/regression/test_request_source_equivalence.py`` pins the
+stream the way PR 5's ``test_policy_equivalence.py`` pinned the policy
+engine.
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ def as_source(item: "JobSpec | RequestSource") -> RequestSource:
 # ----------------------------------------------------------------------
 
 
+#: requests a :class:`JobSource` draws per refill.
+_BLOCK_REQUESTS = 1024
+
+
 class JobSource(RequestSource):
     """A :class:`JobSpec` as a request source — the legacy path.
 
@@ -100,34 +107,56 @@ class JobSource(RequestSource):
     (``job.request_kind(rng)``), both from a single
     ``default_rng(job.seed)`` stream — exactly what the pre-refactor
     engine loops did inline, so the request stream is byte-identical.
+
+    Requests are drawn ``_BLOCK_REQUESTS`` at a time, never past
+    ``io_count``, and served from that block.  A job with one direction
+    draws no kinds, so its block is ``pattern.draw_block`` — the same
+    draws as an array; ``randrw`` interleaves a kind draw after every
+    address, which only the per-request loop reproduces.
     """
 
-    __slots__ = ("job", "name", "iodepth", "is_open_loop", "_left",
-                 "_rng", "_next_lba", "_request_kind", "_bs")
+    __slots__ = ("job", "name", "iodepth", "is_open_loop", "_undrawn",
+                 "_ready", "_rng", "_pattern")
 
     def __init__(self, job: JobSpec) -> None:
         self.job = job
         self.name = job.name
         self.iodepth = job.iodepth
         self.is_open_loop = job.is_open_loop
-        self._left = job.io_count
+        self._undrawn = job.io_count
+        #: drawn, unserved requests, last first (served by ``pop``).
+        self._ready: list[tuple[str, int, int]] = []
         self._rng = np.random.default_rng(job.seed)
-        pattern = job.make_pattern()
-        self._next_lba = pattern.next_lba
-        self._request_kind = job.request_kind
-        self._bs = job.bs_sectors
+        self._pattern = job.make_pattern()
 
     def next_request(self) -> tuple[str, int, int] | None:
-        if self._left <= 0:
-            return None
-        self._left -= 1
-        rng = self._rng
-        lba = self._next_lba(rng)
-        return self._request_kind(rng), lba, self._bs
+        ready = self._ready
+        if not ready:
+            if not self._undrawn:
+                return None
+            self._refill()
+        return ready.pop()
+
+    def _refill(self) -> None:
+        """Draw the next block into the (empty) ready list."""
+        job, rng, pattern, ready = (self.job, self._rng, self._pattern,
+                                    self._ready)
+        count = min(_BLOCK_REQUESTS, self._undrawn)
+        self._undrawn -= count
+        kind, bs = job.fixed_kind, job.bs_sectors
+        if kind is not None:
+            ready.extend([(kind, lba, bs)
+                          for lba in pattern.draw_block(rng, count)])
+        else:
+            next_lba, request_kind = pattern.next_lba, job.request_kind
+            for _ in range(count):
+                lba = next_lba(rng)
+                ready.append((request_kind(rng), lba, bs))
+        ready.reverse()
 
     @property
     def remaining(self) -> int:
-        return self._left
+        return self._undrawn + len(self._ready)
 
     def arrival_times(self, t0: int) -> np.ndarray:
         from repro.workloads.engine import _arrival_times

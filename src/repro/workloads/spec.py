@@ -16,6 +16,11 @@ from repro.workloads.patterns import AddressPattern, Region, make_pattern
 #: request kinds a job may issue.
 RW_MODES = ("write", "randwrite", "read", "randread", "randrw", "trim")
 
+#: the direction of every request of a mode that has only one;
+#: ``randrw`` is absent — it draws each request's direction.
+_FIXED_KINDS = {"write": "write", "randwrite": "write", "read": "read",
+                "randread": "read", "trim": "trim"}
+
 #: how a job submits requests in timed mode.
 SUBMISSION_MODES = ("closed", "open")
 
@@ -125,14 +130,17 @@ class JobSpec:
         name = self.pattern or self.default_pattern()
         return make_pattern(name, self.region, self.bs_sectors, **self.pattern_kwargs)
 
+    @property
+    def fixed_kind(self) -> str | None:
+        """The one I/O direction this job issues, or ``None`` when each
+        request draws its own (``randrw``)."""
+        return _FIXED_KINDS.get(self.rw)
+
     def request_kind(self, rng) -> str:
         """The I/O direction of the next request."""
-        if self.rw in ("write", "randwrite"):
-            return "write"
-        if self.rw in ("read", "randread"):
-            return "read"
-        if self.rw == "trim":
-            return "trim"
+        kind = self.fixed_kind
+        if kind is not None:
+            return kind
         return "read" if rng.random() < self.read_fraction else "write"
 
     @property

@@ -41,18 +41,21 @@ def read_only_device() -> TimedSSD:
 
 class TestReadOnlyMidRun:
     def test_open_loop_partial_result(self):
-        device = read_only_device()
-        job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
-                      io_count=300, seed=1, submission="open",
-                      rate_iops=5_000.0)
-        result = run_timed(device, [job])
-        outcome = result.jobs["w"]
-        assert result.degraded_kind == "read_only"
-        assert result.degraded_at_ns >= 0
-        assert 0 <= result.ops_before_degraded < 300
-        assert outcome.failed_requests > 0
-        assert outcome.requests + outcome.failed_requests == 300
-        assert len(outcome.latencies_us) == outcome.requests
+        # 2_500 requests span three of the source's 1,024-request
+        # blocks: accounting must hold across a refill.
+        for io_count in (300, 2_500):
+            device = read_only_device()
+            job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
+                          io_count=io_count, seed=1, submission="open",
+                          rate_iops=5_000.0)
+            result = run_timed(device, [job])
+            outcome = result.jobs["w"]
+            assert result.degraded_kind == "read_only"
+            assert result.degraded_at_ns >= 0
+            assert 0 <= result.ops_before_degraded < 300
+            assert outcome.failed_requests > 0
+            assert outcome.requests + outcome.failed_requests == io_count
+            assert len(outcome.latencies_us) == outcome.requests
 
     def test_reads_still_served_after_degradation(self):
         device = read_only_device()
@@ -114,12 +117,14 @@ class TestPowerCutMidRun:
         assert total_done <= result.ops_before_degraded + len(jobs)
 
     def test_closed_loop_power_cut_terminates(self):
-        for iodepth in (8, 1):
+        # 2_500: the device dies with 1,476 requests undrawn and most
+        # of a 1,024-request block drawn but unserved — all failed.
+        for iodepth, io_count in [(8, 200), (1, 200), (8, 2_500), (1, 2_500)]:
             device = faulted_device(FaultSpec("power_cut", at_op=40))
             job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
-                          io_count=200, iodepth=iodepth, seed=3)
+                          io_count=io_count, iodepth=iodepth, seed=3)
             result = run_timed(device, [job])
             outcome = result.jobs["w"]
             assert result.degraded_kind == "power_cut"
-            assert outcome.requests + outcome.failed_requests == 200
-            assert outcome.failed_requests >= 200 - 41
+            assert outcome.requests + outcome.failed_requests == io_count
+            assert outcome.failed_requests >= io_count - 41

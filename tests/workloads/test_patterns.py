@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.patterns import (
+    PATTERNS,
     HotCold,
     Region,
     Sequential,
@@ -74,6 +75,13 @@ class TestHotCold:
         rng = np.random.default_rng(0)
         assert any(pattern.next_lba(rng) >= 200 for _ in range(1000))
 
+    def test_one_slot_region_has_no_cold_slot(self):
+        # no cold slot to draw: the cold branch used to return slot 1,
+        # LBA 108, outside [100, 108).
+        pattern = HotCold(Region(100, 8), bs_sectors=8)
+        rng = np.random.default_rng(0)
+        assert {pattern.next_lba(rng) for _ in range(200)} == {100}
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             HotCold(REGION, 1, space_fraction=0.0)
@@ -128,9 +136,10 @@ class TestFactory:
     name=st.sampled_from(["sequential", "uniform", "hotcold"]),
     bs=st.sampled_from([1, 2, 4, 8]),
     seed=st.integers(0, 100),
+    slots=st.sampled_from([1, 2, 3, 64]),
 )
-def test_all_patterns_contained_property(name, bs, seed):
-    region = Region(64, 512)
+def test_all_patterns_contained_property(name, bs, seed, slots):
+    region = Region(64, slots * bs)
     pattern = make_pattern(name, region, bs)
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -138,3 +147,30 @@ def test_all_patterns_contained_property(name, bs, seed):
         assert region.start <= lba
         assert lba + bs <= region.end
         assert (lba - region.start) % bs == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PATTERNS)),
+    bs=st.sampled_from([1, 4, 8]),
+    slots=st.sampled_from([1, 2, 7, 500]),
+    seed=st.integers(0, 100),
+    blocks=st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)),
+                    max_size=8),
+)
+def test_draw_block_is_next_lba_repeated_property(name, bs, slots, seed,
+                                                  blocks):
+    """Blocks of any sizes equal the same number of scalar draws, and
+    leave the generator where those draws leave it — also the alarm for
+    a numpy whose array draws stop matching its scalar draws."""
+    region = Region(64, slots * bs)
+    blocked, scalar = (make_pattern(name, region, bs) for _ in range(2))
+    block_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+    drawn = [lba for count in blocks
+             for lba in blocked.draw_block(block_rng, count)]
+    assert all(type(lba) is int for lba in drawn)
+    assert drawn == [scalar.next_lba(scalar_rng) for _ in range(sum(blocks))]
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+    # the patterns' own state (Sequential's cursor) moved identically too
+    assert blocked.draw_block(block_rng, 3) == [
+        scalar.next_lba(scalar_rng) for _ in range(3)]

@@ -19,8 +19,9 @@ from repro.workloads.source import (
     record_fs_workload,
     synthetic_source,
 )
-from repro.workloads.spec import JobSpec
+from repro.workloads.spec import RW_MODES, JobSpec
 from repro.workloads.trace import BlockTrace, TraceRecord
+from tests.regression.test_request_source_equivalence import _legacy_stream
 
 
 class TestAsSource:
@@ -69,6 +70,25 @@ class TestJobSource:
             assert kind == "write"
             assert sectors == 2
             assert 0 <= lba <= 98
+
+    @pytest.mark.parametrize("io_count", [1, 1023, 1024, 1025, 2051])
+    @pytest.mark.parametrize("pattern", [None, "zipf", "hotcold"])
+    @pytest.mark.parametrize("rw", RW_MODES)
+    def test_block_drawn_stream_is_the_scalar_stream(self, rw, pattern,
+                                                     io_count):
+        # io_counts sit on and around the 1,024-request block boundary
+        job = JobSpec("j", rw, Region(64, 4_000), bs_sectors=4,
+                      io_count=io_count, seed=9, pattern=pattern,
+                      read_fraction=0.3)
+        source = JobSource(job)
+        pulled = []
+        while (request := source.next_request()) is not None:
+            pulled.append(request)
+            assert source.remaining == io_count - len(pulled)
+        assert pulled == list(_legacy_stream(job))
+        assert source.next_request() is None
+        assert source.next_request() is None
+        assert source.remaining == 0
 
     def test_open_loop_arrivals_match_the_spec(self):
         job = JobSpec("j", "randwrite", Region(0, 100), io_count=16,

@@ -46,6 +46,9 @@ class TestJobSpec:
         mixed = JobSpec("j", "randrw", Region(0, 8), read_fraction=0.5)
         kinds = {mixed.request_kind(rng) for _ in range(50)}
         assert kinds == {"read", "write"}
+        assert mixed.fixed_kind is None
+        assert JobSpec("j", "write", Region(0, 8)).fixed_kind == "write"
+        assert JobSpec("j", "read", Region(0, 8)).fixed_kind == "read"
 
     def test_total_sectors(self):
         job = JobSpec("j", "randwrite", Region(0, 100), bs_sectors=4, io_count=10)
