@@ -15,11 +15,16 @@ every FTL must respect:
 Every piece of per-page and per-block state is a flat numpy array —
 including the full per-slot OOB records, which used to live in a
 ``dict[int, tuple]`` that cost one allocation per program and a Python
-loop per erase.  ``program`` touches a handful of array cells, ``erase``
-is pure slice resets, and ``clone`` is array copies; aggregate wear
-figures (:meth:`wear_summary`) and per-block stats (:meth:`block_stats`)
-are maintained incrementally instead of being recomputed by full scans
-on every call.
+loop per erase.  ``program`` touches a handful of cells, each through a
+``memoryview`` of its array (an item is a plain ``int``, several times
+cheaper than a numpy scalar); ``erase`` is slice resets plus two such
+cells, and ``clone`` is array copies.  The views alias the arrays'
+buffers, so the arrays are **edited in place only** — ``nand.page_state[p]
+= 1`` is fine, rebinding ``nand.page_state`` is not (:meth:`clone`, the one
+place that must, takes fresh views afterwards).  Aggregate wear figures
+(:meth:`wear_summary`) and per-block stats (:meth:`block_stats`) are
+maintained incrementally instead of being recomputed by full scans on
+every call.
 
 The array stores metadata only by default.  Callers that care about byte
 content (the firmware/RE experiments) can enable ``store_data`` which
@@ -28,6 +33,7 @@ keeps an actual ``bytes`` payload per programmed page.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +58,10 @@ class PageState:
 
     FREE = 0  #: erased, programmable
     PROGRAMMED = 1  #: holds data; must be erased before re-programming
+
+
+# Module-level copies for the per-page paths (no class lookup per use).
+_FREE, _PROGRAMMED = PageState.FREE, PageState.PROGRAMMED
 
 
 @dataclass
@@ -130,6 +140,7 @@ class NandArray:
         self.page_oob = np.full((total_pages, self._oob_slots), NO_LPN,
                                 dtype=np.int64)
         self.page_oob_len = np.full(total_pages, _NO_OOB, dtype=np.int16)
+        self._bind_views()
         self.counters = NandCounters()
         self._data: dict[int, bytes] = {}
         self._program_counter = 0
@@ -142,27 +153,46 @@ class NandArray:
         self._erase_min = 0
         self._erase_hist: dict[int, int] = {0: total_blocks}
 
+    def _bind_views(self) -> None:
+        """Take the one-entry views of the state arrays.
+
+        Every single-cell read and write below goes through these;
+        array-wide work (erase's slice resets, recovery, the firmware
+        and JTAG readers) uses the arrays themselves.  A view aliases
+        the buffer its array had when this ran, so whoever rebinds an
+        array attribute must call this again.
+        """
+        self._page_state_view = memoryview(self.page_state)
+        self._page_lpn_view = memoryview(self.page_lpn)
+        self._page_seq_view = memoryview(self.page_seq)
+        self._block_erase_count_view = memoryview(self.block_erase_count)
+        self._block_write_ptr_view = memoryview(self.block_write_ptr)
+        #: row ``ppn`` of ``page_oob`` is cells ``ppn * _oob_slots ...``.
+        self._page_oob_view = memoryview(self.page_oob.reshape(-1))
+        self._page_oob_len_view = memoryview(self.page_oob_len)
+
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
 
     def program(self, ppn: int, lpn: int = int(NO_LPN), data: bytes | None = None,
-                oob: tuple[int, ...] | None = None) -> None:
+                oob: Sequence[int] | None = None) -> None:
         """Program one page, stamping *lpn* (and optionally a full
         per-slot *oob* record plus a monotonic sequence number) into its
         OOB area.
 
-        Raises :class:`FlashViolation` if the page is not free or is not
-        the block's next sequential page.
+        Raises :class:`FlashViolation` if the page is not free, is not
+        the block's next sequential page, or the payload or OOB record
+        does not fit; a rejected program leaves the array untouched.
         """
         if not 0 <= ppn < self.total_pages:
             raise FlashViolation(f"program: ppn {ppn} out of range")
-        if self.page_state[ppn] != PageState.FREE:
+        if self._page_state_view[ppn] != _FREE:
             raise FlashViolation(
                 f"program: ppn {ppn} already programmed (erase-before-write)"
             )
         block, page = divmod(ppn, self._pages_per_block)
-        expected = int(self.block_write_ptr[block])
+        expected = self._block_write_ptr_view[block]
         if page != expected:
             raise FlashViolation(
                 f"program: block {block} requires sequential programming; "
@@ -173,21 +203,24 @@ class NandArray:
                 f"program: payload of {len(data)} bytes exceeds page size "
                 f"{self.geometry.page_size}"
             )
-        self.page_state[ppn] = PageState.PROGRAMMED
-        self.page_lpn[ppn] = lpn
-        self.page_seq[ppn] = self._program_counter
+        if oob is not None and len(oob) > self._oob_slots:
+            raise FlashViolation(
+                f"program: OOB record of {len(oob)} slots exceeds the page's "
+                f"{self._oob_slots} OOB slots"
+            )
+        self._page_state_view[ppn] = _PROGRAMMED
+        self._page_lpn_view[ppn] = lpn
+        self._page_seq_view[ppn] = self._program_counter
         self._program_counter += 1
-        self.block_write_ptr[block] = page + 1
+        self._block_write_ptr_view[block] = page + 1
         self.counters.programs += 1
         if oob is not None:
-            n = len(oob)
-            if n > self._oob_slots:
-                raise FlashViolation(
-                    f"program: OOB record of {n} slots exceeds the page's "
-                    f"{self._oob_slots} OOB slots"
-                )
-            self.page_oob[ppn, :n] = oob
-            self.page_oob_len[ppn] = n
+            cells = self._page_oob_view
+            cell = ppn * self._oob_slots
+            for stamp in oob:
+                cells[cell] = stamp
+                cell += 1
+            self._page_oob_len_view[ppn] = len(oob)
         if self.store_data and data is not None:
             self._data[ppn] = bytes(data)
 
@@ -200,9 +233,9 @@ class NandArray:
         if not 0 <= ppn < self.total_pages:
             raise FlashViolation(f"read: ppn {ppn} out of range")
         self.counters.reads += 1
-        if self.page_state[ppn] == PageState.FREE:
+        if self._page_state_view[ppn] == _FREE:
             return int(NO_LPN), None
-        return int(self.page_lpn[ppn]), self._data.get(ppn)
+        return self._page_lpn_view[ppn], self._data.get(ppn)
 
     def erase(self, block_index: int) -> None:
         """Erase one block, freeing all its pages and incrementing wear.
@@ -218,9 +251,9 @@ class NandArray:
         self.page_lpn[start:end] = NO_LPN
         self.page_seq[start:end] = -1
         self.page_oob_len[start:end] = _NO_OOB
-        self.block_write_ptr[block_index] = 0
-        cycles = int(self.block_erase_count[block_index])
-        self.block_erase_count[block_index] = cycles + 1
+        self._block_write_ptr_view[block_index] = 0
+        cycles = self._block_erase_count_view[block_index]
+        self._block_erase_count_view[block_index] = cycles + 1
         self._bump_wear(cycles)
         self.counters.erases += 1
         if self.store_data:
@@ -244,6 +277,7 @@ class NandArray:
         twin.block_write_ptr = self.block_write_ptr.copy()
         twin.page_oob = self.page_oob.copy()
         twin.page_oob_len = self.page_oob_len.copy()
+        twin._bind_views()  # the views __init__ took alias the dead arrays
         twin.counters = NandCounters(
             reads=self.counters.reads,
             programs=self.counters.programs,
@@ -304,7 +338,7 @@ class NandArray:
     # ------------------------------------------------------------------
 
     def is_free(self, ppn: int) -> bool:
-        return bool(self.page_state[ppn] == PageState.FREE)
+        return self._page_state_view[ppn] == _FREE
 
     def read_oob(self, ppn: int) -> tuple[int, ...] | None:
         """Full per-slot OOB record of a page, if the writer stored one."""
@@ -317,10 +351,11 @@ class NandArray:
         """O(1): under the sequential-programming rule a block's
         programmed-page count *is* its write pointer (pages free only by
         whole-block erase, which resets both)."""
+        write_pointer = self._block_write_ptr_view[block_index]
         return BlockStats(
-            erase_count=int(self.block_erase_count[block_index]),
-            programmed_pages=int(self.block_write_ptr[block_index]),
-            write_pointer=int(self.block_write_ptr[block_index]),
+            erase_count=self._block_erase_count_view[block_index],
+            programmed_pages=write_pointer,
+            write_pointer=write_pointer,
         )
 
     def lpns_in_block(self, block_index: int) -> np.ndarray:

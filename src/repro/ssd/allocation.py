@@ -127,15 +127,19 @@ class PageAllocator:
         exhausted the allocator falls over to the next plane with
         space, so allocation only fails when the whole device is full.
         """
-        if stream not in self._stream_counters:
+        counters = self._stream_counters
+        index = counters.get(stream)
+        if index is None:
             raise ValueError(f"unknown stream {stream!r}")
-        index = self._stream_counters[stream]
-        self._stream_counters[stream] = index + 1
-        planes = self._planes
+        counters[stream] = index + 1
         target = self.plane_for_index(index)
-        for offset in range(planes):
-            plane = (target + offset) % planes
-            ppn = self._page_in_plane(plane, stream)
+        # The policy's plane first: its open block almost always has room.
+        ppn = self._page_in_plane(target, stream)
+        if ppn is not None:
+            return ppn
+        planes = self._planes
+        for offset in range(1, planes):
+            ppn = self._page_in_plane((target + offset) % planes, stream)
             if ppn is not None:
                 return ppn
         raise OutOfSpace("no free pages in any plane")

@@ -129,8 +129,10 @@ class Ftl:
                             else RELIABILITY_BY_TIMING[config.timing_name])
 
         spp = self._spp = geometry.sectors_per_page
+        ppb = self._ppb = geometry.pages_per_block
+        self._page_size = geometry.page_size
         self.num_lpns = config.logical_sectors
-        self._sectors_per_block = spp * geometry.pages_per_block
+        self._sectors_per_block = spp * ppb
         total_psas = geometry.total_pages * spp
         #: physical-sector -> logical-sector reverse map (see p2l codes
         #: above).  Edited in place only — scalar views alias this buffer.
@@ -442,15 +444,16 @@ class Ftl:
         *, silent_map: bool = False,
     ) -> None:
         """Program one page holding *lpns* and update all bookkeeping."""
-        self._ensure_free_space()
-        geometry = self.geometry
+        if not self._in_gc:
+            self._ensure_free_space()
         spp = self._spp
         if self._routed:
             stream = self._route(stream, lpns)
         ppn = self._allocate_programmable_page(stream)
-        self.nand.program(ppn, lpn=lpns[0], oob=tuple(lpns[:spp]))
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, geometry.page_size))
-        block = ppn // geometry.pages_per_block
+        lpns = lpns[:spp]
+        self.nand.program(ppn, lpn=lpns[0], oob=lpns)
+        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, self._page_size))
+        block = ppn // self._ppb
         # Mapping-eviction events come back merged and are applied only
         # once every sector of the page is mapped and its old copy
         # invalidated: applying them mid-page programs meta pages, whose
@@ -458,7 +461,6 @@ class Ftl:
         # copy is still marked valid — GC would then migrate that
         # superseded copy with a *newer* program sequence than the live
         # data, and newest-wins recovery would resurrect stale sectors.
-        lpns = lpns[:spp]
         base = ppn * spp
         if silent_map:
             olds = self.mapping.silent_update_page(lpns, base)
@@ -500,27 +502,29 @@ class Ftl:
             self._program_parity_page()
 
     def _program_parity_page(self) -> None:
-        self._ensure_free_space()
+        if not self._in_gc:
+            self._ensure_free_space()
         ppn = self._allocate_programmable_page("host")
         self.nand.program(ppn, lpn=int(NO_LPN))
         self.rain.note_parity(ppn)
         # Parity is never valid: it is overhead that GC erases freely.
         self._emit(FlashOp(OpKind.PROGRAM, ppn, OpReason.PARITY,
-                           self.geometry.page_size))
+                           self._page_size))
 
     def _program_meta_page(self, tp_id: int, reason: OpReason = OpReason.META) -> None:
-        self._ensure_free_space()
-        geometry = self.geometry
+        if not self._in_gc:
+            self._ensure_free_space()
         ppn = self._allocate_programmable_page("meta")
-        self.nand.program(ppn, lpn=int(NO_LPN), oob=(_tp_to_p2l(tp_id),))
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, geometry.page_size))
-        old = int(self.mapping.tp_stored_ppn[tp_id])
+        code = _tp_to_p2l(tp_id)
+        self.nand.program(ppn, lpn=int(NO_LPN), oob=(code,))
+        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, self._page_size))
+        old = self.mapping.stored_ppn(tp_id)
         if old >= 0:
             self._invalidate_meta_page(old)
-        slot0 = ppn * geometry.sectors_per_page
-        self._p2l_view[slot0] = _tp_to_p2l(tp_id)
+        slot0 = ppn * self._spp
+        self._p2l_view[slot0] = code
         self._sector_valid_view[slot0] = True
-        self._block_valid_view[ppn // geometry.pages_per_block] += 1
+        self._block_valid_view[ppn // self._ppb] += 1
         self.mapping.note_flushed(tp_id, ppn)
         if self.rain.on_data_page(ppn):
             self._program_parity_page()
@@ -528,15 +532,14 @@ class Ftl:
     def _allocate_programmable_page(self, stream: str) -> int:
         """Allocate a page, handling injected program failures by
         retiring the bad block and allocating elsewhere."""
+        ppb = self._ppb
         while True:
             ppn = self.allocator.allocate_page(stream)
             if not self.injector.program_fails(ppn):
-                if ppn % self.geometry.pages_per_block == 0:
-                    self.block_birth[ppn // self.geometry.pages_per_block] = (
-                        self._op_seq
-                    )
+                if ppn % ppb == 0:
+                    self.block_birth[ppn // ppb] = self._op_seq
                 return ppn
-            block = ppn // self.geometry.pages_per_block
+            block = ppn // ppb
             plane = block // self.geometry.blocks_per_plane
             self._retire_block(block, stream, plane)
 
@@ -740,8 +743,11 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _ensure_free_space(self) -> None:
-        if self._in_gc:
-            return
+        """Foreground GC on every plane at or below the low watermark.
+
+        Not for callers running inside GC (``_in_gc``): migration draws
+        on the watermark reserve instead of triggering GC recursively,
+        so the three page-program methods skip the call then."""
         if not self.allocator.planes_at_watermark:
             # No plane is at or below the low watermark, so the scan
             # below would visit every plane and do nothing.
@@ -804,24 +810,24 @@ class Ftl:
 
     def _migrate_block_contents(self, block: int, reason: OpReason) -> None:
         """Move every valid sector / metadata page out of *block*."""
-        geometry = self.geometry
-        spp = geometry.sectors_per_page
-        first_psa = block * geometry.pages_per_block * spp
-        last_psa = first_psa + geometry.pages_per_block * spp
+        spp = self._spp
+        first_psa = block * self._sectors_per_block
+        last_psa = first_psa + self._sectors_per_block
         # nonzero() walks ascending, so live_lpns/live_tps keep psa
         # order; clearing the whole slice only re-falsifies
         # already-invalid slots.
         window = self.sector_valid[first_psa:last_psa]
         psas = np.nonzero(window)[0] + first_psa
         codes = self.p2l[psas]
-        live_tps = [_p2l_to_tp(int(c)) for c in codes[codes <= META_P2L_BASE]]
-        live_lpns = [int(c) for c in codes[codes >= 0]]
-        pages_sorted = np.unique(psas // spp)
+        live_tps = [_p2l_to_tp(c)
+                    for c in codes[codes <= META_P2L_BASE].tolist()]
+        live_lpns = codes[codes >= 0].tolist()
+        pages_sorted = np.unique(psas // spp).tolist()
         self.sector_valid[first_psa:last_psa] = False
         self.p2l[psas] = P2L_NONE
         self._block_valid_view[block] = 0
         for ppn in pages_sorted:
-            self._emit(FlashOp(OpKind.READ, int(ppn), reason, geometry.page_size))
+            self._emit(FlashOp(OpKind.READ, ppn, reason, self._page_size))
         self.stats.gc_migrated_sectors += len(live_lpns)
         for start in range(0, len(live_lpns), spp):
             self._program_data_page(

@@ -110,7 +110,9 @@ class MappingTable:
         self._l2p_view = memoryview(self.l2p)
         self.num_tps = -(-num_lpns // tp_lpns)
         #: flash location of each TP's last flushed copy (-1 = never stored).
+        #: Edited in place only — a scalar view aliases this buffer.
         self.tp_stored_ppn = np.full(self.num_tps, -1, dtype=np.int64)
+        self._tp_stored_view = memoryview(self.tp_stored_ppn)
         self._dirty: OrderedDict[int, None] = OrderedDict()
         self._resident: OrderedDict[int, None] = OrderedDict()
         self._since_sync = 0
@@ -264,7 +266,11 @@ class MappingTable:
 
     def note_flushed(self, tp_id: int, ppn: int) -> None:
         """Record where the FTL just stored a TP."""
-        self.tp_stored_ppn[tp_id] = ppn
+        self._tp_stored_view[tp_id] = ppn
+
+    def stored_ppn(self, tp_id: int) -> int:
+        """Flash page of a TP's last flushed copy (-1 = never stored)."""
+        return self._tp_stored_view[tp_id]
 
     # ------------------------------------------------------------------
     # Dirty tracking
@@ -314,8 +320,9 @@ class MappingTable:
         self._resident[chunk] = None
         self.stats.chunk_loads += 1
         events.loaded_chunks.append(chunk)
+        stored_ppns = self._tp_stored_view
         for tp_id in self._tps_in_chunk(chunk):
-            stored = int(self.tp_stored_ppn[tp_id])
+            stored = stored_ppns[tp_id]
             if stored >= 0:
                 events.load_tp_ppns.append(stored)
         return events

@@ -41,26 +41,32 @@ class SchemeAllocation:
         #: the dimension ordering (may differ from ``name`` in subclasses).
         self.scheme = scheme.upper()
         self.name = self.scheme
-        self._dims: list[tuple[str, int]] | None = None
-        self._geometry: "Geometry | None" = None
+        #: plane of allocation index ``i`` for ``i < planes_total``; the
+        #: order repeats from there (filled by :meth:`bind`).
+        self._plane_order: list[int] = []
 
     # -- AllocationPolicy -------------------------------------------------
 
     def bind(self, geometry: "Geometry") -> None:
-        self._geometry = geometry
-        self._dims = self._parse_scheme(self.scheme, geometry)
+        dims = self._parse_scheme(self.scheme, geometry)
+        order = self._plane_order = []
+        for index in range(geometry.planes_total):
+            coords = {}
+            rest = index
+            for letter, size in dims:
+                coords[letter] = rest % size
+                rest //= size
+            order.append(
+                ((coords["C"] * geometry.chips_per_channel + coords["W"])
+                 * geometry.dies_per_chip + coords["D"])
+                * geometry.planes_per_die + coords["P"]
+            )
 
     def plane_for_index(self, index: int) -> int:
-        coords = {}
-        rest = index
-        for letter, size in self._dims:
-            coords[letter] = rest % size
-            rest //= size
-        g = self._geometry
-        return (
-            ((coords["C"] * g.chips_per_channel + coords["W"]) * g.dies_per_chip
-             + coords["D"]) * g.planes_per_die + coords["P"]
-        )
+        # The mixed-radix decomposition discards everything above
+        # C*W*D*P, so one period of it is the whole function.
+        order = self._plane_order
+        return order[index % len(order)]
 
     def route(self, stream: str, lpns: list[int]) -> str:
         return stream

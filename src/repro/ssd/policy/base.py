@@ -61,7 +61,11 @@ class AllocationPolicy(Protocol):
         ...
 
     def plane_for_index(self, index: int) -> int:
-        """Plane targeted by the *index*-th allocation of a stream."""
+        """Plane targeted by the *index*-th allocation of a stream.
+
+        Called once per programmed page, so keep it cheap:
+        ``SchemeAllocation`` serves it from a table of one period of
+        the order, built at :meth:`bind`."""
         ...
 
     def route(self, stream: str, lpns: list[int]) -> str:

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ssd.ops import FTL_REASONS, FlashOp, OpKind, OpReason
+from repro.ssd.ops import FlashOp, OpKind, OpReason
+
+# Members are told apart by identity: ``Enum.__hash__`` is a
+# Python-level call, so a set or dict lookup per op costs more than the
+# whole attribution.
+_READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
+_HOST, _GC, _META = OpReason.HOST, OpReason.GC, OpReason.META
 
 
 @dataclass
@@ -59,9 +65,9 @@ class SmartCounters:
     read_retries: int = 0
     rain_reconstructions: int = 0
 
+    #: detail counter of the rare FTL reasons (GC and META are told
+    #: apart by identity in :meth:`record`).
     _BY_REASON = {
-        OpReason.GC: "gc_program_pages",
-        OpReason.META: "meta_program_pages",
         OpReason.PARITY: "parity_program_pages",
         OpReason.PSLC: "pslc_program_pages",
         OpReason.WEAR: "wear_program_pages",
@@ -69,18 +75,26 @@ class SmartCounters:
     }
 
     def record(self, op: FlashOp) -> None:
-        """Attribute one flash operation."""
-        if op.kind is OpKind.PROGRAM:
-            if op.reason in FTL_REASONS:
-                self.ftl_program_pages += 1
-                detail = self._BY_REASON.get(op.reason)
-                if detail is not None:
-                    setattr(self, detail, getattr(self, detail) + 1)
-            else:
+        """Attribute one flash operation: a program of host data to the
+        host, any other program to the FTL and to its reason's detail
+        counter; reads and erases to their totals."""
+        kind = op.kind
+        if kind is _PROGRAM:
+            reason = op.reason
+            if reason is _HOST:
                 self.host_program_pages += 1
-        elif op.kind is OpKind.READ:
+            else:
+                self.ftl_program_pages += 1
+                if reason is _GC:
+                    self.gc_program_pages += 1
+                elif reason is _META:
+                    self.meta_program_pages += 1
+                else:
+                    detail = self._BY_REASON[reason]
+                    setattr(self, detail, getattr(self, detail) + 1)
+        elif kind is _READ:
             self.read_pages += 1
-        elif op.kind is OpKind.ERASE:
+        elif kind is _ERASE:
             self.erase_count += 1
 
     # ------------------------------------------------------------------

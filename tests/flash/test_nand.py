@@ -61,6 +61,41 @@ class TestProgram:
         with pytest.raises(FlashViolation):
             nand.program(0, data=b"x" * (GEOM.page_size + 1))
 
+    def test_oversized_oob_rejected_before_any_store(self):
+        # A rejected program must leave the array untouched: the OOB
+        # length check used to run after the page was marked programmed.
+        geometry = Geometry(
+            channels=1, chips_per_channel=1, dies_per_chip=1,
+            planes_per_die=1, blocks_per_plane=2, pages_per_block=4,
+            page_size=16384, sector_size=4096,  # 4 OOB slots per page
+        )
+        nand = NandArray(geometry)
+        with pytest.raises(FlashViolation, match="OOB"):
+            nand.program(0, lpn=5, oob=(0, 1, 2, 3, 4))
+        assert nand.is_free(0)
+        assert nand.block_write_ptr[0] == 0
+        assert nand.counters.programs == 0
+        assert nand.page_lpn[0] == NO_LPN and nand.page_seq[0] == -1
+        assert nand.read_oob(0) is None
+        nand.program(0, lpn=5, oob=[0, 1, 2, 3])  # the corrected retry
+        assert nand.read_oob(0) == (0, 1, 2, 3)
+        assert nand.page_seq[0] == 0
+
+    def test_program_sees_state_staged_through_the_arrays(self, nand):
+        # Tests and recovery stage state with in-place array writes; the
+        # scalar views program() reads alias the same buffers.
+        first = GEOM.pages_per_block  # page 0 of block 1
+        nand.block_write_ptr[1] = 3
+        with pytest.raises(FlashViolation, match="next page is 3"):
+            nand.program(first)
+        nand.program(first + 3, lpn=9)
+        assert nand.block_write_ptr[1] == 4
+        assert nand.block_stats(1).programmed_pages == 4
+        nand.page_state[0] = PageState.PROGRAMMED
+        assert not nand.is_free(0)
+        with pytest.raises(FlashViolation, match="already programmed"):
+            nand.program(0)
+
 
 class TestRead:
     def test_read_free_page(self, nand):

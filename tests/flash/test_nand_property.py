@@ -10,6 +10,7 @@ block stats, wear summaries, counters, and clone independence.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,8 +107,10 @@ def _ops_strategy():
         st.integers(0, BLOCKS - 1),
         st.integers(0, 500),
         st.one_of(st.none(),
+                  # One slot too many is in range: both sides must
+                  # reject the record and store nothing.
                   st.lists(st.integers(0, 500), min_size=1,
-                           max_size=OOB_SLOTS)),
+                           max_size=OOB_SLOTS + 1)),
     )
     bad_program = st.tuples(st.just("bad_program"),
                             st.integers(0, PAGES - 1),
@@ -125,7 +128,12 @@ def _apply(op, nand: NandArray, ref: RefNand) -> None:
         if ptr >= GEOM.pages_per_block:
             return
         ppn = block * GEOM.pages_per_block + ptr
-        nand.program(ppn, lpn=lpn, oob=None if oob is None else tuple(oob))
+        if oob is not None and len(oob) > OOB_SLOTS:
+            for model in (nand, ref):
+                with pytest.raises(FlashViolation):
+                    model.program(ppn, lpn=lpn, oob=oob)
+            return
+        nand.program(ppn, lpn=lpn, oob=oob)
         ref.program(ppn, lpn, oob)
     elif op[0] == "bad_program":
         # An arbitrary target: both sides must agree on accept/reject.
@@ -177,6 +185,14 @@ def test_vectorized_nand_matches_per_page_reference(ops):
     _assert_equivalent(nand, ref)
 
 
+def _replayed_reference(ops) -> RefNand:
+    ref = RefNand()
+    replay = NandArray(GEOM)
+    for op in ops:
+        _apply(op, replay, ref)
+    return ref
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=_ops_strategy(), extra=_ops_strategy())
 def test_clone_is_independent_and_equivalent(ops, extra):
@@ -184,16 +200,20 @@ def test_clone_is_independent_and_equivalent(ops, extra):
     ref = RefNand()
     for op in ops:
         _apply(op, nand, ref)
-    twin = nand.clone()
-    # Mutating the original must not leak into the clone...
+    mutated, frozen = nand.clone(), nand.clone()
+    # A clone's own programs and erases land in the clone (its scalar
+    # views must alias its copies, not the arrays __init__ made) and
+    # leave the original where it was...
+    ref_mutated = _replayed_reference(ops)
+    for op in extra:
+        _apply(op, mutated, ref_mutated)
+    _assert_equivalent(mutated, ref_mutated)
+    _assert_equivalent(nand, ref)
+    # ...and mutating the original must not leak into a clone, which
+    # still matches a reference built from the prefix.
     for op in extra:
         _apply(op, nand, ref)
-    # ...so the clone still matches a reference built from the prefix.
-    ref_prefix = RefNand()
-    replay = NandArray(GEOM)
-    for op in ops:
-        _apply(op, replay, ref_prefix)
-    _assert_equivalent(twin, ref_prefix)
+    _assert_equivalent(frozen, _replayed_reference(ops))
     _assert_equivalent(nand, ref)
 
 

@@ -177,3 +177,55 @@ class TestAblationGcPolicy:
         assert golden["cost_benefit"] == pytest.approx(golden["greedy"],
                                                        rel=0.1)
         assert wafs["cost_benefit"] == pytest.approx(wafs["greedy"], rel=0.15)
+
+
+class TestWearLevelingAblation:
+    """Wear-leveling ablation headline: static leveling narrows the
+    erase-count spread (max - min, and stddev) at the cost of cold-block
+    migrations.  Erase counts grow with the write count, so only the
+    ordering is compared — in the reduced run and in the golden's rows."""
+
+    @pytest.fixture(scope="class")
+    def wear(self):
+        from repro.ssd.device import SimulatedSSD
+        from repro.ssd.presets import tiny
+
+        def churn(leveling: bool, writes: int = 8000) -> dict[str, float]:
+            device = SimulatedSSD(tiny().with_changes(
+                wear_leveling=leveling, wear_leveling_delta=6))
+            rng = np.random.default_rng(7)
+            # Cold data pins blocks; hot churn wears the rest.
+            for lpn in range(128):
+                device.write_sectors(lpn, 1)
+            device.flush()
+            for i in range(writes):
+                lba = 128 + int(rng.integers(device.num_sectors - 128))
+                device.write_sectors(lba, 1)
+                if i % 500 == 499:
+                    device.idle(max_blocks=4)
+            device.flush()
+            summary = device.ftl.nand.wear_summary()
+            return {"spread": summary["max"] - summary["min"],
+                    "stddev": summary["std"],
+                    "migrations": device.ftl.stats.wear_migrations}
+
+        return {"off": churn(False), "on": churn(True)}
+
+    @staticmethod
+    def golden_wear() -> dict[str, dict[str, float]]:
+        return {
+            r["leveling"]: {
+                "spread": float(r["max erases"]) - float(r["min erases"]),
+                "stddev": float(r["stddev"]),
+                "migrations": int(r["migrations"]),
+            }
+            for r in golden_rows("ablation_wear_leveling")
+        }
+
+    @pytest.mark.parametrize("source", ["reduced run", "golden"])
+    def test_leveling_narrows_the_spread(self, wear, source):
+        rows = wear if source == "reduced run" else self.golden_wear()
+        assert rows["on"]["spread"] < rows["off"]["spread"]
+        assert rows["on"]["stddev"] < rows["off"]["stddev"]
+        assert rows["on"]["migrations"] >= 1
+        assert rows["off"]["migrations"] == 0

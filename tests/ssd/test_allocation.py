@@ -1,10 +1,13 @@
 """Page allocation: scheme orderings, pools, retirement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import OutOfSpace, PageAllocator
+from repro.ssd.policy.allocation import allocation_policies
 
 GEOM = Geometry(
     channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=2,
@@ -17,7 +20,40 @@ def make(scheme="CWDP", excluded=frozenset()):
     return PageAllocator(GEOM, nand, scheme, excluded_blocks=excluded)
 
 
+def mixed_radix_plane(scheme: str, geometry: Geometry, index: int) -> int:
+    """The scheme's definition, written out: *index* decomposed over the
+    dimension sizes in scheme order (fastest-varying first), the
+    coordinates recombined in the fixed C/W/D/P plane numbering."""
+    sizes = {"C": geometry.channels, "W": geometry.chips_per_channel,
+             "D": geometry.dies_per_chip, "P": geometry.planes_per_die}
+    coords = {}
+    for letter in scheme:
+        index, coords[letter] = divmod(index, sizes[letter])
+    return (((coords["C"] * sizes["W"] + coords["W"]) * sizes["D"]
+             + coords["D"]) * sizes["P"] + coords["P"])
+
+
 class TestSchemeOrdering:
+    @pytest.mark.parametrize("geometry", [
+        GEOM,
+        Geometry(channels=3, chips_per_channel=2, dies_per_chip=1,  # a 1
+                 planes_per_die=2, blocks_per_plane=2, pages_per_block=2,
+                 page_size=8192, sector_size=4096),
+        Geometry(channels=2, chips_per_channel=3, dies_per_chip=2,
+                 planes_per_die=4, blocks_per_plane=2, pages_per_block=2,
+                 page_size=8192, sector_size=4096),
+    ], ids=["2x1x2x2", "3x2x1x2", "2x3x2x4"])
+    @pytest.mark.parametrize("name", allocation_policies.names())
+    def test_plane_order_is_the_mixed_radix_decomposition(self, name, geometry):
+        # SchemeAllocation serves one period of the order from a table;
+        # indices run past three periods to pin the wrap-around.
+        alloc = PageAllocator(geometry, NandArray(geometry), name)
+        scheme = alloc.policy.scheme  # hotcold orders planes as CWDP
+        assert name in (scheme, "hotcold")
+        for index in range(3 * geometry.planes_total + 5):
+            assert alloc.plane_for_index(index) == mixed_radix_plane(
+                scheme, geometry, index), index
+
     def test_cwdp_varies_channel_first(self):
         alloc = make("CWDP")
         planes = [alloc.plane_for_index(i) for i in range(4)]
@@ -158,3 +194,134 @@ class TestLifecycle:
         alloc.abandon_active("host", plane)
         nxt = alloc.allocate_page("host")
         assert nxt // GEOM.pages_per_block != block
+
+
+# ----------------------------------------------------------------------
+# Property: PageAllocator against a dict-and-list reference
+# ----------------------------------------------------------------------
+
+REF_GEOM = Geometry(
+    channels=2, chips_per_channel=1, dies_per_chip=1, planes_per_die=2,
+    blocks_per_plane=3, pages_per_block=2, page_size=8192, sector_size=4096,
+)
+LOW_WATER = 1
+
+
+class RefAllocator:
+    """Block lifecycle the slow, obvious way: one list per plane used as
+    a stack of free blocks, one ``[block, pages handed out]`` per open
+    ``(plane, stream)``, everything else recomputed on demand."""
+
+    def __init__(self, scheme: str, streams) -> None:
+        g = REF_GEOM
+        self.order = [mixed_radix_plane(scheme, g, i)
+                      for i in range(g.planes_total)]
+        self.free = [list(range((p + 1) * g.blocks_per_plane - 1,
+                                p * g.blocks_per_plane - 1, -1))
+                     for p in range(g.planes_total)]
+        self.open: dict[tuple[int, str], list[int]] = {}
+        self.sealed = [set() for _ in range(g.planes_total)]
+        self.retired: set[int] = set()
+        self.count = dict.fromkeys(streams, 0)
+
+    def allocate(self, stream: str) -> int:
+        index, ppb = self.count[stream], REF_GEOM.pages_per_block
+        self.count[stream] += 1
+        planes = len(self.free)
+        for offset in range(planes):
+            plane = (self.order[index % planes] + offset) % planes
+            slot = self.open.get((plane, stream))
+            if slot is None or slot[1] == ppb:
+                if not self.free[plane]:
+                    continue
+                if slot is not None:
+                    self.sealed[plane].add(slot[0])
+                slot = self.open[plane, stream] = [self.free[plane].pop(), 0]
+            slot[1] += 1
+            return slot[0] * ppb + slot[1] - 1
+        raise OutOfSpace
+
+    def release(self, block: int) -> None:
+        if block not in self.retired:
+            plane = block // REF_GEOM.blocks_per_plane
+            self.sealed[plane].discard(block)
+            self.free[plane].append(block)
+
+    def retire(self, block: int) -> None:
+        plane = block // REF_GEOM.blocks_per_plane
+        self.retired.add(block)
+        self.sealed[plane].discard(block)
+        if block in self.free[plane]:
+            self.free[plane].remove(block)
+        self.open = {k: v for k, v in self.open.items() if v[0] != block}
+
+    def abandon(self, stream: str, plane: int) -> None:
+        slot = self.open.pop((plane, stream), None)
+        if slot is not None and slot[1] == REF_GEOM.pages_per_block:
+            self.sealed[plane].add(slot[0])
+
+
+_allocator_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.integers(0, 3)),
+        st.tuples(st.just("allocate"), st.integers(0, 3)),
+        st.tuples(st.just("allocate"), st.integers(0, 3)),
+        st.tuples(st.just("erase_release"), st.integers(0, 11)),
+        st.tuples(st.just("retire"), st.integers(0, REF_GEOM.total_blocks - 1)),
+        st.tuples(st.just("abandon"), st.integers(0, 3),
+                  st.integers(0, REF_GEOM.planes_total - 1)),
+    ),
+    min_size=1, max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["CWDP", "PDWC", "DPWC", "hotcold"]),
+       ops=_allocator_ops)
+def test_allocator_matches_reference(scheme, ops):
+    nand = NandArray(REF_GEOM)
+    alloc = PageAllocator(REF_GEOM, nand, scheme)
+    alloc.set_gc_watermark(LOW_WATER)
+    streams = alloc.streams
+    ref = RefAllocator(alloc.policy.scheme, streams)
+    ppb = REF_GEOM.pages_per_block
+    closed: set[int] = set()  # retired or abandoned while open
+    for op in ops:
+        if op[0] == "allocate":
+            stream = streams[op[1] % len(streams)]
+            try:
+                expected = ref.allocate(stream)
+            except OutOfSpace:
+                with pytest.raises(OutOfSpace):
+                    alloc.allocate_page(stream)
+            else:
+                ppn = alloc.allocate_page(stream)
+                assert ppn == expected
+                assert ppn // ppb not in closed
+                nand.program(ppn)  # abandon_active reads the write pointer
+        elif op[0] == "erase_release":
+            candidates = sorted(set().union(*ref.sealed))
+            if candidates:
+                block = candidates[op[1] % len(candidates)]
+                nand.erase(block)
+                alloc.release_block(block)
+                ref.release(block)
+        elif op[0] == "retire":
+            closed.update(slot[0] for slot in ref.open.values()
+                          if slot[0] == op[1])
+            alloc.retire_block(op[1])
+            ref.retire(op[1])
+        else:
+            stream = streams[op[1] % len(streams)]
+            slot = ref.open.get((op[2], stream))
+            if slot is not None and slot[1] < ppb:
+                closed.add(slot[0])
+            alloc.abandon_active(stream, op[2])
+            ref.abandon(stream, op[2])
+        for plane in range(REF_GEOM.planes_total):
+            assert alloc.sealed_blocks(plane) == ref.sealed[plane]
+            assert alloc.free_blocks_in_plane(plane) == len(ref.free[plane])
+        assert alloc.active_blocks() == {s[0] for s in ref.open.values()}
+        assert alloc.retired_blocks == ref.retired
+        assert alloc.planes_at_watermark == sum(
+            len(pool) <= LOW_WATER for pool in ref.free)

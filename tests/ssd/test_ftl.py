@@ -353,10 +353,11 @@ def test_invariants_hold_under_random_workloads(seed, writes):
 
 
 def test_state_arrays_are_only_ever_edited_in_place():
-    """ftl.py and mapping.py read and write single entries of p2l,
-    sector_valid, block_valid and l2p through memoryviews taken in
-    ``__init__``; rebinding one of the four attributes to a new array
-    anywhere would leave its view on a dead buffer."""
+    """ftl.py, mapping.py and nand.py read and write single entries of
+    p2l, sector_valid, block_valid, l2p, tp_stored_ppn and the NandArray
+    page/block arrays through memoryviews taken at construction (for a
+    NAND clone, by ``clone``); rebinding one of the attributes to a new
+    array anywhere else would leave its view on a dead buffer."""
     from types import SimpleNamespace
 
     from repro.fleet.shard import _audit_durability
@@ -364,15 +365,25 @@ def test_state_arrays_are_only_ever_edited_in_place():
     from repro.ssd.timed import TimedSSD
 
     def arrays_and_views(ftl):
+        nand = ftl.nand
         return ((ftl.p2l, ftl._p2l_view),
                 (ftl.sector_valid, ftl._sector_valid_view),
                 (ftl.block_valid, ftl._block_valid_view),
-                (ftl.mapping.l2p, ftl.mapping._l2p_view))
+                (ftl.mapping.l2p, ftl.mapping._l2p_view),
+                (ftl.mapping.tp_stored_ppn, ftl.mapping._tp_stored_view),
+                (nand.page_state, nand._page_state_view),
+                (nand.page_lpn, nand._page_lpn_view),
+                (nand.page_seq, nand._page_seq_view),
+                (nand.block_write_ptr, nand._block_write_ptr_view),
+                (nand.block_erase_count, nand._block_erase_count_view),
+                (nand.page_oob_len, nand._page_oob_len_view),
+                (nand.page_oob, nand._page_oob_view))
 
     def assert_views_alias(ftl, created=None):
         for index, (array, view) in enumerate(arrays_and_views(ftl)):
-            assert view.obj is array
-            assert view.tolist() == array.tolist()
+            # page_oob's view is over a flat reshape of the 2-D array.
+            assert view.obj is array or view.obj.base is array
+            assert view.tolist() == array.reshape(-1).tolist()
             if created is not None:
                 assert array is created[index][0]
 

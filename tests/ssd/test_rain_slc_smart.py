@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash.geometry import Geometry
-from repro.ssd.ops import FlashOp, OpKind, OpReason
+from repro.ssd.ops import FTL_REASONS, FlashOp, OpKind, OpReason
 from repro.ssd.rain import RainAccountant
 from repro.ssd.slc import PslcBuffer
 from repro.ssd.smart import SmartCounters
@@ -187,6 +187,50 @@ class TestSmart:
         smart.record(FlashOp(OpKind.ERASE, 0, OpReason.GC))
         assert smart.read_pages == 1
         assert smart.erase_count == 1
+
+    #: the counters one op of each (kind, reason) moves, written out:
+    #: programs of host data are the host's, every other program is the
+    #: FTL's plus its reason's detail; reads and erases ignore the reason.
+    PROGRAM_COUNTERS = {
+        OpReason.HOST: {"host_program_pages"},
+        OpReason.GC: {"ftl_program_pages", "gc_program_pages"},
+        OpReason.META: {"ftl_program_pages", "meta_program_pages"},
+        OpReason.PARITY: {"ftl_program_pages", "parity_program_pages"},
+        OpReason.PSLC: {"ftl_program_pages", "pslc_program_pages"},
+        OpReason.WEAR: {"ftl_program_pages", "wear_program_pages"},
+        OpReason.REFRESH: {"ftl_program_pages", "refresh_program_pages"},
+    }
+
+    @pytest.mark.parametrize("reason", list(OpReason))
+    @pytest.mark.parametrize("kind", list(OpKind))
+    def test_record_moves_exactly_the_named_counters(self, kind, reason):
+        expected = {
+            OpKind.PROGRAM: self.PROGRAM_COUNTERS[reason],
+            OpKind.READ: {"read_pages"},
+            OpKind.ERASE: {"erase_count"},
+        }[kind]
+        smart = SmartCounters()
+        smart.record(FlashOp(kind, 3, reason, 100))
+        moved = smart.delta(SmartCounters())
+        for name in SmartCounters.__dataclass_fields__:
+            assert getattr(moved, name) == (1 if name in expected else 0), name
+
+    def test_ftl_reasons_are_everything_but_host(self):
+        # record() tells host from FTL programs by ``reason is HOST``.
+        assert FTL_REASONS == set(OpReason) - {OpReason.HOST}
+        assert set(self.PROGRAM_COUNTERS) == set(OpReason)
+
+    def test_ftl_pages_are_the_sum_of_the_per_reason_counters(self):
+        smart = SmartCounters()
+        kinds, reasons = list(OpKind), list(OpReason)
+        for i in range(210):  # 3 and 7 are coprime: every pair, ten times
+            smart.record(FlashOp(kinds[i % 3], i, reasons[i % 7], 100))
+        assert smart.ftl_program_pages == (
+            smart.gc_program_pages + smart.meta_program_pages
+            + smart.parity_program_pages + smart.pslc_program_pages
+            + smart.wear_program_pages + smart.refresh_program_pages) == 60
+        assert smart.host_program_pages == 10
+        assert smart.read_pages == smart.erase_count == 70
 
     def test_waf(self):
         smart = SmartCounters(host_program_pages=10, ftl_program_pages=9)
