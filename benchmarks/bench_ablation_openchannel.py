@@ -36,7 +36,6 @@ def blackbox_latencies():
     for _ in range(span // 2):
         device.submit("write", int(rng.integers(span)), 1, at_ns=device.now)
     device.quiesce()
-    device.completed.clear()
     job = JobSpec("probe", "randwrite", Region(0, span), io_count=MEASURE,
                   iodepth=1, seed=9)
     result = run_timed(device, [job])

@@ -36,7 +36,6 @@ def blackbox() -> np.ndarray:
     for _ in range(span // 2):
         device.submit("write", int(rng.integers(span)), 1, at_ns=device.now)
     device.quiesce()
-    device.completed.clear()
     latencies = []
     for _ in range(MEASURE):
         request = device.submit("write", int(rng.integers(span)), 1,

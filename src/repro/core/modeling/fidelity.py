@@ -276,4 +276,3 @@ def _precondition(device: TimedSSD, fraction: float, seed: int = 3) -> None:
         device.submit("write", lba, 1, at_ns=device.now)
     device.flush()
     device.quiesce()
-    device.completed.clear()

@@ -56,7 +56,12 @@ from repro.ssd.allocation import OutOfSpace, PageAllocator
 from repro.ssd.cache import WriteCache
 from repro.ssd.config import SsdConfig
 from repro.ssd.gc import VictimSelector
-from repro.ssd.mapping import UNMAPPED, MappingEvents, MappingTable
+from repro.ssd.mapping import (
+    EMPTY_EVENTS,
+    UNMAPPED,
+    MappingEvents,
+    MappingTable,
+)
 from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.policy import cache_admission_policies, cache_designations
 from repro.ssd.rain import RainAccountant
@@ -69,6 +74,10 @@ META_P2L_BASE = -2
 
 #: p2l value of a slot holding nothing valid.
 P2L_NONE = -1
+
+# Enum members as module constants for the read path (as in timed.py).
+_READ = OpKind.READ
+_HOST, _META = OpReason.HOST, OpReason.META
 
 
 def _tp_to_p2l(tp_id: int) -> int:
@@ -131,6 +140,7 @@ class Ftl:
         spp = self._spp = geometry.sectors_per_page
         ppb = self._ppb = geometry.pages_per_block
         self._page_size = geometry.page_size
+        self._sector_size = geometry.sector_size
         self.num_lpns = config.logical_sectors
         self._sectors_per_block = spp * ppb
         total_psas = geometry.total_pages * spp
@@ -280,26 +290,37 @@ class Ftl:
         """Read *nsectors* consecutive logical sectors starting at *lpn*."""
         self._check_range(lpn, nsectors)
         self._host_ops += 1
-        self.injector.tick(self._host_ops)
-        self._ops = []
+        injector = self.injector
+        injector.tick(self._host_ops)
+        ops = self._ops = []
+        emit = self._emit if self.obs.enabled else ops.append
+        stats = self.stats
+        cache = self.cache
+        staged = self._staged
+        pslc_index = self.pslc.index
+        lookup = self.mapping.lookup
+        read_uncorrectable = injector.read_uncorrectable
+        ops_per_day = self.config.ops_per_day
+        spp = self._spp
+        sector_size = self._sector_size
         for sector in range(lpn, lpn + nsectors):
-            self.stats.host_sector_reads += 1
-            if sector in self.cache:
-                continue  # RAM hit
-            if self._staged and sector in self._staged:
-                continue  # RAM hit in the bypass staging buffer
-            psa = self.pslc.lookup(sector)
+            stats.host_sector_reads += 1
+            if sector in cache or (staged and sector in staged):
+                continue  # RAM hit: write cache or bypass staging buffer
+            psa = pslc_index.get(sector)
             if psa is None:
-                psa, events = self.mapping.lookup(sector)
-                self._apply_mapping_events(events)
-            if psa is not None and psa != UNMAPPED:
-                ppn = psa // self.geometry.sectors_per_page
-                self._emit(FlashOp(OpKind.READ, ppn, OpReason.HOST,
-                                   self.geometry.sector_size))
-                self._check_read_integrity(ppn, sector)
-        return self._ops
+                psa, events = lookup(sector)
+                if events is not EMPTY_EVENTS:
+                    self._apply_mapping_events(events)
+            if psa != UNMAPPED:
+                ppn = psa // spp
+                emit(FlashOp(_READ, ppn, _HOST, sector_size))
+                hard = read_uncorrectable(ppn, sector)
+                if hard or ops_per_day:
+                    self._check_read_integrity(ppn, sector, hard)
+        return ops
 
-    def _check_read_integrity(self, ppn: int, lpn: int) -> None:
+    def _check_read_integrity(self, ppn: int, lpn: int, hard: bool) -> None:
         """Degraded read path: ECC check, read-retry ladder, RAIN
         reconstruction.
 
@@ -311,16 +332,19 @@ class Ftl:
         exhaustion, a RAIN-protected device rebuilds the page from its
         stripe peers and relocates the sector, otherwise the sector is
         reported uncorrectable (counted, not fatal — real drives report
-        the sector and carry on)."""
-        hard = self.injector.read_uncorrectable(ppn, lpn)
+        the sector and carry on).
+
+        :meth:`read` asks the injector once per flash-read sector and
+        passes its answer as *hard*; it calls this method only when that
+        answer is True or the retention model is on (``ops_per_day``),
+        the only cases in which there is anything to check."""
         budget = self._expected_read_errors(ppn)
         if not hard and (budget is None or budget[0] <= budget[1]):
             return
         config = self.config
         for step in range(1, config.read_retry_steps + 1):
             self.stats.read_retries += 1
-            self._emit(FlashOp(OpKind.READ, ppn, OpReason.HOST,
-                               self.geometry.sector_size))
+            self._emit(FlashOp(_READ, ppn, _HOST, self._sector_size))
             success = (not hard and budget is not None
                        and budget[0] * config.read_retry_rber_factor ** step
                        <= budget[1])
@@ -842,11 +866,16 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _apply_mapping_events(self, events: MappingEvents) -> None:
-        if events.empty:
-            return
-        for stored_ppn in events.load_tp_ppns:
-            self._emit(FlashOp(OpKind.READ, stored_ppn, OpReason.META,
-                               self.geometry.page_size))
+        if events.load_tp_ppns:
+            # A chunk load: one META read per stored translation page.
+            page_size = self._page_size
+            reads = [FlashOp(_READ, ppn, _META, page_size)
+                     for ppn in events.load_tp_ppns]
+            if self.obs.enabled:
+                for op in reads:
+                    self._emit(op)
+            else:
+                self._ops.extend(reads)
         for tp_id in events.flush_tps:
             self._program_meta_page(tp_id)
 

@@ -60,11 +60,13 @@ class MappingEvents:
         return not (self.flush_tps or self.load_tp_ppns or self.loaded_chunks)
 
 
-#: Shared no-metadata result returned by the lookup/update fast paths.
-#: Callers only read returned events (or merge them into their own
-#: accumulator), so one immutable-by-convention instance serves them all
-#: without a per-call allocation.
-EMPTY_EVENTS = MappingEvents()
+#: Shared no-metadata result returned by the lookup/update fast paths
+#: (every resident-chunk lookup among them).  Callers only read returned
+#: events (or merge them into their own accumulator), so one instance
+#: serves them all without a per-call allocation; its fields are empty
+#: tuples, so merging into it or appending to it raises instead of
+#: leaking ids into every later result.
+EMPTY_EVENTS = MappingEvents((), (), ())
 
 
 @dataclass
@@ -146,14 +148,25 @@ class MappingTable:
     # ------------------------------------------------------------------
 
     def lookup(self, lpn: int) -> tuple[int, MappingEvents]:
-        """Translate one LPN; may require a chunk load."""
-        self._check_lpn(lpn)
+        """Translate one LPN; may require a chunk load.
+
+        Returns the shared :data:`EMPTY_EVENTS` whenever there is no
+        metadata work — always on an unchunked map, and on a chunked one
+        whenever *lpn*'s chunk is resident (it becomes the most recently
+        used).  Only a miss goes through :meth:`_ensure_resident` and
+        returns fresh events carrying the load.
+        """
+        if not 0 <= lpn < self.num_lpns:
+            self._check_lpn(lpn)
         self.stats.lookups += 1
-        if not self.chunk_lpns:
-            # Unchunked map: lookups never trigger metadata work.
-            return self._l2p_view[lpn], EMPTY_EVENTS
-        events = self._ensure_resident(lpn)
-        return self._l2p_view[lpn], events
+        chunk_lpns = self.chunk_lpns
+        if chunk_lpns:
+            resident = self._resident
+            chunk = lpn // chunk_lpns
+            if chunk not in resident:
+                return self._l2p_view[lpn], self._ensure_resident(lpn)
+            resident.move_to_end(chunk)
+        return self._l2p_view[lpn], EMPTY_EVENTS
 
     def update(self, lpn: int, psa: int) -> tuple[int, MappingEvents]:
         """Map *lpn* to physical sector *psa*; returns (old_psa, events)."""
@@ -305,26 +318,28 @@ class MappingTable:
         if not self.chunk_lpns:
             return events
         chunk = self.chunk_of(lpn)
-        if chunk in self._resident:
-            self._resident.move_to_end(chunk)
+        resident = self._resident
+        if chunk in resident:
+            resident.move_to_end(chunk)
             return events
-        while len(self._resident) >= self.resident_chunks:
-            evicted, _ = self._resident.popitem(last=False)
+        dirty = self._dirty
+        while len(resident) >= self.resident_chunks:
+            evicted, _ = resident.popitem(last=False)
+            if not dirty:
+                continue
             # Dirty TPs belonging to the evicted chunk must be persisted.
             for tp_id in self._tps_in_chunk(evicted):
-                if tp_id in self._dirty:
-                    del self._dirty[tp_id]
+                if tp_id in dirty:
+                    del dirty[tp_id]
                     events.flush_tps.append(tp_id)
                     self.stats.tp_flushes += 1
                     self.stats.eviction_flushes += 1
-        self._resident[chunk] = None
+        resident[chunk] = None
         self.stats.chunk_loads += 1
         events.loaded_chunks.append(chunk)
         stored_ppns = self._tp_stored_view
-        for tp_id in self._tps_in_chunk(chunk):
-            stored = stored_ppns[tp_id]
-            if stored >= 0:
-                events.load_tp_ppns.append(stored)
+        events.load_tp_ppns = [stored for tp_id in self._tps_in_chunk(chunk)
+                               if (stored := stored_ppns[tp_id]) >= 0]
         return events
 
     def resident_chunk_ids(self) -> list[int]:

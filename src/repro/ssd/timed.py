@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.flash.errors import FailureInjector
 from repro.flash.geometry import Geometry
 from repro.flash.onfi import (
@@ -158,13 +156,8 @@ class TimedSSD(HostDeviceBase):
         self._watch_power = injector is not None
         self.smart = SmartCounters()
         self.bus_tap = bus_tap
-        #: blocks operated in pSLC mode program/erase at pSLC speed.
-        self._pslc_blocks = frozenset(config.pslc_block_ids())
-        # Address divisors of the scheduling pass, fixed by the geometry.
         geometry = self.geometry
         self._pages_per_block = geometry.pages_per_block
-        self._blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
-        self._blocks_per_channel = geometry.total_blocks // geometry.channels
         self._sectors_per_page = geometry.sectors_per_page
         self.obs: TraceSink = NULL_SINK
         self.kernel = Kernel()
@@ -176,7 +169,18 @@ class TimedSSD(HostDeviceBase):
             self.kernel.resource(f"channel/{i}")
             for i in range(self.geometry.channels)
         ]
-        self.completed: list[CompletedRequest] = []
+        #: where a block's ops run, fixed by the geometry: ``(die,
+        #: channel, array timing)`` per global block index.  Blocks
+        #: operated in pSLC mode program/erase at pSLC speed.
+        pslc_blocks = frozenset(config.pslc_block_ids())
+        blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
+        blocks_per_channel = geometry.total_blocks // geometry.channels
+        self._placement: list[tuple[Resource, Resource, TimingProfile]] = [
+            (self._dies[block // blocks_per_die],
+             self._channels[block // blocks_per_channel],
+             PSLC if block in pslc_blocks else self.timing)
+            for block in range(geometry.total_blocks)
+        ]
         #: cached bus occupancy per op kind, keyed by payload length:
         #: ONFI bus time depends only on cycle counts and payload length,
         #: never on address values, so encoding once per shape is exact
@@ -261,7 +265,6 @@ class TimedSSD(HostDeviceBase):
         else:
             complete = max(at_ns + self.controller_overhead_ns, flash_done)
         request = CompletedRequest(kind, lba, nsectors, at_ns, complete)
-        self.completed.append(request)
         if self.obs.enabled:
             stall = (complete - at_ns - self.controller_overhead_ns
                      if kind == "write" else 0)
@@ -318,7 +321,6 @@ class TimedSSD(HostDeviceBase):
         complete = max(at_ns + self.controller_overhead_ns,
                        self._schedule_ops(ops, at_ns))
         request = CompletedRequest("flush", 0, 0, at_ns, complete)
-        self.completed.append(request)
         if self.obs.enabled:
             self.obs.emit(HostRequest(kind="flush", lba=0, nsectors=0,
                                       submit_ns=at_ns,
@@ -331,7 +333,6 @@ class TimedSSD(HostDeviceBase):
         complete = max(flushed.complete_ns,
                        self._schedule_ops(self.ftl.checkpoint(), self.now))
         request = CompletedRequest("shutdown", 0, 0, flushed.submit_ns, complete)
-        self.completed.append(request)
         if self.obs.enabled:
             self.obs.emit(HostRequest(kind="shutdown", lba=0, nsectors=0,
                                       submit_ns=request.submit_ns,
@@ -418,31 +419,28 @@ class TimedSSD(HostDeviceBase):
         attached, the ONFI cycles a :class:`BusTap` on the op's channel
         sees, and — with *release_cache*, for the programs that carry
         cached sectors out of RAM — the cache release at the program's
-        end.  The claims advance the :class:`~repro.sim.kernel.Resource`
-        counters in place and take bus occupancies from the per-shape
-        caches; only a tapped channel's ops are encoded one by one.
+        end.  An op's die, channel and array timing are one index into
+        the per-block placement table.  The claims advance the
+        :class:`~repro.sim.kernel.Resource` counters in place and take
+        bus occupancies from the per-shape caches; only a tapped
+        channel's ops are encoded one by one.
         """
         flash_done = earliest
         release = self._cache_pool.schedule_release
         spp = self._sectors_per_page
         smart = self.smart
-        dies = self._dies
-        channels = self._channels
+        placement = self._placement
         pages_per_block = self._pages_per_block
-        blocks_per_die = self._blocks_per_die
-        blocks_per_channel = self._blocks_per_channel
-        pslc_blocks = self._pslc_blocks
-        timing = self.timing
+        read_bus_ns = self._read_bus_ns
+        read_pages = 0
         obs = self.kernel.obs
         emit = obs.emit if obs.enabled else None
         tap = self.bus_tap
-        tapped = channels[tap.channel] if tap is not None else None
+        tapped = self._channels[tap.channel] if tap is not None else None
         for op in ops:
             kind, target, reason, nbytes = op
-            block = target if kind is _ERASE else target // pages_per_block
-            die = dies[block // blocks_per_die]
-            channel = channels[block // blocks_per_channel]
-            array_timing = PSLC if block in pslc_blocks else timing
+            die, channel, array_timing = placement[
+                target if kind is _ERASE else target // pages_per_block]
             # ONFI: the controller cannot issue to a busy die or over a
             # busy channel.  Every hold below therefore ends at or past
             # its resource's free_at, which it simply replaces.
@@ -456,10 +454,10 @@ class TimedSSD(HostDeviceBase):
                 # begins.
                 tap.observe(op, self._encode(op), start)
             if kind is _READ:
-                smart.read_pages += 1
-                ns = self._read_bus_ns.get(nbytes)
+                read_pages += 1
+                ns = read_bus_ns.get(nbytes)
                 if ns is None:
-                    ns = self._read_bus_ns[nbytes] = self._op_bus_ns(op)
+                    ns = read_bus_ns[nbytes] = self._op_bus_ns(op)
                 cmd_ns, data_ns = ns
                 array_ns = array_timing.read_ns
                 # Command cycles, array time (tR), data out.  Nothing
@@ -515,6 +513,7 @@ class TimedSSD(HostDeviceBase):
                     release(end, spp)
             if end > flash_done:
                 flash_done = end
+        smart.read_pages += read_pages
         return flash_done
 
     def _op_bus_ns(self, op: FlashOp) -> int | tuple[int, int]:
@@ -546,15 +545,3 @@ class TimedSSD(HostDeviceBase):
         if op.kind is _PROGRAM:
             return encode_program(geometry, timing, addr, op.nbytes or None)
         return encode_read(geometry, timing, addr, op.nbytes or None)
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def latencies_us(self, kind: str | None = None) -> np.ndarray:
-        """Latencies of completed requests, in microseconds."""
-        values = [
-            r.latency_us for r in self.completed
-            if kind is None or r.kind == kind
-        ]
-        return np.asarray(values, dtype=np.float64)

@@ -16,6 +16,29 @@ class ListSink:
         pass
 
 
+def record_requests(device) -> list:
+    """Every request a :class:`~repro.ssd.timed.TimedSSD` completes from
+    now on, in completion order.
+
+    The device keeps no request history of its own; this shadows the
+    instance's ``submit`` / ``flush`` / ``shutdown`` and appends what each
+    returns.  The engine binds ``device.submit`` per run and ``shutdown``
+    calls ``self.flush``, so every submission path is seen, a shutdown
+    after its flush."""
+    requests = []
+
+    def recording(method):
+        def call(*args, **kwargs):
+            request = method(*args, **kwargs)
+            requests.append(request)
+            return request
+        return call
+
+    for name in ("submit", "flush", "shutdown"):
+        setattr(device, name, recording(getattr(device, name)))
+    return requests
+
+
 def scan_candidates(selector, plane: int, exclude=()) -> list[int]:
     """Full plane scan for GC candidates: the ground truth that
     ``VictimSelector.candidates`` (served from the allocator's

@@ -12,6 +12,7 @@ from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_counter, run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
+from tests.helpers import record_requests
 
 
 def churn_job(device, io_count=4000, seed=7):
@@ -65,11 +66,12 @@ class TestCounterModeInstrumentation:
 class TestTimedModeInstrumentation:
     def test_host_requests_carry_latency(self):
         device = TimedSSD(tiny())
+        requests = record_requests(device)
         sink = CounterSink()
         run_timed(device, [churn_job(device, io_count=1500)], sink=sink)
         assert sink.count("host_request") == 1500
-        # Total latency in the trace equals the device's own record.
-        total_latency = sum(r.latency_ns for r in device.completed
+        # Total latency in the trace equals what the device returned.
+        total_latency = sum(r.latency_ns for r in requests
                             if r.kind == "write")
         assert sink.total("host_request") == total_latency
 

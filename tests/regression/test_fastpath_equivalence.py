@@ -17,6 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec, PlannedFaultInjector
+from repro.flash.errors import ReliabilityModel
 from repro.flash.timing import profile
 from repro.obs.events import ResourceBusy
 from repro.ssd.device import SimulatedSSD
@@ -27,7 +29,7 @@ from repro.ssd.timed import BackgroundPolicy, BusTap, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
-from tests.helpers import ListSink
+from tests.helpers import ListSink, record_requests
 
 
 def _digest(*parts) -> str:
@@ -85,13 +87,14 @@ def test_ftl_op_streams_identical_under_gc_churn():
 def test_timed_runs_identical(submission, kwargs, pin):
     config = mqsim_baseline()
     device = TimedSSD(config)
+    requests = record_requests(device)
     job = JobSpec(name="j", rw="randwrite",
                   region=Region(0, config.logical_sectors),
                   io_count=3_000, bs_sectors=2, seed=11,
                   submission=submission, **kwargs)
     run = run_timed(device, [job])
     assert _digest(run.jobs["j"].latencies_us.tobytes(), run.elapsed_ns,
-                   device.completed, device.smart,
+                   requests, device.smart,
                    *_state(device.ftl)) == pin
 
 
@@ -111,18 +114,15 @@ def test_single_job_engine_loop_matches_general_scheduler():
 # The fused scheduling pass against the per-op encoded reference
 # ----------------------------------------------------------------------
 
-def _device(device: TimedSSD) -> list:
-    """Everything a timed device ends a drive with: requests, SMART,
-    every resource timeline, the cache pool, the clock, the FTL."""
+def _device(device: TimedSSD, requests: list) -> list:
+    """Everything a timed device ends a drive with: the requests it
+    completed (as :func:`record_requests` saw them), SMART, every
+    resource timeline, the cache pool, the clock, the FTL."""
     timeline = {name: (r.free_at, r.busy_ns, r.holds)
                 for name, r in device.kernel.resources.items()}
-    return [device.completed, device.smart, timeline,
+    return [requests, device.smart, timeline,
             device._cache_pool.occupied, device._cache_pool.pending_releases,
             device.now, *_state(device.ftl)]
-
-
-def _assert_same_device(one: TimedSSD, other: TimedSSD) -> None:
-    assert _device(one) == _device(other)
 
 
 def _job(rw: str, config, io_count: int, **kwargs) -> JobSpec:
@@ -202,17 +202,19 @@ def test_fused_scheduling_matches_encoded_reference(make_config, drive, pin):
     # The reference emitted its resource_busy events from Resource.hold;
     # the full event sequence is part of the pin.
     device = TimedSSD(make_config())
+    requests = record_requests(device)
     sink = ListSink()
     device.attach_sink(sink)
     drive(device)
     assert any(isinstance(e, ResourceBusy) for e in sink.events)
-    assert _digest(*_device(device), sink.events) == pin
+    assert _digest(*_device(device, requests), sink.events) == pin
 
 
 def test_fused_scheduling_matches_reference_without_a_sink():
     device = TimedSSD(tiny())
+    requests = record_requests(device)
     _every_call_site(device)
-    assert _digest(*_device(device)) == (
+    assert _digest(*_device(device, requests)) == (
         "8adea08bb4a55d7a9d49557307aabd3d45c2a78b25599bc946a9321133bd8f88")
 
 
@@ -224,9 +226,12 @@ def test_bus_tap_still_sees_every_cycle():
     tapped = TimedSSD(config, bus_tap=BusTap(
         config.geometry, profile(config.timing_name), channel=1))
     plain = TimedSSD(config)
+    ends = []
     for device in (tapped, plain):
+        requests = record_requests(device)
         _every_call_site(device)
-    _assert_same_device(plain, tapped)
+        ends.append(_device(device, requests))
+    assert ends[0] == ends[1]
     trace = tapped.bus_tap.trace
     assert (len(trace.segments), len(trace.busy)) == (32_612, 4_165)
     digest = hashlib.sha256(repr(
@@ -425,3 +430,63 @@ def test_page_granular_write_path_matches_per_sector_pins(make_config, drive,
     drive(rec)
     rec.device.ftl.check_invariants()
     assert rec.hexdigest() == pin
+
+
+# ----------------------------------------------------------------------
+# The host read path's integrity checks against a digest taken before
+# reads ran on plain ints
+# ----------------------------------------------------------------------
+
+#: flash whose cold data rots out of the ECC budget in ~5 simulated days.
+_FRAGILE = ReliabilityModel(base_rber=1e-7, rated_cycles=200,
+                            retention_rber_per_day=1e-3, ecc_correctable=40)
+
+
+def _integrity_reads(sink) -> tuple[SimulatedSSD, PlannedFaultInjector, list]:
+    # A chunked map (two resident chunks), a pSLC buffer, the retention
+    # model with a two-step retry ladder, RAIN, and two uncorrectable-read
+    # fault sources. The probabilistic one draws a variate on every call
+    # of the read hook, so the firing log pins how often reads call it.
+    config = tiny().with_changes(
+        mapping_chunk_lpns=128, mapping_resident_chunks=2, ops_per_day=100,
+        read_retry_steps=2, rain_stripe=4, pslc_blocks=2)
+    injector = PlannedFaultInjector(FaultPlan(seed=19, specs=(
+        FaultSpec("uncorrectable_read", probability=0.02, count=0),
+        FaultSpec("uncorrectable_read", lpns=(40, 80), count=6),
+    )), config.geometry)
+    device = SimulatedSSD(config, injector=injector)
+    device.ftl.reliability = _FRAGILE
+    if sink is not None:
+        device.attach_sink(sink)
+    rng = np.random.default_rng(20)
+    n = device.num_sectors
+    returned = [device.write_sectors(lba, 4) for lba in range(0, n - 3, 4)]
+    returned.append(device.flush())
+    for i in range(3_000):
+        lba, count = int(rng.integers(n - 4)), int(rng.integers(1, 5))
+        if i % 6 == 5:
+            returned.append(device.write_sectors(lba, count))
+        else:
+            returned.append(device.read_sectors(lba, count))
+    return device, injector, returned
+
+
+def test_read_integrity_path_matches_pin():
+    # Pinned at the commit before Ftl.read, the resident-chunk lookup and
+    # the integrity-check gate were rewritten: every op list returned,
+    # FtlStats, the injector's firing log, p2l / sector_valid / l2p and
+    # SMART, untraced; then the same drive traced, with every event.
+    plain, injector, returned = _integrity_reads(None)
+    sink = ListSink()
+    _, traced_injector, traced_returned = _integrity_reads(sink)
+    assert _ops(traced_returned) == _ops(returned)
+    assert traced_injector.log == injector.log
+    ftl = plain.ftl
+    stats = ftl.stats
+    assert stats.read_retries > 0 and stats.rain_reconstructions > 0
+    assert stats.uncorrectable_reads > 0
+    assert ftl.mapping.stats.chunk_loads > 1_000
+    assert _digest(_ops(returned), stats, injector.log, ftl.p2l.tobytes(),
+                   ftl.sector_valid.tobytes(), ftl.mapping.l2p.tobytes(),
+                   plain.smart, sink.events) == (
+        "eb9455ff7860c11b58d82a48883ec065e74fa6a7c4f3b7baa615e9ca46ff51ce")

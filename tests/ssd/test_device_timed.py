@@ -1,5 +1,9 @@
 """Device façade (SMART accounting) and the timed executor."""
 
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,12 @@ from repro.flash.signals import render_samples
 from repro.flash.timing import profile
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.host import HostDevice
-from repro.ssd.presets import tiny
+from repro.ssd.presets import mqsim_baseline, tiny
 from repro.ssd.timed import BackgroundPolicy, BusTap, CompletedRequest, TimedSSD
+from repro.workloads.engine import run_timed
+from repro.workloads.patterns import Region
+from repro.workloads.spec import JobSpec
+from tests.helpers import record_requests
 
 
 class TestHostDeviceProtocol:
@@ -193,11 +201,12 @@ class TestTimedSSD:
     def test_gc_creates_latency_tail(self):
         config = tiny()
         ssd = TimedSSD(config)
+        requests = record_requests(ssd)
         rng = np.random.default_rng(0)
         for i in range(4000):
             lba = int(rng.integers(ssd.num_sectors))
             ssd.submit("write", lba, 1, at_ns=ssd.now)
-        lats = ssd.latencies_us("write")
+        lats = [r.latency_us for r in requests if r.kind == "write"]
         assert ssd.ftl.stats.gc_invocations > 0
         p50, p999 = np.percentile(lats, [50, 99.9])
         assert p999 > 5 * p50  # GC stalls dominate the tail
@@ -219,10 +228,55 @@ class TestTimedSSD:
 
     def test_latencies_filter_by_kind(self):
         ssd = TimedSSD(tiny())
+        requests = record_requests(ssd)
         ssd.submit("write", 0, 1, at_ns=0)
         ssd.submit("read", 0, 1, at_ns=ssd.now)
-        assert len(ssd.latencies_us("write")) == 1
-        assert len(ssd.latencies_us()) == 2
+        assert len([r for r in requests if r.kind == "write"]) == 1
+        assert len(requests) == 2
+        assert all(r.latency_us > 0 for r in requests)
+
+
+def _mixed_requests(device: TimedSSD, count: int, seed: int,
+                    through_engine: bool) -> None:
+    """*count* random single-sector writes and reads, half each; the
+    engine's run result is dropped."""
+    span = device.num_sectors
+    if through_engine:
+        run_timed(device, [JobSpec("mix", "randrw", Region(0, span),
+                                   io_count=count, seed=seed)])
+        return
+    rng = np.random.default_rng(seed)
+    for lba, roll in zip(rng.integers(span, size=count).tolist(),
+                         rng.random(count).tolist()):
+        device.submit("read" if roll < 0.5 else "write", lba, 1,
+                      at_ns=device.now)
+
+
+def test_device_keeps_no_per_request_state():
+    # A timed device's memory must not grow with the requests it serves:
+    # what a caller wants to keep of a request, it keeps from the return
+    # value (run_timed keeps a run's latencies for as long as the run).
+    requests = 20_000
+    for make_config, through_engine in itertools.product(
+            (tiny, mqsim_baseline), (False, True)):
+        device = TimedSSD(make_config())
+        # Warm-up: the write cache, the kernel's heaps and the bus-time
+        # caches reach their working size.
+        _mixed_requests(device, 5_000, seed=1, through_engine=through_engine)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _mixed_requests(device, requests, seed=2,
+                            through_engine=through_engine)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * requests, (
+            f"{grown / requests:.1f} B retained per request ("
+            f"{make_config.__name__}, "
+            f"{'run_timed' if through_engine else 'submit'})")
 
 
 class TestBusTap:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ssd.mapping import UNMAPPED, MappingTable
+from repro.ssd.mapping import (
+    EMPTY_EVENTS,
+    UNMAPPED,
+    MappingEvents,
+    MappingTable,
+)
 
 
 def make(num_lpns=1024, tp_lpns=64, dirty=4, sync=10_000, chunk=0, resident=2):
@@ -173,6 +178,23 @@ class TestChunkResidency:
         table = make(num_lpns=1000, tp_lpns=50, chunk=250)
         assert table.num_chunks == 4
 
+    def test_shared_empty_events_are_immutable(self):
+        # Every resident-chunk lookup returns the one shared instance:
+        # a caller that merged into it or appended to it would leak TP
+        # ids into every later lookup, so both must raise.
+        table = make(chunk=256)
+        table.lookup(0)  # loads chunk 0
+        _, events = table.lookup(10)
+        assert events is EMPTY_EVENTS
+        with pytest.raises(AttributeError):
+            events.merge(MappingEvents(flush_tps=[3]))
+        with pytest.raises(AttributeError):
+            events.flush_tps.append(3)
+        with pytest.raises(AttributeError):
+            events.load_tp_ppns.append(3)
+        assert EMPTY_EVENTS.empty
+        assert table.lookup(20)[1].empty
+
 
 @settings(max_examples=25)
 @given(st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 10_000)), max_size=200))
@@ -266,6 +288,70 @@ def test_page_calls_equal_per_sector_calls_property(pages, chunked, dirty,
         assert outcomes[0] == outcomes[1]
         assert _visible_state(paged) == _visible_state(looped)
         first_psa += 8
+
+
+# ----------------------------------------------------------------------
+# lookup's resident-chunk hit lane against the general body
+# ----------------------------------------------------------------------
+
+def _reference_lookup(table, lpn):
+    """``lookup`` as a general body: range check, count, then
+    ``_ensure_resident`` for every lookup, hit or miss."""
+    table._check_lpn(lpn)
+    table.stats.lookups += 1
+    events = table._ensure_resident(lpn)
+    return table._l2p_view[lpn], events
+
+
+def _residency_state(table):
+    return (table.l2p.tolist(), list(table._dirty), table._since_sync,
+            table.stats, table.resident_chunk_ids(),
+            table.tp_stored_ppn.tolist())
+
+
+_lpn = st.integers(-2, 194)  # the tables below hold LPNs 0..191
+_table_ops = st.lists(st.one_of(
+    st.tuples(st.just("lookup"), _lpn),
+    st.tuples(st.just("lookup"), _lpn),  # twice: lookups dominate
+    st.tuples(st.just("update"), _lpn, st.integers(0, 5_000)),
+    st.tuples(st.just("trim"), _lpn),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("note_flushed"), st.integers(0, 11),
+              st.integers(0, 5_000)),
+), max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_table_ops, chunked=st.booleans(), resident=st.integers(1, 4),
+       dirty=st.integers(1, 4), sync=st.sampled_from([3, 7, 10_000]))
+def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
+                                              sync):
+    tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
+                   chunk=32 if chunked else 0, resident=resident)
+              for _ in range(2)]
+    fast, reference = tables
+    for op in ops:
+        outcomes = []
+        for table in tables:
+            name, *args = op
+            try:
+                if name == "lookup":
+                    psa, events = (table.lookup(*args) if table is fast
+                                   else _reference_lookup(table, *args))
+                elif name == "checkpoint":
+                    psa, events = None, table.checkpoint()
+                elif name == "note_flushed":
+                    psa, events = table.note_flushed(*args), None
+                else:
+                    psa, events = getattr(table, name)(*args)
+            except IndexError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append((psa, None if events is None else (
+                list(events.flush_tps), list(events.load_tp_ppns),
+                list(events.loaded_chunks))))
+        assert outcomes[0] == outcomes[1], op
+        assert _residency_state(fast) == _residency_state(reference)
 
 
 def test_update_page_applies_nothing_after_an_out_of_range_lpn():

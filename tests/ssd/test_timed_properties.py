@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.flash.timing import PSLC, profile
 from repro.obs.events import FlashOpIssued, ResourceBusy
 from repro.ssd.device import SimulatedSSD
-from repro.ssd.presets import tiny, vertex2_like
-from repro.ssd.timed import TimedSSD
-from tests.helpers import ListSink
+from repro.ssd.presets import evo840_like, mqsim_baseline, tiny, vertex2_like
+from repro.ssd.timed import BusTap, TimedSSD
+from tests.helpers import ListSink, record_requests
 
 
 def die_windows(sink):
@@ -32,6 +32,7 @@ def die_windows(sink):
 class TestProtocolRules:
     def run_workload(self, config, writes=1500, seed=0):
         device = TimedSSD(config)
+        requests = record_requests(device)
         sink = ListSink()
         device.attach_sink(sink)
         rng = np.random.default_rng(seed)
@@ -39,10 +40,10 @@ class TestProtocolRules:
             device.submit("write", int(rng.integers(device.num_sectors)), 1,
                           at_ns=device.now)
         device.flush()
-        return device, sink
+        return device, sink, requests
 
     def test_die_busy_windows_never_overlap(self):
-        _, sink = self.run_workload(tiny())
+        _, sink, _ = self.run_workload(tiny())
         by_die: dict[int, list[tuple[int, int]]] = {}
         for _, die, start, end in die_windows(sink):
             by_die.setdefault(die, []).append((start, end))
@@ -55,7 +56,7 @@ class TestProtocolRules:
                 assert b1 >= a1
 
     def test_resource_timelines_monotone(self):
-        device, _ = self.run_workload(tiny(), writes=800, seed=1)
+        device, _, _ = self.run_workload(tiny(), writes=800, seed=1)
         resources = device.kernel.resources.values()
         assert min(r.free_at for r in resources) >= 0
         # The kernel's busy accounting agrees with the claims made.
@@ -63,8 +64,9 @@ class TestProtocolRules:
                    if r.name.startswith("die/"))
 
     def test_request_completion_after_submission(self):
-        device, _ = self.run_workload(tiny(), writes=500, seed=2)
-        for request in device.completed:
+        _, _, requests = self.run_workload(tiny(), writes=500, seed=2)
+        assert len(requests) == 501  # the writes and the closing flush
+        for request in requests:
             assert request.complete_ns >= request.submit_ns
 
     def test_pslc_blocks_charge_pslc_program_time(self):
@@ -85,6 +87,42 @@ class TestProtocolRules:
         # Buffer-block programs take pSLC time, far below the async
         # profile's 900 us.
         assert min(program_windows) == PSLC.program_ns < timing.program_ns
+
+
+def _tapped_tiny():
+    config = tiny()
+    return TimedSSD(config, bus_tap=BusTap(
+        config.geometry, profile(config.timing_name), channel=1))
+
+
+@pytest.mark.parametrize("make_device", [
+    lambda: TimedSSD(tiny()),
+    lambda: TimedSSD(mqsim_baseline()),
+    lambda: TimedSSD(evo840_like()),  # has pSLC buffer blocks
+    _tapped_tiny,
+], ids=["tiny", "mqsim_baseline", "evo840_like", "tapped_tiny"])
+def test_placement_table_matches_geometry(make_device):
+    # The scheduling pass reads each block's die, channel and array
+    # timing from one table; Geometry's own address decomposition is the
+    # oracle for every entry.
+    device = make_device()
+    config = device.config
+    geometry = config.geometry
+    pslc_blocks = set(config.pslc_block_ids())
+    assert len(device._placement) == geometry.total_blocks
+    for block, (die, channel, timing) in enumerate(device._placement):
+        addr = geometry.block_address(block)
+        die_index = geometry.die_index(addr)
+        assert die is device._dies[die_index]
+        assert die.name == f"die/{die_index}"
+        assert channel is device._channels[addr.channel]
+        assert channel.name == f"channel/{addr.channel}"
+        if block in pslc_blocks:
+            assert timing is PSLC
+        else:
+            assert timing == profile(config.timing_name)
+    pslc_entries = sum(timing is PSLC for _, _, timing in device._placement)
+    assert pslc_entries == len(pslc_blocks)
 
 
 @settings(max_examples=8, deadline=None)

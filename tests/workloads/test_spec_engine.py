@@ -9,6 +9,7 @@ from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_counter, run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
+from tests.helpers import record_requests
 
 
 def region_for(device, start_frac=0.0, frac=1.0):
@@ -178,19 +179,22 @@ class TestOpenLoopSubmission:
         touches: arrival gaps come from a separate RNG stream."""
         config = tiny()
         closed_dev = TimedSSD(config)
+        closed_requests = record_requests(closed_dev)
         closed = JobSpec("o", "randwrite", Region(0, closed_dev.num_sectors),
                          io_count=300, seed=3)
         run_timed(closed_dev, [closed])
         open_dev = TimedSSD(config)
+        open_requests = record_requests(open_dev)
         run_timed(open_dev, [self.open_job(open_dev, 5_000)])
-        closed_lbas = [r.lba for r in closed_dev.completed]
-        open_lbas = [r.lba for r in open_dev.completed]
+        closed_lbas = [r.lba for r in closed_requests]
+        open_lbas = [r.lba for r in open_requests]
         assert closed_lbas == open_lbas
 
     def test_submissions_follow_arrival_times(self):
         device = TimedSSD(tiny())
+        requests = record_requests(device)
         run_timed(device, [self.open_job(device, 1_000, io_count=100)])
-        submits = [r.submit_ns for r in device.completed]
+        submits = [r.submit_ns for r in requests]
         assert submits == sorted(submits)
         # Mean gap ~1 ms at 1000 IOPS: the run spans arrival time, well
         # beyond what back-to-back submission would take.
