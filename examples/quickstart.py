@@ -21,7 +21,7 @@ from repro.workloads.spec import JobSpec
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. A counter-mode device: op counts and SMART, no clock.
+    # 1. A counter-mode (zero-latency) device: op counts and SMART.
     # ------------------------------------------------------------------
     device = SimulatedSSD(mx500_like(scale=2), model="MX500 (repro)")
     info = device.identify()

@@ -131,10 +131,11 @@ def run_waf_study(
     * ``device_factory`` builds one fresh device per run so every run
       starts from an identically-primed drive (legacy serial path —
       closures cannot cross process boundaries);
-    * ``config`` describes a :class:`~repro.ssd.device.SimulatedSSD`
-      per run, making each of the four runs (three separate + mixed) a
-      picklable :class:`~repro.exp.cell.Cell` that *runner* can fan
-      out.  Both paths produce identical numbers.
+    * ``config`` describes a counter-mode
+      :func:`~repro.ssd.device.SimulatedSSD` per run, making each of
+      the four runs (three separate + mixed) a picklable
+      :class:`~repro.exp.cell.Cell` that *runner* can fan out.  Both
+      paths produce identical numbers.
     """
     if (device_factory is None) == (config is None):
         raise ValueError("pass exactly one of device_factory or config")

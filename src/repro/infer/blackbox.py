@@ -73,7 +73,7 @@ class BlackboxInference:
     def _timed(self, tap: BusTap | None = None) -> TimedSSD:
         return TimedSSD(self._true_config, bus_tap=tap)
 
-    def _smart_device(self) -> SimulatedSSD:
+    def _smart_device(self) -> TimedSSD:
         return SimulatedSSD(self._true_config)
 
     # ------------------------------------------------------------------
@@ -244,7 +244,7 @@ class BlackboxInference:
         rng = np.random.default_rng(20190513)  # HotOS'19, fixed
         return rng.integers(0, pages, size=_GC_CHURN_OPS) * self.spp
 
-    def _run_churn(self, device: SimulatedSSD,
+    def _run_churn(self, device: TimedSSD,
                    churn: np.ndarray) -> tuple[float, int]:
         for lba in churn:
             device.write_sectors(int(lba), self.spp)

@@ -62,10 +62,12 @@ class TraceEvent:
 class HostRequest(TraceEvent):
     """One host command as the device saw it.
 
-    Counter-mode devices emit it with the timing fields at their
-    defaults; :class:`~repro.ssd.timed.TimedSSD` fills ``submit_ns``,
-    ``latency_ns`` and, for writes, ``stall_ns`` (the portion of the
-    latency spent waiting for cache space — the GC-induced tail).
+    A timed :class:`~repro.ssd.timed.TimedSSD` emits it once the request
+    is scheduled, filling ``submit_ns``, ``latency_ns`` and, for writes,
+    ``stall_ns`` (the portion of the latency spent waiting for cache
+    space — the GC-induced tail).  A zero-latency device (counter mode)
+    emits it before the FTL runs the command, ahead of the events the
+    command causes, with the timing fields at their ``-1`` defaults.
     """
 
     NAME: ClassVar[str] = "host_request"

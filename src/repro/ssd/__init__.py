@@ -1,4 +1,5 @@
-"""SSD simulator: FTL, device façade, SMART, compression, timing."""
+"""SSD simulator: FTL, the device (timed or zero-latency), SMART,
+compression, timing."""
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SimulatedSSD

@@ -1,94 +1,23 @@
-"""Counter-mode SSD: the block device a host program sees.
+"""Counter mode: the drive a write-amplification study sees.
 
-:class:`SimulatedSSD` wraps an :class:`~repro.ssd.ftl.Ftl` behind the
-:class:`~repro.ssd.host.HostDevice` surface and maintains the SMART
-statistics a black-box observer can read — nothing else about the device
-is visible through this class, which is the point: the transparency
+:func:`SimulatedSSD` names a zero-latency :class:`~repro.ssd.timed.TimedSSD`:
+the same FTL, SMART statistics and host interface, with every request
+completing at its submit time and no op scheduled.  Nothing else about
+the device is visible through it, which is the point: the transparency
 experiments in :mod:`repro.core` must work from this surface (plus, for
 the RE studies, the probe/JTAG substrates).
-
-For latency experiments use :class:`repro.ssd.timed.TimedSSD`, which runs
-the same FTL under the :mod:`repro.sim` discrete-event clock and presents
-the same host interface.
 """
 
 from __future__ import annotations
 
 from repro.flash.errors import FailureInjector
-from repro.obs.events import HostRequest
-from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import Ftl
-from repro.ssd.host import DeviceInfo, HostDeviceBase
-from repro.ssd.ops import FlashOp
-from repro.ssd.smart import SmartCounters
+from repro.ssd.timed import TimedSSD
 
-__all__ = ["DeviceInfo", "SimulatedSSD"]
+__all__ = ["SimulatedSSD"]
 
 
-class SimulatedSSD(HostDeviceBase):
-    """A simulated drive with a sector-addressed host interface."""
-
-    def __init__(
-        self,
-        config: SsdConfig,
-        model: str = "repro-ssd",
-        injector: FailureInjector | None = None,
-    ) -> None:
-        self.config = config
-        self.model = model
-        self.ftl = Ftl(config, injector=injector)
-        self.smart = SmartCounters()
-        self.obs: TraceSink = NULL_SINK
-
-    # ------------------------------------------------------------------
-    # Host commands (sector granularity)
-    # ------------------------------------------------------------------
-
-    def write_sectors(self, lba: int, count: int = 1) -> list[FlashOp]:
-        """Write *count* sectors at *lba*; returns the flash ops incurred."""
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="write", lba=lba, nsectors=count))
-        ops = self.ftl.write(lba, count)
-        self.smart.host_sectors_written += count
-        self._record(ops)
-        return ops
-
-    def read_sectors(self, lba: int, count: int = 1) -> list[FlashOp]:
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="read", lba=lba, nsectors=count))
-        ops = self.ftl.read(lba, count)
-        self.smart.host_sectors_read += count
-        self._record(ops)
-        return ops
-
-    def trim_sectors(self, lba: int, count: int = 1) -> list[FlashOp]:
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="trim", lba=lba, nsectors=count))
-        ops = self.ftl.trim(lba, count)
-        self._record(ops)
-        return ops
-
-    def flush(self) -> list[FlashOp]:
-        """FLUSH CACHE: everything pending reaches flash."""
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="flush", lba=0, nsectors=0))
-        ops = self.ftl.flush()
-        self._record(ops)
-        return ops
-
-    def shutdown(self) -> list[FlashOp]:
-        """Clean power-down: flush data, checkpoint the map."""
-        ops = self.flush()
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="shutdown", lba=0, nsectors=0))
-        ops2 = self.ftl.checkpoint()
-        self._record(ops2)
-        return ops + ops2
-
-    def idle(self, max_blocks: int = 8) -> list[FlashOp]:
-        """A host-idle period: the FTL runs background maintenance
-        (idle GC, wear leveling, refresh) invisible to the host."""
-        ops = self.ftl.idle_maintenance(max_blocks)
-        self._record(ops)
-        return ops
+def SimulatedSSD(config: SsdConfig, model: str = "repro-ssd",
+                 injector: FailureInjector | None = None) -> TimedSSD:
+    """A counter-mode drive: ``TimedSSD(config, zero_latency=True)``."""
+    return TimedSSD(config, model=model, injector=injector, zero_latency=True)

@@ -1,22 +1,19 @@
-"""The one host interface both device modes present.
+"""The host interface every simulated drive presents.
 
-:class:`~repro.ssd.device.SimulatedSSD` (counter mode) and
-:class:`~repro.ssd.timed.TimedSSD` (timed mode) used to duplicate their
-host-command surface; everything that drives a device — the black-box
-studies in :mod:`repro.core.blackbox`, the file-system models in
-:mod:`repro.fs`, the workload engine — now programs against the
-:class:`HostDevice` protocol instead of a concrete class.
+Everything that drives a device — the black-box studies in
+:mod:`repro.core.blackbox`, the file-system models in :mod:`repro.fs`,
+the workload engine — programs against the :class:`HostDevice` protocol
+rather than :class:`~repro.ssd.timed.TimedSSD`, so wrappers such as
+:class:`~repro.workloads.trace.TraceRecorder` and
+:class:`~repro.ssd.firmware.device.HackableSSD` can stand in for it.
 
 The command set is the sector-addressed block-device surface a host
 sees: ``identify``/``write_sectors``/``read_sectors``/``trim_sectors``/
-``flush``/``idle``/``shutdown`` plus the SMART observation window.
-Return types are mode-specific (counter mode returns the flash ops a
-command incurred, timed mode returns the completed, time-stamped
-request), which callers that only *drive* a device never inspect.
-
-:class:`HostDeviceBase` is the shared mixin: identity, SMART snapshots
-and derived attributes, and trace-sink attachment.  Subclasses provide
-``config``, ``model``, ``ftl``, ``smart``, and the command execution.
+``flush``/``idle``/``shutdown`` plus the SMART observation window.  The
+sector commands, ``flush`` and ``shutdown`` return the completed
+request (a :class:`~repro.ssd.timed.CompletedRequest`), ``idle`` the
+time its maintenance is done; callers that only *drive* a device never
+inspect either.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.obs.sinks import NULL_SINK, TraceSink
-from repro.ssd.ops import FlashOp
+from repro.obs.sinks import TraceSink
 from repro.ssd.smart import SmartCounters
 
 
@@ -40,7 +36,7 @@ class DeviceInfo:
 
 @runtime_checkable
 class HostDevice(Protocol):
-    """The host-visible surface of a simulated drive (either mode)."""
+    """The host-visible surface of a simulated drive."""
 
     model: str
     smart: SmartCounters
@@ -69,67 +65,8 @@ class HostDevice(Protocol):
 
     def shutdown(self): ...
 
-    def idle(self, max_blocks: int = 8): ...
+    def idle(self, max_blocks: int = 8) -> int: ...
 
     def smart_snapshot(self) -> SmartCounters: ...
 
     def smart_render(self) -> str: ...
-
-
-class HostDeviceBase:
-    """Identity + SMART + sink plumbing shared by both device modes.
-
-    Subclasses set ``config``, ``model``, ``ftl``, ``smart`` and ``obs``
-    in ``__init__`` and implement the host commands.
-    """
-
-    # -- identity ------------------------------------------------------
-
-    @property
-    def sector_size(self) -> int:
-        return self.config.geometry.sector_size
-
-    @property
-    def num_sectors(self) -> int:
-        return self.ftl.num_lpns
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.num_sectors * self.sector_size
-
-    def identify(self) -> DeviceInfo:
-        return DeviceInfo(self.model, self.capacity_bytes, self.sector_size)
-
-    # -- observability -------------------------------------------------
-
-    def attach_sink(self, sink: TraceSink) -> None:
-        """Route trace events from the device and its FTL stack to
-        *sink* (pass :data:`~repro.obs.sinks.NULL_SINK` to detach)."""
-        self.obs = sink
-        self.ftl.attach_sink(sink)
-
-    # -- the black-box observation surface -----------------------------
-
-    def smart_snapshot(self) -> SmartCounters:
-        """What ``smartctl -A`` would report right now."""
-        self._sync_derived_attributes()
-        return self.smart.snapshot()
-
-    def smart_render(self) -> str:
-        self._sync_derived_attributes()
-        return self.smart.render()
-
-    def _sync_derived_attributes(self) -> None:
-        """Derive the firmware-computed attributes from FTL state."""
-        mean_erases = float(self.ftl.nand.block_erase_count.mean())
-        remaining = 100 - int(100 * mean_erases / self.ftl.nand.erase_limit)
-        self.smart.percent_lifetime_remaining = max(0, min(100, remaining))
-        self.smart.reported_uncorrectable = self.ftl.stats.uncorrectable_reads
-        self.smart.grown_bad_blocks = self.ftl.stats.blocks_retired
-        self.smart.relocated_sectors = self.ftl.stats.relocated_sectors
-        self.smart.read_retries = self.ftl.stats.read_retries
-        self.smart.rain_reconstructions = self.ftl.stats.rain_reconstructions
-
-    def _record(self, ops: list[FlashOp]) -> None:
-        for op in ops:
-            self.smart.record(op)

@@ -1,7 +1,17 @@
-"""Timed execution: the same FTL under a discrete-event clock.
+"""The simulated drive: the FTL behind a host interface, under a clock.
+
+:class:`TimedSSD` is the one device class.  It wraps an
+:class:`~repro.ssd.ftl.Ftl` behind the :class:`~repro.ssd.host.HostDevice`
+surface, maintains the SMART statistics a black-box observer reads, and
+— unless built with ``zero_latency=True`` — times every request.
+
+A **zero-latency** device is counter mode: the FTL, SMART and host
+commands are the same, but no op is scheduled and every request
+completes at its submit time.  Write-amplification studies (Fig 4) run
+there, because op counts are all they read.
 
 Latency questions (the paper's Fig 3) need more than op counts: they need
-queueing.  :class:`TimedSSD` schedules the FTL's op stream onto the
+queueing.  A timed device schedules the FTL's op stream onto the
 device's two resource classes —
 
 * **channels**, serializing command/data transfers of every package that
@@ -57,7 +67,7 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.sim.kernel import CapacityPool, Kernel, PowerLoss, Process, Resource
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import Ftl
-from repro.ssd.host import HostDeviceBase
+from repro.ssd.host import DeviceInfo
 from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.smart import SmartCounters
 
@@ -134,8 +144,9 @@ class BusTap:
         self.emitter.emit(onfi_op, start_ns)
 
 
-class TimedSSD(HostDeviceBase):
-    """The FTL scheduled onto channel/die resources under a sim kernel."""
+class TimedSSD:
+    """The FTL scheduled onto channel/die resources under a sim kernel,
+    or — with *zero_latency* — run op by op with no timing at all."""
 
     def __init__(
         self,
@@ -144,12 +155,15 @@ class TimedSSD(HostDeviceBase):
         controller_overhead_ns: int = 8_000,
         bus_tap: BusTap | None = None,
         injector: FailureInjector | None = None,
+        zero_latency: bool = False,
     ) -> None:
         self.config = config
         self.model = model
         self.geometry = config.geometry
         self.timing = profile(config.timing_name)
         self.controller_overhead_ns = controller_overhead_ns
+        #: counter mode: ops are attributed to SMART and never scheduled.
+        self.zero_latency = zero_latency
         self.ftl = Ftl(config, injector=injector)
         #: with an injector attached, a pending planned power cut is
         #: honored at the next submission (see :meth:`submit`).
@@ -209,12 +223,60 @@ class TimedSSD(HostDeviceBase):
         # past a synchronous request's completion).
         self.kernel.run_until(max(self.kernel.now, int(value)))
 
+    # ------------------------------------------------------------------
+    # Identity, observability and the SMART observation surface
+    # ------------------------------------------------------------------
+
+    @property
+    def sector_size(self) -> int:
+        return self.geometry.sector_size
+
+    @property
+    def num_sectors(self) -> int:
+        return self.ftl.num_lpns
+
+    @property
+    def capacity_bytes(self) -> int:
+        return self.num_sectors * self.sector_size
+
+    def identify(self) -> DeviceInfo:
+        return DeviceInfo(self.model, self.capacity_bytes, self.sector_size)
+
     def attach_sink(self, sink: TraceSink) -> None:
-        """Route trace events from the timed layer, the sim kernel's
-        resources, and the whole FTL stack underneath to *sink*."""
+        """Route trace events from the device, the sim kernel's
+        resources, and the whole FTL stack underneath to *sink* (pass
+        :data:`~repro.obs.sinks.NULL_SINK` to detach)."""
         self.obs = sink
         self.kernel.attach_sink(sink)
         self.ftl.attach_sink(sink)
+
+    def smart_snapshot(self) -> SmartCounters:
+        """What ``smartctl -A`` would report right now."""
+        self._sync_derived_attributes()
+        return self.smart.snapshot()
+
+    def smart_render(self) -> str:
+        self._sync_derived_attributes()
+        return self.smart.render()
+
+    def _sync_derived_attributes(self) -> None:
+        """Derive the firmware-computed attributes from FTL state."""
+        ftl = self.ftl
+        mean_erases = float(ftl.nand.block_erase_count.mean())
+        remaining = 100 - int(100 * mean_erases / ftl.nand.erase_limit)
+        self.smart.percent_lifetime_remaining = max(0, min(100, remaining))
+        self.smart.reported_uncorrectable = ftl.stats.uncorrectable_reads
+        self.smart.grown_bad_blocks = ftl.stats.blocks_retired
+        self.smart.relocated_sectors = ftl.stats.relocated_sectors
+        self.smart.read_retries = ftl.stats.read_retries
+        self.smart.rain_reconstructions = ftl.stats.rain_reconstructions
+
+    def _record(self, ops: list[FlashOp]) -> None:
+        """Zero latency: attribute *ops* to SMART without scheduling
+        them (the scheduling pass does this for a timed device)."""
+        record = self.smart.record
+        for op in ops:
+            record(op)
 
     # ------------------------------------------------------------------
     # Host interface
@@ -233,6 +295,10 @@ class TimedSSD(HostDeviceBase):
         request touches the device: :class:`~repro.sim.kernel.PowerLoss`
         propagates to the caller, and whatever the RAM cache held that
         never reached flash is gone (the crash sweep's semantics).
+
+        A zero-latency device completes the request at *at_ns* and emits
+        its ``host_request`` event ahead of the FTL's events, with the
+        timing fields left at their ``-1`` sentinels.
         """
         kernel = self.kernel
         if self._watch_power and self.ftl.injector.power_cut_pending():
@@ -246,6 +312,9 @@ class TimedSSD(HostDeviceBase):
             # skipping the call matters at millions of requests.
             kernel.now = at_ns
         self._last_host_ns = at_ns
+        zero_latency = self.zero_latency
+        if zero_latency and self.obs.enabled:
+            self.obs.emit(HostRequest(kind, lba, nsectors))
         if kind == "write":
             ops = self.ftl.write(lba, nsectors)
             self.smart.host_sectors_written += nsectors
@@ -256,6 +325,11 @@ class TimedSSD(HostDeviceBase):
             ops = self.ftl.trim(lba, nsectors)
         else:
             raise ValueError(f"unknown request kind {kind!r}")
+        if zero_latency:
+            record = self.smart.record
+            for op in ops:
+                record(op)
+            return CompletedRequest(kind, lba, nsectors, at_ns, at_ns)
 
         flash_done = (self._schedule_ops(ops, at_ns, release_cache=True)
                       if ops else at_ns)
@@ -274,9 +348,9 @@ class TimedSSD(HostDeviceBase):
 
     # -- synchronous sector commands (HostDevice surface) --------------
     #
-    # Counter-mode callers (FS models, black-box probes) drive a device
-    # one command at a time; on a timed device that means submitting at
-    # the current clock and advancing past the completion.
+    # FS models and black-box probes drive a device one command at a
+    # time: each is submitted at the current clock, which then advances
+    # past the completion (not at all on a zero-latency device).
 
     def write_sectors(self, lba: int, count: int = 1) -> CompletedRequest:
         """Write synchronously at the current clock; time advances past
@@ -317,6 +391,11 @@ class TimedSSD(HostDeviceBase):
         at_ns = self.now if at_ns is None else max(at_ns, self.now)
         self.kernel.run_until(at_ns)
         self._last_host_ns = at_ns
+        if self.zero_latency:
+            if self.obs.enabled:
+                self.obs.emit(HostRequest("flush", 0, 0))
+            self._record(self.ftl.flush())
+            return CompletedRequest("flush", 0, 0, at_ns, at_ns)
         ops = self.ftl.flush()
         complete = max(at_ns + self.controller_overhead_ns,
                        self._schedule_ops(ops, at_ns))
@@ -328,8 +407,13 @@ class TimedSSD(HostDeviceBase):
         return request
 
     def shutdown(self, at_ns: int | None = None) -> CompletedRequest:
-        """Clean power-down: flush data, checkpoint the map — timed."""
+        """Clean power-down: flush data, checkpoint the map."""
         flushed = self.flush(at_ns)
+        if self.zero_latency:
+            if self.obs.enabled:
+                self.obs.emit(HostRequest("shutdown", 0, 0))
+            self._record(self.ftl.checkpoint())
+            return flushed._replace(kind="shutdown")
         complete = max(flushed.complete_ns,
                        self._schedule_ops(self.ftl.checkpoint(), self.now))
         request = CompletedRequest("shutdown", 0, 0, flushed.submit_ns, complete)
@@ -348,10 +432,15 @@ class TimedSSD(HostDeviceBase):
         the dies (delaying whatever the host submits next — the
         "unpredictable background operations" effect).  Blocking form;
         see :meth:`enable_background_maintenance` for the scheduled
-        form."""
+        form.  Returns when the maintenance is done (*at_ns* on a
+        zero-latency device)."""
         at_ns = self.now if at_ns is None else max(at_ns, self.now)
         self.kernel.run_until(at_ns)
-        return self._schedule_ops(self.ftl.idle_maintenance(max_blocks), at_ns)
+        ops = self.ftl.idle_maintenance(max_blocks)
+        if self.zero_latency:
+            self._record(ops)
+            return at_ns
+        return self._schedule_ops(ops, at_ns)
 
     def enable_background_maintenance(
         self, policy: BackgroundPolicy | None = None

@@ -18,14 +18,10 @@ from repro.workloads.trace import (  # noqa: E402
     BlockTrace,
     TraceRecord,
     TraceRecorder,
-    replay_counter,
-    replay_timed,
 )
 
 __all__ += [
     "BlockTrace",
     "TraceRecord",
     "TraceRecorder",
-    "replay_counter",
-    "replay_timed",
 ]

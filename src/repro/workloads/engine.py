@@ -7,26 +7,22 @@ abstraction: the :class:`~repro.workloads.source.RequestSource`.  Both
 run functions accept specs and sources interchangeably (specs wrap into
 :class:`~repro.workloads.source.JobSource`).
 
-Two execution modes mirror the two device modes:
+One scheduler loop, :func:`run_timed`, serves every run, one source or
+many: a heap of ``(when, tiebreak, source)`` entries, popped in time
+order.  Each source submits **closed-loop** at its iodepth (fio's
+default model) or **open-loop** at its arrival schedule (a JobSpec's
+rate process, or a trace's recorded timeline): arrivals are independent
+of completions, so a device that cannot keep up accumulates queue —
+latency grows without bound instead of throughput silently dropping.
+Open-loop is the honest way to measure tails at a target load (Fig 3).
 
-* :func:`run_counter` drives a :class:`~repro.ssd.device.SimulatedSSD`
-  and reports per-job SMART-visible page counts — the mode for
-  write-amplification studies (Fig 4).  Concurrency is modeled by
-  interleaving requests from all sources round-robin, one request per
-  source per round, which matches the paper's "ran all workloads
-  concurrently" protocol when jobs are given equal request budgets.
-
-* :func:`run_timed` drives a :class:`~repro.ssd.timed.TimedSSD` and
-  reports latencies and IOPS — the mode for tail-latency studies
-  (Fig 3).  One scheduler loop serves every run, one source or many:
-  a heap of ``(when, tiebreak, source)`` entries, popped in time order.
-  Each source submits **closed-loop** at its iodepth (fio's
-  default model) or **open-loop** at its arrival schedule (a JobSpec's
-  rate process, or a trace's recorded timeline): arrivals are
-  independent of completions, so a device that cannot keep up
-  accumulates queue — latency grows without bound instead of
-  throughput silently dropping.  Open-loop is the honest way to
-  measure tails at a target load.
+:func:`run_counter` is the same loop on a zero-latency device (counter
+mode), plus a final flush inside the SMART window — the mode for
+write-amplification studies (Fig 4).  Every request completes at its
+submit time there, so closed-loop, iodepth-1 sources interleave
+round-robin, one request per source per round, which matches the
+paper's "ran all workloads concurrently" protocol when jobs are given
+equal request budgets.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from repro.obs.events import QueueDepth
 from repro.obs.sinks import TraceSink
 from repro.sim.kernel import PowerLoss
 from repro.ssd.allocation import OutOfSpace
-from repro.ssd.device import SimulatedSSD
 from repro.ssd.ftl import ReadOnlyError
 from repro.ssd.smart import SmartCounters
 from repro.ssd.timed import CompletedRequest, TimedSSD
@@ -111,9 +106,10 @@ class JobResult:
     name: str
     requests: int
     sectors: int
-    #: request latencies in microseconds (timed mode only).
+    #: request latencies in microseconds (all zero at zero latency).
     latencies_us: np.ndarray | None = None
-    #: wall-clock of the run in ns (timed mode only).
+    #: simulated duration of the job in ns (0 for a closed-loop job at
+    #: zero latency).
     elapsed_ns: int = 0
     #: requests the device refused (read-only / power-cut degradation);
     #: ``requests`` counts only the ones that completed.
@@ -165,49 +161,6 @@ def _as_sources(jobs) -> list[RequestSource]:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate source names: {names}")
     return sources
-
-
-def run_counter(
-    device: SimulatedSSD,
-    jobs: "list[JobSpec | RequestSource]",
-    flush_at_end: bool = True,
-    sink: TraceSink | None = None,
-) -> RunResult:
-    """Run sources on a counter-mode device, interleaved round-robin.
-
-    Passing *sink* attaches it to the device for the run, so every host
-    request, cache event, GC cycle, and flash op it causes is traced.
-    """
-    sources = _as_sources(jobs)
-    if sink is not None:
-        device.attach_sink(sink)
-    before = device.smart_snapshot()
-    results = {s.name: JobResult(s.name, 0, 0) for s in sources}
-    active = sources
-    while active:
-        still: list[RequestSource] = []
-        for source in active:
-            request = source.next_request()
-            if request is None:
-                continue
-            kind, lba, sectors = request
-            if kind == "write":
-                device.write_sectors(lba, sectors)
-            elif kind == "read":
-                device.read_sectors(lba, sectors)
-            elif kind == "trim":
-                device.trim_sectors(lba, sectors)
-            else:
-                device.flush()
-            result = results[source.name]
-            result.requests += 1
-            result.sectors += sectors
-            still.append(source)
-        active = still
-    if flush_at_end:
-        device.flush()
-    delta = device.smart.delta(before)
-    return RunResult(jobs=results, smart_delta=delta)
 
 
 def _arrival_times(job: JobSpec, t0: int) -> np.ndarray:
@@ -298,7 +251,7 @@ def run_timed(
     start_ns: int | None = None,
     sink: TraceSink | None = None,
 ) -> RunResult:
-    """Run sources on a timed device.
+    """Run sources on a device, timed or zero-latency.
 
     Closed-loop sources keep ``iodepth`` requests outstanding: a new
     request is submitted the moment one of its slots completes.
@@ -310,8 +263,10 @@ def run_timed(
     requests contend for channels and dies — the source of the mixed-run
     interference the paper measures.
 
-    Passing *sink* attaches it to the device for the run (timed
-    ``host_request`` events then carry latency and stall attribution).
+    Passing *sink* attaches it to the device for the run, so every host
+    request, cache event, GC cycle, and flash op it causes is traced
+    (on a timed device ``host_request`` events also carry latency and
+    stall attribution).
     """
     sources = _as_sources(jobs)
     if sink is not None:
@@ -416,3 +371,15 @@ def run_timed(
     return RunResult(jobs=results, smart_delta=delta, elapsed_ns=elapsed_total,
                      degraded_kind=deg.kind, degraded_at_ns=deg.at_ns,
                      ops_before_degraded=deg.ops_before)
+
+
+def run_counter(device: TimedSSD, jobs: "list[JobSpec | RequestSource]",
+                sink: TraceSink | None = None) -> RunResult:
+    """:func:`run_timed` on a zero-latency device, then one flush, both
+    inside the SMART window (a device that lost power is not flushed)."""
+    before = device.smart_snapshot()
+    result = run_timed(device, jobs, sink=sink)
+    if result.degraded_kind != "power_cut":
+        device.flush()
+    result.smart_delta = device.smart.delta(before)
+    return result

@@ -200,9 +200,10 @@ class TraceSource(RequestSource):
     """A recorded :class:`~repro.workloads.trace.BlockTrace` as a
     request source.
 
-    Timed runs honour the recorded inter-arrival times (open loop,
-    scaled by ``time_scale``: > 1 slows the trace down, < 1 speeds it
-    up); counter runs ignore timestamps.  Pass ``submission="closed"``
+    Runs honour the recorded inter-arrival times (open loop, scaled by
+    ``time_scale``: > 1 slows the trace down, < 1 speeds it up); on a
+    zero-latency device only their order matters, which for one trace
+    is its record order.  Pass ``submission="closed"``
     to replay request-by-request at ``iodepth`` instead of at the
     recorded timeline.
 

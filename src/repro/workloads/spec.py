@@ -55,7 +55,10 @@ class JobSpec:
     modulated by a two-state process: geometric bursts of mean
     ``burst_len`` requests at ``burst_multiplier`` times the base rate,
     occupying ``burst_fraction`` of requests in expectation — the
-    noisy-neighbor tenant shape).  Counter mode ignores all of these.
+    noisy-neighbor tenant shape).  A counter run uses the same
+    scheduler at zero latency, where these fields only set the order in
+    which concurrent jobs' requests interleave (closed loop at iodepth 1
+    is round-robin).
     """
 
     name: str

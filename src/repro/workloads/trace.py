@@ -6,10 +6,10 @@ it, and replay it against any device configuration.  The format is a
 four-column CSV (``op,lba,sectors,at_us``) — trivially diffable and easy
 to produce from real blktrace output.
 
-Recording wraps a device's host interface; replay drives either device
-mode.  Timed replay honours the recorded inter-arrival times (open loop,
-optionally time-scaled), so a trace captured at one speed can stress a
-slower configuration.
+Recording wraps a device's host interface.  Replay is the workload
+engine's job: a :class:`~repro.workloads.source.TraceSource` honours the
+recorded inter-arrival times (open loop, optionally time-scaled), so a
+trace captured at one speed can stress a slower configuration.
 """
 
 from __future__ import annotations
@@ -157,8 +157,9 @@ class BlockTrace:
 class TraceRecorder:
     """Wraps a counter-mode device, logging every host request.
 
-    Counter mode has no clock, so timestamps are synthesized at a fixed
-    ``rate_iops`` — the recorded trace then replays at that pace.
+    A zero-latency device's clock never moves, so timestamps are
+    synthesized at a fixed ``rate_iops`` — the recorded trace then
+    replays at that pace.
     """
 
     def __init__(self, device, rate_iops: float = 50_000.0) -> None:
@@ -190,36 +191,3 @@ class TraceRecorder:
     def flush(self):
         self._log("flush", 0, 0)
         return self.device.flush()
-
-
-def replay_counter(trace: BlockTrace, device) -> None:
-    """Replay onto a counter-mode device (timestamps ignored)."""
-    for record in trace:
-        if record.kind == "write":
-            device.write_sectors(record.lba, record.sectors)
-        elif record.kind == "read":
-            device.read_sectors(record.lba, record.sectors)
-        elif record.kind == "trim":
-            device.trim_sectors(record.lba, record.sectors)
-        else:
-            device.flush()
-
-
-def replay_timed(trace: BlockTrace, device, time_scale: float = 1.0):
-    """Open-loop replay onto a :class:`TimedSSD`, honouring arrival times.
-
-    Returns the completed requests.  ``time_scale > 1`` slows the trace
-    down, ``< 1`` speeds it up.
-    """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    t0 = device.now
-    out = []
-    for record in trace:
-        at_ns = t0 + int(record.at_us * 1000 * time_scale)
-        if record.kind == "flush":
-            out.append(device.flush(at_ns=max(at_ns, device.now)))
-        else:
-            out.append(device.submit(record.kind, record.lba,
-                                     max(1, record.sectors), at_ns=at_ns))
-    return out

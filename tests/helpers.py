@@ -39,6 +39,83 @@ def record_requests(device) -> list:
     return requests
 
 
+def record_ops(device) -> list:
+    """The flash ops each host command of *device* incurs from now on:
+    one list per command, in command order.
+
+    Host commands return the completed request, not the ops; this
+    shadows the instance's FTL entry points (``write``/``read``/
+    ``trim``/``flush``/``checkpoint``/``idle_maintenance``) and the
+    device's host commands, and groups every op list the FTL returns
+    during one outermost command into that command's list — a
+    ``shutdown`` is its flush's ops then its checkpoint's."""
+    commands = []
+    depth = 0
+
+    def command(method):
+        def call(*args, **kwargs):
+            nonlocal depth
+            if not depth:
+                commands.append([])
+            depth += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth -= 1
+        return call
+
+    def ftl_call(method):
+        def call(*args, **kwargs):
+            ops = method(*args, **kwargs)
+            commands[-1].extend(ops)
+            return ops
+        return call
+
+    for name in ("submit", "write_sectors", "read_sectors", "trim_sectors",
+                 "flush", "shutdown", "idle"):
+        setattr(device, name, command(getattr(device, name)))
+    ftl = device.ftl
+    for name in ("write", "read", "trim", "flush", "checkpoint",
+                 "idle_maintenance"):
+        setattr(ftl, name, ftl_call(getattr(ftl, name)))
+    return commands
+
+
+def run_round_robin(device, jobs) -> dict:
+    """Reference counter-mode loop: one request per source per round,
+    in source order, until every source runs dry; then one flush.
+
+    The workload engine's scheduler replaced this loop; at zero latency
+    a closed-loop, iodepth-1 run must interleave exactly like it.
+    Returns ``{name: (requests, sectors)}``."""
+    from repro.workloads.source import as_source
+
+    sources = [as_source(job) for job in jobs]
+    counts = {source.name: [0, 0] for source in sources}
+    active = sources
+    while active:
+        still = []
+        for source in active:
+            request = source.next_request()
+            if request is None:
+                continue
+            kind, lba, sectors = request
+            if kind == "write":
+                device.write_sectors(lba, sectors)
+            elif kind == "read":
+                device.read_sectors(lba, sectors)
+            elif kind == "trim":
+                device.trim_sectors(lba, sectors)
+            else:
+                device.flush()
+            counts[source.name][0] += 1
+            counts[source.name][1] += sectors
+            still.append(source)
+        active = still
+    device.flush()
+    return {name: tuple(count) for name, count in counts.items()}
+
+
 def scan_candidates(selector, plane: int, exclude=()) -> list[int]:
     """Full plane scan for GC candidates: the ground truth that
     ``VictimSelector.candidates`` (served from the allocator's

@@ -3,8 +3,11 @@ JSONL trace and identical summary statistics across runs, in both
 execution modes.  This is what makes traces diffable across PRs — any
 fidelity change shows up as a trace diff."""
 
+import hashlib
+
 import numpy as np
 
+from repro.cli import main
 from repro.obs import CounterSink, JsonlSink, TeeSink
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
@@ -50,6 +53,20 @@ class TestCounterModeDeterminism:
         _trace_counter(a, seed=42)
         _trace_counter(b, seed=43)
         assert a.read_bytes() != b.read_bytes()
+
+    def test_cli_counter_trace_is_pinned(self, tmp_path, capsys):
+        # Pinned when counter mode was its own device class and loop:
+        # each host_request precedes the events it causes, and the run
+        # ends with one flush.
+        path = tmp_path / "counter.jsonl"
+        assert main(["trace", "--mode", "counter", "--preset", "tiny",
+                     "--writes", "3000", "--seed", "7",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = path.read_bytes()
+        assert data.count(b"\n") == 18_068
+        assert hashlib.sha256(data).hexdigest() == (
+            "d416914745fec68d95092827127189123c1c06757152971c9c5ed311778a3269")
 
 
 class TestTimedModeDeterminism:

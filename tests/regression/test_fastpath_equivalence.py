@@ -29,7 +29,7 @@ from repro.ssd.timed import BackgroundPolicy, BusTap, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
-from tests.helpers import ListSink, record_requests
+from tests.helpers import ListSink, record_ops, record_requests
 
 
 def _digest(*parts) -> str:
@@ -247,10 +247,12 @@ def test_bus_tap_still_sees_every_cycle():
 # ----------------------------------------------------------------------
 
 class _Recorder:
-    """Hashes every op list a counter-mode device returns, in order."""
+    """Hashes the op list of every host command a counter-mode device
+    runs (and every op list handed to it directly), in order."""
 
-    def __init__(self, device: SimulatedSSD) -> None:
+    def __init__(self, device: TimedSSD) -> None:
         self.device = device
+        self.commands = record_ops(device)
         self.digest = hashlib.sha256()
 
     def __call__(self, ops) -> None:
@@ -258,8 +260,12 @@ class _Recorder:
             [(kind.value, target, reason.value, nbytes)
              for kind, target, reason, nbytes in ops]).encode())
 
+    def command(self, name: str, *args) -> None:
+        getattr(self.device, name)(*args)
+        self(self.commands[-1])
+
     def write(self, lba: int, count: int = 1) -> None:
-        self(self.device.write_sectors(lba, count))
+        self.command("write_sectors", lba, count)
 
     def hexdigest(self) -> str:
         ftl = self.device.ftl
@@ -305,7 +311,7 @@ def _pslc_fill_drain_overwrite(rec: _Recorder) -> None:
     rng = np.random.default_rng(15)
     for _ in range(2_000):
         rec.write(int(rng.integers(span - 4)), int(rng.integers(1, 5)))
-    rec(device.flush())
+    rec.command("flush")
     stats = device.ftl.stats
     assert stats.pslc_staged_sectors > 10_000 and stats.pslc_drains > 200
     assert stats.gc_invocations > 1_000
@@ -323,7 +329,7 @@ def _meta_flush_gc_mid_page(rec: _Recorder) -> None:
     rng = np.random.default_rng(16)
     for _ in range(800):
         rec.write(int(rng.integers(span - 4)), int(rng.integers(1, 5)))
-    rec(device.shutdown())
+    rec.command("shutdown")
     assert device.ftl.mapping.stats.eviction_flushes > 1_000
     assert device.ftl.stats.gc_invocations > 10_000
 
@@ -334,7 +340,7 @@ def _bypass_admission(rec: _Recorder) -> None:
     n = device.num_sectors
     for _ in range(3_000):
         rec.write(int(rng.integers(n - 3)), int(rng.integers(1, 4)))
-    rec(device.flush())
+    rec.command("flush")
     assert device.ftl.cache.insertions == 0
     assert device.ftl.stats.gc_invocations > 0
 
@@ -344,7 +350,7 @@ def _duplicate_lpns_in_one_page(rec: _Recorder) -> None:
     ftl = device.ftl
     for lba in range(0, 64, 4):
         rec.write(lba, 4)
-    rec(device.flush())
+    rec.command("flush")
     ftl._ops = []
     ftl._program_data_page([7, 7, 9], stream="host", reason=OpReason.HOST)
     ftl._program_data_page([9, 3, 9, 3], stream="gc", reason=OpReason.GC,
@@ -362,7 +368,7 @@ def _stale_and_disowned_old_copies(rec: _Recorder) -> None:
     ftl = device.ftl
     for lba in range(0, 64, 4):
         rec.write(lba, 4)
-    rec(device.flush())
+    rec.command("flush")
     ftl.mapping.silent_update(5, int(ftl.mapping.l2p[20]))
     disowned = int(ftl.mapping.l2p[6])
     ftl.sector_valid[disowned] = False
@@ -382,10 +388,10 @@ def _trims_interleaved(rec: _Recorder) -> None:
     for i in range(4_000):
         lba, count = int(rng.integers(n - 4)), int(rng.integers(1, 5))
         if i % 5 == 4:
-            rec(device.trim_sectors(lba, count))
+            rec.command("trim_sectors", lba, count)
         else:
             rec.write(lba, count)
-    rec(device.flush())
+    rec.command("flush")
     assert device.ftl.stats.trimmed_sectors > 0
     assert device.ftl.stats.gc_invocations > 0
 
@@ -442,7 +448,7 @@ _FRAGILE = ReliabilityModel(base_rber=1e-7, rated_cycles=200,
                             retention_rber_per_day=1e-3, ecc_correctable=40)
 
 
-def _integrity_reads(sink) -> tuple[SimulatedSSD, PlannedFaultInjector, list]:
+def _integrity_reads(sink) -> tuple[TimedSSD, PlannedFaultInjector, list]:
     # A chunked map (two resident chunks), a pSLC buffer, the retention
     # model with a two-step retry ladder, RAIN, and two uncorrectable-read
     # fault sources. The probabilistic one draws a variate on every call
@@ -460,14 +466,16 @@ def _integrity_reads(sink) -> tuple[SimulatedSSD, PlannedFaultInjector, list]:
         device.attach_sink(sink)
     rng = np.random.default_rng(20)
     n = device.num_sectors
-    returned = [device.write_sectors(lba, 4) for lba in range(0, n - 3, 4)]
-    returned.append(device.flush())
+    returned = record_ops(device)
+    for lba in range(0, n - 3, 4):
+        device.write_sectors(lba, 4)
+    device.flush()
     for i in range(3_000):
         lba, count = int(rng.integers(n - 4)), int(rng.integers(1, 5))
         if i % 6 == 5:
-            returned.append(device.write_sectors(lba, count))
+            device.write_sectors(lba, count)
         else:
-            returned.append(device.read_sectors(lba, count))
+            device.read_sectors(lba, count)
     return device, injector, returned
 
 

@@ -169,6 +169,6 @@ class TestFsIdentity:
         replayed = SimulatedSSD(config)
         source = FsSource(model_name, replayed.num_sectors, operations=60,
                           seed=6, working_files=12)
-        run_counter(replayed, [source], flush_at_end=False)
+        run_timed(replayed, [source])
 
         assert direct.smart == replayed.smart

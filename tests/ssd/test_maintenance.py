@@ -12,6 +12,7 @@ from repro.ssd.ops import OpKind, OpReason
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
 from repro.ssd.wearlevel import WearLeveler
+from tests.helpers import record_ops
 
 
 def churn(device_or_ftl, writes, seed=0):
@@ -78,9 +79,10 @@ class TestIdleGc:
         device = SimulatedSSD(tiny())
         churn(device, 4000, seed=1)
         before = device.ftl.allocator.total_free_blocks()
-        ops = []
+        commands = record_ops(device)
         for _ in range(8):
-            ops.extend(device.idle(max_blocks=6))
+            device.idle(max_blocks=6)
+        ops = [op for command in commands for op in command]
         after = device.ftl.allocator.total_free_blocks()
         assert device.ftl.stats.idle_gc_blocks > 0
         # Net effect over several idle rounds: more usable free blocks
@@ -91,7 +93,9 @@ class TestIdleGc:
 
     def test_idle_noop_on_fresh_device(self):
         device = SimulatedSSD(tiny())
-        assert device.idle() == []
+        commands = record_ops(device)
+        assert device.idle() == device.now
+        assert commands == [[]]
 
     def test_idle_gc_counts_as_ftl_traffic(self):
         device = SimulatedSSD(tiny())

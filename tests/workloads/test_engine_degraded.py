@@ -1,29 +1,36 @@
 """Degraded-mode engine semantics: a device that goes read-only or
 loses power mid-run yields a clean partial result, never a traceback.
 
-The timed engine catches ``ReadOnlyError`` / ``OutOfSpace`` /
-``PowerLoss`` per request: refused requests are counted as
-``failed_requests``, the run records what degraded it and when, and
-every request kind the device can still serve keeps being served
-(reads and flushes on a read-only drive; nothing after a power cut).
+The engine catches ``ReadOnlyError`` / ``OutOfSpace`` / ``PowerLoss``
+per request: refused requests are counted as ``failed_requests``, the
+run records what degraded it and when, and every request kind the
+device can still serve keeps being served (reads and flushes on a
+read-only drive; nothing after a power cut).  Counter runs
+(``run_counter`` on a zero-latency device) go through the same loop.
 """
+
+from itertools import product
 
 from repro.faults import FaultPlan, FaultSpec, PlannedFaultInjector
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
-from repro.workloads.engine import run_timed
+from repro.workloads.engine import run_counter, run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
 
+#: (device is zero-latency, run function): timed mode, counter mode.
+MODES = ((False, run_timed), (True, run_counter))
 
-def faulted_device(*specs, spare_blocks_min=0, seed=5) -> TimedSSD:
+
+def faulted_device(*specs, spare_blocks_min=0, seed=5,
+                   zero_latency=False) -> TimedSSD:
     config = tiny().with_changes(spare_blocks_min=spare_blocks_min)
     injector = PlannedFaultInjector(FaultPlan(seed=seed, specs=specs),
                                     config.geometry)
-    return TimedSSD(config, injector=injector)
+    return TimedSSD(config, injector=injector, zero_latency=zero_latency)
 
 
-def read_only_device() -> TimedSSD:
+def read_only_device(zero_latency=False) -> TimedSSD:
     # A program-fail storm from op 20 retires blocks until the spare
     # pool crosses the floor and the FTL declares itself read-only.
     # The firing count is bounded (like campaign plans bound it): an
@@ -35,7 +42,7 @@ def read_only_device() -> TimedSSD:
     count = initial_spare_blocks(config) - config.spare_blocks_min + 2
     return faulted_device(
         FaultSpec("program_fail", at_op=20, count=count),
-        spare_blocks_min=4,
+        spare_blocks_min=4, zero_latency=zero_latency,
     )
 
 
@@ -73,11 +80,11 @@ class TestReadOnlyMidRun:
         assert result.jobs["r"].requests == 200
 
     def test_closed_loop_partial_result(self):
-        for iodepth in (4, 1):
-            device = read_only_device()
+        for (zero_latency, run), iodepth in product(MODES, (4, 1)):
+            device = read_only_device(zero_latency)
             job = JobSpec("w", "randwrite", Region(0, device.num_sectors),
                           io_count=300, iodepth=iodepth, seed=1)
-            result = run_timed(device, [job])
+            result = run(device, [job])
             outcome = result.jobs["w"]
             assert result.degraded_kind == "read_only"
             assert outcome.failed_requests > 0
@@ -97,24 +104,27 @@ class TestReadOnlyMidRun:
 
 class TestPowerCutMidRun:
     def test_power_cut_kills_every_job(self):
-        device = faulted_device(FaultSpec("power_cut", at_op=60))
-        jobs = [
-            JobSpec("a", "randwrite", Region(0, device.num_sectors),
-                    io_count=100, seed=1, submission="open",
-                    rate_iops=5_000.0),
-            JobSpec("b", "randread", Region(0, device.num_sectors),
-                    io_count=100, seed=2, submission="open",
-                    rate_iops=5_000.0),
-        ]
-        result = run_timed(device, jobs)
-        assert result.degraded_kind == "power_cut"
-        assert result.degraded_at_ns >= 0
-        # After the cut the device is dead to every job, reads included.
-        total_failed = sum(j.failed_requests for j in result.jobs.values())
-        total_done = sum(j.requests for j in result.jobs.values())
-        assert total_failed > 0
-        assert total_done + total_failed == 200
-        assert total_done <= result.ops_before_degraded + len(jobs)
+        for zero_latency, run in MODES:
+            device = faulted_device(FaultSpec("power_cut", at_op=60),
+                                    zero_latency=zero_latency)
+            jobs = [
+                JobSpec("a", "randwrite", Region(0, device.num_sectors),
+                        io_count=100, seed=1, submission="open",
+                        rate_iops=5_000.0),
+                JobSpec("b", "randread", Region(0, device.num_sectors),
+                        io_count=100, seed=2, submission="open",
+                        rate_iops=5_000.0),
+            ]
+            result = run(device, jobs)
+            assert result.degraded_kind == "power_cut"
+            assert result.degraded_at_ns >= 0
+            # After the cut the device is dead to every job, reads
+            # included.
+            total_failed = sum(j.failed_requests for j in result.jobs.values())
+            total_done = sum(j.requests for j in result.jobs.values())
+            assert total_failed > 0
+            assert total_done + total_failed == 200
+            assert total_done <= result.ops_before_degraded + len(jobs)
 
     def test_closed_loop_power_cut_terminates(self):
         # 2_500: the device dies with 1,476 requests undrawn and most

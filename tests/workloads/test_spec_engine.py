@@ -115,7 +115,7 @@ class TestRunCounter:
         run_counter(device, [write])
         before = device.smart_snapshot()
         read = JobSpec("r", "randread", region_for(device), io_count=50)
-        run_counter(device, [read], flush_at_end=False)
+        run_timed(device, [read])
         delta = device.smart.delta(before)
         assert delta.host_program_pages == 0
         assert delta.host_sectors_read == 50

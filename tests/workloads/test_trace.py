@@ -1,4 +1,4 @@
-"""Block-trace recording, persistence, and replay."""
+"""Block-trace recording, persistence, and replay through the engine."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,15 @@ import pytest
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
+from repro.workloads.engine import run_timed
+from repro.workloads.source import TraceSource
 from repro.workloads.trace import (
     BlockTrace,
     TraceFormatError,
     TraceRecord,
     TraceRecorder,
-    replay_counter,
-    replay_timed,
 )
+from tests.helpers import record_requests
 
 
 class TestTraceRecord:
@@ -81,19 +82,25 @@ class TestReplay:
         recorder.flush()
         return recorder.trace
 
+    def replay(self, trace, device, time_scale=1.0) -> list:
+        """Every request *device* completes replaying *trace* through
+        the engine."""
+        completed = record_requests(device)
+        run_timed(device, [TraceSource(trace, time_scale=time_scale)])
+        return completed
+
     def test_counter_replay_reproduces_smart(self):
         source = SimulatedSSD(tiny())
         trace = self.make_trace(source)
         target = SimulatedSSD(tiny())
-        replay_counter(trace, target)
+        self.replay(trace, target)
         assert target.smart.host_program_pages == source.smart.host_program_pages
         assert target.smart.ftl_program_pages == source.smart.ftl_program_pages
 
     def test_timed_replay_honours_arrivals(self):
         device = SimulatedSSD(tiny())
         trace = self.make_trace(device, requests=100)
-        timed = TimedSSD(tiny())
-        completed = replay_timed(trace, timed)
+        completed = self.replay(trace, TimedSSD(tiny()))
         assert len(completed) == len(trace)
         # Open loop: submissions match the recorded timeline.
         writes = [r for r in completed if r.kind == "write"]
@@ -104,13 +111,13 @@ class TestReplay:
     def test_time_scale(self):
         device = SimulatedSSD(tiny())
         trace = self.make_trace(device, requests=50)
-        fast = replay_timed(trace, TimedSSD(tiny()), time_scale=1.0)
-        slow = replay_timed(trace, TimedSSD(tiny()), time_scale=4.0)
+        fast = self.replay(trace, TimedSSD(tiny()), time_scale=1.0)
+        slow = self.replay(trace, TimedSSD(tiny()), time_scale=4.0)
         assert slow[-1].submit_ns > fast[-1].submit_ns
 
     def test_time_scale_validated(self):
         with pytest.raises(ValueError):
-            replay_timed(BlockTrace(), TimedSSD(tiny()), time_scale=0)
+            TraceSource(BlockTrace(), time_scale=0)
 
 
 class TestLoadValidation:
