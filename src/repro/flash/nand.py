@@ -33,8 +33,9 @@ keeps an actual ``bytes`` payload per programmed page.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +48,10 @@ NO_LPN = np.int64(-1)
 #: ``page_oob_len`` value for a page whose writer stored no OOB record
 #: (distinct from an explicitly-stored empty record of length 0).
 _NO_OOB = -1
+
+#: the per-page and per-block state arrays (each has a one-entry view).
+_STATE_ARRAYS = ("page_state", "page_lpn", "page_seq", "block_erase_count",
+                 "block_write_ptr", "page_oob", "page_oob_len")
 
 
 class FlashViolation(Exception):
@@ -268,28 +273,15 @@ class NandArray:
         run continues — exactly what pulling the plug preserves: flash
         contents survive, RAM state does not.
         """
-        twin = NandArray(self.geometry, erase_limit=self.erase_limit,
-                         store_data=self.store_data)
-        twin.page_state = self.page_state.copy()
-        twin.page_lpn = self.page_lpn.copy()
-        twin.page_seq = self.page_seq.copy()
-        twin.block_erase_count = self.block_erase_count.copy()
-        twin.block_write_ptr = self.block_write_ptr.copy()
-        twin.page_oob = self.page_oob.copy()
-        twin.page_oob_len = self.page_oob_len.copy()
-        twin._bind_views()  # the views __init__ took alias the dead arrays
-        twin.counters = NandCounters(
-            reads=self.counters.reads,
-            programs=self.counters.programs,
-            erases=self.counters.erases,
-            program_failures=self.counters.program_failures,
-        )
+        # A shallow copy carries the geometry and every scalar; each state
+        # array is copied once (no throwaway arrays from __init__) and
+        # every other mutable piece is replaced below.
+        twin = copy.copy(self)
+        for name in _STATE_ARRAYS:
+            setattr(twin, name, getattr(self, name).copy())
+        twin._bind_views()  # the copied views still alias self's arrays
+        twin.counters = replace(self.counters)
         twin._data = dict(self._data)
-        twin._program_counter = self._program_counter
-        twin._erase_total = self._erase_total
-        twin._erase_max = self._erase_max
-        twin._erase_sumsq = self._erase_sumsq
-        twin._erase_min = self._erase_min
         twin._erase_hist = dict(self._erase_hist)
         return twin
 

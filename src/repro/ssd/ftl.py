@@ -10,19 +10,30 @@ Write path (sectors in, flash pages out)::
 
     host request -> WriteCache.insert_run (absorb/pack, stops when over
                     capacity) -> take_flush_batch -> [pSLC buffer] -> data page
-      per data page:  MappingTable.update_page (silent_update_page for GC)
-                      -> stamp p2l/sector_valid -> invalidate owned old copies
+      per data page:  MappingTable.update_page -> stamp p2l/sector_valid
+                      -> invalidate owned old copies
                   \\-> deferred mapping events -> dirty TP -> meta page
                   \\-> RAIN stripe accounting -> parity page
                   \\-> free-block pressure -> GC migrations
+
+Migration path (GC, wear leveling, refresh, retirement, RAIN relocation)::
+
+    victim block -> one nonzero scan (live LPNs, live TPs) -> READ ops
+      per destination page:  allocate -> program fail? retire -> stamp
+                             block_birth -> program -> PROGRAM op
+      per run of pages:      MappingTable.silent_update_run -> stamp
+                             p2l/sector_valid -> ownership mask
+                             (committed before a retirement or a parity
+                             program, and at the end)
+      -> meta pages for live TPs
 
 Accounting conventions (documented because the black-box experiments
 measure them):
 
 * Host data page programs count as *host* pages even when they land in
   the pSLC buffer; drain traffic counts as FTL (reason ``PSLC``).
-* GC migrations update the map via :meth:`MappingTable.silent_update` —
-  real FTLs piggyback those updates on the destination block's OOB, so
+* GC migrations update the map via :meth:`MappingTable.silent_update_run`
+  — real FTLs piggyback those updates on the destination block's OOB, so
   they do not generate additional translation-page writes here.
 * RAIN parity pages are counted but held as immediately-invalid overhead
   (parity is reconstructible; GC never migrates it).
@@ -75,8 +86,8 @@ META_P2L_BASE = -2
 #: p2l value of a slot holding nothing valid.
 P2L_NONE = -1
 
-# Enum members as module constants for the read path (as in timed.py).
-_READ = OpKind.READ
+# Enum members as module constants for the hot paths (as in timed.py).
+_READ, _PROGRAM = OpKind.READ, OpKind.PROGRAM
 _HOST, _META = OpReason.HOST, OpReason.META
 
 
@@ -143,6 +154,8 @@ class Ftl:
         self._sector_size = geometry.sector_size
         self.num_lpns = config.logical_sectors
         self._sectors_per_block = spp * ppb
+        #: slot offsets within a page, for building a run's PSAs.
+        self._page_slots = np.arange(spp, dtype=np.int64)
         total_psas = geometry.total_pages * spp
         #: physical-sector -> logical-sector reverse map (see p2l codes
         #: above).  Edited in place only — scalar views alias this buffer.
@@ -163,6 +176,9 @@ class Ftl:
         # fixed regions with full die parallelism).
         pslc_block_ids = list(config.pslc_block_ids())
         self.pslc = PslcBuffer(geometry, pslc_block_ids)
+        #: the device has a pSLC buffer (fixed at construction): without
+        #: one the page paths skip every buffer check.
+        self._has_pslc = self.pslc.enabled
         excluded = frozenset(pslc_block_ids)
 
         self.allocator = PageAllocator(
@@ -389,8 +405,7 @@ class Ftl:
         was_in_gc = self._in_gc
         self._in_gc = True
         try:
-            self._program_data_page([lpn], stream="gc", reason=OpReason.GC,
-                                    silent_map=True)
+            self._migrate_sectors([lpn], OpReason.GC)
         finally:
             self._in_gc = was_in_gc
         self.stats.relocated_sectors += 1
@@ -439,11 +454,12 @@ class Ftl:
         batch = self.cache.take_flush_batch(self._spp)
         if not batch:
             return
-        if self.pslc.enabled and self.pslc.has_space():
+        if self._has_pslc and self.pslc.has_space():
             self._stage_batch_in_pslc(batch)
         else:
             self._program_data_page(batch, stream="host", reason=OpReason.HOST)
-        self._maybe_drain_pslc()
+        if self._has_pslc:
+            self._maybe_drain_pslc()
 
     def _stage_direct(self, sector: int) -> None:
         """Cache-bypass path: collect sectors in a one-page staging
@@ -457,7 +473,7 @@ class Ftl:
         batch, self._staged = sorted(self._staged[:spp]), self._staged[spp:]
         if not batch:
             return
-        if self.pslc.enabled and self.pslc.has_space():
+        if self._has_pslc and self.pslc.has_space():
             self._stage_batch_in_pslc(batch)
         else:
             self._program_data_page(batch, stream="host", reason=OpReason.HOST)
@@ -465,10 +481,11 @@ class Ftl:
 
     def _program_data_page(
         self, lpns: list[int], stream: str, reason: OpReason,
-        *, silent_map: bool = False,
     ) -> None:
-        """Program one page holding *lpns* and update all bookkeeping."""
-        if not self._in_gc:
+        """Program one page of host (or pSLC drain) sectors *lpns* and
+        update all bookkeeping, mapping events included.  Migrations take
+        :meth:`_migrate_sectors` instead."""
+        if self.allocator.planes_at_watermark:
             self._ensure_free_space()
         spp = self._spp
         if self._routed:
@@ -476,7 +493,11 @@ class Ftl:
         ppn = self._allocate_programmable_page(stream)
         lpns = lpns[:spp]
         self.nand.program(ppn, lpn=lpns[0], oob=lpns)
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, self._page_size))
+        op = FlashOp(_PROGRAM, ppn, reason, self._page_size)
+        if self.obs.enabled:
+            self._emit(op)
+        else:
+            self._ops.append(op)
         block = ppn // self._ppb
         # Mapping-eviction events come back merged and are applied only
         # once every sector of the page is mapped and its old copy
@@ -486,11 +507,7 @@ class Ftl:
         # superseded copy with a *newer* program sequence than the live
         # data, and newest-wins recovery would resurrect stale sectors.
         base = ppn * spp
-        if silent_map:
-            olds = self.mapping.silent_update_page(lpns, base)
-            pending_events = None
-        else:
-            olds, pending_events = self.mapping.update_page(lpns, base)
+        olds, pending_events = self.mapping.update_page(lpns, base)
         p2l = self._p2l_view
         sector_valid = self._sector_valid_view
         block_valid = self._block_valid_view
@@ -513,7 +530,7 @@ class Ftl:
                 p2l[old] = P2L_NONE
                 block_valid[old // sectors_per_block] -= 1
             psa += 1
-        if self.pslc.enabled:
+        if self._has_pslc:
             pslc = self.pslc
             for psa, lpn in enumerate(lpns, base):
                 # A fresh main-area copy supersedes any pSLC-resident one.
@@ -639,7 +656,7 @@ class Ftl:
             self._drain_pslc_block()
 
     def _maybe_drain_pslc(self) -> None:
-        if not self.pslc.enabled:
+        if not self._has_pslc:
             return
         while self.pslc.used_fraction() >= self.config.pslc_drain_threshold:
             if not self._drain_pslc_block():
@@ -735,17 +752,17 @@ class Ftl:
         """Rewrite blocks whose data has aged past the refresh deadline
         (flash correct-and-refresh)."""
         horizon = self._op_seq - self.config.refresh_after_ops
-        stale = [
-            block for block in range(self.geometry.total_blocks)
-            if 0 <= int(self.block_birth[block]) <= horizon
-            and self._block_valid_view[block] > 0
-            and block not in self.allocator.active_blocks()
-            and block not in self.allocator.retired_blocks
-            and block not in self.allocator.excluded_blocks
-            and self.nand.block_write_ptr[block]
-            >= self.geometry.pages_per_block
-        ]
-        stale.sort(key=lambda b: int(self.block_birth[b]))
+        birth = self.block_birth
+        aged = np.flatnonzero((birth >= 0) & (birth <= horizon)
+                              & (self.block_valid > 0)
+                              & (self.nand.block_write_ptr >= self._ppb))
+        allocator = self.allocator
+        busy = (allocator.active_blocks() | allocator.retired_blocks
+                | allocator.excluded_blocks)
+        # Ascending block order, then a stable sort by birth: oldest
+        # first, ties by block index.
+        stale = [block for block in aged.tolist() if block not in busy]
+        stale.sort(key=birth.item)
         done = 0
         for block in stale[:budget]:
             self._gc_in_flight.add(block)
@@ -771,7 +788,8 @@ class Ftl:
 
         Not for callers running inside GC (``_in_gc``): migration draws
         on the watermark reserve instead of triggering GC recursively,
-        so the three page-program methods skip the call then."""
+        so the parity and meta page programs skip the call then (host
+        data pages are never programmed inside GC)."""
         if not self.allocator.planes_at_watermark:
             # No plane is at or below the low watermark, so the scan
             # below would visit every plane and do nothing.
@@ -845,21 +863,127 @@ class Ftl:
         codes = self.p2l[psas]
         live_tps = [_p2l_to_tp(c)
                     for c in codes[codes <= META_P2L_BASE].tolist()]
-        live_lpns = codes[codes >= 0].tolist()
+        live_lpns = codes[codes >= 0]
         pages_sorted = np.unique(psas // spp).tolist()
         self.sector_valid[first_psa:last_psa] = False
         self.p2l[psas] = P2L_NONE
         self._block_valid_view[block] = 0
-        for ppn in pages_sorted:
-            self._emit(FlashOp(OpKind.READ, ppn, reason, self._page_size))
+        page_size = self._page_size
+        reads = [FlashOp(_READ, ppn, reason, page_size) for ppn in pages_sorted]
+        if self.obs.enabled:
+            for op in reads:
+                self._emit(op)
+        else:
+            self._ops.extend(reads)
         self.stats.gc_migrated_sectors += len(live_lpns)
-        for start in range(0, len(live_lpns), spp):
-            self._program_data_page(
-                live_lpns[start : start + spp], stream="gc", reason=reason,
-                silent_map=True,
-            )
+        self._migrate_sectors(live_lpns, reason)
         for tp_id in live_tps:
             self._program_meta_page(tp_id, reason=reason)
+
+    def _migrate_sectors(self, lpns, reason: OpReason) -> None:
+        """Program the sectors *lpns* (read out of their old copies by
+        the caller) to fresh ``gc``-stream pages, ``spp`` to a page in
+        order, and remap them without metadata cost.
+
+        One loop takes every destination page through allocate →
+        program-fail check (retiring the block on failure) →
+        ``block_birth`` stamp → program → op.  The map, ``p2l``,
+        ``sector_valid`` and ``block_valid`` state of the pages programmed
+        so far is committed by :meth:`_commit_migrated` before a
+        retirement or a RAIN parity program — both can migrate a block,
+        which reads that state, and the failing block may hold this
+        run's earlier pages — and once on the way out, an
+        :class:`OutOfSpace` included.  Callers run inside GC
+        (``_in_gc``), so the pass never checks free space."""
+        lpns = np.asarray(lpns, dtype=np.int64)
+        page_lpns = lpns.tolist()
+        spp, ppb = self._spp, self._ppb
+        blocks_per_plane = self.geometry.blocks_per_plane
+        # Looked up per call: perfbench shadows the first three on the
+        # instances.
+        allocate_page = self.allocator.allocate_page
+        program_fails = self.injector.program_fails
+        program = self.nand.program
+        on_data_page = self.rain.on_data_page
+        emit = self._emit if self.obs.enabled else self._ops.append
+        routed, route = self._routed, self._route
+        block_birth = self.block_birth
+        page_size = self._page_size
+        commit = self._commit_migrated
+        ppns: list[int] = []  # destination pages programmed, in order
+        committed = 0  # how many of them are committed
+        try:
+            for start in range(0, len(page_lpns), spp):
+                page = page_lpns[start : start + spp]
+                stream = route("gc", page) if routed else "gc"
+                ppn = allocate_page(stream)
+                while program_fails(ppn):
+                    committed = commit(lpns, ppns, committed)
+                    block = ppn // ppb
+                    self._retire_block(block, stream, block // blocks_per_plane)
+                    ppn = allocate_page(stream)
+                if ppn % ppb == 0:
+                    block_birth[ppn // ppb] = self._op_seq
+                program(ppn, lpn=page[0], oob=page)
+                emit(FlashOp(_PROGRAM, ppn, reason, page_size))
+                ppns.append(ppn)
+                if on_data_page(ppn):
+                    committed = commit(lpns, ppns, committed)
+                    self._program_parity_page()
+        finally:
+            commit(lpns, ppns, committed)
+
+    def _commit_migrated(self, lpns: np.ndarray, ppns: list[int],
+                         first: int) -> int:
+        """Commit the migrated pages ``ppns[first:]`` — ``spp`` sectors
+        each of the run *lpns*, the run's last page possibly short — and
+        return ``len(ppns)``, the count now committed.
+
+        Maps the sectors, stamps the reverse map and valid bitmap, counts
+        them into their blocks and clears their owned old copies, in
+        array operations, with the effect of committing one sector at a
+        time in order.  The ownership rule of :meth:`_invalidate_old_copy`
+        runs as one mask after every new slot is stamped: an old copy is
+        invalidated when it is mapped, is not the slot itself, still
+        belongs to the LPN and is valid.  Stamping first is what a
+        repeated LPN needs: :meth:`MappingTable.silent_update_run` gives
+        its later slot the earlier slot as the old copy, which must be
+        valid by then."""
+        last = len(ppns)
+        if first == last:
+            return last
+        spp = self._spp
+        lpns = lpns[first * spp : last * spp]
+        psas = (np.array(ppns[first:], dtype=np.int64)[:, None] * spp
+                + self._page_slots).reshape(-1)[:len(lpns)]
+        olds = self.mapping.silent_update_run(lpns, psas)
+        p2l, sector_valid = self.p2l, self.sector_valid
+        p2l[psas] = lpns
+        sector_valid[psas] = True
+        block_valid = self._block_valid_view
+        ppb = self._ppb
+        left = len(lpns)
+        for ppn in ppns[first:]:
+            block_valid[ppn // ppb] += min(left, spp)
+            left -= spp
+        moved = (olds != UNMAPPED) & (olds != psas)
+        candidates = olds[moved]
+        owned = candidates[(p2l[candidates] == lpns[moved])
+                           & sector_valid[candidates]]
+        if len(owned):
+            sector_valid[owned] = False
+            p2l[owned] = P2L_NONE
+            sectors_per_block = self._sectors_per_block
+            for psa in owned.tolist():
+                block_valid[psa // sectors_per_block] -= 1
+        if self._has_pslc:
+            pslc = self.pslc
+            for psa, lpn in zip(psas.tolist(), lpns.tolist()):
+                # A fresh main-area copy supersedes any pSLC-resident one.
+                pslc_psa = pslc.lookup(lpn)
+                if pslc_psa is not None and pslc_psa != psa:
+                    pslc.invalidate(lpn)
+        return last
 
     # ------------------------------------------------------------------
     # Shared bookkeeping

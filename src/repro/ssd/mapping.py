@@ -200,9 +200,10 @@ class MappingTable:
         return self.update(lpn, UNMAPPED)
 
     def silent_update(self, lpn: int, psa: int) -> int:
-        """Update without metadata cost (used by GC when it migrates a
-        sector: real FTLs piggyback those map updates on the migration
-        destination block's OOB and the eventual TP write)."""
+        """Update without metadata cost (recovery's rebuild; GC migrations
+        take :meth:`silent_update_run`: real FTLs piggyback those map
+        updates on the migration destination block's OOB and the eventual
+        TP write)."""
         self._check_lpn(lpn)
         old = self._l2p_view[lpn]
         self._l2p_view[lpn] = psa
@@ -253,19 +254,30 @@ class MappingTable:
         self._since_sync = since
         return olds, merged
 
-    def silent_update_page(self, lpns: list[int], first_psa: int) -> list[int]:
-        """:meth:`silent_update` for one flash page's sectors
-        (``lpns[i]`` to ``first_psa + i``); returns the old PSAs."""
-        olds: list[int] = []
-        l2p = self._l2p_view
-        num_lpns = self.num_lpns
-        psa = first_psa
-        for lpn in lpns:
-            if not 0 <= lpn < num_lpns:
-                self._check_lpn(lpn)
-            olds.append(l2p[lpn])
-            l2p[lpn] = psa
-            psa += 1
+    def silent_update_run(self, lpns: np.ndarray, psas: np.ndarray) -> np.ndarray:
+        """:meth:`silent_update` for a run of sectors in array operations:
+        ``lpns[i]`` to ``psas[i]`` (``int64`` arrays; the PSAs distinct,
+        as fresh sectors are).  Returns the old PSAs.
+
+        Equal in every effect to calling ``silent_update`` per sector in
+        order: a repeated LPN's later slot gets the earlier slot's PSA as
+        its old PSA and keeps the last PSA, and an out-of-range LPN raises
+        :class:`IndexError` once the sectors ahead of it are applied."""
+        if len(lpns) and (lpns.min() < 0 or lpns.max() >= self.num_lpns):
+            bad = int(((lpns < 0) | (lpns >= self.num_lpns)).argmax())
+            self.silent_update_run(lpns[:bad], psas[:bad])
+            self._check_lpn(int(lpns[bad]))
+        l2p = self.l2p
+        olds = l2p[lpns]
+        l2p[lpns] = psas
+        if (l2p[lpns] != psas).any():
+            # A repeated LPN (only one of its slots reads back its own
+            # PSA): undo, then apply the run one sector at a time.
+            l2p[lpns] = olds
+            view = self._l2p_view
+            for i, (lpn, psa) in enumerate(zip(lpns.tolist(), psas.tolist())):
+                olds[i] = view[lpn]
+                view[lpn] = psa
         return olds
 
     def checkpoint(self) -> MappingEvents:

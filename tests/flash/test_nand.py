@@ -223,3 +223,32 @@ def test_write_pointer_invariant_property(ops):
         ptr = int(nand.block_write_ptr[block])
         assert np.all(states[:ptr] == PageState.PROGRAMMED)
         assert np.all(states[ptr:] == PageState.FREE)
+
+
+def test_clone_copies_each_state_array_once():
+    # Fleet shards and crash sweeps clone the NAND on every power cut:
+    # the twin's arrays are the only large allocations it may make.
+    import tracemalloc
+
+    from repro.ssd.presets import mqsim_baseline
+
+    nand = NandArray(mqsim_baseline().geometry)
+    nand.program(0, lpn=7, oob=(7, 8))
+    nbytes = sum(array.nbytes for array in (
+        nand.page_state, nand.page_lpn, nand.page_seq, nand.block_erase_count,
+        nand.block_write_ptr, nand.page_oob, nand.page_oob_len))
+    tracemalloc.start()
+    try:
+        twin = nand.clone()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes <= peak <= 1.2 * nbytes
+    # The twin's views alias its own arrays, not the original's.
+    twin.program(1, lpn=9, oob=(9,))
+    twin.erase(5)
+    assert twin.read_oob(1) == (9,) and nand.is_free(1)
+    assert twin.block_erase_count[5] == 1 and nand.block_erase_count[5] == 0
+    assert twin.read_oob(0) == nand.read_oob(0) == (7, 8)
+    assert twin.wear_summary() != nand.wear_summary()
+    assert twin.counters.programs == 2 and nand.counters.programs == 1

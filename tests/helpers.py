@@ -134,3 +134,43 @@ def scan_candidates(selector, plane: int, exclude=()) -> list[int]:
             continue  # not fully written: still has free pages
         result.append(block)
     return result
+
+
+def migrate_per_page(ftl, lpns, reason) -> None:
+    """Reference for ``Ftl._migrate_sectors``: the per-page silent
+    migration loop it replaced, as GC ran it (``_in_gc`` set, so no
+    free-space check).
+
+    Each page of ``spp`` sectors is allocated (a program failure retires
+    the block right there), programmed, mapped one sector at a time with
+    ``silent_update``, stamped, cleared of its owned old copies and of
+    superseded pSLC copies, and counted towards RAIN — all before the
+    next page is allocated.  Install it with
+    ``ftl._migrate_sectors = functools.partial(migrate_per_page, ftl)``
+    so nested migrations (a retirement's) take it too."""
+    from repro.ssd.ops import FlashOp, OpKind
+
+    spp, ppb = ftl._spp, ftl._ppb
+    lpns = [int(lpn) for lpn in lpns]
+    for start in range(0, len(lpns), spp):
+        page = lpns[start : start + spp]
+        stream = ftl._route("gc", page) if ftl._routed else "gc"
+        ppn = ftl._allocate_programmable_page(stream)
+        ftl.nand.program(ppn, lpn=page[0], oob=page)
+        ftl._emit(FlashOp(OpKind.PROGRAM, ppn, reason, ftl._page_size))
+        base = ppn * spp
+        olds = [ftl.mapping.silent_update(lpn, psa)
+                for psa, lpn in enumerate(page, base)]
+        for psa, lpn in enumerate(page, base):
+            ftl.p2l[psa] = lpn
+            ftl.sector_valid[psa] = True
+        ftl.block_valid[ppn // ppb] += len(page)
+        for psa, (lpn, old) in enumerate(zip(page, olds), base):
+            ftl._invalidate_old_copy(lpn, old, psa)
+        if ftl.pslc.enabled:
+            for psa, lpn in enumerate(page, base):
+                pslc_psa = ftl.pslc.lookup(lpn)
+                if pslc_psa is not None and pslc_psa != psa:
+                    ftl.pslc.invalidate(lpn)
+        if ftl.rain.on_data_page(ppn):
+            ftl._program_parity_page()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, PlannedFaultInjector
-from repro.flash.errors import ReliabilityModel
+from repro.flash.errors import FailureInjector, ReliabilityModel
 from repro.flash.timing import profile
 from repro.obs.events import ResourceBusy
 from repro.ssd.device import SimulatedSSD
@@ -353,8 +353,7 @@ def _duplicate_lpns_in_one_page(rec: _Recorder) -> None:
     rec.command("flush")
     ftl._ops = []
     ftl._program_data_page([7, 7, 9], stream="host", reason=OpReason.HOST)
-    ftl._program_data_page([9, 3, 9, 3], stream="gc", reason=OpReason.GC,
-                           silent_map=True)
+    ftl._migrate_sectors([9, 3, 9, 3], OpReason.GC)
     rec(ftl._ops)
     ftl.check_invariants()
 
@@ -375,8 +374,7 @@ def _stale_and_disowned_old_copies(rec: _Recorder) -> None:
     ftl.block_valid[disowned // (4 * ftl.geometry.pages_per_block)] -= 1
     ftl._ops = []
     ftl._program_data_page([5, 6], stream="host", reason=OpReason.HOST)
-    ftl._program_data_page([5, 6], stream="gc", reason=OpReason.GC,
-                           silent_map=True)
+    ftl._migrate_sectors([5, 6], OpReason.GC)
     rec(ftl._ops)
     assert ftl.sector_valid[ftl.mapping.l2p[20]]
 
@@ -394,6 +392,44 @@ def _trims_interleaved(rec: _Recorder) -> None:
     rec.command("flush")
     assert device.ftl.stats.trimmed_sectors > 0
     assert device.ftl.stats.gc_invocations > 0
+
+
+def _program_fails_during_gc(rec: _Recorder) -> None:
+    # A RAIN device whose programs fail at random: a failing page in the
+    # middle of a victim retires its block (which may hold the victim's
+    # earlier pages, so they migrate again), and 15+1 stripes close in
+    # the middle of victims. Fill half the device, then overwrite it.
+    device = rec.device
+    ftl = device.ftl
+    injector = ftl.injector = FailureInjector(seed=4, program_fail_prob=7e-4)
+    depth = failures_in_migration = 0
+    migrate, fails = ftl._migrate_block_contents, injector.program_fails
+
+    def migrating(*args, **kwargs):
+        nonlocal depth
+        depth += 1
+        try:
+            return migrate(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    def counted(ppn):
+        nonlocal failures_in_migration
+        failed = fails(ppn)
+        failures_in_migration += failed and depth > 0
+        return failed
+
+    ftl._migrate_block_contents = migrating
+    injector.program_fails = counted
+    span = device.num_sectors // 2 // 8 * 8
+    for lba in range(0, span, 8):
+        rec.write(lba, 8)
+    rng = np.random.default_rng(21)
+    for _ in range(20_000):
+        rec.write(int(rng.integers(span // 8)) * 8, 8)
+    rec.command("flush")
+    assert failures_in_migration >= 5
+    assert ftl.stats.blocks_retired == injector.program_failures > 20
 
 
 def _four_sector_pages(config, **changes):
@@ -421,6 +457,8 @@ _PAGE_PATH_PINS = [
      "a2708428b302fa2d785f02928a456cc244d5521deaf912835a185df4e1670fc0"),
     (lambda: _four_sector_pages(tiny()), _trims_interleaved,
      "d2db2861b72207543cacf0b66d7a6eac68fa5e17302cb647772f13b163bd47c4"),
+    (lambda: mx500_like(scale=2), _program_fails_during_gc,
+     "b6b57dc67c023b62c9dd01b578c857047748d80798fd68d95003e0210efe0c93"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Mapping table: TP dirty tracking, checkpoints, chunk demand loading."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,7 +271,10 @@ def test_page_calls_equal_per_sector_calls_property(pages, chunked, dirty,
         for table, by_page in ((paged, True), (looped, False)):
             try:
                 if silent and by_page:
-                    outcome = (table.silent_update_page(lpns, first_psa), None)
+                    outcome = (table.silent_update_run(
+                        np.array(lpns, dtype=np.int64),
+                        np.arange(first_psa, first_psa + len(lpns))).tolist(),
+                        None)
                 elif silent:
                     outcome = ([table.silent_update(lpn, psa) for psa, lpn
                                 in enumerate(lpns, first_psa)], None)
@@ -362,6 +366,6 @@ def test_update_page_applies_nothing_after_an_out_of_range_lpn():
     assert table.lookup(5)[0] == UNMAPPED
     assert table.stats.updates == 1
     with pytest.raises(IndexError, match="lpn -1 out of range"):
-        table.silent_update_page([4, -1, 6], 200)
+        table.silent_update_run(np.array([4, -1, 6]), np.arange(200, 203))
     assert table.lookup(4)[0] == 200
     assert table.lookup(6)[0] == UNMAPPED
