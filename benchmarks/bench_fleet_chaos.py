@@ -1,13 +1,12 @@
-"""Fleet chaos campaign: zero-AFR byte-identity and degraded-tail pins.
+"""Fleet chaos campaign: zero-AFR identity and degraded-tail pins.
 
-Runs the 256-device reference fleet (identical to
-``bench_fleet_scaling``: three tenants, ``tiny`` preset, seed 42) under
-the ``default`` fault campaign and asserts the chaos layer's three
-load-bearing properties:
+Runs the 256-device reference fleet (three tenants, ``tiny`` preset,
+seed 42) fault-free, then under the ``default`` fault campaign, and
+asserts the chaos layer's three load-bearing properties:
 
-* **zero-AFR identity** — the campaign at AFR 0 produces the exact
-  SLO table of PR 8's golden ``fleet_slo.csv``, byte for byte: wiring
-  the chaos machinery in must cost the fault-free path nothing;
+* **zero-AFR identity** — the campaign at AFR 0 produces exactly the
+  fault-free fleet's SLO table: wiring the chaos machinery in must
+  cost the fault-free path nothing;
 * **campaign reproducibility** — the nonzero-AFR campaign's per-device
   results are byte-identical across worker counts (jobs 1 vs 2) and
   shard plans (1 vs 8): which devices fail, when, and how is a pure
@@ -18,8 +17,10 @@ load-bearing properties:
   to the fault-free baseline — chaos must be *visible* in the merged
   distribution, not averaged away.
 
-Persists ``fleet_chaos.csv`` (campaign summary + healthy/faulted tail
-split).
+Persists ``fleet_slo.csv`` (the fault-free fleet's merged per-tenant
+SLO table — the golden checked at quarter scale by
+``tests/regression/test_fleet_goldens.py``) and ``fleet_chaos.csv``
+(campaign summary + healthy/faulted tail split).
 """
 
 import pickle
@@ -27,10 +28,11 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, run_once
+from benchmarks.conftest import run_once
 from repro.exp import Runner
 from repro.fleet import (
     CAMPAIGNS,
+    CampaignSpec,
     FleetSpec,
     aggregate_fleet,
     campaign_device_plans,
@@ -43,13 +45,17 @@ IO_COUNT = 150
 SEED = 42
 
 
+def fleet_spec(campaign: CampaignSpec | None = None) -> FleetSpec:
+    return FleetSpec(tenants=default_tenants(io_count=IO_COUNT),
+                     devices=DEVICES, preset="tiny", seed=SEED,
+                     campaign=campaign)
+
+
 def campaign_spec(afr: float | None = None) -> FleetSpec:
     campaign = CAMPAIGNS["default"]
     if afr is not None:
         campaign = replace(campaign, afr=afr)
-    return FleetSpec(tenants=default_tenants(io_count=IO_COUNT),
-                     devices=DEVICES, preset="tiny", seed=SEED,
-                     campaign=campaign)
+    return fleet_spec(campaign)
 
 
 def _fleet(spec: FleetSpec, jobs: int, shards: int | None):
@@ -59,26 +65,30 @@ def _fleet(spec: FleetSpec, jobs: int, shards: int | None):
 
 
 @pytest.mark.benchmark(group="fleet-chaos")
-def test_fleet_chaos(benchmark, figure_output, tmp_path):
+def test_fleet_chaos(benchmark, figure_output):
     def experiment():
+        _, fault_free = _fleet(fleet_spec(), 1, None)
         zero = _fleet(campaign_spec(afr=0.0), 1, None)
         chaos = {
             (jobs, shards): _fleet(campaign_spec(), jobs, shards)
             for jobs, shards in ((1, None), (2, None), (1, 1), (1, 8))
         }
-        return zero, chaos
+        return fault_free, zero, chaos
 
-    (zero_devices, zero_report), chaos = run_once(benchmark, experiment)
+    fault_free, (zero_devices, zero_report), chaos = run_once(
+        benchmark, experiment)
 
-    # Zero-AFR identity: the campaign-at-rest SLO table reproduces the
-    # PR 8 golden byte for byte.
-    from repro.analysis.report import write_csv
+    headers, rows = fault_free.slo_table()
+    figure_output(
+        "fleet_slo",
+        f"Fleet SLO table — {DEVICES} x tiny, default mix, seed {SEED}",
+        headers, rows,
+    )
+    assert fault_free.ok, fault_free.violations
 
-    golden = RESULTS_DIR / "fleet_slo.csv"
-    assert golden.exists(), "run bench_fleet_scaling first (golden missing)"
-    headers, rows = zero_report.slo_table()
-    write_csv(tmp_path / "fleet_slo.csv", headers, rows)
-    assert (tmp_path / "fleet_slo.csv").read_bytes() == golden.read_bytes()
+    # Zero-AFR identity: the campaign at rest reproduces the fault-free
+    # SLO table exactly.
+    assert zero_report.slo_table() == (headers, rows)
     assert zero_report.availability == 1.0
     assert zero_report.durability_ok
 

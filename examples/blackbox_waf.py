@@ -39,8 +39,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("running the three workloads separately, then concurrently "
           "(this takes a minute)...\n")
-    study = run_waf_study(lambda: SimulatedSSD(mx500_like(scale=2)),
-                          io_count=12_000)
+    study = run_waf_study(mx500_like(scale=2), io_count=12_000)
     rows = [[w.name, w.requests, w.host_pages, w.ftl_pages, w.waf]
             for w in study.separate]
     print(format_table(

@@ -368,23 +368,7 @@ def cmd_latency(args) -> int:
                   arrival=args.arrival)
     runner = _make_runner(args)
     cell = Cell(run_timed_job_cell, TimedJobCell(config, job), label="cli:latency")
-    if args.profile:
-        # Profile-driven perf work: run the cell under cProfile and dump
-        # the top cumulative hotspots to stderr (stdout stays parseable).
-        import cProfile
-        import io as _io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        [result] = runner.run([cell])
-        profiler.disable()
-        stream = _io.StringIO()
-        pstats.Stats(profiler, stream=stream).sort_stats(
-            "cumulative").print_stats(25)
-        print(stream.getvalue(), file=sys.stderr)
-    else:
-        [result] = runner.run([cell])
+    [result] = runner.run([cell])
     job_result = result.jobs["cli"]
     summary = summarize_latencies(job_result.latencies_us)
     loop = (f"open loop @ {args.rate:g} IOPS ({args.arrival})"
@@ -955,9 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrival", default="poisson",
                    choices=["poisson", "fixed"],
                    help="open-loop inter-arrival distribution")
-    p.add_argument("--profile", action="store_true",
-                   help="run under cProfile; print the top-25 cumulative "
-                        "hotspots to stderr")
     parallel(p)
     p.set_defaults(fn=cmd_latency)
 

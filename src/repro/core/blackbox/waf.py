@@ -14,18 +14,17 @@ The paper's protocol on the MX500:
 
 The paper measures 0.9 against a 0.56 prediction — black-box
 extrapolation off by nearly 2×.  This module reproduces the protocol
-verbatim against any device factory, so the experiment runs on matched
-fresh devices (as remounting/priming the real drive resets comparable
+verbatim on a device configuration: every run gets its own freshly
+primed device (as remounting/priming the real drive resets comparable
 state).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.exp.cell import Cell
-from repro.exp.runner import Runner, run_cells
+from repro.exp.runner import Runner
 from repro.ssd.config import SsdConfig
 from repro.ssd.host import HostDevice
 from repro.workloads.engine import run_counter
@@ -78,7 +77,6 @@ def default_jobs(num_sectors: int, io_count: int = 24_000) -> list[JobSpec]:
 def prime(device: HostDevice, fraction: float = 0.6, seed: int = 5) -> None:
     """Put the drive in its 'priming stage': sequentially fill a portion
     of the LBA space so the FTL has mapped state but little GC debt."""
-    import numpy as np
     sectors = int(device.num_sectors * fraction)
     step = 8
     for lba in range(0, sectors, step):
@@ -117,64 +115,29 @@ def measure_waf_cell(spec: WafCellSpec, seed: int = 0) -> WorkloadWaf:
 
 
 def run_waf_study(
-    device_factory: Callable[[], HostDevice] | None = None,
+    config: SsdConfig,
     jobs: list[JobSpec] | None = None,
     io_count: int = 24_000,
     prime_fraction: float = 0.6,
-    config: SsdConfig | None = None,
     runner: Runner | None = None,
 ) -> WafStudy:
-    """Execute the full separate-then-mixed protocol.
+    """Execute the full separate-then-mixed protocol on *config*.
 
-    Two entry modes:
-
-    * ``device_factory`` builds one fresh device per run so every run
-      starts from an identically-primed drive (legacy serial path —
-      closures cannot cross process boundaries);
-    * ``config`` describes a counter-mode
-      :func:`~repro.ssd.device.SimulatedSSD` per run, making each of
-      the four runs (three separate + mixed) a picklable
-      :class:`~repro.exp.cell.Cell` that *runner* can fan out.  Both
-      paths produce identical numbers.
+    Each of the four runs (three separate + mixed) primes its own fresh
+    counter-mode device, so every run is a picklable
+    :class:`~repro.exp.cell.Cell` that *runner* can fan out; without a
+    runner they execute in-process through ``Runner(jobs=1)``.
     """
-    if (device_factory is None) == (config is None):
-        raise ValueError("pass exactly one of device_factory or config")
-
-    if config is not None:
-        if jobs is None:
-            jobs = default_jobs(config.logical_sectors, io_count)
-        specs = [WafCellSpec(config, (job,), prime_fraction) for job in jobs]
-        specs.append(WafCellSpec(config, tuple(jobs), prime_fraction))
-        cells = [Cell(measure_waf_cell, spec, label=f"waf:{'+'.join(j.name for j in spec.jobs)}")
-                 for spec in specs]
-        results = run_cells(cells, runner)
-        separate = results[:-1]
-        measured = results[-1].waf
-    else:
-        probe_device = device_factory()
-        if jobs is None:
-            jobs = default_jobs(probe_device.num_sectors, io_count)
-
-        separate = []
-        for job in jobs:
-            device = device_factory()
-            prime(device, prime_fraction)
-            before = device.smart_snapshot()
-            run_counter(device, [job])
-            delta = device.smart.delta(before)
-            separate.append(WorkloadWaf(
-                name=job.name,
-                waf=delta.waf(),
-                requests=job.io_count,
-                host_pages=delta.host_program_pages,
-                ftl_pages=delta.ftl_program_pages,
-            ))
-
-        mixed_device = device_factory()
-        prime(mixed_device, prime_fraction)
-        before = mixed_device.smart_snapshot()
-        run_counter(mixed_device, jobs)
-        measured = mixed_device.smart.delta(before).waf()
+    if jobs is None:
+        jobs = default_jobs(config.logical_sectors, io_count)
+    specs = [WafCellSpec(config, (job,), prime_fraction) for job in jobs]
+    specs.append(WafCellSpec(config, tuple(jobs), prime_fraction))
+    cells = [Cell(measure_waf_cell, spec,
+                  label=f"waf:{'+'.join(j.name for j in spec.jobs)}")
+             for spec in specs]
+    results = (runner or Runner(jobs=1)).run(cells)
+    separate = results[:-1]
+    measured = results[-1].waf
 
     # The paper's prediction: weight each workload's WAF by its IOPS
     # share.  In the interleaved mixed run each job issues its io_count

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from repro.analysis.stats import (
     tail_curve,
 )
 from repro.exp.cell import Cell
-from repro.exp.runner import Runner, run_cells
+from repro.exp.runner import Runner
 from repro.ssd.config import SsdConfig
 from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_timed
@@ -132,8 +131,7 @@ class FidelityStudy:
 class FidelityCellSpec:
     """One (variant, request size) point of the Fig 3 grid — the unit
     the parallel runner fans out.  ``trace_path`` makes the cell write
-    its own JSONL event trace from inside the worker (the parallel
-    replacement for the in-process ``on_device`` hook)."""
+    its own JSONL event trace from inside the worker."""
 
     variant: str
     config: SsdConfig
@@ -151,17 +149,13 @@ def fidelity_trace_path(trace_dir: str | Path, variant: str, bs: int,
     return Path(trace_dir) / f"{prefix}_{safe}_bs{bs}.jsonl"
 
 
-def measure_fidelity_cell(
-    spec: FidelityCellSpec,
-    seed: int = 0,
-    _on_device: Callable[[TimedSSD, str, int], None] | None = None,
-) -> VariantResult:
+def measure_fidelity_cell(spec: FidelityCellSpec,
+                          seed: int = 0) -> VariantResult:
     """Measure one variant at one request size on a fresh device.
 
     Pure in (spec, seed) — the device is built, preconditioned,
     measured, and discarded here, which is what makes the study grid
-    embarrassingly parallel.  ``_on_device`` is the legacy in-process
-    hook; the picklable path uses ``spec.trace_path`` instead.
+    embarrassingly parallel.
     """
     device = TimedSSD(spec.config)
     _precondition(device, spec.precondition_fraction)
@@ -171,8 +165,6 @@ def measure_fidelity_cell(
 
         sink = JsonlSink(spec.trace_path)
         device.attach_sink(sink)
-    if _on_device is not None:
-        _on_device(device, spec.variant, spec.bs_sectors)
     job = JobSpec(
         name=f"{spec.variant}/bs{spec.bs_sectors}",
         rw="randwrite",
@@ -204,7 +196,6 @@ def run_fidelity_study(
     precondition_fraction: float = 0.75,
     tail_points: int = 40,
     variants: list[FtlVariant] | None = None,
-    on_device: Callable[[TimedSSD, str, int], None] | None = None,
     runner: Runner | None = None,
     trace_dir: str | Path | None = None,
     trace_prefix: str = "fidelity",
@@ -218,19 +209,15 @@ def run_fidelity_study(
     Every (variant, request size) point is an independent
     :class:`~repro.exp.cell.Cell`; passing *runner* fans them out over
     worker processes (``REPRO_JOBS`` controls the width) with results
-    merged back in grid order, byte-identical to the serial run.
+    merged back in grid order, byte-identical to the serial
+    ``Runner(jobs=1)`` run used when no runner is given.
 
     Tracing: pass *trace_dir* to have each cell stream its own JSONL
     event trace (named by :func:`fidelity_trace_path`) from inside the
     worker; traced cells bypass the result cache since the trace is a
-    side effect.  ``on_device(device, variant_name, bs_sectors)`` is
-    the legacy in-process hook, called after preconditioning — it
-    cannot cross a process boundary, so it requires ``runner=None``.
+    side effect.
     """
     variants = variants if variants is not None else paper_variants(base)
-    if on_device is not None and runner is not None:
-        raise ValueError(
-            "on_device is an in-process hook; use trace_dir with a runner")
     specs = [
         FidelityCellSpec(
             variant=variant.name,
@@ -246,11 +233,6 @@ def run_fidelity_study(
         for variant in variants
         for bs in block_sizes_sectors
     ]
-    study = FidelityStudy()
-    if on_device is not None:
-        study.results = [measure_fidelity_cell(spec, _on_device=on_device)
-                         for spec in specs]
-        return study
     cells = [
         Cell(
             measure_fidelity_cell,
@@ -260,8 +242,7 @@ def run_fidelity_study(
         )
         for spec in specs
     ]
-    study.results = run_cells(cells, runner)
-    return study
+    return FidelityStudy((runner or Runner(jobs=1)).run(cells))
 
 
 def _precondition(device: TimedSSD, fraction: float, seed: int = 3) -> None:

@@ -45,7 +45,6 @@ from repro.exp.runner import (
     Runner,
     RunnerStats,
     resolve_jobs,
-    run_cells,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "default_cache_dir",
     "execute_cell",
     "resolve_jobs",
-    "run_cells",
     "run_churn_cell",
     "run_nand_page_sweep_cell",
     "run_pslc_burst_cell",

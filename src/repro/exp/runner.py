@@ -15,7 +15,10 @@ Worker count resolution (first match wins):
 
 ``jobs=1`` (or a single pending cell) runs everything in-process with
 no executor, so the serial path has zero multiprocessing overhead and
-is always available as the reference behavior.
+is always available as the reference behavior.  It is also what a
+study function called without a runner uses: ``Runner(jobs=1)`` is the
+one serial executor, so a serial study and a parallel one differ only
+in the worker count.
 
 A worker exception is re-raised in the parent as
 :class:`~repro.exp.cell.CellError` carrying the failing cell's identity
@@ -357,20 +360,3 @@ class Runner:
             index, exc = failed
             raise CellError(cells[index], index, exc, salt=self.salt) from exc
         return sorted(broken), sorted(timed)
-
-
-def run_cells(cells: Sequence[Cell], runner: Runner | None = None) -> list[Any]:
-    """Run cells through *runner*, or serially in-process when ``None``.
-
-    The ``None`` path is the zero-dependency fallback study functions
-    use so their legacy signatures keep working unchanged.
-    """
-    if runner is not None:
-        return runner.run(cells)
-    out = []
-    for index, cell in enumerate(cells):
-        try:
-            out.append(execute_cell(cell))
-        except Exception as exc:
-            raise CellError(cell, index, exc) from exc
-    return out

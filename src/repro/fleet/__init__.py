@@ -22,9 +22,11 @@ open-loop traffic and folds them into fleet-level SLO verdicts:
 Wall-clock scales with cores (shards fan out over the
 :class:`~repro.exp.runner.Runner`); transport cost scales with sketch
 size, not op count; and fleet output is byte-identical across shard
-and worker counts (pinned by ``benchmarks/bench_fleet_scaling.py``).
+and worker counts (pinned by ``tests/fleet/test_shard.py`` and
+``benchmarks/bench_fleet_chaos.py``).
 """
 
+from repro.exp import Runner
 from repro.fleet.aggregate import (
     REPORT_QUANTILES,
     FleetReport,
@@ -116,7 +118,8 @@ __all__ = [
 ]
 
 
-def run_fleet(spec: FleetSpec, runner=None, shards: int | None = None,
+def run_fleet(spec: FleetSpec, runner: Runner | None = None,
+              shards: int | None = None,
               keep_going: bool = False) -> FleetReport:
     """Run a whole fleet and aggregate it — the one-call entry point."""
     return aggregate_fleet(

@@ -28,7 +28,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exp import Cell, ResultCache, Runner, run_cells
+from repro.exp import Cell, ResultCache, Runner
 from repro.exp.hashing import stable_digest
 from repro.fleet.sketch import QuantileSketch
 from repro.fleet.spec import FleetSpec
@@ -352,7 +352,7 @@ def run_fleet_devices(
     failed rather than silently missing.
     """
     cells = fleet_cells(spec, shards, keep_going=keep_going)
-    shard_results = run_cells(cells, runner)
+    shard_results = (runner or Runner(jobs=1)).run(cells)
     devices: list[DeviceResult | FailedDevice] = []
     for cell, shard in zip(cells, shard_results):
         if shard is None:

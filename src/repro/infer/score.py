@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exp import Cell, Runner, run_cells
+from repro.exp import Cell, Runner
 from repro.infer.grid import KNOBS, PolicyPoint, random_points
 from repro.infer.harness import RoundTrip, run_round_trip
 
@@ -103,5 +103,6 @@ def run_transparency_sweep(n_points: int, seed: int = 0,
                            runner: Runner | None = None) -> TransparencyScore:
     """Score *n_points* seeded random grid points through both loops."""
     points = random_points(n_points, seed=seed)
-    trips = run_cells(transparency_cells(points, seed=seed), runner)
+    trips = (runner or Runner(jobs=1)).run(
+        transparency_cells(points, seed=seed))
     return TransparencyScore(tuple(trips))

@@ -57,7 +57,7 @@ class TestWafStudy:
     @pytest.fixture(scope="class")
     def study(self):
         return run_waf_study(
-            lambda: SimulatedSSD(mx500_like(scale=2)),
+            mx500_like(scale=2),
             io_count=6000,
             prime_fraction=0.5,
         )

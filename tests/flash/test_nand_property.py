@@ -231,6 +231,15 @@ class TestIncrementalStatsRegression:
         nand.reindex_wear()
         assert nand.wear_summary() == incremental
 
+    def test_wear_summary_reads_no_per_block_array(self):
+        """O(1) per call: the summary never rescans ``block_erase_count``."""
+        nand = NandArray(GEOM)
+        for block in (0, 1, 1, 3):
+            nand.erase(block)
+        expected = nand.wear_summary()
+        nand.block_erase_count = None  # any rescan would raise here
+        assert nand.wear_summary() == expected
+
     def test_staged_erase_counts_need_reindex(self):
         nand = NandArray(GEOM)
         nand.block_erase_count[:] = [5, 1, 9, 0, 3, 2][:BLOCKS]

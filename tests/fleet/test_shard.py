@@ -132,6 +132,23 @@ class TestShardInvariance:
         two = run_fleet_devices(spec, Runner(jobs=2, cache=None), shards=3)
         assert [pickle.dumps(d) for d in one] == [pickle.dumps(d) for d in two]
 
+    def test_no_runner_runs_in_process_whatever_repro_jobs(self, monkeypatch):
+        """Without a runner a study runs through ``Runner(jobs=1)``: in
+        process, with no pool, even when REPRO_JOBS asks for workers."""
+        import repro.exp.runner as runner_mod
+
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(kwargs)
+            raise OSError("no pool expected")
+
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", no_pool)
+        results = run_fleet_devices(small_fleet(devices=4), shards=2)
+        assert [r.index for r in results] == list(range(4))
+        assert pools == []
+
 
 class TestFailFast:
     def test_error_names_exact_device(self, monkeypatch):

@@ -80,11 +80,10 @@ class TestFig4bWafExtrapolationGap:
     @pytest.fixture(scope="class")
     def study(self):
         from repro.core.blackbox.waf import run_waf_study
-        from repro.ssd.device import SimulatedSSD
         from repro.ssd.presets import mx500_like
 
         return run_waf_study(
-            lambda: SimulatedSSD(mx500_like(scale=4)),
+            mx500_like(scale=4),
             io_count=4000,
             prime_fraction=0.5,
         )

@@ -9,11 +9,18 @@ imply the golden figure CSVs are runner-invariant.
 
 import numpy as np
 
-from repro.core.blackbox.waf import run_waf_study
+from repro.core.blackbox.waf import (
+    WafCellSpec,
+    default_jobs,
+    measure_waf_cell,
+    prime,
+    run_waf_study,
+)
 from repro.core.modeling.fidelity import run_fidelity_study
 from repro.exp import Cell, ChurnCell, ResultCache, Runner, run_churn_cell
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
+from repro.workloads.engine import run_counter
 
 
 class TestFidelityEquivalence:
@@ -47,18 +54,26 @@ class TestFidelityEquivalence:
 
 
 class TestWafEquivalence:
-    def test_config_path_matches_legacy_factory_path(self):
+    def test_parallel_study_identical_to_serial(self):
         config = tiny()
-        legacy = run_waf_study(
-            device_factory=lambda: SimulatedSSD(config), io_count=500)
+        serial = run_waf_study(config, io_count=500)
         runner = Runner(jobs=None, cache=None)
-        parallel = run_waf_study(config=config, io_count=500, runner=runner)
-        assert [w.waf for w in legacy.separate] == \
-            [w.waf for w in parallel.separate]
-        assert [w.host_pages for w in legacy.separate] == \
-            [w.host_pages for w in parallel.separate]
-        assert legacy.measured_mixed_waf == parallel.measured_mixed_waf
-        assert legacy.expected_mixed_waf == parallel.expected_mixed_waf
+        parallel = run_waf_study(config, io_count=500, runner=runner)
+        assert serial == parallel
+
+    def test_cell_matches_a_hand_primed_device(self):
+        """A WAF cell is the paper's protocol on one fresh device:
+        prime, snapshot SMART, run the jobs, take the delta."""
+        config = tiny()
+        job = default_jobs(config.logical_sectors, io_count=500)[0]
+        device = SimulatedSSD(config)
+        prime(device, 0.6)
+        before = device.smart_snapshot()
+        run_counter(device, [job])
+        delta = device.smart.delta(before)
+        cell = measure_waf_cell(WafCellSpec(config, (job,), 0.6))
+        assert (cell.waf, cell.host_pages, cell.ftl_pages) == (
+            delta.waf(), delta.host_program_pages, delta.ftl_program_pages)
 
 
 class TestChurnEquivalence:

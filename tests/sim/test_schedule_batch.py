@@ -2,6 +2,8 @@
 ``schedule`` loop: same clamping, same tie-breaking, same firing order —
 batching changes admission cost, never the timeline."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,23 @@ def test_batch_interleaves_with_scheduled_events():
     kernel.schedule(10, cb(3))
     kernel.run()
     assert log == [(10, 0), (10, 1), (10, 2), (10, 3)]
+
+
+def test_admission_cost_shape(monkeypatch):
+    """A batch that dominates the heap is admitted with one heapify and
+    no per-event push; small batches into a large heap push one by one
+    and never re-heapify the whole list."""
+    calls = []
+    for name in ("heapify", "heappush"):
+        real = getattr(heapq, name)
+        monkeypatch.setattr(heapq, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    kernel = Kernel()
+    kernel.schedule_batch([(i, lambda: None, ()) for i in range(1_000)])
+    assert calls == ["heapify"]
+
+    kernel.schedule_batch([(i, lambda: None, ()) for i in range(10)])
+    assert calls == ["heapify"] + ["heappush"] * 10
 
 
 @pytest.mark.parametrize("count", [1, 64, 65, 500])
