@@ -133,7 +133,14 @@ class PageAllocator:
             raise ValueError(f"unknown stream {stream!r}")
         counters[stream] = index + 1
         target = self.plane_for_index(index)
-        # The policy's plane first: its open block almost always has room.
+        # The policy's plane first: its open block almost always has
+        # room, and then the page is that block's next one.
+        active = self._active.get((target, stream))
+        if active is not None:
+            page = active.next_page
+            if page < self._ppb:
+                active.next_page = page + 1
+                return active.block_index * self._ppb + page
         ppn = self._page_in_plane(target, stream)
         if ppn is not None:
             return ppn

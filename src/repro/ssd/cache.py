@@ -30,8 +30,8 @@ class WriteCache:
     pending, so the new version replaces it and no flash write is owed for
     the older one (write absorption).  When occupancy exceeds the
     capacity, the FTL asks for flush batches until it fits again.  The
-    eviction policy (default ``lru``) decides which pending sector each
-    flush batch drains next and whether a hit refreshes recency.
+    eviction policy (default ``lru``) decides which pending sectors each
+    flush batch drains and whether a hit refreshes recency.
     """
 
     def __init__(
@@ -45,34 +45,33 @@ class WriteCache:
             eviction = cache_eviction_policies.resolve(eviction)()
         self.eviction = eviction.name
         self._on_hit = eviction.on_hit  # bound once: no per-op dispatch
-        self._pop = eviction.pop
+        self._take = eviction.take
         self.capacity = capacity_sectors
-        self._pending: OrderedDict[int, None] = OrderedDict()
+        #: the pending LPNs in the eviction policy's order.  Only the
+        #: cache and its policy mutate it; the FTL's write path reads its
+        #: length to decide when to flush.
+        self.pending: OrderedDict[int, None] = OrderedDict()
         self.obs: TraceSink = NULL_SINK
         self.hits = 0
         self.insertions = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def __contains__(self, lpn: int) -> bool:
-        return lpn in self._pending
-
-    @property
-    def needs_flush(self) -> bool:
-        return len(self._pending) > self.capacity
+        return lpn in self.pending
 
     def insert(self, lpn: int) -> bool:
         """Buffer one sector write; returns True if it absorbed an older
         pending write to the same LPN."""
         self.insertions += 1
-        if lpn in self._pending:
-            self._on_hit(lpn, self._pending)
+        if lpn in self.pending:
+            self._on_hit(lpn, self.pending)
             self.hits += 1
             if self.obs.enabled:
                 self.obs.emit(CacheAdmit(lpn, True))
             return True
-        self._pending[lpn] = None
+        self.pending[lpn] = None
         if self.obs.enabled:
             self.obs.emit(CacheAdmit(lpn, False))
         return False
@@ -81,11 +80,12 @@ class WriteCache:
         """:meth:`insert` sectors ``lpn, lpn + 1, ...`` up to ``stop - 1``,
         returning right after the first one that leaves the cache over
         capacity (so the caller flushes exactly where a per-sector
-        ``insert`` + ``needs_flush`` loop would).  Returns
-        ``(next_lpn, hits)``: the first sector not yet inserted and how
-        many of the inserted ones were write hits."""
-        pending = self._pending
-        capacity = self.capacity
+        ``insert`` loop checking ``len(cache) > capacity`` would).
+        Returns ``(next_lpn, hits)``: the first sector not yet inserted
+        and how many of the inserted ones were write hits."""
+        pending = self.pending
+        # Free slots left; only a miss takes one.
+        room = self.capacity - len(pending)
         obs = self.obs
         first = lpn
         hits = 0
@@ -97,17 +97,19 @@ class WriteCache:
                     obs.emit(CacheAdmit(lpn, True))
             else:
                 pending[lpn] = None
+                room -= 1
                 if obs.enabled:
                     obs.emit(CacheAdmit(lpn, False))
             lpn += 1
-            if len(pending) > capacity:
+            if room < 0:
                 break
         self.insertions += lpn - first
         self.hits += hits
         return lpn, hits
 
     def take_flush_batch(self, max_sectors: int) -> list[int]:
-        """Remove up to *max_sectors* of the oldest pending sectors.
+        """Remove up to *max_sectors* pending sectors, the next ones in
+        the eviction policy's order (one policy call for the batch).
 
         The batch is returned sorted by LPN: the FTL packs one batch into
         one flash page, and real caches coalesce neighbouring sectors so
@@ -115,27 +117,22 @@ class WriteCache:
         """
         if max_sectors < 1:
             raise ValueError("max_sectors must be >= 1")
-        pending, pop = self._pending, self._pop
-        batch = [pop(pending) for _ in range(min(max_sectors, len(pending)))]
+        pending = self.pending
+        n = min(max_sectors, len(pending))
+        if not n:
+            return []
+        batch = self._take(pending, n)
         batch.sort()
-        if batch and self.obs.enabled:
-            self.obs.emit(CacheFlush(sectors=len(batch),
-                                     pending=len(self._pending)))
+        if self.obs.enabled:
+            self.obs.emit(CacheFlush(sectors=n, pending=len(pending)))
         return batch
 
     def drop(self, lpn: int) -> bool:
         """Remove a pending sector without writing it (TRIM path)."""
-        if lpn in self._pending:
-            del self._pending[lpn]
+        if lpn in self.pending:
+            del self.pending[lpn]
             return True
         return False
-
-    def drain_batches(self, max_sectors: int) -> list[list[int]]:
-        """Empty the cache completely (host flush / shutdown)."""
-        batches = []
-        while self._pending:
-            batches.append(self.take_flush_batch(max_sectors))
-        return batches
 
     @property
     def hit_rate(self) -> float:

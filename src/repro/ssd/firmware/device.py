@@ -314,7 +314,7 @@ class HackableSSD:
         elif name == "cacheslot":
             # Pending sectors in eviction order — what the flush engine
             # would pop first sits in slot 0.
-            pending = list(ftl.cache._pending.keys())[:n]
+            pending = list(ftl.cache.pending.keys())[:n]
             if pending:
                 values[: len(pending)] = np.asarray(pending, dtype="<u4")
         elif name == "recency":

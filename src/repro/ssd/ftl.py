@@ -9,9 +9,11 @@ operation it causes.
 Write path (sectors in, flash pages out)::
 
     host request -> WriteCache.insert_run (absorb/pack, stops when over
-                    capacity) -> take_flush_batch -> [pSLC buffer] -> data page
-      per data page:  MappingTable.update_page -> stamp p2l/sector_valid
-                      -> invalidate owned old copies
+                    capacity) -> take_flush_batch (one eviction-policy
+                    take) -> [pSLC buffer] -> data page
+      per data page:  allocate -> program -> PROGRAM op -> block_valid bump
+        per sector:   map (dirty-TP lane inline, else MappingTable.update)
+                      -> stamp p2l/sector_valid -> invalidate owned old copy
                   \\-> deferred mapping events -> dirty TP -> meta page
                   \\-> RAIN stripe accounting -> parity page
                   \\-> free-block pressure -> GC migrations
@@ -269,15 +271,21 @@ class Ftl:
 
     def write(self, lpn: int, nsectors: int = 1) -> list[FlashOp]:
         """Write *nsectors* consecutive logical sectors starting at *lpn*."""
-        self._check_range(lpn, nsectors)
-        self._check_writable()
+        if nsectors < 1 or lpn < 0 or lpn + nsectors > self.num_lpns:
+            self._check_range(lpn, nsectors)
+        if self.degraded_read_only:
+            self._check_writable()
         self._host_ops += 1
         self.injector.tick(self._host_ops)
         ops = self._ops = []
         stats = self.stats
         cache = self.cache
+        pending, capacity = cache.pending, cache.capacity
         stop = lpn + nsectors
         if self._admit_always:
+            has_pslc = self._has_pslc
+            take = cache.take_flush_batch
+            spp = self._spp
             # insert_run hands back control exactly where the cache went
             # over capacity, so flushes interleave with admissions as a
             # per-sector loop's would (block_birth reads _op_seq there).
@@ -287,8 +295,11 @@ class Ftl:
                 self._op_seq += admitted_to - lpn
                 stats.cache_absorbed += hits
                 lpn = admitted_to
-                while cache.needs_flush:
-                    self._flush_one_batch()
+                while len(pending) > capacity:
+                    if has_pslc:
+                        self._flush_one_batch()
+                    else:
+                        self._program_data_page(take(spp), "host", _HOST)
             return ops
         for sector in range(lpn, stop):
             stats.host_sector_writes += 1
@@ -298,7 +309,7 @@ class Ftl:
                 continue
             if cache.insert(sector):
                 stats.cache_absorbed += 1
-            while cache.needs_flush:
+            while len(pending) > capacity:
                 self._flush_one_batch()
         return ops
 
@@ -484,7 +495,16 @@ class Ftl:
     ) -> None:
         """Program one page of host (or pSLC drain) sectors *lpns* and
         update all bookkeeping, mapping events included.  Migrations take
-        :meth:`_migrate_sectors` instead."""
+        :meth:`_migrate_sectors` instead.
+
+        One loop commits the page's sectors in slot order.  Each sector
+        is mapped, then its slot is stamped in ``p2l``/``sector_valid``,
+        then the ownership rule of :meth:`_invalidate_old_copy` clears
+        its old copy; ``block_valid`` takes one bump for the page.  This
+        equals an ``update()`` + stamp + invalidate sequence per sector:
+        ``update()`` never reads ``p2l``, and a repeated LPN's earlier
+        slot is stamped by the time its later slot's old copy (that
+        earlier slot) is checked."""
         if self.allocator.planes_at_watermark:
             self._ensure_free_space()
         spp = self._spp
@@ -498,7 +518,28 @@ class Ftl:
             self._emit(op)
         else:
             self._ops.append(op)
-        block = ppn // self._ppb
+        p2l = self._p2l_view
+        sector_valid = self._sector_valid_view
+        block_valid = self._block_valid_view
+        sectors_per_block = self._sectors_per_block
+        # One bump for the page: nothing below reads this block's count,
+        # and a repeated LPN's later slot takes the earlier slot's copy
+        # back out of it.
+        block_valid[ppn // self._ppb] += len(lpns)
+        # MappingTable.update's already-dirty-TP lane runs inline (an
+        # unchunked map, the LPN in range, its TP dirty, no checkpoint
+        # due); every other sector calls update() itself, looked up on
+        # the instance because perfbench wraps it there.  ``since`` runs
+        # ahead of the table's _since_sync by the inline updates, which
+        # are synced into it (and counted) around each such call.
+        mapping = self.mapping
+        l2p = mapping._l2p_view
+        dirty = mapping._dirty
+        tp_lpns = mapping.tp_lpns
+        sync_interval = mapping.sync_interval
+        # An upper bound of 0 sends every sector to update().
+        lane_lpns = 0 if mapping.chunk_lpns else mapping.num_lpns
+        since = mapping._since_sync
         # Mapping-eviction events come back merged and are applied only
         # once every sector of the page is mapped and its old copy
         # invalidated: applying them mid-page programs meta pages, whose
@@ -506,30 +547,34 @@ class Ftl:
         # copy is still marked valid — GC would then migrate that
         # superseded copy with a *newer* program sequence than the live
         # data, and newest-wins recovery would resurrect stale sectors.
-        base = ppn * spp
-        olds, pending_events = self.mapping.update_page(lpns, base)
-        p2l = self._p2l_view
-        sector_valid = self._sector_valid_view
-        block_valid = self._block_valid_view
-        psa = base
+        pending_events: MappingEvents | None = None
+        psa = base = ppn * spp
         for lpn in lpns:
+            if (0 <= lpn < lane_lpns and since + 1 < sync_interval
+                    and (tp_id := lpn // tp_lpns) in dirty):
+                dirty.move_to_end(tp_id)
+                old = l2p[lpn]
+                l2p[lpn] = psa
+                since += 1
+            else:
+                mapping.stats.updates += since - mapping._since_sync
+                mapping._since_sync = since
+                old, events = mapping.update(lpn, psa)
+                since = mapping._since_sync
+                if not events.empty:
+                    if pending_events is None:
+                        pending_events = MappingEvents()
+                    pending_events.merge(events)
             p2l[psa] = lpn
             sector_valid[psa] = True
-            psa += 1
-        # One bump for the page: nothing reads block_valid before the
-        # loop below (metadata work is deferred), and a duplicate LPN's
-        # later slot takes the earlier slot's copy back out of it there.
-        block_valid[block] += len(lpns)
-        sectors_per_block = self._sectors_per_block
-        psa = base
-        for lpn, old in zip(lpns, olds):
-            # The ownership rule of _invalidate_old_copy, inline.
             if (old != UNMAPPED and old != psa and p2l[old] == lpn
                     and sector_valid[old]):
                 sector_valid[old] = False
                 p2l[old] = P2L_NONE
                 block_valid[old // sectors_per_block] -= 1
             psa += 1
+        mapping.stats.updates += since - mapping._since_sync
+        mapping._since_sync = since
         if self._has_pslc:
             pslc = self.pslc
             for psa, lpn in enumerate(lpns, base):

@@ -175,7 +175,9 @@ class MappingTable:
         # Fast path: unchunked map, TP already dirty, no checkpoint due —
         # exactly the case where the general path below would allocate two
         # MappingEvents just to report "nothing happened".  This is the
-        # steady state of every sequential/looping write workload.
+        # steady state of every sequential/looping write workload.  The
+        # FTL's host page program runs this lane inline
+        # (Ftl._program_data_page): keep the two in step.
         if not self.chunk_lpns and self._since_sync + 1 < self.sync_interval:
             tp_id = lpn // self.tp_lpns
             dirty = self._dirty
@@ -208,51 +210,6 @@ class MappingTable:
         old = self._l2p_view[lpn]
         self._l2p_view[lpn] = psa
         return old
-
-    def update_page(
-        self, lpns: list[int], first_psa: int,
-    ) -> tuple[list[int], MappingEvents | None]:
-        """Map ``lpns[i]`` to ``first_psa + i`` — one flash page's
-        sectors in one call.  Returns the old PSAs and the events of all
-        sectors merged in order (None when there were none).
-
-        Equal in every effect to calling :meth:`update` per sector: the
-        already-dirty-TP lane of ``update`` runs inline here, and every
-        other case (chunked map, first dirtying, eviction, checkpoint
-        due, out-of-range LPN) goes through ``update`` itself.
-        """
-        olds: list[int] = []
-        merged: MappingEvents | None = None
-        l2p = self._l2p_view
-        dirty = self._dirty
-        tp_lpns = self.tp_lpns
-        sync_interval = self.sync_interval
-        # An upper bound of 0 sends every sector to update().
-        lane_lpns = 0 if self.chunk_lpns else self.num_lpns
-        since = self._since_sync
-        psa = first_psa
-        for lpn in lpns:
-            if (0 <= lpn < lane_lpns and since + 1 < sync_interval
-                    and (tp_id := lpn // tp_lpns) in dirty):
-                dirty.move_to_end(tp_id)
-                olds.append(l2p[lpn])
-                l2p[lpn] = psa
-                since += 1
-            else:
-                # Inline updates so far == how far ``since`` ran ahead.
-                self.stats.updates += since - self._since_sync
-                self._since_sync = since
-                old, events = self.update(lpn, psa)
-                since = self._since_sync
-                olds.append(old)
-                if not events.empty:
-                    if merged is None:
-                        merged = MappingEvents()
-                    merged.merge(events)
-            psa += 1
-        self.stats.updates += since - self._since_sync
-        self._since_sync = since
-        return olds, merged
 
     def silent_update_run(self, lpns: np.ndarray, psas: np.ndarray) -> np.ndarray:
         """:meth:`silent_update` for a run of sectors in array operations:

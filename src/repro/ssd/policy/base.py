@@ -91,7 +91,12 @@ class CacheAdmissionPolicy(Protocol):
 
 @runtime_checkable
 class CacheEvictionPolicy(Protocol):
-    """Orders the write cache's pending sectors for flushing."""
+    """Orders the write cache's pending sectors for flushing.
+
+    *pending* is the cache's insertion-ordered dict of pending LPNs; a
+    policy may reorder it on a hit and decides which sectors a flush
+    batch takes.  The cache calls :meth:`take` once per batch (one
+    flash page), not once per sector."""
 
     name: str
 
@@ -99,8 +104,9 @@ class CacheEvictionPolicy(Protocol):
         """A pending sector was overwritten (absorbed) in place."""
         ...
 
-    def pop(self, pending: "OrderedDict[int, None]") -> int:
-        """Remove and return the next sector to flush."""
+    def take(self, pending: "OrderedDict[int, None]", n: int) -> list[int]:
+        """Remove and return the next *n* sectors to flush, in flush
+        order (``1 <= n <= len(pending)``)."""
         ...
 
 

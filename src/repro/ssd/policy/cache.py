@@ -15,6 +15,7 @@ for flushing.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.ssd.policy.base import CachePlan
@@ -105,8 +106,19 @@ class BypassAdmit:
 # ----------------------------------------------------------------------
 
 
+class _OldestFirst:
+    """Flush the oldest pending sectors first: the pending dict keeps
+    them in flush order, so a batch is its first *n* keys."""
+
+    def take(self, pending: "OrderedDict[int, None]", n: int) -> list[int]:
+        batch = list(islice(pending, n))
+        for lpn in batch:
+            del pending[lpn]
+        return batch
+
+
 @cache_eviction_policies.register("lru")
-class LruEviction:
+class LruEviction(_OldestFirst):
     """Flush least-recently-written sectors first (hits refresh age)."""
 
     name = "lru"
@@ -114,18 +126,12 @@ class LruEviction:
     def on_hit(self, lpn: int, pending: "OrderedDict[int, None]") -> None:
         pending.move_to_end(lpn)
 
-    def pop(self, pending: "OrderedDict[int, None]") -> int:
-        return pending.popitem(last=False)[0]
-
 
 @cache_eviction_policies.register("fifo")
-class FifoEviction:
+class FifoEviction(_OldestFirst):
     """Flush in arrival order; overwrites do not refresh a sector's age."""
 
     name = "fifo"
 
     def on_hit(self, lpn: int, pending: "OrderedDict[int, None]") -> None:
         pass
-
-    def pop(self, pending: "OrderedDict[int, None]") -> int:
-        return pending.popitem(last=False)[0]

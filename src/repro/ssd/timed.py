@@ -326,9 +326,17 @@ class TimedSSD:
         else:
             raise ValueError(f"unknown request kind {kind!r}")
         if zero_latency:
-            record = self.smart.record
+            # As in _schedule_ops: host page programs, the bulk of a
+            # write's ops, are counted here, and record() takes the rest.
+            smart = self.smart
+            record = smart.record
+            host_programs = 0
             for op in ops:
-                record(op)
+                if op.kind is _PROGRAM and op.reason is _HOST:
+                    host_programs += 1
+                else:
+                    record(op)
+            smart.host_program_pages += host_programs
             return CompletedRequest(kind, lba, nsectors, at_ns, at_ns)
 
         flash_done = (self._schedule_ops(ops, at_ns, release_cache=True)

@@ -174,3 +174,45 @@ def migrate_per_page(ftl, lpns, reason) -> None:
                     ftl.pslc.invalidate(lpn)
         if ftl.rain.on_data_page(ppn):
             ftl._program_parity_page()
+
+
+def program_page_per_sector(ftl, lpns, stream, reason) -> None:
+    """Reference for ``Ftl._program_data_page``: a host (or pSLC drain)
+    data page committed one call per sector.
+
+    The page is allocated (after the free-space check) and programmed;
+    then each sector in slot order is mapped with ``MappingTable.update``,
+    stamped into ``p2l``/``sector_valid``/``block_valid`` and has its old
+    copy cleared by ``Ftl._invalidate_old_copy``.  Superseded pSLC copies
+    go next, then the sectors' merged mapping events, then the RAIN
+    count.  Install it with
+    ``ftl._program_data_page = functools.partial(program_page_per_sector, ftl)``
+    so every flush path (cache, bypass staging, pSLC drain) takes it."""
+    from repro.ssd.mapping import MappingEvents
+    from repro.ssd.ops import FlashOp, OpKind
+
+    spp, ppb = ftl._spp, ftl._ppb
+    if ftl.allocator.planes_at_watermark:
+        ftl._ensure_free_space()
+    if ftl._routed:
+        stream = ftl._route(stream, lpns)
+    ppn = ftl._allocate_programmable_page(stream)
+    lpns = lpns[:spp]
+    ftl.nand.program(ppn, lpn=lpns[0], oob=lpns)
+    ftl._emit(FlashOp(OpKind.PROGRAM, ppn, reason, ftl._page_size))
+    events = MappingEvents()
+    for psa, lpn in enumerate(lpns, ppn * spp):
+        old, sector_events = ftl.mapping.update(lpn, psa)
+        events.merge(sector_events)
+        ftl.p2l[psa] = lpn
+        ftl.sector_valid[psa] = True
+        ftl.block_valid[ppn // ppb] += 1
+        ftl._invalidate_old_copy(lpn, old, psa)
+    if ftl.pslc.enabled:
+        for psa, lpn in enumerate(lpns, ppn * spp):
+            pslc_psa = ftl.pslc.lookup(lpn)
+            if pslc_psa is not None and pslc_psa != psa:
+                ftl.pslc.invalidate(lpn)
+    ftl._apply_mapping_events(events)
+    if ftl.rain.on_data_page(ppn):
+        ftl._program_parity_page()

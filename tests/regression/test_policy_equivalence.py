@@ -71,9 +71,10 @@ class TestCacheEvictionEquivalence:
                 batches = []
                 for lpn in lpns:
                     cache.insert(lpn)
-                    while cache.needs_flush:
+                    while len(cache) > cache.capacity:
                         batches.append(cache.take_flush_batch(4))
-                batches.extend(cache.drain_batches(4))
+                while len(cache):
+                    batches.append(cache.take_flush_batch(4))
                 drained.append(batches)
             assert drained[0] == drained[1], name
 

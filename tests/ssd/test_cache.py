@@ -23,12 +23,14 @@ class TestInsert:
         assert 4 not in cache
 
     def test_needs_flush_above_capacity(self):
+        # The cache takes the sector that overfills it; the FTL then
+        # flushes while len(cache) > capacity.
         cache = WriteCache(2)
         cache.insert(0)
         cache.insert(1)
-        assert not cache.needs_flush
+        assert len(cache) == cache.capacity
         cache.insert(2)
-        assert cache.needs_flush
+        assert len(cache) > cache.capacity
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -75,12 +77,12 @@ class TestFlushBatches:
         assert not cache.drop(1)
         assert len(cache) == 0
 
-    def test_drain_batches_empties(self):
+    def test_batches_drain_the_cache(self):
         cache = WriteCache(8)
         for lpn in range(5):
             cache.insert(lpn)
-        batches = cache.drain_batches(2)
-        assert [len(b) for b in batches] == [2, 2, 1]
+        batches = [cache.take_flush_batch(2) for _ in range(4)]
+        assert batches == [[0, 1], [2, 3], [4], []]
         assert len(cache) == 0
 
 
@@ -94,10 +96,10 @@ def test_every_write_flushed_or_absorbed_property(lpns):
     for lpn in lpns:
         if cache.insert(lpn):
             absorbed += 1
-        while cache.needs_flush:
+        while len(cache) > cache.capacity:
             flushed.extend(cache.take_flush_batch(2))
-    for batch in cache.drain_batches(2):
-        flushed.extend(batch)
+    while len(cache):
+        flushed.extend(cache.take_flush_batch(2))
     assert len(flushed) + absorbed == len(lpns)
     # Flushed multiset can repeat LPNs (re-inserted after flush) but the
     # total count is conserved, and nothing pending remains.
@@ -110,7 +112,7 @@ def _insert_run_by_hand(cache, lpn, stop):
     while lpn < stop:
         hits += cache.insert(lpn)
         lpn += 1
-        if cache.needs_flush:
+        if len(cache) > cache.capacity:
             break
     return lpn, hits
 
@@ -135,11 +137,11 @@ def test_insert_run_equals_an_insert_loop_property(runs, capacity, eviction,
             got = by_run.insert_run(lpn, stop)
             assert got == _insert_run_by_hand(by_hand, lpn, stop)
             lpn = got[0]
-            assert by_run.needs_flush == by_hand.needs_flush
-            while by_run.needs_flush:
+            assert len(by_run) == len(by_hand)
+            while len(by_run) > by_run.capacity:
                 assert (by_run.take_flush_batch(4)
                         == by_hand.take_flush_batch(4))
-        assert list(by_run._pending) == list(by_hand._pending)
+        assert list(by_run.pending) == list(by_hand.pending)
         assert (by_run.hits, by_run.insertions) == (by_hand.hits,
                                                     by_hand.insertions)
     assert sinks[0].events == sinks[1].events
@@ -150,7 +152,7 @@ def test_insert_run_stops_at_the_sector_that_overfills():
     cache = WriteCache(4)
     assert cache.insert_run(10, 13) == (13, 0)      # fits: whole run
     assert cache.insert_run(12, 20) == (15, 1)      # 12 hits; 14 overfills
-    assert cache.needs_flush
+    assert len(cache) > cache.capacity
     assert cache.take_flush_batch(2) == [10, 11]
     assert cache.insert_run(15, 15) == (15, 0)      # empty run
     assert (cache.hits, cache.insertions) == (1, 6)

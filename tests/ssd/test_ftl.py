@@ -1,16 +1,21 @@
 """FTL behaviour: write/read/trim paths, GC, RAIN, pSLC, failures."""
 
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.flash.errors import FailureInjector
 from repro.flash.geometry import Geometry
+from repro.ssd.allocation import OutOfSpace
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import Ftl
+from repro.ssd.ftl import Ftl, ReadOnlyError
 from repro.ssd.ops import OpKind, OpReason
-from repro.ssd.presets import tiny
+from repro.ssd.presets import mx500_like, tiny
+from tests.helpers import program_page_per_sector
 
 
 def small_config(**overrides):
@@ -407,3 +412,109 @@ def test_state_arrays_are_only_ever_edited_in_place():
     assert recovered.mapping.mapped_count() > 0
     recovered.check_invariants()
     ftl.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# The one-pass host page commit against the per-sector calls it stands for
+# ----------------------------------------------------------------------
+
+def _page_commit_state(ftl):
+    mapping = ftl.mapping
+    return (mapping.l2p.tolist(), list(mapping._dirty), mapping._since_sync,
+            mapping.stats, mapping.resident_chunk_ids(),
+            mapping.tp_stored_ppn.tolist(), ftl.stats, ftl.p2l.tolist(),
+            ftl.sector_valid.tolist(), ftl.block_valid.tolist(),
+            ftl.nand.page_lpn.tolist(), dict(ftl.pslc.index),
+            ftl.rain.data_pages, ftl.rain.parity_pages)
+
+
+_commands = st.lists(st.tuples(
+    st.sampled_from(["write"] * 8 + ["trim", "flush"]),
+    # a narrow window makes repeated LPNs in one staged page likely
+    st.one_of(st.integers(0, 5), st.integers(0, 690)),
+    st.integers(1, 4)), max_size=120)
+
+
+@settings(max_examples=60, deadline=None)
+@given(commands=_commands, chunked=st.booleans(), dirty=st.integers(1, 4),
+       sync=st.sampled_from([3, 7, 10_000]), bypass=st.booleans(),
+       pslc=st.booleans(), rain=st.booleans(), fill=st.booleans())
+# Bypass staging packs sector 3 twice into one page: the later slot's old
+# copy is the earlier slot, which must be stamped by then.
+@example(commands=[("write", 3, 1), ("write", 3, 1), ("write", 4, 2)],
+         chunked=False, dirty=1, sync=3, bypass=True, pslc=False, rain=True,
+         fill=True)
+def test_page_commit_equals_per_sector_commit_property(
+        commands, chunked, dirty, sync, bypass, pslc, rain, fill):
+    config = tiny().with_changes(
+        mapping_tp_lpns=16, mapping_chunk_lpns=64 if chunked else 0,
+        mapping_resident_chunks=2, mapping_dirty_tp_limit=dirty,
+        mapping_sync_interval=sync,
+        cache_admission="bypass" if bypass else "always",
+        pslc_blocks=2 if pslc else 0, rain_stripe=3 if rain else 0)
+    one_pass, reference = Ftl(config), Ftl(config)
+    reference._program_data_page = partial(program_page_per_sector, reference)
+    returned = []
+    for ftl in (one_pass, reference):
+        out = []
+        try:
+            if fill:  # full map: later writes supersede copies and run GC
+                for lpn in range(0, ftl.num_lpns - 8, 8):
+                    out.append(ftl.write(lpn, 8))
+            for name, lpn, n in commands:
+                lpn = min(lpn, ftl.num_lpns - n)
+                out.append(ftl.flush() if name == "flush"
+                           else getattr(ftl, name)(lpn, n))
+            out.append(ftl.flush())
+        except (OutOfSpace, ReadOnlyError) as exc:  # must match on both
+            out.append(repr(exc))
+        returned.append(out)
+    assert returned[0] == returned[1]
+    assert _page_commit_state(one_pass) == _page_commit_state(reference)
+    if not isinstance(returned[0][-1], str):
+        one_pass.check_invariants()
+
+
+def test_one_page_flush_call_count():
+    """Python-level calls made by one write that flushes exactly one full
+    page into an open block, the page's translation page already dirty
+    and no GC due: the host page program's call budget, counted with
+    ``sys.setprofile`` and so independent of the machine."""
+    ftl = Ftl(mx500_like(scale=2))
+    spp, capacity = ftl._spp, ftl.cache.capacity
+    allocator, mapping = ftl.allocator, ftl.mapping
+    ftl.write(0, capacity)  # the cache full, nothing flushed yet
+    lpn = capacity
+    # One-page flushes of the oldest sectors until every plane has an
+    # open host block.
+    while allocator._stream_counters["host"] < ftl.geometry.planes_total:
+        ftl.write(lpn, spp if lpn > capacity else 1)
+        lpn += spp if lpn > capacity else 1
+    oldest = lpn - len(ftl.cache)  # pending: [oldest, lpn), in order
+    batch = range(oldest, oldest + spp)
+    assert all(mapping.is_dirty(mapping.tp_of(sector)) for sector in batch)
+    plane = allocator.plane_for_index(allocator._stream_counters["host"])
+    assert allocator._active[plane, "host"].next_page > 0
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        ops = ftl.write(lpn, spp)
+    finally:
+        sys.setprofile(None)
+    assert [(op.kind, op.reason) for op in ops] == [(OpKind.PROGRAM,
+                                                     OpReason.HOST)]
+    assert ftl.stats.gc_invocations == 0
+    first_psa = ops[0].target * spp
+    assert [mapping.lookup(sector)[0] for sector in batch] == list(
+        range(first_psa, first_psa + spp))
+    # One call each: write, the injector's tick, insert_run, the batch
+    # take and its policy call, _program_data_page, the watermark
+    # property, the programmable-page allocation and allocate_page with
+    # its plane lookup, program_fails, NandArray.program, the FlashOp,
+    # and RAIN's count with its enabled property.
+    assert calls <= 15

@@ -219,78 +219,40 @@ def test_dirty_never_exceeds_limit_property(lpns):
 
 
 # ----------------------------------------------------------------------
-# Page-level calls against the per-sector calls they stand for
+# A silent run against the per-sector calls it stands for
 # ----------------------------------------------------------------------
 
-def _visible_state(table):
-    return (table.l2p.tolist(), list(table._dirty), table._since_sync,
-            table.stats, table.resident_chunk_ids())
-
-
-def _events_tuple(events):
-    if events is None:
-        return ([], [], [])
-    return (events.flush_tps, events.load_tp_ppns, events.loaded_chunks)
-
-
-def _update_per_sector(table, lpns, first_psa):
-    """What a page commit did before update_page: one update() per
-    sector, non-empty events merged in order."""
-    olds, merged = [], ([], [], [])
-    for psa, lpn in enumerate(lpns, first_psa):
-        old, events = table.update(lpn, psa)
-        olds.append(old)
-        for total, part in zip(merged, _events_tuple(events)):
-            total.extend(part)
-    return olds, merged
-
-
-_pages = st.lists(
-    st.tuples(st.booleans(),
-              # the tables below hold LPNs 0..191: both ends overshoot
-              st.lists(st.integers(-2, 194), min_size=1, max_size=8)),
+_runs = st.lists(
+    # the table below holds LPNs 0..191: both ends overshoot
+    st.lists(st.integers(-2, 194), min_size=1, max_size=8),
     min_size=1, max_size=40)
 
 
-@settings(max_examples=150, deadline=None)
-@given(pages=_pages, chunked=st.booleans(), dirty=st.integers(1, 4),
-       sync=st.sampled_from([3, 7, 10_000]), stored=st.booleans())
-def test_page_calls_equal_per_sector_calls_property(pages, chunked, dirty,
-                                                    sync, stored):
-    tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
-                   chunk=64 if chunked else 0, resident=2)
-              for _ in range(2)]
-    for table in tables:
-        if stored:  # chunk loads then report flash reads
-            for tp_id in range(table.num_tps):
-                table.note_flushed(tp_id, 1_000 + tp_id)
-    paged, looped = tables
+@settings(max_examples=100, deadline=None)
+@given(runs=_runs)
+def test_silent_update_run_equals_per_sector_calls_property(runs):
+    # Repeated LPNs and out-of-range ones included; the host page path's
+    # per-sector reference is tests.ssd.test_ftl's page-commit property.
+    run_table, looped = (make(num_lpns=192, tp_lpns=16) for _ in range(2))
     first_psa = 0
-    for silent, lpns in pages:
+    for lpns in runs:
         outcomes = []
-        for table, by_page in ((paged, True), (looped, False)):
+        for table in (run_table, looped):
             try:
-                if silent and by_page:
-                    outcome = (table.silent_update_run(
+                if table is run_table:
+                    outcome = table.silent_update_run(
                         np.array(lpns, dtype=np.int64),
-                        np.arange(first_psa, first_psa + len(lpns))).tolist(),
-                        None)
-                elif silent:
-                    outcome = ([table.silent_update(lpn, psa) for psa, lpn
-                                in enumerate(lpns, first_psa)], None)
-                elif by_page:
-                    olds, events = table.update_page(lpns, first_psa)
-                    assert events is None or not events.empty
-                    outcome = (olds, _events_tuple(events))
+                        np.arange(first_psa, first_psa + len(lpns))).tolist()
                 else:
-                    outcome = _update_per_sector(table, lpns, first_psa)
+                    outcome = [table.silent_update(lpn, psa)
+                               for psa, lpn in enumerate(lpns, first_psa)]
             except IndexError as exc:
                 # Sectors ahead of the bad LPN are applied, the rest not
-                # — on both sides, as the state comparison below shows.
+                # — on both sides, as the map comparison below shows.
                 outcome = str(exc)
             outcomes.append(outcome)
         assert outcomes[0] == outcomes[1]
-        assert _visible_state(paged) == _visible_state(looped)
+        assert run_table.l2p.tolist() == looped.l2p.tolist()
         first_psa += 8
 
 
@@ -358,13 +320,8 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
         assert _residency_state(fast) == _residency_state(reference)
 
 
-def test_update_page_applies_nothing_after_an_out_of_range_lpn():
+def test_silent_update_run_applies_nothing_after_an_out_of_range_lpn():
     table = make(num_lpns=64, tp_lpns=16)
-    with pytest.raises(IndexError, match="lpn 64 out of range"):
-        table.update_page([3, 64, 5], 100)
-    assert table.lookup(3)[0] == 100
-    assert table.lookup(5)[0] == UNMAPPED
-    assert table.stats.updates == 1
     with pytest.raises(IndexError, match="lpn -1 out of range"):
         table.silent_update_run(np.array([4, -1, 6]), np.arange(200, 203))
     assert table.lookup(4)[0] == 200
