@@ -9,7 +9,6 @@ simulator — while everything the rest of this repository measures
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.modeling.analytic import (
     measure_steady_waf,
     waf_greedy_gc,
@@ -19,18 +18,12 @@ from repro.core.modeling.analytic import (
 OP_RATIOS = (0.15, 0.25, 0.35)
 
 
-@pytest.mark.benchmark(group="ablation-analytic")
-def test_analytic_waf_validation(benchmark, figure_output):
-    def experiment():
-        out = {}
-        for op in OP_RATIOS:
-            for policy in ("greedy", "random"):
-                out[(op, policy)] = measure_steady_waf(
-                    op, policy, measure_writes=12_000
-                )
-        return out
-
-    measurements = run_once(benchmark, experiment)
+def test_analytic_waf_validation(figure_output):
+    measurements = {
+        (op, policy): measure_steady_waf(op, policy, measure_writes=12_000)
+        for op in OP_RATIOS
+        for policy in ("greedy", "random")
+    }
     rows = []
     for (op, policy), m in measurements.items():
         model = (waf_greedy_gc if policy == "greedy" else waf_random_gc)(

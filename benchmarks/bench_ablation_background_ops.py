@@ -11,9 +11,7 @@ Two demonstrations on one device:
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.probe.analyzer import TLA7000, LogicAnalyzer
 from repro.core.probe.decoder import decode_trace_windows
 from repro.core.probe.inference import HostOpRecord, infer_ftl_features
@@ -44,25 +42,20 @@ def build_busy_device():
     return device, tap, host_log
 
 
-@pytest.mark.benchmark(group="ablation-background")
-def test_background_ops_visible_to_probe(benchmark, figure_output):
-    def experiment():
-        device, tap, host_log = build_busy_device()
-        # Host goes quiet; the FTL does not.  The analyzer is re-armed
-        # at the start of the idle window (a real session would trigger
-        # on bus activity while knowing the host queue is empty).
-        idle_start = device.now
-        for _ in range(4):
-            device.idle(max_blocks=4)
-        result = decode_trace_windows(tap.trace, LogicAnalyzer(TLA7000),
-                                      start=idle_start)
-        report = infer_ftl_features(
-            result.ops, host_log,
-            sector_size=device.geometry.sector_size,
-        )
-        return device, report, idle_start
-
-    device, report, _ = run_once(benchmark, experiment)
+def test_background_ops_visible_to_probe(figure_output):
+    device, tap, host_log = build_busy_device()
+    # Host goes quiet; the FTL does not.  The analyzer is re-armed at
+    # the start of the idle window (a real session would trigger on bus
+    # activity while knowing the host queue is empty).
+    idle_start = device.now
+    for _ in range(4):
+        device.idle(max_blocks=4)
+    result = decode_trace_windows(tap.trace, LogicAnalyzer(TLA7000),
+                                  start=idle_start)
+    report = infer_ftl_features(
+        result.ops, host_log,
+        sector_size=device.geometry.sector_size,
+    )
     figure_output(
         "ablation_background_probe",
         "Ablation — probe view of idle-time background operations",
@@ -76,25 +69,20 @@ def test_background_ops_visible_to_probe(benchmark, figure_output):
     assert report.background_ops > 0
 
 
-@pytest.mark.benchmark(group="ablation-background")
-def test_background_ops_delay_foreground(benchmark, figure_output):
-    def experiment():
-        device, _, _ = build_busy_device()
-        start = device.now
-        quiet = max(
-            device.submit("read", lba, 1, at_ns=start).latency_us
-            for lba in range(8)
-        )
-        device.quiesce()
-        start2 = device.now
-        device.idle(max_blocks=8)  # maintenance fires...
-        busy = max(
-            device.submit("read", lba, 1, at_ns=start2 + 1).latency_us
-            for lba in range(8, 16)
-        )  # ...mid-read, across several dies
-        return device, quiet, busy
-
-    device, quiet_us, busy_us = run_once(benchmark, experiment)
+def test_background_ops_delay_foreground(figure_output):
+    device, _, _ = build_busy_device()
+    start = device.now
+    quiet_us = max(
+        device.submit("read", lba, 1, at_ns=start).latency_us
+        for lba in range(8)
+    )
+    device.quiesce()
+    start2 = device.now
+    device.idle(max_blocks=8)  # maintenance fires...
+    busy_us = max(
+        device.submit("read", lba, 1, at_ns=start2 + 1).latency_us
+        for lba in range(8, 16)
+    )  # ...mid-read, across several dies
     figure_output(
         "ablation_background_latency",
         "Ablation — read latency with and without background maintenance",

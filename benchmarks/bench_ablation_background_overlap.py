@@ -14,9 +14,7 @@ bursts that land on a GC storm — shrinks.
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
 from repro.ssd.presets import tiny
 from repro.ssd.timed import BackgroundPolicy, TimedSSD
 
@@ -45,12 +43,9 @@ def run_bursty(background: bool):
     return device, np.asarray(latencies)
 
 
-@pytest.mark.benchmark(group="ablation-background")
-def test_background_overlap_pays_gc_debt_in_gaps(benchmark, figure_output):
-    def experiment():
-        return run_bursty(False), run_bursty(True)
-
-    (quiet_dev, quiet_lat), (bg_dev, bg_lat) = run_once(benchmark, experiment)
+def test_background_overlap_pays_gc_debt_in_gaps(figure_output):
+    quiet_dev, quiet_lat = run_bursty(False)
+    bg_dev, bg_lat = run_bursty(True)
 
     def row(tag, device, lat):
         stats = device.ftl.stats

@@ -8,12 +8,10 @@ can only guess at.
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
@@ -21,7 +19,7 @@ from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
 
 def run_fs(fs_cls, ops=1200, seed=3):
     device = SimulatedSSD(tiny())
-    backend = CounterBackend(device)
+    backend = DeviceBackend(device)
     if fs_cls is F2fsModel:
         fs = F2fsModel(backend, segment_sectors=32, checkpoint_sectors=8,
                        clean_low_water=2)
@@ -36,12 +34,8 @@ def run_fs(fs_cls, ops=1200, seed=3):
     return device
 
 
-@pytest.mark.benchmark(group="ablation-fs")
-def test_ablation_fs_write_patterns_at_ftl(benchmark, figure_output):
-    def experiment():
-        return {cls.name: run_fs(cls) for cls in (Ext4Model, F2fsModel)}
-
-    devices = run_once(benchmark, experiment)
+def test_ablation_fs_write_patterns_at_ftl(figure_output):
+    devices = {cls.name: run_fs(cls) for cls in (Ext4Model, F2fsModel)}
     rows = []
     for name, device in devices.items():
         rows.append([
@@ -66,29 +60,24 @@ def test_ablation_fs_write_patterns_at_ftl(benchmark, figure_output):
     assert by_name["f2fs"][3] <= by_name["ext4"][3] * 1.1
 
 
-@pytest.mark.benchmark(group="ablation-wear")
-def test_ablation_static_wear_leveling(benchmark, figure_output):
-    def experiment():
-        results = {}
-        for leveling in (False, True):
-            config = tiny().with_changes(wear_leveling=leveling,
-                                         wear_leveling_delta=6)
-            device = SimulatedSSD(config)
-            rng = np.random.default_rng(7)
-            # Cold data pins blocks; hot churn wears the rest.
-            for lpn in range(128):
-                device.write_sectors(lpn, 1)
-            device.flush()
-            for i in range(14_000):
-                lba = 128 + int(rng.integers(device.num_sectors - 128))
-                device.write_sectors(lba, 1)
-                if i % 500 == 499:
-                    device.idle(max_blocks=4)
-            device.flush()
-            results[leveling] = device
-        return results
-
-    results = run_once(benchmark, experiment)
+def test_ablation_static_wear_leveling(figure_output):
+    results = {}
+    for leveling in (False, True):
+        config = tiny().with_changes(wear_leveling=leveling,
+                                     wear_leveling_delta=6)
+        device = SimulatedSSD(config)
+        rng = np.random.default_rng(7)
+        # Cold data pins blocks; hot churn wears the rest.
+        for lpn in range(128):
+            device.write_sectors(lpn, 1)
+        device.flush()
+        for i in range(14_000):
+            lba = 128 + int(rng.integers(device.num_sectors - 128))
+            device.write_sectors(lba, 1)
+            if i % 500 == 499:
+                device.idle(max_blocks=4)
+        device.flush()
+        results[leveling] = device
     rows = []
     spread = {}
     for leveling, device in results.items():

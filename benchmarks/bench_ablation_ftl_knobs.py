@@ -10,7 +10,6 @@ points out through :class:`repro.exp.Runner` as picklable cells.
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.exp import (
     Cell,
     ChurnCell,
@@ -24,8 +23,7 @@ from repro.exp import (
 from repro.ssd.presets import mx500_like, tiny
 
 
-@pytest.mark.benchmark(group="ablation-mapping")
-def test_ablation_mapping_dirty_budget(benchmark, figure_output):
+def test_ablation_mapping_dirty_budget(figure_output):
     """Less RAM for dirty translation pages -> more metadata writes.
 
     This is the mechanism behind the Fig 4b mixed-run surprise; the
@@ -34,30 +32,25 @@ def test_ablation_mapping_dirty_budget(benchmark, figure_output):
     """
     limits = (2, 4, 8, 32)
 
-    def experiment():
-        cells = [
-            Cell(
-                run_churn_cell,
-                ChurnCell(
-                    config=tiny().with_changes(
-                        mapping_tp_lpns=16,       # many small TPs
-                        mapping_dirty_tp_limit=limit,
-                        mapping_sync_interval=100_000,  # evictions only
-                    ),
-                    writes=8000,
-                    pattern="uniform",
+    cells = [
+        Cell(
+            run_churn_cell,
+            ChurnCell(
+                config=tiny().with_changes(
+                    mapping_tp_lpns=16,       # many small TPs
+                    mapping_dirty_tp_limit=limit,
+                    mapping_sync_interval=100_000,  # evictions only
                 ),
-                seed=9,
-                label=f"mapping:limit={limit}",
-            )
-            for limit in limits
-        ]
-        results = Runner().run(cells)
-        return {
-            limit: r.meta_program_pages for limit, r in zip(limits, results)
-        }
-
-    results = run_once(benchmark, experiment)
+                writes=8000,
+                pattern="uniform",
+            ),
+            seed=9,
+            label=f"mapping:limit={limit}",
+        )
+        for limit in limits
+    ]
+    results = {limit: r.meta_program_pages
+               for limit, r in zip(limits, Runner().run(cells))}
     figure_output(
         "ablation_mapping_budget",
         "Ablation — dirty-TP RAM budget vs metadata page writes",
@@ -67,29 +60,24 @@ def test_ablation_mapping_dirty_budget(benchmark, figure_output):
     assert results[2] > results[32]
 
 
-@pytest.mark.benchmark(group="ablation-rain")
-def test_ablation_rain_stripe_width(benchmark, figure_output):
+def test_ablation_rain_stripe_width(figure_output):
     """Fig 4a's plateau moves with the stripe: k/(k+1) of the page."""
     stripes = (0, 3, 7, 15)
 
-    def experiment():
-        sector = mx500_like(scale=4).geometry.sector_size
-        sizes = tuple(sector * (1 << i) for i in range(5, 10))
-        cells = [
-            Cell(
-                run_nand_page_sweep_cell,
-                NandPageSweepCell(
-                    config=mx500_like(scale=4).with_changes(rain_stripe=stripe),
-                    sizes_bytes=sizes,
-                ),
-                label=f"rain:stripe={stripe}",
-            )
-            for stripe in stripes
-        ]
-        results = Runner().run(cells)
-        return dict(zip(stripes, results))
-
-    results = run_once(benchmark, experiment)
+    sector = mx500_like(scale=4).geometry.sector_size
+    sizes = tuple(sector * (1 << i) for i in range(5, 10))
+    cells = [
+        Cell(
+            run_nand_page_sweep_cell,
+            NandPageSweepCell(
+                config=mx500_like(scale=4).with_changes(rain_stripe=stripe),
+                sizes_bytes=sizes,
+            ),
+            label=f"rain:stripe={stripe}",
+        )
+        for stripe in stripes
+    ]
+    results = dict(zip(stripes, Runner().run(cells)))
     page = mx500_like(scale=4).geometry.page_size
     rows = []
     for stripe, measured in results.items():
@@ -106,30 +94,25 @@ def test_ablation_rain_stripe_width(benchmark, figure_output):
         assert measured == pytest.approx(predicted, rel=0.1)
 
 
-@pytest.mark.benchmark(group="ablation-pslc")
-def test_ablation_pslc_burst_absorption(benchmark, figure_output):
+def test_ablation_pslc_burst_absorption(figure_output):
     """A pSLC buffer absorbs a write burst; the drain shows up later as
     FTL-attributed traffic (the 'unpredictable background operations'
     family)."""
     buffer_sizes = (0, 8)
 
-    def experiment():
-        cells = [
-            Cell(
-                run_pslc_burst_cell,
-                PslcBurstCell(
-                    config=tiny().with_changes(pslc_blocks=pslc_blocks,
-                                               pslc_drain_threshold=0.95),
-                    burst_sectors=160,
-                ),
-                label=f"pslc:blocks={pslc_blocks}",
-            )
-            for pslc_blocks in buffer_sizes
-        ]
-        results = Runner().run(cells)
-        return dict(zip(buffer_sizes, results))
-
-    results = run_once(benchmark, experiment)
+    cells = [
+        Cell(
+            run_pslc_burst_cell,
+            PslcBurstCell(
+                config=tiny().with_changes(pslc_blocks=pslc_blocks,
+                                           pslc_drain_threshold=0.95),
+                burst_sectors=160,
+            ),
+            label=f"pslc:blocks={pslc_blocks}",
+        )
+        for pslc_blocks in buffer_sizes
+    ]
+    results = dict(zip(buffer_sizes, Runner().run(cells)))
     figure_output(
         "ablation_pslc",
         "Ablation — pSLC buffer vs burst write latency",

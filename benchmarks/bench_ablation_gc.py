@@ -13,9 +13,6 @@ The per-policy runs are independent, so the sweep fans out through
 import os
 from pathlib import Path
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.exp import Cell, ChurnCell, Runner, run_churn_cell
 from repro.ssd.presets import tiny
 
@@ -45,18 +42,13 @@ def _churn_cell(policy: str) -> ChurnCell:
     )
 
 
-@pytest.mark.benchmark(group="ablation-gc")
-def test_ablation_gc_policy_waf(benchmark, figure_output):
-    def experiment():
-        cells = [
-            Cell(run_churn_cell, _churn_cell(policy), seed=3,
-                 label=f"gc:{policy}", cacheable=not TRACE_DIR)
-            for policy in GC_POLICIES
-        ]
-        results = Runner().run(cells)
-        return dict(zip(GC_POLICIES, results))
-
-    outcomes = run_once(benchmark, experiment)
+def test_ablation_gc_policy_waf(figure_output):
+    cells = [
+        Cell(run_churn_cell, _churn_cell(policy), seed=3,
+             label=f"gc:{policy}", cacheable=not TRACE_DIR)
+        for policy in GC_POLICIES
+    ]
+    outcomes = dict(zip(GC_POLICIES, Runner().run(cells)))
     rows = []
     waf = {}
     for policy, result in outcomes.items():
@@ -77,30 +69,25 @@ def test_ablation_gc_policy_waf(benchmark, figure_output):
     assert waf["randomized_greedy"] <= waf["random"] * 1.05
 
 
-@pytest.mark.benchmark(group="ablation-gc")
-def test_ablation_randomized_greedy_sample_size(benchmark, figure_output):
+def test_ablation_randomized_greedy_sample_size(figure_output):
     """d-choices: larger d converges to greedy."""
     sample_sizes = (2, 4, 8, 16)
 
-    def experiment():
-        cells = [
-            Cell(
-                run_churn_cell,
-                ChurnCell(
-                    config=tiny().with_changes(gc_policy="randomized_greedy",
-                                               gc_sample_size=d),
-                    writes=10_000,
-                    pattern="uniform",
-                ),
-                seed=5,
-                label=f"gc:d={d}",
-            )
-            for d in sample_sizes
-        ]
-        results = Runner().run(cells)
-        return {d: r.waf for d, r in zip(sample_sizes, results)}
-
-    results = run_once(benchmark, experiment)
+    cells = [
+        Cell(
+            run_churn_cell,
+            ChurnCell(
+                config=tiny().with_changes(gc_policy="randomized_greedy",
+                                           gc_sample_size=d),
+                writes=10_000,
+                pattern="uniform",
+            ),
+            seed=5,
+            label=f"gc:d={d}",
+        )
+        for d in sample_sizes
+    ]
+    results = {d: r.waf for d, r in zip(sample_sizes, Runner().run(cells))}
     figure_output(
         "ablation_gc_sample_size",
         "Ablation — randomized-greedy sample size d vs WAF",

@@ -12,9 +12,7 @@ overwrite workload at GC steady state:
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
 from repro.ssd.openchannel import HostFtl, OpenChannelSSD
 from repro.ssd.presets import mqsim_baseline
 from repro.ssd.timed import TimedSSD
@@ -64,12 +62,8 @@ def openchannel_latencies():
     return np.asarray(latencies)
 
 
-@pytest.mark.benchmark(group="ablation-openchannel")
-def test_openchannel_transparency_bound(benchmark, figure_output):
-    def experiment():
-        return blackbox_latencies(), openchannel_latencies()
-
-    blackbox, openchannel = run_once(benchmark, experiment)
+def test_openchannel_transparency_bound(figure_output):
+    blackbox, openchannel = blackbox_latencies(), openchannel_latencies()
     rows = []
     for name, lat in (("black-box FTL", blackbox),
                       ("open-channel + host FTL", openchannel)):

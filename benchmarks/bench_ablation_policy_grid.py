@@ -8,15 +8,14 @@ included.  Every point is an independent cell fanned out through
 :class:`repro.exp.Runner`, so re-runs hit the content-addressed cache.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.core.modeling.policy_grid import (
     GRID_ALLOCATION_POLICIES,
     GRID_CACHE_DESIGNATIONS,
     GRID_GC_POLICIES,
+    GRID_HEADERS,
     grid_rows,
     run_policy_grid,
+    variant_name,
 )
 from repro.exp import Runner
 from repro.ssd.presets import mqsim_baseline
@@ -24,28 +23,19 @@ from repro.ssd.presets import mqsim_baseline
 BS_SECTORS = 1
 
 
-@pytest.mark.benchmark(group="ablation-policy-grid")
-def test_ablation_policy_grid(benchmark, figure_output):
-    def experiment():
-        study = run_policy_grid(
-            mqsim_baseline(scale=4),
-            block_sizes_sectors=(BS_SECTORS,),
-            io_count=2_000,
-            runner=Runner(),
-        )
-        return study, grid_rows(study)
-
-    study, rows = run_once(benchmark, experiment)
+def test_ablation_policy_grid(figure_output):
+    study = run_policy_grid(
+        mqsim_baseline(scale=4),
+        block_sizes_sectors=(BS_SECTORS,),
+        io_count=2_000,
+        runner=Runner(),
+    )
+    rows = grid_rows(study)
     figure_output(
         "ablation_policy_grid",
         "Ablation — GC x cache x allocation policy grid (4K random writes)",
-        ["gc_policy", "cache_designation", "allocation", "bs_sectors",
-         "mean_us", "p50_us", "p99_us", "p999_us", "max_us", "iops"],
-        [[r["gc_policy"], r["cache_designation"], r["allocation"],
-          r["bs_sectors"], round(r["mean_us"], 2), round(r["p50_us"], 2),
-          round(r["p99_us"], 2), round(r["p999_us"], 2),
-          round(r["max_us"], 2), round(r["iops"], 1)]
-         for r in rows],
+        GRID_HEADERS,
+        rows,
     )
 
     # Full cross product, one row per point.
@@ -54,11 +44,7 @@ def test_ablation_policy_grid(benchmark, figure_output):
     assert len(rows) == expected
 
     def p99(gc, cache, alloc):
-        for r in rows:
-            if (r["gc_policy"], r["cache_designation"],
-                    r["allocation"]) == (gc, cache, alloc):
-                return r["p99_us"]
-        raise KeyError((gc, cache, alloc))
+        return study.of(variant_name(gc, cache, alloc), BS_SECTORS).summary.p99
 
     # The registry-era policies are real design points, not aliases:
     # each lands at its own tail latency on the shared baseline axis.

@@ -13,9 +13,6 @@ Grid: {synthetic, lsm, btree} × {CWDP, PDWC, hotcold}, one cached cell
 per point, identical seeds.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.engines import EngineRunCell, YcsbSpec, run_engine_cell
 from repro.exp import Cell, Runner, TimedJobCell, run_timed_job_cell
 from repro.ssd.presets import tiny
@@ -88,13 +85,8 @@ def _ranks(rows, workload, metric):
             for a in ALLOCATIONS}
 
 
-@pytest.mark.benchmark(group="ablation-storage-engines")
-def test_ablation_storage_engines(benchmark, figure_output):
-    def experiment():
-        return Runner().run(_cells())
-
-    results = run_once(benchmark, experiment)
-    rows = _rows(results)
+def test_ablation_storage_engines(figure_output):
+    rows = _rows(Runner().run(_cells()))
 
     baseline_p99 = _ranks(rows, "synthetic", "p99_us")
     baseline_waf = _ranks(rows, "synthetic", "device_waf")

@@ -13,9 +13,6 @@ Asserted shape: the faulted run must actually exercise the RAIN path
 p99 must sit at or above the clean run's — degradation is never free.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.exp import Cell, Runner
 from repro.faults import FaultLatencyCell, FaultPlan, FaultSpec, run_fault_latency_cell
 from repro.ssd.presets import tiny
@@ -51,23 +48,18 @@ def _plan():
     ))
 
 
-@pytest.mark.benchmark(group="fault-degradation")
-def test_fault_degradation_latency(benchmark, figure_output):
-    def experiment():
-        config = _config()
-        cells = [
-            Cell(run_fault_latency_cell,
-                 FaultLatencyCell(config, plan=None,
-                                  writes=WRITES, reads=READS, seed=SEED),
-                 label="clean"),
-            Cell(run_fault_latency_cell,
-                 FaultLatencyCell(config, plan=_plan(),
-                                  writes=WRITES, reads=READS, seed=SEED),
-                 label="faulted"),
-        ]
-        return Runner(jobs=2).run(cells)
-
-    clean, faulted = run_once(benchmark, experiment)
+def test_fault_degradation_latency(figure_output):
+    config = _config()
+    clean, faulted = Runner(jobs=2).run([
+        Cell(run_fault_latency_cell,
+             FaultLatencyCell(config, plan=None,
+                              writes=WRITES, reads=READS, seed=SEED),
+             label="clean"),
+        Cell(run_fault_latency_cell,
+             FaultLatencyCell(config, plan=_plan(),
+                              writes=WRITES, reads=READS, seed=SEED),
+             label="faulted"),
+    ])
 
     rows = [
         ["clean", round(clean.read_mean_us, 1), round(clean.read_p99_us, 1),

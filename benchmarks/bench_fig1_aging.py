@@ -5,13 +5,10 @@ experiment): the F2FS/EXT4 throughput ratio is not a constant ~2x — it
 varies substantially across SSD models and aging states (U/A/M).
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.fs.aging import AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import TimedBackend
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.presets import ssd64_like, ssd120_like
 from repro.ssd.timed import TimedSSD
 from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
@@ -28,7 +25,7 @@ MODELS = {"ssd64": ssd64_like, "ssd120": ssd120_like}
 
 def throughput(config, fs_cls, profile) -> float:
     device = TimedSSD(config)
-    backend = TimedBackend(device)
+    backend = DeviceBackend(device)
     if fs_cls is F2fsModel:
         fs = F2fsModel(backend, segment_sectors=256, checkpoint_sectors=32)
     else:
@@ -41,25 +38,17 @@ def throughput(config, fs_cls, profile) -> float:
     return workload.run(500).ops_per_second
 
 
-def experiment():
-    table = {}
-    for model_name, config_fn in MODELS.items():
-        for profile_name, profile in PROFILES.items():
-            ext4 = throughput(config_fn(scale=2), Ext4Model, profile)
-            f2fs = throughput(config_fn(scale=2), F2fsModel, profile)
-            table[(model_name, profile_name)] = (ext4, f2fs)
-    return table
-
-
-@pytest.mark.benchmark(group="fig1")
-def test_fig1_aging_ratio_varies(benchmark, figure_output):
-    table = run_once(benchmark, experiment)
+def test_fig1_aging_ratio_varies(figure_output):
     rows = []
     ratios = {}
-    for (model, profile), (ext4, f2fs) in table.items():
-        ratio = f2fs / ext4 if ext4 else 0.0
-        ratios[(model, profile)] = ratio
-        rows.append([model, profile, round(ext4), round(f2fs), round(ratio, 3)])
+    for model, config_fn in MODELS.items():
+        for profile, aging in PROFILES.items():
+            ext4 = throughput(config_fn(scale=2), Ext4Model, aging)
+            f2fs = throughput(config_fn(scale=2), F2fsModel, aging)
+            ratio = f2fs / ext4 if ext4 else 0.0
+            ratios[(model, profile)] = ratio
+            rows.append([model, profile, round(ext4), round(f2fs),
+                         round(ratio, 3)])
     figure_output(
         "fig1_aging",
         "Fig 1 — file-server throughput: F2FS/EXT4 by SSD model and aging",

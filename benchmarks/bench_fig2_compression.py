@@ -5,61 +5,40 @@ Paper shape: for highly compressible data, schemes spread up to 156 %
 above the best; the spread collapses for incompressible data.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
-from repro.ssd.compression import make_scheme
-from repro.workloads.compressibility import REGIMES, CompressibilityModel
-from repro.workloads.oltp import OltpWorkload, flash_writes_per_transaction
+from repro.workloads.oltp import (
+    COMPRESSION_HEADERS,
+    compression_rates,
+    compression_rows,
+)
 
 TRANSACTIONS = 3000
-SCHEMES = ["re-bp32", "compact", "fixed", "chunk4", "none"]
 
 
-def measure(regime: str) -> dict[str, float]:
-    rates = {}
-    for name in SCHEMES:
-        rates[name] = flash_writes_per_transaction(
-            make_scheme(name),
-            OltpWorkload(seed=1),
-            CompressibilityModel(REGIMES[regime], seed=1),
-            TRANSACTIONS,
-        )
-    return rates
-
-
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_compression_schemes(benchmark, figure_output):
-    rates = run_once(benchmark, lambda: measure("high"))
-    baseline = rates["re-bp32"]
-    rows = [
-        [name, round(rates[name], 3), round(rates[name] / baseline, 3)]
-        for name in SCHEMES
-    ]
+def test_fig2_compression_schemes(figure_output):
+    rates = compression_rates("high", TRANSACTIONS)
     figure_output(
         "fig2_compression",
         "Fig 2 — flash writes per OLTP transaction (highly compressible)",
-        ["scheme", "writes/txn", "normalized to re-bp32"],
-        rows,
+        COMPRESSION_HEADERS,
+        compression_rows(rates),
     )
-    normalized = {name: rates[name] / baseline for name in SCHEMES}
+    baseline = rates["re-bp32"]
+    normalized = {name: rate / baseline for name, rate in rates.items()}
     # Paper shape: the worst compressing scheme sits ~2.5x above the
     # baseline ("up to 156% more writes"), and re-bp32 is the best.
-    worst_compressing = max(normalized[n] for n in SCHEMES if n != "none")
+    worst_compressing = max(v for n, v in normalized.items() if n != "none")
     assert 2.0 <= worst_compressing <= 3.2
-    assert all(normalized[name] >= 0.999 for name in SCHEMES)
+    assert all(v >= 0.999 for v in normalized.values())
     assert normalized["compact"] < 1.2
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_incompressible_collapse(benchmark, figure_output):
-    rates = run_once(benchmark, lambda: measure("incompressible"))
-    rows = [[name, round(rates[name], 3)] for name in SCHEMES]
+def test_fig2_incompressible_collapse(figure_output):
+    rates = compression_rates("incompressible", TRANSACTIONS)
     figure_output(
         "fig2_incompressible",
         "Fig 2 (companion) — incompressible data",
-        ["scheme", "writes/txn"],
-        rows,
+        COMPRESSION_HEADERS[:2],
+        [row[:2] for row in compression_rows(rates)],
     )
     # Without compressible data, `none` matches the packing schemes.
     assert rates["none"] <= rates["re-bp32"] * 1.05

@@ -13,9 +13,6 @@ sub-saturating and saturating fractions of the closed-loop throughput,
 recording how the reported percentiles diverge.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_timed
@@ -37,19 +34,14 @@ def run_mode(submission, rate_iops=0.0):
     return run_timed(device, [job]).jobs["fig3"]
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_open_vs_closed_loop_tails(benchmark, figure_output):
-    def experiment():
-        closed = run_mode("closed")
-        rates = {
-            "0.5x": 0.5 * closed.iops,
-            "0.9x": 0.9 * closed.iops,
-            "1.2x": 1.2 * closed.iops,
-        }
-        opens = {tag: run_mode("open", rate) for tag, rate in rates.items()}
-        return closed, rates, opens
-
-    closed, rates, opens = run_once(benchmark, experiment)
+def test_open_vs_closed_loop_tails(figure_output):
+    closed = run_mode("closed")
+    rates = {
+        "0.5x": 0.5 * closed.iops,
+        "0.9x": 0.9 * closed.iops,
+        "1.2x": 1.2 * closed.iops,
+    }
+    opens = {tag: run_mode("open", rate) for tag, rate in rates.items()}
 
     def row(tag, job, rate):
         return [tag, round(rate) if rate else "-",

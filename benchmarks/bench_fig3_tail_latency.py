@@ -13,9 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.modeling.fidelity import (
-    MQSIM_ERROR_MARGIN,
     fidelity_trace_path,
     run_fidelity_study,
 )
@@ -48,35 +46,20 @@ def study():
     )
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_p99_latency_spread(benchmark, figure_output, study):
-    run_once(benchmark, lambda: study)  # computed once per module
-    rows = []
-    for bs in BLOCK_SIZES:
-        for variant in study.variants():
-            result = study.of(variant, bs)
-            rows.append([
-                f"{bs * 4}K", variant,
-                round(result.summary.p50, 1),
-                round(result.summary.p99, 1),
-                round(result.summary.p999, 1),
-                round(result.iops),
-            ])
+def test_fig3_p99_latency_spread(figure_output, study):
     figure_output(
         "fig3_tail_latency",
         "Fig 3 — random-write latency percentiles by FTL variant",
-        ["request", "FTL variant", "p50 (us)", "p99 (us)", "p99.9 (us)", "IOPS"],
-        rows,
+        study.HEADERS,
+        study.rows(),
     )
     spreads = [study.p99_spread(bs) for bs in BLOCK_SIZES]
     # Paper: up to an order of magnitude difference in p99.
     assert max(spreads) >= 2.0
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_tail_curves(benchmark, figure_output, study):
+def test_fig3_tail_curves(figure_output, study):
     """The figure's actual series: worst-percentile latency curves."""
-    run_once(benchmark, lambda: study)
     bs = 1
     rows = []
     for variant in study.variants():
@@ -92,20 +75,17 @@ def test_fig3_tail_curves(benchmark, figure_output, study):
     assert rows
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_means_near_mqsim_margin(benchmark, figure_output, study):
+def test_fig3_means_near_mqsim_margin(figure_output, study):
     """§2.1's sting: FTL-variant mean differences sit near the 18%
     fidelity margin, so 'validated' simulators cannot distinguish
     fundamentally different FTLs."""
-    run_once(benchmark, lambda: study)
     rows = []
-    near_margin = 0
     for bs in BLOCK_SIZES:
+        within = study.within_mqsim_margin(bs)
         for variant, diff in study.mean_divergence(bs).items():
             rows.append([f"{bs * 4}K", variant, round(diff, 3),
-                         diff <= 1.5 * MQSIM_ERROR_MARGIN])
-            if diff <= 1.5 * MQSIM_ERROR_MARGIN:
-                near_margin += 1
+                         within[variant]])
+    near_margin = sum(row[3] for row in rows)
     figure_output(
         "fig3_mean_divergence",
         "§2.1 — mean divergence vs baseline (MQSim margin = 0.18)",
@@ -117,8 +97,7 @@ def test_fig3_means_near_mqsim_margin(benchmark, figure_output, study):
 
 
 @pytest.mark.skipif(not TRACE_DIR, reason="set REPRO_TRACE_DIR to enable")
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_stall_attribution(benchmark, figure_output, study):
+def test_fig3_stall_attribution(figure_output, study):
     """Opt-in companion figure: *why* the tails differ.  Each variant's
     trace decomposes write latency into controller overhead plus
     cache-admission stall (time waiting for GC/flush programs to free
@@ -126,7 +105,6 @@ def test_fig3_stall_attribution(benchmark, figure_output, study):
     missing explanation."""
     from repro.obs import attribute_tail, load_trace, stall_reconciliation
 
-    run_once(benchmark, lambda: study)
     rows = []
     for bs in BLOCK_SIZES:
         for variant in study.variants():

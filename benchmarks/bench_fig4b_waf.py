@@ -6,35 +6,23 @@ WAF of 0.56; the measured mixed run lands at ~0.9, i.e. the black-box
 extrapolation is off by a factor approaching 2.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.core.blackbox.waf import run_waf_study
 from repro.exp import Runner
 from repro.ssd.presets import mx500_like
 
 
-@pytest.mark.benchmark(group="fig4b")
-def test_fig4b_waf_extrapolation(benchmark, figure_output):
-    study = run_once(benchmark, lambda: run_waf_study(
+def test_fig4b_waf_extrapolation(figure_output):
+    study = run_waf_study(
         config=mx500_like(scale=2),
         io_count=12_000,
         prime_fraction=0.5,
         runner=Runner(),
-    ))
-    rows = [
-        [w.name, w.requests, w.host_pages, w.ftl_pages, round(w.waf, 3)]
-        for w in study.separate
-    ]
-    rows.append(["expected mixed (weighted)", "-", "-", "-",
-                 round(study.expected_mixed_waf, 3)])
-    rows.append(["measured mixed", "-", "-", "-",
-                 round(study.measured_mixed_waf, 3)])
+    )
     figure_output(
         "fig4b_waf",
         "Fig 4b — WAF separate vs. concurrent (MX500 model)",
-        ["workload", "requests", "host pages", "FTL pages", "WAF"],
-        rows,
+        study.HEADERS,
+        study.rows(),
     )
     # Paper shape: separately the workloads look similar and benign;
     # the measured mixed run exceeds the additive prediction by a

@@ -10,7 +10,6 @@ traces recovers firmware behaviour (page size, timings, background ops).
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.probe.analyzer import HOBBYIST, TLA7000, LogicAnalyzer
 from repro.core.probe.decoder import decode_trace_windows
 from repro.core.probe.inference import (
@@ -40,9 +39,8 @@ def drive_format_workload():
     return config, tap.trace, host_log
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_signal_diagram(benchmark, figure_output):
-    config, trace, _ = run_once(benchmark, drive_format_workload)
+def test_fig5_signal_diagram(figure_output):
+    config, trace, _ = drive_format_workload()
     analyzer = LogicAnalyzer(TLA7000)
     capture = analyzer.capture_triggered(trace)
     assert capture is not None
@@ -75,9 +73,8 @@ def test_fig5_signal_diagram(benchmark, figure_output):
     assert page_transfer_ns < 1_000_000  # the paper's "< 1 ms" burst
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_decode_and_infer(benchmark, figure_output):
-    config, trace, host_log = run_once(benchmark, drive_format_workload)
+def test_fig5_decode_and_infer(figure_output):
+    config, trace, host_log = drive_format_workload()
     result = decode_trace_windows(trace, LogicAnalyzer(TLA7000))
     report = infer_ftl_features(result.ops, host_log,
                                 sector_size=config.geometry.sector_size)
@@ -93,10 +90,9 @@ def test_fig5_decode_and_infer(benchmark, figure_output):
     assert report.programs > 0
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_instrument_limits(benchmark, figure_output):
+def test_fig5_instrument_limits(figure_output):
     """The '$20,000 analyzer' constraint: capability vs. decode yield."""
-    _, trace, _ = run_once(benchmark, drive_format_workload)
+    _, trace, _ = drive_format_workload()
     rows = []
     for spec in (TLA7000, HOBBYIST):
         result = decode_trace_windows(trace, LogicAnalyzer(spec))

@@ -11,18 +11,13 @@ pSLC (TurboWrite) buffer.
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.jtag.discovery import run_full_study
 from repro.ssd.firmware.device import IDCODE, HackableSSD
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_full_jtag_study(benchmark, figure_output):
-    def experiment():
-        device = HackableSSD(scale=1)
-        return device, run_full_study(device, expected_idcode=IDCODE)
-
-    device, report = run_once(benchmark, experiment)
+def test_fig6_full_jtag_study(figure_output):
+    device = HackableSSD(scale=1)
+    report = run_full_study(device, expected_idcode=IDCODE)
     figure_output(
         "fig6_jtag_study",
         "Fig 6 / §3.2 — JTAG reverse-engineering findings",

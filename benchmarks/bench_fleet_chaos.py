@@ -26,9 +26,6 @@ SLO table — the golden checked at quarter scale by
 import pickle
 from dataclasses import replace
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.exp import Runner
 from repro.fleet import (
     CAMPAIGNS,
@@ -64,19 +61,13 @@ def _fleet(spec: FleetSpec, jobs: int, shards: int | None):
     return devices, aggregate_fleet(spec, devices)
 
 
-@pytest.mark.benchmark(group="fleet-chaos")
-def test_fleet_chaos(benchmark, figure_output):
-    def experiment():
-        _, fault_free = _fleet(fleet_spec(), 1, None)
-        zero = _fleet(campaign_spec(afr=0.0), 1, None)
-        chaos = {
-            (jobs, shards): _fleet(campaign_spec(), jobs, shards)
-            for jobs, shards in ((1, None), (2, None), (1, 1), (1, 8))
-        }
-        return fault_free, zero, chaos
-
-    fault_free, (zero_devices, zero_report), chaos = run_once(
-        benchmark, experiment)
+def test_fleet_chaos(figure_output):
+    _, fault_free = _fleet(fleet_spec(), 1, None)
+    _, zero_report = _fleet(campaign_spec(afr=0.0), 1, None)
+    chaos = {
+        (jobs, shards): _fleet(campaign_spec(), jobs, shards)
+        for jobs, shards in ((1, None), (2, None), (1, 1), (1, 8))
+    }
 
     headers, rows = fault_free.slo_table()
     figure_output(

@@ -10,9 +10,6 @@ host interface, and the structural knobs (``gc_policy``,
 paper's claim that the information exists and only access is missing.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.exp import Runner
 from repro.infer import run_transparency_sweep
 
@@ -20,14 +17,9 @@ N_POINTS = 8
 SEED = 42
 
 
-def score_sweep():
-    return run_transparency_sweep(
+def test_transparency_score(figure_output):
+    score = run_transparency_sweep(
         N_POINTS, seed=SEED, runner=Runner(jobs=1, cache=None))
-
-
-@pytest.mark.benchmark(group="transparency")
-def test_transparency_score(benchmark, figure_output):
-    score = run_once(benchmark, score_sweep)
     print("\n" + score.render())
     figure_output(
         "fig_transparency_score",

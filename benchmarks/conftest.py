@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
 Every bench regenerates one of the paper's tables or figures: it runs the
-experiment once under pytest-benchmark (pedantic, single round — these
-are experiments, not microbenchmarks), prints the figure's rows, writes
-them to ``bench_results/<name>.csv``, and asserts the paper's qualitative
-shape so the suite doubles as a regression check on the reproduction.
+experiment once as a plain test (these are experiments, not
+microbenchmarks; host speed is perfbench's to measure), prints the
+figure's rows, writes them to ``bench_results/<name>.csv``, and asserts
+the paper's qualitative shape so the suite doubles as a regression check
+on the reproduction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,3 @@ def figure_output():
 
     return emit
 
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

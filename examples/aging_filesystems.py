@@ -16,7 +16,7 @@ from repro.analysis.report import format_table
 from repro.fs.aging import PROFILES, AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import TimedBackend
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.presets import ssd64_like, ssd120_like
 from repro.ssd.timed import TimedSSD
 from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
@@ -33,7 +33,7 @@ QUICK_PROFILES = {
 
 def throughput(device_config, fs_cls, profile) -> float:
     device = TimedSSD(device_config)
-    backend = TimedBackend(device)
+    backend = DeviceBackend(device)
     if fs_cls is F2fsModel:
         fs = F2fsModel(backend, segment_sectors=256, checkpoint_sectors=32)
     else:

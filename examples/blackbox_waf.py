@@ -23,14 +23,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     device = SimulatedSSD(mx500_like(scale=2), model="MX500 (repro)")
     estimate = sequential_write_sweep(device)
-    print(format_table(
-        ["host write (KiB)", "NAND pages", "bytes/page"],
-        [
-            [p.write_bytes // 1024, p.nand_pages, round(p.bytes_per_page)]
-            for p in estimate.points
-        ],
-        title="Fig 4a — sequential write sweep",
-    ))
+    print(format_table(estimate.HEADERS, estimate.rows(),
+                       title="Fig 4a — sequential write sweep"))
     print(f"\nconverged: {estimate.converged_bytes_per_page / 1024:.1f} KiB "
           "per NAND page  (32 KiB page x 15/16 RAIN stripe = 30 KiB)\n")
 
@@ -40,15 +34,9 @@ def main() -> None:
     print("running the three workloads separately, then concurrently "
           "(this takes a minute)...\n")
     study = run_waf_study(mx500_like(scale=2), io_count=12_000)
-    rows = [[w.name, w.requests, w.host_pages, w.ftl_pages, w.waf]
-            for w in study.separate]
-    print(format_table(
-        ["workload", "requests", "host pages", "FTL pages", "WAF"],
-        rows, title="Fig 4b — separate runs",
-    ))
-    print(f"\nexpected mixed WAF (IOPS-weighted): {study.expected_mixed_waf:.3f}")
-    print(f"measured mixed WAF:                  {study.measured_mixed_waf:.3f}")
-    print(f"extrapolation error:                 {study.extrapolation_error:.2f}x")
+    print(format_table(study.HEADERS, study.rows(),
+                       title="Fig 4b — separate runs, then the mixed run"))
+    print(f"\nextrapolation error: {study.extrapolation_error:.2f}x")
     print(
         "\nThe additive model fails because the mixed run's dirty-mapping\n"
         "working set overflows the FTL's RAM budget — invisible from\n"

@@ -10,35 +10,21 @@ Run:  python examples/compression_study.py
 """
 
 from repro.analysis.report import format_table
-from repro.ssd.compression import SCHEMES, make_scheme
-from repro.workloads.compressibility import REGIMES, CompressibilityModel
-from repro.workloads.oltp import OltpWorkload, flash_writes_per_transaction
+from repro.workloads.oltp import (
+    COMPRESSION_HEADERS,
+    compression_rates,
+    compression_rows,
+)
 
 TRANSACTIONS = 3000
 
 
 def main() -> None:
-    order = ["re-bp32", "compact", "fixed", "chunk4", "none"]
     for regime_name in ("high", "moderate", "incompressible"):
-        rates = {}
-        for scheme_name in order:
-            rate = flash_writes_per_transaction(
-                make_scheme(scheme_name),
-                OltpWorkload(seed=1),
-                CompressibilityModel(REGIMES[regime_name], seed=1),
-                TRANSACTIONS,
-            )
-            rates[scheme_name] = rate
-        baseline = rates["re-bp32"]
-        rows = [
-            [name, round(rates[name], 3),
-             rates[name] / baseline if baseline else 0.0,
-             f"+{(rates[name] / baseline - 1) * 100:.0f}%" if baseline else "-"]
-            for name in order
-        ]
+        rows = compression_rows(compression_rates(regime_name, TRANSACTIONS))
         print(format_table(
-            ["scheme", "writes/txn", "normalized", "extra writes"],
-            rows,
+            [*COMPRESSION_HEADERS, "extra writes"],
+            [[*row, f"{(row[2] - 1) * 100:+.1f}%"] for row in rows],
             title=f"\nFig 2 — {regime_name} compressibility "
                   f"({TRANSACTIONS} transactions)",
         ))

@@ -30,7 +30,15 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import summarize_latencies
+from repro.engines import (
+    ENGINES,
+    YCSB_MIXES,
+    EngineRunCell,
+    run_engine_cell,
+    ycsb_spec_for_device,
+)
 from repro.fleet.spec import TENANT_MIXES
+from repro.ssd.policy import REGISTRIES
 from repro.ssd.presets import PRESETS
 
 
@@ -42,25 +50,50 @@ def _preset(name: str, scale: int):
         raise SystemExit(f"unknown preset {name!r}; known: {known}")
 
 
-def _int_at_least(minimum: int):
-    """An ``argparse`` type: an int, a usage error below *minimum*."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+def _at_least(minimum: int, convert=int):
+    """An ``argparse`` type: a number, a usage error below *minimum*."""
+    def parse(text: str):
+        value = convert(text)
+        if not value >= minimum:  # NaN included
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}")
         return value
-    parse.__name__ = f"int >= {minimum}"  # argparse: "invalid <name> value"
+    # argparse: "invalid <name> value"
+    parse.__name__ = f"{convert.__name__} >= {minimum}"
     return parse
 
 
-#: every request-count, request-size and queue-depth option: a job of
-#: zero requests (or zero sectors, or depth 0) is a usage error, not a
-#: ``JobSpec`` traceback.
-_positive_int = _int_at_least(1)
-#: every ``--seed``: numpy's generators refuse a negative seed with a
-#: traceback of their own.
-_non_negative_int = _int_at_least(0)
+#: every count, size, depth and scale option: a job of zero requests
+#: (or zero sectors, depth 0, scale 0) is a usage error, not a
+#: ``JobSpec`` traceback or a preset's silent ``max(1, scale)``.
+_positive_int = _at_least(1)
+#: every ``--seed`` (numpy's generators refuse a negative one with a
+#: traceback of their own), and counts where 0 means "size it for me".
+_non_negative_int = _at_least(0)
+
+
+def _names(known):
+    """An ``argparse`` type: a comma-separated list of names from
+    *known*, a usage error naming the known ones otherwise."""
+    def parse(text: str) -> tuple[str, ...]:
+        picked = tuple(s.strip() for s in text.split(",") if s.strip())
+        for name in picked:
+            if name not in known:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {name!r}; known: {', '.join(sorted(known))}")
+        return picked
+    return parse
+
+
+def _device_and_run(args, config):
+    """The device ``--mode`` names and the loop that runs it: counter
+    mode is a zero-latency device, flushed at the end of the run."""
+    from repro.ssd.timed import TimedSSD
+    from repro.workloads.engine import run_counter, run_timed
+
+    counter = args.mode == "counter"
+    return (TimedSSD(config, zero_latency=counter),
+            run_counter if counter else run_timed)
 
 
 def _check_bs_fits(args, config) -> None:
@@ -180,23 +213,11 @@ def cmd_trace(args) -> int:
     jsonl = JsonlSink(args.out)
     sink = TeeSink(jsonl, counter, histogram)
 
-    def source(device, iodepth=1):
-        return synthetic_source("trace", "randwrite", device.num_sectors,
-                                bs_sectors=args.bs, io_count=args.writes,
-                                iodepth=iodepth, seed=args.seed)
-
-    if args.mode == "timed":
-        from repro.ssd.timed import TimedSSD
-        from repro.workloads.engine import run_timed
-
-        device = TimedSSD(config)
-        run_timed(device, [source(device, iodepth=args.iodepth)], sink=sink)
-    else:
-        from repro.ssd.device import SimulatedSSD
-        from repro.workloads.engine import run_counter
-
-        device = SimulatedSSD(config)
-        run_counter(device, [source(device)], sink=sink)
+    device, run = _device_and_run(args, config)
+    run(device, [synthetic_source("trace", "randwrite", device.num_sectors,
+                                  bs_sectors=args.bs, io_count=args.writes,
+                                  iodepth=args.iodepth, seed=args.seed)],
+        sink=sink)
     sink.close()
 
     print(format_table(
@@ -249,13 +270,10 @@ def cmd_replay(args) -> int:
 
     source = TraceSource(trace, name="replay", time_scale=args.time_scale,
                          submission=args.submission, iodepth=args.iodepth)
+    device, run = _device_and_run(args, config)
+    result = run(device, [source])
+    job = result.jobs["replay"]
     if args.mode == "timed":
-        from repro.ssd.timed import TimedSSD
-        from repro.workloads.engine import run_timed
-
-        device = TimedSSD(config)
-        result = run_timed(device, [source])
-        job = result.jobs["replay"]
         summary = summarize_latencies(job.latencies_us)
         loop = (f"open loop @ recorded timeline x{args.time_scale:g}"
                 if source.is_open_loop else f"closed loop qd={args.iodepth}")
@@ -270,12 +288,6 @@ def cmd_replay(args) -> int:
             title=f"trace replay on {args.preset} ({loop})",
         ))
     else:
-        from repro.ssd.device import SimulatedSSD
-        from repro.workloads.engine import run_counter
-
-        device = SimulatedSSD(config)
-        result = run_counter(device, [source])
-        job = result.jobs["replay"]
         print(device.smart_render())
         print(f"\nreplayed {job.requests} requests "
               f"({job.sectors} sectors), WAF {result.waf:.3f}")
@@ -285,32 +297,15 @@ def cmd_replay(args) -> int:
 def cmd_engine(args) -> int:
     """Run YCSB mixes through the storage engines, one cached cell per
     engine x mix, and show how engine structure lands on the device."""
-    from repro.engines import (
-        ENGINES,
-        YCSB_MIXES,
-        EngineRunCell,
-        run_engine_cell,
-        ycsb_spec_for_device,
-    )
     from repro.exp import Cell
 
-    def axis(raw, known, what):
-        picked = tuple(s.strip() for s in raw.split(",") if s.strip())
-        for name in picked:
-            if name not in known:
-                raise SystemExit(f"engine: unknown {what} {name!r}; "
-                                 f"known: {', '.join(sorted(known))}")
-        return picked
-
-    engines = axis(args.engines, ENGINES, "engine")
-    mixes = axis(args.mixes, YCSB_MIXES, "mix")
     config = _preset(args.preset, args.scale)
     if args.alloc:
         config = config.with_changes(allocation_scheme=args.alloc)
 
     cells = []
-    for engine in engines:
-        for mix in mixes:
+    for engine in args.engines:
+        for mix in args.mixes:
             spec = ycsb_spec_for_device(
                 mix, config.logical_sectors,
                 value_sectors=args.value_sectors,
@@ -389,14 +384,10 @@ def cmd_nand_page(args) -> int:
     from repro.core.blackbox.nand_page import sequential_write_sweep
     from repro.ssd.device import SimulatedSSD
 
-    device = SimulatedSSD(_preset(args.preset, args.scale))
-    estimate = sequential_write_sweep(device)
-    print(format_table(
-        ["host write (KiB)", "NAND pages", "bytes/page"],
-        [[p.write_bytes // 1024, p.nand_pages, round(p.bytes_per_page)]
-         for p in estimate.points],
-        title="Fig 4a — sequential write sweep",
-    ))
+    estimate = sequential_write_sweep(
+        SimulatedSSD(_preset(args.preset, args.scale)))
+    print(format_table(estimate.HEADERS, estimate.rows(),
+                       title="Fig 4a — sequential write sweep"))
     print(f"\nconverged: {estimate.converged_bytes_per_page / 1024:.1f} KiB/page")
     return 0
 
@@ -410,10 +401,7 @@ def cmd_waf_study(args) -> int:
         io_count=args.io_count,
         runner=runner,
     )
-    rows = [[w.name, w.requests, round(w.waf, 3)] for w in study.separate]
-    rows.append(["expected mixed", "-", round(study.expected_mixed_waf, 3)])
-    rows.append(["measured mixed", "-", round(study.measured_mixed_waf, 3)])
-    print(format_table(["workload", "requests", "WAF"], rows,
+    print(format_table(study.HEADERS, study.rows(),
                        title="Fig 4b — WAF extrapolation study"))
     print(f"\nextrapolation error: {study.extrapolation_error:.2f}x")
     print(runner.describe())
@@ -431,18 +419,8 @@ def cmd_fidelity(args) -> int:
         io_count=args.io_count,
         runner=runner,
     )
-    rows = []
-    for bs in study.block_sizes():
-        for variant in study.variants():
-            result = study.of(variant, bs)
-            rows.append([f"{bs * 4}K", variant,
-                         round(result.summary.p50, 1),
-                         round(result.summary.p99, 1),
-                         round(result.summary.p999, 1)])
-    print(format_table(
-        ["request", "variant", "p50 (us)", "p99 (us)", "p99.9 (us)"],
-        rows, title="Fig 3 — FTL variants",
-    ))
+    print(format_table(study.HEADERS, study.rows(),
+                       title="Fig 3 — FTL variants"))
     for bs in study.block_sizes():
         print(f"\np99 spread at {bs * 4}K: {study.p99_spread(bs):.2f}x")
     print(runner.describe())
@@ -455,14 +433,11 @@ def cmd_policy_grid(args) -> int:
         GRID_ALLOCATION_POLICIES,
         GRID_CACHE_DESIGNATIONS,
         GRID_GC_POLICIES,
+        GRID_HEADERS,
         grid_rows,
         run_policy_grid,
     )
     from repro.ssd.presets import mqsim_baseline
-
-    def axis(raw, default):
-        return tuple(s.strip() for s in raw.split(",") if s.strip()) \
-            if raw else default
 
     base = mqsim_baseline(scale=args.scale)
     _check_bs_fits(args, base)
@@ -471,21 +446,15 @@ def cmd_policy_grid(args) -> int:
         base,
         block_sizes_sectors=(args.bs,),
         io_count=args.io_count,
-        gc_policies=axis(args.gc, GRID_GC_POLICIES),
-        designations=axis(args.cache, GRID_CACHE_DESIGNATIONS),
-        allocations=axis(args.alloc, GRID_ALLOCATION_POLICIES),
+        gc_policies=args.gc or GRID_GC_POLICIES,
+        designations=args.cache or GRID_CACHE_DESIGNATIONS,
+        allocations=args.alloc or GRID_ALLOCATION_POLICIES,
         runner=runner,
     )
-    rows = [
-        [r["gc_policy"], r["cache_designation"], r["allocation"],
-         round(r["p50_us"], 1), round(r["p99_us"], 1),
-         round(r["p999_us"], 1), round(r["iops"])]
-        for r in sorted(grid_rows(study), key=lambda r: r["p99_us"])
-    ]
+    p99 = GRID_HEADERS.index("p99_us")
+    rows = sorted(grid_rows(study), key=lambda row: row[p99])
     print(format_table(
-        ["gc", "cache", "alloc", "p50 (us)", "p99 (us)", "p99.9 (us)",
-         "IOPS"],
-        rows,
+        GRID_HEADERS, rows,
         title=f"policy design grid ({len(rows)} points, "
               f"{args.bs * 4}K random writes)",
     ))
@@ -547,25 +516,15 @@ def cmd_transparency(args) -> int:
 
 
 def cmd_compression(args) -> int:
-    from repro.ssd.compression import make_scheme
-    from repro.workloads.compressibility import REGIMES, CompressibilityModel
-    from repro.workloads.oltp import OltpWorkload, flash_writes_per_transaction
+    from repro.workloads.oltp import (
+        COMPRESSION_HEADERS,
+        compression_rates,
+        compression_rows,
+    )
 
-    names = ["re-bp32", "compact", "fixed", "chunk4", "none"]
-    rates = {
-        name: flash_writes_per_transaction(
-            make_scheme(name), OltpWorkload(seed=1),
-            CompressibilityModel(REGIMES[args.regime], seed=1),
-            args.transactions,
-        )
-        for name in names
-    }
-    baseline = rates["re-bp32"]
-    print(format_table(
-        ["scheme", "writes/txn", "normalized"],
-        [[n, round(rates[n], 3), round(rates[n] / baseline, 3)] for n in names],
-        title=f"Fig 2 — compression schemes ({args.regime})",
-    ))
+    rates = compression_rates(args.regime, args.transactions)
+    print(format_table(COMPRESSION_HEADERS, compression_rows(rates),
+                       title=f"Fig 2 — compression schemes ({args.regime})"))
     return 0
 
 
@@ -850,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, preset_default="mx500"):
         p.add_argument("--preset", default=preset_default,
                        help=f"device preset (default {preset_default})")
-        p.add_argument("--scale", type=int, default=2,
+        p.add_argument("--scale", type=_positive_int, default=2,
                        help="geometry down-scale factor (default 2)")
         p.add_argument("--seed", type=_non_negative_int, default=42)
 
@@ -861,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the on-disk result cache")
 
     p = sub.add_parser("presets", help="list device presets")
-    p.add_argument("--scale", type=int, default=2)
+    p.add_argument("--scale", type=_positive_int, default=2)
     p.set_defaults(fn=cmd_presets)
 
     p = sub.add_parser("policies",
@@ -911,17 +870,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YCSB mixes through the LSM / B-tree storage "
                             "engines, one cached cell per engine x mix")
     common(p, preset_default="mqsim")
-    p.add_argument("--engines", default="lsm,btree",
+    p.add_argument("--engines", type=_names(ENGINES), default="lsm,btree",
                    help="comma-separated engine axis (default lsm,btree)")
-    p.add_argument("--mixes", default="a,b,c",
+    p.add_argument("--mixes", type=_names(YCSB_MIXES), default="a,b,c",
                    help="comma-separated YCSB mix axis (default a,b,c)")
     p.add_argument("--alloc", default="",
+                   choices=REGISTRIES["allocation_scheme"].names(),
                    help="allocation_scheme override (e.g. hotcold)")
-    p.add_argument("--records", type=int, default=0,
+    p.add_argument("--records", type=_non_negative_int, default=0,
                    help="key count (default: sized to the device)")
-    p.add_argument("--ops", type=int, default=0,
+    p.add_argument("--ops", type=_non_negative_int, default=0,
                    help="run-phase operations (default: 4x records)")
-    p.add_argument("--value-sectors", type=int, default=1)
+    p.add_argument("--value-sectors", type=_positive_int, default=1)
     p.add_argument("--iodepth", type=_positive_int, default=1)
     parallel(p)
     p.set_defaults(fn=cmd_engine)
@@ -953,23 +913,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_waf_study)
 
     p = sub.add_parser("fidelity", help="Fig 3 FTL-variant latency study")
-    p.add_argument("--scale", type=int, default=4)
+    p.add_argument("--scale", type=_positive_int, default=4)
     p.add_argument("--io-count", type=_positive_int, default=2_000)
     parallel(p)
     p.set_defaults(fn=cmd_fidelity)
 
     p = sub.add_parser("policy-grid",
                        help="sweep the GC x cache x allocation policy grid")
-    p.add_argument("--scale", type=int, default=4)
+    p.add_argument("--scale", type=_positive_int, default=4)
     p.add_argument("--io-count", type=_positive_int, default=2_000)
     p.add_argument("--bs", type=_positive_int, default=1,
                    help="request size in sectors")
-    p.add_argument("--gc", default="",
-                   help="comma-separated gc_policy axis override")
-    p.add_argument("--cache", default="",
+    p.add_argument("--gc", type=_names(REGISTRIES["gc_policy"].names()),
+                   default="", help="comma-separated gc_policy axis override")
+    p.add_argument("--cache",
+                   type=_names(REGISTRIES["cache_designation"].names()),
+                   default="",
                    help="comma-separated cache_designation axis override")
-    p.add_argument("--alloc", default="",
-                   help="comma-separated allocation axis override")
+    p.add_argument("--alloc",
+                   type=_names(REGISTRIES["allocation_scheme"].names()),
+                   default="", help="comma-separated allocation axis override")
     parallel(p)
     p.set_defaults(fn=cmd_policy_grid)
 
@@ -985,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transparency",
                        help="per-knob recovery-rate score over N random "
                             "policy points")
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_positive_int, default=8)
     p.add_argument("--seed", type=_non_negative_int, default=42)
     parallel(p)
     p.set_defaults(fn=cmd_transparency)
@@ -993,18 +956,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compression", help="Fig 2 compression schemes")
     p.add_argument("--regime", default="high",
                    choices=["high", "moderate", "incompressible"])
-    p.add_argument("--transactions", type=int, default=3_000)
+    p.add_argument("--transactions", type=_positive_int, default=3_000)
     p.set_defaults(fn=cmd_compression)
 
     p = sub.add_parser("jtag-study", help="Fig 6 / §3.2 JTAG RE study")
-    p.add_argument("--scale", type=int, default=2)
+    p.add_argument("--scale", type=_positive_int, default=2)
     p.set_defaults(fn=cmd_jtag_study)
 
     p = sub.add_parser("faultsweep",
                        help="crash-consistency sweep: power-cut at every "
                             "k-th host op, recover, audit durability")
     common(p, preset_default="tiny")
-    p.add_argument("--ops", type=int, default=2_000,
+    p.add_argument("--ops", type=_positive_int, default=2_000,
                    help="host operations in the sweep workload")
     p.add_argument("--strides", default="1,7,31",
                    help="comma-separated cut strides (default 1,7,31)")
@@ -1033,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--campaign", default="none",
                    choices=["none", "default", "infant", "wearout"],
                    help="fault campaign over the fleet (default: none)")
-    p.add_argument("--afr", type=float, default=None,
+    p.add_argument("--afr", type=_at_least(0, float), default=None,
                    help="override the campaign's annualized failure rate")
     p.add_argument("--keep-going", action="store_true",
                    help="isolate per-device/per-shard failures into the "
@@ -1051,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser("probe-features", help="SSDCheck-style latency probes")
-    p.add_argument("--scale", type=int, default=2)
+    p.add_argument("--scale", type=_positive_int, default=2)
     p.add_argument("--cache-sectors", type=int, default=128)
     p.add_argument("--writes", type=_positive_int, default=8_000)
     p.set_defaults(fn=cmd_probe_features)

@@ -30,6 +30,13 @@ class SweepPoint:
 class NandPageEstimate:
     points: list[SweepPoint]
 
+    HEADERS = ("host write (KiB)", "NAND pages", "bytes/page")
+
+    def rows(self) -> list[list]:
+        """The Fig 4a table, one row per sweep point."""
+        return [[p.write_bytes // 1024, p.nand_pages, round(p.bytes_per_page)]
+                for p in self.points]
+
     @property
     def converged_bytes_per_page(self) -> float:
         """The asymptote: mean of the last few sweep points."""

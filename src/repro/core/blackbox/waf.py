@@ -51,6 +51,19 @@ class WafStudy:
     expected_mixed_waf: float
     measured_mixed_waf: float
 
+    HEADERS = ("workload", "requests", "host pages", "FTL pages", "WAF")
+
+    def rows(self) -> list[list]:
+        """The Fig 4b table: each separate run, then the weighted
+        prediction and the measured mixed run."""
+        rows = [[w.name, w.requests, w.host_pages, w.ftl_pages,
+                 round(w.waf, 3)] for w in self.separate]
+        rows.append(["expected mixed (weighted)", "-", "-", "-",
+                     round(self.expected_mixed_waf, 3)])
+        rows.append(["measured mixed", "-", "-", "-",
+                     round(self.measured_mixed_waf, 3)])
+        return rows
+
     @property
     def extrapolation_error(self) -> float:
         """measured / expected — the paper's ~1.6x headline."""

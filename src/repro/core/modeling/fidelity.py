@@ -81,6 +81,22 @@ class FidelityStudy:
 
     results: list[VariantResult] = field(default_factory=list)
 
+    HEADERS = ("request", "FTL variant", "p50 (us)", "p99 (us)",
+               "p99.9 (us)", "IOPS")
+
+    def rows(self) -> list[list]:
+        """The Fig 3 table: every variant at every request size."""
+        rows = []
+        for bs in self.block_sizes():
+            for variant in self.variants():
+                result = self.of(variant, bs)
+                rows.append([f"{bs * 4}K", variant,
+                             round(result.summary.p50, 1),
+                             round(result.summary.p99, 1),
+                             round(result.summary.p999, 1),
+                             round(result.iops)])
+        return rows
+
     def of(self, variant: str, bs: int) -> VariantResult:
         for result in self.results:
             if result.variant == variant and result.bs_sectors == bs:

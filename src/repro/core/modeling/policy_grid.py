@@ -88,21 +88,23 @@ def run_policy_grid(
     )
 
 
-def grid_rows(study: FidelityStudy) -> list[dict]:
-    """Flatten a grid study into CSV-ready rows (one per point × size)."""
+#: ``ablation_policy_grid.csv``'s columns: the order of a
+#: :func:`grid_rows` row.
+GRID_HEADERS = ("gc_policy", "cache_designation", "allocation", "bs_sectors",
+                "mean_us", "p50_us", "p99_us", "p999_us", "max_us", "iops")
+
+
+def grid_rows(study: FidelityStudy) -> list[list]:
+    """Flatten a grid study into rounded rows in :data:`GRID_HEADERS`
+    order, one per point × size."""
     rows = []
     for result in study.results:
         axes = dict(part.split("=", 1) for part in result.variant.split("+"))
-        rows.append({
-            "gc_policy": axes.get("gc", ""),
-            "cache_designation": axes.get("cache", ""),
-            "allocation": axes.get("alloc", ""),
-            "bs_sectors": result.bs_sectors,
-            "mean_us": result.summary.mean,
-            "p50_us": result.summary.p50,
-            "p99_us": result.summary.p99,
-            "p999_us": result.summary.p999,
-            "max_us": result.summary.max,
-            "iops": result.iops,
-        })
+        summary = result.summary
+        rows.append([
+            axes.get("gc", ""), axes.get("cache", ""), axes.get("alloc", ""),
+            result.bs_sectors, round(summary.mean, 2), round(summary.p50, 2),
+            round(summary.p99, 2), round(summary.p999, 2),
+            round(summary.max, 2), round(result.iops, 1),
+        ])
     return rows

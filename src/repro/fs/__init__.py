@@ -3,7 +3,7 @@
 from repro.fs.aging import PROFILES, AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend, Extent, FsError, FsModel, TimedBackend
+from repro.fs.vfs import DeviceBackend, Extent, FsError, FsModel
 
 __all__ = [
     "Ext4Model",
@@ -11,8 +11,7 @@ __all__ = [
     "FsModel",
     "FsError",
     "Extent",
-    "CounterBackend",
-    "TimedBackend",
+    "DeviceBackend",
     "AgingProfile",
     "age_filesystem",
     "PROFILES",

@@ -6,16 +6,15 @@ and discards each design produces, not POSIX semantics.  The models here
 implement just enough structure — extent allocation, metadata regions,
 journals/logs — to generate those patterns faithfully.
 
-A model talks to either device mode through a tiny backend adapter, so
-the same FS code runs WAF studies (counter mode) and throughput studies
-(timed mode).
+A model talks to the device through a tiny backend adapter, so the same
+FS code runs WAF studies (a counter-mode device) and throughput studies
+(a timed one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ssd.host import HostDevice
 from repro.ssd.timed import TimedSSD
 
 
@@ -28,41 +27,14 @@ class FsError(Exception):
 # ----------------------------------------------------------------------
 
 
-class CounterBackend:
-    """Adapter over a counter-mode :class:`~repro.ssd.host.HostDevice`
-    (no clock)."""
-
-    def __init__(self, device: HostDevice) -> None:
-        self.device = device
-
-    @property
-    def num_sectors(self) -> int:
-        return self.device.num_sectors
-
-    @property
-    def now_ns(self) -> int:
-        return 0
-
-    def write(self, lba: int, count: int) -> None:
-        self.device.write_sectors(lba, count)
-
-    def read(self, lba: int, count: int) -> None:
-        self.device.read_sectors(lba, count)
-
-    def trim(self, lba: int, count: int) -> None:
-        self.device.trim_sectors(lba, count)
-
-    def flush(self) -> None:
-        self.device.flush()
-
-
-class TimedBackend:
-    """Adapter over :class:`TimedSSD`: each FS op advances device time.
+class DeviceBackend:
+    """Adapter over a :class:`TimedSSD`: each FS op advances device time.
 
     The sector commands are :class:`~repro.ssd.host.HostDevice`'s
     synchronous forms, which submit at the current clock and advance
     past the completion; only ``flush`` (whose timed form does not move
-    the clock) advances time explicitly.
+    the clock) advances time explicitly.  A zero-latency (counter-mode)
+    device never moves its clock, so ``now_ns`` stays 0 there.
     """
 
     def __init__(self, device: TimedSSD) -> None:
@@ -86,8 +58,7 @@ class TimedBackend:
         self.device.trim_sectors(lba, count)
 
     def flush(self) -> None:
-        request = self.device.flush()
-        self.device.now = request.complete_ns
+        self.device.now = self.device.flush().complete_ns
 
 
 # ----------------------------------------------------------------------

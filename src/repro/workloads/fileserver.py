@@ -5,9 +5,10 @@ simulated file server and Geriatrix's reproduction of it): a mix of whole
 file creates, appends, whole-file reads, overwrites, and deletes over a
 directory of working files.
 
-Run it over a :class:`~repro.fs.vfs.TimedBackend` and the score is
-operations per second of simulated device time; over a counter backend it
-still exercises the same block pattern (for WAF studies).
+Run it over a :class:`~repro.fs.vfs.DeviceBackend` on a timed device and
+the score is operations per second of simulated device time; on a
+counter-mode device it still exercises the same block pattern (for WAF
+studies).
 """
 
 from __future__ import annotations

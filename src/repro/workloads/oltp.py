@@ -15,7 +15,14 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.workloads.compressibility import CompressibilityModel
+from repro.ssd.compression import make_scheme
+from repro.workloads.compressibility import REGIMES, CompressibilityModel
+
+#: Fig 2's schemes in the figure's order; the first is the baseline the
+#: figure normalizes to.
+FIG2_SCHEMES = ("re-bp32", "compact", "fixed", "chunk4", "none")
+#: the Fig 2 table's columns, the order of a :func:`compression_rows` row.
+COMPRESSION_HEADERS = ("scheme", "writes/txn", "normalized to re-bp32")
 
 
 @dataclass(frozen=True)
@@ -116,3 +123,23 @@ def flash_writes_per_transaction(
     if scheme._log._open_fill > 0:
         programs += 1
     return programs / transactions
+
+
+def compression_rates(regime: str, transactions: int) -> dict[str, float]:
+    """Fig 2: flash writes per transaction of each scheme in
+    :data:`FIG2_SCHEMES` order, on one seeded OLTP stream of *regime*
+    data."""
+    return {
+        name: flash_writes_per_transaction(
+            make_scheme(name), OltpWorkload(seed=1),
+            CompressibilityModel(REGIMES[regime], seed=1), transactions)
+        for name in FIG2_SCHEMES
+    }
+
+
+def compression_rows(rates: dict[str, float]) -> list[list]:
+    """The Fig 2 table: each scheme's rate, raw and normalized to the
+    baseline scheme."""
+    baseline = rates[FIG2_SCHEMES[0]]
+    return [[name, round(rate, 3), round(rate / baseline, 3)]
+            for name, rate in rates.items()]

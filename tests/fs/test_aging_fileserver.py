@@ -5,7 +5,7 @@ import pytest
 from repro.fs.aging import PROFILE_A, PROFILE_M, PROFILE_U, PROFILES, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend, TimedBackend
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
@@ -16,13 +16,9 @@ from repro.workloads.fileserver import (
 
 
 def make_ext4(timed=False):
-    if timed:
-        device = TimedSSD(tiny())
-        backend = TimedBackend(device)
-    else:
-        device = SimulatedSSD(tiny())
-        backend = CounterBackend(device)
-    return Ext4Model(backend, journal_sectors=32, metadata_sectors=32), device
+    device = TimedSSD(tiny()) if timed else SimulatedSSD(tiny())
+    return Ext4Model(DeviceBackend(device), journal_sectors=32,
+                     metadata_sectors=32), device
 
 
 SMALL_A = PROFILE_A.__class__(
@@ -67,7 +63,7 @@ class TestAging:
 
     def test_aging_f2fs(self):
         device = SimulatedSSD(tiny())
-        fs = F2fsModel(CounterBackend(device), segment_sectors=32,
+        fs = F2fsModel(DeviceBackend(device), segment_sectors=32,
                        checkpoint_sectors=8, clean_low_water=2)
         report = age_filesystem(fs, SMALL_A, seed=4)
         assert report.final_utilization > 0.0

@@ -4,14 +4,14 @@ import pytest
 
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend, FsError
+from repro.fs.vfs import DeviceBackend, FsError
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 
 
 def counter_fs(cls, **kwargs):
     device = SimulatedSSD(tiny())
-    backend = CounterBackend(device)
+    backend = DeviceBackend(device)
     if cls is F2fsModel:
         kwargs.setdefault("segment_sectors", 32)
         kwargs.setdefault("checkpoint_sectors", 8)
@@ -110,7 +110,7 @@ class TestExt4Signature:
 
     def test_too_small_device_rejected(self):
         device = SimulatedSSD(tiny())
-        backend = CounterBackend(device)
+        backend = DeviceBackend(device)
         with pytest.raises(FsError):
             Ext4Model(backend, journal_sectors=device.num_sectors,
                       metadata_sectors=16)

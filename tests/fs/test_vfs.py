@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fs.vfs import (
-    CounterBackend,
-    Extent,
-    FreeSpaceMap,
-    FsError,
-    TimedBackend,
-)
+from repro.fs.vfs import DeviceBackend, Extent, FreeSpaceMap, FsError
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
@@ -74,7 +68,7 @@ class TestFreeSpaceMap:
 class TestBackends:
     def test_counter_backend_passthrough(self):
         device = SimulatedSSD(tiny())
-        backend = CounterBackend(device)
+        backend = DeviceBackend(device)
         backend.write(0, 4)
         backend.read(0, 2)
         backend.trim(0, 1)
@@ -85,7 +79,7 @@ class TestBackends:
 
     def test_timed_backend_advances_clock(self):
         device = TimedSSD(tiny())
-        backend = TimedBackend(device)
+        backend = DeviceBackend(device)
         t0 = backend.now_ns
         backend.write(0, 1)
         assert backend.now_ns > t0

@@ -24,7 +24,7 @@ from repro.flash.geometry import Geometry
 from repro.flash.timing import profile
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.firmware.device import IDCODE, HackableSSD
@@ -106,7 +106,7 @@ class TestJtagTracksDeviceVariants:
 class TestFilesystemDeviceInteraction:
     def churn(self, fs_cls):
         device = SimulatedSSD(tiny())
-        backend = CounterBackend(device)
+        backend = DeviceBackend(device)
         if fs_cls is F2fsModel:
             fs = F2fsModel(backend, segment_sectors=32, checkpoint_sectors=8,
                            clean_low_water=2)
@@ -129,7 +129,7 @@ class TestFilesystemDeviceInteraction:
 
     def test_f2fs_discards_reach_ftl(self):
         device = SimulatedSSD(tiny())
-        fs = F2fsModel(CounterBackend(device), segment_sectors=32,
+        fs = F2fsModel(DeviceBackend(device), segment_sectors=32,
                        checkpoint_sectors=8, clean_low_water=2)
         fs.create("a", 40)
         fs.delete("a")

@@ -65,9 +65,8 @@ class TestGridShape:
                                 designations=("data",),
                                 allocations=("CWDP", "hotcold"))
         rows = grid_rows(study)
-        assert {(r["gc_policy"], r["cache_designation"], r["allocation"])
-                for r in rows} == {("greedy", "data", "CWDP"),
-                                   ("greedy", "data", "hotcold")}
+        assert {tuple(r[:3]) for r in rows} == {("greedy", "data", "CWDP"),
+                                                ("greedy", "data", "hotcold")}
 
     def test_every_registered_policy_builds_a_device(self):
         """Every (victim, designation, allocation) registry entry can

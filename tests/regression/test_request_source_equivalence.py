@@ -19,7 +19,7 @@ import pytest
 
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import CounterBackend
+from repro.fs.vfs import DeviceBackend
 from repro.fleet.spec import FleetSpec, default_tenants
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import mqsim_baseline, tiny
@@ -160,7 +160,7 @@ class TestFsIdentity:
         config = mqsim_baseline(scale=4)
 
         direct = SimulatedSSD(config)
-        model = model_cls(CounterBackend(direct))
+        model = model_cls(DeviceBackend(direct))
         workload = FileServerWorkload(
             model, FileServerConfig(working_files=12), seed=6)
         workload.prepare()

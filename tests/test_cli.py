@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.report import format_table
 from repro.cli import build_parser, main
 
 #: Every subcommand registered in cli.py.  TestCommands must smoke each
@@ -28,6 +29,19 @@ def _options(*names):
             for action in parser._actions
             for option in action.option_strings
             if option in names]
+
+
+def _data_lines(headers, rows):
+    """The data lines of a table, rendered the way the CLI renders it."""
+    return format_table(headers, rows).splitlines()[2:]
+
+
+def _runner():
+    """The runner the CLI builds, minus its worker pool: same result
+    cache, so a study the CLI just ran is read back, not rerun."""
+    from repro.exp import ResultCache, Runner
+
+    return Runner(jobs=1, cache=ResultCache())
 
 
 def _count_options():
@@ -78,6 +92,32 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "argument --seed: must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["policy-grid", "--gc", "nope"],
+        ["policy-grid", "--cache", "nope"],
+        ["policy-grid", "--alloc", "nope"],
+        ["engine", "--alloc", "nope"],
+        ["engine", "--value-sectors", "0"],
+        ["engine", "--records", "-5"],
+        ["engine", "--ops", "-1"],
+        ["compression", "--transactions", "0"],
+        ["faultsweep", "--ops", "0"],
+        ["fleet", "--campaign", "default", "--afr", "-1"],
+        ["fleet", "--campaign", "default", "--afr", "nan"],
+        ["simulate", "--scale", "0"],
+        ["presets", "--scale", "-1"],
+        ["transparency", "--points", "0"],
+    ])
+    def test_hostile_input_is_a_usage_error(self, argv, capsys):
+        """A usage error (exit 2), not a registry or spec traceback, a
+        silent ``max(1, scale)`` or an empty score."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", [c for c, _ in _options("--bs")])
     def test_request_larger_than_the_device(self, command, capsys, tmp_path):
@@ -137,15 +177,31 @@ class TestCommands:
         assert "--rate" in capsys.readouterr().out
 
     def test_nand_page(self, capsys):
+        from repro.core.blackbox.nand_page import sequential_write_sweep
+        from repro.ssd.device import SimulatedSSD
+        from repro.ssd.presets import mx500_like
+
         assert main(["nand-page", "--preset", "mx500", "--scale", "4"]) == 0
         out = capsys.readouterr().out
         assert "bytes/page" in out
         assert "converged" in out
+        estimate = sequential_write_sweep(SimulatedSSD(mx500_like(scale=4)))
+        for line in _data_lines(estimate.HEADERS, estimate.rows()):
+            assert line in out
 
     def test_compression(self, capsys):
+        from repro.workloads.oltp import (
+            COMPRESSION_HEADERS,
+            compression_rates,
+            compression_rows,
+        )
+
         assert main(["compression", "--transactions", "400"]) == 0
         out = capsys.readouterr().out
         assert "re-bp32" in out and "chunk4" in out
+        rows = compression_rows(compression_rates("high", 400))
+        for line in _data_lines(COMPRESSION_HEADERS, rows):
+            assert line in out
 
     def test_jtag_study(self, capsys):
         # The infer harness wraps this gray-box path; the standalone
@@ -156,10 +212,17 @@ class TestCommands:
         assert "IDCODE" in out
 
     def test_waf_study(self, capsys):
+        from repro.core.blackbox.waf import run_waf_study
+        from repro.ssd.presets import mx500_like
+
         assert main(["waf-study", "--preset", "mx500", "--scale", "4",
                      "--io-count", "2000"]) == 0
         out = capsys.readouterr().out
         assert "measured mixed" in out
+        study = run_waf_study(mx500_like(scale=4), io_count=2000,
+                              runner=_runner())
+        for line in _data_lines(study.HEADERS, study.rows()):
+            assert line in out
 
     def test_probe_features(self, capsys):
         # The infer harness wraps this black-box path; the standalone
@@ -199,6 +262,13 @@ class TestCommands:
         assert "gc_sample_size" in out  # schema column
 
     def test_policy_grid(self, capsys):
+        from repro.core.modeling.policy_grid import (
+            GRID_HEADERS,
+            grid_rows,
+            run_policy_grid,
+        )
+        from repro.ssd.presets import mqsim_baseline
+
         assert main(["policy-grid", "--scale", "8", "--io-count", "150",
                      "--jobs", "1", "--no-cache",
                      "--gc", "greedy,d_choices", "--alloc", "CWDP"]) == 0
@@ -206,12 +276,26 @@ class TestCommands:
         assert "policy design grid (4 points" in out
         assert "p99 spread across the grid" in out
         assert "d_choices" in out
+        study = run_policy_grid(mqsim_baseline(scale=8),
+                                block_sizes_sectors=(1,), io_count=150,
+                                gc_policies=("greedy", "d_choices"),
+                                allocations=("CWDP",))
+        for line in _data_lines(GRID_HEADERS, grid_rows(study)):
+            assert line in out
 
     def test_fidelity(self, capsys):
+        from repro.core.modeling.fidelity import run_fidelity_study
+        from repro.ssd.presets import mqsim_baseline
+
         assert main(["fidelity", "--scale", "8", "--io-count", "150"]) == 0
         out = capsys.readouterr().out
         assert "p99 (us)" in out
         assert "p99 spread" in out
+        study = run_fidelity_study(mqsim_baseline(scale=8),
+                                   block_sizes_sectors=(1, 4), io_count=150,
+                                   runner=_runner())
+        for line in _data_lines(study.HEADERS, study.rows()):
+            assert line in out
 
     def test_trace_timed(self, capsys, tmp_path):
         out_path = tmp_path / "trace.jsonl"
