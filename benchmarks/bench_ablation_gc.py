@@ -10,9 +10,6 @@ The per-policy runs are independent, so the sweep fans out through
 :class:`repro.exp.Runner` — one :class:`repro.exp.ChurnCell` per policy.
 """
 
-import os
-from pathlib import Path
-
 from repro.exp import Cell, ChurnCell, Runner, run_churn_cell
 from repro.ssd.presets import tiny
 
@@ -22,30 +19,14 @@ from repro.ssd.presets import tiny
 #: rewrites the golden figure's row set.
 GC_POLICIES = ("greedy", "randomized_greedy", "random", "fifo", "cost_benefit")
 
-#: Set REPRO_TRACE_DIR to stream each policy's GC events (victim picks,
-#: per-block migration costs) as JSONL — the per-event record behind the
-#: aggregate WAF numbers this figure reports.
-TRACE_DIR = os.environ.get("REPRO_TRACE_DIR")
-
-
-def _churn_cell(policy: str) -> ChurnCell:
-    trace = None
-    if TRACE_DIR:
-        trace = str(Path(TRACE_DIR) / f"ablation_gc_{policy}.jsonl")
-    return ChurnCell(
-        config=tiny().with_changes(gc_policy=policy),
-        writes=12_000,
-        pattern="hotcold",
-        hot_divisor=5,
-        hot_traffic=0.8,
-        trace_path=trace,
-    )
-
 
 def test_ablation_gc_policy_waf(figure_output):
     cells = [
-        Cell(run_churn_cell, _churn_cell(policy), seed=3,
-             label=f"gc:{policy}", cacheable=not TRACE_DIR)
+        Cell(run_churn_cell,
+             ChurnCell(config=tiny().with_changes(gc_policy=policy),
+                       writes=12_000, pattern="hotcold", hot_divisor=5,
+                       hot_traffic=0.8),
+             seed=3, label=f"gc:{policy}")
         for policy in GC_POLICIES
     ]
     outcomes = dict(zip(GC_POLICIES, Runner().run(cells)))

@@ -8,29 +8,13 @@ margin (18 %), while 99th-percentile latencies spread by up to an order
 of magnitude.
 """
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.core.modeling.fidelity import (
-    fidelity_trace_path,
-    run_fidelity_study,
-)
+from repro.core.modeling.fidelity import run_fidelity_study
 from repro.exp import Runner
 from repro.ssd.presets import mqsim_baseline
 
 BLOCK_SIZES = (1, 2, 4)  # 4, 8, 16 KB requests
-
-#: Set REPRO_TRACE_DIR to a directory to have every measurement point
-#: stream a JSONL event trace there (see repro.obs) — the trace explains
-#: the tails the figure reports (GC-stall attribution per percentile).
-#: Each worker writes its own per-cell trace file.
-TRACE_DIR = os.environ.get("REPRO_TRACE_DIR")
-
-
-def _trace_path(variant: str, bs: int) -> Path:
-    return fidelity_trace_path(TRACE_DIR, variant, bs, prefix="fig3")
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +25,6 @@ def study():
         io_count=3000,
         precondition_fraction=0.75,
         runner=Runner(),
-        trace_dir=TRACE_DIR,
-        trace_prefix="fig3",
     )
 
 
@@ -96,26 +78,15 @@ def test_fig3_means_near_mqsim_margin(figure_output, study):
     assert near_margin >= 2
 
 
-@pytest.mark.skipif(not TRACE_DIR, reason="set REPRO_TRACE_DIR to enable")
 def test_fig3_stall_attribution(figure_output, study):
-    """Opt-in companion figure: *why* the tails differ.  Each variant's
-    trace decomposes write latency into controller overhead plus
-    cache-admission stall (time waiting for GC/flush programs to free
-    cache space); the stall share per percentile bucket is the paper's
-    missing explanation."""
-    from repro.obs import attribute_tail, load_trace, stall_reconciliation
-
+    """Companion figure: *why* the tails differ.  Each variant's write
+    latency splits into controller overhead plus cache-admission stall
+    (time waiting for GC/flush programs to free cache space); the stall
+    share per percentile bucket is the paper's missing explanation."""
     rows = []
     for bs in BLOCK_SIZES:
         for variant in study.variants():
-            records = load_trace(_trace_path(variant, bs))
-            recon = stall_reconciliation(records)
-            # The decomposition must reconcile exactly: stall recorded
-            # per-request equals stall recorded per-event, and
-            # latency - stall is the uniform controller overhead.
-            assert recon["request_stall_ns"] == recon["event_stall_ns"]
-            assert recon["overhead_uniform"]
-            for bucket in attribute_tail(records):
+            for bucket in study.of(variant, bs).stall_buckets:
                 rows.append([f"{bs * 4}K", variant] + bucket.row())
     figure_output(
         "fig3_stall_attribution",

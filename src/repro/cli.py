@@ -25,6 +25,7 @@ documentation of the public API::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -70,6 +71,18 @@ _positive_int = _at_least(1)
 #: every ``--seed`` (numpy's generators refuse a negative one with a
 #: traceback of their own), and counts where 0 means "size it for me".
 _non_negative_int = _at_least(0)
+
+
+def _positive_float(text: str) -> float:
+    """An ``argparse`` type: a finite float > 0 (a multiplier)."""
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN included
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float > 0"  # argparse: "invalid <name> value"
 
 
 def _names(known):
@@ -855,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, preset_default="tiny")
     p.add_argument("--trace", required=True,
                    help="block-trace CSV (op,lba,sectors,at_us)")
-    p.add_argument("--time-scale", type=float, default=1.0,
+    p.add_argument("--time-scale", type=_positive_float, default=1.0,
                    help="arrival-time multiplier: > 1 slows the trace "
                         "down, < 1 speeds it up (default 1)")
     p.add_argument("--mode", default="timed", choices=["timed", "counter"])

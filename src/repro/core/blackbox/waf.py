@@ -87,7 +87,7 @@ def default_jobs(num_sectors: int, io_count: int = 24_000) -> list[JobSpec]:
     ]
 
 
-def prime(device: HostDevice, fraction: float = 0.6, seed: int = 5) -> None:
+def prime(device: HostDevice, fraction: float = 0.6) -> None:
     """Put the drive in its 'priming stage': sequentially fill a portion
     of the LBA space so the FTL has mapped state but little GC debt."""
     sectors = int(device.num_sectors * fraction)

@@ -19,7 +19,6 @@ tail behaviour is far beyond what the validation establishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from repro.analysis.stats import (
 )
 from repro.exp.cell import Cell
 from repro.exp.runner import Runner
+from repro.obs.summary import BucketAttribution, attribute_latencies
 from repro.ssd.config import SsdConfig
 from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_timed
@@ -65,7 +65,11 @@ def paper_variants(base: SsdConfig) -> list[FtlVariant]:
 
 @dataclass
 class VariantResult:
-    """One variant's measurements for one workload point."""
+    """One variant's measurements for one workload point.
+
+    ``stall_buckets`` explains the tail: each latency-percentile
+    bucket's total latency and the part of it that was cache-admission
+    stall (the rest is controller overhead)."""
 
     variant: str
     bs_sectors: int
@@ -73,6 +77,7 @@ class VariantResult:
     iops: float
     tail_percentiles: np.ndarray
     tail_values_us: np.ndarray
+    stall_buckets: tuple[BucketAttribution, ...]
 
 
 @dataclass
@@ -146,8 +151,7 @@ class FidelityStudy:
 @dataclass(frozen=True)
 class FidelityCellSpec:
     """One (variant, request size) point of the Fig 3 grid — the unit
-    the parallel runner fans out.  ``trace_path`` makes the cell write
-    its own JSONL event trace from inside the worker."""
+    the parallel runner fans out."""
 
     variant: str
     config: SsdConfig
@@ -155,14 +159,6 @@ class FidelityCellSpec:
     io_count: int
     precondition_fraction: float
     tail_points: int
-    trace_path: str | None = None
-
-
-def fidelity_trace_path(trace_dir: str | Path, variant: str, bs: int,
-                        prefix: str = "fidelity") -> Path:
-    """Canonical trace-file name for one fidelity cell."""
-    safe = variant.replace("=", "-")
-    return Path(trace_dir) / f"{prefix}_{safe}_bs{bs}.jsonl"
 
 
 def measure_fidelity_cell(spec: FidelityCellSpec,
@@ -175,12 +171,6 @@ def measure_fidelity_cell(spec: FidelityCellSpec,
     """
     device = TimedSSD(spec.config)
     _precondition(device, spec.precondition_fraction)
-    sink = None
-    if spec.trace_path is not None:
-        from repro.obs.sinks import JsonlSink
-
-        sink = JsonlSink(spec.trace_path)
-        device.attach_sink(sink)
     job = JobSpec(
         name=f"{spec.variant}/bs{spec.bs_sectors}",
         rw="randwrite",
@@ -190,11 +180,12 @@ def measure_fidelity_cell(spec: FidelityCellSpec,
         iodepth=4,
         seed=97,
     )
-    result = run_timed(device, [job])
-    if sink is not None:
-        sink.close()
-    job_result = result.jobs[job.name]
+    job_result = run_timed(device, [job]).jobs[job.name]
     qs, values = tail_curve(job_result.latencies_us, points=spec.tail_points)
+    # A write's latency is controller overhead plus admission stall, as
+    # TimedSSD.submit reports it in HostRequest.stall_ns.
+    latency_ns = np.rint(job_result.latencies_us * 1000).astype(np.int64)
+    stall_ns = np.maximum(latency_ns - device.controller_overhead_ns, 0)
     return VariantResult(
         variant=spec.variant,
         bs_sectors=spec.bs_sectors,
@@ -202,6 +193,7 @@ def measure_fidelity_cell(spec: FidelityCellSpec,
         iops=job_result.iops,
         tail_percentiles=qs,
         tail_values_us=values,
+        stall_buckets=tuple(attribute_latencies(latency_ns, stall_ns)),
     )
 
 
@@ -213,8 +205,6 @@ def run_fidelity_study(
     tail_points: int = 40,
     variants: list[FtlVariant] | None = None,
     runner: Runner | None = None,
-    trace_dir: str | Path | None = None,
-    trace_prefix: str = "fidelity",
 ) -> FidelityStudy:
     """Measure every variant at every request size.
 
@@ -227,11 +217,6 @@ def run_fidelity_study(
     worker processes (``REPRO_JOBS`` controls the width) with results
     merged back in grid order, byte-identical to the serial
     ``Runner(jobs=1)`` run used when no runner is given.
-
-    Tracing: pass *trace_dir* to have each cell stream its own JSONL
-    event trace (named by :func:`fidelity_trace_path`) from inside the
-    worker; traced cells bypass the result cache since the trace is a
-    side effect.
     """
     variants = variants if variants is not None else paper_variants(base)
     specs = [
@@ -242,9 +227,6 @@ def run_fidelity_study(
             io_count=io_count,
             precondition_fraction=precondition_fraction,
             tail_points=tail_points,
-            trace_path=(str(fidelity_trace_path(trace_dir, variant.name, bs,
-                                                trace_prefix))
-                        if trace_dir is not None else None),
         )
         for variant in variants
         for bs in block_sizes_sectors
@@ -254,7 +236,6 @@ def run_fidelity_study(
             measure_fidelity_cell,
             spec,
             label=f"fidelity:{spec.variant}/bs{spec.bs_sectors}",
-            cacheable=spec.trace_path is None,
         )
         for spec in specs
     ]

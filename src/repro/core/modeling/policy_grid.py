@@ -11,8 +11,6 @@ and land in the content-addressed result cache.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.core.modeling.fidelity import (
     FidelityStudy,
     FtlVariant,
@@ -68,7 +66,6 @@ def run_policy_grid(
     designations: tuple[str, ...] = GRID_CACHE_DESIGNATIONS,
     allocations: tuple[str, ...] = GRID_ALLOCATION_POLICIES,
     runner: Runner | None = None,
-    trace_dir: str | Path | None = None,
 ) -> FidelityStudy:
     """Measure the full policy cross product at every request size.
 
@@ -83,8 +80,6 @@ def run_policy_grid(
         tail_points=tail_points,
         variants=grid_variants(base, gc_policies, designations, allocations),
         runner=runner,
-        trace_dir=trace_dir,
-        trace_prefix="policy_grid",
     )
 
 

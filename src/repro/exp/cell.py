@@ -14,6 +14,8 @@ The contract a cell function must honor:
   unpickle it);
 * signature ``fn(config, seed) -> result``;
 * deterministic — the result depends only on ``(config, seed)``;
+* no side effects — it writes no file, and whatever explains the
+  measurement travels in the result;
 * the result pickles (plain dataclasses, numpy arrays, primitives).
 
 Determinism plus the stable content hash of ``(fn, config, seed)`` is
@@ -33,16 +35,13 @@ class Cell:
     """One (function, config, seed) experiment unit.
 
     ``label`` names the cell in progress/error reporting (defaults to
-    the function and seed).  ``cacheable=False`` opts a cell out of the
-    result cache — required when the cell has side effects beyond its
-    return value, e.g. writing a JSONL trace file.
+    the function and seed).
     """
 
     fn: Callable[[Any, int], Any]
     config: Any
     seed: int = 0
     label: str = ""
-    cacheable: bool = True
     #: optional one-line standalone repro command, surfaced by
     #: :class:`CellError`.  Advisory metadata only: deliberately NOT
     #: part of :meth:`key`, so decorating a cell with a repro hint

@@ -4,10 +4,9 @@ Module-level, pure, and picklable — the building blocks the CLI and the
 benchmark suite fan out through :class:`~repro.exp.runner.Runner`.
 Each function takes ``(spec, seed)`` where *spec* is a frozen dataclass
 carrying everything the measurement needs (including the device
-config), and returns a plain picklable result.
-
-Cells that write a JSONL trace (``trace_path`` set) perform disk I/O as
-a side effect and must be submitted with ``cacheable=False``.
+config), and returns a plain picklable result.  A cell writes no file:
+whatever explains a measurement travels in its result, so every cell
+is cacheable.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class ChurnCell:
     pattern: str = "hotcold"
     hot_divisor: int = 5
     hot_traffic: float = 0.8
-    trace_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,6 @@ def run_churn_cell(spec: ChurnCell, seed: int = 3) -> ChurnResult:
     if spec.pattern not in CHURN_PATTERNS:
         raise ValueError(f"unknown churn pattern {spec.pattern!r}")
     device = SimulatedSSD(spec.config)
-    sink = None
-    if spec.trace_path:
-        from repro.obs.sinks import JsonlSink
-
-        sink = JsonlSink(spec.trace_path)
-        device.attach_sink(sink)
     rng = np.random.default_rng(seed)
     if spec.pattern == "hotcold":
         hot = max(1, device.num_sectors // spec.hot_divisor)
@@ -82,8 +74,6 @@ def run_churn_cell(spec: ChurnCell, seed: int = 3) -> ChurnResult:
         for _ in range(spec.writes):
             device.write_sectors(int(rng.integers(device.num_sectors)), 1)
     device.flush()
-    if sink is not None:
-        sink.close()
     return ChurnResult(
         waf=device.smart.waf(),
         erase_count=device.smart.erase_count,

@@ -157,7 +157,7 @@ class Runner:
         results: list[Any] = [None] * len(cells)
         pending: list[int] = []
         for index, cell in enumerate(cells):
-            if self.cache is not None and cell.cacheable:
+            if self.cache is not None:
                 hit, value = self.cache.get(cell.key(self.salt))
                 if hit:
                     results[index] = value
@@ -175,7 +175,7 @@ class Runner:
         if self.cache is not None:
             failed_indexes = {e.index for e in self.errors[failed_before:]}
             for index in pending:
-                if cells[index].cacheable and index not in failed_indexes:
+                if index not in failed_indexes:
                     self.cache.put(cells[index].key(self.salt), results[index])
 
         self.stats.cells += len(cells)

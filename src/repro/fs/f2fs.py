@@ -299,6 +299,3 @@ class F2fsModel(FsModel):
     def utilization(self) -> float:
         used = (self.num_segments - len(self._free_segments)) * self.segment_sectors
         return used / (self.num_segments * self.segment_sectors)
-
-    def live_sectors(self) -> int:
-        return len(self._owner)

@@ -52,12 +52,6 @@ class PolicyPoint:
             _CONFIG_FIELD[knob]: getattr(self, knob) for knob in KNOBS
         })
 
-    @classmethod
-    def from_config(cls, config: SsdConfig) -> "PolicyPoint":
-        return cls(**{
-            knob: getattr(config, _CONFIG_FIELD[knob]) for knob in KNOBS
-        })
-
     def astuple(self) -> tuple[str, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 

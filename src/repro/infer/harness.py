@@ -41,10 +41,6 @@ class InferenceResult:
     recoveries: tuple[KnobRecovery, ...]
     transcript: str
 
-    @property
-    def correct_knobs(self) -> tuple[str, ...]:
-        return tuple(r.knob for r in self.recoveries if r.correct)
-
     def recovery(self, knob: str) -> KnobRecovery:
         for r in self.recoveries:
             if r.knob == knob:

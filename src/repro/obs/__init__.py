@@ -54,6 +54,7 @@ from repro.obs.sinks import (
 from repro.obs.summary import (
     TAIL_BUCKETS,
     BucketAttribution,
+    attribute_latencies,
     attribute_tail,
     stall_reconciliation,
 )
@@ -70,5 +71,5 @@ __all__ = [
     "CounterSink", "HistogramSink", "JsonlSink", "TeeSink",
     "read_jsonl", "load_trace",
     "BucketAttribution", "TAIL_BUCKETS",
-    "attribute_tail", "stall_reconciliation",
+    "attribute_latencies", "attribute_tail", "stall_reconciliation",
 ]

@@ -62,25 +62,40 @@ def attribute_tail(
     records: Iterable[dict],
     buckets: Sequence[tuple[float, float]] = TAIL_BUCKETS,
 ) -> list[BucketAttribution]:
-    """Split timed writes into latency-percentile buckets and report how
-    much of each bucket's time was cache-admission stall."""
+    """:func:`attribute_latencies` over the timed writes of a trace."""
     writes = write_records(records)
-    if not writes:
+    return attribute_latencies([r["latency_ns"] for r in writes],
+                               [r.get("stall_ns", 0) for r in writes],
+                               buckets)
+
+
+def attribute_latencies(
+    latency_ns: Sequence[int],
+    stall_ns: Sequence[int],
+    buckets: Sequence[tuple[float, float]] = TAIL_BUCKETS,
+) -> list[BucketAttribution]:
+    """Split writes into latency-percentile buckets and report how much
+    of each bucket's time was cache-admission stall.
+
+    *latency_ns* and *stall_ns* are per-write integer nanoseconds, in
+    the same order."""
+    latencies = np.asarray(latency_ns, dtype=np.int64)
+    stalls = np.asarray(stall_ns, dtype=np.int64)
+    n = len(latencies)
+    if not n:
         return []
-    latencies = np.asarray([r["latency_ns"] for r in writes], dtype=np.float64)
     order = np.argsort(latencies, kind="stable")
-    n = len(order)
     out: list[BucketAttribution] = []
     for low, high in buckets:
         lo_idx = int(np.floor(n * low / 100.0))
         hi_idx = n if high >= 100.0 else int(np.floor(n * high / 100.0))
-        chosen = [writes[i] for i in order[lo_idx:hi_idx]]
+        chosen = order[lo_idx:hi_idx]
         out.append(BucketAttribution(
             low=low,
             high=high,
             requests=len(chosen),
-            total_latency_ns=int(sum(r["latency_ns"] for r in chosen)),
-            total_stall_ns=int(sum(r.get("stall_ns", 0) for r in chosen)),
+            total_latency_ns=int(latencies[chosen].sum()),
+            total_stall_ns=int(stalls[chosen].sum()),
         ))
     return out
 

@@ -275,9 +275,6 @@ class PageAllocator:
     def free_blocks_in_plane(self, plane: int) -> int:
         return len(self._free_blocks[plane])
 
-    def min_free_blocks(self) -> int:
-        return min(len(pool) for pool in self._free_blocks)
-
     def total_free_blocks(self) -> int:
         return sum(len(pool) for pool in self._free_blocks)
 

@@ -110,10 +110,6 @@ class MemoryMap:
         return self.entries_per_array * MAP_ENTRY_BYTES
 
     @property
-    def map_total_bytes(self) -> int:
-        return self.map_array_bytes * NUM_MAP_ARRAYS
-
-    @property
     def pslc_index_bytes(self) -> int:
         return self.pslc_buckets * PSLC_BUCKET_BYTES
 

@@ -30,6 +30,7 @@ engine.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -224,8 +225,9 @@ class TraceSource(RequestSource):
         lba_offset: int = 0,
         lba_modulo: int | None = None,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not 0 < time_scale < math.inf:  # NaN included
+            raise ValueError(
+                f"time_scale must be positive and finite, got {time_scale}")
         if submission not in ("open", "closed"):
             raise ValueError(f"unknown submission mode {submission!r}")
         if iodepth < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -103,10 +104,11 @@ class BlockTrace:
 
         Rejected with a :class:`TraceFormatError` naming the offending
         line: wrong column count, unknown op kinds, unparseable fields,
-        timestamps that go backwards, and — when the target device's
-        *num_sectors* is given — requests that fall outside the LBA
-        space.  Catching these here means a malformed trace fails in
-        one obvious place instead of deep inside the engine mid-replay.
+        non-finite timestamps, timestamps that go backwards, and — when
+        the target device's *num_sectors* is given — requests that fall
+        outside the LBA space.  Catching these here means a malformed
+        trace fails in one obvious place instead of deep inside the
+        engine mid-replay.
         """
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
@@ -130,6 +132,9 @@ class BlockTrace:
                 raise TraceFormatError(
                     f"unparseable lba/sectors/at_us in {row!r}",
                     line=line) from None
+            if not math.isfinite(at_us):
+                raise TraceFormatError(
+                    f"at_us must be finite, got {row[3]!r}", line=line)
             try:
                 record = TraceRecord(kind, lba, sectors, at_us)
             except ValueError as exc:

@@ -103,15 +103,6 @@ class TestCaching:
         assert rerun.stats.executed == 0
         assert rerun.cache.stats.hits == 4
 
-    def test_uncacheable_cells_always_execute(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cells = [Cell(identity_cell, Work(1), cacheable=False)]
-        Runner(jobs=1, cache=cache).run(cells)
-        rerun = Runner(jobs=1, cache=ResultCache(tmp_path))
-        rerun.run(cells)
-        assert rerun.stats.executed == 1
-        assert rerun.cache.stats.hits == 0
-
     def test_partial_warm_run_executes_only_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         Runner(jobs=1, cache=cache).run([Cell(identity_cell, Work(0))])

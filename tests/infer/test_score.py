@@ -41,5 +41,4 @@ def test_rows_shape_matches_csv_contract():
 def test_cells_are_labelled_and_cacheable():
     cells = transparency_cells([PolicyPoint()], seed=3)
     assert cells[0].label.startswith("infer:")
-    assert cells[0].cacheable
     assert cells[0].config == PolicyPoint().astuple()

@@ -12,11 +12,17 @@ release space.  So the trace must satisfy:
 * ``latency - stall`` is the uniform controller overhead for every
   write,
 * the p99 inflation over the no-load latency equals the p99 stall.
+
+The checks run on a plain device and on every Fig 3 FTL variant, and a
+Fig 3 cell's own stall attribution, computed from latencies alone,
+must equal the attribution of its trace.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.modeling import fidelity
+from repro.core.modeling.fidelity import FidelityCellSpec, paper_variants
 from repro.obs import (
     JsonlSink,
     attribute_tail,
@@ -30,15 +36,19 @@ from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
 
 
-@pytest.fixture(scope="module")
-def traced_run(tmp_path_factory):
+def _traced(config, tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "run.jsonl"
-    device = TimedSSD(tiny())
+    device = TimedSSD(config)
     job = JobSpec("rw", "randwrite", Region(0, device.num_sectors),
                   bs_sectors=1, io_count=3000, iodepth=4, seed=11)
     with JsonlSink(path) as sink:
         run_timed(device, [job], sink=sink)
     return device, load_trace(path)
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    return _traced(tiny(), tmp_path_factory)
 
 
 class TestStallReconciliation:
@@ -82,3 +92,30 @@ class TestStallReconciliation:
         for r in records:
             if r["event"] == "host_request" and r["kind"] == "write":
                 assert 0 <= r["stall_ns"] <= r["latency_ns"]
+
+
+class TestEveryFig3Variant(TestStallReconciliation):
+    """The same checks on each FTL variant the Fig 3 study compares."""
+
+    @pytest.fixture(scope="class", params=paper_variants(tiny()),
+                    ids=lambda variant: variant.name)
+    def traced_run(self, request, tmp_path_factory):
+        return _traced(request.param.config, tmp_path_factory)
+
+
+def test_fidelity_cell_buckets_equal_its_trace_buckets(tmp_path, monkeypatch):
+    """The Fig 3 stall table comes from a cell's latencies, not from a
+    trace: traced, the same cell must attribute its tail identically."""
+    path = tmp_path / "cell.jsonl"
+
+    def traced_run_timed(device, jobs):
+        with JsonlSink(path) as sink:
+            return run_timed(device, jobs, sink=sink)
+
+    monkeypatch.setattr(fidelity, "run_timed", traced_run_timed)
+    spec = FidelityCellSpec("baseline", tiny(), bs_sectors=2, io_count=1000,
+                            precondition_fraction=0.75, tail_points=10)
+    result = fidelity.measure_fidelity_cell(spec)
+    assert list(result.stall_buckets) == attribute_tail(load_trace(path))
+    assert sum(b.requests for b in result.stall_buckets) == 1000
+    assert result.stall_buckets[-1].total_stall_ns > 0

@@ -108,6 +108,9 @@ class TestParser:
         ["simulate", "--scale", "0"],
         ["presets", "--scale", "-1"],
         ["transparency", "--points", "0"],
+        ["replay", "--trace", "t.csv", "--time-scale", "0"],
+        ["replay", "--trace", "t.csv", "--time-scale", "-1"],
+        ["replay", "--trace", "t.csv", "--time-scale", "nan"],
     ])
     def test_hostile_input_is_a_usage_error(self, argv, capsys):
         """A usage error (exit 2), not a registry or spec traceback, a

@@ -118,6 +118,8 @@ class TestReplay:
     def test_time_scale_validated(self):
         with pytest.raises(ValueError):
             TraceSource(BlockTrace(), time_scale=0)
+        with pytest.raises(ValueError):
+            TraceSource(BlockTrace(), time_scale=float("nan"))
 
 
 class TestLoadValidation:
@@ -154,6 +156,13 @@ class TestLoadValidation:
             self.HEADER + "write,1,1,10.0\nwrite,2,1,20.0\nwrite,3,1,5.0\n")
         assert error.line == 4
         assert "backwards" in str(error)
+
+    @pytest.mark.parametrize("at_us", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamps(self, at_us):
+        error = self._reject(
+            self.HEADER + f"write,1,1,0\nwrite,2,1,{at_us}\nwrite,3,1,10\n")
+        assert error.line == 3
+        assert "finite" in str(error)
 
     def test_lba_out_of_device_range(self):
         # row 3's request [90, 110) spills past a 100-sector device
