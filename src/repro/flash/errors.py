@@ -84,9 +84,10 @@ class FailureInjector:
     FTL's bad-block path.
 
     Subclasses (notably :class:`repro.faults.injection.PlannedFaultInjector`)
-    extend the surface with clock/op hooks and uncorrectable-read faults;
-    the base class implements them as no-ops so the FTL can call every
-    hook unconditionally.
+    extend the surface with clock/op hooks and uncorrectable-read faults.
+    The base class implements them as no-ops, and the FTL's host path
+    skips ``tick`` and ``read_uncorrectable`` while an instance of this
+    exact class is installed; any subclass gets every call.
     """
 
     def __init__(self, seed: int = 0, program_fail_prob: float = 0.0,

@@ -75,7 +75,7 @@ from repro.ssd.mapping import (
     MappingEvents,
     MappingTable,
 )
-from repro.ssd.ops import FlashOp, OpKind, OpReason
+from repro.ssd.ops import FlashOp, OpKind, OpReason, new_tuple
 from repro.ssd.policy import cache_admission_policies, cache_designations
 from repro.ssd.rain import RainAccountant
 from repro.ssd.slc import PslcBuffer
@@ -276,7 +276,8 @@ class Ftl:
         if self.degraded_read_only:
             self._check_writable()
         self._host_ops += 1
-        self.injector.tick(self._host_ops)
+        if self.injector.__class__ is not FailureInjector:
+            self.injector.tick(self._host_ops)
         ops = self._ops = []
         stats = self.stats
         cache = self.cache
@@ -314,25 +315,33 @@ class Ftl:
         return ops
 
     def read(self, lpn: int, nsectors: int = 1) -> list[FlashOp]:
-        """Read *nsectors* consecutive logical sectors starting at *lpn*."""
-        self._check_range(lpn, nsectors)
+        """Read *nsectors* consecutive logical sectors starting at *lpn*.
+
+        The injector's ``tick`` and ``read_uncorrectable`` hooks (as on
+        write and trim) are called whenever an injector other than the
+        base :class:`FailureInjector`, whose hooks do nothing, is
+        installed; the check is made on every call, so assigning
+        ``ftl.injector`` takes effect at the next request."""
+        if nsectors < 1 or lpn < 0 or lpn + nsectors > self.num_lpns:
+            self._check_range(lpn, nsectors)
         self._host_ops += 1
         injector = self.injector
-        injector.tick(self._host_ops)
+        hooked = injector.__class__ is not FailureInjector
+        if hooked:
+            injector.tick(self._host_ops)
         ops = self._ops = []
         emit = self._emit if self.obs.enabled else ops.append
         stats = self.stats
-        cache = self.cache
+        pending = self.cache.pending
         staged = self._staged
         pslc_index = self.pslc.index
         lookup = self.mapping.lookup
-        read_uncorrectable = injector.read_uncorrectable
         ops_per_day = self.config.ops_per_day
         spp = self._spp
         sector_size = self._sector_size
         for sector in range(lpn, lpn + nsectors):
             stats.host_sector_reads += 1
-            if sector in cache or (staged and sector in staged):
+            if sector in pending or (staged and sector in staged):
                 continue  # RAM hit: write cache or bypass staging buffer
             psa = pslc_index.get(sector)
             if psa is None:
@@ -341,8 +350,8 @@ class Ftl:
                     self._apply_mapping_events(events)
             if psa != UNMAPPED:
                 ppn = psa // spp
-                emit(FlashOp(_READ, ppn, _HOST, sector_size))
-                hard = read_uncorrectable(ppn, sector)
+                emit(new_tuple(FlashOp, (_READ, ppn, _HOST, sector_size)))
+                hard = hooked and injector.read_uncorrectable(ppn, sector)
                 if hard or ops_per_day:
                     self._check_read_integrity(ppn, sector, hard)
         return ops
@@ -361,10 +370,11 @@ class Ftl:
         reported uncorrectable (counted, not fatal — real drives report
         the sector and carry on).
 
-        :meth:`read` asks the injector once per flash-read sector and
-        passes its answer as *hard*; it calls this method only when that
-        answer is True or the retention model is on (``ops_per_day``),
-        the only cases in which there is anything to check."""
+        :meth:`read` asks the injector (unless it is the base class, whose
+        answer is always False) once per flash-read sector and passes its
+        answer as *hard*; it calls this method only when that answer is
+        True or the retention model is on (``ops_per_day``), the only
+        cases in which there is anything to check."""
         budget = self._expected_read_errors(ppn)
         if not hard and (budget is None or budget[0] <= budget[1]):
             return
@@ -427,7 +437,8 @@ class Ftl:
         self._check_range(lpn, nsectors)
         self._check_writable()
         self._host_ops += 1
-        self.injector.tick(self._host_ops)
+        if self.injector.__class__ is not FailureInjector:
+            self.injector.tick(self._host_ops)
         self._ops = []
         for sector in range(lpn, lpn + nsectors):
             self.stats.trimmed_sectors += 1
@@ -1038,13 +1049,9 @@ class Ftl:
         if events.load_tp_ppns:
             # A chunk load: one META read per stored translation page.
             page_size = self._page_size
-            reads = [FlashOp(_READ, ppn, _META, page_size)
-                     for ppn in events.load_tp_ppns]
-            if self.obs.enabled:
-                for op in reads:
-                    self._emit(op)
-            else:
-                self._ops.extend(reads)
+            emit = self._emit if self.obs.enabled else self._ops.append
+            for ppn in events.load_tp_ppns:
+                emit(new_tuple(FlashOp, (_READ, ppn, _META, page_size)))
         for tp_id in events.flush_tps:
             self._program_meta_page(tp_id)
 

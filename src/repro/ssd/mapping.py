@@ -127,11 +127,6 @@ class MappingTable:
     def tp_of(self, lpn: int) -> int:
         return lpn // self.tp_lpns
 
-    def chunk_of(self, lpn: int) -> int:
-        if not self.chunk_lpns:
-            return 0
-        return lpn // self.chunk_lpns
-
     def _tps_in_chunk(self, chunk: int) -> range:
         per_chunk = self.chunk_lpns // self.tp_lpns
         start = chunk * per_chunk
@@ -153,8 +148,8 @@ class MappingTable:
         Returns the shared :data:`EMPTY_EVENTS` whenever there is no
         metadata work — always on an unchunked map, and on a chunked one
         whenever *lpn*'s chunk is resident (it becomes the most recently
-        used).  Only a miss goes through :meth:`_ensure_resident` and
-        returns fresh events carrying the load.
+        used).  Only a miss hands its chunk to :meth:`_ensure_resident`
+        and returns fresh events carrying the load.
         """
         if not 0 <= lpn < self.num_lpns:
             self._check_lpn(lpn)
@@ -164,7 +159,7 @@ class MappingTable:
             resident = self._resident
             chunk = lpn // chunk_lpns
             if chunk not in resident:
-                return self._l2p_view[lpn], self._ensure_resident(lpn)
+                return self._l2p_view[lpn], self._ensure_resident(chunk)
             resident.move_to_end(chunk)
         return self._l2p_view[lpn], EMPTY_EVENTS
 
@@ -188,7 +183,9 @@ class MappingTable:
                 l2p[lpn] = psa
                 self._since_sync += 1
                 return old, EMPTY_EVENTS
-        events = self._ensure_resident(lpn)
+        chunk_lpns = self.chunk_lpns
+        events = (self._ensure_resident(lpn // chunk_lpns) if chunk_lpns
+                  else MappingEvents())
         old = self._l2p_view[lpn]
         self._l2p_view[lpn] = psa
         events.merge(self._mark_dirty(self.tp_of(lpn)))
@@ -282,11 +279,12 @@ class MappingTable:
     # Chunk residency
     # ------------------------------------------------------------------
 
-    def _ensure_resident(self, lpn: int) -> MappingEvents:
+    def _ensure_resident(self, chunk: int) -> MappingEvents:
+        """Make *chunk* (of a chunked map) the most recently used
+        resident chunk.  A miss first evicts the least recently used
+        chunks down to the budget, flushing their dirty TPs, then loads
+        *chunk*: one flash read per TP with a stored copy."""
         events = MappingEvents()
-        if not self.chunk_lpns:
-            return events
-        chunk = self.chunk_of(lpn)
         resident = self._resident
         if chunk in resident:
             resident.move_to_end(chunk)
@@ -307,8 +305,11 @@ class MappingTable:
         self.stats.chunk_loads += 1
         events.loaded_chunks.append(chunk)
         stored_ppns = self._tp_stored_view
-        events.load_tp_ppns = [stored for tp_id in self._tps_in_chunk(chunk)
-                               if (stored := stored_ppns[tp_id]) >= 0]
+        load_tp_ppns = events.load_tp_ppns
+        for tp_id in self._tps_in_chunk(chunk):
+            stored = stored_ppns[tp_id]
+            if stored >= 0:
+                load_tp_ppns.append(stored)
         return events
 
     def resident_chunk_ids(self) -> list[int]:

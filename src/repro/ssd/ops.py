@@ -61,3 +61,10 @@ class FlashOp(NamedTuple):
 
     def __str__(self) -> str:  # compact form for logs and test failures
         return f"{self.kind.value}[{self.reason.value}]@{self.target}({self.nbytes}B)"
+
+
+#: Builds a NamedTuple without its generated Python-level ``__new__``:
+#: ``new_tuple(FlashOp, (kind, target, reason, nbytes))`` equals
+#: ``FlashOp(kind, target, reason, nbytes)``.  Every field must be given
+#: (defaults are not applied).  The per-request read path uses it.
+new_tuple = tuple.__new__

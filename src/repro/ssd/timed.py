@@ -68,7 +68,7 @@ from repro.sim.kernel import CapacityPool, Kernel, PowerLoss, Process, Resource
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import Ftl
 from repro.ssd.host import DeviceInfo
-from repro.ssd.ops import FlashOp, OpKind, OpReason
+from repro.ssd.ops import FlashOp, OpKind, OpReason, new_tuple
 from repro.ssd.smart import SmartCounters
 
 # Enum members as module constants: the scheduling pass tells ops apart
@@ -337,16 +337,18 @@ class TimedSSD:
                 else:
                     record(op)
             smart.host_program_pages += host_programs
-            return CompletedRequest(kind, lba, nsectors, at_ns, at_ns)
+            return new_tuple(CompletedRequest,
+                             (kind, lba, nsectors, at_ns, at_ns))
 
-        flash_done = (self._schedule_ops(ops, at_ns, release_cache=True)
-                      if ops else at_ns)
-
+        flash_done = self._schedule_ops(ops, at_ns, True) if ops else at_ns
         if kind == "write":
             complete = self._admit_write(at_ns, nsectors)
         else:
-            complete = max(at_ns + self.controller_overhead_ns, flash_done)
-        request = CompletedRequest(kind, lba, nsectors, at_ns, complete)
+            complete = at_ns + self.controller_overhead_ns
+            if flash_done > complete:
+                complete = flash_done
+        request = new_tuple(CompletedRequest,
+                            (kind, lba, nsectors, at_ns, complete))
         if self.obs.enabled:
             stall = (complete - at_ns - self.controller_overhead_ns
                      if kind == "write" else 0)
@@ -523,8 +525,6 @@ class TimedSSD:
         channel's ops are encoded one by one.
         """
         flash_done = earliest
-        release = self._cache_pool.schedule_release
-        spp = self._sectors_per_page
         smart = self.smart
         placement = self._placement
         pages_per_block = self._pages_per_block
@@ -607,7 +607,8 @@ class TimedSSD:
                 if (release_cache and kind is _PROGRAM
                         and (reason is _HOST or reason is _PSLC)):
                     # This flush carries cached sectors back out of RAM.
-                    release(end, spp)
+                    self._cache_pool.schedule_release(
+                        end, self._sectors_per_page)
             if end > flash_done:
                 flash_done = end
         smart.read_pages += read_pages

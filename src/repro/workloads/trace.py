@@ -53,6 +53,9 @@ class TraceRecord:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.lba < 0 or self.sectors < 0:
             raise ValueError("lba/sectors must be non-negative")
+        if not (math.isfinite(self.at_us) and self.at_us >= 0):
+            raise ValueError(
+                f"at_us must be finite and non-negative, got {self.at_us!r}")
 
 
 class BlockTrace:
@@ -104,11 +107,11 @@ class BlockTrace:
 
         Rejected with a :class:`TraceFormatError` naming the offending
         line: wrong column count, unknown op kinds, unparseable fields,
-        non-finite timestamps, timestamps that go backwards, and — when
-        the target device's *num_sectors* is given — requests that fall
-        outside the LBA space.  Catching these here means a malformed
-        trace fails in one obvious place instead of deep inside the
-        engine mid-replay.
+        negative or non-finite timestamps, timestamps that go backwards,
+        and — when the target device's *num_sectors* is given — requests
+        that fall outside the LBA space.  Catching these here means a
+        malformed trace fails in one obvious place instead of deep inside
+        the engine mid-replay.
         """
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
@@ -132,9 +135,6 @@ class BlockTrace:
                 raise TraceFormatError(
                     f"unparseable lba/sectors/at_us in {row!r}",
                     line=line) from None
-            if not math.isfinite(at_us):
-                raise TraceFormatError(
-                    f"at_us must be finite, got {row[3]!r}", line=line)
             try:
                 record = TraceRecord(kind, lba, sectors, at_us)
             except ValueError as exc:

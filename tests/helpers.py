@@ -216,3 +216,48 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
     ftl._apply_mapping_events(events)
     if ftl.rain.on_data_page(ppn):
         ftl._program_parity_page()
+
+
+def lookup_general(table, lpn):
+    """Reference for ``MappingTable.lookup``: a general body that writes
+    chunk residency out itself instead of calling the table's residency
+    routine.
+
+    Range check, count, then — on a chunked map, for every lookup, hit
+    or miss — the chunk's residency: a hit becomes the most recently
+    used chunk; a miss evicts the least recently used chunks down to
+    the budget (their dirty TPs flushed, in TP order) and loads the
+    chunk, one read per TP with a stored copy.  Returns ``(psa,
+    events)`` with fresh events every time."""
+    from repro.ssd.mapping import MappingEvents
+
+    table._check_lpn(lpn)
+    table.stats.lookups += 1
+    events = MappingEvents()
+    if table.chunk_lpns:
+        tps_per_chunk = table.chunk_lpns // table.tp_lpns
+
+        def tps_of(chunk):
+            first = chunk * tps_per_chunk
+            return range(first, min(first + tps_per_chunk, table.num_tps))
+
+        chunk = lpn // table.chunk_lpns
+        resident, dirty = table._resident, table._dirty
+        if chunk in resident:
+            resident.move_to_end(chunk)
+        else:
+            while len(resident) >= table.resident_chunks:
+                evicted, _ = resident.popitem(last=False)
+                for tp_id in tps_of(evicted):
+                    if tp_id in dirty:
+                        del dirty[tp_id]
+                        events.flush_tps.append(tp_id)
+                        table.stats.tp_flushes += 1
+                        table.stats.eviction_flushes += 1
+            resident[chunk] = None
+            table.stats.chunk_loads += 1
+            events.loaded_chunks.append(chunk)
+            events.load_tp_ppns = [int(table.tp_stored_ppn[tp_id])
+                                   for tp_id in tps_of(chunk)
+                                   if table.tp_stored_ppn[tp_id] >= 0]
+    return int(table.l2p[lpn]), events

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from repro.flash.signals import render_samples
 from repro.flash.timing import profile
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.host import HostDevice
-from repro.ssd.presets import mqsim_baseline, tiny
+from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
 from repro.ssd.timed import BackgroundPolicy, BusTap, CompletedRequest, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
@@ -301,3 +302,70 @@ class TestBusTap:
             ssd.submit("write", lpn, 1, at_ns=ssd.now)
         ssd.flush(at_ns=ssd.now)
         assert tap.trace.busy  # program busy periods visible on R/B#
+
+
+# ----------------------------------------------------------------------
+# The host read's call budget
+# ----------------------------------------------------------------------
+
+def _chunked_read_device() -> TimedSSD:
+    """An 840 EVO-like device whose map has room for one resident chunk
+    and no pSLC buffer, so reads resolve through the chunked map.  One
+    sector per translation page of chunks 0 and 1 is on flash and every
+    TP is stored; a warm-up read of chunk 0 then loads it and fills the
+    bus-time caches for both read shapes (META and host)."""
+    config = evo840_like(scale=2).with_changes(pslc_blocks=0,
+                                               mapping_resident_chunks=1)
+    device = TimedSSD(config)
+    mapping = device.ftl.mapping
+    for lba in range(0, 2 * mapping.chunk_lpns, mapping.tp_lpns):
+        device.write_sectors(lba, 1)
+    device.shutdown()  # data to flash, every dirty TP stored
+    device.read_sectors(0, 1)
+    assert mapping.resident_chunk_ids() == [0]
+    return device
+
+
+def _read_calls(device: TimedSSD, lba: int) -> int:
+    """Python-level calls made by one one-sector read submitted through
+    :meth:`TimedSSD.submit`, counted with ``sys.setprofile`` and so
+    independent of the machine."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    at_ns = device.now
+    sys.setprofile(count)
+    try:
+        device.submit("read", lba, 1, at_ns)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_resident_chunk_read_call_count():
+    device = _chunked_read_device()
+    mapping = device.ftl.mapping
+    loads, read_pages = mapping.stats.chunk_loads, device.smart.read_pages
+    calls = _read_calls(device, mapping.tp_lpns)
+    assert mapping.stats.chunk_loads == loads
+    assert device.smart.read_pages == read_pages + 1
+    # One call each: submit, Ftl.read, MappingTable.lookup and the
+    # scheduling pass.
+    assert calls <= 5
+
+
+def test_chunk_load_read_call_count():
+    device = _chunked_read_device()
+    mapping = device.ftl.mapping
+    loads, read_pages = mapping.stats.chunk_loads, device.smart.read_pages
+    calls = _read_calls(device, mapping.chunk_lpns)
+    assert mapping.stats.chunk_loads == loads + 1
+    tps_per_chunk = mapping.chunk_lpns // mapping.tp_lpns
+    assert device.smart.read_pages == read_pages + tps_per_chunk + 1
+    # One call each: submit, Ftl.read, MappingTable.lookup, the
+    # residency routine with its MappingEvents and the chunk's TP range,
+    # the META reads' emission and the scheduling pass.
+    assert calls <= 12

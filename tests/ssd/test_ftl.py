@@ -322,6 +322,66 @@ class TestFailureHandling:
         ftl.check_invariants()
 
 
+
+class RecordingInjector(FailureInjector):
+    """Records its host-progress and read-fault hook calls, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def tick(self, op_index: int, now_ns: int = -1) -> None:
+        self.calls.append(("tick", op_index))
+
+    def read_uncorrectable(self, ppn: int, lpn: int = -1) -> bool:
+        self.calls.append(("read_uncorrectable", ppn, lpn))
+        return False
+
+
+def _hook_calls_due(ftl, name, lpn, n):
+    """Run one host command; return the hook calls it owes the injector:
+    one ``tick`` with the host-op count, then, for a read, one
+    ``read_uncorrectable`` per sector served from flash."""
+    due = []
+    if name == "read":
+        for sector in range(lpn, lpn + n):
+            if sector in ftl.cache.pending or sector in ftl._staged:
+                continue
+            psa = ftl.pslc.lookup(sector)
+            if psa is None:
+                psa = int(ftl.mapping.l2p[sector])
+            if psa != -1:
+                due.append(("read_uncorrectable", psa // ftl._spp, sector))
+    ops = getattr(ftl, name)(lpn, n)
+    if name == "read":
+        assert [op.target for op in ops] == [call[1] for call in due]
+    return [("tick", ftl._host_ops)] + due
+
+
+@pytest.mark.parametrize("installed", ["at_construction", "assigned_later"])
+def test_injector_sees_every_hook_call(installed):
+    """A subclassed injector sees one ``tick`` per host read, write and
+    trim and one ``read_uncorrectable`` per flash-read sector, in order,
+    however it was installed; the base class's no-op hooks are the only
+    ones the FTL may skip."""
+    recorder = RecordingInjector()
+    if installed == "at_construction":
+        ftl = Ftl(small_config(), injector=recorder)
+    else:
+        ftl = Ftl(small_config())
+        ftl.write(100, 4)
+        ftl.read(100, 1)
+        ftl.injector = recorder
+    due = []
+    for command in [("write", 0, 24), ("read", 0, 8), ("write", 3, 1),
+                    ("read", 2, 3), ("trim", 5, 2), ("read", 4, 4),
+                    ("read", 600, 2), ("write", 40, 16), ("read", 38, 6)]:
+        due += _hook_calls_due(ftl, *command)
+    assert recorder.calls == due
+    assert sum(call[0] == "tick" for call in due) == 9
+    assert sum(call[0] == "read_uncorrectable" for call in due) >= 10
+
+
 class TestCacheDesignation:
     def test_mapping_designation_boosts_dirty_budget(self):
         data = Ftl(small_config(cache_designation="data", cache_sectors=64))
@@ -512,9 +572,10 @@ def test_one_page_flush_call_count():
     first_psa = ops[0].target * spp
     assert [mapping.lookup(sector)[0] for sector in batch] == list(
         range(first_psa, first_psa + spp))
-    # One call each: write, the injector's tick, insert_run, the batch
-    # take and its policy call, _program_data_page, the watermark
-    # property, the programmable-page allocation and allocate_page with
-    # its plane lookup, program_fails, NandArray.program, the FlashOp,
-    # and RAIN's count with its enabled property.
-    assert calls <= 15
+    # One call each: write, insert_run, the batch take and its policy
+    # call, _program_data_page, the watermark property, the
+    # programmable-page allocation and allocate_page with its plane
+    # lookup, program_fails, NandArray.program, the FlashOp, and RAIN's
+    # count with its enabled property.  The base injector's no-op tick
+    # is skipped.
+    assert calls <= 14

@@ -11,6 +11,7 @@ from repro.ssd.mapping import (
     MappingEvents,
     MappingTable,
 )
+from tests.helpers import lookup_general
 
 
 def make(num_lpns=1024, tp_lpns=64, dirty=4, sync=10_000, chunk=0, resident=2):
@@ -260,15 +261,6 @@ def test_silent_update_run_equals_per_sector_calls_property(runs):
 # lookup's resident-chunk hit lane against the general body
 # ----------------------------------------------------------------------
 
-def _reference_lookup(table, lpn):
-    """``lookup`` as a general body: range check, count, then
-    ``_ensure_resident`` for every lookup, hit or miss."""
-    table._check_lpn(lpn)
-    table.stats.lookups += 1
-    events = table._ensure_resident(lpn)
-    return table._l2p_view[lpn], events
-
-
 def _residency_state(table):
     return (table.l2p.tolist(), list(table._dirty), table._since_sync,
             table.stats, table.resident_chunk_ids(),
@@ -303,7 +295,7 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
             try:
                 if name == "lookup":
                     psa, events = (table.lookup(*args) if table is fast
-                                   else _reference_lookup(table, *args))
+                                   else lookup_general(table, *args))
                 elif name == "checkpoint":
                     psa, events = None, table.checkpoint()
                 elif name == "note_flushed":

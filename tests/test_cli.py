@@ -388,6 +388,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trace line 3" in out and "backwards" in out
 
+    def test_replay_negative_timestamp_exits_nonzero(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("op,lba,sectors,at_us\nread,0,1,-5.0\n")
+        assert main(["replay", "--preset", "tiny", "--scale", "1",
+                     "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace line 2" in out and "non-negative" in out
+
     def test_replay_out_of_range_trace_exits_nonzero(self, capsys, tmp_path):
         # LBA 5000 is valid CSV but beyond tiny's 716 sectors
         path = self._write_trace(tmp_path, max_lba=5001)

@@ -23,6 +23,9 @@ class TestTraceRecord:
             TraceRecord("scrub", 0, 1, 0.0)
         with pytest.raises(ValueError):
             TraceRecord("write", -1, 1, 0.0)
+        for at_us in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="at_us"):
+                TraceRecord("read", 0, 1, at_us)
 
 
 class TestBlockTrace:
@@ -163,6 +166,12 @@ class TestLoadValidation:
             self.HEADER + f"write,1,1,0\nwrite,2,1,{at_us}\nwrite,3,1,10\n")
         assert error.line == 3
         assert "finite" in str(error)
+
+    def test_negative_timestamp(self):
+        error = self._reject(
+            self.HEADER + "write,1,1,0\nread,0,1,-1.0\nwrite,3,1,10\n")
+        assert error.line == 3
+        assert "non-negative" in str(error)
 
     def test_lba_out_of_device_range(self):
         # row 3's request [90, 110) spills past a 100-sector device
