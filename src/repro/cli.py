@@ -73,16 +73,27 @@ _positive_int = _at_least(1)
 _non_negative_int = _at_least(0)
 
 
-def _positive_float(text: str) -> float:
-    """An ``argparse`` type: a finite float > 0 (a multiplier)."""
-    value = float(text)
-    if not 0 < value < math.inf:  # NaN included
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {value}")
-    return value
+def _finite_float(strict: bool):
+    """An ``argparse`` type: a finite float > 0 (*strict*) or >= 0; NaN
+    and infinities are usage errors."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        value = float(text)
+        above = value > 0 if strict else value >= 0
+        if not (above and value < math.inf):  # NaN fails both
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {relation} 0, got {value}")
+        return value
+    # argparse: "invalid <name> value"
+    parse.__name__ = f"float {relation} 0"
+    return parse
 
 
-_positive_float.__name__ = "float > 0"  # argparse: "invalid <name> value"
+#: multipliers (a time or rate scale).
+_positive_float = _finite_float(strict=True)
+#: rates where 0 means "not given".
+_non_negative_float = _finite_float(strict=False)
 
 
 def _names(known):
@@ -708,9 +719,6 @@ def cmd_fleet(args) -> int:
     if args.shards is not None and args.shards < 1:
         print("fleet: --shards must be >= 1")
         return 1
-    if args.rate_scale <= 0:
-        print("fleet: --rate-scale must be > 0")
-        return 1
 
     campaign = None
     if args.campaign != "none":
@@ -907,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--submission", default="closed",
                    choices=["closed", "open"],
                    help="closed loop (iodepth) or open loop (arrival rate)")
-    p.add_argument("--rate", type=float, default=0.0,
+    p.add_argument("--rate", type=_non_negative_float, default=0.0,
                    help="open-loop arrival rate in IOPS")
     p.add_argument("--arrival", default="poisson",
                    choices=["poisson", "fixed"],
@@ -1004,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in tenant mix (default: default)")
     p.add_argument("--io-count", type=_positive_int, default=150,
                    help="requests per tenant per device (default 150)")
-    p.add_argument("--rate-scale", type=float, default=1.0,
+    p.add_argument("--rate-scale", type=_positive_float, default=1.0,
                    help="multiplier on every tenant arrival rate")
     p.add_argument("--campaign", default="none",
                    choices=["none", "default", "infant", "wearout"],

@@ -19,6 +19,7 @@ content-addressed result cache valid when the shard plan changes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from repro.ssd.config import SsdConfig
@@ -91,16 +92,21 @@ class TenantSpec:
         if self.arrival not in ARRIVAL_MODES:
             raise ValueError(
                 f"unknown arrival mode {self.arrival!r}; known: {ARRIVAL_MODES}")
-        if self.trace is None and self.rate_iops <= 0:
-            raise ValueError("rate_iops must be > 0 (tenants are open-loop)")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be > 0")
+        # ``not 0 < x < inf`` rejects NaN too.
+        if self.trace is None and not 0 < self.rate_iops < math.inf:
+            raise ValueError("rate_iops must be finite and > 0 (tenants "
+                             f"are open-loop), got {self.rate_iops}")
+        if not 0 < self.time_scale < math.inf:
+            raise ValueError(
+                f"time_scale must be finite and > 0, got {self.time_scale}")
         if self.io_count < 1:
             raise ValueError("io_count must be >= 1")
-        if self.share <= 0:
-            raise ValueError("share must be > 0")
-        if self.slo_p99_us < 0 or self.slo_p999_us < 0:
-            raise ValueError("SLO thresholds must be >= 0")
+        if not 0 < self.share < math.inf:
+            raise ValueError(f"share must be finite and > 0, got {self.share}")
+        for slo in (self.slo_p99_us, self.slo_p999_us):
+            if not 0 <= slo < math.inf:
+                raise ValueError(
+                    f"SLO thresholds must be finite and >= 0, got {slo}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,9 @@ class FleetSpec:
             raise ValueError(f"duplicate tenant names: {names}")
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
+        if not self.scale >= 1:
+            # The presets would clamp it to 1, under another digest.
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ValueError(f"unknown preset {self.preset!r}; known: {known}")

@@ -7,18 +7,25 @@ aggregates.  These events are the missing per-occurrence record.  Each
 is a slotted dataclass (no ``__dict__``, compared by value) with
 
 * ``NAME`` — the stable wire name used in JSONL traces and summaries,
-* ``METRIC`` — the headline numeric field (if any) that
+* ``METRIC`` — the headline int field (if any) that
+  :class:`~repro.obs.sinks.CounterSink` sums and
   :class:`~repro.obs.sinks.HistogramSink` builds distributions over.
+  A negative headline value is a not-yet-measured sentinel (a
+  counter-mode ``HostRequest``'s ``-1`` latency), not a measurement:
+  :meth:`TraceEvent.metric_value` states the rule, and the sinks apply
+  it inline.
 
 An event is immutable by convention: emitters build it, sinks read it,
 nobody assigns to it afterwards (the classes are not ``frozen`` because
 a frozen ``__init__`` pays one ``object.__setattr__`` per field, which
 made an enabled sink cost more than the simulation it explains).  The
 sites that emit nearly every event — ``TimedSSD``'s scheduling pass and
-``submit``, ``Ftl._emit``, ``WriteCache.insert``, the open-loop
+``submit``, ``Ftl._emit`` with the host read and page program that
+build ``FlashOpIssued`` themselves, ``WriteCache.insert``, the open-loop
 ``QueueDepth`` sites — pass fields positionally, so **field order is
 part of each event's contract**; ``tests/obs/test_event_contract.py``
-pins it per class.  New fields go last, with a default.
+pins it per class.  New fields go last, with a default.  An enabled
+event costs its construction plus one ``emit`` call and nothing more.
 
 Events deliberately carry plain ints/strings (no enums, no numpy
 scalars) so a JSONL trace round-trips through ``json`` without custom
@@ -48,9 +55,14 @@ class TraceEvent:
         return record
 
     def metric_value(self) -> float | None:
-        if self.METRIC is None:
+        """The headline value as a float, or None when the class has no
+        ``METRIC`` or the value is negative (a sentinel).  The summary
+        sinks apply this rule inline instead of calling it."""
+        metric = self.METRIC
+        if metric is None:
             return None
-        return float(getattr(self, self.METRIC))
+        value = getattr(self, metric)
+        return None if value < 0 else float(value)
 
 
 # ----------------------------------------------------------------------
@@ -79,13 +91,6 @@ class HostRequest(TraceEvent):
     submit_ns: int = -1
     latency_ns: int = -1
     stall_ns: int = 0
-
-    def metric_value(self) -> float | None:
-        # Counter-mode devices leave the timing fields at the -1
-        # sentinel; a sum/percentile over sentinels is not a metric.
-        if self.latency_ns < 0:
-            return None
-        return float(self.latency_ns)
 
 
 @dataclass(slots=True)

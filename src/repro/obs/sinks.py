@@ -12,7 +12,11 @@ object is ever constructed.  Attaching any real sink flips ``enabled``
 and the same sites start streaming typed events.
 
 Sinks are single-threaded (as is the whole simulator) and composable via
-:class:`TeeSink`.
+:class:`TeeSink`.  The summary sinks read an event's headline value
+inline — ``getattr`` of its ``METRIC`` field, skipped when negative —
+which is :meth:`~repro.obs.events.TraceEvent.metric_value`'s rule
+without the call, so an enabled event costs its construction plus one
+``emit``.
 """
 
 from __future__ import annotations
@@ -69,9 +73,13 @@ class CounterSink:
     def emit(self, event: TraceEvent) -> None:
         name = event.NAME
         self.counts[name] += 1
-        value = event.metric_value()
-        if value is not None:
-            self.metric_totals[name] += value
+        metric = event.METRIC
+        if metric is not None:
+            value = getattr(event, metric)
+            if value >= 0:
+                # An int adds to a float total exactly as float(value)
+                # does (metric values stay far below 2**53).
+                self.metric_totals[name] += value
 
     def close(self) -> None:
         pass
@@ -106,9 +114,11 @@ class HistogramSink:
     def emit(self, event: TraceEvent) -> None:
         name = event.NAME
         self.counts[name] += 1
-        value = event.metric_value()
-        if value is not None:
-            self.samples[name].append(value)
+        metric = event.METRIC
+        if metric is not None:
+            value = getattr(event, metric)
+            if value >= 0:
+                self.samples[name].append(float(value))
 
     def close(self) -> None:
         pass

@@ -89,7 +89,7 @@ META_P2L_BASE = -2
 P2L_NONE = -1
 
 # Enum members as module constants for the hot paths (as in timed.py).
-_READ, _PROGRAM = OpKind.READ, OpKind.PROGRAM
+_READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
 _HOST, _META = OpReason.HOST, OpReason.META
 
 
@@ -330,7 +330,8 @@ class Ftl:
         if hooked:
             injector.tick(self._host_ops)
         ops = self._ops = []
-        emit = self._emit if self.obs.enabled else ops.append
+        obs = self.obs
+        traced = obs.enabled
         stats = self.stats
         pending = self.cache.pending
         staged = self._staged
@@ -350,7 +351,13 @@ class Ftl:
                     self._apply_mapping_events(events)
             if psa != UNMAPPED:
                 ppn = psa // spp
-                emit(new_tuple(FlashOp, (_READ, ppn, _HOST, sector_size)))
+                # The host read is the hottest flash-op site: it emits
+                # the op's event itself, as _emit would.
+                ops.append(new_tuple(FlashOp,
+                                     (_READ, ppn, _HOST, sector_size)))
+                if traced:
+                    obs.emit(FlashOpIssued("read", ppn, "host", sector_size,
+                                           self._active_policy))
                 hard = hooked and injector.read_uncorrectable(ppn, sector)
                 if hard or ops_per_day:
                     self._check_read_integrity(ppn, sector, hard)
@@ -524,11 +531,12 @@ class Ftl:
         ppn = self._allocate_programmable_page(stream)
         lpns = lpns[:spp]
         self.nand.program(ppn, lpn=lpns[0], oob=lpns)
-        op = FlashOp(_PROGRAM, ppn, reason, self._page_size)
-        if self.obs.enabled:
-            self._emit(op)
-        else:
-            self._ops.append(op)
+        page_size = self._page_size
+        self._ops.append(new_tuple(FlashOp,
+                                   (_PROGRAM, ppn, reason, page_size)))
+        if self.obs.enabled:  # _emit's event, built here as on host reads
+            self.obs.emit(FlashOpIssued("program", ppn, reason._value_,
+                                        page_size, self._active_policy))
         p2l = self._p2l_view
         sector_valid = self._sector_valid_view
         block_valid = self._block_valid_view
@@ -605,8 +613,8 @@ class Ftl:
         self.nand.program(ppn, lpn=int(NO_LPN))
         self.rain.note_parity(ppn)
         # Parity is never valid: it is overhead that GC erases freely.
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, OpReason.PARITY,
-                           self._page_size))
+        self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, OpReason.PARITY,
+                                       self._page_size)))
 
     def _program_meta_page(self, tp_id: int, reason: OpReason = OpReason.META) -> None:
         if not self._in_gc:
@@ -614,7 +622,8 @@ class Ftl:
         ppn = self._allocate_programmable_page("meta")
         code = _tp_to_p2l(tp_id)
         self.nand.program(ppn, lpn=int(NO_LPN), oob=(code,))
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, reason, self._page_size))
+        self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, reason,
+                                       self._page_size)))
         old = self.mapping.stored_ppn(tp_id)
         if old >= 0:
             self._invalidate_meta_page(old)
@@ -890,7 +899,7 @@ class Ftl:
                 self._check_degradation("erase_fail")
                 return
             self.nand.erase(victim)
-            self._emit(FlashOp(OpKind.ERASE, victim, OpReason.GC))
+            self._emit(new_tuple(FlashOp, (_ERASE, victim, OpReason.GC, 0)))
             self.allocator.release_block(victim)
             erased = True
         finally:
@@ -925,12 +934,9 @@ class Ftl:
         self.p2l[psas] = P2L_NONE
         self._block_valid_view[block] = 0
         page_size = self._page_size
-        reads = [FlashOp(_READ, ppn, reason, page_size) for ppn in pages_sorted]
-        if self.obs.enabled:
-            for op in reads:
-                self._emit(op)
-        else:
-            self._ops.extend(reads)
+        emit = self._emit if self.obs.enabled else self._ops.append
+        for ppn in pages_sorted:
+            emit(new_tuple(FlashOp, (_READ, ppn, reason, page_size)))
         self.stats.gc_migrated_sectors += len(live_lpns)
         self._migrate_sectors(live_lpns, reason)
         for tp_id in live_tps:
@@ -981,7 +987,7 @@ class Ftl:
                 if ppn % ppb == 0:
                     block_birth[ppn // ppb] = self._op_seq
                 program(ppn, lpn=page[0], oob=page)
-                emit(FlashOp(_PROGRAM, ppn, reason, page_size))
+                emit(new_tuple(FlashOp, (_PROGRAM, ppn, reason, page_size)))
                 ppns.append(ppn)
                 if on_data_page(ppn):
                     committed = commit(lpns, ppns, committed)

@@ -66,5 +66,6 @@ class FlashOp(NamedTuple):
 #: Builds a NamedTuple without its generated Python-level ``__new__``:
 #: ``new_tuple(FlashOp, (kind, target, reason, nbytes))`` equals
 #: ``FlashOp(kind, target, reason, nbytes)``.  Every field must be given
-#: (defaults are not applied).  The per-request read path uses it.
+#: (defaults are not applied).  The FTL's per-request and migration
+#: paths use it.
 new_tuple = tuple.__new__

@@ -352,8 +352,10 @@ class TimedSSD:
         if self.obs.enabled:
             stall = (complete - at_ns - self.controller_overhead_ns
                      if kind == "write" else 0)
+            if stall < 0:
+                stall = 0
             self.obs.emit(HostRequest(kind, lba, nsectors, at_ns,
-                                      complete - at_ns, max(0, stall)))
+                                      complete - at_ns, stall))
         return request
 
     # -- synchronous sector commands (HostDevice surface) --------------

@@ -9,6 +9,7 @@ jobs in private regions run twice, once each and once together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.workloads.patterns import AddressPattern, Region, make_pattern
@@ -102,8 +103,10 @@ class JobSpec:
             raise ValueError(
                 f"unknown arrival mode {self.arrival!r}; "
                 f"known: {ARRIVAL_MODES}")
-        if self.is_open_loop and self.rate_iops <= 0:
-            raise ValueError("open-loop submission needs rate_iops > 0")
+        if self.is_open_loop and not 0 < self.rate_iops < math.inf:  # NaN too
+            raise ValueError(
+                "open-loop submission needs a finite rate_iops > 0, "
+                f"got {self.rate_iops}")
         if self.arrival == "diurnal":
             if not 0.0 <= self.diurnal_amplitude < 1.0:
                 raise ValueError("diurnal_amplitude must be in [0, 1)")

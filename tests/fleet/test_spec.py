@@ -57,6 +57,14 @@ class TestTenantSpecValidation:
         dict(share=0.0),
         dict(slo_p99_us=-1.0),
         dict(slo_p999_us=-1.0),
+        dict(rate_iops=float("nan")),
+        dict(rate_iops=float("inf")),
+        dict(share=float("nan")),
+        dict(share=float("inf")),
+        dict(time_scale=float("nan")),
+        dict(time_scale=float("inf")),
+        dict(slo_p99_us=float("nan")),
+        dict(slo_p999_us=float("inf")),
     ])
     def test_rejects(self, kwargs):
         base = dict(name="t", rate_iops=100.0)
@@ -82,6 +90,12 @@ class TestFleetSpecValidation:
     def test_rejects_zero_devices(self):
         with pytest.raises(ValueError, match="devices"):
             tiny_fleet(devices=0)
+
+    @pytest.mark.parametrize("scale", [0, -1, float("nan")])
+    def test_rejects_scale_below_one(self, scale):
+        # A preset would clamp it to 1 under a different spec digest.
+        with pytest.raises(ValueError, match="scale"):
+            tiny_fleet(scale=scale)
 
     def test_rejects_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

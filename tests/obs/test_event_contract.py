@@ -122,9 +122,36 @@ class TestEveryEvent:
             assert event.metric_value() is None
         else:
             assert cls.METRIC in FIELDS[name]
+            field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+            assert field_types[cls.METRIC] == "int"
             value = event.metric_value()
             assert type(value) is float
             assert value == float(getattr(event, cls.METRIC))
+
+    def test_summary_sinks_apply_the_metric_rule_inline(self, name):
+        """The sinks read the headline value themselves; they must keep
+        exactly the values ``metric_value()`` keeps."""
+        cls = EVENT_TYPES[name]
+        measured, _ = _sample(cls)
+        events = [measured]
+        if cls.METRIC is not None:
+            sentinel, _ = _sample(cls)
+            setattr(sentinel, cls.METRIC, -1)
+            assert sentinel.metric_value() is None
+            events.append(sentinel)
+        counter, histogram = CounterSink(), HistogramSink()
+        for event in events:
+            counter.emit(event)
+            histogram.emit(event)
+        assert counter.count(name) == histogram.counts[name] == len(events)
+        value = measured.metric_value()
+        if value is None:
+            assert name not in counter.metric_totals
+            assert name not in histogram.samples
+        else:
+            assert counter.total(name) == value
+            assert histogram.samples[name] == [value]
+            assert type(histogram.samples[name][0]) is float
 
 
 def test_host_request_sentinel_latency_is_not_a_metric():
@@ -201,6 +228,21 @@ def test_trace_bytes_are_pinned(traced):
     text, _, _, events = traced
     assert text.count("\n") == len(events) == TRACE_EVENTS
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256
+
+
+def test_only_the_host_request_sentinel_is_negative(traced):
+    """Every headline value of the run is an int, and the only negative
+    one is a counter-mode ``HostRequest``'s ``-1``: the rule that skips
+    negative values drops nothing that is a measurement."""
+    _, _, _, events = traced
+    for event in events:
+        if event.METRIC is None:
+            continue
+        value = getattr(event, event.METRIC)
+        assert type(value) is int, event
+        if value < 0:
+            assert isinstance(event, HostRequest), event
+            assert value == -1, event
 
 
 def test_summary_sinks_agree_with_the_event_list(traced):

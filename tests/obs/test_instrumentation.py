@@ -2,6 +2,8 @@
 attached and cross-check the event stream against the FTL's own
 statistics (the aggregates the events must explain)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,50 @@ class TestSubsystemEvents:
             device.write_sectors(int(rng.integers(device.num_sectors)), 1)
         device.idle(max_blocks=8)
         assert "foreground" in sink.triggers
+
+
+# ----------------------------------------------------------------------
+# What an enabled event costs
+# ----------------------------------------------------------------------
+
+def _calls_and_events(sink) -> tuple[int, dict[str, int]]:
+    """Python-level calls made by a warm one-page-flushing write and a
+    flash read on a ``tiny`` timed device with *sink* attached, and the
+    events emitted meanwhile by name.  Counted with ``sys.setprofile``,
+    so independent of the machine."""
+    device = TimedSSD(tiny())
+    device.attach_sink(sink)
+    spp, capacity = device.ftl._spp, device.ftl.cache.capacity
+    device.write_sectors(0, capacity)  # the cache full, nothing flushed
+    device.write_sectors(capacity, spp)  # warm: one page programmed
+    device.read_sectors(0, 1)  # warm: one flash read
+    smart = device.smart
+    programs, reads = smart.host_program_pages, smart.read_pages
+    before = dict(getattr(sink, "counts", {}))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        device.write_sectors(capacity + spp, spp)
+        device.read_sectors(spp, 1)
+    finally:
+        sys.setprofile(None)
+    assert smart.host_program_pages == programs + 1
+    assert smart.read_pages == reads + 1
+    events = {name: n - before.get(name, 0)
+              for name, n in getattr(sink, "counts", {}).items()}
+    return calls, events
+
+
+def test_an_enabled_event_costs_its_construction_and_one_emit():
+    traced, events = _calls_and_events(CounterSink())
+    untraced, _ = _calls_and_events(NULL_SINK)
+    # The host page program and the host read emit their flash_op
+    # without the _emit hop.
+    assert events["flash_op"] == 2
+    assert events["host_request"] == 2
+    assert traced - untraced <= 2 * sum(events.values())

@@ -55,6 +55,16 @@ class TestJobSpec:
         job = JobSpec("j", "randwrite", Region(0, 100), bs_sectors=4, io_count=10)
         assert job.total_sectors == 40
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("arrival", ["poisson", "fixed", "bursty",
+                                         "diurnal"])
+    def test_open_loop_rate_must_be_finite_and_positive(self, arrival, rate):
+        """A NaN or infinite rate is not a 1-ns arrival gap (nor, for a
+        diurnal curve, a generator that never returns)."""
+        with pytest.raises(ValueError, match="finite rate_iops"):
+            JobSpec("j", "randwrite", Region(0, 100), submission="open",
+                    rate_iops=rate, arrival=arrival)
+
     def test_submission_validation(self):
         with pytest.raises(ValueError):
             JobSpec("j", "randwrite", Region(0, 100), submission="ajar")
