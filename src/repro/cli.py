@@ -51,16 +51,16 @@ def _preset(name: str, scale: int):
         raise SystemExit(f"unknown preset {name!r}; known: {known}")
 
 
-def _at_least(minimum: int, convert=int):
-    """An ``argparse`` type: a number, a usage error below *minimum*."""
-    def parse(text: str):
-        value = convert(text)
-        if not value >= minimum:  # NaN included
+def _at_least(minimum: int):
+    """An ``argparse`` type: an int, a usage error below *minimum*."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}")
         return value
     # argparse: "invalid <name> value"
-    parse.__name__ = f"{convert.__name__} >= {minimum}"
+    parse.__name__ = f"int >= {minimum}"
     return parse
 
 
@@ -92,7 +92,7 @@ def _finite_float(strict: bool):
 
 #: multipliers (a time or rate scale).
 _positive_float = _finite_float(strict=True)
-#: rates where 0 means "not given".
+#: rates where 0 means "not given", and failure rates (0: no faults).
 _non_negative_float = _finite_float(strict=False)
 
 
@@ -1017,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--campaign", default="none",
                    choices=["none", "default", "infant", "wearout"],
                    help="fault campaign over the fleet (default: none)")
-    p.add_argument("--afr", type=_at_least(0, float), default=None,
+    p.add_argument("--afr", type=_non_negative_float, default=None,
                    help="override the campaign's annualized failure rate")
     p.add_argument("--keep-going", action="store_true",
                    help="isolate per-device/per-shard failures into the "

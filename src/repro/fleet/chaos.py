@@ -95,10 +95,12 @@ class CampaignSpec:
     retire_margin: int = 2
 
     def __post_init__(self) -> None:
-        if self.afr < 0:
-            raise ValueError("afr must be >= 0")
-        if self.duty_days <= 0:
-            raise ValueError("duty_days must be > 0")
+        # ``not 0 <= x < inf`` rejects NaN too.
+        if not 0 <= self.afr < math.inf:
+            raise ValueError(f"afr must be finite and >= 0, got {self.afr}")
+        if not 0 < self.duty_days < math.inf:
+            raise ValueError(
+                f"duty_days must be finite and > 0, got {self.duty_days}")
         if self.hazard not in HAZARD_SHAPES:
             known = ", ".join(sorted(HAZARD_SHAPES))
             raise ValueError(f"unknown hazard {self.hazard!r}; known: {known}")

@@ -35,6 +35,18 @@ Design points that matter for the fleet layer's correctness story:
 * **Exact extremes.**  ``min``/``max``/``count``/``sum`` are tracked
   exactly, so ``quantile(0.0)``/``quantile(1.0)`` and the mean are not
   estimates.
+
+* **Batched compaction, scalar bytes.**  A compaction pass computes
+  the ``k1`` scale of every centroid without a Python call per
+  centroid, and still returns the bytes of the scalar pass that called
+  a scale function for each.  Three facts make that exact: weights are
+  counts, so the scalar pass's running weights are exactly the prefix
+  sums the batch divides; the batch evaluates the scale by the same
+  IEEE operations and ``math.asin``; and the fold test and running-mean
+  recurrence are unchanged, applied in the same order.  Workers
+  compact every device's sketches and the parent merges them all
+  serially after the pool drains, so this pass's host cost grows with
+  the fleet.
 """
 
 from __future__ import annotations
@@ -50,6 +62,9 @@ DEFAULT_COMPRESSION = 128
 
 #: buffered raw values before an automatic compaction pass.
 _BUFFER_LIMIT = 512
+
+#: centroids a compaction pass reads into Python floats at a time.
+_BLOCK = 1024
 
 #: slack factor in the documented rank-error bound (see module doc):
 #: pi for the interpolation half-centroid error, x2 for one level of
@@ -67,10 +82,11 @@ def rank_error_bound(q: float, compression: int) -> float:
 class QuantileSketch:
     """Fixed-size mergeable summary of a nonnegative sample stream.
 
-    ``add``/``extend`` buffer raw values and compact in batches; after
-    :meth:`compact` the centroid list stays within about
-    ``compression`` entries (the classic merging-digest bound), so the
-    pickled payload size is O(compression) whatever the op count.
+    ``add`` buffers raw values and compacts them in batches, and
+    ``extend`` compacts its batch at once; after :meth:`compact` the
+    centroid list stays within about ``compression`` entries (the
+    classic merging-digest bound), so the pickled payload size is
+    O(compression) whatever the op count.
     """
 
     __slots__ = ("compression", "count", "total", "minimum", "maximum",
@@ -91,20 +107,23 @@ class QuantileSketch:
     # -- ingestion ------------------------------------------------------
 
     def add(self, value: float) -> None:
-        """Add one observation."""
+        """Add one observation (buffered, and compacted every
+        ``_BUFFER_LIMIT`` values)."""
         self._buffer.append(float(value))
         if len(self._buffer) >= _BUFFER_LIMIT:
             self.compact()
 
     def extend(self, values: Iterable[float]) -> None:
-        """Add a batch of observations (the per-device ingest path)."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
-                         else values, dtype=np.float64)
-        if arr.size == 0:
-            return
-        self._buffer.extend(arr.tolist())
-        if len(self._buffer) >= _BUFFER_LIMIT:
-            self.compact()
+        """Add a batch of observations and fold it, after any values
+        :meth:`add` buffered, into the centroids in one compaction pass
+        (the per-device ingest path)."""
+        fresh = np.asarray(values if isinstance(values, np.ndarray)
+                           else list(values), dtype=np.float64)
+        if self._buffer:
+            fresh = np.concatenate((self._buffer, fresh))
+            self._buffer = []
+        if fresh.size:
+            self._fold(fresh)
 
     def compact(self) -> "QuantileSketch":
         """Fold buffered values into the centroid list (idempotent).
@@ -113,10 +132,13 @@ class QuantileSketch:
         worker before returning a payload, so transported sketches are
         always at their O(compression) floor.
         """
-        if not self._buffer:
-            return self
-        fresh = np.asarray(self._buffer, dtype=np.float64)
-        self._buffer = []
+        if self._buffer:
+            fresh = np.asarray(self._buffer, dtype=np.float64)
+            self._buffer = []
+            self._fold(fresh)
+        return self
+
+    def _fold(self, fresh: np.ndarray) -> None:
         self.count += fresh.size
         self.total += float(fresh.sum())
         self.minimum = min(self.minimum, float(fresh.min()))
@@ -124,7 +146,6 @@ class QuantileSketch:
         means = np.concatenate([self._means, fresh])
         weights = np.concatenate([self._weights, np.ones(fresh.size)])
         self._means, self._weights = _compress(means, weights, self.compression)
-        return self
 
     # -- properties -----------------------------------------------------
 
@@ -246,11 +267,6 @@ def sketch_of(values: Iterable[float],
     return sketch.compact()
 
 
-def _k1(q: float, norm: float) -> float:
-    """The t-digest ``k1`` scale function: ``norm * asin(2q - 1)``."""
-    return norm * math.asin(max(-1.0, min(1.0, 2.0 * q - 1.0)))
-
-
 def _compress(means: np.ndarray, weights: np.ndarray,
               compression: int) -> tuple[np.ndarray, np.ndarray]:
     """One deterministic merge pass over unsorted centroids.
@@ -258,36 +274,65 @@ def _compress(means: np.ndarray, weights: np.ndarray,
     Sorts by ``(mean, weight)`` — a total order, so equal centroids
     from different inputs always arrive in the same sequence — then
     greedily folds neighbors while the running centroid spans at most
-    one unit of the ``k1`` scale (Dunning's merging digest).  The pass
-    is a pure function of the sorted centroid multiset, which is what
-    makes :func:`merge_sketches` order-independent.
+    one unit of the ``k1`` scale ``norm * asin(2q - 1)`` (Dunning's
+    merging digest).  The pass is a pure function of the sorted
+    centroid multiset, which is what makes :func:`merge_sketches`
+    order-independent.
+
+    The pass is batched: the scale's argument ``2q - 1`` is computed
+    for every centroid in array operations, and ``math.asin`` is mapped
+    over it in C.  Yet the result is byte-identical to the scalar pass
+    that calls a scale function once per centroid (``tests/helpers.py``
+    keeps it as the reference):
+
+    * Weights are counts: 1.0 per raw value, and merges only add them.
+      So the scalar pass's running weight ``before + cur_w + w`` is
+      exactly the prefix sum ``cum[i]``, and its total is exactly
+      ``cum[-1]``, whatever the order of the additions.
+    * So the scale it tests at centroid ``i`` is ``k[i] = norm *
+      asin(2 * (cum[i] / total) - 1)``, computed here by the same IEEE
+      operations and ``math.asin`` (``np.arcsin`` may differ in the
+      last bit).  A centroid that opens at ``i`` spans from ``k[i - 1]``,
+      the scale of the weight before it.
+    * The fold test ``k[i] - k_left <= 1.0`` and the running-mean
+      recurrence are the scalar pass's own, in the same order, so the
+      pass needs no search over ``k`` and does not lean on its
+      monotonicity.  The loop that applies them makes no call per
+      centroid.  It reads ``_BLOCK`` centroids at a time, so its
+      Python floats stay few however many centroids a fleet merge
+      gathers.
     """
     order = np.lexsort((weights, means))
     means = means[order]
     weights = weights[order]
-    total = float(weights.sum())
+    del order  # a fleet merge gathers every device's centroids
     norm = compression / (2.0 * math.pi)
-    out_m = np.empty(means.size, dtype=np.float64)
-    out_w = np.empty(means.size, dtype=np.float64)
-    n_out = 0
-    cur_m = float(means[0])
-    cur_w = float(weights[0])
-    before = 0.0  # total weight already emitted
-    k_left = _k1(0.0, norm)
-    for i in range(1, means.size):
-        m = float(means[i])
-        w = float(weights[i])
-        if _k1((before + cur_w + w) / total, norm) - k_left <= 1.0:
-            cur_w += w
-            cur_m += (m - cur_m) * (w / cur_w)
-        else:
-            out_m[n_out] = cur_m
-            out_w[n_out] = cur_w
-            n_out += 1
-            before += cur_w
-            k_left = _k1(before / total, norm)
-            cur_m, cur_w = m, w
-    out_m[n_out] = cur_m
-    out_w[n_out] = cur_w
-    n_out += 1
-    return out_m[:n_out].copy(), out_w[:n_out].copy()
+    # 0 < cum / total <= 1, so 2q - 1 needs no clamp to asin's domain.
+    q = np.cumsum(weights)
+    q /= q[-1]
+    q *= 2.0
+    q -= 1.0
+    out_m = []
+    out_w = []
+    cur_m = means.item(0)
+    cur_w = weights.item(0)
+    k_left = norm * math.asin(-1.0)  # the scale at weight 0
+    k_prev = norm * math.asin(q.item(0))
+    for lo in range(1, means.size, _BLOCK):
+        hi = lo + _BLOCK
+        for m, w, a in zip(means[lo:hi].tolist(), weights[lo:hi].tolist(),
+                           map(math.asin, q[lo:hi].tolist())):
+            k_i = norm * a
+            if k_i - k_left <= 1.0:
+                cur_w += w
+                cur_m += (m - cur_m) * (w / cur_w)
+            else:
+                out_m.append(cur_m)
+                out_w.append(cur_w)
+                k_left = k_prev
+                cur_m = m
+                cur_w = w
+            k_prev = k_i
+    out_m.append(cur_m)
+    out_w.append(cur_w)
+    return np.array(out_m), np.array(out_w)

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 from repro.ssd.config import SsdConfig
 from repro.ssd.presets import PRESETS
 from repro.workloads.patterns import Region
-from repro.workloads.spec import ARRIVAL_MODES, RW_MODES, JobSpec
+from repro.workloads.spec import (
+    ARRIVAL_MODES,
+    RW_MODES,
+    JobSpec,
+    check_arrival_shape,
+)
 
 #: derivation-domain tag so fleet seeds can never collide with another
 #: subsystem hashing similar tuples.
@@ -107,6 +112,7 @@ class TenantSpec:
             if not 0 <= slo < math.inf:
                 raise ValueError(
                     f"SLO thresholds must be finite and >= 0, got {slo}")
+        check_arrival_shape(self)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,31 @@ SUBMISSION_MODES = ("closed", "open")
 ARRIVAL_MODES = ("poisson", "fixed", "diurnal", "bursty")
 
 
+def check_arrival_shape(spec) -> None:
+    """Reject the shape knobs of *spec*'s ``arrival`` process that it
+    cannot run with.  :class:`JobSpec` and the fleet's ``TenantSpec``
+    (which forwards the same fields) both call this, so a bad tenant
+    fails where it is built, not in a pool worker.
+
+    Each test is written so NaN fails it: a NaN period made the diurnal
+    generator loop forever, and a NaN multiplier turned burst gaps into
+    1-ns arrivals."""
+    if spec.arrival == "diurnal":
+        if not 0.0 <= spec.diurnal_amplitude < 1.0:
+            raise ValueError("diurnal_amplitude must be in [0, 1)")
+        if not 0 < spec.diurnal_period_s < math.inf:
+            raise ValueError("diurnal_period_s must be finite and > 0, "
+                             f"got {spec.diurnal_period_s}")
+    if spec.arrival == "bursty":
+        if not 1.0 <= spec.burst_multiplier < math.inf:
+            raise ValueError("burst_multiplier must be finite and >= 1, "
+                             f"got {spec.burst_multiplier}")
+        if spec.burst_len < 1:
+            raise ValueError("burst_len must be >= 1")
+        if not 0.0 < spec.burst_fraction < 1.0:
+            raise ValueError("burst_fraction must be in (0, 1)")
+
+
 @dataclass
 class JobSpec:
     """One fio-style job.
@@ -107,18 +132,7 @@ class JobSpec:
             raise ValueError(
                 "open-loop submission needs a finite rate_iops > 0, "
                 f"got {self.rate_iops}")
-        if self.arrival == "diurnal":
-            if not 0.0 <= self.diurnal_amplitude < 1.0:
-                raise ValueError("diurnal_amplitude must be in [0, 1)")
-            if self.diurnal_period_s <= 0:
-                raise ValueError("diurnal_period_s must be > 0")
-        if self.arrival == "bursty":
-            if self.burst_multiplier < 1.0:
-                raise ValueError("burst_multiplier must be >= 1")
-            if self.burst_len < 1:
-                raise ValueError("burst_len must be >= 1")
-            if not 0.0 < self.burst_fraction < 1.0:
-                raise ValueError("burst_fraction must be in (0, 1)")
+        check_arrival_shape(self)
 
     @property
     def is_open_loop(self) -> bool:

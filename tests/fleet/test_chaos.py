@@ -49,8 +49,12 @@ def forced(kind: str, afr: float = 50.0, **kwargs) -> CampaignSpec:
 
 class TestCampaignSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CampaignSpec(afr=-0.1)
+        for afr in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="afr"):
+                CampaignSpec(afr=afr)
+        for duty_days in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duty_days"):
+                CampaignSpec(duty_days=duty_days)
         with pytest.raises(ValueError):
             CampaignSpec(hazard="sideways")
         with pytest.raises(ValueError):

@@ -10,10 +10,14 @@ error bound, and merge is order-independent" satellite):
 * merging per-shard sketches is equivalent (within the same bound) to
   sketching the concatenated samples;
 * the flat merge is order-independent to the byte, so shard/worker
-  count cannot perturb fleet-level output.
+  count cannot perturb fleet-level output;
+* the batched compaction pass returns the bytes of the scalar pass
+  that calls the ``k1`` scale function once per centroid
+  (``tests/helpers.py``), and makes no Python-level call per value.
 """
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.fleet.sketch import (
     rank_error_bound,
     sketch_of,
 )
+from tests.helpers import compress_per_centroid
 
 QS = (0.01, 0.1, 0.5, 0.9, 0.99, 0.999)
 
@@ -166,3 +171,61 @@ def test_property_quantiles_are_monotone_and_in_range(data):
     assert all(a <= b + 1e-9 for a, b in zip(estimates, estimates[1:]))
     assert estimates[0] == min(data)
     assert estimates[-1] == max(data)
+
+
+@st.composite
+def compaction_inputs(draw):
+    """``(shards, compression, rng)``: 1-8 shards of values drawn from
+    a small pool, so ties are common.  One shard is compacted as raw
+    values of weight 1; more are sketched each at their own compression
+    and merged, which compacts their centroids (weights above 1)."""
+    compression = draw(st.integers(min_value=8, max_value=512))
+    size = draw(st.integers(min_value=1, max_value=5_000))
+    distinct = draw(st.integers(min_value=1, max_value=size))
+    count = draw(st.sampled_from([1, 2, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(rng.lognormal(3.0, 1.5, distinct), size)
+    shards = [part for part in np.array_split(values, count) if part.size]
+    return shards, compression, rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=compaction_inputs())
+def test_property_compaction_matches_scalar_pass(case):
+    """The batched pass returns, byte for byte, the centroids of the
+    scalar pass that calls the k1 scale function once per centroid."""
+    shards, compression, rng = case
+    if len(shards) == 1:
+        means, weights = shards[0], np.ones(shards[0].size)
+        got = sketch_of(shards[0], compression).centroids
+    else:
+        parts = [sketch_of(shard, int(rng.integers(8, 513)))
+                 for shard in shards]
+        means = np.concatenate([part.centroids[0] for part in parts])
+        weights = np.concatenate([part.centroids[1] for part in parts])
+        got = merge_sketches(parts, compression).centroids
+    want = compress_per_centroid(means, weights, compression)
+    assert got[0].dtype == got[1].dtype == np.float64
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_compaction_makes_no_call_per_value():
+    """Compacting 10,000 raw values makes Python-level calls per output
+    centroid and per block, not one (or four) per value."""
+    values = np.random.default_rng(23).lognormal(3.0, 1.0, 10_000)
+    sketch = QuantileSketch()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        sketch.extend(values)
+    finally:
+        sys.setprofile(None)
+    assert sketch.count == values.size
+    assert calls < values.size // 10, calls

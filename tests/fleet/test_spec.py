@@ -65,6 +65,12 @@ class TestTenantSpecValidation:
         dict(time_scale=float("inf")),
         dict(slo_p99_us=float("nan")),
         dict(slo_p999_us=float("inf")),
+        dict(arrival="diurnal", diurnal_period_s=float("nan")),
+        dict(arrival="diurnal", diurnal_period_s=float("inf")),
+        dict(arrival="diurnal", diurnal_amplitude=1.0),
+        dict(arrival="bursty", burst_multiplier=float("nan")),
+        dict(arrival="bursty", burst_multiplier=float("inf")),
+        dict(arrival="bursty", burst_len=0),
     ])
     def test_rejects(self, kwargs):
         base = dict(name="t", rate_iops=100.0)

@@ -261,3 +261,48 @@ def lookup_general(table, lpn):
                                    for tp_id in tps_of(chunk)
                                    if table.tp_stored_ppn[tp_id] >= 0]
     return int(table.l2p[lpn]), events
+
+
+def compress_per_centroid(means, weights, compression):
+    """Reference for ``repro.fleet.sketch._compress``: the scalar merge
+    pass it replaced, one ``k1`` scale call per input centroid.
+
+    Sorts by ``(mean, weight)``, then greedily folds neighbors while the
+    running centroid spans at most one unit of the ``k1`` scale.  The
+    batched pass must return the same bytes for every input."""
+    import math
+
+    import numpy as np
+
+    def _k1(q: float, norm: float) -> float:
+        return norm * math.asin(max(-1.0, min(1.0, 2.0 * q - 1.0)))
+
+    order = np.lexsort((weights, means))
+    means = means[order]
+    weights = weights[order]
+    total = float(weights.sum())
+    norm = compression / (2.0 * math.pi)
+    out_m = np.empty(means.size, dtype=np.float64)
+    out_w = np.empty(means.size, dtype=np.float64)
+    n_out = 0
+    cur_m = float(means[0])
+    cur_w = float(weights[0])
+    before = 0.0  # total weight already emitted
+    k_left = _k1(0.0, norm)
+    for i in range(1, means.size):
+        m = float(means[i])
+        w = float(weights[i])
+        if _k1((before + cur_w + w) / total, norm) - k_left <= 1.0:
+            cur_w += w
+            cur_m += (m - cur_m) * (w / cur_w)
+        else:
+            out_m[n_out] = cur_m
+            out_w[n_out] = cur_w
+            n_out += 1
+            before += cur_w
+            k_left = _k1(before / total, norm)
+            cur_m, cur_w = m, w
+    out_m[n_out] = cur_m
+    out_w[n_out] = cur_w
+    n_out += 1
+    return out_m[:n_out].copy(), out_w[:n_out].copy()

@@ -105,6 +105,7 @@ class TestParser:
         ["faultsweep", "--ops", "0"],
         ["fleet", "--campaign", "default", "--afr", "-1"],
         ["fleet", "--campaign", "default", "--afr", "nan"],
+        ["fleet", "--campaign", "default", "--afr", "inf"],
         ["simulate", "--scale", "0"],
         ["presets", "--scale", "-1"],
         ["transparency", "--points", "0"],

@@ -65,6 +65,19 @@ class TestJobSpec:
             JobSpec("j", "randwrite", Region(0, 100), submission="open",
                     rate_iops=rate, arrival=arrival)
 
+    @pytest.mark.parametrize("arrival, knob, value", [
+        ("diurnal", "diurnal_period_s", float("nan")),
+        ("diurnal", "diurnal_period_s", float("inf")),
+        ("bursty", "burst_multiplier", float("nan")),
+        ("bursty", "burst_multiplier", float("inf")),
+    ])
+    def test_arrival_shape_must_be_finite(self, arrival, knob, value):
+        """A NaN diurnal period is a generator that never returns, and a
+        NaN burst multiplier turns burst gaps into 1-ns arrivals."""
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            JobSpec("j", "randwrite", Region(0, 100), submission="open",
+                    rate_iops=1000, arrival=arrival, **{knob: value})
+
     def test_submission_validation(self):
         with pytest.raises(ValueError):
             JobSpec("j", "randwrite", Region(0, 100), submission="ajar")
