@@ -43,14 +43,6 @@ from repro.ssd.policy import REGISTRIES
 from repro.ssd.presets import PRESETS
 
 
-def _preset(name: str, scale: int):
-    try:
-        return PRESETS[name](scale=scale)
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise SystemExit(f"unknown preset {name!r}; known: {known}")
-
-
 def _at_least(minimum: int):
     """An ``argparse`` type: an int, a usage error below *minimum*."""
     def parse(text: str) -> int:
@@ -109,6 +101,46 @@ def _names(known):
     return parse
 
 
+def _probability(text: str) -> float:
+    """An ``argparse`` type: a probability in [0, 1]; NaN is a usage
+    error."""
+    value = float(text)
+    if not 0 <= value <= 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {value}")
+    return value
+
+
+_probability.__name__ = "probability"  # argparse: "invalid <name> value"
+
+
+def _positive_ints(text: str) -> list[int]:
+    """An ``argparse`` type: a comma-separated list of ints >= 1,
+    sorted and deduplicated."""
+    values = sorted({_positive_int(s) for s in text.split(",") if s.strip()})
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
+_positive_ints.__name__ = "comma-separated int >= 1 list"
+
+
+def _device_range(text: str) -> tuple[int, int]:
+    """An ``argparse`` type: ``N`` or ``LO:HI``, a non-empty half-open
+    range ``[lo, hi)`` of device indexes."""
+    lo_text, colon, hi_text = text.partition(":")
+    lo = int(lo_text)
+    hi = int(hi_text) if colon else lo + 1
+    if not 0 <= lo < hi:
+        raise argparse.ArgumentTypeError(
+            f"want N or LO:HI with 0 <= LO < HI, got {text!r}")
+    return lo, hi
+
+
+_device_range.__name__ = "N|LO:HI"
+
+
 def _device_and_run(args, config):
     """The device ``--mode`` names and the loop that runs it: counter
     mode is a zero-latency device, flushed at the end of the run."""
@@ -124,10 +156,8 @@ def _check_bs_fits(args, config) -> None:
     """A request larger than the device is a usage error (exit 2), not
     the address pattern's ``region smaller than one request``."""
     if args.bs > config.logical_sectors:
-        print(f"repro-ssd {args.command}: --bs {args.bs} is larger than "
-              f"the device ({config.logical_sectors} sectors)",
-              file=sys.stderr)
-        raise SystemExit(2)
+        args.parser.error(f"--bs {args.bs} is larger than the device "
+                          f"({config.logical_sectors} sectors)")
 
 
 def _make_runner(args):
@@ -142,8 +172,7 @@ def _make_runner(args):
                       timeout_s=getattr(args, "timeout", None),
                       keep_going=getattr(args, "keep_going", False))
     except ValueError as exc:
-        # e.g. --jobs 0 or REPRO_JOBS=-2: exit with the message, not a
-        # traceback.
+        # e.g. REPRO_JOBS=-2: exit with the message, not a traceback.
         raise SystemExit(f"repro-ssd: {exc}")
 
 
@@ -197,7 +226,7 @@ def cmd_simulate(args) -> int:
     from repro.workloads.patterns import Region
     from repro.workloads.spec import JobSpec
 
-    config = _preset(args.preset, args.scale)
+    config = PRESETS[args.preset](scale=args.scale)
     _check_bs_fits(args, config)
     device = SimulatedSSD(config)
     job = JobSpec(
@@ -228,9 +257,10 @@ def cmd_trace(args) -> int:
         attribute_tail,
         load_trace,
     )
-    from repro.workloads.source import synthetic_source
+    from repro.workloads.patterns import Region
+    from repro.workloads.spec import JobSpec
 
-    config = _preset(args.preset, args.scale)
+    config = PRESETS[args.preset](scale=args.scale)
     _check_bs_fits(args, config)
     counter = CounterSink()
     histogram = HistogramSink()
@@ -238,10 +268,10 @@ def cmd_trace(args) -> int:
     sink = TeeSink(jsonl, counter, histogram)
 
     device, run = _device_and_run(args, config)
-    run(device, [synthetic_source("trace", "randwrite", device.num_sectors,
-                                  bs_sectors=args.bs, io_count=args.writes,
-                                  iodepth=args.iodepth, seed=args.seed)],
-        sink=sink)
+    job = JobSpec("trace", "randwrite", Region(0, device.num_sectors),
+                  bs_sectors=args.bs, io_count=args.writes,
+                  iodepth=args.iodepth, seed=args.seed)
+    run(device, [job], sink=sink)
     sink.close()
 
     print(format_table(
@@ -279,7 +309,7 @@ def cmd_replay(args) -> int:
     from repro.workloads.source import TraceSource
     from repro.workloads.trace import BlockTrace, TraceFormatError
 
-    config = _preset(args.preset, args.scale)
+    config = PRESETS[args.preset](scale=args.scale)
     try:
         trace = BlockTrace.load(args.trace, num_sectors=config.logical_sectors)
     except OSError as exc:
@@ -323,7 +353,7 @@ def cmd_engine(args) -> int:
     engine x mix, and show how engine structure lands on the device."""
     from repro.exp import Cell
 
-    config = _preset(args.preset, args.scale)
+    config = PRESETS[args.preset](scale=args.scale)
     if args.alloc:
         config = config.with_changes(allocation_scheme=args.alloc)
 
@@ -376,9 +406,8 @@ def cmd_latency(args) -> int:
     from repro.workloads.spec import JobSpec
 
     if args.submission == "open" and args.rate <= 0:
-        print("latency: --submission open needs --rate > 0 (IOPS)")
-        return 1
-    config = _preset(args.preset, args.scale)
+        args.parser.error("--submission open needs --rate > 0 (IOPS)")
+    config = PRESETS[args.preset](scale=args.scale)
     _check_bs_fits(args, config)
     job = JobSpec("cli", "randwrite", Region(0, config.logical_sectors),
                   bs_sectors=args.bs, io_count=args.writes,
@@ -409,7 +438,7 @@ def cmd_nand_page(args) -> int:
     from repro.ssd.device import SimulatedSSD
 
     estimate = sequential_write_sweep(
-        SimulatedSSD(_preset(args.preset, args.scale)))
+        SimulatedSSD(PRESETS[args.preset](scale=args.scale)))
     print(format_table(estimate.HEADERS, estimate.rows(),
                        title="Fig 4a — sequential write sweep"))
     print(f"\nconverged: {estimate.converged_bytes_per_page / 1024:.1f} KiB/page")
@@ -421,7 +450,7 @@ def cmd_waf_study(args) -> int:
 
     runner = _make_runner(args)
     study = run_waf_study(
-        config=_preset(args.preset, args.scale),
+        config=PRESETS[args.preset](scale=args.scale),
         io_count=args.io_count,
         runner=runner,
     )
@@ -601,16 +630,7 @@ def cmd_faultsweep(args) -> int:
         run_crash_sweep_cell,
     )
 
-    try:
-        strides = sorted({int(s) for s in args.strides.split(",") if s.strip()})
-    except ValueError:
-        print(f"faultsweep: bad --strides {args.strides!r} (want e.g. 1,7,31)")
-        return 1
-    if not strides or strides[0] < 1:
-        print("faultsweep: strides must be positive integers")
-        return 1
-
-    config = _preset(args.preset, args.scale)
+    config = PRESETS[args.preset](scale=args.scale)
     workload = SweepWorkload(ops=args.ops, seed=args.seed)
     plan = None
     if args.fault_rate > 0:
@@ -622,7 +642,7 @@ def cmd_faultsweep(args) -> int:
         Cell(run_crash_sweep_cell,
              CrashSweepCell(config, workload, stride, plan=plan),
              seed=args.seed, label=f"sweep:k={stride}")
-        for stride in strides
+        for stride in args.strides
     ]
     runner = _make_runner(args)
     results = runner.run(cells)
@@ -652,40 +672,25 @@ def cmd_faultsweep(args) -> int:
     return 0
 
 
-def _fleet_only(spec, selector: str) -> int:
+def _fleet_only(spec, lo: int, hi: int) -> int:
     """Serial deep-dive on one device (or a range): the path the
     CellError / FleetDeviceError repro one-liners point at."""
-    from repro.fleet import FailedDevice, simulate_device
-
-    try:
-        if ":" in selector:
-            lo_text, hi_text = selector.split(":", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = int(selector)
-            hi = lo + 1
-    except ValueError:
-        print(f"fleet: bad --only {selector!r} (want N or LO:HI)")
-        return 1
-    if not 0 <= lo < hi <= spec.devices:
-        print(f"fleet: --only [{lo}, {hi}) outside 0..{spec.devices}")
-        return 1
+    from repro.fleet import FailedDevice, FleetShardCell, run_fleet_shard_cell
 
     rows = []
     crashed: list[FailedDevice] = []
-    for index in range(lo, hi):
-        try:
-            device = simulate_device(spec, index)
-        except Exception as exc:  # the whole point of --only is triage
-            crashed.append(FailedDevice(index, spec.device_seed(index),
-                                        f"{type(exc).__name__}: {exc}"))
+    # keep_going: the whole point of --only is triage
+    for device in run_fleet_shard_cell(
+            FleetShardCell(spec, lo, hi, keep_going=True)):
+        if isinstance(device, FailedDevice):
+            crashed.append(device)
             continue
         events = ", ".join(f"{kind}@op{op}"
                            for kind, _, op in device.fault_events[:4])
         if len(device.fault_events) > 4:
             events += f", ... ({len(device.fault_events)} total)"
         rows.append([
-            index, device.seed,
+            device.index, device.seed,
             sum(s.requests for s in device.tenants),
             device.failed_requests,
             device.degraded_kind or "-",
@@ -713,13 +718,6 @@ def cmd_fleet(args) -> int:
     from repro.exp import CellError
     from repro.fleet import CAMPAIGNS, FleetSpec, run_fleet
 
-    if args.devices < 1:
-        print("fleet: --devices must be >= 1")
-        return 1
-    if args.shards is not None and args.shards < 1:
-        print("fleet: --shards must be >= 1")
-        return 1
-
     campaign = None
     if args.campaign != "none":
         campaign = CAMPAIGNS[args.campaign]
@@ -727,51 +725,30 @@ def cmd_fleet(args) -> int:
             from dataclasses import replace
             campaign = replace(campaign, afr=args.afr)
     elif args.afr is not None:
-        print("fleet: --afr needs --campaign (default|infant|wearout)")
-        return 1
+        args.parser.error("--afr needs --campaign (default|infant|wearout)")
+    if args.only is not None and args.only[1] > args.devices:
+        lo, hi = args.only
+        args.parser.error(f"--only [{lo}, {hi}) is outside the fleet's "
+                          f"{args.devices} devices")
 
-    tenants = TENANT_MIXES[args.mix](rate_scale=args.rate_scale,
-                                     io_count=args.io_count)
     try:
+        tenants = TENANT_MIXES[args.mix](rate_scale=args.rate_scale,
+                                         io_count=args.io_count)
         spec = FleetSpec(tenants=tenants, devices=args.devices,
                          preset=args.preset, scale=args.scale,
                          seed=args.seed, campaign=campaign)
-    except ValueError as exc:
-        print(f"fleet: {exc}")
-        return 1
+    except ValueError as exc:  # e.g. a --rate-scale overflowing a rate
+        args.parser.error(str(exc))
 
     if args.only is not None:
-        return _fleet_only(spec, args.only)
+        return _fleet_only(spec, *args.only)
 
     runner = _make_runner(args)
-    if runner.cache is not None:
-        from repro.fleet import (
-            cached_shard_count,
-            load_fleet_manifest,
-            write_fleet_manifest,
-        )
-
-        if args.resume:
-            stored = load_fleet_manifest(spec, runner.cache, args.shards,
-                                         keep_going=args.keep_going)
-            if stored is None:
-                print("fleet: no manifest for this exact run yet "
-                      "(starting fresh)")
-            else:
-                cached = cached_shard_count(runner.cache, stored)
-                print(f"fleet: resume — {cached}/{len(stored['cells'])} "
-                      f"shards already cached")
-        write_fleet_manifest(spec, runner.cache, args.shards,
-                             keep_going=args.keep_going)
-    elif args.resume:
-        print("fleet: --resume needs the result cache (drop --no-cache)")
-        return 1
-
     started = time.perf_counter()
     try:
         report = run_fleet(spec, runner, shards=args.shards,
                            keep_going=args.keep_going)
-    except (CellError, ValueError) as exc:
+    except CellError as exc:
         print(f"fleet: {exc}")
         return 1
     elapsed = time.perf_counter() - started
@@ -829,13 +806,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, preset_default="mx500"):
         p.add_argument("--preset", default=preset_default,
+                       choices=sorted(PRESETS),
                        help=f"device preset (default {preset_default})")
         p.add_argument("--scale", type=_positive_int, default=2,
                        help="geometry down-scale factor (default 2)")
         p.add_argument("--seed", type=_non_negative_int, default=42)
 
     def parallel(p):
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: REPRO_JOBS or CPU count)")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk result cache")
@@ -990,9 +968,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, preset_default="tiny")
     p.add_argument("--ops", type=_positive_int, default=2_000,
                    help="host operations in the sweep workload")
-    p.add_argument("--strides", default="1,7,31",
+    p.add_argument("--strides", type=_positive_ints, default="1,7,31",
                    help="comma-separated cut strides (default 1,7,31)")
-    p.add_argument("--fault-rate", type=float, default=0.0,
+    p.add_argument("--fault-rate", type=_probability, default=0.0,
                    help="per-candidate program/erase fail probability "
                         "(default 0: crash-only sweep)")
     parallel(p)
@@ -1002,9 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fleet-scale sharded simulation: thousands of "
                             "devices, merged per-tenant SLO verdicts")
     common(p, preset_default="tiny")
-    p.add_argument("--devices", type=int, default=256,
+    p.add_argument("--devices", type=_positive_int, default=256,
                    help="fleet size (default 256)")
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", type=_positive_int, default=None,
                    help="shard count (default: devices/32, independent "
                         "of --jobs)")
     p.add_argument("--mix", default="default",
@@ -1022,13 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-going", action="store_true",
                    help="isolate per-device/per-shard failures into the "
                         "report instead of aborting the run")
-    p.add_argument("--resume", action="store_true",
-                   help="report how many shards of this exact run are "
-                        "already cached before running the rest")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive_float, default=None,
                    help="per-cell wall-clock watchdog in seconds "
                         "(default: none)")
-    p.add_argument("--only", default=None, metavar="N|LO:HI",
+    p.add_argument("--only", type=_device_range, default=None,
+                   metavar="N|LO:HI",
                    help="serial deep-dive on one device (or range) "
                         "instead of the sharded fleet run")
     parallel(p)
@@ -1036,10 +1012,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe-features", help="SSDCheck-style latency probes")
     p.add_argument("--scale", type=_positive_int, default=2)
-    p.add_argument("--cache-sectors", type=int, default=128)
+    p.add_argument("--cache-sectors", type=_non_negative_int, default=128)
     p.add_argument("--writes", type=_positive_int, default=8_000)
     p.set_defaults(fn=cmd_probe_features)
 
+    # Checks that span two options (or need the device) report through
+    # the subcommand's own parser: usage line, exit 2.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 

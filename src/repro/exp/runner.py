@@ -138,7 +138,7 @@ class Runner:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.salt = salt
-        if timeout_s is not None and timeout_s <= 0:
+        if timeout_s is not None and not timeout_s > 0:  # NaN fails too
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.timeout_s = timeout_s
         self.keep_going = keep_going

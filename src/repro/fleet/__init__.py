@@ -48,16 +48,12 @@ from repro.fleet.shard import (
     FleetDeviceError,
     FleetShardCell,
     TenantSlice,
-    cached_shard_count,
     device_repro_command,
     fleet_cells,
-    fleet_manifest,
-    load_fleet_manifest,
     plan_shards,
     run_fleet_devices,
     run_fleet_shard_cell,
     simulate_device,
-    write_fleet_manifest,
 )
 from repro.fleet.sketch import (
     DEFAULT_COMPRESSION,
@@ -96,15 +92,12 @@ __all__ = [
     "TenantSpec",
     "TenantVerdict",
     "aggregate_fleet",
-    "cached_shard_count",
     "campaign_device_plans",
     "default_tenants",
     "derive_seed",
     "device_fault_plan",
     "device_repro_command",
     "fleet_cells",
-    "fleet_manifest",
-    "load_fleet_manifest",
     "merge_sketches",
     "noisy_tenants",
     "plan_shards",
@@ -114,7 +107,6 @@ __all__ = [
     "simulate_device",
     "sketch_of",
     "steady_tenants",
-    "write_fleet_manifest",
 ]
 
 

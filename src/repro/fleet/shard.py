@@ -22,16 +22,13 @@ cells:
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
-from repro.exp import Cell, ResultCache, Runner
+from repro.exp import Cell, Runner
 from repro.exp.hashing import stable_digest
+from repro.fleet.chaos import CAMPAIGNS
 from repro.fleet.sketch import QuantileSketch
-from repro.fleet.spec import FleetSpec
+from repro.fleet.spec import TENANT_MIXES, FleetSpec
 
 #: devices per shard when the caller does not pick a shard count.
 #: Chosen so a shard is a few hundred ms of work — big enough to
@@ -128,22 +125,43 @@ def device_digest(spec: FleetSpec, device_index: int) -> str:
     return stable_digest(("repro.fleet.device", spec, device_index))
 
 
-def device_repro_command(spec: FleetSpec, device_index: int) -> str:
-    """Best-effort one-liner rerunning *device_index* standalone.
-
-    Exact for CLI-built specs (built-in mixes and campaigns); a spec
-    with hand-rolled tenants reruns via ``simulate_device`` instead.
-    """
-    parts = [
-        "repro-ssd fleet",
-        f"--preset {spec.preset}", f"--scale {spec.scale}",
-        f"--seed {spec.seed}", f"--devices {spec.devices}",
-    ]
+def _cli_flags(spec: FleetSpec) -> str | None:
+    """The tenant and campaign flags that make ``repro-ssd fleet``
+    build *spec*, or ``None`` when no flags can: each built-in mix and
+    campaign is rebuilt and compared with the spec's."""
+    if ((spec.allocation, spec.compression)
+            != (FleetSpec.allocation, FleetSpec.compression)):
+        return None
+    first = spec.tenants[0]
+    io_count = first.io_count
+    for name, build in TENANT_MIXES.items():
+        rate_scale = first.rate_iops / build()[0].rate_iops
+        if build(rate_scale=rate_scale, io_count=io_count) == spec.tenants:
+            flags = (f"--mix {name} --io-count {io_count} "
+                     f"--rate-scale {rate_scale!r}")
+            break
+    else:
+        return None
     campaign = spec.campaign
     if campaign is not None:
-        parts.append(f"--campaign {campaign.name} --afr {campaign.afr:g}")
-    parts.append(f"--only {device_index} --jobs 1 --no-cache")
-    return " ".join(parts)
+        named = CAMPAIGNS.get(campaign.name)
+        if named is None or replace(named, afr=campaign.afr) != campaign:
+            return None
+        flags += f" --campaign {campaign.name} --afr {campaign.afr!r}"
+    return flags
+
+
+def device_repro_command(spec: FleetSpec, device_index: int) -> str:
+    """One-liner rerunning *device_index* standalone, or a line saying
+    none exists (a spec the CLI cannot build: hand-rolled tenants or
+    campaign, a non-default allocation or sketch size)."""
+    flags = _cli_flags(spec)
+    if flags is None:
+        return ("no standalone command (the CLI cannot build this spec); "
+                f"call repro.fleet.simulate_device(spec, {device_index})")
+    return (f"repro-ssd fleet --preset {spec.preset} --scale {spec.scale} "
+            f"--seed {spec.seed} --devices {spec.devices} {flags} "
+            f"--only {device_index} --jobs 1 --no-cache")
 
 
 class FleetDeviceError(RuntimeError):
@@ -371,79 +389,3 @@ def run_fleet_devices(
             devices.extend(shard)
     return devices
 
-
-# ----------------------------------------------------------------------
-# Run manifests (the --resume handshake)
-# ----------------------------------------------------------------------
-
-
-def fleet_manifest(spec: FleetSpec, cache: ResultCache,
-                   shards: int | None = None,
-                   keep_going: bool = False) -> dict:
-    """The run's identity card: one entry per shard cell with its
-    content-address key.  Everything is derived (spec digest, cell
-    keys), so writing it before a run and reading it after an interrupt
-    agree byte-for-byte."""
-    cells = fleet_cells(spec, shards, keep_going=keep_going)
-    return {
-        "kind": "repro-ssd fleet manifest",
-        "digest": stable_digest(
-            ("repro.fleet.manifest", spec, shards, keep_going, cache.salt)),
-        "salt": cache.salt,
-        "devices": spec.devices,
-        "cells": [
-            {"label": cell.label, "key": cell.key(cache.salt),
-             "lo": cell.config.lo, "hi": cell.config.hi}
-            for cell in cells
-        ],
-    }
-
-
-def manifest_path(cache: ResultCache, manifest: dict) -> Path:
-    return cache.root / "fleet-manifests" / f"{manifest['digest'][:16]}.json"
-
-
-def write_fleet_manifest(spec: FleetSpec, cache: ResultCache,
-                         shards: int | None = None,
-                         keep_going: bool = False) -> Path:
-    """Persist the run manifest (atomically) before executing shards."""
-    manifest = fleet_manifest(spec, cache, shards, keep_going)
-    path = manifest_path(cache, manifest)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(manifest, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_fleet_manifest(spec: FleetSpec, cache: ResultCache,
-                        shards: int | None = None,
-                        keep_going: bool = False) -> dict | None:
-    """The previously written manifest for this exact run, or ``None``."""
-    manifest = fleet_manifest(spec, cache, shards, keep_going)
-    path = manifest_path(cache, manifest)
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if stored.get("digest") != manifest["digest"]:
-        return None  # foreign or stale file under our name
-    return stored
-
-
-def cached_shard_count(cache: ResultCache, manifest: dict) -> int:
-    """How many of the manifest's shard results already sit in the
-    cache — the shards ``--resume`` will skip."""
-    return sum(
-        1 for entry in manifest["cells"]
-        if cache.path_for(entry["key"]).exists()
-    )

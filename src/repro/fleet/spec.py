@@ -212,30 +212,14 @@ class FleetSpec:
             burst_fraction=tenant.burst_fraction,
         )
 
-    def device_jobs(self, device_index: int, num_sectors: int) -> list[JobSpec]:
-        """The per-tenant open-loop jobs device *device_index* runs.
-
-        Tenants get contiguous private LBA regions sized by ``share``;
-        every job seed comes from :meth:`tenant_seed`, so the jobs are
-        a pure function of (spec, device index, device capacity).
-        Trace tenants have no ``JobSpec`` form — mixes containing them
-        go through :meth:`device_sources`.
-        """
-        jobs: list[JobSpec] = []
-        for tenant, start, length in self.tenant_regions(num_sectors):
-            if tenant.trace is not None:
-                raise ValueError(
-                    f"tenant {tenant.name!r} replays a trace; build this "
-                    f"device's workload with device_sources()")
-            jobs.append(self._tenant_job(tenant, device_index, start, length))
-        return jobs
-
     def device_sources(self, device_index: int, num_sectors: int):
         """The per-tenant request sources device *device_index* runs.
 
-        The unified form of :meth:`device_jobs`: synthetic tenants wrap
-        into :class:`~repro.workloads.source.JobSource` (byte-identical
-        request streams), trace tenants become
+        Tenants get contiguous private LBA regions sized by ``share``;
+        every job seed comes from :meth:`tenant_seed`, so the sources
+        are a pure function of (spec, device index, device capacity).
+        Synthetic tenants wrap their ``JobSpec`` into
+        :class:`~repro.workloads.source.JobSource`, trace tenants become
         :class:`~repro.workloads.source.TraceSource` replays relocated
         into their share region.  Trace contents are identical across
         devices — determinism rests on the trace file plus the spec.

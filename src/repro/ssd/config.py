@@ -142,12 +142,21 @@ class SsdConfig:
         wear_policies.validate(self.wear_policy)
         if not 0.0 <= self.op_ratio < 0.5:
             raise ValueError("op_ratio must be in [0, 0.5)")
+        if self.gc_low_water_blocks < 0:
+            raise ValueError("gc_low_water_blocks must be non-negative")
         if self.gc_high_water_blocks < self.gc_low_water_blocks:
             raise ValueError("gc_high_water_blocks must be >= gc_low_water_blocks")
         if self.rain_stripe < 0 or self.rain_stripe == 1:
             raise ValueError("rain_stripe must be 0 (off) or >= 2")
+        if self.cache_sectors < 0:
+            raise ValueError("cache_sectors must be non-negative (0: no "
+                             "write cache)")
         if self.pslc_blocks < 0:
             raise ValueError("pslc_blocks must be non-negative")
+        if not 0.0 < self.pslc_drain_threshold <= 1.0:  # NaN fails too
+            raise ValueError("pslc_drain_threshold must be in (0, 1]")
+        if self.erase_limit < 1:
+            raise ValueError("erase_limit must be >= 1")
         if self.mapping_tp_lpns <= 0:
             raise ValueError("mapping_tp_lpns must be positive")
         if self.idle_gc_extra_blocks < 0:

@@ -165,33 +165,6 @@ class JobSource(RequestSource):
         return _arrival_times(self.job, t0)
 
 
-def synthetic_source(
-    name: str,
-    rw: str,
-    num_sectors: int,
-    *,
-    bs_sectors: int = 1,
-    io_count: int = 1000,
-    iodepth: int = 1,
-    seed: int = 0,
-    pattern: str | None = None,
-    **spec_kwargs,
-) -> JobSource:
-    """Build a whole-device synthetic source in one call.
-
-    The builder behind CLI one-off workloads (``repro-ssd trace`` uses
-    it for both device modes instead of hand-rolling two near-identical
-    ``JobSpec`` constructions) and anywhere else a quick
-    "random writes over the full device" stream is needed.
-    """
-    from repro.workloads.patterns import Region
-
-    job = JobSpec(name, rw, Region(0, num_sectors), bs_sectors=bs_sectors,
-                  io_count=io_count, iodepth=iodepth, seed=seed,
-                  pattern=pattern, **spec_kwargs)
-    return JobSource(job)
-
-
 # ----------------------------------------------------------------------
 # Recorded block traces
 # ----------------------------------------------------------------------

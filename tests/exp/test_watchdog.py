@@ -81,6 +81,8 @@ class TestWatchdog:
             Runner(jobs=1, timeout_s=0)
         with pytest.raises(ValueError):
             Runner(jobs=1, timeout_s=-1.5)
+        with pytest.raises(ValueError, match="timeout_s"):
+            Runner(jobs=1, timeout_s=float("nan"))
 
 
 class TestKeepGoing:

@@ -1,12 +1,13 @@
 """Fleet fault campaigns: deterministic plans, degraded-mode fleet
-semantics, durability accounting, and the run-manifest handshake."""
+semantics, durability accounting, and the result cache as the record
+of a fleet run."""
 
 import pickle
 from dataclasses import replace
 
 import pytest
 
-from repro.exp import ResultCache, Runner
+from repro.exp import CODE_SALT, ResultCache, Runner
 from repro.faults.plan import (
     DIE_OFFLINE,
     ERASE_FAIL,
@@ -23,16 +24,13 @@ from repro.fleet import (
     FleetShardCell,
     FleetSpec,
     aggregate_fleet,
-    cached_shard_count,
     campaign_device_plans,
     default_tenants,
     device_fault_plan,
     fleet_cells,
-    load_fleet_manifest,
     run_fleet_devices,
     run_fleet_shard_cell,
     simulate_device,
-    write_fleet_manifest,
 )
 
 
@@ -271,24 +269,32 @@ class TestKeepGoingShards:
 
 
 class TestManifest:
+    """The result cache is the one record of a fleet run: it knows which
+    shards a run banked, and a re-run executes none of them."""
+
     def test_roundtrip_and_cached_counts(self, tmp_path):
         spec = small_spec(devices=4, io_count=20)
         cache = ResultCache(tmp_path)
-        write_fleet_manifest(spec, cache, shards=2)
-        manifest = load_fleet_manifest(spec, cache, shards=2)
-        assert manifest is not None
-        assert len(manifest["cells"]) == 2
-        assert cached_shard_count(cache, manifest) == 0
+        cells = fleet_cells(spec, shards=2)
+        assert len(cells) == 2
+        assert not any(cache.get(c.key(CODE_SALT))[0] for c in cells)
 
-        runner = Runner(jobs=1, cache=cache)
-        run_fleet_devices(spec, runner, shards=2)
-        assert cached_shard_count(cache, manifest) == 2
+        first = Runner(jobs=1, cache=cache)
+        devices = run_fleet_devices(spec, first, shards=2)
+        assert (first.stats.executed, first.stats.cache_hits) == (2, 0)
+        assert all(cache.get(c.key(CODE_SALT))[0] for c in cells)
+
+        rerun = Runner(jobs=1, cache=cache)
+        again = run_fleet_devices(spec, rerun, shards=2)
+        assert [pickle.dumps(d) for d in again] == \
+            [pickle.dumps(d) for d in devices]
+        assert (rerun.stats.executed, rerun.stats.cache_hits) == (0, 2)
 
     def test_manifest_is_run_specific(self, tmp_path):
         cache = ResultCache(tmp_path)
-        write_fleet_manifest(small_spec(devices=4, io_count=20), cache,
-                             shards=2)
-        assert load_fleet_manifest(small_spec(devices=4, io_count=20),
-                                   cache, shards=4) is None
-        assert load_fleet_manifest(small_spec(devices=6, io_count=20),
-                                   cache, shards=2) is None
+        run_fleet_devices(small_spec(devices=4, io_count=20),
+                          Runner(jobs=1, cache=cache), shards=2)
+        for spec, shards in ((small_spec(devices=4, io_count=20), 4),
+                             (small_spec(devices=6, io_count=20), 2)):
+            assert not any(cache.get(c.key(CODE_SALT))[0]
+                           for c in fleet_cells(spec, shards=shards))

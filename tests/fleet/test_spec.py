@@ -115,7 +115,7 @@ class TestFleetSpecValidation:
 class TestDeviceJobs:
     def test_regions_partition_the_device(self):
         spec = tiny_fleet()
-        jobs = spec.device_jobs(0, num_sectors=4096)
+        jobs = [s.job for s in spec.device_sources(0, num_sectors=4096)]
         start = 0
         for job in jobs[:-1]:
             assert job.region.start == start
@@ -127,13 +127,13 @@ class TestDeviceJobs:
         tenants = (TenantSpec(name="big", rate_iops=10.0, share=3.0),
                    TenantSpec(name="small", rate_iops=10.0, share=1.0))
         spec = tiny_fleet(tenants=tenants)
-        big, small = spec.device_jobs(0, num_sectors=4000)
+        big, small = [s.job for s in spec.device_sources(0, num_sectors=4000)]
         assert big.region.length == 3000
         assert small.region.length == 1000
 
     def test_jobs_are_open_loop_with_tenant_shape(self):
         spec = tiny_fleet()
-        jobs = spec.device_jobs(3, num_sectors=4096)
+        jobs = [s.job for s in spec.device_sources(3, num_sectors=4096)]
         for job, tenant in zip(jobs, spec.tenants):
             assert job.submission == "open"
             assert job.name == tenant.name

@@ -4,12 +4,11 @@ The PR-10 refactor routes every workload through
 :class:`~repro.workloads.source.RequestSource`.  The contract is that
 the legacy paths did not move: a :class:`JobSource` makes exactly the
 RNG draws the pre-refactor engine loops made inline (LBA draw, then
-kind draw, one ``default_rng(seed)`` stream), fleet devices get the
-same per-tenant streams from ``device_sources`` as ``device_jobs``
-produced, and a file-system scenario replayed from its recorded trace
-drives a device identically to running the model against the device
-directly.  These tests pin all three, fingerprint-style, the way
-``test_policy_equivalence.py`` pinned the policy engine.
+kind draw, one ``default_rng(seed)`` stream), and a file-system
+scenario replayed from its recorded trace drives a device identically
+to running the model against the device directly.  These tests pin
+both, fingerprint-style, the way ``test_policy_equivalence.py`` pinned
+the policy engine.
 """
 
 import hashlib
@@ -20,7 +19,6 @@ import pytest
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
 from repro.fs.vfs import DeviceBackend
-from repro.fleet.spec import FleetSpec, default_tenants
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import mqsim_baseline, tiny
 from repro.ssd.timed import TimedSSD
@@ -118,36 +116,6 @@ class TestRunIdentity:
             run = run_counter(device, jobs)
             smarts[wrap] = (run.smart_delta, device.smart)
         assert smarts[False] == smarts[True]
-
-
-class TestFleetIdentity:
-    """device_sources() is device_jobs() for synthetic tenant mixes."""
-
-    def test_sources_wrap_the_same_jobs(self):
-        spec = FleetSpec(tenants=default_tenants(), devices=4)
-        num = spec.device_config().logical_sectors
-        for device_index in (0, 3):
-            jobs = spec.device_jobs(device_index, num)
-            sources = spec.device_sources(device_index, num)
-            assert [s.job for s in sources] == jobs
-
-    def test_device_run_identical_through_either_path(self):
-        spec = FleetSpec(tenants=default_tenants(), devices=1)
-        config = spec.device_config()
-        runs = {}
-        for use_sources in (False, True):
-            device = TimedSSD(config)
-            if use_sources:
-                workload = spec.device_sources(0, device.num_sectors)
-            else:
-                workload = spec.device_jobs(0, device.num_sectors)
-            runs[use_sources] = run_timed(device, workload)
-        jobs_run, sources_run = runs[False], runs[True]
-        assert jobs_run.smart_delta == sources_run.smart_delta
-        assert jobs_run.elapsed_ns == sources_run.elapsed_ns
-        for name, outcome in jobs_run.jobs.items():
-            np.testing.assert_array_equal(
-                outcome.latencies_us, sources_run.jobs[name].latencies_us)
 
 
 class TestFsIdentity:

@@ -48,6 +48,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             SsdConfig(pslc_blocks=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cache_sectors", -5),
+        ("erase_limit", 0),
+        ("gc_low_water_blocks", -1),
+        ("pslc_drain_threshold", float("nan")),
+        ("pslc_drain_threshold", 0.0),
+        ("pslc_drain_threshold", 1.5),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SsdConfig(**{field: value})
+
+    def test_no_write_cache_ok(self):
+        assert SsdConfig(cache_sectors=0).cache_sectors == 0
+
 
 class TestCapacity:
     def test_logical_smaller_than_physical(self):

@@ -119,16 +119,35 @@ class TestParser:
         ["latency", "--submission", "open", "--rate", "nan"],
         ["latency", "--submission", "open", "--rate", "inf"],
         ["latency", "--rate", "-5"],
+        ["simulate", "--preset", "nope"],
+        ["fleet", "--devices", "0"],
+        ["fleet", "--shards", "0"],
+        ["fleet", "--timeout", "nan"],
+        ["fleet", "--timeout", "-1"],
+        ["latency", "--jobs", "0"],
+        ["faultsweep", "--fault-rate", "2"],
+        ["faultsweep", "--fault-rate", "-1"],
+        ["faultsweep", "--fault-rate", "nan"],
+        ["faultsweep", "--strides", "1,zap"],
+        ["faultsweep", "--strides", "0"],
+        ["probe-features", "--cache-sectors", "-5"],
+        ["fleet", "--only", "5:2"],
+        ["fleet", "--devices", "4", "--only", "9"],
+        ["fleet", "--afr", "0.5"],
+        ["latency", "--submission", "open"],
     ])
     def test_hostile_input_is_a_usage_error(self, argv, capsys):
-        """A usage error (exit 2), not a registry or spec traceback, a
-        silent ``max(1, scale)`` or an empty score."""
+        """A usage error (exit 2) naming the offending option, not a
+        registry or spec traceback, a silent ``max(1, scale)``, an
+        empty score or the exit 1 of a failed verdict."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "Traceback" not in err
+        error = err.strip().splitlines()[-1]
+        assert any(arg in error for arg in argv if arg.startswith("--"))
 
     @pytest.mark.parametrize("command", [c for c, _ in _options("--bs")])
     def test_request_larger_than_the_device(self, command, capsys, tmp_path):
@@ -141,9 +160,9 @@ class TestParser:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"repro-ssd {command}: --bs 100000 is larger than the device (")
-        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"usage: repro-ssd {command} ")
+        assert (f"repro-ssd {command}: error: --bs 100000 is larger than "
+                f"the device (") in captured.err
         assert not (tmp_path / "t.jsonl").exists()
 
     def test_subcommand_list_is_complete(self):
@@ -181,11 +200,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "open loop @ 20000 IOPS (poisson)" in out
         assert "p99 (us)" in out
-
-    def test_latency_open_loop_requires_rate(self, capsys):
-        assert main(["latency", "--preset", "tiny", "--scale", "1",
-                     "--writes", "100", "--submission", "open"]) == 1
-        assert "--rate" in capsys.readouterr().out
 
     def test_nand_page(self, capsys):
         from repro.core.blackbox.nand_page import sequential_write_sweep
@@ -465,11 +479,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "all cut points clean" in out
 
-    def test_faultsweep_bad_strides(self, capsys):
-        assert main(["faultsweep", "--strides", "1,zap",
-                     "--jobs", "1", "--no-cache"]) == 1
-        assert "bad --strides" in capsys.readouterr().out
-
     def test_fleet(self, capsys):
         assert main(["fleet", "--devices", "12", "--io-count", "30",
                      "--jobs", "1", "--no-cache"]) == 0
@@ -493,12 +502,6 @@ class TestCommands:
                      "--no-cache"]) == 1
         assert "SLO VIOLATED" in capsys.readouterr().out
 
-    def test_fleet_rejects_bad_flags(self, capsys):
-        assert main(["fleet", "--devices", "0", "--no-cache"]) == 1
-        assert "--devices" in capsys.readouterr().out
-        assert main(["fleet", "--shards", "0", "--no-cache"]) == 1
-        assert "--shards" in capsys.readouterr().out
-
     def test_fleet_unknown_mix_rejected(self):
         with pytest.raises(SystemExit):
             main(["fleet", "--mix", "mystery"])
@@ -513,34 +516,67 @@ class TestCommands:
         assert "durability verdict" in out
         assert "healthy vs faulted latency split" in out
 
-    def test_fleet_afr_requires_campaign(self, capsys):
-        assert main(["fleet", "--afr", "0.5", "--no-cache"]) == 1
-        assert "--afr needs --campaign" in capsys.readouterr().out
-
     def test_fleet_only_device_detail(self, capsys):
         assert main(["fleet", "--devices", "8", "--io-count", "30",
                      "--campaign", "default", "--afr", "40",
                      "--only", "0:3", "--jobs", "1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "fleet device detail [0, 3)" in out
-        assert main(["fleet", "--devices", "4", "--only", "9",
-                     "--no-cache"]) == 1
-        assert "outside" in capsys.readouterr().out
 
     def test_fleet_resume_reports_cached_shards(self, capsys, tmp_path,
                                                 monkeypatch):
+        """A plain re-run resumes: the result cache skips every shard a
+        run already banked, and the ``exp:`` line counts them."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         argv = ["fleet", "--devices", "8", "--io-count", "30",
                 "--shards", "2", "--jobs", "1"]
         assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == 0
-        assert "2/2 shards already cached" in capsys.readouterr().out
+        assert "2 executed, 0 cache hits" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "0 executed, 2 cache hits" in capsys.readouterr().out
 
-    def test_fleet_resume_requires_cache(self, capsys):
-        assert main(["fleet", "--devices", "4", "--io-count", "30",
-                     "--resume", "--no-cache", "--jobs", "1"]) == 1
-        assert "--resume needs the result cache" in capsys.readouterr().out
+    def test_fleet_repro_command_reruns_the_device(self, capsys):
+        """A failed device's "rerun standalone" line runs that device:
+        same mix, request count, rate scale and unrounded AFR."""
+        import shlex
+        from dataclasses import replace
+
+        from repro.fleet import (
+            CAMPAIGNS,
+            FleetSpec,
+            device_repro_command,
+            noisy_tenants,
+            simulate_device,
+        )
+
+        spec = FleetSpec(tenants=noisy_tenants(rate_scale=3, io_count=40),
+                         devices=4, campaign=replace(CAMPAIGNS["default"],
+                                                     afr=0.123456789))
+        command = device_repro_command(spec, 2)
+        assert "--afr 0.123456789 " in command
+        program, *argv = shlex.split(command)
+        assert program == "repro-ssd"
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[3].split()
+        device = simulate_device(spec, 2)
+        requests = sum(s.requests for s in device.tenants)
+        assert requests == 120
+        assert row[:3] == ["2", str(device.seed), str(requests)]
+        assert row[7] == str(round(device.waf, 3))
+
+    def test_no_repro_command_for_a_spec_the_cli_cannot_build(self):
+        from repro.fleet import (
+            FleetSpec,
+            TenantSpec,
+            default_tenants,
+            device_repro_command,
+        )
+
+        hand_rolled = (TenantSpec(name="solo", rate_iops=100.0),)
+        for spec in (FleetSpec(tenants=hand_rolled),
+                     FleetSpec(tenants=default_tenants(), allocation="CWDP")):
+            assert device_repro_command(spec, 3).startswith(
+                "no standalone command")
 
     def test_every_subcommand_has_smoke_coverage(self):
         """Each subcommand in cli.py has a TestCommands smoke test."""

@@ -17,7 +17,6 @@ from repro.workloads.source import (
     TraceSource,
     as_source,
     record_fs_workload,
-    synthetic_source,
 )
 from repro.workloads.spec import RW_MODES, JobSpec
 from repro.workloads.trace import BlockTrace, TraceRecord
@@ -33,7 +32,8 @@ class TestAsSource:
         assert source.job is job
 
     def test_source_passes_through(self):
-        source = synthetic_source("s", "randwrite", 100, io_count=3)
+        source = JobSource(JobSpec("s", "randwrite", Region(0, 100),
+                                   io_count=3))
         assert as_source(source) is source
 
     def test_rejects_other_types(self):
@@ -60,8 +60,8 @@ class TestJobSource:
         assert source.remaining == 7
 
     def test_yields_io_count_requests_then_none(self):
-        source = synthetic_source("s", "randwrite", 100, io_count=4,
-                                  bs_sectors=2)
+        source = JobSource(JobSpec("s", "randwrite", Region(0, 100),
+                                   io_count=4, bs_sectors=2))
         requests = list(source)
         assert len(requests) == 4
         assert source.remaining == 0
@@ -101,14 +101,6 @@ class TestJobSource:
         assert np.all(np.diff(arrivals) >= 1)
         np.testing.assert_array_equal(arrivals,
                                       JobSource(job).arrival_times(1000))
-
-    def test_builder_matches_hand_built_spec(self):
-        built = synthetic_source("t", "randwrite", 200, bs_sectors=4,
-                                 io_count=9, iodepth=2, seed=7)
-        spec = JobSpec("t", "randwrite", Region(0, 200), bs_sectors=4,
-                       io_count=9, iodepth=2, seed=7)
-        assert built.job == spec
-        assert list(built) == list(JobSource(spec))
 
 
 class TestTraceSource:
