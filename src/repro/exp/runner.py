@@ -118,8 +118,9 @@ class Runner:
 
     ``cache=None`` (the default) disables caching; pass a
     :class:`~repro.exp.cache.ResultCache` to make unchanged cells free
-    on re-run.  ``salt`` defaults to the package code-version salt so
-    cached results die with the code that produced them.
+    on re-run.  Cells are keyed with the cache's salt (the package
+    code-version salt when there is no cache), so a key always names an
+    entry under the salt directory the cache reads and writes.
     """
 
     #: resubmissions of broken-pool cells before degrading to serial.
@@ -132,12 +133,11 @@ class Runner:
 
     def __init__(self, jobs: int | None = None,
                  cache: ResultCache | None = None,
-                 salt: str = CODE_SALT,
                  timeout_s: float | None = None,
                  keep_going: bool = False) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.salt = salt
+        self.salt = cache.salt if cache is not None else CODE_SALT
         if timeout_s is not None and not timeout_s > 0:  # NaN fails too
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.timeout_s = timeout_s

@@ -434,20 +434,6 @@ class DegradedModeChanged(TraceEvent):
     spare_blocks: int
 
 
-@dataclass(slots=True)
-class PowerCut(TraceEvent):
-    """Power was cut (by the fault plan or the crash-consistency sweep).
-
-    ``at_op`` is the host-op index after which power was lost (-1 when
-    time-triggered); ``at_ns`` the virtual time (-1 in counter mode).
-    """
-
-    NAME: ClassVar[str] = "power_cut"
-
-    at_op: int
-    at_ns: int
-
-
 #: Every event type, keyed by wire name (useful for decoding traces).
 EVENT_TYPES: dict[str, type[TraceEvent]] = {
     cls.NAME: cls
@@ -458,6 +444,6 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
         MemtableFlush, SstableWritten, CompactionStarted,
         CompactionFinished, BtreePageSplit, BtreePageMerge,
         FaultInjected, ReadRetry, RainReconstruction, BlockRetired,
-        DegradedModeChanged, PowerCut,
+        DegradedModeChanged,
     )
 }

@@ -1,31 +1,24 @@
 """The one request-stream abstraction behind every workload.
 
-Until now three request-generation paths grew independently: synthetic
-:class:`~repro.workloads.spec.JobSpec` patterns (PR 2's engine),
-file-system workloads driving a device through backend adapters, and
-:mod:`repro.workloads.trace` replay with no engine integration at all.
-Every consumer — the open/closed-loop engine, fleet tenants, exp cells —
-had to know which path it was on.
-
-A :class:`RequestSource` is the unification: a pull-based stream of host
-requests ``(kind, lba, sectors)`` plus the scheduling attributes the
-engine needs (``iodepth`` for closed loop, ``arrival_times`` for open
-loop).  The engine consumes *only* this surface, so a synthetic job, a
-recorded block trace, a file-system scenario, and a storage engine
-(:mod:`repro.engines`) are interchangeable everywhere a workload goes:
-``run_counter``/``run_timed``, fleet tenant specs, cached experiment
-cells.
+A :class:`RequestSource` is a pull-based stream of host requests
+``(kind, lba, sectors)`` plus the scheduling attributes the engine
+needs (``iodepth`` for closed loop, ``arrival_times`` for open loop).
+The engine consumes *only* this surface, so a synthetic job
+(:class:`JobSource`), a recorded block trace, a file-system scenario,
+and a storage engine (:mod:`repro.engines`) are interchangeable
+everywhere a workload goes: ``run_counter``/``run_timed``, fleet tenant
+specs, cached experiment cells.
 
 Byte-identity is the load-bearing contract: draw *order* is what a
 :class:`JobSource` promises — per request the LBA, then the request
-kind, all from one ``default_rng(seed)`` stream, exactly the draws the
-pre-refactor engine loops made — so every golden figure, fleet pickle,
-and policy-equivalence fingerprint is unchanged.  It draws a block of
-requests ahead of the engine; a fixed-direction job's block is one
-array draw, which consumes the stream exactly as that many scalar draws
-do.  ``tests/regression/test_request_source_equivalence.py`` pins the
-stream the way PR 5's ``test_policy_equivalence.py`` pinned the policy
-engine.
+kind, all from one ``default_rng(seed)`` stream — so every golden
+figure, fleet pickle, and policy-equivalence fingerprint stays put.  It
+draws a block of requests ahead of the engine; a fixed-direction job's
+block is one array draw, which consumes the stream exactly as that many
+scalar draws do.
+``tests/workloads/test_source.py::TestJobSource::test_block_drawn_stream_is_the_scalar_stream``
+holds every rw mode and pattern to the one-request-at-a-time draws, and
+the ``timed_run`` pins in ``tests/regression/pins.json`` hold whole runs.
 """
 
 from __future__ import annotations
@@ -92,7 +85,7 @@ def as_source(item: "JobSpec | RequestSource") -> RequestSource:
 
 
 # ----------------------------------------------------------------------
-# Synthetic jobs (the legacy JobSpec path)
+# Synthetic jobs
 # ----------------------------------------------------------------------
 
 
@@ -101,13 +94,12 @@ _BLOCK_REQUESTS = 1024
 
 
 class JobSource(RequestSource):
-    """A :class:`JobSpec` as a request source — the legacy path.
+    """A :class:`JobSpec` as a request source: the synthetic path.
 
     Draw order is the contract: per request, one address draw
     (``pattern.next_lba(rng)``) then one kind draw
     (``job.request_kind(rng)``), both from a single
-    ``default_rng(job.seed)`` stream — exactly what the pre-refactor
-    engine loops did inline, so the request stream is byte-identical.
+    ``default_rng(job.seed)`` stream.
 
     Requests are drawn ``_BLOCK_REQUESTS`` at a time, never past
     ``io_count``, and served from that block.  A job with one direction

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.exp import Cell, CellError, ResultCache, Runner, resolve_jobs
+from repro.exp.cache import CODE_SALT
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,18 @@ class TestCaching:
         assert out == [(0, 0), (1, 0)]
         assert runner.stats.executed == 1
         assert runner.cache.stats.hits == 1
+
+    def test_cells_are_keyed_with_the_cache_salt(self, tmp_path):
+        cells = [Cell(identity_cell, Work(i)) for i in range(2)]
+        Runner(jobs=1, cache=ResultCache(tmp_path, salt="other")).run(cells)
+        rerun = Runner(jobs=1, cache=ResultCache(tmp_path, salt="other"))
+        assert rerun.run(cells) == [(0, 0), (1, 0)]
+        assert rerun.stats.executed == 0
+        assert rerun.cache.get(cells[0].key("other")) == (True, (0, 0))
+        fresh = Runner(jobs=1, cache=ResultCache(tmp_path))
+        fresh.run(cells)
+        assert fresh.stats.executed == 2
+        assert Runner(jobs=1).salt == fresh.salt == CODE_SALT
 
     def test_describe_mentions_cache(self, tmp_path):
         runner = Runner(jobs=1, cache=ResultCache(tmp_path))

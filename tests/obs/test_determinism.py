@@ -3,7 +3,7 @@ JSONL trace and identical summary statistics across runs, in both
 execution modes.  This is what makes traces diffable across PRs — any
 fidelity change shows up as a trace diff."""
 
-import hashlib
+import json
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_counter, run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
+from tests.regression.test_pins import _digest, check_pin, event_counts
 
 
 def _trace_counter(path, seed):
@@ -55,8 +56,7 @@ class TestCounterModeDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
     def test_cli_counter_trace_is_pinned(self, tmp_path, capsys):
-        # Pinned when counter mode was its own device class and loop:
-        # each host_request precedes the events it causes, and the run
+        # Each host_request precedes the events it causes, and the run
         # ends with one flush.
         path = tmp_path / "counter.jsonl"
         assert main(["trace", "--mode", "counter", "--preset", "tiny",
@@ -64,9 +64,10 @@ class TestCounterModeDeterminism:
                      "--out", str(path)]) == 0
         capsys.readouterr()
         data = path.read_bytes()
-        assert data.count(b"\n") == 18_068
-        assert hashlib.sha256(data).hexdigest() == (
-            "d416914745fec68d95092827127189123c1c06757152971c9c5ed311778a3269")
+        check_pin("cli_counter_trace", _digest(data), {
+            "lines": data.count(b"\n"),
+            **event_counts(json.loads(line)["event"]
+                           for line in data.splitlines())})
 
 
 class TestTimedModeDeterminism:

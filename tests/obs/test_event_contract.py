@@ -10,7 +10,6 @@ the exact bytes of a trace that passes through every hot site.
 """
 
 import dataclasses
-import hashlib
 import io
 import json
 
@@ -31,6 +30,7 @@ from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
 from tests.helpers import ListSink
+from tests.regression.test_pins import _digest, check_pin, event_counts
 
 #: wire name -> constructor argument order.
 FIELDS = {
@@ -60,7 +60,6 @@ FIELDS = {
     "rain_reconstruction": ("ppn", "stripe_reads", "relocated"),
     "block_retired": ("block", "cause", "migrated_sectors"),
     "degraded_mode": ("mode", "reason", "spare_blocks"),
-    "power_cut": ("at_op", "at_ns"),
 }
 
 
@@ -173,12 +172,6 @@ TENANTS = (
     ("ingest", "randwrite", 1, "diurnal", 1_200.0, 240),
 )
 
-#: SHA-256 of the run's JSONL, taken at the commit before events became
-#: slotted and positionally built (PR 12, fa26e6d).
-TRACE_SHA256 = (
-    "d33e4a86b176f18afa8b6c3568439676049bf5564d666771774ed68a158dd603")
-TRACE_EVENTS = 22_224
-
 
 def _drive(sink):
     device = TimedSSD(tiny())
@@ -194,8 +187,6 @@ def _drive(sink):
                 submission="open", rate_iops=rate, arrival=arrival)
         for k, (name, rw, bs, arrival, rate, count) in enumerate(TENANTS)
     ])
-    # A lone open-loop source takes the single-source loop, which has
-    # its own QueueDepth site.
     run_timed(device, [JobSpec("solo", "randwrite", Region(0, span),
                                io_count=200, seed=7, submission="open",
                                rate_iops=2_000.0)])
@@ -226,8 +217,9 @@ def test_run_reaches_every_hot_site(traced):
 
 def test_trace_bytes_are_pinned(traced):
     text, _, _, events = traced
-    assert text.count("\n") == len(events) == TRACE_EVENTS
-    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256
+    assert text.count("\n") == len(events)
+    check_pin("event_contract_trace", _digest(text.encode()), {
+        "lines": len(events), **event_counts(e.NAME for e in events)})
 
 
 def test_only_the_host_request_sentinel_is_negative(traced):

@@ -1,10 +1,11 @@
-"""String knobs and injected policy objects are the same engine.
+"""A policy named by its knob string and the same policy handed in as
+an object drive a component identically.
 
-The refactor's contract: resolving a knob string through a registry and
-handing the component the resulting object directly must be
-indistinguishable — same RNG draws, same victims, same flush order,
-same device-level statistics.  These tests pin that seam so policy
-objects stay stateless and the registries stay a pure naming layer.
+Configs name policies by string, resolved through the registries; tests
+inject fakes and instrumented policy objects directly.  These tests
+check that both ways in give the same RNG draws, victims, flush order,
+allocation sequence and device statistics, so the registries stay a
+pure naming layer and policy objects stay stateless.
 """
 
 import numpy as np

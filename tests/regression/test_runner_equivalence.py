@@ -1,10 +1,11 @@
-"""Serial vs parallel equivalence: the runner must change *where* cells
-execute, never *what* they compute.
+"""Where a cell runs never changes what it computes.
 
-These are the tests CI runs with ``REPRO_JOBS=2``; the studies are
-scaled down so the whole file stays fast, but they exercise the same
-cell functions as the full benchmarks, so byte-identical results here
-imply the golden figure CSVs are runner-invariant.
+A study run serially, over a process pool, or from a warm result cache
+gives byte-identical results, and the WAF and churn cells equal the
+hand-written device loops they stand for.  CI runs this module with
+``REPRO_JOBS=2``.  The studies are scaled down, but they run the same
+cell functions as the figure benches, so equality here means the golden
+CSVs do not depend on the runner.
 """
 
 import numpy as np
@@ -78,8 +79,9 @@ class TestWafEquivalence:
 
 class TestChurnEquivalence:
     def test_churn_cell_matches_inline_loop(self):
-        """The migrated ablation benches rely on ChurnCell replaying the
-        original serial RNG draw sequence exactly."""
+        """A churn cell makes exactly the inline hot/cold loop's RNG
+        draws; the ablation benches and the GC-policy golden test run
+        the cell."""
         config = tiny().with_changes(gc_policy="greedy")
         device = SimulatedSSD(config)
         rng = np.random.default_rng(3)

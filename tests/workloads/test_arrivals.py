@@ -110,7 +110,8 @@ class TestArrivalShapes:
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("arrival", ["diurnal", "bursty"])
+    @pytest.mark.parametrize("arrival",
+                             ["poisson", "fixed", "diurnal", "bursty"])
     def test_runs_end_to_end_and_is_deterministic(self, arrival):
         def run():
             device = TimedSSD(tiny())
@@ -121,3 +122,4 @@ class TestEngineIntegration:
         a, b = run(), run()
         assert a.jobs["t"].requests == 400
         assert np.array_equal(a.jobs["t"].latencies_us, b.jobs["t"].latencies_us)
+        assert a.elapsed_ns == b.elapsed_ns

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.fs.ext4 import Ext4Model
+from repro.fs.f2fs import F2fsModel
+from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import mqsim_baseline, tiny
 from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_counter, run_timed
+from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
 from repro.workloads.patterns import Region
 from repro.workloads.source import (
     FS_MODELS,
@@ -20,7 +24,16 @@ from repro.workloads.source import (
 )
 from repro.workloads.spec import RW_MODES, JobSpec
 from repro.workloads.trace import BlockTrace, TraceRecord
-from tests.regression.test_request_source_equivalence import _legacy_stream
+
+
+def _legacy_stream(job: JobSpec):
+    """A job's requests drawn one at a time: one rng, LBA draw first,
+    then kind draw."""
+    rng = np.random.default_rng(job.seed)
+    pattern = job.make_pattern()
+    for _ in range(job.io_count):
+        lba = pattern.next_lba(rng)
+        yield job.request_kind(rng), lba, job.bs_sectors
 
 
 class TestAsSource:
@@ -71,7 +84,7 @@ class TestJobSource:
             assert sectors == 2
             assert 0 <= lba <= 98
 
-    @pytest.mark.parametrize("io_count", [1, 1023, 1024, 1025, 2051])
+    @pytest.mark.parametrize("io_count", [1, 1023, 1024, 1025, 2051, 5_000])
     @pytest.mark.parametrize("pattern", [None, "zipf", "hotcold"])
     @pytest.mark.parametrize("rw", RW_MODES)
     def test_block_drawn_stream_is_the_scalar_stream(self, rw, pattern,
@@ -224,3 +237,24 @@ class TestFsSource:
         result = run_counter(device, [source])
         assert result.jobs[source.name].requests == len(source.trace) > 0
         assert source.remaining == 0
+
+    @pytest.mark.parametrize("model_cls,model_name", [
+        (Ext4Model, "ext4"), (F2fsModel, "f2fs")])
+    def test_replay_matches_direct_run(self, model_cls, model_name):
+        # A scenario replayed from its recording drives the device
+        # exactly like running the model against the device directly.
+        config = mqsim_baseline(scale=4)
+
+        direct = SimulatedSSD(config)
+        model = model_cls(DeviceBackend(direct))
+        workload = FileServerWorkload(
+            model, FileServerConfig(working_files=12), seed=6)
+        workload.prepare()
+        workload.run(60)
+
+        replayed = SimulatedSSD(config)
+        source = FsSource(model_name, replayed.num_sectors, operations=60,
+                          seed=6, working_files=12)
+        run_timed(replayed, [source])
+
+        assert direct.smart == replayed.smart

@@ -251,3 +251,28 @@ class TestOpenLoopSubmission:
         result = run_timed(device, [closed, open_job])
         assert result.jobs["c"].requests == 200
         assert result.jobs["o"].requests == 200
+
+    def test_saturating_rate_has_a_heavier_tail_than_closed_loop(self):
+        """At a rate the device cannot sustain, open-loop queueing grows
+        without bound; closed-loop self-throttles at iodepth.  This is
+        the mode's reason to exist."""
+        device = TimedSSD(tiny())
+        closed = JobSpec("c", "randwrite", Region(0, device.num_sectors),
+                         io_count=2000, iodepth=4, seed=7)
+        closed_p99 = run_timed(device, [closed]).jobs["c"].percentile_us(99)
+        device = TimedSSD(tiny())
+        saturated = run_timed(device, [self.open_job(
+            device, 200_000, io_count=2000, seed=7, iodepth=4)]).jobs["o"]
+        assert saturated.percentile_us(99) > 5 * closed_p99
+
+    def test_subsaturation_run_is_arrival_paced(self):
+        """Well under capacity the run's wall-clock is set by the
+        arrival schedule, not by the device: elapsed time tracks
+        io_count / rate instead of collapsing to the device's own
+        throughput the way a closed loop does."""
+        device = TimedSSD(tiny())
+        job = run_timed(device, [self.open_job(
+            device, 200.0, io_count=400, seed=7, iodepth=4)]).jobs["o"]
+        assert job.elapsed_ns == pytest.approx(400 * 1e9 / 200.0, rel=0.3)
+        # And the common case still completes at the admission floor.
+        assert job.percentile_us(50) == pytest.approx(8.0, rel=0.01)
