@@ -159,6 +159,16 @@ class SsdConfig:
             raise ValueError("erase_limit must be >= 1")
         if self.mapping_tp_lpns <= 0:
             raise ValueError("mapping_tp_lpns must be positive")
+        if self.mapping_dirty_tp_limit < 1:
+            raise ValueError("mapping_dirty_tp_limit must be >= 1")
+        if self.mapping_sync_interval < 1:
+            raise ValueError("mapping_sync_interval must be >= 1")
+        if self.mapping_chunk_lpns < 0 or self.mapping_chunk_lpns % self.mapping_tp_lpns:
+            raise ValueError("mapping_chunk_lpns must be 0 (no demand "
+                             "loading) or a positive multiple of "
+                             "mapping_tp_lpns")
+        if self.mapping_resident_chunks < 1:
+            raise ValueError("mapping_resident_chunks must be >= 1")
         if self.idle_gc_extra_blocks < 0:
             raise ValueError("idle_gc_extra_blocks must be non-negative")
         if self.refresh_after_ops < 0:

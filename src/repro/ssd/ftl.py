@@ -243,6 +243,9 @@ class Ftl:
         self.obs: TraceSink = NULL_SINK
         self.stats = FtlStats()
         self._ops: list[FlashOp] = []
+        #: chunk -> (its mapping load record, that record's META reads),
+        #: so that a repeat load of an unchanged chunk reuses its ops.
+        self._meta_reads: dict[int, tuple[MappingEvents, tuple[FlashOp, ...]]] = {}
         #: blocks currently being migrated (nested GC must not touch them).
         self._gc_in_flight: set[int] = set()
         #: True while GC migration is writing; migration draws on the
@@ -1054,10 +1057,25 @@ class Ftl:
     def _apply_mapping_events(self, events: MappingEvents) -> None:
         if events.load_tp_ppns:
             # A chunk load: one META read per stored translation page.
-            page_size = self._page_size
-            emit = self._emit if self.obs.enabled else self._ops.append
-            for ppn in events.load_tp_ppns:
-                emit(new_tuple(FlashOp, (_READ, ppn, _META, page_size)))
+            # A chunk's shared load record (the only loading events
+            # with tuple fields) has its reads built once and reused
+            # until the mapping table replaces the record; fresh events
+            # (a load that flushed, or merged update events) build theirs.
+            loaded = events.loaded_chunks
+            entry = self._meta_reads.get(loaded[0])
+            if entry is not None and entry[0] is events:
+                reads = entry[1]
+            else:
+                page_size = self._page_size
+                reads = tuple([new_tuple(FlashOp, (_READ, ppn, _META, page_size))
+                               for ppn in events.load_tp_ppns])
+                if loaded.__class__ is tuple:
+                    self._meta_reads[loaded[0]] = events, reads
+            self._ops.extend(reads)
+            if self.obs.enabled:
+                emit, policy = self.obs.emit, self._active_policy
+                for op in reads:
+                    emit(FlashOpIssued("read", op[1], "meta", op[3], policy))
         for tp_id in events.flush_tps:
             self._program_meta_page(tp_id)
 

@@ -20,7 +20,9 @@ IOPS-weighted additive WAF prediction fails for concurrent runs.
 Orthogonally, the map may be split into demand-loaded *chunks* (the
 840 EVO's 117.5 MB chunks, §3.2): a chunk must be resident before any of
 its entries can be used, and loading one costs flash reads of its stored
-TPs.
+TPs.  Those reads change only when one of the chunk's TPs is stored
+again, so each chunk keeps one shared load record, built at its first
+load and dropped by :meth:`MappingTable.note_flushed`.
 
 The table reports metadata work as :class:`MappingEvents`; the FTL turns
 those into actual flash operations (it owns page allocation).
@@ -97,12 +99,17 @@ class MappingTable:
             raise ValueError("num_lpns must be positive")
         if chunk_lpns and chunk_lpns % tp_lpns != 0:
             raise ValueError("chunk_lpns must be a multiple of tp_lpns")
+        if dirty_tp_limit < 1:
+            raise ValueError("dirty_tp_limit must be >= 1")
+        if resident_chunks < 1:
+            raise ValueError("resident_chunks must be >= 1")
         self.num_lpns = num_lpns
         self.tp_lpns = tp_lpns
-        self.dirty_tp_limit = max(1, dirty_tp_limit)
+        self.dirty_tp_limit = dirty_tp_limit
         self.sync_interval = sync_interval
         self.chunk_lpns = chunk_lpns
-        self.resident_chunks = max(1, resident_chunks)
+        self.resident_chunks = resident_chunks
+        self._tps_per_chunk = chunk_lpns // tp_lpns
 
         #: edited in place only — scalar views alias this buffer.
         self.l2p = np.full(num_lpns, UNMAPPED, dtype=np.int64)
@@ -117,6 +124,9 @@ class MappingTable:
         self._tp_stored_view = memoryview(self.tp_stored_ppn)
         self._dirty: OrderedDict[int, None] = OrderedDict()
         self._resident: OrderedDict[int, None] = OrderedDict()
+        #: chunk -> its shared load record (see :meth:`_ensure_resident`);
+        #: empty on an unchunked map.
+        self._load_records: dict[int, MappingEvents] = {}
         self._since_sync = 0
         self.stats = MappingStats()
 
@@ -128,7 +138,7 @@ class MappingTable:
         return lpn // self.tp_lpns
 
     def _tps_in_chunk(self, chunk: int) -> range:
-        per_chunk = self.chunk_lpns // self.tp_lpns
+        per_chunk = self._tps_per_chunk
         start = chunk * per_chunk
         return range(start, min(start + per_chunk, self.num_tps))
 
@@ -149,7 +159,8 @@ class MappingTable:
         metadata work — always on an unchunked map, and on a chunked one
         whenever *lpn*'s chunk is resident (it becomes the most recently
         used).  Only a miss hands its chunk to :meth:`_ensure_resident`
-        and returns fresh events carrying the load.
+        and returns what that returns: the chunk's shared load record,
+        or fresh events when the load flushes dirty TPs.
         """
         if not 0 <= lpn < self.num_lpns:
             self._check_lpn(lpn)
@@ -184,8 +195,18 @@ class MappingTable:
                 self._since_sync += 1
                 return old, EMPTY_EVENTS
         chunk_lpns = self.chunk_lpns
-        events = (self._ensure_resident(lpn // chunk_lpns) if chunk_lpns
-                  else MappingEvents())
+        if not chunk_lpns:
+            events = MappingEvents()
+        else:
+            chunk = lpn // chunk_lpns
+            resident = self._resident
+            if chunk in resident:
+                resident.move_to_end(chunk)
+                events = MappingEvents()
+            else:
+                # Fresh events: the merges below must not reach the
+                # chunk's shared load record.
+                events = self._ensure_resident(chunk, fresh=True)
         old = self._l2p_view[lpn]
         self._l2p_view[lpn] = psa
         events.merge(self._mark_dirty(self.tp_of(lpn)))
@@ -244,8 +265,18 @@ class MappingTable:
         return events
 
     def note_flushed(self, tp_id: int, ppn: int) -> None:
-        """Record where the FTL just stored a TP."""
+        """Record where the FTL just stored a TP, and drop the load
+        record of its chunk (the next load of that chunk builds a new
+        one).
+
+        This is the one writer of :attr:`tp_stored_ppn`: the FTL's meta
+        program, GC's meta relocation and recovery all come through
+        here.  Nothing else may write the array, or a chunk's load
+        record would go on reading a TP's old location."""
         self._tp_stored_view[tp_id] = ppn
+        records = self._load_records
+        if records:
+            records.pop(tp_id // self._tps_per_chunk, None)
 
     def stored_ppn(self, tp_id: int) -> int:
         """Flash page of a TP's last flushed copy (-1 = never stored)."""
@@ -279,17 +310,21 @@ class MappingTable:
     # Chunk residency
     # ------------------------------------------------------------------
 
-    def _ensure_resident(self, chunk: int) -> MappingEvents:
-        """Make *chunk* (of a chunked map) the most recently used
-        resident chunk.  A miss first evicts the least recently used
-        chunks down to the budget, flushing their dirty TPs, then loads
-        *chunk*: one flash read per TP with a stored copy."""
-        events = MappingEvents()
+    def _ensure_resident(self, chunk: int, fresh: bool = False) -> MappingEvents:
+        """Load *chunk* (of a chunked map; not resident) as the most
+        recently used resident chunk.  The least recently used chunks
+        are first evicted down to the budget, their dirty TPs flushed;
+        the load costs one flash read per TP with a stored copy.
+
+        Returns the chunk's shared load record — ``loaded_chunks=(chunk,)``
+        and its stored TP ppns in TP order, in tuples so that merging
+        into it or appending to it raises — when the load flushes no TP
+        and *fresh* is false.  Otherwise returns fresh events built from
+        the record.  The record is built at the chunk's first load and
+        again after :meth:`note_flushed` drops it."""
         resident = self._resident
-        if chunk in resident:
-            resident.move_to_end(chunk)
-            return events
         dirty = self._dirty
+        flush_tps = None
         while len(resident) >= self.resident_chunks:
             evicted, _ = resident.popitem(last=False)
             if not dirty:
@@ -298,19 +333,23 @@ class MappingTable:
             for tp_id in self._tps_in_chunk(evicted):
                 if tp_id in dirty:
                     del dirty[tp_id]
-                    events.flush_tps.append(tp_id)
+                    if flush_tps is None:
+                        flush_tps = []
+                    flush_tps.append(tp_id)
                     self.stats.tp_flushes += 1
                     self.stats.eviction_flushes += 1
         resident[chunk] = None
         self.stats.chunk_loads += 1
-        events.loaded_chunks.append(chunk)
-        stored_ppns = self._tp_stored_view
-        load_tp_ppns = events.load_tp_ppns
-        for tp_id in self._tps_in_chunk(chunk):
-            stored = stored_ppns[tp_id]
-            if stored >= 0:
-                load_tp_ppns.append(stored)
-        return events
+        record = self._load_records.get(chunk)
+        if record is None:
+            first = chunk * self._tps_per_chunk
+            stored = self.tp_stored_ppn[first:first + self._tps_per_chunk]
+            record = self._load_records[chunk] = MappingEvents(
+                (), tuple(stored[stored >= 0].tolist()), (chunk,))
+        if flush_tps is None and not fresh:
+            return record
+        return MappingEvents(flush_tps or [], list(record.load_tp_ppns),
+                             [chunk])
 
     def resident_chunk_ids(self) -> list[int]:
         return list(self._resident.keys())

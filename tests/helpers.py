@@ -218,49 +218,83 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
         ftl._program_parity_page()
 
 
+def _residency_general(table, lpn, events):
+    """The chunk residency that :func:`lookup_general` and
+    :func:`update_general` write out: on a chunked map, *lpn*'s chunk
+    becomes the most recently used if resident; otherwise the least
+    recently used chunks are evicted down to the budget (their dirty
+    TPs flushed, in TP order) and the chunk is loaded, one read per TP
+    with a stored copy, found by a loop over ``tp_stored_ppn``.  The
+    work goes into *events*."""
+    if not table.chunk_lpns:
+        return
+    tps_per_chunk = table.chunk_lpns // table.tp_lpns
+
+    def tps_of(chunk):
+        first = chunk * tps_per_chunk
+        return range(first, min(first + tps_per_chunk, table.num_tps))
+
+    chunk = lpn // table.chunk_lpns
+    resident, dirty = table._resident, table._dirty
+    if chunk in resident:
+        resident.move_to_end(chunk)
+        return
+    while len(resident) >= table.resident_chunks:
+        evicted, _ = resident.popitem(last=False)
+        for tp_id in tps_of(evicted):
+            if tp_id in dirty:
+                del dirty[tp_id]
+                events.flush_tps.append(tp_id)
+                table.stats.tp_flushes += 1
+                table.stats.eviction_flushes += 1
+    resident[chunk] = None
+    table.stats.chunk_loads += 1
+    events.loaded_chunks.append(chunk)
+    events.load_tp_ppns.extend(int(table.tp_stored_ppn[tp_id])
+                               for tp_id in tps_of(chunk)
+                               if table.tp_stored_ppn[tp_id] >= 0)
+
+
 def lookup_general(table, lpn):
     """Reference for ``MappingTable.lookup``: a general body that writes
     chunk residency out itself instead of calling the table's residency
     routine.
 
     Range check, count, then — on a chunked map, for every lookup, hit
-    or miss — the chunk's residency: a hit becomes the most recently
-    used chunk; a miss evicts the least recently used chunks down to
-    the budget (their dirty TPs flushed, in TP order) and loads the
-    chunk, one read per TP with a stored copy.  Returns ``(psa,
-    events)`` with fresh events every time."""
+    or miss — the chunk's residency (:func:`_residency_general`).
+    Returns ``(psa, events)`` with fresh events every time."""
     from repro.ssd.mapping import MappingEvents
 
     table._check_lpn(lpn)
     table.stats.lookups += 1
     events = MappingEvents()
-    if table.chunk_lpns:
-        tps_per_chunk = table.chunk_lpns // table.tp_lpns
-
-        def tps_of(chunk):
-            first = chunk * tps_per_chunk
-            return range(first, min(first + tps_per_chunk, table.num_tps))
-
-        chunk = lpn // table.chunk_lpns
-        resident, dirty = table._resident, table._dirty
-        if chunk in resident:
-            resident.move_to_end(chunk)
-        else:
-            while len(resident) >= table.resident_chunks:
-                evicted, _ = resident.popitem(last=False)
-                for tp_id in tps_of(evicted):
-                    if tp_id in dirty:
-                        del dirty[tp_id]
-                        events.flush_tps.append(tp_id)
-                        table.stats.tp_flushes += 1
-                        table.stats.eviction_flushes += 1
-            resident[chunk] = None
-            table.stats.chunk_loads += 1
-            events.loaded_chunks.append(chunk)
-            events.load_tp_ppns = [int(table.tp_stored_ppn[tp_id])
-                                   for tp_id in tps_of(chunk)
-                                   if table.tp_stored_ppn[tp_id] >= 0]
+    _residency_general(table, lpn, events)
     return int(table.l2p[lpn]), events
+
+
+def update_general(table, lpn, psa):
+    """Reference for ``MappingTable.update`` (and ``trim``, with *psa*
+    ``UNMAPPED``): the general body with no fast lane and the chunk
+    residency written out (:func:`_residency_general`), so a chunk
+    load's reads come from a loop over ``tp_stored_ppn`` rather than
+    the table's load record.
+
+    Range check, count, residency, the map entry, the TP's dirty
+    tracking, then the checkpoint when one is due.  Returns
+    ``(old_psa, events)`` with fresh events every time."""
+    from repro.ssd.mapping import MappingEvents
+
+    table._check_lpn(lpn)
+    table.stats.updates += 1
+    events = MappingEvents()
+    _residency_general(table, lpn, events)
+    old = int(table.l2p[lpn])
+    table.l2p[lpn] = psa
+    events.merge(table._mark_dirty(lpn // table.tp_lpns))
+    table._since_sync += 1
+    if table._since_sync >= table.sync_interval:
+        events.merge(table.checkpoint())
+    return old, events
 
 
 def compress_per_centroid(means, weights, compression):

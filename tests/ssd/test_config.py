@@ -55,6 +55,12 @@ class TestValidation:
         ("pslc_drain_threshold", float("nan")),
         ("pslc_drain_threshold", 0.0),
         ("pslc_drain_threshold", 1.5),
+        ("mapping_chunk_lpns", -64),
+        ("mapping_chunk_lpns", 100),  # not a multiple of mapping_tp_lpns
+        ("mapping_resident_chunks", 0),
+        ("mapping_resident_chunks", -3),
+        ("mapping_dirty_tp_limit", 0),
+        ("mapping_sync_interval", 0),
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -12,7 +12,9 @@ from repro.flash.signals import render_samples
 from repro.flash.timing import profile
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.host import HostDevice
+from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
+from repro.ssd.recovery import recover_ftl
 from repro.ssd.timed import BackgroundPolicy, BusTap, CompletedRequest, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
@@ -365,7 +367,85 @@ def test_chunk_load_read_call_count():
     assert mapping.stats.chunk_loads == loads + 1
     tps_per_chunk = mapping.chunk_lpns // mapping.tp_lpns
     assert device.smart.read_pages == read_pages + tps_per_chunk + 1
-    # One call each: submit, Ftl.read, MappingTable.lookup, the
-    # residency routine with its MappingEvents and the chunk's TP range,
-    # the META reads' emission and the scheduling pass.
+    # Chunk 1's first load builds its load record and META reads, so it
+    # makes more calls than a reload of an unchanged chunk (below).  One
+    # call each: submit, Ftl.read, MappingTable.lookup, the residency
+    # routine with the record's MappingEvents, the META reads'
+    # application with their op list and the scheduling pass.
     assert calls <= 12
+
+
+def test_chunk_reload_call_count():
+    device = _chunked_read_device()
+    ftl, mapping = device.ftl, device.ftl.mapping
+    device.read_sectors(mapping.chunk_lpns, 1)  # evicts chunk 0
+    earlier = ftl.read(0, 1)  # reloads chunk 0
+    device.read_sectors(mapping.chunk_lpns, 1)  # evicts it again
+    loads, read_pages = mapping.stats.chunk_loads, device.smart.read_pages
+    calls = _read_calls(device, 0)
+    reload = ftl._ops  # what the submitted read's Ftl.read returned
+    assert mapping.stats.chunk_loads == loads + 1
+    tps_per_chunk = mapping.chunk_lpns // mapping.tp_lpns
+    assert device.smart.read_pages == read_pages + tps_per_chunk + 1
+    # No TP of chunk 0 moved, so the reload reuses the earlier load's
+    # record and META reads: one call each for submit, Ftl.read,
+    # MappingTable.lookup, the residency routine, the META reads'
+    # application and the scheduling pass.
+    assert calls <= 6
+    assert len(reload) == len(earlier) == tps_per_chunk + 1
+    assert all(op is before
+               for op, before in zip(reload[:-1], earlier[:-1]))
+
+
+def _reload_chunk(ftl, chunk: int) -> list[FlashOp]:
+    """Evict *chunk* of the one-resident-chunk map in
+    :func:`_chunked_read_device` by reading the other chunk, then read
+    the chunk's first sector; returns that read's ops."""
+    chunk_lpns = ftl.mapping.chunk_lpns
+    ftl.read((1 - chunk) * chunk_lpns, 1)
+    return ftl.read(chunk * chunk_lpns, 1)
+
+
+def _expected_load(ftl, chunk: int) -> list[FlashOp]:
+    """A load of *chunk*: one META read per TP of the chunk with a
+    stored copy, at the page ``tp_stored_ppn`` holds now."""
+    mapping = ftl.mapping
+    per_chunk = mapping.chunk_lpns // mapping.tp_lpns
+    stored = mapping.tp_stored_ppn[chunk * per_chunk:(chunk + 1) * per_chunk]
+    return [FlashOp(OpKind.READ, int(ppn), OpReason.META,
+                    ftl.geometry.page_size)
+            for ppn in stored.tolist() if ppn >= 0]
+
+
+def test_chunk_load_follows_moved_translation_pages():
+    # A chunk's load record (and the FTL's META reads built from it)
+    # must be rebuilt whenever one of the chunk's TPs is stored anew:
+    # by a meta re-flush, by GC relocating a meta page, and by
+    # recovery's rebuild of a new FTL over the same flash.
+    device = _chunked_read_device()
+    ftl, mapping = device.ftl, device.ftl.mapping
+    assert _reload_chunk(ftl, 0)[:-1] == _expected_load(ftl, 0)
+
+    before = mapping.stored_ppn(1)
+    ftl.write(mapping.tp_lpns, 1)  # TP 1 of chunk 0, re-flushed below
+    ftl.flush()
+    ftl.checkpoint()
+    assert mapping.stored_ppn(1) != before
+    assert _reload_chunk(ftl, 0)[:-1] == _expected_load(ftl, 0)
+
+    before = mapping.stored_ppn(2)
+    ftl._collect_block(before // ftl.geometry.pages_per_block)
+    assert mapping.stored_ppn(2) != before  # GC moved TP 2's meta page
+    ops = _reload_chunk(ftl, 0)
+    assert ops[:-1] == _expected_load(ftl, 0)
+    assert ops[-1].reason is OpReason.HOST
+
+    recovered, _ = recover_ftl(ftl.config, ftl.nand)
+    assert recovered.read(0, 1)[:-1] == _expected_load(recovered, 0)
+    before = recovered.mapping.stored_ppn(3)
+    recovered.write(3 * mapping.tp_lpns, 1)
+    recovered.flush()
+    recovered.checkpoint()
+    assert recovered.mapping.stored_ppn(3) != before
+    assert _reload_chunk(recovered, 0)[:-1] == _expected_load(recovered, 0)
+    recovered.check_invariants()

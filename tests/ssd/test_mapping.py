@@ -11,7 +11,7 @@ from repro.ssd.mapping import (
     MappingEvents,
     MappingTable,
 )
-from tests.helpers import lookup_general
+from tests.helpers import lookup_general, update_general
 
 
 def make(num_lpns=1024, tp_lpns=64, dirty=4, sync=10_000, chunk=0, resident=2):
@@ -134,10 +134,16 @@ class TestChunkResidency:
         with pytest.raises(ValueError):
             make(chunk=100, tp_lpns=64)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("resident", 0), ("resident", -3), ("dirty", 0)])
+    def test_rejects_empty_budgets(self, knob, value):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            make(chunk=256, **{knob: value})
+
     def test_first_access_loads_chunk(self):
         table = make(num_lpns=1024, tp_lpns=64, chunk=256)
         _, events = table.lookup(0)
-        assert events.loaded_chunks == [0]
+        assert events.loaded_chunks == (0,)
         assert table.stats.chunk_loads == 1
 
     def test_resident_chunk_not_reloaded(self):
@@ -153,7 +159,7 @@ class TestChunkResidency:
         table.lookup(512)  # chunk 2 -> chunk 0 evicted
         assert 0 not in table.resident_chunk_ids()
         _, events = table.lookup(0)  # reload
-        assert events.loaded_chunks == [0]
+        assert events.loaded_chunks == (0,)
 
     def test_eviction_flushes_chunk_dirty_tps(self):
         table = make(num_lpns=1024, tp_lpns=64, chunk=256, resident=2, dirty=64)
@@ -174,7 +180,7 @@ class TestChunkResidency:
     def test_unstored_tps_cost_no_reads(self):
         table = make(num_lpns=1024, tp_lpns=64, chunk=256, resident=1)
         _, events = table.lookup(0)
-        assert events.load_tp_ppns == []
+        assert events.load_tp_ppns == ()
 
     def test_num_chunks(self):
         table = make(num_lpns=1000, tp_lpns=50, chunk=250)
@@ -196,6 +202,25 @@ class TestChunkResidency:
             events.load_tp_ppns.append(3)
         assert EMPTY_EVENTS.empty
         assert table.lookup(20)[1].empty
+
+    def test_reload_returns_the_shared_load_record(self):
+        # A load that flushes nothing returns the chunk's one load
+        # record (tuple fields, immutable like EMPTY_EVENTS), again at
+        # every reload until one of its TPs is stored anew.
+        table = make(num_lpns=1024, tp_lpns=64, chunk=256, resident=1)
+        table.note_flushed(1, 555)
+        _, record = table.lookup(0)
+        assert record.load_tp_ppns == (555,)
+        table.lookup(256)  # evicts chunk 0
+        assert table.lookup(0)[1] is record
+        with pytest.raises(AttributeError):
+            record.merge(MappingEvents(flush_tps=[3]))
+        table.lookup(256)
+        table.note_flushed(2, 556)  # chunk 0's TP moved: a new record
+        _, reloaded = table.lookup(0)
+        assert reloaded is not record
+        assert reloaded.load_tp_ppns == (555, 556)
+        assert record.load_tp_ppns == (555,)
 
 
 @settings(max_examples=25)
@@ -258,7 +283,7 @@ def test_silent_update_run_equals_per_sector_calls_property(runs):
 
 
 # ----------------------------------------------------------------------
-# lookup's resident-chunk hit lane against the general body
+# lookup and update (their lanes and load records) against the general bodies
 # ----------------------------------------------------------------------
 
 def _residency_state(table):
@@ -296,6 +321,10 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
                 if name == "lookup":
                     psa, events = (table.lookup(*args) if table is fast
                                    else lookup_general(table, *args))
+                elif name in ("update", "trim") and table is reference:
+                    psa, events = update_general(
+                        table, *(args if name == "update"
+                                 else (*args, UNMAPPED)))
                 elif name == "checkpoint":
                     psa, events = None, table.checkpoint()
                 elif name == "note_flushed":
@@ -305,6 +334,14 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
             except IndexError as exc:
                 outcomes.append(str(exc))
                 continue
+            if (table is fast and name == "lookup" and events.loaded_chunks
+                    and not events.flush_tps):
+                # A load that flushed nothing returns the chunk's shared
+                # load record: it must refuse a merge or an append.
+                with pytest.raises(AttributeError):
+                    events.merge(MappingEvents(flush_tps=[3]))
+                with pytest.raises(AttributeError):
+                    events.load_tp_ppns.append(3)
             outcomes.append((psa, None if events is None else (
                 list(events.flush_tps), list(events.load_tp_ppns),
                 list(events.loaded_chunks))))
