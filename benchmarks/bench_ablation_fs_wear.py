@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
@@ -19,18 +18,17 @@ from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
 
 def run_fs(fs_cls, ops=1200, seed=3):
     device = SimulatedSSD(tiny())
-    backend = DeviceBackend(device)
     if fs_cls is F2fsModel:
-        fs = F2fsModel(backend, segment_sectors=32, checkpoint_sectors=8,
+        fs = F2fsModel(device, segment_sectors=32, checkpoint_sectors=8,
                        clean_low_water=2)
     else:
-        fs = Ext4Model(backend, journal_sectors=32, metadata_sectors=32)
+        fs = Ext4Model(device, journal_sectors=32, metadata_sectors=32)
     workload = FileServerWorkload(
         fs, FileServerConfig(working_files=24, mean_file_sectors=8), seed=seed
     )
     workload.prepare()
     workload.run(ops)
-    backend.flush()
+    device.flush()
     return device
 
 

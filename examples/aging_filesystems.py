@@ -16,7 +16,6 @@ from repro.analysis.report import format_table
 from repro.fs.aging import PROFILES, AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.presets import ssd64_like, ssd120_like
 from repro.ssd.timed import TimedSSD
 from repro.workloads.fileserver import FileServerConfig, FileServerWorkload
@@ -33,11 +32,10 @@ QUICK_PROFILES = {
 
 def throughput(device_config, fs_cls, profile) -> float:
     device = TimedSSD(device_config)
-    backend = DeviceBackend(device)
     if fs_cls is F2fsModel:
-        fs = F2fsModel(backend, segment_sectors=256, checkpoint_sectors=32)
+        fs = F2fsModel(device, segment_sectors=256, checkpoint_sectors=32)
     else:
-        fs = Ext4Model(backend, journal_sectors=256, metadata_sectors=128)
+        fs = Ext4Model(device, journal_sectors=256, metadata_sectors=128)
     age_filesystem(fs, profile, seed=7)
     workload = FileServerWorkload(
         fs, FileServerConfig(working_files=40, mean_file_sectors=16), seed=11

@@ -3,7 +3,7 @@
 from repro.fs.aging import PROFILES, AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend, Extent, FsError, FsModel
+from repro.fs.vfs import Extent, FsError, FsModel
 
 __all__ = [
     "Ext4Model",
@@ -11,7 +11,6 @@ __all__ = [
     "FsModel",
     "FsError",
     "Extent",
-    "DeviceBackend",
     "AgingProfile",
     "age_filesystem",
     "PROFILES",

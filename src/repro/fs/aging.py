@@ -5,7 +5,7 @@ state *and the SSD's internal state* ("what you see and what you don't
 see") must be aged before benchmark numbers mean anything — that study is
 the source of the paper's Fig 1.  An :class:`AgingProfile` replays a
 create/delete churn with a target utilization and file-size distribution;
-running it fragments the FS free map and, through the backend, puts the
+running it fragments the FS free map and, through the device, puts the
 FTL into a realistic steady state (mixed-age blocks, high occupancy,
 populated mapping).
 

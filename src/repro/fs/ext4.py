@@ -19,7 +19,7 @@ from repro.fs.vfs import Extent, FileMeta, FreeSpaceMap, FsError, FsModel
 
 
 class Ext4Model(FsModel):
-    """In-place journaling FS over a block backend."""
+    """In-place journaling FS over a block device."""
 
     name = "ext4"
 
@@ -28,13 +28,13 @@ class Ext4Model(FsModel):
 
     def __init__(
         self,
-        backend,
+        device,
         journal_sectors: int = 1024,
         metadata_sectors: int = 512,
         discard: bool = False,
     ) -> None:
-        super().__init__(backend)
-        total = backend.num_sectors
+        super().__init__(device)
+        total = device.num_sectors
         overhead = journal_sectors + metadata_sectors
         if overhead >= total:
             raise FsError("device too small for journal + metadata regions")
@@ -61,7 +61,7 @@ class Ext4Model(FsModel):
         self._write_inode(name)
         self._write_bitmap(extents)
         for extent in extents:
-            self.backend.write(extent.start, extent.length)
+            self.device.write_sectors(extent.start, extent.length)
         self.stats.creates += 1
 
     def delete(self, name: str) -> None:
@@ -71,7 +71,7 @@ class Ext4Model(FsModel):
         self._write_bitmap(meta.extents)
         if self.discard:
             for extent in meta.extents:
-                self.backend.trim(extent.start, extent.length)
+                self.device.trim_sectors(extent.start, extent.length)
         self.space.release(meta.extents)
         del self.files[name]
         del self._inode_of[name]
@@ -81,7 +81,7 @@ class Ext4Model(FsModel):
         """Ordered mode: data in place, then journaled metadata."""
         meta = self._file(name)
         for extent in self._slice_extents(meta, offset, sectors):
-            self.backend.write(extent.start, extent.length)
+            self.device.write_sectors(extent.start, extent.length)
         self._journal_txn()
         self._write_inode(name)  # mtime update
         self.stats.overwrites += 1
@@ -94,7 +94,7 @@ class Ext4Model(FsModel):
         self._write_inode(name)
         self._write_bitmap(extents)
         for extent in extents:
-            self.backend.write(extent.start, extent.length)
+            self.device.write_sectors(extent.start, extent.length)
         self.stats.appends += 1
 
     # ------------------------------------------------------------------
@@ -105,13 +105,13 @@ class Ext4Model(FsModel):
         """Append one descriptor+commit pair to the circular journal."""
         for _ in range(self.JOURNAL_SECTORS_PER_TXN):
             lba = self.journal.start + self._journal_cursor
-            self.backend.write(lba, 1)
+            self.device.write_sectors(lba, 1)
             self._journal_cursor = (self._journal_cursor + 1) % self.journal.length
 
     def _write_inode(self, name: str) -> None:
         """In-place write of the file's inode-table sector."""
         slot = self._inode_of[name] % self.metadata.length
-        self.backend.write(self.metadata.start + slot, 1)
+        self.device.write_sectors(self.metadata.start + slot, 1)
 
     def _write_bitmap(self, extents: list[Extent]) -> None:
         """In-place writes of the block-group bitmap sectors touched."""
@@ -122,4 +122,5 @@ class Ext4Model(FsModel):
             last = (extent.end - 1 - self.space.base) // group_size
             touched.update(range(first, last + 1))
         for group in sorted(touched):
-            self.backend.write(self.metadata.start + group % self.metadata.length, 1)
+            self.device.write_sectors(
+                self.metadata.start + group % self.metadata.length, 1)

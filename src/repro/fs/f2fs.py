@@ -39,21 +39,21 @@ class _Segment:
 
 
 class F2fsModel(FsModel):
-    """Log-structured FS over a block backend."""
+    """Log-structured FS over a block device."""
 
     name = "f2fs"
 
     def __init__(
         self,
-        backend,
+        device,
         segment_sectors: int = 512,
         checkpoint_sectors: int = 64,
         checkpoint_interval: int = 64,
         clean_low_water: int = 4,
         seed: int = 0,
     ) -> None:
-        super().__init__(backend)
-        total = backend.num_sectors
+        super().__init__(device)
+        total = device.num_sectors
         main_start = checkpoint_sectors
         main_sectors = total - checkpoint_sectors
         self.num_segments = main_sectors // segment_sectors
@@ -103,7 +103,7 @@ class F2fsModel(FsModel):
     def delete(self, name: str) -> None:
         meta = self._file(name)
         for extent in meta.extents:
-            self.backend.trim(extent.start, extent.length)
+            self.device.trim_sectors(extent.start, extent.length)
         for lba in self._locs[name]:
             self._invalidate(lba)
         ino = self._ino_of[name]
@@ -172,7 +172,7 @@ class F2fsModel(FsModel):
             room = self.segment_sectors - segment.cursor
             take = min(room, sectors - written)
             lba = self.main_start + segment.start + segment.cursor
-            self.backend.write(lba, take)
+            self.device.write_sectors(lba, take)
             out.extend(range(lba, lba + take))
             segment.cursor += take
             segment.valid += take
@@ -259,7 +259,7 @@ class F2fsModel(FsModel):
             if lba in self._owner
         ]
         if moved:
-            self.backend.read(base, self.segment_sectors)
+            self.device.read_sectors(base, self.segment_sectors)
         for lba, owner in moved:
             self._invalidate(lba)
             if owner[0] == "node":
@@ -276,7 +276,7 @@ class F2fsModel(FsModel):
                     self._refresh_extents(name)
             self.cleaner_moves += 1
         del self._segments[victim.index]
-        self.backend.trim(base, self.segment_sectors)
+        self.device.trim_sectors(base, self.segment_sectors)
         self._free_segments.insert(0, victim.index)
         return True
 
@@ -292,7 +292,7 @@ class F2fsModel(FsModel):
             # Two alternating checkpoint packs; write a few sectors in place.
             half = max(1, self.checkpoint.length // 2)
             base = self.checkpoint.start + (self.checkpoints % 2) * half
-            self.backend.write(base, min(4, half))
+            self.device.write_sectors(base, min(4, half))
 
     # ------------------------------------------------------------------
 

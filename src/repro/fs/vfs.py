@@ -6,59 +6,20 @@ and discards each design produces, not POSIX semantics.  The models here
 implement just enough structure — extent allocation, metadata regions,
 journals/logs — to generate those patterns faithfully.
 
-A model talks to the device through a tiny backend adapter, so the same
-FS code runs WAF studies (a counter-mode device) and throughput studies
-(a timed one).
+A model drives the device's own synchronous sector commands
+(``write_sectors``/``read_sectors``/``trim_sectors`` of
+:class:`~repro.ssd.host.HostDevice`), so the same FS code runs WAF
+studies (a zero-latency device), throughput studies (a timed one) and
+trace capture (a :class:`~repro.workloads.trace.TraceRecorder`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ssd.timed import TimedSSD
-
 
 class FsError(Exception):
     """File-system level failure (no space, unknown file, bad range)."""
-
-
-# ----------------------------------------------------------------------
-# Device backends
-# ----------------------------------------------------------------------
-
-
-class DeviceBackend:
-    """Adapter over a :class:`TimedSSD`: each FS op advances device time.
-
-    The sector commands are :class:`~repro.ssd.host.HostDevice`'s
-    synchronous forms, which submit at the current clock and advance
-    past the completion; only ``flush`` (whose timed form does not move
-    the clock) advances time explicitly.  A zero-latency (counter-mode)
-    device never moves its clock, so ``now_ns`` stays 0 there.
-    """
-
-    def __init__(self, device: TimedSSD) -> None:
-        self.device = device
-
-    @property
-    def num_sectors(self) -> int:
-        return self.device.num_sectors
-
-    @property
-    def now_ns(self) -> int:
-        return self.device.now
-
-    def write(self, lba: int, count: int) -> None:
-        self.device.write_sectors(lba, count)
-
-    def read(self, lba: int, count: int) -> None:
-        self.device.read_sectors(lba, count)
-
-    def trim(self, lba: int, count: int) -> None:
-        self.device.trim_sectors(lba, count)
-
-    def flush(self) -> None:
-        self.device.now = self.device.flush().complete_ns
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +141,8 @@ class FsModel:
 
     name = "abstract"
 
-    def __init__(self, backend) -> None:
-        self.backend = backend
+    def __init__(self, device) -> None:
+        self.device = device
         self.files: dict[str, FileMeta] = {}
         self.stats = FsStats()
 
@@ -206,7 +167,7 @@ class FsModel:
         meta = self._file(name)
         sectors = meta.sectors - offset if sectors is None else sectors
         for extent in self._slice_extents(meta, offset, sectors):
-            self.backend.read(extent.start, extent.length)
+            self.device.read_sectors(extent.start, extent.length)
         self.stats.reads += 1
 
     def exists(self, name: str) -> bool:

@@ -10,8 +10,6 @@ from repro.sim.kernel import (
     PowerLoss,
     Process,
     Resource,
-    earliest_start,
 )
 
-__all__ = ["Kernel", "PowerLoss", "Resource", "CapacityPool", "Process",
-           "earliest_start"]
+__all__ = ["Kernel", "PowerLoss", "Resource", "CapacityPool", "Process"]

@@ -39,8 +39,7 @@ from typing import Callable, Generator
 from repro.obs.events import ResourceBusy
 from repro.obs.sinks import NULL_SINK, TraceSink
 
-__all__ = ["Kernel", "PowerLoss", "Resource", "CapacityPool", "Process",
-           "earliest_start"]
+__all__ = ["Kernel", "PowerLoss", "Resource", "CapacityPool", "Process"]
 
 
 class PowerLoss(Exception):
@@ -54,15 +53,6 @@ class PowerLoss(Exception):
     def __init__(self, at_ns: int) -> None:
         super().__init__(f"power lost at {at_ns} ns")
         self.at_ns = at_ns
-
-
-def earliest_start(at_ns: int, *resources: "Resource") -> int:
-    """First instant >= *at_ns* when every resource is free."""
-    start = at_ns
-    for resource in resources:
-        if resource.free_at > start:
-            start = resource.free_at
-    return start
 
 
 class Kernel:
@@ -208,8 +198,8 @@ class Process:
 class Resource:
     """A named serially-reusable resource with a busy-until timeline.
 
-    ``free_at`` is the next instant the resource can start new work;
-    :func:`earliest_start` gates a claim on several resources at once
+    ``free_at`` is the next instant the resource can start new work; a
+    claim on several resources starts at the latest of their ``free_at``
     (ONFI: the controller cannot issue to a busy die *or* a busy
     channel).  ``hold`` marks a busy interval; callers compute the start
     themselves because multi-resource operations (read = channel cmd +

@@ -62,9 +62,6 @@ class SsdConfig:
     gc_low_water_blocks: int = 2
     #: foreground GC stops once the plane is back above this count.
     gc_high_water_blocks: int = 4
-    #: idle-time GC keeps this many blocks free beyond the high water
-    #: mark (one of §2.1's "unpredictable background operations").
-    idle_gc_extra_blocks: int = 2
 
     # --- write cache ----------------------------------------------------
     cache_designation: str = "data"
@@ -119,11 +116,9 @@ class SsdConfig:
     # --- graceful degradation (repro.faults) ---------------------------
     #: read-retry ladder depth on uncorrectable reads (0 disables).  Each
     #: step re-reads with shifted sense voltages, costing one extra flash
-    #: read and attenuating the raw bit error rate.
+    #: read and attenuating the raw bit error rate (by
+    #: :data:`repro.ssd.ftl.READ_RETRY_RBER_FACTOR` per step).
     read_retry_steps: int = 0
-    #: RBER attenuation per retry step (expected errors shrink by this
-    #: factor each step of the ladder).
-    read_retry_rber_factor: float = 0.5
     #: enter read-only degraded mode when grown bad blocks shrink the
     #: spare pool (blocks beyond those needed for logical capacity)
     #: below this count (0 disables the check).
@@ -169,16 +164,12 @@ class SsdConfig:
                              "mapping_tp_lpns")
         if self.mapping_resident_chunks < 1:
             raise ValueError("mapping_resident_chunks must be >= 1")
-        if self.idle_gc_extra_blocks < 0:
-            raise ValueError("idle_gc_extra_blocks must be non-negative")
         if self.refresh_after_ops < 0:
             raise ValueError("refresh_after_ops must be non-negative")
         if self.ops_per_day < 0:
             raise ValueError("ops_per_day must be non-negative")
         if self.read_retry_steps < 0:
             raise ValueError("read_retry_steps must be non-negative")
-        if not 0.0 < self.read_retry_rber_factor <= 1.0:
-            raise ValueError("read_retry_rber_factor must be in (0, 1]")
         if self.spare_blocks_min < 0:
             raise ValueError("spare_blocks_min must be non-negative")
 

@@ -88,6 +88,14 @@ META_P2L_BASE = -2
 #: p2l value of a slot holding nothing valid.
 P2L_NONE = -1
 
+#: idle-time GC keeps this many blocks free beyond the high water
+#: mark (one of §2.1's "unpredictable background operations").
+IDLE_GC_EXTRA_BLOCKS = 2
+
+#: RBER attenuation per retry step (expected errors shrink by this
+#: factor each step of the ladder).
+READ_RETRY_RBER_FACTOR = 0.5
+
 # Enum members as module constants for the hot paths (as in timed.py).
 _READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
 _HOST, _META = OpReason.HOST, OpReason.META
@@ -393,7 +401,7 @@ class Ftl:
             self.stats.read_retries += 1
             self._emit(FlashOp(_READ, ppn, _HOST, self._sector_size))
             success = (not hard and budget is not None
-                       and budget[0] * config.read_retry_rber_factor ** step
+                       and budget[0] * READ_RETRY_RBER_FACTOR ** step
                        <= budget[1])
             if self.obs.enabled:
                 self.obs.emit(ReadRetry(ppn=ppn, step=step, success=success))
@@ -776,8 +784,7 @@ class Ftl:
         return self._ops
 
     def _idle_gc(self, budget: int) -> int:
-        target = (self.config.gc_high_water_blocks
-                  + self.config.idle_gc_extra_blocks)
+        target = self.config.gc_high_water_blocks + IDLE_GC_EXTRA_BLOCKS
         done = 0
         for plane in range(self.geometry.planes_total):
             while (done < budget

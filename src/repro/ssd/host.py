@@ -3,9 +3,11 @@
 Everything that drives a device — the black-box studies in
 :mod:`repro.core.blackbox`, the file-system models in :mod:`repro.fs`,
 the workload engine — programs against the :class:`HostDevice` protocol
-rather than :class:`~repro.ssd.timed.TimedSSD`, so wrappers such as
-:class:`~repro.workloads.trace.TraceRecorder` and
+rather than :class:`~repro.ssd.timed.TimedSSD`, so a wrapper such as
 :class:`~repro.ssd.firmware.device.HackableSSD` can stand in for it.
+File-system models call only ``num_sectors`` and the synchronous sector
+commands, so a record-only :class:`~repro.workloads.trace.TraceRecorder`
+stands in for the drive when a trace is captured.
 
 The command set is the sector-addressed block-device surface a host
 sees: ``identify``/``write_sectors``/``read_sectors``/``trim_sectors``/

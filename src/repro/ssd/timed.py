@@ -219,8 +219,8 @@ class TimedSSD:
 
     @now.setter
     def now(self, value: int) -> None:
-        # Hosts may only move time forward (e.g. an FS backend advancing
-        # past a synchronous request's completion).
+        # Hosts may only move time forward (e.g. a synchronous sector
+        # command advancing past its request's completion).
         self.kernel.run_until(max(self.kernel.now, int(value)))
 
     # ------------------------------------------------------------------

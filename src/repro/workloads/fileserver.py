@@ -5,10 +5,9 @@ simulated file server and Geriatrix's reproduction of it): a mix of whole
 file creates, appends, whole-file reads, overwrites, and deletes over a
 directory of working files.
 
-Run it over a :class:`~repro.fs.vfs.DeviceBackend` on a timed device and
-the score is operations per second of simulated device time; on a
-counter-mode device it still exercises the same block pattern (for WAF
-studies).
+Run its FS model on a timed device and the score is operations per
+second of simulated device time; on a zero-latency device it still
+exercises the same block pattern (for WAF studies).
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class FileServerWorkload:
 
     def run(self, operations: int) -> FileServerResult:
         """Execute *operations* ops; returns the throughput result."""
-        t0 = self.fs.backend.now_ns
+        t0 = self.fs.device.now
         failed = 0
         weights = np.asarray(self.config.weights)
         for _ in range(operations):
@@ -79,7 +78,7 @@ class FileServerWorkload:
                 getattr(self, f"_{op}")()
             except FsError:
                 failed += 1
-        elapsed = self.fs.backend.now_ns - t0
+        elapsed = self.fs.device.now - t0
         return FileServerResult(operations=operations, elapsed_ns=elapsed,
                                 failed_ops=failed)
 

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.workloads.spec import JobSpec
-from repro.workloads.trace import BlockTrace, TraceRecord
+from repro.workloads.trace import BlockTrace, TraceRecord, TraceRecorder
 
 #: request kinds a source may yield; ``flush`` carries ``lba=0,
 #: sectors=0`` and maps to the device's FLUSH CACHE command.
@@ -242,49 +242,6 @@ class TraceSource(RequestSource):
 # ----------------------------------------------------------------------
 
 
-class RecordingBackend:
-    """An fs backend that records the block stream instead of driving a
-    device.
-
-    File-system models only consult a backend for ``num_sectors`` and
-    ``now_ns`` — they never read data back — so running a model against
-    this recorder captures the exact block-trace the same model would
-    have produced against a real device.  Timestamps are synthesized at
-    ``rate_iops`` (the :class:`~repro.workloads.trace.TraceRecorder`
-    convention).
-    """
-
-    def __init__(self, num_sectors: int, rate_iops: float = 50_000.0) -> None:
-        if num_sectors < 1:
-            raise ValueError("num_sectors must be >= 1")
-        if rate_iops <= 0:
-            raise ValueError("rate_iops must be positive")
-        self.num_sectors = num_sectors
-        self.trace = BlockTrace()
-        self._gap_us = 1e6 / rate_iops
-        self._clock_us = 0.0
-
-    @property
-    def now_ns(self) -> int:
-        return int(self._clock_us * 1000)
-
-    def _log(self, kind: str, lba: int, sectors: int) -> None:
-        self.trace.append(TraceRecord(kind, lba, sectors, self._clock_us))
-        self._clock_us += self._gap_us
-
-    def write(self, lba: int, count: int) -> None:
-        self._log("write", lba, count)
-
-    def read(self, lba: int, count: int) -> None:
-        self._log("read", lba, count)
-
-    def trim(self, lba: int, count: int) -> None:
-        self._log("trim", lba, count)
-
-    def flush(self) -> None:
-        self._log("flush", 0, 0)
-
-
 #: file-system models an :class:`FsSource` can run.
 FS_MODELS = ("ext4", "f2fs")
 
@@ -304,30 +261,31 @@ def record_fs_workload(
 
     if fs_model not in FS_MODELS:
         raise ValueError(f"unknown fs model {fs_model!r}; known: {FS_MODELS}")
-    backend = RecordingBackend(num_sectors, rate_iops=rate_iops)
+    recorder = TraceRecorder(num_sectors, rate_iops=rate_iops)
     if fs_model == "ext4":
         from repro.fs.ext4 import Ext4Model
 
-        model = Ext4Model(backend)
+        model = Ext4Model(recorder)
     else:
         from repro.fs.f2fs import F2fsModel
 
-        model = F2fsModel(backend)
+        model = F2fsModel(recorder)
     workload = FileServerWorkload(
         model, FileServerConfig(working_files=working_files), seed=seed)
     workload.prepare()
     workload.run(operations)
-    return backend.trace
+    return recorder.trace
 
 
 class FsSource(TraceSource):
     """A file-system workload as a request source.
 
     The fs scenario runs at construction against a
-    :class:`RecordingBackend`; the captured block trace then replays
-    through the engine like any other trace.  Closed-loop by default
-    (an fs issues each request when the previous completes — the
-    behaviour of the synchronous backend adapters).
+    :class:`~repro.workloads.trace.TraceRecorder`; the captured block
+    trace then replays through the engine like any other trace.
+    Closed-loop by default (an fs issues each request when the previous
+    completes — the behaviour of a device's synchronous sector
+    commands).
     """
 
     def __init__(

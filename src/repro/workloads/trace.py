@@ -6,7 +6,8 @@ it, and replay it against any device configuration.  The format is a
 four-column CSV (``op,lba,sectors,at_us``) — trivially diffable and easy
 to produce from real blktrace output.
 
-Recording wraps a device's host interface.  Replay is the workload
+Recording stands in for a device: a :class:`TraceRecorder` takes the
+host's sector commands and logs them.  Replay is the workload
 engine's job: a :class:`~repro.workloads.source.TraceSource` honours the
 recorded inter-arrival times (open loop, optionally time-scaled), so a
 trace captured at one speed can stress a slower configuration.
@@ -160,39 +161,44 @@ class BlockTrace:
 
 
 class TraceRecorder:
-    """Wraps a counter-mode device, logging every host request.
+    """A record-only block device: logs every host request, drives none.
 
-    A zero-latency device's clock never moves, so timestamps are
-    synthesized at a fixed ``rate_iops`` — the recorded trace then
-    replays at that pace.
+    It presents the synchronous sector commands of
+    :class:`~repro.ssd.host.HostDevice` plus ``flush``, ``num_sectors``
+    and ``now``.  File-system models never read data back, so a model
+    run against a recorder captures the exact block trace it would issue
+    to a real device.  Timestamps are synthesized at a fixed
+    ``rate_iops`` — the recorded trace then replays at that pace.
     """
 
-    def __init__(self, device, rate_iops: float = 50_000.0) -> None:
-        self.device = device
+    def __init__(self, num_sectors: int, rate_iops: float = 50_000.0) -> None:
+        if num_sectors < 1:
+            raise ValueError(f"num_sectors must be >= 1, got {num_sectors!r}")
+        if not (math.isfinite(rate_iops) and rate_iops > 0):
+            raise ValueError(
+                f"rate_iops must be finite and positive, got {rate_iops!r}")
+        self.num_sectors = num_sectors
         self.trace = BlockTrace()
         self._gap_us = 1e6 / rate_iops
         self._clock_us = 0.0
 
     @property
-    def num_sectors(self) -> int:
-        return self.device.num_sectors
+    def now(self) -> int:
+        """The synthesized clock, in ns like a device's ``now``."""
+        return int(self._clock_us * 1000)
 
     def _log(self, kind: str, lba: int, sectors: int) -> None:
         self.trace.append(TraceRecord(kind, lba, sectors, self._clock_us))
         self._clock_us += self._gap_us
 
-    def write_sectors(self, lba: int, count: int = 1):
+    def write_sectors(self, lba: int, count: int = 1) -> None:
         self._log("write", lba, count)
-        return self.device.write_sectors(lba, count)
 
-    def read_sectors(self, lba: int, count: int = 1):
+    def read_sectors(self, lba: int, count: int = 1) -> None:
         self._log("read", lba, count)
-        return self.device.read_sectors(lba, count)
 
-    def trim_sectors(self, lba: int, count: int = 1):
+    def trim_sectors(self, lba: int, count: int = 1) -> None:
         self._log("trim", lba, count)
-        return self.device.trim_sectors(lba, count)
 
-    def flush(self):
+    def flush(self) -> None:
         self._log("flush", 0, 0)
-        return self.device.flush()

@@ -5,7 +5,6 @@ import pytest
 from repro.fs.aging import PROFILE_A, PROFILE_M, PROFILE_U, PROFILES, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
@@ -17,7 +16,7 @@ from repro.workloads.fileserver import (
 
 def make_ext4(timed=False):
     device = TimedSSD(tiny()) if timed else SimulatedSSD(tiny())
-    return Ext4Model(DeviceBackend(device), journal_sectors=32,
+    return Ext4Model(device, journal_sectors=32,
                      metadata_sectors=32), device
 
 
@@ -63,7 +62,7 @@ class TestAging:
 
     def test_aging_f2fs(self):
         device = SimulatedSSD(tiny())
-        fs = F2fsModel(DeviceBackend(device), segment_sectors=32,
+        fs = F2fsModel(device, segment_sectors=32,
                        checkpoint_sectors=8, clean_low_water=2)
         report = age_filesystem(fs, SMALL_A, seed=4)
         assert report.final_utilization > 0.0

@@ -4,14 +4,13 @@ import pytest
 
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend, FsError
+from repro.fs.vfs import FsError
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
 
 
 def counter_fs(cls, **kwargs):
     device = SimulatedSSD(tiny())
-    backend = DeviceBackend(device)
     if cls is F2fsModel:
         kwargs.setdefault("segment_sectors", 32)
         kwargs.setdefault("checkpoint_sectors", 8)
@@ -19,7 +18,7 @@ def counter_fs(cls, **kwargs):
     else:
         kwargs.setdefault("journal_sectors", 32)
         kwargs.setdefault("metadata_sectors", 32)
-    return cls(backend, **kwargs), device
+    return cls(device, **kwargs), device
 
 
 class TestCommonSemantics:
@@ -110,9 +109,8 @@ class TestExt4Signature:
 
     def test_too_small_device_rejected(self):
         device = SimulatedSSD(tiny())
-        backend = DeviceBackend(device)
         with pytest.raises(FsError):
-            Ext4Model(backend, journal_sectors=device.num_sectors,
+            Ext4Model(device, journal_sectors=device.num_sectors,
                       metadata_sectors=16)
 
 

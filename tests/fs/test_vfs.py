@@ -1,13 +1,10 @@
-"""Free-space map, extents, and backends."""
+"""Free-space map and extents."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fs.vfs import DeviceBackend, Extent, FreeSpaceMap, FsError
-from repro.ssd.device import SimulatedSSD
-from repro.ssd.presets import tiny
-from repro.ssd.timed import TimedSSD
+from repro.fs.vfs import Extent, FreeSpaceMap, FsError
 
 
 class TestFreeSpaceMap:
@@ -63,29 +60,6 @@ class TestFreeSpaceMap:
             space.release(chunks[i])
         assert space.fragmentation() > 0
         assert space.free_extent_count() == 4
-
-
-class TestBackends:
-    def test_counter_backend_passthrough(self):
-        device = SimulatedSSD(tiny())
-        backend = DeviceBackend(device)
-        backend.write(0, 4)
-        backend.read(0, 2)
-        backend.trim(0, 1)
-        backend.flush()
-        assert backend.num_sectors == device.num_sectors
-        assert backend.now_ns == 0
-        assert device.smart.host_sectors_written == 4
-
-    def test_timed_backend_advances_clock(self):
-        device = TimedSSD(tiny())
-        backend = DeviceBackend(device)
-        t0 = backend.now_ns
-        backend.write(0, 1)
-        assert backend.now_ns > t0
-        backend.flush()
-        backend.read(0, 1)
-        assert backend.now_ns > t0
 
 
 @settings(max_examples=30)

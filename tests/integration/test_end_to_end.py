@@ -24,7 +24,6 @@ from repro.flash.geometry import Geometry
 from repro.flash.timing import profile
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.firmware.device import IDCODE, HackableSSD
@@ -106,19 +105,18 @@ class TestJtagTracksDeviceVariants:
 class TestFilesystemDeviceInteraction:
     def churn(self, fs_cls):
         device = SimulatedSSD(tiny())
-        backend = DeviceBackend(device)
         if fs_cls is F2fsModel:
-            fs = F2fsModel(backend, segment_sectors=32, checkpoint_sectors=8,
+            fs = F2fsModel(device, segment_sectors=32, checkpoint_sectors=8,
                            clean_low_water=2)
         else:
-            fs = Ext4Model(backend, journal_sectors=32, metadata_sectors=32)
+            fs = Ext4Model(device, journal_sectors=32, metadata_sectors=32)
         rng = np.random.default_rng(4)
         for i in range(20):
             fs.create(f"f{i}", 8)
         for _ in range(600):
             name = f"f{int(rng.integers(20))}"
             fs.overwrite(name, int(rng.integers(6)), 2)
-        backend.flush()
+        device.flush()
         return device
 
     def test_fs_traffic_reaches_flash(self):
@@ -129,7 +127,7 @@ class TestFilesystemDeviceInteraction:
 
     def test_f2fs_discards_reach_ftl(self):
         device = SimulatedSSD(tiny())
-        fs = F2fsModel(DeviceBackend(device), segment_sectors=32,
+        fs = F2fsModel(device, segment_sectors=32,
                        checkpoint_sectors=8, clean_low_water=2)
         fs.create("a", 40)
         fs.delete("a")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import CounterSink
-from repro.sim import CapacityPool, Kernel, Resource, earliest_start
+from repro.sim import CapacityPool, Kernel, Resource
 
 
 class TestKernelClock:
@@ -143,15 +143,6 @@ class TestResource:
         assert die.busy_ns == 250
         assert die.utilization(500) == pytest.approx(0.5)
         assert die.utilization(0) == 0.0
-
-    def test_earliest_start_gates_on_all_resources(self):
-        kernel = Kernel()
-        die = kernel.resource("die/0")
-        channel = kernel.resource("channel/0")
-        die.hold(0, 300)
-        channel.hold(0, 150)
-        assert earliest_start(0, die, channel) == 300
-        assert earliest_start(400, die, channel) == 400
 
     def test_horizon_covers_all_resources(self):
         kernel = Kernel()

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fs.ext4 import Ext4Model
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.compression import Compact, NoCompression, make_scheme
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.ftl import Ftl
@@ -111,7 +110,7 @@ class TestRecoveryWithChunkedMapping:
 class TestFsPartialReads:
     def test_read_partial_ranges(self):
         device = SimulatedSSD(tiny())
-        fs = Ext4Model(DeviceBackend(device), journal_sectors=32,
+        fs = Ext4Model(device, journal_sectors=32,
                        metadata_sectors=32)
         fs.create("a", 10)
         before = device.smart.host_sectors_read
@@ -120,7 +119,7 @@ class TestFsPartialReads:
 
     def test_read_across_fragmented_extents(self):
         device = SimulatedSSD(tiny())
-        fs = Ext4Model(DeviceBackend(device), journal_sectors=32,
+        fs = Ext4Model(device, journal_sectors=32,
                        metadata_sectors=32)
         # Fragment free space, then allocate a file across holes.
         for i in range(8):
@@ -136,7 +135,7 @@ class TestFsPartialReads:
     def test_read_out_of_range(self):
         from repro.fs.vfs import FsError
         device = SimulatedSSD(tiny())
-        fs = Ext4Model(DeviceBackend(device), journal_sectors=32,
+        fs = Ext4Model(device, journal_sectors=32,
                        metadata_sectors=32)
         fs.create("a", 4)
         with pytest.raises(FsError):

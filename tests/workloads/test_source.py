@@ -5,7 +5,6 @@ import pytest
 
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
-from repro.fs.vfs import DeviceBackend
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import mqsim_baseline, tiny
 from repro.ssd.timed import TimedSSD
@@ -16,7 +15,6 @@ from repro.workloads.source import (
     FS_MODELS,
     FsSource,
     JobSource,
-    RecordingBackend,
     RequestSource,
     TraceSource,
     as_source,
@@ -196,26 +194,6 @@ class TestTraceSource:
             assert result.jobs["trace"].requests == 4
 
 
-class TestRecordingBackend:
-    def test_captures_the_block_stream(self):
-        backend = RecordingBackend(1000, rate_iops=1_000_000.0)
-        backend.write(5, 2)
-        backend.read(5, 2)
-        backend.trim(5, 2)
-        backend.flush()
-        kinds = [r.kind for r in backend.trace]
-        assert kinds == ["write", "read", "trim", "flush"]
-        at_us = [r.at_us for r in backend.trace]
-        assert at_us == sorted(at_us)
-        assert backend.now_ns == 4000  # four ops at 1 us per op
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecordingBackend(0)
-        with pytest.raises(ValueError):
-            RecordingBackend(100, rate_iops=0.0)
-
-
 class TestFsSource:
     def test_recorded_workload_is_deterministic(self):
         a = record_fs_workload("ext4", 4096, operations=40, seed=9)
@@ -233,7 +211,7 @@ class TestFsSource:
         source = FsSource(model, device.num_sectors, operations=30, seed=2,
                           working_files=10)
         assert source.name == f"fs-{model}"
-        assert not source.is_open_loop  # synchronous backend semantics
+        assert not source.is_open_loop  # synchronous sector-command semantics
         result = run_counter(device, [source])
         assert result.jobs[source.name].requests == len(source.trace) > 0
         assert source.remaining == 0
@@ -246,7 +224,7 @@ class TestFsSource:
         config = mqsim_baseline(scale=4)
 
         direct = SimulatedSSD(config)
-        model = model_cls(DeviceBackend(direct))
+        model = model_cls(direct)
         workload = FileServerWorkload(
             model, FileServerConfig(working_files=12), seed=6)
         workload.prepare()

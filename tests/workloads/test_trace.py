@@ -58,10 +58,21 @@ class TestBlockTrace:
             BlockTrace.loads("nope,nope\n1,2\n")
 
 
-class TestRecorder:
-    def test_records_and_passes_through(self):
-        device = SimulatedSSD(tiny())
-        recorder = TraceRecorder(device, rate_iops=10_000)
+class TestTraceRecorder:
+    def test_captures_the_block_stream(self):
+        recorder = TraceRecorder(1000, rate_iops=1_000_000.0)
+        recorder.write_sectors(5, 2)
+        recorder.read_sectors(5, 2)
+        recorder.trim_sectors(5, 2)
+        recorder.flush()
+        kinds = [r.kind for r in recorder.trace]
+        assert kinds == ["write", "read", "trim", "flush"]
+        at_us = [r.at_us for r in recorder.trace]
+        assert at_us == sorted(at_us)
+        assert recorder.now == 4000  # four ops at 1 us per op
+
+    def test_timestamps_advance_at_the_configured_rate(self):
+        recorder = TraceRecorder(1000, rate_iops=10_000)
         recorder.write_sectors(0, 2)
         recorder.read_sectors(0, 1)
         recorder.trim_sectors(0, 1)
@@ -69,20 +80,36 @@ class TestRecorder:
         assert [r.kind for r in recorder.trace] == [
             "write", "read", "trim", "flush",
         ]
-        assert device.smart.host_sectors_written == 2
-        # Synthesized timestamps advance at the configured rate.
         times = [r.at_us for r in recorder.trace]
         assert times == sorted(times)
         assert times[1] - times[0] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("num_sectors,rate_iops,argument", [
+        (0, 50_000.0, "num_sectors"),
+        (100, 0.0, "rate_iops"),
+        (100, -1, "rate_iops"),
+        (100, float("nan"), "rate_iops"),
+        (100, float("inf"), "rate_iops"),
+    ])
+    def test_validation(self, num_sectors, rate_iops, argument):
+        """Bad arguments raise a ValueError naming the argument, not a
+        ZeroDivisionError, a late failure or all-zero timestamps."""
+        with pytest.raises(ValueError, match=argument):
+            TraceRecorder(num_sectors, rate_iops)
+
 
 class TestReplay:
     def make_trace(self, device, requests=300, seed=5):
-        recorder = TraceRecorder(device, rate_iops=20_000)
+        """Record *requests* random writes and a flush while driving
+        *device* with the same commands."""
+        recorder = TraceRecorder(device.num_sectors, rate_iops=20_000)
         rng = np.random.default_rng(seed)
         for _ in range(requests):
-            recorder.write_sectors(int(rng.integers(device.num_sectors)), 1)
+            lba = int(rng.integers(device.num_sectors))
+            recorder.write_sectors(lba, 1)
+            device.write_sectors(lba, 1)
         recorder.flush()
+        device.flush()
         return recorder.trace
 
     def replay(self, trace, device, time_scale=1.0) -> list:
