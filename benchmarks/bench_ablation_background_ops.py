@@ -59,7 +59,7 @@ def test_background_ops_visible_to_probe(figure_output):
     figure_output(
         "ablation_background_probe",
         "Ablation — probe view of idle-time background operations",
-        ["feature", "value"],
+        report.HEADERS,
         report.rows(),
     )
     did_background_work = (device.ftl.stats.idle_gc_blocks

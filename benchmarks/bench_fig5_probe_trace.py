@@ -13,34 +13,15 @@ import pytest
 from repro.core.probe.analyzer import HOBBYIST, TLA7000, LogicAnalyzer
 from repro.core.probe.decoder import decode_trace_windows
 from repro.core.probe.inference import (
-    HostOpRecord,
     infer_ftl_features,
+    probe_format_workload,
     signal_activity,
 )
 from repro.flash.timing import profile
-from repro.ssd.presets import vertex2_like
-from repro.ssd.timed import BusTap, TimedSSD
-
-
-def drive_format_workload():
-    """An NTFS-format-style burst of metadata writes, probed on channel 0."""
-    config = vertex2_like(scale=2)
-    tap = BusTap(config.geometry, profile("async"), channel=0)
-    device = TimedSSD(config, bus_tap=tap)
-    host_log = []
-    stride = device.num_sectors // 48
-    for i in range(48):
-        request = device.submit("write", i * stride, 4, at_ns=device.now)
-        host_log.append(HostOpRecord("write", request.submit_ns,
-                                     request.complete_ns, 4))
-    flush = device.flush()
-    host_log.append(HostOpRecord("flush", flush.submit_ns,
-                                 flush.complete_ns, 0))
-    return config, tap.trace, host_log
 
 
 def test_fig5_signal_diagram(figure_output):
-    config, trace, _ = drive_format_workload()
+    config, trace, _ = probe_format_workload()
     analyzer = LogicAnalyzer(TLA7000)
     capture = analyzer.capture_triggered(trace)
     assert capture is not None
@@ -74,14 +55,14 @@ def test_fig5_signal_diagram(figure_output):
 
 
 def test_fig5_decode_and_infer(figure_output):
-    config, trace, host_log = drive_format_workload()
+    config, trace, host_log = probe_format_workload()
     result = decode_trace_windows(trace, LogicAnalyzer(TLA7000))
     report = infer_ftl_features(result.ops, host_log,
                                 sector_size=config.geometry.sector_size)
     figure_output(
         "fig5_inference",
         "Fig 5 (companion) — FTL features inferred from the probed bus",
-        ["feature", "value"],
+        report.HEADERS,
         report.rows(),
     )
     assert report.page_size_bytes == config.geometry.page_size
@@ -92,7 +73,7 @@ def test_fig5_decode_and_infer(figure_output):
 
 def test_fig5_instrument_limits(figure_output):
     """The '$20,000 analyzer' constraint: capability vs. decode yield."""
-    _, trace, _ = drive_format_workload()
+    _, trace, _ = probe_format_workload()
     rows = []
     for spec in (TLA7000, HOBBYIST):
         result = decode_trace_windows(trace, LogicAnalyzer(spec))

@@ -21,7 +21,7 @@ def test_fig6_full_jtag_study(figure_output):
     figure_output(
         "fig6_jtag_study",
         "Fig 6 / §3.2 — JTAG reverse-engineering findings",
-        ["finding", "value"],
+        report.HEADERS,
         report.rows(),
     )
 

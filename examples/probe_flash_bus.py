@@ -17,37 +17,21 @@ from repro.analysis.report import format_table
 from repro.core.probe.analyzer import HOBBYIST, TLA7000, LogicAnalyzer
 from repro.core.probe.decoder import decode_trace_windows
 from repro.core.probe.inference import (
-    HostOpRecord,
     infer_ftl_features,
+    probe_format_workload,
     signal_activity,
 )
 from repro.flash.timing import profile
-from repro.ssd.presets import vertex2_like
-from repro.ssd.timed import BusTap, TimedSSD
 
 
 def main() -> None:
     # An old-style async-bus device (OCZ Vertex II): probeable rates,
-    # single-die packages.
-    config = vertex2_like(scale=2)
-    tap = BusTap(config.geometry, profile("async"), channel=0)
-    device = TimedSSD(config, bus_tap=tap)
-    print(f"probing channel {tap.channel} of {config.geometry.channels}; "
+    # single-die packages, probed on channel 0 while a format-like
+    # workload writes metadata across the address space.
+    config, trace, host_log = probe_format_workload()
+    print(f"probing channel 0 of {config.geometry.channels}; "
           f"bus: {profile('async').bus_ns_per_byte} ns/byte\n")
 
-    # A format-like workload: metadata writes across the address space.
-    host_log = []
-    stride = device.num_sectors // 48
-    for i in range(48):
-        lba = i * stride
-        request = device.submit("write", lba, 4, at_ns=device.now)
-        host_log.append(HostOpRecord("write", request.submit_ns,
-                                     request.complete_ns, 4))
-    flush = device.flush()
-    host_log.append(HostOpRecord("flush", flush.submit_ns,
-                                 flush.complete_ns, 0))
-
-    trace = tap.trace
     print(f"captured trace: {trace.duration_ns / 1e6:.2f} ms, "
           f"{len(trace.segments)} bus segments, "
           f"{len(trace.busy)} busy windows\n")
@@ -73,7 +57,7 @@ def main() -> None:
           f"(clean={result.stats.clean})")
     report = infer_ftl_features(result.ops, host_log,
                                 sector_size=config.geometry.sector_size)
-    print(format_table(["feature", "value"], report.rows(),
+    print(format_table(report.HEADERS, report.rows(),
                        title="\ninferred from the bus"))
 
     # ------------------------------------------------------------------

@@ -12,13 +12,13 @@ Run:  python examples/reverse_engineer_firmware.py
 
 from repro.analysis.report import format_table
 from repro.core.jtag.discovery import analyze_update_file, run_full_study
-from repro.ssd.firmware.device import HackableSSD
+from repro.ssd.firmware.device import IDCODE, HackableSSD
 from repro.ssd.firmware.isa import disassemble
 from repro.ssd.firmware.obfuscation import deobfuscate
 
 
 def main() -> None:
-    device = HackableSSD(scale=2)
+    device = HackableSSD(scale=1)
     print(f"target: {device.ssd.model}, "
           f"{device.num_sectors * 4 // 1024} MiB logical\n")
 
@@ -50,9 +50,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nattaching to JTAG and running the full study "
           "(PC sampling, memory diffing)...\n")
-    report = run_full_study(device)
-    print(format_table(["finding", "value"], report.rows(),
-                       title="§3.2 study results"))
+    report = run_full_study(device, expected_idcode=IDCODE)
+    print(format_table(report.HEADERS, report.rows(),
+                       title="Fig 6 / §3.2 — JTAG reverse-engineering findings"))
 
     print(
         "\nCompare with the paper's 840 EVO findings: one SATA core plus two\n"

@@ -587,7 +587,7 @@ def cmd_jtag_study(args) -> int:
 
     device = HackableSSD(scale=args.scale)
     report = run_full_study(device)
-    print(format_table(["finding", "value"], report.rows(),
+    print(format_table(report.HEADERS, report.rows(),
                        title="Fig 6 / §3.2 — JTAG study"))
     return 0
 

@@ -5,16 +5,16 @@ sequential write test of increasing sizes" and divides host bytes by the
 page-count delta.  The ratio converges at ~30 KB per NAND page — the
 signature of a 32 KB page with 15+1 RAIN parity (32 KB * 15/16 = 30 KB).
 
-The estimator here performs that exact protocol against any
-:class:`~repro.ssd.host.HostDevice` using only its host interface and
-SMART surface — the probe is device-mode agnostic by construction.
+The estimator here performs that exact protocol against a
+:class:`~repro.ssd.timed.TimedSSD` using only its host sector commands
+and SMART surface — the probe is device-mode agnostic by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ssd.host import HostDevice
+from repro.ssd.timed import TimedSSD
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class NandPageEstimate:
 
 
 def sequential_write_sweep(
-    device: HostDevice,
+    device: TimedSSD,
     sizes_bytes: list[int] | None = None,
     start_lba: int = 0,
 ) -> NandPageEstimate:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.exp.cell import Cell
 from repro.exp.runner import Runner
 from repro.ssd.config import SsdConfig
-from repro.ssd.host import HostDevice
+from repro.ssd.timed import TimedSSD
 from repro.workloads.engine import run_counter
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
@@ -87,7 +87,7 @@ def default_jobs(num_sectors: int, io_count: int = 24_000) -> list[JobSpec]:
     ]
 
 
-def prime(device: HostDevice, fraction: float = 0.6) -> None:
+def prime(device: TimedSSD, fraction: float = 0.6) -> None:
     """Put the drive in its 'priming stage': sequentially fill a portion
     of the LBA space so the FTL has mapped state but little GC debt."""
     sectors = int(device.num_sectors * fraction)

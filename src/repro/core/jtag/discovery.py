@@ -594,6 +594,8 @@ class JtagStudyReport:
     pslc: PslcIndexDiscovery
     tck_cycles: int
 
+    HEADERS = ("finding", "value")
+
     def rows(self) -> list[tuple[str, object]]:
         return [
             ("IDCODE", f"0x{self.idcode:08x}"),

@@ -17,6 +17,10 @@ host requests issued while probing), the inference layer recovers:
   cannot attribute;
 * **background activity**: flash operations during host-idle windows
   (idle GC and similar "unpredictable background operations").
+
+:func:`probe_format_workload` is the Fig 5 experiment's orchestrated
+workload: the probed device, its bus trace and the host log that the
+inference correlates against.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.probe.decoder import DecodedOp
+from repro.flash.signals import SignalTrace
+from repro.flash.timing import profile
+from repro.ssd.config import SsdConfig
+from repro.ssd.presets import vertex2_like
+from repro.ssd.timed import BusTap, TimedSSD
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,8 @@ class InferenceReport:
     channel_write_amplification: float | None = None
     background_ops: int = 0
 
+    HEADERS = ("feature", "value")
+
     def rows(self) -> list[tuple[str, object]]:
         """Report as (feature, value) rows for table rendering."""
         return [
@@ -70,6 +81,27 @@ class InferenceReport:
             ("channel write amplification", self.channel_write_amplification),
             ("background ops (host idle)", self.background_ops),
         ]
+
+
+def probe_format_workload() -> tuple[SsdConfig, SignalTrace,
+                                     list[HostOpRecord]]:
+    """Fig 5's workload: an NTFS-format-style burst of 48 four-sector
+    metadata writes spread over a Vertex-II-like drive (scale 2), then a
+    flush, with a bus tap on channel 0.  Returns the drive's config, the
+    tap's signal trace and the host log of what was issued."""
+    config = vertex2_like(scale=2)
+    tap = BusTap(config.geometry, profile("async"), channel=0)
+    device = TimedSSD(config, bus_tap=tap)
+    host_log = []
+    stride = device.num_sectors // 48
+    for i in range(48):
+        request = device.submit("write", i * stride, 4, at_ns=device.now)
+        host_log.append(HostOpRecord("write", request.submit_ns,
+                                     request.complete_ns, 4))
+    flush = device.flush()
+    host_log.append(HostOpRecord("flush", flush.submit_ns,
+                                 flush.complete_ns, 0))
+    return config, tap.trace, host_log
 
 
 def infer_ftl_features(

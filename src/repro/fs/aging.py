@@ -9,12 +9,14 @@ running it fragments the FS free map and, through the device, puts the
 FTL into a realistic steady state (mixed-age blocks, high occupancy,
 populated mapping).
 
-Profiles ``U`` (unaged), ``A``, and ``M`` correspond to the three aging
-conditions in Fig 1.
+:data:`PROFILES` holds the three aging conditions of Fig 1 — ``U``
+(unaged), ``A`` (small-file churn) and ``M`` (mixed sizes, aged harder) —
+exactly as :func:`~repro.workloads.fileserver.run_aging_study` runs them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,22 @@ class AgingProfile:
     size_sigma: float = 1.0
     max_file_sectors: int = 2048
 
+    def __post_init__(self) -> None:
+        for target, ops in self.phases:
+            if not 0.0 <= target <= 1.0:
+                raise ValueError(
+                    f"phases: target utilization {target} not in [0, 1]")
+            if ops < 0:
+                raise ValueError(f"phases: op count {ops} is negative")
+        if not math.isfinite(self.size_mu):
+            raise ValueError(f"size_mu must be finite, not {self.size_mu}")
+        if not 0 <= self.size_sigma < math.inf:
+            raise ValueError(
+                f"size_sigma must be finite and >= 0, not {self.size_sigma}")
+        if self.max_file_sectors < 1:
+            raise ValueError(
+                f"max_file_sectors must be >= 1, not {self.max_file_sectors}")
+
     def sample_size(self, rng: np.random.Generator) -> int:
         size = int(np.exp(rng.normal(self.size_mu, self.size_sigma)))
         return max(1, min(size, self.max_file_sectors))
@@ -48,25 +66,15 @@ class AgingProfile:
 #: Fresh file system: no churn at all.
 PROFILE_U = AgingProfile("U", phases=())
 
-#: Small-file churn to high utilization (mailserver-ish history).
-PROFILE_A = AgingProfile(
-    "A",
-    phases=((0.70, 3000), (0.55, 1200), (0.72, 2000)),
-    size_mu=2.0,
-    size_sigma=0.8,
-    max_file_sectors=256,
-)
-
-#: Mixed sizes, fill-drain-fill cycles (the "M" profile ages harder).
-PROFILE_M = AgingProfile(
-    "M",
-    phases=((0.80, 2500), (0.50, 1200), (0.82, 2500), (0.65, 800)),
-    size_mu=3.0,
-    size_sigma=1.2,
-    max_file_sectors=2048,
-)
-
-PROFILES = {"U": PROFILE_U, "A": PROFILE_A, "M": PROFILE_M}
+#: Fig 1's aging conditions: unaged, small-file churn (A), and mixed
+#: sizes over deeper fill-drain-fill cycles (M).
+PROFILES = {
+    "U": PROFILE_U,
+    "A": AgingProfile("A", phases=((0.55, 500), (0.40, 200), (0.58, 350)),
+                      size_mu=2.0, size_sigma=0.8, max_file_sectors=64),
+    "M": AgingProfile("M", phases=((0.65, 450), (0.40, 250), (0.68, 450)),
+                      size_mu=2.6, size_sigma=1.1, max_file_sectors=256),
+}
 
 
 @dataclass

@@ -7,8 +7,8 @@ implement just enough structure — extent allocation, metadata regions,
 journals/logs — to generate those patterns faithfully.
 
 A model drives the device's own synchronous sector commands
-(``write_sectors``/``read_sectors``/``trim_sectors`` of
-:class:`~repro.ssd.host.HostDevice`), so the same FS code runs WAF
+(``write_sectors``/``read_sectors``/``trim_sectors`` of a
+:class:`~repro.ssd.timed.TimedSSD`), so the same FS code runs WAF
 studies (a zero-latency device), throughput studies (a timed one) and
 trace capture (a :class:`~repro.workloads.trace.TraceRecorder`).
 """

@@ -23,8 +23,8 @@ things a firmware FTL cannot offer a host:
   bounding the worst-case stall instead of letting multi-block collection
   storms land on unlucky requests.
 
-The ablation bench compares tail latency against the black-box device
-under the identical workload.
+:func:`run_upper_bound_study` compares tail latency against the
+black-box device under the identical workload.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from repro.flash.onfi import (
 )
 from repro.flash.timing import TimingProfile, profile
 from repro.sim import Kernel
+from repro.ssd.presets import mqsim_baseline
+from repro.ssd.timed import TimedSSD
 
 
 @dataclass(frozen=True)
@@ -311,3 +313,73 @@ class HostFtl:
             if best is None or valid < best[0]:
                 best = (valid, block)
         return best[1] if best else None
+
+
+@dataclass
+class UpperBoundStudy:
+    """Per-write latencies (us) of the same GC-steady-state random
+    overwrites on a black-box drive and on a host FTL over its flash."""
+
+    blackbox_us: np.ndarray
+    openchannel_us: np.ndarray
+    #: blocks the host FTL erased; nonzero once its GC has run.
+    host_erases: int
+
+    HEADERS = ("configuration", "p50 (us)", "p99 (us)", "p99.9 (us)",
+               "max (us)")
+
+    def rows(self) -> list[list]:
+        """One latency-percentile row per configuration."""
+        rows = []
+        for name, lat in (("black-box FTL", self.blackbox_us),
+                          ("open-channel + host FTL", self.openchannel_us)):
+            p50, p99, p999 = np.percentile(lat, [50, 99, 99.9])
+            rows.append([name, round(float(p50), 1), round(float(p99), 1),
+                         round(float(p999), 1), round(float(lat.max()), 1)])
+        return rows
+
+
+def run_upper_bound_study() -> UpperBoundStudy:
+    """Fill 80 % of an MQSim-baseline drive (scale 4), overwrite half of
+    that at random to reach GC steady state, then time 6,000 closed-loop
+    single-sector random writes — once through the firmware FTL, once
+    through a :class:`HostFtl` with the drive's over-provisioning."""
+    # The engine imports this package: import it at call time.
+    from repro.workloads.engine import run_timed
+    from repro.workloads.patterns import Region
+    from repro.workloads.spec import JobSpec
+
+    config = mqsim_baseline(scale=4)
+    measured = 6000
+
+    device = TimedSSD(config)
+    rng = np.random.default_rng(4)
+    span = int(device.num_sectors * 0.8)
+    for lba in range(0, span, 8):
+        device.submit("write", lba, min(8, span - lba), at_ns=device.now)
+    for _ in range(span // 2):
+        device.submit("write", int(rng.integers(span)), 1, at_ns=device.now)
+    device.quiesce()
+    job = JobSpec("probe", "randwrite", Region(0, span), io_count=measured,
+                  iodepth=1, seed=9)
+    blackbox = run_timed(device, [job]).jobs["probe"].latencies_us
+
+    geometry = config.geometry
+    host = HostFtl(OpenChannelSSD(geometry, config.timing_name),
+                   op_ratio=1 - config.logical_sectors
+                   / (geometry.capacity_bytes // geometry.sector_size),
+                   gc_step_pages=1)
+    rng = np.random.default_rng(4)
+    span = int(host.num_lpns * 0.8)
+    now = 0
+    for lpn in range(span):
+        now = max(now, host.write(lpn, now))
+    for _ in range(span // 2):
+        now = max(now, host.write(int(rng.integers(span)), now))
+    rng = np.random.default_rng(9)
+    openchannel = np.empty(measured)
+    for i in range(measured):
+        done = host.write(int(rng.integers(span)), now)
+        openchannel[i] = (done - now) / 1000
+        now = max(now, done)
+    return UpperBoundStudy(blackbox, openchannel, host.stats.erases)

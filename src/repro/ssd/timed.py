@@ -1,9 +1,12 @@
 """The simulated drive: the FTL behind a host interface, under a clock.
 
 :class:`TimedSSD` is the one device class.  It wraps an
-:class:`~repro.ssd.ftl.Ftl` behind the :class:`~repro.ssd.host.HostDevice`
-surface, maintains the SMART statistics a black-box observer reads, and
-— unless built with ``zero_latency=True`` — times every request.
+:class:`~repro.ssd.ftl.Ftl` behind the sector-addressed command set a
+host sees (``identify``/``write_sectors``/``read_sectors``/
+``trim_sectors``/``flush``/``idle``/``shutdown`` plus the SMART
+observation window), maintains the SMART statistics a black-box
+observer reads, and — unless built with ``zero_latency=True`` — times
+every request.
 
 A **zero-latency** device is counter mode: the FTL, SMART and host
 commands are the same, but no op is scheduled and every request
@@ -29,7 +32,7 @@ host write completes once its sectors are *admitted* to the RAM write
 cache.  Cache space is returned when flush programs complete on the
 flash — a :class:`~repro.sim.kernel.CapacityPool` tracks the occupancy
 and the heap of scheduled releases — so while the dies keep up, writes
-finish in ``controller_overhead_ns``; when foreground GC or queueing
+finish in :data:`CONTROLLER_OVERHEAD_NS`; when foreground GC or queueing
 backs the dies up, releases lag, the cache fills, and admissions stall
 for milliseconds — the GC-induced tail.  Reads always wait for flash.
 
@@ -67,7 +70,6 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.sim.kernel import CapacityPool, Kernel, PowerLoss, Process, Resource
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import Ftl
-from repro.ssd.host import DeviceInfo
 from repro.ssd.ops import FlashOp, OpKind, OpReason, new_tuple
 from repro.ssd.smart import SmartCounters
 
@@ -75,6 +77,19 @@ from repro.ssd.smart import SmartCounters
 # by identity, which costs neither an attribute lookup nor an Enum hash.
 _READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
 _HOST, _PSLC = OpReason.HOST, OpReason.PSLC
+
+#: Firmware time to accept a request: the latency of a write the RAM
+#: cache admits at once, and a floor under every other request.
+CONTROLLER_OVERHEAD_NS = 8_000
+
+
+@dataclass
+class DeviceInfo:
+    """What an INQUIRY/IDENTIFY-style query would return."""
+
+    model: str
+    capacity_bytes: int
+    sector_size: int
 
 
 class CompletedRequest(NamedTuple):
@@ -152,7 +167,6 @@ class TimedSSD:
         self,
         config: SsdConfig,
         model: str = "repro-ssd-timed",
-        controller_overhead_ns: int = 8_000,
         bus_tap: BusTap | None = None,
         injector: FailureInjector | None = None,
         zero_latency: bool = False,
@@ -161,7 +175,7 @@ class TimedSSD:
         self.model = model
         self.geometry = config.geometry
         self.timing = profile(config.timing_name)
-        self.controller_overhead_ns = controller_overhead_ns
+        self.controller_overhead_ns = CONTROLLER_OVERHEAD_NS
         #: counter mode: ops are attributed to SMART and never scheduled.
         self.zero_latency = zero_latency
         self.ftl = Ftl(config, injector=injector)
@@ -358,7 +372,7 @@ class TimedSSD:
                                       complete - at_ns, stall))
         return request
 
-    # -- synchronous sector commands (HostDevice surface) --------------
+    # -- synchronous sector commands -----------------------------------
     #
     # FS models and black-box probes drive a device one command at a
     # time: each is submitted at the current clock, which then advances

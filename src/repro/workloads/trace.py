@@ -163,8 +163,8 @@ class BlockTrace:
 class TraceRecorder:
     """A record-only block device: logs every host request, drives none.
 
-    It presents the synchronous sector commands of
-    :class:`~repro.ssd.host.HostDevice` plus ``flush``, ``num_sectors``
+    It presents the synchronous sector commands of a
+    :class:`~repro.ssd.timed.TimedSSD` plus ``flush``, ``num_sectors``
     and ``now``.  File-system models never read data back, so a model
     run against a recorder captures the exact block trace it would issue
     to a real device.  Timestamps are synthesized at a fixed

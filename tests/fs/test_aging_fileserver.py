@@ -1,8 +1,10 @@
 """Aging profiles and the file-server workload."""
 
+import math
+
 import pytest
 
-from repro.fs.aging import PROFILE_A, PROFILE_M, PROFILE_U, PROFILES, age_filesystem
+from repro.fs.aging import PROFILE_U, PROFILES, AgingProfile, age_filesystem
 from repro.fs.ext4 import Ext4Model
 from repro.fs.f2fs import F2fsModel
 from repro.ssd.device import SimulatedSSD
@@ -20,11 +22,11 @@ def make_ext4(timed=False):
                      metadata_sectors=32), device
 
 
-SMALL_A = PROFILE_A.__class__(
+SMALL_A = AgingProfile(
     "A", phases=((0.5, 150), (0.3, 60), (0.55, 100)),
     size_mu=1.2, size_sigma=0.6, max_file_sectors=16,
 )
-SMALL_M = PROFILE_M.__class__(
+SMALL_M = AgingProfile(
     "M", phases=((0.6, 150), (0.35, 80), (0.62, 120)),
     size_mu=1.8, size_sigma=0.9, max_file_sectors=48,
 )
@@ -70,6 +72,24 @@ class TestAging:
     def test_builtin_profiles_registered(self):
         assert set(PROFILES) == {"U", "A", "M"}
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("phases", {"phases": ((math.nan, 10),)}),
+        ("phases", {"phases": ((1.5, 10),)}),
+        ("phases", {"phases": ((-0.1, 10),)}),
+        ("phases", {"phases": ((0.5, -5),)}),
+        ("max_file_sectors", {"max_file_sectors": 0}),
+        ("size_sigma", {"size_sigma": -0.5}),
+        ("size_sigma", {"size_sigma": math.nan}),
+        ("size_mu", {"size_mu": math.inf}),
+        ("size_mu", {"size_mu": math.nan}),
+    ])
+    def test_hostile_profile_rejected(self, field, kwargs):
+        """A bad profile fails at construction, naming the field, instead
+        of churning silently or failing inside numpy mid-run."""
+        kwargs = {"phases": ((0.5, 10),), **kwargs}
+        with pytest.raises(ValueError, match=field):
+            AgingProfile("X", **kwargs)
+
 
 class TestFileServer:
     def test_prepare_populates(self):
@@ -104,6 +124,20 @@ class TestFileServer:
             FileServerConfig(working_files=0)
         with pytest.raises(ValueError):
             FileServerConfig(weights=(0.5, 0.5, 0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("weights", {"weights": (math.nan, 0.2, 0.2, 0.2, 0.4)}),
+        ("weights", {"weights": (1.5, -0.5, 0.0, 0.0, 0.0)}),
+        ("weights", {"weights": (0.5, 0.5)}),
+        ("mean_file_sectors", {"mean_file_sectors": 0}),
+        ("append_sectors", {"append_sectors": 0}),
+        ("overwrite_sectors", {"overwrite_sectors": -1}),
+    ])
+    def test_hostile_config_rejected(self, field, kwargs):
+        """A bad config fails at construction, naming the field, instead
+        of at the first run() with numpy's message (or never)."""
+        with pytest.raises(ValueError, match=field):
+            FileServerConfig(**kwargs)
 
     def test_mix_exercises_all_ops(self):
         fs, _ = make_ext4()

@@ -11,7 +11,6 @@ import pytest
 from repro.flash.signals import render_samples
 from repro.flash.timing import profile
 from repro.ssd.device import SimulatedSSD
-from repro.ssd.host import HostDevice
 from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
 from repro.ssd.recovery import recover_ftl
@@ -23,10 +22,6 @@ from tests.helpers import record_requests
 
 
 class TestHostDeviceProtocol:
-    def test_both_modes_conform(self):
-        assert isinstance(SimulatedSSD(tiny()), HostDevice)
-        assert isinstance(TimedSSD(tiny()), HostDevice)
-
     def test_timed_sync_wrappers_advance_clock(self):
         ssd = TimedSSD(tiny())
         request = ssd.write_sectors(0, 4)
@@ -38,8 +33,8 @@ class TestHostDeviceProtocol:
         assert ssd.now >= before
 
     def test_timed_sync_matches_counter_accounting(self):
-        """Driving a TimedSSD through the HostDevice surface yields the
-        same SMART accounting as the counter-mode device."""
+        """Driving a TimedSSD through its synchronous sector commands
+        yields the same SMART accounting as the counter-mode device."""
         config = tiny()
         timed, counted = TimedSSD(config), SimulatedSSD(config)
         rng = np.random.default_rng(5)
