@@ -148,6 +148,11 @@ class SsdConfig:
                              "write cache)")
         if self.pslc_blocks < 0:
             raise ValueError("pslc_blocks must be non-negative")
+        if self.pslc_blocks >= self.geometry.total_blocks:
+            raise ValueError(
+                f"pslc_blocks must be below the geometry's "
+                f"{self.geometry.total_blocks} blocks (the main area "
+                f"needs at least one)")
         if not 0.0 < self.pslc_drain_threshold <= 1.0:  # NaN fails too
             raise ValueError("pslc_drain_threshold must be in (0, 1]")
         if self.erase_limit < 1:

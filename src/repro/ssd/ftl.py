@@ -98,7 +98,7 @@ READ_RETRY_RBER_FACTOR = 0.5
 
 # Enum members as module constants for the hot paths (as in timed.py).
 _READ, _PROGRAM, _ERASE = OpKind.READ, OpKind.PROGRAM, OpKind.ERASE
-_HOST, _META = OpReason.HOST, OpReason.META
+_HOST, _META, _PSLC = OpReason.HOST, OpReason.META, OpReason.PSLC
 
 
 def _tp_to_p2l(tp_id: int) -> int:
@@ -556,19 +556,22 @@ class Ftl:
         # and a repeated LPN's later slot takes the earlier slot's copy
         # back out of it.
         block_valid[ppn // self._ppb] += len(lpns)
-        # MappingTable.update's already-dirty-TP lane runs inline (an
-        # unchunked map, the LPN in range, its TP dirty, no checkpoint
-        # due); every other sector calls update() itself, looked up on
-        # the instance because perfbench wraps it there.  ``since`` runs
-        # ahead of the table's _since_sync by the inline updates, which
-        # are synced into it (and counted) around each such call.
+        # MappingTable.update's already-dirty-TP lane runs inline (the
+        # LPN in range, its TP dirty, no checkpoint due; on a chunked map
+        # the TP's chunk is then resident and becomes the most recently
+        # used, as in update()); every other sector calls update()
+        # itself, looked up on the instance because perfbench wraps it
+        # there.  ``since`` runs ahead of the table's _since_sync by the
+        # inline updates, which are synced into it (and counted) around
+        # each such call.
         mapping = self.mapping
         l2p = mapping._l2p_view
         dirty = mapping._dirty
+        resident = mapping._resident
         tp_lpns = mapping.tp_lpns
+        chunk_lpns = mapping.chunk_lpns
         sync_interval = mapping.sync_interval
-        # An upper bound of 0 sends every sector to update().
-        lane_lpns = 0 if mapping.chunk_lpns else mapping.num_lpns
+        num_lpns = mapping.num_lpns
         since = mapping._since_sync
         # Mapping-eviction events come back merged and are applied only
         # once every sector of the page is mapped and its old copy
@@ -580,8 +583,10 @@ class Ftl:
         pending_events: MappingEvents | None = None
         psa = base = ppn * spp
         for lpn in lpns:
-            if (0 <= lpn < lane_lpns and since + 1 < sync_interval
+            if (0 <= lpn < num_lpns and since + 1 < sync_interval
                     and (tp_id := lpn // tp_lpns) in dirty):
+                if chunk_lpns:
+                    resident.move_to_end(lpn // chunk_lpns)
                 dirty.move_to_end(tp_id)
                 old = l2p[lpn]
                 l2p[lpn] = psa
@@ -606,12 +611,12 @@ class Ftl:
         mapping.stats.updates += since - mapping._since_sync
         mapping._since_sync = since
         if self._has_pslc:
-            pslc = self.pslc
+            pslc_index = self.pslc.index
             for psa, lpn in enumerate(lpns, base):
                 # A fresh main-area copy supersedes any pSLC-resident one.
-                pslc_psa = pslc.lookup(lpn)
+                pslc_psa = pslc_index.get(lpn)
                 if pslc_psa is not None and pslc_psa != psa:
-                    pslc.invalidate(lpn)
+                    del pslc_index[lpn]
         if pending_events is not None:
             self._apply_mapping_events(pending_events)
         if self.rain.on_data_page(ppn):
@@ -722,14 +727,15 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _stage_batch_in_pslc(self, lpns: list[int]) -> None:
-        ppn, pairs = self.pslc.stage_page(lpns)
-        self.stats.pslc_staged_sectors += len(pairs)
+        """Stage one page of host sectors in the buffer (which has
+        space).  A buffer this fills is drained by the caller's
+        :meth:`_maybe_drain_pslc`: a full buffer is at or over any drain
+        threshold."""
+        ppn, _ = self.pslc.stage_page(lpns)
+        self.stats.pslc_staged_sectors += len(lpns)
         # Host data: counts as a host page even in the buffer.
-        self.nand.program(ppn, lpn=pairs[0][0], oob=tuple(lpn for lpn, _ in pairs))
-        self._emit(FlashOp(OpKind.PROGRAM, ppn, OpReason.HOST,
-                           self.geometry.page_size))
-        if not self.pslc.has_space():
-            self._drain_pslc_block()
+        self.nand.program(ppn, lpn=lpns[0], oob=lpns)
+        self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, _HOST, self._page_size)))
 
     def _maybe_drain_pslc(self) -> None:
         if not self._has_pslc:
@@ -744,17 +750,16 @@ class Ftl:
             return False
         self.stats.pslc_drains += 1
         victims = self.pslc.evict_block(block)
-        spp = self.geometry.sectors_per_page
+        spp, page_size = self._spp, self._page_size
         # Read the source pages once each.
         for ppn in sorted({psa // spp for _, psa in victims}):
-            self._emit(FlashOp(OpKind.READ, ppn, OpReason.PSLC,
-                               self.geometry.page_size))
+            self._emit(new_tuple(FlashOp, (_READ, ppn, _PSLC, page_size)))
         lpns = [lpn for lpn, _ in victims]
         for start in range(0, len(lpns), spp):
             self._program_data_page(lpns[start : start + spp], stream="host",
-                                    reason=OpReason.PSLC)
+                                    reason=_PSLC)
         self.nand.erase(block)
-        self._emit(FlashOp(OpKind.ERASE, block, OpReason.PSLC))
+        self._emit(new_tuple(FlashOp, (_ERASE, block, _PSLC, 0)))
         return True
 
     # ------------------------------------------------------------------
@@ -1049,12 +1054,12 @@ class Ftl:
             for psa in owned.tolist():
                 block_valid[psa // sectors_per_block] -= 1
         if self._has_pslc:
-            pslc = self.pslc
+            pslc_index = self.pslc.index
             for psa, lpn in zip(psas.tolist(), lpns.tolist()):
                 # A fresh main-area copy supersedes any pSLC-resident one.
-                pslc_psa = pslc.lookup(lpn)
+                pslc_psa = pslc_index.get(lpn)
                 if pslc_psa is not None and pslc_psa != psa:
-                    pslc.invalidate(lpn)
+                    del pslc_index[lpn]
         return last
 
     # ------------------------------------------------------------------

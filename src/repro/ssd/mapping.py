@@ -178,16 +178,21 @@ class MappingTable:
         """Map *lpn* to physical sector *psa*; returns (old_psa, events)."""
         self._check_lpn(lpn)
         self.stats.updates += 1
-        # Fast path: unchunked map, TP already dirty, no checkpoint due —
-        # exactly the case where the general path below would allocate two
+        # Fast path: TP already dirty, no checkpoint due — exactly the
+        # case where the general path below would allocate two
         # MappingEvents just to report "nothing happened".  This is the
-        # steady state of every sequential/looping write workload.  The
-        # FTL's host page program runs this lane inline
-        # (Ftl._program_data_page): keep the two in step.
-        if not self.chunk_lpns and self._since_sync + 1 < self.sync_interval:
+        # steady state of every sequential/looping write workload.  A
+        # dirty TP's chunk is resident (evicting a chunk flushes its
+        # dirty TPs), so on a chunked map the lane makes that chunk the
+        # most recently used, as the general path does.  The FTL's host
+        # page program runs this lane inline (Ftl._program_data_page):
+        # keep the two in step.
+        if self._since_sync + 1 < self.sync_interval:
             tp_id = lpn // self.tp_lpns
             dirty = self._dirty
             if tp_id in dirty:
+                if self.chunk_lpns:
+                    self._resident.move_to_end(lpn // self.chunk_lpns)
                 dirty.move_to_end(tp_id)
                 l2p = self._l2p_view
                 old = l2p[lpn]

@@ -188,9 +188,6 @@ def _apply_winners(
         block = psa // spp // geometry.pages_per_block
         if block in pslc_blocks:
             ftl.pslc.index[lpn] = psa
-            ftl.pslc._valid_by_block[block] = (
-                ftl.pslc._valid_by_block.get(block, 0) + 1
-            )
             report.pslc_sectors_recovered += 1
         else:
             ftl.mapping.silent_update(lpn, psa)

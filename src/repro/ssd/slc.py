@@ -27,16 +27,21 @@ class PslcBuffer:
     def __init__(self, geometry: Geometry, block_indices: list[int]) -> None:
         self.geometry = geometry
         self.blocks = list(block_indices)
+        self._spp = geometry.sectors_per_page
+        self._ppb = geometry.pages_per_block
+        #: a buffer block's PSAs are ``[block * _spb, (block + 1) * _spb)``.
+        self._spb = self._spp * self._ppb
         #: per-block write cursors; pages are handed out round-robin
         #: across blocks so bursts land on as many dies as the buffer
-        #: spans (the blocks themselves are plane-striped).
+        #: spans (the blocks themselves are plane-striped).  The one
+        #: record of the fill level (recovery sets it from the NAND's
+        #: write pointers).
         self._cursor: dict[int, int] = {b: 0 for b in self.blocks}
         self._rr = 0
-        #: the hashed index: lpn -> physical sector address within the buffer.
+        #: the hashed index: lpn -> physical sector address within the
+        #: buffer, in first-staged order (a re-staged LPN keeps its place).
         self.index: dict[int, int] = {}
-        self._valid_by_block: dict[int, int] = {b: 0 for b in self.blocks}
         self.obs: TraceSink = NULL_SINK
-        self.sector_writes = 0
 
     # ------------------------------------------------------------------
 
@@ -44,20 +49,16 @@ class PslcBuffer:
     def enabled(self) -> bool:
         return bool(self.blocks)
 
-    def capacity_sectors(self) -> int:
-        g = self.geometry
-        return len(self.blocks) * g.pages_per_block * g.sectors_per_page
-
     def used_fraction(self) -> float:
         """Fraction of buffer pages already written (fill level)."""
         if not self.blocks:
             return 0.0
         used = sum(self._cursor.values())
-        return used / (len(self.blocks) * self.geometry.pages_per_block)
+        return used / (len(self.blocks) * self._ppb)
 
     def has_space(self) -> bool:
-        g = self.geometry
-        return any(c < g.pages_per_block for c in self._cursor.values())
+        ppb = self._ppb
+        return min(self._cursor.values(), default=ppb) < ppb
 
     # ------------------------------------------------------------------
     # Write path
@@ -71,36 +72,30 @@ class PslcBuffer:
         each LPN to its slot.  Staging whole pages keeps the buffer
         recoverable after power loss.
         """
-        g = self.geometry
-        if not lpns or len(lpns) > g.sectors_per_page:
-            raise ValueError(
-                f"stage_page takes 1..{g.sectors_per_page} sectors"
-            )
-        if not self.has_space():
-            raise RuntimeError("pSLC buffer full; drain before staging")
+        spp = self._spp
+        if not lpns or len(lpns) > spp:
+            raise ValueError(f"stage_page takes 1..{spp} sectors")
         ppn = self._allocate_page()
-        pairs: list[tuple[int, int]] = []
-        for slot, lpn in enumerate(lpns):
-            psa = ppn * g.sectors_per_page + slot
-            old = self.index.get(lpn)
-            if old is not None:
-                self._valid_by_block[self._block_of_psa(old)] -= 1
-            self.index[lpn] = psa
-            self._valid_by_block[self._block_of_psa(psa)] += 1
-            pairs.append((lpn, psa))
-        self.sector_writes += len(lpns)
-        return ppn, pairs
+        index = self.index
+        psa = base = ppn * spp
+        for lpn in lpns:
+            index[lpn] = psa
+            psa += 1
+        return ppn, list(zip(lpns, range(base, psa)))
 
     def _allocate_page(self) -> int:
-        g = self.geometry
-        for _ in range(len(self.blocks)):
-            block = self.blocks[self._rr % len(self.blocks)]
-            self._rr += 1
-            cursor = self._cursor[block]
-            if cursor < g.pages_per_block:
-                self._cursor[block] = cursor + 1
-                return block * g.pages_per_block + cursor
-        raise RuntimeError("pSLC buffer out of blocks")
+        """The next page round-robin over the blocks with space; raises
+        (changing nothing) when every block is full."""
+        blocks, cursors, ppb = self.blocks, self._cursor, self._ppb
+        rr = self._rr
+        for step in range(len(blocks)):
+            block = blocks[(rr + step) % len(blocks)]
+            cursor = cursors[block]
+            if cursor < ppb:
+                cursors[block] = cursor + 1
+                self._rr = rr + step + 1
+                return block * ppb + cursor
+        raise RuntimeError("pSLC buffer full; drain before staging")
 
     # ------------------------------------------------------------------
     # Lookup / invalidation
@@ -112,15 +107,7 @@ class PslcBuffer:
 
     def invalidate(self, lpn: int) -> bool:
         """Drop a buffered sector (overwritten via main path, or trimmed)."""
-        psa = self.index.pop(lpn, None)
-        if psa is None:
-            return False
-        self._valid_by_block[self._block_of_psa(psa)] -= 1
-        return True
-
-    def _block_of_psa(self, psa: int) -> int:
-        g = self.geometry
-        return psa // (g.sectors_per_page * g.pages_per_block)
+        return self.index.pop(lpn, None) is not None
 
     # ------------------------------------------------------------------
     # Draining
@@ -138,15 +125,15 @@ class PslcBuffer:
 
         Returns the ``(lpn, psa)`` pairs still valid in that block — the
         FTL migrates them to the main area and then erases the block.
+        They come in index order, which fixes the sectors that share a
+        drained page.
         """
-        victims = [
-            (lpn, psa)
-            for lpn, psa in self.index.items()
-            if self._block_of_psa(psa) == block_index
-        ]
+        lo = block_index * self._spb
+        hi = lo + self._spb
+        index = self.index
+        victims = [(lpn, psa) for lpn, psa in index.items() if lo <= psa < hi]
         for lpn, _ in victims:
-            del self.index[lpn]
-        self._valid_by_block[block_index] = 0
+            del index[lpn]
         self._cursor[block_index] = 0
         if self.obs.enabled:
             self.obs.emit(SlcMigration(block=block_index,

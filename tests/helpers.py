@@ -181,7 +181,8 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
     data page committed one call per sector.
 
     The page is allocated (after the free-space check) and programmed;
-    then each sector in slot order is mapped with ``MappingTable.update``,
+    then each sector in slot order is mapped with :func:`update_general`
+    (the map's general body, with no fast lane),
     stamped into ``p2l``/``sector_valid``/``block_valid`` and has its old
     copy cleared by ``Ftl._invalidate_old_copy``.  Superseded pSLC copies
     go next, then the sectors' merged mapping events, then the RAIN
@@ -202,7 +203,7 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
     ftl._emit(FlashOp(OpKind.PROGRAM, ppn, reason, ftl._page_size))
     events = MappingEvents()
     for psa, lpn in enumerate(lpns, ppn * spp):
-        old, sector_events = ftl.mapping.update(lpn, psa)
+        old, sector_events = update_general(ftl.mapping, lpn, psa)
         events.merge(sector_events)
         ftl.p2l[psa] = lpn
         ftl.sector_valid[psa] = True
@@ -216,6 +217,71 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
     ftl._apply_mapping_events(events)
     if ftl.rain.on_data_page(ppn):
         ftl._program_parity_page()
+
+
+class PslcBufferPerSector:
+    """Reference for ``repro.ssd.slc.PslcBuffer``'s write and drain
+    bookkeeping: the per-sector form the buffer had before it used slot
+    arithmetic.
+
+    ``stage_page`` allocates round-robin after a ``has_space`` scan and
+    maps each slot in turn; ``evict_block`` tests every index entry with
+    a ``_block_of_psa`` call, in index order; ``has_space`` is a
+    generator over the cursors."""
+
+    def __init__(self, geometry, block_indices) -> None:
+        self.geometry = geometry
+        self.blocks = list(block_indices)
+        self._cursor = {b: 0 for b in self.blocks}
+        self._rr = 0
+        self.index = {}
+
+    def used_fraction(self) -> float:
+        if not self.blocks:
+            return 0.0
+        used = sum(self._cursor.values())
+        return used / (len(self.blocks) * self.geometry.pages_per_block)
+
+    def has_space(self) -> bool:
+        g = self.geometry
+        return any(c < g.pages_per_block for c in self._cursor.values())
+
+    def stage_page(self, lpns):
+        g = self.geometry
+        if not lpns or len(lpns) > g.sectors_per_page:
+            raise ValueError(f"stage_page takes 1..{g.sectors_per_page} sectors")
+        if not self.has_space():
+            raise RuntimeError("pSLC buffer full; drain before staging")
+        ppn = None
+        for _ in range(len(self.blocks)):
+            block = self.blocks[self._rr % len(self.blocks)]
+            self._rr += 1
+            cursor = self._cursor[block]
+            if cursor < g.pages_per_block:
+                self._cursor[block] = cursor + 1
+                ppn = block * g.pages_per_block + cursor
+                break
+        pairs = []
+        for slot, lpn in enumerate(lpns):
+            psa = ppn * g.sectors_per_page + slot
+            self.index[lpn] = psa
+            pairs.append((lpn, psa))
+        return ppn, pairs
+
+    def invalidate(self, lpn: int) -> bool:
+        return self.index.pop(lpn, None) is not None
+
+    def _block_of_psa(self, psa: int) -> int:
+        g = self.geometry
+        return psa // (g.sectors_per_page * g.pages_per_block)
+
+    def evict_block(self, block_index: int):
+        victims = [(lpn, psa) for lpn, psa in self.index.items()
+                   if self._block_of_psa(psa) == block_index]
+        for lpn, _ in victims:
+            del self.index[lpn]
+        self._cursor[block_index] = 0
+        return victims
 
 
 def _residency_general(table, lpn, events):

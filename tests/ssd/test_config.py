@@ -6,6 +6,8 @@ from repro.flash.geometry import Geometry
 from repro.ssd.config import SsdConfig
 from repro.ssd.presets import PRESETS
 
+_DEFAULT_BLOCKS = SsdConfig().geometry.total_blocks
+
 
 class TestValidation:
     def test_defaults_valid(self):
@@ -61,6 +63,8 @@ class TestValidation:
         ("mapping_resident_chunks", -3),
         ("mapping_dirty_tp_limit", 0),
         ("mapping_sync_interval", 0),
+        ("pslc_blocks", _DEFAULT_BLOCKS),  # every block: no main area
+        ("pslc_blocks", _DEFAULT_BLOCKS + 5),  # would repeat block ids
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):

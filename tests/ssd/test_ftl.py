@@ -14,7 +14,7 @@ from repro.ssd.allocation import OutOfSpace
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import Ftl, ReadOnlyError
 from repro.ssd.ops import OpKind, OpReason
-from repro.ssd.presets import mx500_like, tiny
+from repro.ssd.presets import evo840_like, mx500_like, tiny
 from tests.helpers import program_page_per_sector
 
 
@@ -579,3 +579,42 @@ def test_one_page_flush_call_count():
     # enabled property.  The base injector's no-op tick is skipped, and
     # the FlashOp is built without the NamedTuple's Python-level __new__.
     assert calls <= 13
+
+
+def test_pslc_sequential_write_call_count():
+    """Python-level calls per 8-sector sequential write on the 840 EVO
+    model (pSLC buffer, chunked map), averaged over 4,000 writes after
+    4,000 of warm-up: page staging, the buffer drains it triggers and
+    the drained pages' map updates.  Counted with ``sys.setprofile``, so
+    independent of the machine."""
+    ftl = Ftl(evo840_like())
+    lpn = 0
+    for _ in range(4_000):
+        ftl.write(lpn, 8)
+        lpn += 8
+    drains, updates = ftl.stats.pslc_drains, ftl.mapping.stats.updates
+    loads = ftl.mapping.stats.chunk_loads
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for _ in range(4_000):
+            ftl.write(lpn, 8)
+            lpn += 8
+    finally:
+        sys.setprofile(None)
+    # The window drains the buffer, updates the map per drained sector
+    # and loads a chunk, so each of those paths is in the count.
+    assert ftl.stats.pslc_drains - drains > 100
+    assert ftl.mapping.stats.updates - updates > 30_000
+    assert ftl.mapping.stats.chunk_loads > loads
+    # 46.8 here (246 before staging used slot arithmetic, draining a
+    # PSA-range filter and a resident chunk's sectors the inline map
+    # lane).  Two staged pages per write cost about 22 calls; a drain,
+    # about every 29 writes, moves 64 pages through the host page
+    # program.
+    assert calls / 4_000 <= 50

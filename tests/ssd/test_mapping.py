@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.mapping import (
@@ -297,6 +297,9 @@ _table_ops = st.lists(st.one_of(
     st.tuples(st.just("lookup"), _lpn),
     st.tuples(st.just("lookup"), _lpn),  # twice: lookups dominate
     st.tuples(st.just("update"), _lpn, st.integers(0, 5_000)),
+    # a narrow window across two chunks: updates to an already dirty TP
+    # of a resident chunk (update's fast lane) are common
+    st.tuples(st.just("update"), st.integers(0, 40), st.integers(0, 5_000)),
     st.tuples(st.just("trim"), _lpn),
     st.tuples(st.just("checkpoint")),
     st.tuples(st.just("note_flushed"), st.integers(0, 11),
@@ -307,6 +310,11 @@ _table_ops = st.lists(st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(ops=_table_ops, chunked=st.booleans(), resident=st.integers(1, 4),
        dirty=st.integers(1, 4), sync=st.sampled_from([3, 7, 10_000]))
+# The second update of TP 0 takes the fast lane on a chunked map, and
+# must make chunk 0 the most recently used again (chunk 1 is evicted by
+# the load of chunk 2, not chunk 0).
+@example(ops=[("update", 3, 70), ("lookup", 40), ("update", 4, 71),
+              ("lookup", 70)], chunked=True, resident=2, dirty=4, sync=10_000)
 def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
                                               sync):
     tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
@@ -347,6 +355,11 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
                 list(events.loaded_chunks))))
         assert outcomes[0] == outcomes[1], op
         assert _residency_state(fast) == _residency_state(reference)
+        # A dirty TP's chunk is resident: update's fast lane (and the
+        # FTL's inline copy of it) touches that chunk without a test.
+        if chunked:
+            assert {tp_id * 16 // 32 for tp_id in fast._dirty} <= set(
+                fast.resident_chunk_ids())
 
 
 def test_silent_update_run_applies_nothing_after_an_out_of_range_lpn():

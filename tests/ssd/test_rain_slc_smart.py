@@ -1,12 +1,15 @@
 """RAIN accounting, pSLC buffer, SMART counters."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.flash.geometry import Geometry
 from repro.ssd.ops import FTL_REASONS, FlashOp, OpKind, OpReason
 from repro.ssd.rain import RainAccountant
 from repro.ssd.slc import PslcBuffer
 from repro.ssd.smart import SmartCounters
+from tests.helpers import PslcBufferPerSector
 
 
 class TestRain:
@@ -166,6 +169,46 @@ class TestPslc:
         buf.evict_block(block)
         assert buf.has_space()
         buf.stage_page([1000])
+
+
+_BUFFER_BLOCKS = [0, 1, 5]  # adjacent blocks share a PSA range edge
+_buffer_lpn = st.integers(0, 11)  # few LPNs: re-staging is common
+_buffer_ops = st.lists(st.one_of(
+    st.tuples(st.just("stage"), st.lists(_buffer_lpn, max_size=3)),
+    st.tuples(st.just("stage"), st.lists(_buffer_lpn, min_size=1,
+                                         max_size=2)),
+    st.tuples(st.just("invalidate"), _buffer_lpn),
+    st.tuples(st.just("evict"), st.sampled_from(_BUFFER_BLOCKS)),
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_buffer_ops)
+# LPN 1 is re-staged into the next block and keeps its first index
+# position; draining block 0 then moves LPN 2 alone.
+@example(ops=[("stage", [1, 2]), ("stage", [1]), ("evict", 0), ("evict", 1)])
+def test_buffer_matches_per_sector_reference_property(ops):
+    """Slot arithmetic, the PSA-range eviction filter and ``min()`` over
+    the cursors against the per-sector buffer they replaced: the same
+    results and raises, victims in the same order, and the same index
+    (order included), cursors, round-robin position and fill level."""
+    fast = PslcBuffer(GEOM, _BUFFER_BLOCKS)
+    reference = PslcBufferPerSector(GEOM, _BUFFER_BLOCKS)
+    for name, arg in ops:
+        outcomes = []
+        for buf in (fast, reference):
+            method = {"stage": buf.stage_page, "invalidate": buf.invalidate,
+                      "evict": buf.evict_block}[name]
+            try:
+                outcomes.append(method(arg))
+            except (ValueError, RuntimeError) as exc:
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1], (name, arg)
+        assert list(fast.index.items()) == list(reference.index.items())
+        assert fast._cursor == reference._cursor
+        assert fast._rr == reference._rr
+        assert fast.has_space() == reference.has_space()
+        assert fast.used_fraction() == reference.used_fraction()
 
 
 class TestSmart:
