@@ -6,20 +6,23 @@ documentation of the public API::
 
     repro-ssd simulate --preset mx500 --writes 20000
     repro-ssd trace --preset tiny --writes 4000 --out trace.jsonl
-    repro-ssd nand-page --preset mx500
     repro-ssd waf-study --io-count 12000
-    repro-ssd fidelity --io-count 2000
-    repro-ssd compression --regime high
-    repro-ssd jtag-study --scale 2
-    repro-ssd probe-features --cache-sectors 128
-    repro-ssd faultsweep --preset tiny --strides 1,7,31
-    repro-ssd presets
-    repro-ssd policies
     repro-ssd policy-grid --io-count 1000 --jobs 4
     repro-ssd infer --seed 7
-    repro-ssd transparency --points 8 --jobs 4
-    repro-ssd fleet --devices 1000 --mix default --jobs 4
     repro-ssd fleet --devices 256 --campaign default --afr 0.5 --keep-going
+
+One table, :data:`COMMANDS`, maps each subcommand to its help, its
+options and its handler, and :func:`build_parser` loops over it.  An
+option several subcommands offer is declared once, in
+:data:`SHARED_OPTIONS`; a row names it and overrides only what differs
+there, most often the default.  The subcommands that run one study and
+print it (the seven figures, ``simulate``, ``trace``, ``presets``,
+``infer`` and ``probe-features``) share one handler, :func:`_study`: it
+builds the device config from the preset and ``--scale``, checks
+``--bs`` against it, calls the study's entry point (with a runner built
+from ``--jobs``/``--no-cache`` when the subcommand offers them), prints
+the tables and summary lines the study yields, and then the runner's
+account.
 """
 
 from __future__ import annotations
@@ -43,49 +46,34 @@ from repro.ssd.policy import REGISTRIES
 from repro.ssd.presets import PRESETS
 
 
-def _at_least(minimum: int):
-    """An ``argparse`` type: an int, a usage error below *minimum*."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}")
+def _checked(convert, ok, want: str, name: str):
+    """An ``argparse`` type: ``convert(text)``, a usage error unless
+    ``ok(value)``; argparse calls it *name* ("invalid <name> value")."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value}")
         return value
-    # argparse: "invalid <name> value"
-    parse.__name__ = f"int >= {minimum}"
+    parse.__name__ = name
     return parse
 
 
 #: every count, size, depth and scale option: a job of zero requests
 #: (or zero sectors, depth 0, scale 0) is a usage error, not a
 #: ``JobSpec`` traceback or a preset's silent ``max(1, scale)``.
-_positive_int = _at_least(1)
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1", "int >= 1")
 #: every ``--seed`` (numpy's generators refuse a negative one with a
 #: traceback of their own), and counts where 0 means "size it for me".
-_non_negative_int = _at_least(0)
-
-
-def _finite_float(strict: bool):
-    """An ``argparse`` type: a finite float > 0 (*strict*) or >= 0; NaN
-    and infinities are usage errors."""
-    relation = ">" if strict else ">="
-
-    def parse(text: str) -> float:
-        value = float(text)
-        above = value > 0 if strict else value >= 0
-        if not (above and value < math.inf):  # NaN fails both
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {relation} 0, got {value}")
-        return value
-    # argparse: "invalid <name> value"
-    parse.__name__ = f"float {relation} 0"
-    return parse
-
-
-#: multipliers (a time or rate scale).
-_positive_float = _finite_float(strict=True)
+_non_negative_int = _checked(int, lambda v: v >= 0, ">= 0", "int >= 0")
+#: multipliers (a time or rate scale); NaN and infinities fail.
+_positive_float = _checked(float, lambda v: 0 < v < math.inf,
+                           "a finite number > 0", "float > 0")
 #: rates where 0 means "not given", and failure rates (0: no faults).
-_non_negative_float = _finite_float(strict=False)
+_non_negative_float = _checked(float, lambda v: 0 <= v < math.inf,
+                               "a finite number >= 0", "float >= 0")
+#: a program/erase fail probability; NaN fails too.
+_probability = _checked(float, lambda v: 0 <= v <= 1,
+                        "a probability in [0, 1]", "probability")
 
 
 def _names(known):
@@ -99,19 +87,6 @@ def _names(known):
                     f"unknown {name!r}; known: {', '.join(sorted(known))}")
         return picked
     return parse
-
-
-def _probability(text: str) -> float:
-    """An ``argparse`` type: a probability in [0, 1]; NaN is a usage
-    error."""
-    value = float(text)
-    if not 0 <= value <= 1:  # NaN fails too
-        raise argparse.ArgumentTypeError(
-            f"must be a probability in [0, 1], got {value}")
-    return value
-
-
-_probability.__name__ = "probability"  # argparse: "invalid <name> value"
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -176,76 +151,101 @@ def _make_runner(args):
         raise SystemExit(f"repro-ssd: {exc}")
 
 
-# ----------------------------------------------------------------------
-# Subcommands
-# ----------------------------------------------------------------------
-
-
-def cmd_presets(args) -> int:
-    rows = []
-    for name, factory in sorted(PRESETS.items()):
-        config = factory(scale=args.scale)
-        geometry = config.geometry
-        rows.append([
-            name,
-            f"{config.logical_bytes / 2**20:.0f} MiB",
-            geometry.channels,
-            geometry.page_size,
-            config.gc_policy,
-            config.cache_designation,
-            config.rain_stripe or "-",
-            config.pslc_blocks or "-",
-        ])
-    print(format_table(
-        ["preset", "logical", "ch", "page B", "gc", "cache", "rain", "pslc"],
-        rows, title="device presets",
-    ))
-    return 0
-
-
-def cmd_policies(args) -> int:
-    """List every registered FTL policy, per design knob."""
-    from repro.ssd.policy import REGISTRIES
-
-    for knob, registry in REGISTRIES.items():
-        rows = []
-        for entry in registry:
-            fields = ", ".join(entry.schema) if entry.schema else "-"
-            rows.append([entry.name, entry.summary, fields])
-        print(format_table(
-            ["policy", "summary", "config fields"],
-            rows, title=f"{knob} ({len(registry)} registered)",
-        ))
-        print()
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    from repro.ssd.device import SimulatedSSD
-    from repro.workloads.engine import run_counter
+def _write_job(args, config, name: str, rw: str = "randwrite", **fields):
+    """A job of ``--writes`` ``--bs``-sector writes over the whole
+    device, seeded by ``--seed``."""
     from repro.workloads.patterns import Region
     from repro.workloads.spec import JobSpec
 
-    config = PRESETS[args.preset](scale=args.scale)
-    _check_bs_fits(args, config)
-    device = SimulatedSSD(config)
-    job = JobSpec(
-        name="cli",
+    return JobSpec(name, rw, Region(0, config.logical_sectors),
+                   bs_sectors=args.bs, io_count=args.writes, seed=args.seed,
+                   **fields)
+
+
+def _latency_table(args, job, title: str, open_loop: str, *, head=(),
+                   tail=(), p999: bool = True) -> str:
+    """The metric table ``latency`` and ``replay`` print: *job*'s IOPS
+    and latency summary between the *head* and *tail* rows."""
+    summary = summarize_latencies(job.latencies_us)
+    rows = [*head, ["IOPS", round(job.iops)],
+            ["mean (us)", summary.mean], ["p50 (us)", summary.p50],
+            ["p99 (us)", summary.p99]]
+    if p999:
+        rows.append(["p99.9 (us)", summary.p999])
+    rows += [["max (us)", summary.max], *tail]
+    loop = (open_loop if args.submission == "open"
+            else f"closed loop qd={args.iodepth}")
+    return format_table(["metric", "value"], rows,
+                        title=f"{title} on {args.preset} ({loop})")
+
+
+# ----------------------------------------------------------------------
+# Studies: one handler prints what each one yields
+# ----------------------------------------------------------------------
+
+
+def _study(run, preset: str | None = None):
+    """The handler of a subcommand that runs one study and prints it.
+
+    It builds the device config from ``--preset`` (or the fixed
+    *preset*) at ``--scale``, checks ``--bs`` against it, and builds a
+    runner when the subcommand offers ``--jobs``.  ``run(args, config,
+    runner)`` calls the study's entry point and yields what to print, a
+    blank line apart: a table as ``(headers, rows, title)``, or text.
+    The runner's one-line account comes last.
+    """
+    def handle(args) -> int:
+        name = getattr(args, "preset", preset)
+        config = PRESETS[name](scale=args.scale) if name else None
+        if "bs" in args:
+            _check_bs_fits(args, config)
+        runner = _make_runner(args) if "jobs" in args else None
+        for index, block in enumerate(run(args, config, runner)):
+            if index:
+                print()
+            print(block if isinstance(block, str) else format_table(*block))
+        if runner is not None:
+            print(runner.describe())
+        return 0
+    return handle
+
+
+def _presets(args, config, runner):
+    rows = []
+    for name, factory in sorted(PRESETS.items()):
+        preset = factory(scale=args.scale)
+        geometry = preset.geometry
+        rows.append([
+            name,
+            f"{preset.logical_bytes / 2**20:.0f} MiB",
+            geometry.channels,
+            geometry.page_size,
+            preset.gc_policy,
+            preset.cache_designation,
+            preset.rain_stripe or "-",
+            preset.pslc_blocks or "-",
+        ])
+    yield (["preset", "logical", "ch", "page B", "gc", "cache", "rain",
+            "pslc"], rows, "device presets")
+
+
+def _simulate(args, config, runner):
+    from repro.ssd.device import SimulatedSSD
+    from repro.workloads.engine import run_counter
+
+    job = _write_job(
+        args, config, "cli",
         rw="randwrite" if args.pattern != "sequential" else "write",
-        region=Region(0, device.num_sectors),
-        bs_sectors=args.bs,
-        io_count=args.writes,
         pattern=None if args.pattern in ("uniform", "sequential") else args.pattern,
-        seed=args.seed,
     )
+    device = SimulatedSSD(config)
     result = run_counter(device, [job])
-    print(device.smart_render())
-    print(f"\nWAF (FTL pages / host pages): {result.waf:.3f}")
-    print(f"GC invocations: {device.ftl.stats.gc_invocations}")
-    return 0
+    yield device.smart_render()
+    yield (f"WAF (FTL pages / host pages): {result.waf:.3f}\n"
+           f"GC invocations: {device.ftl.stats.gc_invocations}")
 
 
-def cmd_trace(args) -> int:
+def _trace(args, config, runner):
     """Run a workload with the observability layer attached: write a
     JSONL event trace and print per-event summaries (and, in timed
     mode, the tail's stall attribution)."""
@@ -257,45 +257,187 @@ def cmd_trace(args) -> int:
         attribute_tail,
         load_trace,
     )
-    from repro.workloads.patterns import Region
-    from repro.workloads.spec import JobSpec
 
-    config = PRESETS[args.preset](scale=args.scale)
-    _check_bs_fits(args, config)
+    job = _write_job(args, config, "trace", iodepth=args.iodepth)
     counter = CounterSink()
     histogram = HistogramSink()
     jsonl = JsonlSink(args.out)
     sink = TeeSink(jsonl, counter, histogram)
 
     device, run = _device_and_run(args, config)
-    job = JobSpec("trace", "randwrite", Region(0, device.num_sectors),
-                  bs_sectors=args.bs, io_count=args.writes,
-                  iodepth=args.iodepth, seed=args.seed)
     run(device, [job], sink=sink)
     sink.close()
 
-    print(format_table(
-        ["event", "count", "metric sum"],
-        counter.summarize(),
-        title=f"trace event counts ({args.mode} mode, {args.writes} requests)",
-    ))
-    print()
-    print(format_table(
-        ["event", "count", "mean", "p50", "p99", "max"],
-        histogram.summarize(),
-        title="per-event metric distributions",
-    ))
+    yield (["event", "count", "metric sum"], counter.summarize(),
+           f"trace event counts ({args.mode} mode, {args.writes} requests)")
+    yield (["event", "count", "mean", "p50", "p99", "max"],
+           histogram.summarize(), "per-event metric distributions")
     if args.mode == "timed":
         buckets = attribute_tail(load_trace(args.out))
         if buckets:
-            print()
-            print(format_table(
-                ["bucket", "requests", "latency (ms)", "stall (ms)",
-                 "stall share"],
-                [b.row() for b in buckets],
-                title="write-tail attribution (cache-admission stall)",
-            ))
-    print(f"\ntrace: {jsonl.events_written} events -> {args.out}")
+            yield (["bucket", "requests", "latency (ms)", "stall (ms)",
+                    "stall share"], [b.row() for b in buckets],
+                   "write-tail attribution (cache-admission stall)")
+    yield f"trace: {jsonl.events_written} events -> {args.out}"
+
+
+def _nand_page(args, config, runner):
+    from repro.core.blackbox.nand_page import sequential_write_sweep
+    from repro.ssd.device import SimulatedSSD
+
+    estimate = sequential_write_sweep(SimulatedSSD(config))
+    yield estimate.HEADERS, estimate.rows(), "Fig 4a — sequential write sweep"
+    yield (f"converged: {estimate.converged_bytes_per_page / 1024:.1f} "
+           f"KiB/page")
+
+
+def _waf_study(args, config, runner):
+    from repro.core.blackbox.waf import run_waf_study
+
+    study = run_waf_study(config=config, io_count=args.io_count,
+                          runner=runner)
+    yield study.HEADERS, study.rows(), "Fig 4b — WAF extrapolation study"
+    yield f"extrapolation error: {study.extrapolation_error:.2f}x"
+
+
+def _fidelity(args, config, runner):
+    from repro.core.modeling.fidelity import run_fidelity_study
+
+    study = run_fidelity_study(config, block_sizes_sectors=(1, 4),
+                               io_count=args.io_count, runner=runner)
+    yield study.HEADERS, study.rows(), "Fig 3 — FTL variants"
+    for bs in study.block_sizes():
+        yield f"p99 spread at {bs * 4}K: {study.p99_spread(bs):.2f}x"
+
+
+def _policy_grid(args, config, runner):
+    """Sweep the GC × cache-designation × allocation cross product."""
+    from repro.core.modeling.policy_grid import (
+        GRID_ALLOCATION_POLICIES,
+        GRID_CACHE_DESIGNATIONS,
+        GRID_GC_POLICIES,
+        GRID_HEADERS,
+        grid_rows,
+        run_policy_grid,
+    )
+
+    study = run_policy_grid(
+        config,
+        block_sizes_sectors=(args.bs,),
+        io_count=args.io_count,
+        gc_policies=args.gc or GRID_GC_POLICIES,
+        designations=args.cache or GRID_CACHE_DESIGNATIONS,
+        allocations=args.alloc or GRID_ALLOCATION_POLICIES,
+        runner=runner,
+    )
+    p99 = GRID_HEADERS.index("p99_us")
+    rows = sorted(grid_rows(study), key=lambda row: row[p99])
+    yield GRID_HEADERS, rows, (f"policy design grid ({len(rows)} points, "
+                               f"{args.bs * 4}K random writes)")
+    yield f"p99 spread across the grid: {study.p99_spread(args.bs):.2f}x"
+
+
+def _infer(args, config, runner):
+    """One policy-inference round trip on a seeded random grid point."""
+    from repro.infer import (
+        KNOBS,
+        random_points,
+        run_blackbox_trip,
+        run_graybox_trip,
+    )
+
+    point = random_points(1, seed=args.seed)[0]
+    results = []
+    if args.mode in ("both", "blackbox"):
+        results.append(run_blackbox_trip(point))
+    if args.mode in ("both", "graybox"):
+        results.append(run_graybox_trip(point))
+    rows = []
+    for knob in KNOBS:
+        row = [knob, getattr(point, knob)]
+        for result in results:
+            r = result.recovery(knob)
+            verdict = r.recovered if r.recovered is not None else "-"
+            if r.correct:
+                verdict += " ok"
+            if r.confirmed:
+                verdict += "+confirmed"
+            row.append(verdict)
+        rows.append(row)
+    yield (["knob", "truth"] + [r.mode for r in results], rows,
+           f"policy inference (seed {args.seed}: {point.label()})")
+    for result in results:
+        yield result.transcript
+
+
+def _transparency(args, config, runner):
+    """Scored round-trip sweep over N random policy-grid points."""
+    from repro.infer import run_transparency_sweep
+
+    score = run_transparency_sweep(args.points, seed=args.seed,
+                                   runner=runner)
+    yield score.render()
+    if score.graybox_total > score.blackbox_total:
+        yield ("gray-box access recovers strictly more than the "
+               "host interface — the paper's transparency gap, measured.")
+
+
+def _compression(args, config, runner):
+    from repro.workloads.oltp import (
+        COMPRESSION_HEADERS,
+        compression_rates,
+        compression_rows,
+    )
+
+    rates = compression_rates(args.regime, args.transactions)
+    yield (COMPRESSION_HEADERS, compression_rows(rates),
+           f"Fig 2 — compression schemes ({args.regime})")
+
+
+def _jtag_study(args, config, runner):
+    from repro.core.jtag.discovery import run_full_study
+    from repro.ssd.firmware.device import HackableSSD
+
+    report = run_full_study(HackableSSD(config))
+    yield report.HEADERS, report.rows(), "Fig 6 / §3.2 — JTAG study"
+
+
+def _probe_features(args, config, runner):
+    from repro.core.blackbox.ssdcheck import (
+        detect_checkpoint_interval,
+        detect_write_buffer,
+    )
+    from repro.ssd.timed import TimedSSD
+
+    config = config.with_changes(cache_sectors=args.cache_sectors)
+    buffer_probe = detect_write_buffer(TimedSSD(config))
+    interval_probe = detect_checkpoint_interval(TimedSSD(config),
+                                                writes=args.writes)
+    yield (["feature", "estimate", "actual"],
+           [["write buffer (sectors)", buffer_probe.estimated_sectors,
+             config.cache_sectors],
+            ["checkpoint interval (writes)", interval_probe.estimated_interval,
+             config.mapping_sync_interval]],
+           "SSDCheck-style black-box probes")
+
+
+# ----------------------------------------------------------------------
+# Subcommands with their own output
+# ----------------------------------------------------------------------
+
+
+def cmd_policies(args) -> int:
+    """List every registered FTL policy, per design knob."""
+    for knob, registry in REGISTRIES.items():
+        rows = []
+        for entry in registry:
+            fields = ", ".join(entry.schema) if entry.schema else "-"
+            rows.append([entry.name, entry.summary, fields])
+        print(format_table(
+            ["policy", "summary", "config fields"],
+            rows, title=f"{knob} ({len(registry)} registered)",
+        ))
+        print()
     return 0
 
 
@@ -328,19 +470,12 @@ def cmd_replay(args) -> int:
     result = run(device, [source])
     job = result.jobs["replay"]
     if args.mode == "timed":
-        summary = summarize_latencies(job.latencies_us)
-        loop = (f"open loop @ recorded timeline x{args.time_scale:g}"
-                if source.is_open_loop else f"closed loop qd={args.iodepth}")
-        print(format_table(
-            ["metric", "value"],
-            [["requests", job.requests],
-             ["failed", job.failed_requests],
-             ["IOPS", round(job.iops)],
-             ["mean (us)", summary.mean], ["p50 (us)", summary.p50],
-             ["p99 (us)", summary.p99], ["max (us)", summary.max],
-             ["WAF", round(result.waf, 3)]],
-            title=f"trace replay on {args.preset} ({loop})",
-        ))
+        print(_latency_table(
+            args, job, "trace replay",
+            f"open loop @ recorded timeline x{args.time_scale:g}",
+            head=[["requests", job.requests],
+                  ["failed", job.failed_requests]],
+            tail=[["WAF", round(result.waf, 3)]], p999=False))
     else:
         print(device.smart_render())
         print(f"\nreplayed {job.requests} requests "
@@ -402,218 +537,20 @@ def cmd_engine(args) -> int:
 
 def cmd_latency(args) -> int:
     from repro.exp import Cell, TimedJobCell, run_timed_job_cell
-    from repro.workloads.patterns import Region
-    from repro.workloads.spec import JobSpec
 
     if args.submission == "open" and args.rate <= 0:
         args.parser.error("--submission open needs --rate > 0 (IOPS)")
     config = PRESETS[args.preset](scale=args.scale)
     _check_bs_fits(args, config)
-    job = JobSpec("cli", "randwrite", Region(0, config.logical_sectors),
-                  bs_sectors=args.bs, io_count=args.writes,
-                  iodepth=args.iodepth, seed=args.seed,
-                  submission=args.submission, rate_iops=args.rate,
-                  arrival=args.arrival)
+    job = _write_job(args, config, "cli", iodepth=args.iodepth,
+                     submission=args.submission, rate_iops=args.rate,
+                     arrival=args.arrival)
     runner = _make_runner(args)
     cell = Cell(run_timed_job_cell, TimedJobCell(config, job), label="cli:latency")
     [result] = runner.run([cell])
-    job_result = result.jobs["cli"]
-    summary = summarize_latencies(job_result.latencies_us)
-    loop = (f"open loop @ {args.rate:g} IOPS ({args.arrival})"
-            if args.submission == "open" else f"closed loop qd={args.iodepth}")
-    print(format_table(
-        ["metric", "value"],
-        [["IOPS", round(job_result.iops)],
-         ["mean (us)", summary.mean], ["p50 (us)", summary.p50],
-         ["p99 (us)", summary.p99], ["p99.9 (us)", summary.p999],
-         ["max (us)", summary.max]],
-        title=f"timed random writes on {args.preset} ({loop})",
-    ))
+    print(_latency_table(args, result.jobs["cli"], "timed random writes",
+                         f"open loop @ {args.rate:g} IOPS ({args.arrival})"))
     print(runner.describe())
-    return 0
-
-
-def cmd_nand_page(args) -> int:
-    from repro.core.blackbox.nand_page import sequential_write_sweep
-    from repro.ssd.device import SimulatedSSD
-
-    estimate = sequential_write_sweep(
-        SimulatedSSD(PRESETS[args.preset](scale=args.scale)))
-    print(format_table(estimate.HEADERS, estimate.rows(),
-                       title="Fig 4a — sequential write sweep"))
-    print(f"\nconverged: {estimate.converged_bytes_per_page / 1024:.1f} KiB/page")
-    return 0
-
-
-def cmd_waf_study(args) -> int:
-    from repro.core.blackbox.waf import run_waf_study
-
-    runner = _make_runner(args)
-    study = run_waf_study(
-        config=PRESETS[args.preset](scale=args.scale),
-        io_count=args.io_count,
-        runner=runner,
-    )
-    print(format_table(study.HEADERS, study.rows(),
-                       title="Fig 4b — WAF extrapolation study"))
-    print(f"\nextrapolation error: {study.extrapolation_error:.2f}x")
-    print(runner.describe())
-    return 0
-
-
-def cmd_fidelity(args) -> int:
-    from repro.core.modeling.fidelity import run_fidelity_study
-    from repro.ssd.presets import mqsim_baseline
-
-    runner = _make_runner(args)
-    study = run_fidelity_study(
-        mqsim_baseline(scale=args.scale),
-        block_sizes_sectors=(1, 4),
-        io_count=args.io_count,
-        runner=runner,
-    )
-    print(format_table(study.HEADERS, study.rows(),
-                       title="Fig 3 — FTL variants"))
-    for bs in study.block_sizes():
-        print(f"\np99 spread at {bs * 4}K: {study.p99_spread(bs):.2f}x")
-    print(runner.describe())
-    return 0
-
-
-def cmd_policy_grid(args) -> int:
-    """Sweep the GC × cache-designation × allocation cross product."""
-    from repro.core.modeling.policy_grid import (
-        GRID_ALLOCATION_POLICIES,
-        GRID_CACHE_DESIGNATIONS,
-        GRID_GC_POLICIES,
-        GRID_HEADERS,
-        grid_rows,
-        run_policy_grid,
-    )
-    from repro.ssd.presets import mqsim_baseline
-
-    base = mqsim_baseline(scale=args.scale)
-    _check_bs_fits(args, base)
-    runner = _make_runner(args)
-    study = run_policy_grid(
-        base,
-        block_sizes_sectors=(args.bs,),
-        io_count=args.io_count,
-        gc_policies=args.gc or GRID_GC_POLICIES,
-        designations=args.cache or GRID_CACHE_DESIGNATIONS,
-        allocations=args.alloc or GRID_ALLOCATION_POLICIES,
-        runner=runner,
-    )
-    p99 = GRID_HEADERS.index("p99_us")
-    rows = sorted(grid_rows(study), key=lambda row: row[p99])
-    print(format_table(
-        GRID_HEADERS, rows,
-        title=f"policy design grid ({len(rows)} points, "
-              f"{args.bs * 4}K random writes)",
-    ))
-    print(f"\np99 spread across the grid: {study.p99_spread(args.bs):.2f}x")
-    print(runner.describe())
-    return 0
-
-
-def cmd_infer(args) -> int:
-    """One policy-inference round trip on a seeded random grid point."""
-    from repro.infer import (
-        KNOBS,
-        random_points,
-        run_blackbox_trip,
-        run_graybox_trip,
-    )
-
-    point = random_points(1, seed=args.seed)[0]
-    results = []
-    if args.mode in ("both", "blackbox"):
-        results.append(run_blackbox_trip(point))
-    if args.mode in ("both", "graybox"):
-        results.append(run_graybox_trip(point))
-    rows = []
-    for knob in KNOBS:
-        row = [knob, getattr(point, knob)]
-        for result in results:
-            r = result.recovery(knob)
-            verdict = r.recovered if r.recovered is not None else "-"
-            if r.correct:
-                verdict += " ok"
-            if r.confirmed:
-                verdict += "+confirmed"
-            row.append(verdict)
-        rows.append(row)
-    headers = ["knob", "truth"] + [r.mode for r in results]
-    print(format_table(headers, rows,
-                       title=f"policy inference (seed {args.seed}: "
-                             f"{point.label()})"))
-    for result in results:
-        print()
-        print(result.transcript)
-    return 0
-
-
-def cmd_transparency(args) -> int:
-    """Scored round-trip sweep over N random policy-grid points."""
-    from repro.infer import run_transparency_sweep
-
-    runner = _make_runner(args)
-    score = run_transparency_sweep(args.points, seed=args.seed,
-                                   runner=runner)
-    print(score.render())
-    if score.graybox_total > score.blackbox_total:
-        print("\ngray-box access recovers strictly more than the "
-              "host interface — the paper's transparency gap, measured.")
-    print(runner.describe())
-    return 0
-
-
-def cmd_compression(args) -> int:
-    from repro.workloads.oltp import (
-        COMPRESSION_HEADERS,
-        compression_rates,
-        compression_rows,
-    )
-
-    rates = compression_rates(args.regime, args.transactions)
-    print(format_table(COMPRESSION_HEADERS, compression_rows(rates),
-                       title=f"Fig 2 — compression schemes ({args.regime})"))
-    return 0
-
-
-def cmd_jtag_study(args) -> int:
-    from repro.core.jtag.discovery import run_full_study
-    from repro.ssd.firmware.device import HackableSSD
-
-    device = HackableSSD(scale=args.scale)
-    report = run_full_study(device)
-    print(format_table(report.HEADERS, report.rows(),
-                       title="Fig 6 / §3.2 — JTAG study"))
-    return 0
-
-
-def cmd_probe_features(args) -> int:
-    from repro.core.blackbox.ssdcheck import (
-        detect_checkpoint_interval,
-        detect_write_buffer,
-    )
-    from repro.ssd.presets import vertex2_like
-    from repro.ssd.timed import TimedSSD
-
-    config = vertex2_like(scale=args.scale).with_changes(
-        cache_sectors=args.cache_sectors,
-    )
-    buffer_probe = detect_write_buffer(TimedSSD(config))
-    interval_probe = detect_checkpoint_interval(TimedSSD(config),
-                                                writes=args.writes)
-    print(format_table(
-        ["feature", "estimate", "actual"],
-        [["write buffer (sectors)", buffer_probe.estimated_sectors,
-          config.cache_sectors],
-         ["checkpoint interval (writes)", interval_probe.estimated_interval,
-          config.mapping_sync_interval]],
-        title="SSDCheck-style black-box probes",
-    ))
     return 0
 
 
@@ -793,8 +730,193 @@ def cmd_fleet(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# Parser
+# The command table and the parser built from it
 # ----------------------------------------------------------------------
+
+
+#: every option more than one subcommand offers, declared once:
+#: ``add_argument`` keywords a row of :data:`COMMANDS` overrides where
+#: that subcommand differs.
+SHARED_OPTIONS = {
+    "--preset": dict(choices=sorted(PRESETS)),
+    "--scale": dict(type=_positive_int, default=2),
+    "--seed": dict(type=_non_negative_int, default=42),
+    "--writes": dict(type=_positive_int),
+    "--io-count": dict(type=_positive_int),
+    "--bs": dict(type=_positive_int, default=1,
+                 help="request size in sectors"),
+    "--iodepth": dict(type=_positive_int),
+    "--mode": dict(default="timed", choices=["timed", "counter"]),
+    "--jobs": dict(type=_positive_int, default=None,
+                   help="worker processes (default: REPRO_JOBS or CPU count)"),
+    "--no-cache": dict(action="store_true",
+                       help="bypass the on-disk result cache"),
+}
+
+
+def _opt(flag: str, **overrides) -> tuple[str, dict]:
+    """One option of a row: the shared declaration of *flag*, if any,
+    with *overrides* applied."""
+    return flag, {**SHARED_OPTIONS.get(flag, {}), **overrides}
+
+
+def _device(preset: str) -> list[tuple[str, dict]]:
+    """``--preset/--scale/--seed`` of a subcommand that simulates a
+    device preset."""
+    return [_opt("--preset", default=preset,
+                 help=f"device preset (default {preset})"),
+            _opt("--scale", help="geometry down-scale factor (default 2)"),
+            _opt("--seed")]
+
+
+#: ``--jobs/--no-cache`` of a subcommand that runs its cells on a Runner.
+_PARALLEL = [_opt("--jobs"), _opt("--no-cache")]
+
+#: subcommand -> (help, options in order, handler).
+COMMANDS = {
+    "presets": ("list device presets", [_opt("--scale")], _study(_presets)),
+    "policies": ("list registered FTL policies per design knob", [],
+                 cmd_policies),
+    "simulate": ("counter-mode workload + SMART", [
+        *_device("mx500"), _opt("--writes", default=20_000), _opt("--bs"),
+        _opt("--pattern", default="uniform",
+             choices=["uniform", "sequential", "hotcold", "zipf"]),
+    ], _study(_simulate)),
+    "trace": ("run a workload with the observability layer attached; "
+              "write a JSONL event trace", [
+        *_device("tiny"), _opt("--writes", default=4_000), _opt("--bs"),
+        _opt("--mode"), _opt("--iodepth", default=4),
+        _opt("--out", default="trace.jsonl",
+             help="JSONL trace output path (default trace.jsonl)"),
+    ], _study(_trace)),
+    "replay": ("replay a recorded block trace (validated at load; exits "
+               "nonzero on a malformed trace)", [
+        *_device("tiny"),
+        _opt("--trace", required=True,
+             help="block-trace CSV (op,lba,sectors,at_us)"),
+        _opt("--time-scale", type=_positive_float, default=1.0,
+             help="arrival-time multiplier: > 1 slows the trace down, "
+                  "< 1 speeds it up (default 1)"),
+        _opt("--mode"),
+        _opt("--submission", default="open", choices=["open", "closed"],
+             help="open loop at the recorded timeline, or closed loop at "
+                  "--iodepth (default open)"),
+        _opt("--iodepth", default=1),
+    ], cmd_replay),
+    "engine": ("YCSB mixes through the LSM / B-tree storage engines, one "
+               "cached cell per engine x mix", [
+        *_device("mqsim"),
+        _opt("--engines", type=_names(ENGINES), default="lsm,btree",
+             help="comma-separated engine axis (default lsm,btree)"),
+        _opt("--mixes", type=_names(YCSB_MIXES), default="a,b,c",
+             help="comma-separated YCSB mix axis (default a,b,c)"),
+        _opt("--alloc", default="",
+             choices=REGISTRIES["allocation_scheme"].names(),
+             help="allocation_scheme override (e.g. hotcold)"),
+        _opt("--records", type=_non_negative_int, default=0,
+             help="key count (default: sized to the device)"),
+        _opt("--ops", type=_non_negative_int, default=0,
+             help="run-phase operations (default: 4x records)"),
+        _opt("--value-sectors", type=_positive_int, default=1),
+        _opt("--iodepth", default=1), *_PARALLEL,
+    ], cmd_engine),
+    "latency": ("timed workload, latency percentiles", [
+        *_device("mx500"), _opt("--writes", default=8_000),
+        _opt("--bs", help=None), _opt("--iodepth", default=4),
+        _opt("--submission", default="closed", choices=["closed", "open"],
+             help="closed loop (iodepth) or open loop (arrival rate)"),
+        _opt("--rate", type=_non_negative_float, default=0.0,
+             help="open-loop arrival rate in IOPS"),
+        _opt("--arrival", default="poisson", choices=["poisson", "fixed"],
+             help="open-loop inter-arrival distribution"),
+        *_PARALLEL,
+    ], cmd_latency),
+    "nand-page": ("Fig 4a NAND-page estimation", _device("mx500"),
+                  _study(_nand_page)),
+    "waf-study": ("Fig 4b WAF extrapolation study", [
+        *_device("mx500"), _opt("--io-count", default=12_000), *_PARALLEL,
+    ], _study(_waf_study)),
+    "fidelity": ("Fig 3 FTL-variant latency study", [
+        _opt("--scale", default=4), _opt("--io-count", default=2_000),
+        *_PARALLEL,
+    ], _study(_fidelity, preset="mqsim")),
+    "policy-grid": ("sweep the GC x cache x allocation policy grid", [
+        _opt("--scale", default=4), _opt("--io-count", default=2_000),
+        _opt("--bs"),
+        _opt("--gc", type=_names(REGISTRIES["gc_policy"].names()),
+             default="", help="comma-separated gc_policy axis override"),
+        _opt("--cache", type=_names(REGISTRIES["cache_designation"].names()),
+             default="",
+             help="comma-separated cache_designation axis override"),
+        _opt("--alloc", type=_names(REGISTRIES["allocation_scheme"].names()),
+             default="", help="comma-separated allocation axis override"),
+        *_PARALLEL,
+    ], _study(_policy_grid, preset="mqsim")),
+    "infer": ("recover the six policy knobs from one firmware image "
+              "(black-box + gray-box)", [
+        _opt("--seed", help="selects the random policy-grid point"),
+        _opt("--mode", default="both",
+             choices=["both", "blackbox", "graybox"]),
+    ], _study(_infer)),
+    "transparency": ("per-knob recovery-rate score over N random policy "
+                     "points", [
+        _opt("--points", type=_positive_int, default=8), _opt("--seed"),
+        *_PARALLEL,
+    ], _study(_transparency)),
+    "compression": ("Fig 2 compression schemes", [
+        _opt("--regime", default="high",
+             choices=["high", "moderate", "incompressible"]),
+        _opt("--transactions", type=_positive_int, default=3_000),
+    ], _study(_compression)),
+    "jtag-study": ("Fig 6 / §3.2 JTAG RE study", [_opt("--scale")],
+                   _study(_jtag_study, preset="evo840")),
+    "faultsweep": ("crash-consistency sweep: power-cut at every k-th host "
+                   "op, recover, audit durability", [
+        *_device("tiny"),
+        _opt("--ops", type=_positive_int, default=2_000,
+             help="host operations in the sweep workload"),
+        _opt("--strides", type=_positive_ints, default="1,7,31",
+             help="comma-separated cut strides (default 1,7,31)"),
+        _opt("--fault-rate", type=_probability, default=0.0,
+             help="per-candidate program/erase fail probability "
+                  "(default 0: crash-only sweep)"),
+        *_PARALLEL,
+    ], cmd_faultsweep),
+    "fleet": ("fleet-scale sharded simulation: thousands of devices, "
+              "merged per-tenant SLO verdicts", [
+        *_device("tiny"),
+        _opt("--devices", type=_positive_int, default=256,
+             help="fleet size (default 256)"),
+        _opt("--shards", type=_positive_int, default=None,
+             help="shard count (default: devices/32, independent of "
+                  "--jobs)"),
+        _opt("--mix", default="default", choices=sorted(TENANT_MIXES),
+             help="built-in tenant mix (default: default)"),
+        _opt("--io-count", default=150,
+             help="requests per tenant per device (default 150)"),
+        _opt("--rate-scale", type=_positive_float, default=1.0,
+             help="multiplier on every tenant arrival rate"),
+        _opt("--campaign", default="none",
+             choices=["none", "default", "infant", "wearout"],
+             help="fault campaign over the fleet (default: none)"),
+        _opt("--afr", type=_non_negative_float, default=None,
+             help="override the campaign's annualized failure rate"),
+        _opt("--keep-going", action="store_true",
+             help="isolate per-device/per-shard failures into the report "
+                  "instead of aborting the run"),
+        _opt("--timeout", type=_positive_float, default=None,
+             help="per-cell wall-clock watchdog in seconds (default: none)"),
+        _opt("--only", type=_device_range, default=None, metavar="N|LO:HI",
+             help="serial deep-dive on one device (or range) instead of "
+                  "the sharded fleet run"),
+        *_PARALLEL,
+    ], cmd_fleet),
+    "probe-features": ("SSDCheck-style latency probes", [
+        _opt("--scale"),
+        _opt("--cache-sectors", type=_non_negative_int, default=128),
+        _opt("--writes", default=8_000),
+    ], _study(_probe_features, preset="vertex2")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -803,223 +925,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="SSD performance-transparency studies (HotOS '19 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, preset_default="mx500"):
-        p.add_argument("--preset", default=preset_default,
-                       choices=sorted(PRESETS),
-                       help=f"device preset (default {preset_default})")
-        p.add_argument("--scale", type=_positive_int, default=2,
-                       help="geometry down-scale factor (default 2)")
-        p.add_argument("--seed", type=_non_negative_int, default=42)
-
-    def parallel(p):
-        p.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker processes (default: REPRO_JOBS or CPU count)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache")
-
-    p = sub.add_parser("presets", help="list device presets")
-    p.add_argument("--scale", type=_positive_int, default=2)
-    p.set_defaults(fn=cmd_presets)
-
-    p = sub.add_parser("policies",
-                       help="list registered FTL policies per design knob")
-    p.set_defaults(fn=cmd_policies)
-
-    p = sub.add_parser("simulate", help="counter-mode workload + SMART")
-    common(p)
-    p.add_argument("--writes", type=_positive_int, default=20_000)
-    p.add_argument("--bs", type=_positive_int, default=1,
-                   help="request size in sectors")
-    p.add_argument("--pattern", default="uniform",
-                   choices=["uniform", "sequential", "hotcold", "zipf"])
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("trace",
-                       help="run a workload with the observability layer "
-                            "attached; write a JSONL event trace")
-    common(p, preset_default="tiny")
-    p.add_argument("--writes", type=_positive_int, default=4_000)
-    p.add_argument("--bs", type=_positive_int, default=1,
-                   help="request size in sectors")
-    p.add_argument("--mode", default="timed", choices=["timed", "counter"])
-    p.add_argument("--iodepth", type=_positive_int, default=4)
-    p.add_argument("--out", default="trace.jsonl",
-                   help="JSONL trace output path (default trace.jsonl)")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("replay",
-                       help="replay a recorded block trace (validated at "
-                            "load; exits nonzero on a malformed trace)")
-    common(p, preset_default="tiny")
-    p.add_argument("--trace", required=True,
-                   help="block-trace CSV (op,lba,sectors,at_us)")
-    p.add_argument("--time-scale", type=_positive_float, default=1.0,
-                   help="arrival-time multiplier: > 1 slows the trace "
-                        "down, < 1 speeds it up (default 1)")
-    p.add_argument("--mode", default="timed", choices=["timed", "counter"])
-    p.add_argument("--submission", default="open",
-                   choices=["open", "closed"],
-                   help="open loop at the recorded timeline, or closed "
-                        "loop at --iodepth (default open)")
-    p.add_argument("--iodepth", type=_positive_int, default=1)
-    p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser("engine",
-                       help="YCSB mixes through the LSM / B-tree storage "
-                            "engines, one cached cell per engine x mix")
-    common(p, preset_default="mqsim")
-    p.add_argument("--engines", type=_names(ENGINES), default="lsm,btree",
-                   help="comma-separated engine axis (default lsm,btree)")
-    p.add_argument("--mixes", type=_names(YCSB_MIXES), default="a,b,c",
-                   help="comma-separated YCSB mix axis (default a,b,c)")
-    p.add_argument("--alloc", default="",
-                   choices=REGISTRIES["allocation_scheme"].names(),
-                   help="allocation_scheme override (e.g. hotcold)")
-    p.add_argument("--records", type=_non_negative_int, default=0,
-                   help="key count (default: sized to the device)")
-    p.add_argument("--ops", type=_non_negative_int, default=0,
-                   help="run-phase operations (default: 4x records)")
-    p.add_argument("--value-sectors", type=_positive_int, default=1)
-    p.add_argument("--iodepth", type=_positive_int, default=1)
-    parallel(p)
-    p.set_defaults(fn=cmd_engine)
-
-    p = sub.add_parser("latency", help="timed workload, latency percentiles")
-    common(p)
-    p.add_argument("--writes", type=_positive_int, default=8_000)
-    p.add_argument("--bs", type=_positive_int, default=1)
-    p.add_argument("--iodepth", type=_positive_int, default=4)
-    p.add_argument("--submission", default="closed",
-                   choices=["closed", "open"],
-                   help="closed loop (iodepth) or open loop (arrival rate)")
-    p.add_argument("--rate", type=_non_negative_float, default=0.0,
-                   help="open-loop arrival rate in IOPS")
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "fixed"],
-                   help="open-loop inter-arrival distribution")
-    parallel(p)
-    p.set_defaults(fn=cmd_latency)
-
-    p = sub.add_parser("nand-page", help="Fig 4a NAND-page estimation")
-    common(p)
-    p.set_defaults(fn=cmd_nand_page)
-
-    p = sub.add_parser("waf-study", help="Fig 4b WAF extrapolation study")
-    common(p)
-    p.add_argument("--io-count", type=_positive_int, default=12_000)
-    parallel(p)
-    p.set_defaults(fn=cmd_waf_study)
-
-    p = sub.add_parser("fidelity", help="Fig 3 FTL-variant latency study")
-    p.add_argument("--scale", type=_positive_int, default=4)
-    p.add_argument("--io-count", type=_positive_int, default=2_000)
-    parallel(p)
-    p.set_defaults(fn=cmd_fidelity)
-
-    p = sub.add_parser("policy-grid",
-                       help="sweep the GC x cache x allocation policy grid")
-    p.add_argument("--scale", type=_positive_int, default=4)
-    p.add_argument("--io-count", type=_positive_int, default=2_000)
-    p.add_argument("--bs", type=_positive_int, default=1,
-                   help="request size in sectors")
-    p.add_argument("--gc", type=_names(REGISTRIES["gc_policy"].names()),
-                   default="", help="comma-separated gc_policy axis override")
-    p.add_argument("--cache",
-                   type=_names(REGISTRIES["cache_designation"].names()),
-                   default="",
-                   help="comma-separated cache_designation axis override")
-    p.add_argument("--alloc",
-                   type=_names(REGISTRIES["allocation_scheme"].names()),
-                   default="", help="comma-separated allocation axis override")
-    parallel(p)
-    p.set_defaults(fn=cmd_policy_grid)
-
-    p = sub.add_parser("infer",
-                       help="recover the six policy knobs from one "
-                            "firmware image (black-box + gray-box)")
-    p.add_argument("--seed", type=_non_negative_int, default=42,
-                   help="selects the random policy-grid point")
-    p.add_argument("--mode", default="both",
-                   choices=["both", "blackbox", "graybox"])
-    p.set_defaults(fn=cmd_infer)
-
-    p = sub.add_parser("transparency",
-                       help="per-knob recovery-rate score over N random "
-                            "policy points")
-    p.add_argument("--points", type=_positive_int, default=8)
-    p.add_argument("--seed", type=_non_negative_int, default=42)
-    parallel(p)
-    p.set_defaults(fn=cmd_transparency)
-
-    p = sub.add_parser("compression", help="Fig 2 compression schemes")
-    p.add_argument("--regime", default="high",
-                   choices=["high", "moderate", "incompressible"])
-    p.add_argument("--transactions", type=_positive_int, default=3_000)
-    p.set_defaults(fn=cmd_compression)
-
-    p = sub.add_parser("jtag-study", help="Fig 6 / §3.2 JTAG RE study")
-    p.add_argument("--scale", type=_positive_int, default=2)
-    p.set_defaults(fn=cmd_jtag_study)
-
-    p = sub.add_parser("faultsweep",
-                       help="crash-consistency sweep: power-cut at every "
-                            "k-th host op, recover, audit durability")
-    common(p, preset_default="tiny")
-    p.add_argument("--ops", type=_positive_int, default=2_000,
-                   help="host operations in the sweep workload")
-    p.add_argument("--strides", type=_positive_ints, default="1,7,31",
-                   help="comma-separated cut strides (default 1,7,31)")
-    p.add_argument("--fault-rate", type=_probability, default=0.0,
-                   help="per-candidate program/erase fail probability "
-                        "(default 0: crash-only sweep)")
-    parallel(p)
-    p.set_defaults(fn=cmd_faultsweep)
-
-    p = sub.add_parser("fleet",
-                       help="fleet-scale sharded simulation: thousands of "
-                            "devices, merged per-tenant SLO verdicts")
-    common(p, preset_default="tiny")
-    p.add_argument("--devices", type=_positive_int, default=256,
-                   help="fleet size (default 256)")
-    p.add_argument("--shards", type=_positive_int, default=None,
-                   help="shard count (default: devices/32, independent "
-                        "of --jobs)")
-    p.add_argument("--mix", default="default",
-                   choices=sorted(TENANT_MIXES),
-                   help="built-in tenant mix (default: default)")
-    p.add_argument("--io-count", type=_positive_int, default=150,
-                   help="requests per tenant per device (default 150)")
-    p.add_argument("--rate-scale", type=_positive_float, default=1.0,
-                   help="multiplier on every tenant arrival rate")
-    p.add_argument("--campaign", default="none",
-                   choices=["none", "default", "infant", "wearout"],
-                   help="fault campaign over the fleet (default: none)")
-    p.add_argument("--afr", type=_non_negative_float, default=None,
-                   help="override the campaign's annualized failure rate")
-    p.add_argument("--keep-going", action="store_true",
-                   help="isolate per-device/per-shard failures into the "
-                        "report instead of aborting the run")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   help="per-cell wall-clock watchdog in seconds "
-                        "(default: none)")
-    p.add_argument("--only", type=_device_range, default=None,
-                   metavar="N|LO:HI",
-                   help="serial deep-dive on one device (or range) "
-                        "instead of the sharded fleet run")
-    parallel(p)
-    p.set_defaults(fn=cmd_fleet)
-
-    p = sub.add_parser("probe-features", help="SSDCheck-style latency probes")
-    p.add_argument("--scale", type=_positive_int, default=2)
-    p.add_argument("--cache-sectors", type=_non_negative_int, default=128)
-    p.add_argument("--writes", type=_positive_int, default=8_000)
-    p.set_defaults(fn=cmd_probe_features)
-
-    # Checks that span two options (or need the device) report through
-    # the subcommand's own parser: usage line, exit 2.
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)
+    for name, (help_text, options, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        # Checks that span two options (or need the device) report
+        # through the subcommand's own parser: usage line, exit 2.
+        p.set_defaults(fn=handler, parser=p)
     return parser
 
 

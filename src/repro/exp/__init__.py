@@ -26,7 +26,7 @@ what — they compute (enforced by the serial-vs-parallel equivalence
 tests under ``tests/regression``).
 """
 
-from repro.exp.cache import CODE_SALT, CacheStats, ResultCache, default_cache_dir
+from repro.exp.cache import CacheStats, ResultCache, code_salt, default_cache_dir
 from repro.exp.cell import Cell, CellError, execute_cell
 from repro.exp.cells import (
     ChurnCell,
@@ -48,7 +48,6 @@ from repro.exp.runner import (
 )
 
 __all__ = [
-    "CODE_SALT",
     "CacheStats",
     "Cell",
     "CellError",
@@ -61,6 +60,7 @@ __all__ = [
     "Runner",
     "RunnerStats",
     "TimedJobCell",
+    "code_salt",
     "default_cache_dir",
     "execute_cell",
     "resolve_jobs",

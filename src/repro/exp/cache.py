@@ -24,6 +24,8 @@ trace per entry.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import pickle
 import sys
@@ -32,13 +34,26 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import __version__
 
-#: Code-version salt mixed into every cell key.  Bump the trailing
-#: schema number whenever a change alters what existing cell functions
-#: compute without changing their configs (the package version covers
-#: release-level changes).
-CODE_SALT = f"repro-{__version__}-exp3"
+def source_salt(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every ``*.py`` under
+    *root*, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                      .encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_salt() -> str:
+    """The code-version salt mixed into every cell key: the
+    :func:`source_salt` of the ``repro`` package, so any edit to its
+    source misses every entry the old source wrote.  Hashed on first
+    use, at most once per process."""
+    return source_salt(Path(__file__).resolve().parents[1])
 
 
 def default_cache_dir() -> Path:
@@ -73,9 +88,9 @@ class ResultCache:
     """
 
     def __init__(self, root: str | Path | None = None,
-                 salt: str = CODE_SALT) -> None:
+                 salt: str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.salt = salt
+        self.salt = code_salt() if salt is None else salt
         self.stats = CacheStats()
         self._warned = False
 

@@ -92,8 +92,8 @@ class CellError(RuntimeError):
             f"{type(cause).__name__}: {cause}"
         )
         if salt is None:
-            from repro.exp.cache import CODE_SALT
-            salt = CODE_SALT
+            from repro.exp.cache import code_salt
+            salt = code_salt()
         try:
             message += f"\n  cell key {cell.key(salt)[:12]}"
         except TypeError:

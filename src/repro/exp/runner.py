@@ -59,7 +59,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.exp.cache import CODE_SALT, ResultCache
+from repro.exp.cache import ResultCache, code_salt
 from repro.exp.cell import Cell, CellError, execute_cell
 
 
@@ -137,7 +137,6 @@ class Runner:
                  keep_going: bool = False) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.salt = cache.salt if cache is not None else CODE_SALT
         if timeout_s is not None and not timeout_s > 0:  # NaN fails too
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.timeout_s = timeout_s
@@ -145,6 +144,12 @@ class Runner:
         self.stats = RunnerStats()
         #: isolated failures (keep-going / quarantine), cumulative.
         self.errors: list[CellError] = []
+
+    @property
+    def salt(self) -> str:
+        """The cache's salt; without a cache, the code salt, hashed only
+        when a failed cell's :class:`CellError` names its key."""
+        return self.cache.salt if self.cache is not None else code_salt()
 
     def run(self, cells: Sequence[Cell]) -> list[Any]:
         """Execute *cells*, returning results in submission order.

@@ -79,6 +79,12 @@ def rank_error_bound(q: float, compression: int) -> float:
     return RANK_ERROR_FACTOR * spread / compression
 
 
+def _lerp(a: float, b: float, frac: float) -> float:
+    """``a + (b - a) * frac``, clamped between *a* and *b*: in floating
+    point the product can land one ULP past *b* at ``frac == 1``."""
+    return min(max(a + (b - a) * frac, min(a, b)), max(a, b))
+
+
 class QuantileSketch:
     """Fixed-size mergeable summary of a nonnegative sample stream.
 
@@ -196,16 +202,16 @@ class QuantileSketch:
         anchors = np.cumsum(weights) - weights / 2.0
         if target <= anchors[0]:
             span = max(anchors[0], 1e-12)
-            return self.minimum + (float(means[0]) - self.minimum) * (target / span)
+            return _lerp(self.minimum, float(means[0]), target / span)
         if target >= anchors[-1]:
             span = max(self.count - anchors[-1], 1e-12)
             frac = (target - anchors[-1]) / span
-            return float(means[-1]) + (self.maximum - float(means[-1])) * frac
+            return _lerp(float(means[-1]), self.maximum, frac)
         hi = int(np.searchsorted(anchors, target))
         lo = hi - 1
         span = max(anchors[hi] - anchors[lo], 1e-12)
         frac = (target - anchors[lo]) / span
-        return float(means[lo] + (means[hi] - means[lo]) * frac)
+        return _lerp(float(means[lo]), float(means[hi]), frac)
 
     def quantiles(self, qs: Sequence[float]) -> list[float]:
         return [self.quantile(q) for q in qs]

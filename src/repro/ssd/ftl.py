@@ -731,7 +731,7 @@ class Ftl:
         space).  A buffer this fills is drained by the caller's
         :meth:`_maybe_drain_pslc`: a full buffer is at or over any drain
         threshold."""
-        ppn, _ = self.pslc.stage_page(lpns)
+        ppn = self.pslc.stage_page(lpns)
         self.stats.pslc_staged_sectors += len(lpns)
         # Host data: counts as a host page even in the buffer.
         self.nand.program(ppn, lpn=lpns[0], oob=lpns)

@@ -64,24 +64,24 @@ class PslcBuffer:
     # Write path
     # ------------------------------------------------------------------
 
-    def stage_page(self, lpns: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    def stage_page(self, lpns: list[int]) -> int:
         """Stage up to one flash page worth of host sectors.
 
-        Returns ``(ppn, [(lpn, psa), ...])``: the caller programs *ppn*
-        once (with a full per-slot OOB record) and the index now maps
-        each LPN to its slot.  Staging whole pages keeps the buffer
-        recoverable after power loss.
+        Returns the *ppn* the caller programs once (with a full per-slot
+        OOB record); the index now maps ``lpns[i]`` to slot *i* of it.
+        Staging whole pages keeps the buffer recoverable after power
+        loss.
         """
         spp = self._spp
         if not lpns or len(lpns) > spp:
             raise ValueError(f"stage_page takes 1..{spp} sectors")
         ppn = self._allocate_page()
         index = self.index
-        psa = base = ppn * spp
+        psa = ppn * spp
         for lpn in lpns:
             index[lpn] = psa
             psa += 1
-        return ppn, list(zip(lpns, range(base, psa)))
+        return ppn
 
     def _allocate_page(self) -> int:
         """The next page round-robin over the blocks with space; raises

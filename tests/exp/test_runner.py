@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.exp import Cell, CellError, ResultCache, Runner, resolve_jobs
-from repro.exp.cache import CODE_SALT
+from repro.exp.cache import code_salt
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class TestCaching:
         fresh = Runner(jobs=1, cache=ResultCache(tmp_path))
         fresh.run(cells)
         assert fresh.stats.executed == 2
-        assert Runner(jobs=1).salt == fresh.salt == CODE_SALT
+        assert Runner(jobs=1).salt == fresh.salt == code_salt()
 
     def test_describe_mentions_cache(self, tmp_path):
         runner = Runner(jobs=1, cache=ResultCache(tmp_path))

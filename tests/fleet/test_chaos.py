@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exp import CODE_SALT, ResultCache, Runner
+from repro.exp import ResultCache, Runner, code_salt
 from repro.faults.plan import (
     DIE_OFFLINE,
     ERASE_FAIL,
@@ -277,12 +277,12 @@ class TestManifest:
         cache = ResultCache(tmp_path)
         cells = fleet_cells(spec, shards=2)
         assert len(cells) == 2
-        assert not any(cache.get(c.key(CODE_SALT))[0] for c in cells)
+        assert not any(cache.get(c.key(code_salt()))[0] for c in cells)
 
         first = Runner(jobs=1, cache=cache)
         devices = run_fleet_devices(spec, first, shards=2)
         assert (first.stats.executed, first.stats.cache_hits) == (2, 0)
-        assert all(cache.get(c.key(CODE_SALT))[0] for c in cells)
+        assert all(cache.get(c.key(code_salt()))[0] for c in cells)
 
         rerun = Runner(jobs=1, cache=cache)
         again = run_fleet_devices(spec, rerun, shards=2)
@@ -296,5 +296,5 @@ class TestManifest:
                           Runner(jobs=1, cache=cache), shards=2)
         for spec, shards in ((small_spec(devices=4, io_count=20), 4),
                              (small_spec(devices=6, io_count=20), 2)):
-            assert not any(cache.get(c.key(CODE_SALT))[0]
+            assert not any(cache.get(c.key(code_salt()))[0]
                            for c in fleet_cells(spec, shards=shards))

@@ -261,12 +261,9 @@ class PslcBufferPerSector:
                 self._cursor[block] = cursor + 1
                 ppn = block * g.pages_per_block + cursor
                 break
-        pairs = []
         for slot, lpn in enumerate(lpns):
-            psa = ppn * g.sectors_per_page + slot
-            self.index[lpn] = psa
-            pairs.append((lpn, psa))
-        return ppn, pairs
+            self.index[lpn] = ppn * g.sectors_per_page + slot
+        return ppn
 
     def invalidate(self, lpn: int) -> bool:
         return self.index.pop(lpn, None) is not None

@@ -104,9 +104,8 @@ class TestPslc:
 
     def test_stage_page_assigns_slots(self):
         buf = PslcBuffer(GEOM, [0, 1])
-        ppn, pairs = buf.stage_page([10, 11])
-        assert [lpn for lpn, _ in pairs] == [10, 11]
-        assert [psa for _, psa in pairs] == [ppn * 2, ppn * 2 + 1]
+        ppn = buf.stage_page([10, 11])
+        assert [buf.lookup(10), buf.lookup(11)] == [ppn * 2, ppn * 2 + 1]
 
     def test_stage_page_size_validated(self):
         buf = PslcBuffer(GEOM, [0])
@@ -117,11 +116,11 @@ class TestPslc:
 
     def test_lookup_and_overwrite(self):
         buf = PslcBuffer(GEOM, [0, 1])
-        _, pairs1 = buf.stage_page([42])
-        assert buf.lookup(42) == pairs1[0][1]
-        _, pairs2 = buf.stage_page([42])
-        assert buf.lookup(42) == pairs2[0][1]
-        assert pairs1[0][1] != pairs2[0][1]
+        first = buf.stage_page([42])
+        assert buf.lookup(42) == first * 2
+        second = buf.stage_page([42])
+        assert buf.lookup(42) == second * 2
+        assert first != second
 
     def test_invalidate(self):
         buf = PslcBuffer(GEOM, [0])

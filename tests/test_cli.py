@@ -165,6 +165,63 @@ class TestParser:
                 f"the device (") in captured.err
         assert not (tmp_path / "t.jsonl").exists()
 
+    #: every subcommand's parsed defaults (``fn`` and ``parser`` aside),
+    #: from the minimal argv: ``replay`` alone needs ``--trace``.
+    DEFAULTS = {
+        "presets": {"scale": 2},
+        "policies": {},
+        "simulate": {"preset": "mx500", "scale": 2, "seed": 42,
+                     "writes": 20000, "bs": 1, "pattern": "uniform"},
+        "trace": {"preset": "tiny", "scale": 2, "seed": 42, "writes": 4000,
+                  "bs": 1, "mode": "timed", "iodepth": 4,
+                  "out": "trace.jsonl"},
+        "replay": {"preset": "tiny", "scale": 2, "seed": 42,
+                   "trace": "t.csv", "time_scale": 1.0, "mode": "timed",
+                   "submission": "open", "iodepth": 1},
+        "engine": {"preset": "mqsim", "scale": 2, "seed": 42,
+                   "engines": ("lsm", "btree"), "mixes": ("a", "b", "c"),
+                   "alloc": "", "records": 0, "ops": 0, "value_sectors": 1,
+                   "iodepth": 1, "jobs": None, "no_cache": False},
+        "latency": {"preset": "mx500", "scale": 2, "seed": 42,
+                    "writes": 8000, "bs": 1, "iodepth": 4,
+                    "submission": "closed", "rate": 0.0,
+                    "arrival": "poisson", "jobs": None, "no_cache": False},
+        "nand-page": {"preset": "mx500", "scale": 2, "seed": 42},
+        "waf-study": {"preset": "mx500", "scale": 2, "seed": 42,
+                      "io_count": 12000, "jobs": None, "no_cache": False},
+        "fidelity": {"scale": 4, "io_count": 2000, "jobs": None,
+                     "no_cache": False},
+        "policy-grid": {"scale": 4, "io_count": 2000, "bs": 1, "gc": (),
+                        "cache": (), "alloc": (), "jobs": None,
+                        "no_cache": False},
+        "infer": {"seed": 42, "mode": "both"},
+        "transparency": {"points": 8, "seed": 42, "jobs": None,
+                         "no_cache": False},
+        "compression": {"regime": "high", "transactions": 3000},
+        "jtag-study": {"scale": 2},
+        "faultsweep": {"preset": "tiny", "scale": 2, "seed": 42,
+                       "ops": 2000, "strides": [1, 7, 31], "fault_rate": 0.0,
+                       "jobs": None, "no_cache": False},
+        "fleet": {"preset": "tiny", "scale": 2, "seed": 42, "devices": 256,
+                  "shards": None, "mix": "default", "io_count": 150,
+                  "rate_scale": 1.0, "campaign": "none", "afr": None,
+                  "keep_going": False, "timeout": None, "only": None,
+                  "jobs": None, "no_cache": False},
+        "probe-features": {"scale": 2, "cache_sectors": 128,
+                           "writes": 8000},
+    }
+
+    @pytest.mark.parametrize("command", ALL_SUBCOMMANDS)
+    def test_parsed_defaults(self, command):
+        """Each default, by value and type (``1.0`` is not ``1``)."""
+        argv = [command] + (["--trace", "t.csv"] if command == "replay"
+                            else [])
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed.pop("fn") and parsed.pop("parser")
+        expected = {"command": command, **self.DEFAULTS[command]}
+        assert ({k: (type(v), v) for k, v in parsed.items()}
+                == {k: (type(v), v) for k, v in expected.items()})
+
     def test_subcommand_list_is_complete(self):
         """ALL_SUBCOMMANDS mirrors the parser registry, so adding a
         subcommand without smoke coverage fails here."""
