@@ -12,8 +12,8 @@ Write path (sectors in, flash pages out)::
                     capacity) -> take_flush_batch (one eviction-policy
                     take) -> [pSLC buffer] -> data page
       per data page:  allocate -> program -> PROGRAM op -> block_valid bump
-        per sector:   map (dirty-TP lane inline, else MappingTable.update)
-                      -> stamp p2l/sector_valid -> invalidate owned old copy
+                      -> MappingTable.update_page (old PSAs, merged events)
+        per sector:   stamp p2l/sector_valid -> invalidate owned old copy
                   \\-> deferred mapping events -> dirty TP -> meta page
                   \\-> RAIN stripe accounting -> parity page
                   \\-> free-block pressure -> GC migrations
@@ -43,7 +43,7 @@ measure them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,7 +309,7 @@ class Ftl:
                 lpn = admitted_to
                 while len(pending) > capacity:
                     if has_pslc:
-                        self._flush_one_batch()
+                        self._commit_batch(take(spp))
                     else:
                         self._program_data_page(take(spp), "host", _HOST)
             return ops
@@ -322,7 +322,7 @@ class Ftl:
             if cache.insert(sector):
                 stats.cache_absorbed += 1
             while len(pending) > capacity:
-                self._flush_one_batch()
+                self._commit_batch(cache.take_flush_batch(self._spp))
         return ops
 
     def read(self, lpn: int, nsectors: int = 1) -> list[FlashOp]:
@@ -472,10 +472,10 @@ class Ftl:
     def flush(self) -> list[FlashOp]:
         """Drain the write cache and close open RAIN stripes."""
         self._ops = []
-        while self._staged:
+        if self._staged:
             self._flush_staged()
         while len(self.cache):
-            self._flush_one_batch()
+            self._commit_batch(self.cache.take_flush_batch(self._spp))
         if self.rain.flush():
             self._program_parity_page()
         return self._ops
@@ -490,34 +490,36 @@ class Ftl:
     # Write machinery
     # ------------------------------------------------------------------
 
-    def _flush_one_batch(self) -> None:
-        batch = self.cache.take_flush_batch(self._spp)
-        if not batch:
+    def _commit_batch(self, batch: list[int]) -> None:
+        """Commit one page's worth of host sectors (cache flush or bypass
+        staging): into the pSLC buffer while it has space, else onto a
+        main-area page, then drain buffer blocks while the buffer is at
+        or over its drain threshold (a full one is over any)."""
+        if not self._has_pslc:
+            self._program_data_page(batch, "host", _HOST)
             return
-        if self._has_pslc and self.pslc.has_space():
+        pslc = self.pslc
+        if pslc.has_space():
             self._stage_batch_in_pslc(batch)
         else:
-            self._program_data_page(batch, stream="host", reason=OpReason.HOST)
-        if self._has_pslc:
-            self._maybe_drain_pslc()
+            self._program_data_page(batch, "host", _HOST)
+        threshold = self.config.pslc_drain_threshold
+        while pslc.used_fraction() >= threshold and self._drain_pslc_block():
+            pass
 
     def _stage_direct(self, sector: int) -> None:
         """Cache-bypass path: collect sectors in a one-page staging
         buffer and program it the moment it fills."""
         self._staged.append(sector)
-        if len(self._staged) >= self.geometry.sectors_per_page:
+        if len(self._staged) >= self._spp:
             self._flush_staged()
 
     def _flush_staged(self) -> None:
-        spp = self.geometry.sectors_per_page
-        batch, self._staged = sorted(self._staged[:spp]), self._staged[spp:]
-        if not batch:
-            return
-        if self._has_pslc and self.pslc.has_space():
-            self._stage_batch_in_pslc(batch)
-        else:
-            self._program_data_page(batch, stream="host", reason=OpReason.HOST)
-        self._maybe_drain_pslc()
+        """Commit the bypass staging buffer (at most one page, since
+        :meth:`_stage_direct` flushes it the moment it fills)."""
+        batch = sorted(self._staged)
+        self._staged = []
+        self._commit_batch(batch)
 
     def _program_data_page(
         self, lpns: list[int], stream: str, reason: OpReason,
@@ -526,14 +528,14 @@ class Ftl:
         update all bookkeeping, mapping events included.  Migrations take
         :meth:`_migrate_sectors` instead.
 
-        One loop commits the page's sectors in slot order.  Each sector
-        is mapped, then its slot is stamped in ``p2l``/``sector_valid``,
-        then the ownership rule of :meth:`_invalidate_old_copy` clears
-        its old copy; ``block_valid`` takes one bump for the page.  This
-        equals an ``update()`` + stamp + invalidate sequence per sector:
-        ``update()`` never reads ``p2l``, and a repeated LPN's earlier
-        slot is stamped by the time its later slot's old copy (that
-        earlier slot) is checked."""
+        :meth:`MappingTable.update_page` maps the page's sectors; then
+        one loop, in slot order, stamps each slot in ``p2l``/
+        ``sector_valid`` and clears its old copy by the ownership rule of
+        :meth:`_invalidate_old_copy`; ``block_valid`` takes one bump for
+        the page.  This equals an ``update()`` + stamp + invalidate
+        sequence per sector: ``update()`` never reads ``p2l``, and a
+        repeated LPN's earlier slot is stamped by the time its later
+        slot's old copy (that earlier slot) is checked."""
         if self.allocator.planes_at_watermark:
             self._ensure_free_space()
         spp = self._spp
@@ -548,6 +550,15 @@ class Ftl:
         if self.obs.enabled:  # _emit's event, built here as on host reads
             self.obs.emit(FlashOpIssued("program", ppn, reason._value_,
                                         page_size, self._active_policy))
+        base = ppn * spp
+        # Mapping-eviction events come back merged and are applied only
+        # once every sector of the page is mapped and its old copy
+        # invalidated: applying them mid-page programs meta pages, whose
+        # allocation can trigger foreground GC while a later slot's old
+        # copy is still marked valid — GC would then migrate that
+        # superseded copy with a *newer* program sequence than the live
+        # data, and newest-wins recovery would resurrect stale sectors.
+        olds, events = self.mapping.update_page(lpns, base)
         p2l = self._p2l_view
         sector_valid = self._sector_valid_view
         block_valid = self._block_valid_view
@@ -556,50 +567,7 @@ class Ftl:
         # and a repeated LPN's later slot takes the earlier slot's copy
         # back out of it.
         block_valid[ppn // self._ppb] += len(lpns)
-        # MappingTable.update's already-dirty-TP lane runs inline (the
-        # LPN in range, its TP dirty, no checkpoint due; on a chunked map
-        # the TP's chunk is then resident and becomes the most recently
-        # used, as in update()); every other sector calls update()
-        # itself, looked up on the instance because perfbench wraps it
-        # there.  ``since`` runs ahead of the table's _since_sync by the
-        # inline updates, which are synced into it (and counted) around
-        # each such call.
-        mapping = self.mapping
-        l2p = mapping._l2p_view
-        dirty = mapping._dirty
-        resident = mapping._resident
-        tp_lpns = mapping.tp_lpns
-        chunk_lpns = mapping.chunk_lpns
-        sync_interval = mapping.sync_interval
-        num_lpns = mapping.num_lpns
-        since = mapping._since_sync
-        # Mapping-eviction events come back merged and are applied only
-        # once every sector of the page is mapped and its old copy
-        # invalidated: applying them mid-page programs meta pages, whose
-        # allocation can trigger foreground GC while a later slot's old
-        # copy is still marked valid — GC would then migrate that
-        # superseded copy with a *newer* program sequence than the live
-        # data, and newest-wins recovery would resurrect stale sectors.
-        pending_events: MappingEvents | None = None
-        psa = base = ppn * spp
-        for lpn in lpns:
-            if (0 <= lpn < num_lpns and since + 1 < sync_interval
-                    and (tp_id := lpn // tp_lpns) in dirty):
-                if chunk_lpns:
-                    resident.move_to_end(lpn // chunk_lpns)
-                dirty.move_to_end(tp_id)
-                old = l2p[lpn]
-                l2p[lpn] = psa
-                since += 1
-            else:
-                mapping.stats.updates += since - mapping._since_sync
-                mapping._since_sync = since
-                old, events = mapping.update(lpn, psa)
-                since = mapping._since_sync
-                if not events.empty:
-                    if pending_events is None:
-                        pending_events = MappingEvents()
-                    pending_events.merge(events)
+        for psa, (lpn, old) in enumerate(zip(lpns, olds), base):
             p2l[psa] = lpn
             sector_valid[psa] = True
             if (old != UNMAPPED and old != psa and p2l[old] == lpn
@@ -607,18 +575,10 @@ class Ftl:
                 sector_valid[old] = False
                 p2l[old] = P2L_NONE
                 block_valid[old // sectors_per_block] -= 1
-            psa += 1
-        mapping.stats.updates += since - mapping._since_sync
-        mapping._since_sync = since
         if self._has_pslc:
-            pslc_index = self.pslc.index
-            for psa, lpn in enumerate(lpns, base):
-                # A fresh main-area copy supersedes any pSLC-resident one.
-                pslc_psa = pslc_index.get(lpn)
-                if pslc_psa is not None and pslc_psa != psa:
-                    del pslc_index[lpn]
-        if pending_events is not None:
-            self._apply_mapping_events(pending_events)
+            self.pslc.discard(lpns)
+        if events is not None:
+            self._apply_mapping_events(events)
         if self.rain.on_data_page(ppn):
             self._program_parity_page()
 
@@ -728,21 +688,13 @@ class Ftl:
 
     def _stage_batch_in_pslc(self, lpns: list[int]) -> None:
         """Stage one page of host sectors in the buffer (which has
-        space).  A buffer this fills is drained by the caller's
-        :meth:`_maybe_drain_pslc`: a full buffer is at or over any drain
-        threshold."""
+        space).  A buffer this fills is drained by the caller,
+        :meth:`_commit_batch`."""
         ppn = self.pslc.stage_page(lpns)
         self.stats.pslc_staged_sectors += len(lpns)
         # Host data: counts as a host page even in the buffer.
         self.nand.program(ppn, lpn=lpns[0], oob=lpns)
         self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, _HOST, self._page_size)))
-
-    def _maybe_drain_pslc(self) -> None:
-        if not self._has_pslc:
-            return
-        while self.pslc.used_fraction() >= self.config.pslc_drain_threshold:
-            if not self._drain_pslc_block():
-                break
 
     def _drain_pslc_block(self) -> bool:
         block = self.pslc.pick_drain_block()
@@ -811,19 +763,8 @@ class Ftl:
             decision = self.leveler.pick_victim()
             if decision is None:
                 break
-            block = decision.victim_block
-            self._gc_in_flight.add(block)
-            self._in_gc = True
-            self._active_policy = self.leveler.policy
-            try:
-                self._migrate_block_contents(block, reason=OpReason.WEAR)
-                self.nand.erase(block)
-                self._emit(FlashOp(OpKind.ERASE, block, OpReason.WEAR))
-                self.allocator.release_block(block)
-            finally:
-                self._gc_in_flight.discard(block)
-                self._in_gc = False
-                self._active_policy = ""
+            self._reclaim_block(decision.victim_block, OpReason.WEAR,
+                                self.leveler.policy)
             self.stats.wear_migrations += 1
             done += 1
         return done
@@ -845,19 +786,44 @@ class Ftl:
         stale.sort(key=birth.item)
         done = 0
         for block in stale[:budget]:
-            self._gc_in_flight.add(block)
-            self._in_gc = True
-            try:
-                self._migrate_block_contents(block, reason=OpReason.REFRESH)
-                self.nand.erase(block)
-                self._emit(FlashOp(OpKind.ERASE, block, OpReason.REFRESH))
-                self.allocator.release_block(block)
-            finally:
-                self._gc_in_flight.discard(block)
-                self._in_gc = False
+            self._reclaim_block(block, OpReason.REFRESH, "")
             self.stats.refreshed_blocks += 1
             done += 1
         return done
+
+    def _reclaim_block(self, block: int, reason: OpReason,
+                       policy: str) -> bool:
+        """Migrate *block*'s live data out under *reason* and erase the
+        block — GC, wear levelling and refresh all reclaim a block this
+        way; *policy* labels the traffic's ``FlashOpIssued`` events.  An
+        injected erase failure retires the block instead (a grown bad
+        block, ``BlockRetired(cause="erase_fail")``).  Returns whether
+        the block was erased and released."""
+        migrated_before = self.stats.gc_migrated_sectors
+        self._gc_in_flight.add(block)
+        self._in_gc = True
+        self._active_policy = policy
+        try:
+            self._migrate_block_contents(block, reason)
+            if self.injector.erase_fails(block):
+                self.stats.blocks_retired += 1
+                self.allocator.retire_block(block)
+                if self.obs.enabled:
+                    self.obs.emit(BlockRetired(
+                        block=block, cause="erase_fail",
+                        migrated_sectors=(self.stats.gc_migrated_sectors
+                                          - migrated_before),
+                    ))
+                self._check_degradation("erase_fail")
+                return False
+            self.nand.erase(block)
+            self._emit(new_tuple(FlashOp, (_ERASE, block, reason, 0)))
+            self.allocator.release_block(block)
+            return True
+        finally:
+            self._gc_in_flight.discard(block)
+            self._in_gc = False
+            self._active_policy = ""
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -889,38 +855,17 @@ class Ftl:
 
     def _collect_block(self, victim: int, trigger: str = "foreground") -> None:
         self.stats.gc_invocations += 1
+        policy = self.selector.policy
         if self.obs.enabled:
             self.obs.emit(GcStarted(victim=victim,
                                     valid_sectors=self._block_valid_view[victim],
-                                    trigger=trigger,
-                                    policy=self.selector.policy))
+                                    trigger=trigger, policy=policy))
         migrated_before = self.stats.gc_migrated_sectors
         ops_before = len(self._ops)
         erased = False
-        self._gc_in_flight.add(victim)
-        self._in_gc = True
-        self._active_policy = self.selector.policy
         try:
-            self._migrate_block_contents(victim, reason=OpReason.GC)
-            if self.injector.erase_fails(victim):
-                self.stats.blocks_retired += 1
-                self.allocator.retire_block(victim)
-                if self.obs.enabled:
-                    self.obs.emit(BlockRetired(
-                        block=victim, cause="erase_fail",
-                        migrated_sectors=(self.stats.gc_migrated_sectors
-                                          - migrated_before),
-                    ))
-                self._check_degradation("erase_fail")
-                return
-            self.nand.erase(victim)
-            self._emit(new_tuple(FlashOp, (_ERASE, victim, OpReason.GC, 0)))
-            self.allocator.release_block(victim)
-            erased = True
+            erased = self._reclaim_block(victim, OpReason.GC, policy)
         finally:
-            self._gc_in_flight.discard(victim)
-            self._in_gc = False
-            self._active_policy = ""
             if self.obs.enabled:
                 self.obs.emit(GcFinished(
                     victim=victim,
@@ -1054,12 +999,7 @@ class Ftl:
             for psa in owned.tolist():
                 block_valid[psa // sectors_per_block] -= 1
         if self._has_pslc:
-            pslc_index = self.pslc.index
-            for psa, lpn in zip(psas.tolist(), lpns.tolist()):
-                # A fresh main-area copy supersedes any pSLC-resident one.
-                pslc_psa = pslc_index.get(lpn)
-                if pslc_psa is not None and pslc_psa != psa:
-                    del pslc_index[lpn]
+            self.pslc.discard(lpns.tolist())
         return last
 
     # ------------------------------------------------------------------

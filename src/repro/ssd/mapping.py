@@ -62,12 +62,13 @@ class MappingEvents:
         return not (self.flush_tps or self.load_tp_ppns or self.loaded_chunks)
 
 
-#: Shared no-metadata result returned by the lookup/update fast paths
-#: (every resident-chunk lookup among them).  Callers only read returned
-#: events (or merge them into their own accumulator), so one instance
-#: serves them all without a per-call allocation; its fields are empty
-#: tuples, so merging into it or appending to it raises instead of
-#: leaking ids into every later result.
+#: Shared no-metadata result returned by :meth:`MappingTable.lookup`
+#: (every lookup of a resident chunk or an unchunked map).  Callers
+#: only read returned events (or merge them into their own
+#: accumulator), so one instance serves them all without a per-call
+#: allocation; its fields are empty tuples, so merging into it or
+#: appending to it raises instead of leaking ids into every later
+#: result.
 EMPTY_EVENTS = MappingEvents((), (), ())
 
 
@@ -178,27 +179,6 @@ class MappingTable:
         """Map *lpn* to physical sector *psa*; returns (old_psa, events)."""
         self._check_lpn(lpn)
         self.stats.updates += 1
-        # Fast path: TP already dirty, no checkpoint due — exactly the
-        # case where the general path below would allocate two
-        # MappingEvents just to report "nothing happened".  This is the
-        # steady state of every sequential/looping write workload.  A
-        # dirty TP's chunk is resident (evicting a chunk flushes its
-        # dirty TPs), so on a chunked map the lane makes that chunk the
-        # most recently used, as the general path does.  The FTL's host
-        # page program runs this lane inline (Ftl._program_data_page):
-        # keep the two in step.
-        if self._since_sync + 1 < self.sync_interval:
-            tp_id = lpn // self.tp_lpns
-            dirty = self._dirty
-            if tp_id in dirty:
-                if self.chunk_lpns:
-                    self._resident.move_to_end(lpn // self.chunk_lpns)
-                dirty.move_to_end(tp_id)
-                l2p = self._l2p_view
-                old = l2p[lpn]
-                l2p[lpn] = psa
-                self._since_sync += 1
-                return old, EMPTY_EVENTS
         chunk_lpns = self.chunk_lpns
         if not chunk_lpns:
             events = MappingEvents()
@@ -219,6 +199,57 @@ class MappingTable:
         if self._since_sync >= self.sync_interval:
             events.merge(self.checkpoint())
         return old, events
+
+    def update_page(self, lpns: list[int], psa: int
+                    ) -> tuple[list[int], MappingEvents | None]:
+        """Map the sectors *lpns* of one page, in slot order, to the
+        consecutive physical sectors from *psa*.  Returns their old PSAs
+        and their merged events (None when there are none).
+
+        Equal in every effect to one :meth:`update` per sector.  A sector
+        whose TP is already dirty, with no checkpoint due, takes a lane
+        that allocates no events — the steady state of every sequential
+        or looping write workload: its TP (and, on a chunked map, its
+        chunk, resident because evicting a chunk flushes its dirty TPs)
+        becomes the most recently used, and the entry is swapped.  Every
+        other sector calls ``self.update``, looked up on the instance
+        because ``perfbench`` wraps it there; ``since`` runs ahead of
+        ``_since_sync`` by the lane's updates, which are synced into it
+        (and counted) around each such call."""
+        l2p = self._l2p_view
+        dirty = self._dirty
+        resident = self._resident
+        tp_lpns = self.tp_lpns
+        chunk_lpns = self.chunk_lpns
+        sync_interval = self.sync_interval
+        num_lpns = self.num_lpns
+        stats = self.stats
+        since = self._since_sync
+        olds: list[int] = []
+        append = olds.append
+        merged: MappingEvents | None = None
+        for psa, lpn in enumerate(lpns, psa):
+            if (0 <= lpn < num_lpns and since + 1 < sync_interval
+                    and (tp_id := lpn // tp_lpns) in dirty):
+                if chunk_lpns:
+                    resident.move_to_end(lpn // chunk_lpns)
+                dirty.move_to_end(tp_id)
+                append(l2p[lpn])
+                l2p[lpn] = psa
+                since += 1
+            else:
+                stats.updates += since - self._since_sync
+                self._since_sync = since
+                old, events = self.update(lpn, psa)
+                since = self._since_sync
+                append(old)
+                if not events.empty:
+                    if merged is None:
+                        merged = MappingEvents()
+                    merged.merge(events)
+        stats.updates += since - self._since_sync
+        self._since_sync = since
+        return olds, merged
 
     def trim(self, lpn: int) -> tuple[int, MappingEvents]:
         """Unmap one LPN (TRIM); dirties its TP like an update."""

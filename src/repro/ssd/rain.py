@@ -52,7 +52,7 @@ class RainAccountant:
     def on_data_page(self, ppn: int = -1) -> bool:
         """Record one data-page program; True when a parity page is due."""
         self.data_pages += 1
-        if not self.enabled:
+        if not self.stripe:
             return False
         if ppn >= 0:
             self._open_members.append(ppn)
@@ -67,7 +67,7 @@ class RainAccountant:
 
     def flush(self) -> bool:
         """Close a partial stripe (power-down path); True if parity due."""
-        if self.enabled and self._fill > 0:
+        if self.stripe and self._fill > 0:
             self._fill = 0
             self.parity_pages += 1
             self._pending.append(self._open_members)

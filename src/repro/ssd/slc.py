@@ -106,8 +106,16 @@ class PslcBuffer:
         return self.index.get(lpn)
 
     def invalidate(self, lpn: int) -> bool:
-        """Drop a buffered sector (overwritten via main path, or trimmed)."""
+        """Drop a buffered sector (trimmed); True if it was buffered."""
         return self.index.pop(lpn, None) is not None
+
+    def discard(self, lpns: list[int]) -> None:
+        """Drop the buffered copies of *lpns*, which now have a fresh
+        main-area copy (host page, drain page or migration): it
+        supersedes them."""
+        pop = self.index.pop
+        for lpn in lpns:
+            pop(lpn, None)
 
     # ------------------------------------------------------------------
     # Draining

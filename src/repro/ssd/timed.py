@@ -287,10 +287,18 @@ class TimedSSD:
 
     def _record(self, ops: list[FlashOp]) -> None:
         """Zero latency: attribute *ops* to SMART without scheduling
-        them (the scheduling pass does this for a timed device)."""
-        record = self.smart.record
+        them (the scheduling pass does this for a timed device).  As in
+        :meth:`_schedule_ops`, host page programs, the bulk of a write's
+        ops, are counted here, and ``record()`` takes the rest."""
+        smart = self.smart
+        record = smart.record
+        host_programs = 0
         for op in ops:
-            record(op)
+            if op.kind is _PROGRAM and op.reason is _HOST:
+                host_programs += 1
+            else:
+                record(op)
+        smart.host_program_pages += host_programs
 
     # ------------------------------------------------------------------
     # Host interface
@@ -340,17 +348,7 @@ class TimedSSD:
         else:
             raise ValueError(f"unknown request kind {kind!r}")
         if zero_latency:
-            # As in _schedule_ops: host page programs, the bulk of a
-            # write's ops, are counted here, and record() takes the rest.
-            smart = self.smart
-            record = smart.record
-            host_programs = 0
-            for op in ops:
-                if op.kind is _PROGRAM and op.reason is _HOST:
-                    host_programs += 1
-                else:
-                    record(op)
-            smart.host_program_pages += host_programs
+            self._record(ops)
             return new_tuple(CompletedRequest,
                              (kind, lba, nsectors, at_ns, at_ns))
 

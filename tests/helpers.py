@@ -182,7 +182,7 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
 
     The page is allocated (after the free-space check) and programmed;
     then each sector in slot order is mapped with :func:`update_general`
-    (the map's general body, with no fast lane),
+    (the map's general body, with no lane),
     stamped into ``p2l``/``sector_valid``/``block_valid`` and has its old
     copy cleared by ``Ftl._invalidate_old_copy``.  Superseded pSLC copies
     go next, then the sectors' merged mapping events, then the RAIN
@@ -336,11 +336,11 @@ def lookup_general(table, lpn):
 
 
 def update_general(table, lpn, psa):
-    """Reference for ``MappingTable.update`` (and ``trim``, with *psa*
-    ``UNMAPPED``): the general body with no fast lane and the chunk
-    residency written out (:func:`_residency_general`), so a chunk
-    load's reads come from a loop over ``tp_stored_ppn`` rather than
-    the table's load record.
+    """Reference for ``MappingTable.update`` (``trim``, with *psa*
+    ``UNMAPPED``; ``update_page``, one call per sector): the general
+    body with no already-dirty-TP lane and the chunk residency written
+    out (:func:`_residency_general`), so a chunk load's reads come from
+    a loop over ``tp_stored_ppn`` rather than the table's load record.
 
     Range check, count, residency, the map entry, the TP's dirty
     tracking, then the checkpoint when one is due.  Returns

@@ -12,7 +12,7 @@ from repro.flash.signals import render_samples
 from repro.flash.timing import profile
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.ops import FlashOp, OpKind, OpReason
-from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
+from repro.ssd.presets import evo840_like, mqsim_baseline, mx500_like, tiny
 from repro.ssd.recovery import recover_ftl
 from repro.ssd.timed import BackgroundPolicy, BusTap, CompletedRequest, TimedSSD
 from repro.workloads.engine import run_timed
@@ -444,3 +444,41 @@ def test_chunk_load_follows_moved_translation_pages():
     assert recovered.mapping.stored_ppn(3) != before
     assert _reload_chunk(recovered, 0)[:-1] == _expected_load(recovered, 0)
     recovered.check_invariants()
+
+
+@pytest.mark.parametrize("zero_latency, bound", [(True, 15.5), (False, 16.5)])
+def test_random_write_gc_call_count(zero_latency, bound):
+    """Python-level calls per random write in steady-state GC on the MX500
+    model (RAIN, unchunked map), counter and timed mode: half the LBA
+    space filled with 8-sector writes, then 1-, 2- and 8-sector writes
+    at random LBAs in that half, 20,000 of warm-up and 10,000 counted.
+    Each write is submitted when the previous one completes.  Counted
+    with ``sys.setprofile``, so independent of the machine."""
+    device = TimedSSD(mx500_like(2), zero_latency=zero_latency)
+    half = device.num_sectors // 2
+    submit = device.submit
+    at = 0
+    for lba in range(0, half, 8):
+        at = submit("write", lba, 8, at).complete_ns
+    rng = np.random.default_rng(5)
+    sizes = rng.choice([1, 2, 8], size=30_000).tolist()
+    lbas = [int(rng.integers(0, half - size + 1)) for size in sizes]
+    for lba, size in zip(lbas[:20_000], sizes[:20_000]):
+        at = submit("write", lba, size, at).complete_ns
+    gc_before = device.ftl.stats.gc_invocations
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for lba, size in zip(lbas[20_000:], sizes[20_000:]):
+            at = submit("write", lba, size, at).complete_ns
+    finally:
+        sys.setprofile(None)
+    # The window runs GC, so victim migration and erases are counted.
+    assert device.ftl.stats.gc_invocations - gc_before > 50
+    # 14.24 in counter mode and 14.84 timed here.
+    assert calls / 10_000 <= bound

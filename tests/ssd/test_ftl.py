@@ -575,8 +575,8 @@ def test_one_page_flush_call_count():
     # One call each: write, insert_run, the batch take and its policy
     # call, _program_data_page, the watermark property, the
     # programmable-page allocation and allocate_page with its plane
-    # lookup, program_fails, NandArray.program, and RAIN's count with its
-    # enabled property.  The base injector's no-op tick is skipped, and
+    # lookup, program_fails, NandArray.program, MappingTable.update_page
+    # and RAIN's count.  The base injector's no-op tick is skipped, and
     # the FlashOp is built without the NamedTuple's Python-level __new__.
     assert calls <= 13
 
@@ -613,8 +613,8 @@ def test_pslc_sequential_write_call_count():
     assert ftl.mapping.stats.updates - updates > 30_000
     assert ftl.mapping.stats.chunk_loads > loads
     # 46.8 here (246 before staging used slot arithmetic, draining a
-    # PSA-range filter and a resident chunk's sectors the inline map
-    # lane).  Two staged pages per write cost about 22 calls; a drain,
-    # about every 29 writes, moves 64 pages through the host page
-    # program.
+    # PSA-range filter and a resident chunk's sectors the map's
+    # already-dirty-TP lane).  Two staged pages per write cost about 22
+    # calls; a drain, about every 29 writes, moves 64 pages through the
+    # host page program.
     assert calls / 4_000 <= 50

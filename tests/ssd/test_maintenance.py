@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.flash.errors import FailureInjector
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import PageAllocator
@@ -12,7 +13,7 @@ from repro.ssd.ops import OpKind, OpReason
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
 from repro.ssd.wearlevel import WearLeveler
-from tests.helpers import record_ops
+from tests.helpers import ListSink, record_ops
 
 
 def churn(device_or_ftl, writes, seed=0):
@@ -177,6 +178,72 @@ class TestRefresh:
         churn(ftl, 1500, seed=7)
         ftl.idle_maintenance()
         assert ftl.stats.refreshed_blocks == 0
+
+
+class TestReclaimEraseFailures:
+    """Refresh and wear levelling reclaim a block as GC does: an
+    injected erase failure retires the block instead of erasing it."""
+
+    @staticmethod
+    def _fail_every_erase(ftl):
+        injector = FailureInjector(erase_fail_prob=1.0)
+        ftl.injector = injector
+        sink = ListSink()
+        ftl.attach_sink(sink)
+        return injector, sink
+
+    @staticmethod
+    def _assert_retired(ftl, sink, ops, blocks, reason):
+        retired = [e for e in sink.events if e.NAME == "block_retired"]
+        assert {e.cause for e in retired} == {"erase_fail"}
+        assert blocks <= {e.block for e in retired}
+        assert blocks <= ftl.allocator.retired_blocks
+        for block in blocks:
+            plane = ftl.allocator._plane_of_block(block)
+            assert block not in ftl.allocator._free_blocks[plane]
+        assert not [op for op in ops
+                    if op.kind is OpKind.ERASE and op.reason is reason]
+        ftl.check_invariants()
+
+    def test_refresh_retires_blocks_whose_erase_fails(self):
+        ftl = Ftl(tiny().with_changes(refresh_after_ops=500))
+        for lpn in range(0, ftl.num_lpns - 1, 2):
+            ftl.write(lpn, 2)
+        for _ in range(500):  # cache hits: the device ages, no block moves
+            ftl.write(0, 1)
+        ftl.flush()
+        injector, sink = self._fail_every_erase(ftl)
+        ops = ftl.idle_maintenance(4)
+        # Blocks whose live data was read out for a refresh.
+        ppb = ftl.geometry.pages_per_block
+        refreshed = {e.target // ppb for e in sink.events
+                     if e.NAME == "flash_op" and e.kind == "read"
+                     and e.reason == "refresh"}
+        # One idle-GC victim and three refreshed blocks; every erase is
+        # asked of the injector, the refreshes' included.
+        assert ftl.stats.idle_gc_blocks == 1
+        assert ftl.stats.refreshed_blocks == len(refreshed) == 3
+        assert injector.erase_failures == 4
+        assert ftl.stats.blocks_retired == 4
+        self._assert_retired(ftl, sink, ops, refreshed, OpReason.REFRESH)
+
+    def test_wear_levelling_retires_a_victim_whose_erase_fails(self):
+        ftl = Ftl(tiny().with_changes(wear_leveling=True,
+                                      wear_leveling_delta=4))
+        for lpn in range(64):  # cold data
+            ftl.write(lpn)
+        ftl.flush()
+        rng = np.random.default_rng(3)
+        for _ in range(6000):
+            ftl.write(64 + int(rng.integers(ftl.num_lpns - 64)))
+        ftl.flush()
+        assert ftl.leveler.should_level()
+        injector, sink = self._fail_every_erase(ftl)
+        ops = ftl.idle_maintenance(4)
+        victims = {e.victim for e in sink.events if e.NAME == "wear_rebalance"}
+        assert victims and ftl.stats.wear_migrations == len(victims)
+        assert injector.erase_failures == ftl.stats.blocks_retired
+        self._assert_retired(ftl, sink, ops, victims, OpReason.WEAR)
 
 
 class TestTimedIdle:

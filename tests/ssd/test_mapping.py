@@ -283,7 +283,8 @@ def test_silent_update_run_equals_per_sector_calls_property(runs):
 
 
 # ----------------------------------------------------------------------
-# lookup and update (their lanes and load records) against the general bodies
+# lookup, update and update_page (lookup's lane, update_page's lane and
+# the load records) against the general bodies
 # ----------------------------------------------------------------------
 
 def _residency_state(table):
@@ -298,7 +299,7 @@ _table_ops = st.lists(st.one_of(
     st.tuples(st.just("lookup"), _lpn),  # twice: lookups dominate
     st.tuples(st.just("update"), _lpn, st.integers(0, 5_000)),
     # a narrow window across two chunks: updates to an already dirty TP
-    # of a resident chunk (update's fast lane) are common
+    # of a resident chunk are common
     st.tuples(st.just("update"), st.integers(0, 40), st.integers(0, 5_000)),
     st.tuples(st.just("trim"), _lpn),
     st.tuples(st.just("checkpoint")),
@@ -310,9 +311,9 @@ _table_ops = st.lists(st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(ops=_table_ops, chunked=st.booleans(), resident=st.integers(1, 4),
        dirty=st.integers(1, 4), sync=st.sampled_from([3, 7, 10_000]))
-# The second update of TP 0 takes the fast lane on a chunked map, and
-# must make chunk 0 the most recently used again (chunk 1 is evicted by
-# the load of chunk 2, not chunk 0).
+# The second update of TP 0 (already dirty) on a chunked map must make
+# chunk 0 the most recently used again (chunk 1 is evicted by the load
+# of chunk 2, not chunk 0).
 @example(ops=[("update", 3, 70), ("lookup", 40), ("update", 4, 71),
               ("lookup", 70)], chunked=True, resident=2, dirty=4, sync=10_000)
 def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
@@ -355,11 +356,91 @@ def test_lookup_matches_general_body_property(ops, chunked, resident, dirty,
                 list(events.loaded_chunks))))
         assert outcomes[0] == outcomes[1], op
         assert _residency_state(fast) == _residency_state(reference)
-        # A dirty TP's chunk is resident: update's fast lane (and the
-        # FTL's inline copy of it) touches that chunk without a test.
+        # A dirty TP's chunk is resident: update_page's lane touches
+        # that chunk without a test.
         if chunked:
             assert {tp_id * 16 // 32 for tp_id in fast._dirty} <= set(
                 fast.resident_chunk_ids())
+
+
+def _page_state(table):
+    return (table.l2p.tolist(), list(table._dirty), table.resident_chunk_ids(),
+            table._since_sync, table.stats, table.tp_stored_ppn.tolist())
+
+
+_page_lpns = st.one_of(
+    st.lists(st.integers(-1, 192), min_size=1, max_size=8),
+    # one or two TPs of a resident chunk: the lane's already-dirty case
+    st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    # repeated LPNs within a page
+    st.lists(st.sampled_from([3, 4, 20]), min_size=2, max_size=8),
+)
+_page_ops = st.lists(st.one_of(
+    st.tuples(st.just("page"), _page_lpns),
+    st.tuples(st.just("page"), _page_lpns),  # twice: pages dominate
+    st.tuples(st.just("lookup"), st.integers(0, 191)),
+    st.tuples(st.just("lookup"), st.integers(0, 70)),  # the first chunks
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("note_flushed"), st.integers(0, 11),
+              st.integers(0, 5_000)),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_page_ops, chunked=st.booleans(), resident=st.integers(1, 4),
+       dirty=st.integers(1, 4), sync=st.sampled_from([3, 7, 10_000]))
+# The page's lane sectors run up to a checkpoint, which the fourth
+# sector's update() takes; the lane resumes after it.
+@example(ops=[("page", [0]), ("page", [1, 2, 3, 4, 5, 1])], chunked=True,
+         resident=2, dirty=2, sync=3)
+# The second page takes the lane and must make chunk 0 the most
+# recently used again.
+@example(ops=[("page", [3]), ("lookup", 40), ("page", [4])], chunked=True,
+         resident=2, dirty=4, sync=10_000)
+def test_update_page_matches_per_sector_updates_property(ops, chunked,
+                                                         resident, dirty,
+                                                         sync):
+    """``MappingTable.update_page`` equals ``update_general`` (the map's
+    body with no lane) per sector in slot order: the old PSAs, the
+    merged events (None when there are none), an out-of-range LPN's
+    error, and the map's state after each op."""
+    tables = [make(num_lpns=192, tp_lpns=16, dirty=dirty, sync=sync,
+                   chunk=32 if chunked else 0, resident=resident)
+              for _ in range(2)]
+    paged, reference = tables
+    psa = 0
+    for op in ops:
+        name, *args = op
+        if name == "page":
+            lpns = args[0]
+            try:
+                olds, events = paged.update_page(lpns, psa)
+                got = (olds, None if events is None else (
+                    list(events.flush_tps), list(events.load_tp_ppns),
+                    list(events.loaded_chunks)))
+            except IndexError as exc:
+                got = str(exc)
+            olds, events = [], MappingEvents()
+            try:
+                for slot, lpn in enumerate(lpns):
+                    old, sector_events = update_general(reference, lpn,
+                                                        psa + slot)
+                    olds.append(old)
+                    events.merge(sector_events)
+                want = (olds, None if events.empty else (
+                    events.flush_tps, events.load_tp_ppns,
+                    events.loaded_chunks))
+            except IndexError as exc:
+                want = str(exc)
+            assert got == want, op
+            psa += len(lpns)
+        elif name == "lookup":
+            assert paged.lookup(*args)[0] == lookup_general(reference,
+                                                            *args)[0]
+        else:
+            for table in tables:
+                getattr(table, name)(*args)
+        assert _page_state(paged) == _page_state(reference), op
 
 
 def test_silent_update_run_applies_nothing_after_an_out_of_range_lpn():
