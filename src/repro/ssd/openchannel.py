@@ -6,11 +6,10 @@ decisions, presenting an upper bound on the improvement potential for SSD
 transparency."
 
 :class:`OpenChannelSSD` exports the raw geometry and physical operations
-(program/read/erase) over the same channel/die resource timelines the
-black-box simulator uses — no firmware FTL, no hidden state.  The
-timelines are :class:`repro.sim.kernel.Resource` objects on a shared
-:class:`~repro.sim.kernel.Kernel`, the same substrate
-:class:`~repro.ssd.timed.TimedSSD` schedules onto.
+(program/read/erase) — no firmware FTL, no hidden state — and times
+each one through the :class:`~repro.ssd.timed.FlashTimeline` that
+:class:`~repro.ssd.timed.TimedSSD` schedules onto: one channel/die
+timing rule for both drives, on the same flash.
 
 :class:`HostFtl` is the host-side translation layer that the visibility
 enables (LightNVM/pblk-flavoured).  Its predictability comes from two
@@ -35,88 +34,45 @@ import numpy as np
 
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NO_LPN, NandArray
-from repro.flash.onfi import (
-    encode_erase,
-    encode_program,
-    encode_read,
-    operation_bus_ns,
-)
 from repro.flash.timing import TimingProfile, profile
 from repro.sim import Kernel
+from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.presets import mqsim_baseline
-from repro.ssd.timed import TimedSSD
-
-
-@dataclass(frozen=True)
-class RawCompletion:
-    """Completion of one raw physical operation."""
-
-    kind: str
-    target: int
-    start_ns: int
-    complete_ns: int
+from repro.ssd.timed import FlashTimeline, TimedSSD
 
 
 class OpenChannelSSD:
-    """Geometry-exposing device: raw ops on shared channel/die timelines."""
+    """Geometry-exposing device: raw ops timed by the same
+    :class:`~repro.ssd.timed.FlashTimeline` pass a black-box drive's
+    ops take.  Each raw op returns when it completes."""
 
     def __init__(self, geometry: Geometry, timing_name: str = "mlc") -> None:
         self.geometry = geometry
         self.timing: TimingProfile = profile(timing_name)
         self.nand = NandArray(geometry)
         self.kernel = Kernel()
-        self._dies = [self.kernel.resource(f"die/{i}")
-                      for i in range(geometry.dies_total)]
-        self._channels = [self.kernel.resource(f"channel/{i}")
-                          for i in range(geometry.channels)]
+        self.timeline = FlashTimeline(self.kernel, geometry, self.timing)
 
     @property
     def now(self) -> int:
         return self.kernel.now
 
     def program_page(self, ppn: int, at_ns: int,
-                     oob: tuple[int, ...] = ()) -> RawCompletion:
-        geometry, timing = self.geometry, self.timing
+                     oob: tuple[int, ...] = ()) -> int:
         self.nand.program(ppn, lpn=oob[0] if oob else int(NO_LPN), oob=oob or None)
-        die = self._dies[geometry.die_of_ppn(ppn)]
-        channel = self._channels[geometry.channel_of_ppn(ppn)]
-        onfi = encode_program(geometry, timing, geometry.address(ppn))
-        bus = operation_bus_ns(onfi, timing)
-        start = max(at_ns, channel.free_at, die.free_at)
-        bus_end = channel.hold(start, start + bus, requested_ns=at_ns)
-        end = die.hold(bus_end, bus_end + timing.program_ns, requested_ns=at_ns)
-        self.kernel.run_until(at_ns)
-        return RawCompletion("program", ppn, start, end)
+        return self._time(FlashOp(OpKind.PROGRAM, ppn, OpReason.HOST), at_ns)
 
-    def read_page(self, ppn: int, at_ns: int) -> RawCompletion:
-        geometry, timing = self.geometry, self.timing
-        die = self._dies[geometry.die_of_ppn(ppn)]
-        channel = self._channels[geometry.channel_of_ppn(ppn)]
-        onfi = encode_read(geometry, timing, geometry.address(ppn))
-        data_ns = timing.transfer_ns(geometry.page_size)
-        cmd_ns = operation_bus_ns(onfi, timing) - data_ns
-        start = max(at_ns, channel.free_at, die.free_at)
-        cmd_end = channel.hold(start, start + cmd_ns, requested_ns=at_ns)
-        array_end = die.hold(cmd_end, cmd_end + timing.read_ns,
-                             requested_ns=at_ns)
-        bus_start = max(array_end, channel.free_at)
-        end = channel.hold(bus_start, bus_start + data_ns,
-                           requested_ns=array_end)
-        self.kernel.run_until(at_ns)
-        return RawCompletion("read", ppn, start, end)
+    def read_page(self, ppn: int, at_ns: int) -> int:
+        return self._time(FlashOp(OpKind.READ, ppn, OpReason.HOST), at_ns)
 
-    def erase_block(self, block: int, at_ns: int) -> RawCompletion:
-        geometry, timing = self.geometry, self.timing
+    def erase_block(self, block: int, at_ns: int) -> int:
         self.nand.erase(block)
-        die = self._dies[geometry.die_of_block(block)]
-        channel = self._channels[geometry.channel_of_block(block)]
-        onfi = encode_erase(geometry, timing, geometry.block_address(block))
-        bus = operation_bus_ns(onfi, timing)
-        start = max(at_ns, channel.free_at, die.free_at)
-        bus_end = channel.hold(start, start + bus, requested_ns=at_ns)
-        end = die.hold(bus_end, bus_end + timing.erase_ns, requested_ns=at_ns)
+        return self._time(FlashOp(OpKind.ERASE, block, OpReason.HOST), at_ns)
+
+    def _time(self, op: FlashOp, at_ns: int) -> int:
+        end = self.timeline.schedule((op,), at_ns)
         self.kernel.run_until(at_ns)
-        return RawCompletion("erase", block, start, end)
+        return end
 
 
 @dataclass
@@ -198,7 +154,7 @@ class HostFtl:
         if psa < 0:
             return at_ns
         ppn = psa // self.geometry.sectors_per_page
-        return self.device.read_page(ppn, at_ns).complete_ns
+        return self.device.read_page(ppn, at_ns)
 
     # ------------------------------------------------------------------
 
@@ -206,7 +162,7 @@ class HostFtl:
         geometry = self.geometry
         spp = geometry.sectors_per_page
         ppn = self._allocate_page(stream)
-        completion = self.device.program_page(ppn, at_ns, oob=tuple(lpns))
+        complete = self.device.program_page(ppn, at_ns, oob=tuple(lpns))
         self.stats.programs += 1
         block = ppn // geometry.pages_per_block
         for slot, lpn in enumerate(lpns[:spp]):
@@ -218,7 +174,7 @@ class HostFtl:
             self.l2p[lpn] = psa
             self.p2l[psa] = lpn
             self.block_valid[block] += 1
-        return completion.complete_ns
+        return complete
 
     def _allocate_page(self, stream: str) -> int:
         geometry = self.geometry
@@ -291,8 +247,7 @@ class HostFtl:
                 complete = max(complete,
                                self._program_batch(batch, "gc", at_ns))
                 self.stats.gc_migrated_pages += 1
-            completion = self.device.erase_block(victim, at_ns)
-            complete = max(complete, completion.complete_ns)
+            complete = max(complete, self.device.erase_block(victim, at_ns))
             self.stats.erases += 1
             plane = victim // geometry.blocks_per_plane
             self._free[plane].append(victim)

@@ -14,8 +14,8 @@ completes at its submit time.  Write-amplification studies (Fig 4) run
 there, because op counts are all they read.
 
 Latency questions (the paper's Fig 3) need more than op counts: they need
-queueing.  A timed device schedules the FTL's op stream onto the
-device's two resource classes —
+queueing.  A timed device schedules the FTL's op stream through a
+:class:`FlashTimeline` onto the device's two resource classes —
 
 * **channels**, serializing command/data transfers of every package that
   shares the bus, and
@@ -25,7 +25,8 @@ device's two resource classes —
 :class:`~repro.sim.kernel.Kernel`: each resource holds the time it next
 becomes free, ops claim resources in FTL emission order, and a host
 request completes when the last op it *synchronously depends on*
-finishes.
+finishes.  The open-channel device times its raw ops through the same
+pass, so both drives follow one timing rule.
 
 Synchronicity model (this is what produces realistic write tails): a
 host write completes once its sectors are *admitted* to the RAM write
@@ -159,6 +160,188 @@ class BusTap:
         self.emitter.emit(onfi_op, start_ns)
 
 
+class FlashTimeline:
+    """The channel and die timelines of one flash array, and the one
+    pass that turns flash ops into time on them.
+
+    Both devices schedule through it: :class:`TimedSSD` with its SMART
+    counters, write-cache pool and :class:`BusTap`, and
+    :class:`~repro.ssd.openchannel.OpenChannelSSD` with none of them
+    (its timeline keeps SMART counters of its own and credits no cache).
+    """
+
+    def __init__(self, kernel: Kernel, geometry: Geometry,
+                 timing: TimingProfile, pslc_blocks=(),
+                 smart: SmartCounters | None = None,
+                 cache_pool: CapacityPool | None = None,
+                 bus_tap: BusTap | None = None) -> None:
+        self.kernel = kernel
+        self.geometry = geometry
+        self.timing = timing
+        self.smart = SmartCounters() if smart is None else smart
+        self.cache_pool = cache_pool
+        self.bus_tap = bus_tap
+        self.dies: list[Resource] = [kernel.resource(f"die/{i}")
+                                     for i in range(geometry.dies_total)]
+        self.channels: list[Resource] = [kernel.resource(f"channel/{i}")
+                                         for i in range(geometry.channels)]
+        #: where a block's ops run, fixed by the geometry: ``(die,
+        #: channel, array timing)`` per global block index.  Blocks
+        #: operated in pSLC mode program/erase at pSLC speed.
+        pslc_blocks = frozenset(pslc_blocks)
+        self.placement: list[tuple[Resource, Resource, TimingProfile]] = [
+            (self.dies[geometry.die_of_block(block)],
+             self.channels[geometry.channel_of_block(block)],
+             PSLC if block in pslc_blocks else timing)
+            for block in range(geometry.total_blocks)
+        ]
+        self._pages_per_block = geometry.pages_per_block
+        self._sectors_per_page = geometry.sectors_per_page
+        #: cached bus occupancy per op kind, keyed by payload length:
+        #: ONFI bus time depends only on cycle counts and payload length,
+        #: never on address values, so encoding once per shape is exact
+        #: (see _op_bus_ns).  Reads hold ``(cmd_ns, data_ns)``.
+        self._read_bus_ns: dict[int, tuple[int, int]] = {}
+        self._program_bus_ns: dict[int, int] = {}
+        self._erase_bus_ns: dict[int, int] = {}
+
+    def schedule(self, ops, earliest: int) -> int:
+        """Place *ops*, in emission order, on their channel/die
+        timelines, none starting before *earliest*; returns when the
+        last one finishes (*earliest* for an empty list).
+
+        One pass does everything an op needs: SMART attribution, the
+        resource claims, their ``resource_busy`` events when a sink is
+        attached, the ONFI cycles a :class:`BusTap` on the op's channel
+        sees, and — with a cache pool, for every host or pSLC program,
+        the programs that carry cached sectors out of RAM — the cache
+        release at the program's end.  An op's die, channel and array
+        timing are one index into the per-block placement table.  The
+        claims advance the :class:`~repro.sim.kernel.Resource` counters
+        in place and take bus occupancies from the per-shape caches;
+        only a tapped channel's ops are encoded one by one.
+        """
+        flash_done = earliest
+        smart = self.smart
+        placement = self.placement
+        pages_per_block = self._pages_per_block
+        read_bus_ns = self._read_bus_ns
+        read_pages = 0
+        obs = self.kernel.obs
+        emit = obs.emit if obs.enabled else None
+        tap = self.bus_tap
+        tapped = self.channels[tap.channel] if tap is not None else None
+        pool = self.cache_pool
+        for op in ops:
+            kind, target, reason, nbytes = op
+            die, channel, array_timing = placement[
+                target if kind is _ERASE else target // pages_per_block]
+            # ONFI: the controller cannot issue to a busy die or over a
+            # busy channel.  Every hold below therefore ends at or past
+            # its resource's free_at, which it simply replaces.
+            start = earliest
+            if channel.free_at > start:
+                start = channel.free_at
+            if die.free_at > start:
+                start = die.free_at
+            if channel is tapped:
+                # The probe sees the op from the instant its bus phase
+                # begins.
+                tap.observe(op, self.encode(op), start)
+            if kind is _READ:
+                read_pages += 1
+                ns = read_bus_ns.get(nbytes)
+                if ns is None:
+                    ns = read_bus_ns[nbytes] = self._op_bus_ns(op)
+                cmd_ns, data_ns = ns
+                array_ns = array_timing.read_ns
+                # Command cycles, array time (tR), data out.  Nothing
+                # else claims the channel in between, so the data moves
+                # the moment the array is done.
+                cmd_end = start + cmd_ns
+                array_end = cmd_end + array_ns
+                end = array_end + data_ns
+                channel.holds += 2
+                channel.busy_ns += cmd_ns + data_ns
+                channel.free_at = end
+                die.holds += 1
+                die.busy_ns += array_ns
+                die.free_at = array_end
+                if emit is not None:
+                    # ResourceBusy(resource, start_ns, busy_ns, wait_ns)
+                    emit(ResourceBusy(channel.name, start, cmd_ns,
+                                      start - earliest))
+                    emit(ResourceBusy(die.name, cmd_end, array_ns,
+                                      cmd_end - earliest))
+                    emit(ResourceBusy(channel.name, array_end, data_ns, 0))
+            else:
+                if kind is _PROGRAM:
+                    if reason is _HOST:
+                        smart.host_program_pages += 1
+                    else:
+                        smart.record(op)  # FTL page + its per-reason detail
+                    cache = self._program_bus_ns
+                    array_ns = array_timing.program_ns
+                else:
+                    smart.erase_count += 1
+                    cache = self._erase_bus_ns
+                    array_ns = array_timing.erase_ns
+                bus_ns = cache.get(nbytes)
+                if bus_ns is None:
+                    bus_ns = cache[nbytes] = self._op_bus_ns(op)
+                bus_end = start + bus_ns
+                end = bus_end + array_ns
+                channel.holds += 1
+                channel.busy_ns += bus_ns
+                channel.free_at = bus_end
+                die.holds += 1
+                die.busy_ns += array_ns
+                die.free_at = end
+                if emit is not None:
+                    emit(ResourceBusy(channel.name, start, bus_ns,
+                                      start - earliest))
+                    emit(ResourceBusy(die.name, bus_end, array_ns,
+                                      bus_end - earliest))
+                if (pool is not None and kind is _PROGRAM
+                        and (reason is _HOST or reason is _PSLC)):
+                    # The program carries cached sectors back out of RAM.
+                    pool.schedule_release(end, self._sectors_per_page)
+            if end > flash_done:
+                flash_done = end
+        smart.read_pages += read_pages
+        return flash_done
+
+    def _op_bus_ns(self, op: FlashOp) -> int | tuple[int, int]:
+        """Bus occupancy for ops shaped like *op*.
+
+        :func:`operation_bus_ns` sums per-cycle times, and the cycle
+        *list shape* (command + address counts, payload length) is fixed
+        per (kind, nbytes) — address byte values never change the total —
+        so encoding one representative op is exact for all of them.
+        Reads return ``(cmd_ns, data_ns)``: command cycles and data-out
+        occupy the channel on either side of the array busy time.
+        """
+        timing = self.timing
+        bus_ns = operation_bus_ns(self.encode(op), timing)
+        if op.kind is not _READ:
+            return bus_ns
+        data_ns = timing.transfer_ns(op.nbytes or self.geometry.page_size)
+        return (bus_ns - data_ns, data_ns)
+
+    def encode(self, op: FlashOp) -> OnfiOperation:
+        """*op* as its ONFI cycle list — the one place an op becomes bus
+        cycles, for the occupancy caches and the tap alike."""
+        geometry = self.geometry
+        timing = self.timing
+        if op.kind is _ERASE:
+            return encode_erase(geometry, timing,
+                                geometry.block_address(op.target))
+        addr = geometry.address(op.target)
+        if op.kind is _PROGRAM:
+            return encode_program(geometry, timing, addr, op.nbytes or None)
+        return encode_read(geometry, timing, addr, op.nbytes or None)
+
+
 class TimedSSD:
     """The FTL scheduled onto channel/die resources under a sim kernel,
     or — with *zero_latency* — run op by op with no timing at all."""
@@ -184,41 +367,14 @@ class TimedSSD:
         self._watch_power = injector is not None
         self.smart = SmartCounters()
         self.bus_tap = bus_tap
-        geometry = self.geometry
-        self._pages_per_block = geometry.pages_per_block
-        self._sectors_per_page = geometry.sectors_per_page
         self.obs: TraceSink = NULL_SINK
         self.kernel = Kernel()
-        self._dies: list[Resource] = [
-            self.kernel.resource(f"die/{i}")
-            for i in range(self.geometry.dies_total)
-        ]
-        self._channels: list[Resource] = [
-            self.kernel.resource(f"channel/{i}")
-            for i in range(self.geometry.channels)
-        ]
-        #: where a block's ops run, fixed by the geometry: ``(die,
-        #: channel, array timing)`` per global block index.  Blocks
-        #: operated in pSLC mode program/erase at pSLC speed.
-        pslc_blocks = frozenset(config.pslc_block_ids())
-        blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
-        blocks_per_channel = geometry.total_blocks // geometry.channels
-        self._placement: list[tuple[Resource, Resource, TimingProfile]] = [
-            (self._dies[block // blocks_per_die],
-             self._channels[block // blocks_per_channel],
-             PSLC if block in pslc_blocks else self.timing)
-            for block in range(geometry.total_blocks)
-        ]
-        #: cached bus occupancy per op kind, keyed by payload length:
-        #: ONFI bus time depends only on cycle counts and payload length,
-        #: never on address values, so encoding once per shape is exact
-        #: (see _op_bus_ns).  Reads hold ``(cmd_ns, data_ns)``.
-        self._read_bus_ns: dict[int, tuple[int, int]] = {}
-        self._program_bus_ns: dict[int, int] = {}
-        self._erase_bus_ns: dict[int, int] = {}
         # Write-cache admission state: sectors admitted occupy RAM until
         # the flush program that carries them completes on flash.
         self._cache_pool = CapacityPool(self.ftl.cache.capacity)
+        self._timeline = FlashTimeline(
+            self.kernel, self.geometry, self.timing, config.pslc_block_ids(),
+            self.smart, self._cache_pool, bus_tap)
         self._absorbed_seen = 0
         self._last_host_ns = 0
         self._background: Process | None = None
@@ -287,9 +443,10 @@ class TimedSSD:
 
     def _record(self, ops: list[FlashOp]) -> None:
         """Zero latency: attribute *ops* to SMART without scheduling
-        them (the scheduling pass does this for a timed device).  As in
-        :meth:`_schedule_ops`, host page programs, the bulk of a write's
-        ops, are counted here, and ``record()`` takes the rest."""
+        them (the timeline's pass does this for a timed device).  As in
+        :meth:`FlashTimeline.schedule`, host page programs, the bulk of
+        a write's ops, are counted here, and ``record()`` takes the
+        rest."""
         smart = self.smart
         record = smart.record
         host_programs = 0
@@ -352,7 +509,7 @@ class TimedSSD:
             return new_tuple(CompletedRequest,
                              (kind, lba, nsectors, at_ns, at_ns))
 
-        flash_done = self._schedule_ops(ops, at_ns, True) if ops else at_ns
+        flash_done = self._timeline.schedule(ops, at_ns) if ops else at_ns
         if kind == "write":
             complete = self._admit_write(at_ns, nsectors)
         else:
@@ -415,37 +572,40 @@ class TimedSSD:
         at_ns = self.now if at_ns is None else max(at_ns, self.now)
         self.kernel.run_until(at_ns)
         self._last_host_ns = at_ns
-        if self.zero_latency:
-            if self.obs.enabled:
-                self.obs.emit(HostRequest("flush", 0, 0))
-            self._record(self.ftl.flush())
-            return CompletedRequest("flush", 0, 0, at_ns, at_ns)
-        ops = self.ftl.flush()
-        complete = max(at_ns + self.controller_overhead_ns,
-                       self._schedule_ops(ops, at_ns))
-        request = CompletedRequest("flush", 0, 0, at_ns, complete)
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="flush", lba=0, nsectors=0,
-                                      submit_ns=at_ns,
-                                      latency_ns=request.latency_ns))
-        return request
+        if self.zero_latency and self.obs.enabled:
+            # As in submit: announced ahead of the FTL's events.
+            self.obs.emit(HostRequest("flush", 0, 0))
+        done = self._issue(self.ftl.flush(), at_ns)
+        if not self.zero_latency:
+            done = max(done, at_ns + self.controller_overhead_ns)
+        return self._completed("flush", at_ns, done)
 
     def shutdown(self, at_ns: int | None = None) -> CompletedRequest:
         """Clean power-down: flush data, checkpoint the map."""
         flushed = self.flush(at_ns)
+        if self.zero_latency and self.obs.enabled:
+            self.obs.emit(HostRequest("shutdown", 0, 0))
+        done = self._issue(self.ftl.checkpoint(), self.now)
+        return self._completed("shutdown", flushed.submit_ns,
+                               max(flushed.complete_ns, done))
+
+    def _completed(self, kind: str, at_ns: int, done: int) -> CompletedRequest:
+        """The finished drive command; a timed device emits its
+        ``host_request`` here, after the FTL's events."""
+        if self.obs.enabled and not self.zero_latency:
+            self.obs.emit(HostRequest(kind=kind, lba=0, nsectors=0,
+                                      submit_ns=at_ns,
+                                      latency_ns=done - at_ns))
+        return CompletedRequest(kind, 0, 0, at_ns, done)
+
+    def _issue(self, ops: list[FlashOp], at_ns: int) -> int:
+        """Account *ops* issued at *at_ns*: recorded on a zero-latency
+        device, scheduled on a timed one.  Returns when the last one
+        finishes (*at_ns* when none is timed)."""
         if self.zero_latency:
-            if self.obs.enabled:
-                self.obs.emit(HostRequest("shutdown", 0, 0))
-            self._record(self.ftl.checkpoint())
-            return flushed._replace(kind="shutdown")
-        complete = max(flushed.complete_ns,
-                       self._schedule_ops(self.ftl.checkpoint(), self.now))
-        request = CompletedRequest("shutdown", 0, 0, flushed.submit_ns, complete)
-        if self.obs.enabled:
-            self.obs.emit(HostRequest(kind="shutdown", lba=0, nsectors=0,
-                                      submit_ns=request.submit_ns,
-                                      latency_ns=request.latency_ns))
-        return request
+            self._record(ops)
+            return at_ns
+        return self._timeline.schedule(ops, at_ns)
 
     # ------------------------------------------------------------------
     # Background maintenance
@@ -460,11 +620,7 @@ class TimedSSD:
         zero-latency device)."""
         at_ns = self.now if at_ns is None else max(at_ns, self.now)
         self.kernel.run_until(at_ns)
-        ops = self.ftl.idle_maintenance(max_blocks)
-        if self.zero_latency:
-            self._record(ops)
-            return at_ns
-        return self._schedule_ops(ops, at_ns)
+        return self._issue(self.ftl.idle_maintenance(max_blocks), at_ns)
 
     def enable_background_maintenance(
         self, policy: BackgroundPolicy | None = None
@@ -499,7 +655,7 @@ class TimedSSD:
                 continue
             if self.kernel.horizon() > now:
                 continue  # flash still working; wait for a real gap
-            self._schedule_ops(self.ftl.idle_maintenance(policy.max_blocks), now)
+            self._issue(self.ftl.idle_maintenance(policy.max_blocks), now)
 
     def quiesce(self) -> int:
         """Advance time past all outstanding flash work and cache
@@ -516,144 +672,3 @@ class TimedSSD:
         self.kernel.run_until(horizon)
         self._cache_pool.release_due(horizon)
         return horizon
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-
-    def _schedule_ops(self, ops, earliest: int,
-                      release_cache: bool = False) -> int:
-        """Place *ops*, in emission order, on their channel/die
-        timelines, none starting before *earliest*; returns when the
-        last one finishes (*earliest* for an empty list).
-
-        One pass does everything an op needs: SMART attribution, the
-        resource claims, their ``resource_busy`` events when a sink is
-        attached, the ONFI cycles a :class:`BusTap` on the op's channel
-        sees, and — with *release_cache*, for the programs that carry
-        cached sectors out of RAM — the cache release at the program's
-        end.  An op's die, channel and array timing are one index into
-        the per-block placement table.  The claims advance the
-        :class:`~repro.sim.kernel.Resource` counters in place and take
-        bus occupancies from the per-shape caches; only a tapped
-        channel's ops are encoded one by one.
-        """
-        flash_done = earliest
-        smart = self.smart
-        placement = self._placement
-        pages_per_block = self._pages_per_block
-        read_bus_ns = self._read_bus_ns
-        read_pages = 0
-        obs = self.kernel.obs
-        emit = obs.emit if obs.enabled else None
-        tap = self.bus_tap
-        tapped = self._channels[tap.channel] if tap is not None else None
-        for op in ops:
-            kind, target, reason, nbytes = op
-            die, channel, array_timing = placement[
-                target if kind is _ERASE else target // pages_per_block]
-            # ONFI: the controller cannot issue to a busy die or over a
-            # busy channel.  Every hold below therefore ends at or past
-            # its resource's free_at, which it simply replaces.
-            start = earliest
-            if channel.free_at > start:
-                start = channel.free_at
-            if die.free_at > start:
-                start = die.free_at
-            if channel is tapped:
-                # The probe sees the op from the instant its bus phase
-                # begins.
-                tap.observe(op, self._encode(op), start)
-            if kind is _READ:
-                read_pages += 1
-                ns = read_bus_ns.get(nbytes)
-                if ns is None:
-                    ns = read_bus_ns[nbytes] = self._op_bus_ns(op)
-                cmd_ns, data_ns = ns
-                array_ns = array_timing.read_ns
-                # Command cycles, array time (tR), data out.  Nothing
-                # else claims the channel in between, so the data moves
-                # the moment the array is done.
-                cmd_end = start + cmd_ns
-                array_end = cmd_end + array_ns
-                end = array_end + data_ns
-                channel.holds += 2
-                channel.busy_ns += cmd_ns + data_ns
-                channel.free_at = end
-                die.holds += 1
-                die.busy_ns += array_ns
-                die.free_at = array_end
-                if emit is not None:
-                    # ResourceBusy(resource, start_ns, busy_ns, wait_ns)
-                    emit(ResourceBusy(channel.name, start, cmd_ns,
-                                      start - earliest))
-                    emit(ResourceBusy(die.name, cmd_end, array_ns,
-                                      cmd_end - earliest))
-                    emit(ResourceBusy(channel.name, array_end, data_ns, 0))
-            else:
-                if kind is _PROGRAM:
-                    if reason is _HOST:
-                        smart.host_program_pages += 1
-                    else:
-                        smart.record(op)  # FTL page + its per-reason detail
-                    cache = self._program_bus_ns
-                    array_ns = array_timing.program_ns
-                else:
-                    smart.erase_count += 1
-                    cache = self._erase_bus_ns
-                    array_ns = array_timing.erase_ns
-                bus_ns = cache.get(nbytes)
-                if bus_ns is None:
-                    bus_ns = cache[nbytes] = self._op_bus_ns(op)
-                bus_end = start + bus_ns
-                end = bus_end + array_ns
-                channel.holds += 1
-                channel.busy_ns += bus_ns
-                channel.free_at = bus_end
-                die.holds += 1
-                die.busy_ns += array_ns
-                die.free_at = end
-                if emit is not None:
-                    emit(ResourceBusy(channel.name, start, bus_ns,
-                                      start - earliest))
-                    emit(ResourceBusy(die.name, bus_end, array_ns,
-                                      bus_end - earliest))
-                if (release_cache and kind is _PROGRAM
-                        and (reason is _HOST or reason is _PSLC)):
-                    # This flush carries cached sectors back out of RAM.
-                    self._cache_pool.schedule_release(
-                        end, self._sectors_per_page)
-            if end > flash_done:
-                flash_done = end
-        smart.read_pages += read_pages
-        return flash_done
-
-    def _op_bus_ns(self, op: FlashOp) -> int | tuple[int, int]:
-        """Bus occupancy for ops shaped like *op*.
-
-        :func:`operation_bus_ns` sums per-cycle times, and the cycle
-        *list shape* (command + address counts, payload length) is fixed
-        per (kind, nbytes) — address byte values never change the total —
-        so encoding one representative op is exact for all of them.
-        Reads return ``(cmd_ns, data_ns)``: command cycles and data-out
-        occupy the channel on either side of the array busy time.
-        """
-        timing = self.timing
-        bus_ns = operation_bus_ns(self._encode(op), timing)
-        if op.kind is not _READ:
-            return bus_ns
-        data_ns = timing.transfer_ns(op.nbytes or self.geometry.page_size)
-        return (bus_ns - data_ns, data_ns)
-
-    def _encode(self, op: FlashOp) -> OnfiOperation:
-        """*op* as its ONFI cycle list — the one place an op becomes bus
-        cycles, for the occupancy caches and the tap alike."""
-        geometry = self.geometry
-        timing = self.timing
-        if op.kind is _ERASE:
-            return encode_erase(geometry, timing,
-                                geometry.block_address(op.target))
-        addr = geometry.address(op.target)
-        if op.kind is _PROGRAM:
-            return encode_program(geometry, timing, addr, op.nbytes or None)
-        return encode_read(geometry, timing, addr, op.nbytes or None)

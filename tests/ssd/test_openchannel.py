@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from repro.flash.nand import FlashViolation
+from repro.flash.onfi import (
+    encode_erase,
+    encode_program,
+    encode_read,
+    operation_bus_ns,
+)
+from repro.flash.timing import profile
 from repro.ssd.openchannel import HostFtl, OpenChannelSSD
 from repro.ssd.presets import mqsim_baseline
 
@@ -28,10 +35,9 @@ def churn(host, writes, region_fraction=0.8, seed=0):
 class TestOpenChannelDevice:
     def test_raw_program_and_read(self):
         device = OpenChannelSSD(CFG.geometry, CFG.timing_name)
-        completion = device.program_page(0, at_ns=0, oob=(7,))
-        assert completion.complete_ns >= device.timing.program_ns
-        read = device.read_page(0, at_ns=completion.complete_ns)
-        assert read.complete_ns > completion.complete_ns
+        programmed = device.program_page(0, at_ns=0, oob=(7,))
+        assert programmed >= device.timing.program_ns
+        assert device.read_page(0, at_ns=programmed) > programmed
         assert device.nand.page_lpn[0] == 7
 
     def test_raw_ops_respect_nand_rules(self):
@@ -42,11 +48,38 @@ class TestOpenChannelDevice:
         device.erase_block(0, at_ns=0)
         device.program_page(0, at_ns=0)
 
+    def test_raw_op_timing(self):
+        """On an idle die each raw op takes its bus cycles, then its
+        array time; a read's data-out follows tR."""
+        geometry = CFG.geometry
+        timing = profile(CFG.timing_name)
+        at = 5_000
+        device = OpenChannelSSD(geometry, CFG.timing_name)
+        programmed = device.program_page(0, at_ns=at)
+        assert programmed == at + _program_ns()
+        data_out = timing.transfer_ns(geometry.page_size)
+        command = operation_bus_ns(
+            encode_read(geometry, timing, geometry.address(0)), timing) - data_out
+        assert device.read_page(0, at_ns=programmed) == (
+            programmed + command + timing.read_ns + data_out)
+        erase_bus = operation_bus_ns(
+            encode_erase(geometry, timing, geometry.block_address(1)), timing)
+        fresh = OpenChannelSSD(geometry, CFG.timing_name)
+        assert fresh.erase_block(1, at_ns=at) == at + erase_bus + timing.erase_ns
+
     def test_die_serialization(self):
         device = OpenChannelSSD(CFG.geometry, CFG.timing_name)
         a = device.program_page(0, at_ns=0)
         b = device.program_page(1, at_ns=0)  # same block -> same die
-        assert b.start_ns >= a.complete_ns
+        assert a == _program_ns()
+        assert b == a + _program_ns()  # one program later
+
+
+def _program_ns() -> int:
+    """A page program on an idle die: its bus cycles, then tPROG."""
+    timing = profile(CFG.timing_name)
+    onfi = encode_program(CFG.geometry, timing, CFG.geometry.address(0))
+    return operation_bus_ns(onfi, timing) + timing.program_ns
 
 
 class TestHostFtl:

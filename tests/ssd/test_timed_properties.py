@@ -109,45 +109,67 @@ def test_placement_table_matches_geometry(make_device):
     config = device.config
     geometry = config.geometry
     pslc_blocks = set(config.pslc_block_ids())
-    assert len(device._placement) == geometry.total_blocks
-    for block, (die, channel, timing) in enumerate(device._placement):
+    timeline = device._timeline
+    assert len(timeline.placement) == geometry.total_blocks
+    for block, (die, channel, timing) in enumerate(timeline.placement):
         addr = geometry.block_address(block)
         die_index = geometry.die_index(addr)
-        assert die is device._dies[die_index]
+        assert die is timeline.dies[die_index]
         assert die.name == f"die/{die_index}"
-        assert channel is device._channels[addr.channel]
+        assert channel is timeline.channels[addr.channel]
         assert channel.name == f"channel/{addr.channel}"
         if block in pslc_blocks:
             assert timing is PSLC
         else:
             assert timing == profile(config.timing_name)
-    pslc_entries = sum(timing is PSLC for _, _, timing in device._placement)
+    pslc_entries = sum(timing is PSLC for _, _, timing in timeline.placement)
     assert pslc_entries == len(pslc_blocks)
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 200), writes=st.integers(100, 600))
 def test_counter_timed_smart_equivalence_property(seed, writes):
-    """Any request stream yields identical program/erase accounting in
-    both execution modes — they are the same FTL."""
+    """Any request stream yields identical SMART accounting in both
+    execution modes — they are the same FTL, and every drive command
+    (flush, idle maintenance, shutdown) accounts its ops one way."""
     config = tiny()
     counter = SimulatedSSD(config)
     timed = TimedSSD(config)
     rng = np.random.default_rng(seed)
-    for _ in range(writes):
+    for i in range(writes):
+        if i == writes // 2:
+            counter.flush()
+            timed.flush()
+        elif i == 3 * writes // 4:
+            counter.idle(max_blocks=2)
+            timed.idle(max_blocks=2)
         action = rng.random()
-        lba = int(rng.integers(counter.num_sectors))
+        size = int(rng.choice([1, 2, 8]))
+        lba = int(rng.integers(counter.num_sectors - size + 1))
         if action < 0.8:
-            counter.write_sectors(lba, 1)
-            timed.submit("write", lba, 1, at_ns=timed.now)
+            kind = "write"
         elif action < 0.9:
-            counter.read_sectors(lba, 1)
-            timed.submit("read", lba, 1, at_ns=timed.now)
+            kind = "read"
         else:
-            counter.trim_sectors(lba, 1)
-            timed.submit("trim", lba, 1, at_ns=timed.now)
-    counter.flush()
-    timed.flush()
-    assert counter.smart.host_program_pages == timed.smart.host_program_pages
-    assert counter.smart.ftl_program_pages == timed.smart.ftl_program_pages
-    assert counter.smart.erase_count == timed.smart.erase_count
+            kind = "trim"
+        getattr(counter, f"{kind}_sectors")(lba, size)
+        timed.submit(kind, lba, size, at_ns=timed.now)
+    counter.shutdown()
+    timed.shutdown()
+    assert counter.smart_snapshot() == timed.smart_snapshot()
+
+
+def test_zero_latency_background_maintenance_records_its_ops():
+    """Left idle, a churned counter-mode drive's background process
+    runs maintenance every round and schedules nothing: its ops are
+    recorded, so no resource is held and the flash never looks busy."""
+    device = SimulatedSSD(tiny())
+    rng = np.random.default_rng(0)
+    for _ in range(3 * device.num_sectors):
+        device.write_sectors(int(rng.integers(device.num_sectors)), 1)
+    device.enable_background_maintenance()
+    erases = device.smart.erase_count
+    device.now = device.now + 50_000_000
+    assert device.smart.erase_count - erases > 8
+    assert all(resource.holds == 0
+               for resource in device.kernel.resources.values())
