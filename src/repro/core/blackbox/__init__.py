@@ -9,13 +9,12 @@ from repro.core.blackbox.waf import (
     WafStudy,
     WorkloadWaf,
     default_jobs,
-    prime,
     run_waf_study,
 )
 
 __all__ = [
     "sequential_write_sweep", "NandPageEstimate", "SweepPoint",
-    "run_waf_study", "WafStudy", "WorkloadWaf", "default_jobs", "prime",
+    "run_waf_study", "WafStudy", "WorkloadWaf", "default_jobs",
 ]
 
 from repro.core.blackbox.ssdcheck import (  # noqa: E402

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from repro.exp.cell import Cell
 from repro.exp.runner import Runner
 from repro.ssd.config import SsdConfig
-from repro.ssd.timed import TimedSSD
-from repro.workloads.engine import run_counter
+from repro.workloads.engine import precondition, run_counter
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
 
@@ -87,16 +86,6 @@ def default_jobs(num_sectors: int, io_count: int = 24_000) -> list[JobSpec]:
     ]
 
 
-def prime(device: TimedSSD, fraction: float = 0.6) -> None:
-    """Put the drive in its 'priming stage': sequentially fill a portion
-    of the LBA space so the FTL has mapped state but little GC debt."""
-    sectors = int(device.num_sectors * fraction)
-    step = 8
-    for lba in range(0, sectors, step):
-        device.write_sectors(lba, min(step, sectors - lba))
-    device.flush()
-
-
 @dataclass(frozen=True)
 class WafCellSpec:
     """One run of the Fig 4b protocol: prime a fresh device, then run
@@ -114,7 +103,10 @@ def measure_waf_cell(spec: WafCellSpec, seed: int = 0) -> WorkloadWaf:
     from repro.ssd.device import SimulatedSSD
 
     device = SimulatedSSD(spec.config)
-    prime(device, spec.prime_fraction)
+    # The 'priming stage': a sequential fill gives the FTL mapped state
+    # but little GC debt.
+    precondition(device, spec.prime_fraction)
+    device.flush()
     before = device.smart_snapshot()
     run_counter(device, list(spec.jobs))
     delta = device.smart.delta(before)

@@ -113,16 +113,20 @@ class Debugger:
 
     def find_strings(self, addr: int, length: int, min_len: int = 6) -> list[str]:
         """ASCII strings in a memory region (`strings(1)` over JTAG)."""
-        blob = self.dump(addr, length)
-        out = []
-        current = bytearray()
-        for byte in blob:
-            if 0x20 <= byte < 0x7F:
-                current.append(byte)
-            else:
-                if len(current) >= min_len:
-                    out.append(current.decode())
-                current = bytearray()
-        if len(current) >= min_len:
-            out.append(current.decode())
-        return out
+        return ascii_strings(self.dump(addr, length), min_len)
+
+
+def ascii_strings(blob: bytes, min_len: int = 6) -> list[str]:
+    """Runs of at least *min_len* printable ASCII bytes in *blob*, in
+    order (what `strings(1)` prints)."""
+    out, current = [], bytearray()
+    for byte in blob:
+        if 0x20 <= byte < 0x7F:
+            current.append(byte)
+        else:
+            if len(current) >= min_len:
+                out.append(current.decode())
+            current = bytearray()
+    if len(current) >= min_len:
+        out.append(current.decode())
+    return out

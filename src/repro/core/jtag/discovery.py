@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.jtag.dap import JtagProbe
-from repro.core.jtag.debugger import Debugger
+from repro.core.jtag.debugger import Debugger, ascii_strings
 from repro.ssd.firmware.builder import parse_image
 from repro.ssd.firmware.isa import Op, disassemble, find_pointer_loads
 from repro.ssd.firmware.obfuscation import deobfuscate
@@ -99,7 +99,7 @@ def analyze_update_file(update_file: bytes) -> FirmwareAnalysis:
                 lsb_sections.append(section.name)
             hash_idioms.extend(_find_hash_idioms(section.name, lines))
         else:
-            strings.extend(_ascii_strings(section.data))
+            strings.extend(ascii_strings(section.data))
     return FirmwareAnalysis(
         keystream_period=guess.period,
         keystream_confidence=guess.confidence,
@@ -143,20 +143,6 @@ def _find_hash_idioms(section: str, lines) -> list[HashIdiom]:
                 and c.imm & (c.imm + 1) == 0 and c.imm > 0):
             found.append(HashIdiom(section, shift=a.imm, mask=c.imm))
     return found
-
-
-def _ascii_strings(blob: bytes, min_len: int = 6) -> list[str]:
-    out, current = [], bytearray()
-    for byte in blob:
-        if 0x20 <= byte < 0x7F:
-            current.append(byte)
-        else:
-            if len(current) >= min_len:
-                out.append(current.decode())
-            current = bytearray()
-    if len(current) >= min_len:
-        out.append(current.decode())
-    return out
 
 
 # ----------------------------------------------------------------------

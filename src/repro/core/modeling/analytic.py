@@ -30,6 +30,7 @@ import numpy as np
 from repro.flash.geometry import Geometry
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SimulatedSSD
+from repro.workloads.engine import precondition
 
 
 def waf_random_gc(utilization: float) -> float:
@@ -108,8 +109,9 @@ def measure_steady_waf(
 
     Metadata traffic is configured away and the reported utilization is
     the *effective* one — logical sectors over the capacity the FTL can
-    actually circulate (excluding open blocks and the GC reserve), since
-    the analytic models assume no such overheads.
+    actually circulate (``SsdConfig.circulating_sectors``: no open
+    blocks or GC reserve), since the analytic models assume no such
+    overheads.
     """
     config = SsdConfig(
         geometry=_MODEL_GEOMETRY,
@@ -126,22 +128,14 @@ def measure_steady_waf(
     rng = np.random.default_rng(seed)
     geometry = config.geometry
     capacity = geometry.total_pages * geometry.sectors_per_page
-    for _ in range(int(capacity * warmup_multiple)):
-        device.write_sectors(int(rng.integers(device.num_sectors)), 1)
+    precondition(device, overwrites=int(capacity * warmup_multiple), rng=rng)
     before = device.smart_snapshot()
     for _ in range(measure_writes):
         device.write_sectors(int(rng.integers(device.num_sectors)), 1)
     delta = device.smart.delta(before)
     host = max(1, delta.host_program_pages)
     waf = 1.0 + (delta.gc_program_pages / host)
-    # Effective circulating capacity: total minus open blocks and the
-    # per-plane GC reserve.
-    reserved_blocks = geometry.planes_total * (
-        config.gc_high_water_blocks + len(("host", "gc", "meta"))
-    )
-    sectors_per_block = geometry.pages_per_block * geometry.sectors_per_page
-    effective_capacity = capacity - reserved_blocks * sectors_per_block
-    utilization = device.ftl.num_lpns / effective_capacity
+    utilization = config.logical_sectors / config.circulating_sectors
     return SteadyWafMeasurement(
         utilization=utilization,
         waf_gc=waf,

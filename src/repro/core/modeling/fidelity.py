@@ -33,7 +33,7 @@ from repro.exp.runner import Runner
 from repro.obs.summary import BucketAttribution, attribute_latencies
 from repro.ssd.config import SsdConfig
 from repro.ssd.timed import TimedSSD
-from repro.workloads.engine import run_timed
+from repro.workloads.engine import precondition, run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
 
@@ -170,7 +170,13 @@ def measure_fidelity_cell(spec: FidelityCellSpec,
     embarrassingly parallel.
     """
     device = TimedSSD(spec.config)
-    _precondition(device, spec.precondition_fraction)
+    # A sequential fill, then random overwrites of a quarter of it, to
+    # reach GC steady state.
+    filled = int(device.num_sectors * spec.precondition_fraction)
+    precondition(device, spec.precondition_fraction, filled // 4,
+                 np.random.default_rng(3))
+    device.flush()
+    device.quiesce()
     job = JobSpec(
         name=f"{spec.variant}/bs{spec.bs_sectors}",
         rw="randwrite",
@@ -240,17 +246,3 @@ def run_fidelity_study(
         for spec in specs
     ]
     return FidelityStudy((runner or Runner(jobs=1)).run(cells))
-
-
-def _precondition(device: TimedSSD, fraction: float, seed: int = 3) -> None:
-    """Sequential fill + random overwrites to reach GC steady state."""
-    rng = np.random.default_rng(seed)
-    sectors = int(device.num_sectors * fraction)
-    step = 8
-    for lba in range(0, sectors, step):
-        device.submit("write", lba, min(step, sectors - lba), at_ns=device.now)
-    for _ in range(sectors // 4):
-        lba = int(rng.integers(sectors))
-        device.submit("write", lba, 1, at_ns=device.now)
-    device.flush()
-    device.quiesce()

@@ -48,7 +48,6 @@ from repro.faults.plan import (
 from repro.flash.errors import FailureInjector
 from repro.flash.geometry import Geometry
 from repro.fleet.spec import FleetSpec, derive_seed
-from repro.ssd.config import SsdConfig
 
 #: RNG stream constant for campaign draws — dedicated, so campaign
 #: decisions can never perturb workload or fault-plan streams.
@@ -154,17 +153,6 @@ CAMPAIGNS = {
 }
 
 
-def initial_spare_blocks(config: SsdConfig) -> int:
-    """Spare-pool size of a fresh device (mirrors ``Ftl.spare_blocks``
-    before any retirement): total blocks minus pSLC-excluded minus the
-    logical-capacity footprint."""
-    geometry = config.geometry
-    sectors_per_block = geometry.sectors_per_page * geometry.pages_per_block
-    data_blocks = -(-config.logical_sectors // sectors_per_block)  # ceil
-    return (geometry.total_blocks - len(config.pslc_block_ids())
-            - data_blocks)
-
-
 def device_fault_plan(spec: FleetSpec, device_index: int) -> FaultPlan:
     """Lower the fleet's campaign to one device's frozen fault plan.
 
@@ -213,7 +201,7 @@ def device_fault_plan(spec: FleetSpec, device_index: int) -> FaultPlan:
         # program/erase failures retire blocks; bound the firings so the
         # spare pool crosses the read-only threshold without being run
         # all the way to OutOfSpace mid-write.
-        spares = initial_spare_blocks(config)
+        spares = config.spare_blocks_at_birth
         count = max(1, spares - campaign.spare_blocks_min + 1
                     + campaign.retire_margin)
         spec_ = FaultSpec(kind, at_op=at_op, count=count)

@@ -94,7 +94,7 @@ class BlackboxInference:
             designation)
         return designation, cap
 
-    def infer_cache_admission(self) -> str:
+    def infer_cache_admission(self) -> tuple[str, int]:
         device = self._smart_device()
         before = device.smart.snapshot()
         for _ in range(_ADMISSION_WRITES):
@@ -108,7 +108,7 @@ class BlackboxInference:
         self.loop.record("hypothesize", "cache.admission",
                          "absorbed rewrites program almost nothing",
                          admission)
-        return admission
+        return admission, pages
 
     def infer_cache_eviction(self, designation: str, admission: str,
                              cache_sectors: int) -> str | None:
@@ -257,7 +257,7 @@ class BlackboxInference:
         recovered: dict[str, str | None] = dict.fromkeys(KNOBS)
         designation, cap = self.infer_cache_designation()
         recovered["cache_designation"] = designation
-        recovered["cache_admission"] = self.infer_cache_admission()
+        recovered["cache_admission"], _ = self.infer_cache_admission()
         recovered["cache_eviction"] = self.infer_cache_eviction(
             designation, recovered["cache_admission"], cap)
         recovered["allocation"] = self.infer_allocation()

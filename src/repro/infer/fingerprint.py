@@ -42,15 +42,7 @@ def probe_fingerprint(config: SsdConfig) -> Fingerprint:
     observables (no hypothesis step — just what the bench sees)."""
     bench = BlackboxInference(config, ToolLoop("fingerprint"))
     designation, cap = bench.infer_cache_designation()
-    admission = bench.infer_cache_admission()
-
-    device = bench._smart_device()
-    before = device.smart.snapshot()
-    for _ in range(64):
-        device.write_sectors(0, 1)
-    device.flush()
-    admission_pages = device.smart.delta(before).host_program_pages
-
+    admission, admission_pages = bench.infer_cache_admission()
     eviction = bench.infer_cache_eviction(designation, admission, cap)
     ram_hit = None if eviction is None else (eviction == "lru")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.flash.geometry import Geometry
 from repro.flash.timing import PROFILES
+from repro.ssd.allocation import STREAMS
 from repro.ssd.policy import (
     allocation_policies,
     cache_admission_policies,
@@ -22,20 +23,6 @@ from repro.ssd.policy import (
     victim_policies,
     wear_policies,
 )
-
-#: GC victim-selection policies (registered in :mod:`repro.ssd.policy.victim`).
-GC_POLICIES = victim_policies.names()
-
-#: Write-cache designations (the Fig 3 "write cache designation" knob).
-CACHE_DESIGNATIONS = cache_designations.names()
-
-#: Page-allocation orderings over Channel / Way / Die / Plane, plus
-#: named policies such as the stream-separating ``hotcold``.
-ALLOCATION_SCHEMES = allocation_policies.names()
-
-#: Intra-SSD compression schemes (Fig 2); these live in their own modeled
-#: log path (:mod:`repro.ssd.compression`), not in the sector-granularity FTL.
-COMPRESSION_SCHEMES = ("none", "fixed", "compact", "chunk4", "re-bp32")
 
 
 @dataclass(frozen=True)
@@ -205,6 +192,32 @@ class SsdConfig:
         usable = self.geometry.capacity_bytes - self.pslc_reserved_bytes
         exported = int(usable * (1.0 - self.op_ratio))
         return exported // self.geometry.sector_size
+
+    @property
+    def spare_blocks_at_birth(self) -> int:
+        """Blocks beyond those strictly needed to hold logical capacity
+        on a fresh device: total minus pSLC minus the data footprint.
+        Grown bad blocks eat this pool (``Ftl.spare_blocks``)."""
+        geometry = self.geometry
+        sectors_per_block = geometry.sectors_per_page * geometry.pages_per_block
+        data_blocks = -(-self.logical_sectors // sectors_per_block)  # ceil
+        return geometry.total_blocks - self.pslc_blocks - data_blocks
+
+    @property
+    def circulating_sectors(self) -> int:
+        """Sectors the FTL can circulate host data through: the main
+        blocks less each plane's GC reserve (``gc_high_water_blocks``)
+        and open blocks (one per stream), times the RAIN data fraction."""
+        geometry = self.geometry
+        streams = len(STREAMS) + len(
+            allocation_policies.resolve(self.allocation_scheme)().extra_streams)
+        blocks = (geometry.total_blocks - self.pslc_blocks
+                  - geometry.planes_total
+                  * (self.gc_high_water_blocks + streams))
+        sectors = blocks * geometry.sectors_per_page * geometry.pages_per_block
+        if self.rain_stripe:
+            return sectors * self.rain_stripe // (self.rain_stripe + 1)
+        return sectors
 
     @property
     def logical_bytes(self) -> int:

@@ -650,16 +650,10 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def spare_blocks(self) -> int:
-        """Blocks beyond those strictly needed to hold logical capacity:
-        total minus excluded (pSLC), retired (grown bad), and the data
-        footprint.  This is the pool grown bad blocks consume."""
-        geometry = self.geometry
-        sectors_per_block = geometry.sectors_per_page * geometry.pages_per_block
-        data_blocks = -(-self.num_lpns // sectors_per_block)  # ceil
-        usable = (geometry.total_blocks
-                  - len(self.allocator.excluded_blocks)
-                  - len(self.allocator.retired_blocks))
-        return usable - data_blocks
+        """The config's spare pool at birth less the retired (grown
+        bad) blocks: the pool grown bad blocks consume."""
+        return (self.config.spare_blocks_at_birth
+                - len(self.allocator.retired_blocks))
 
     def _check_degradation(self, cause: str) -> None:
         """Enter terminal read-only mode when retirement has eaten the

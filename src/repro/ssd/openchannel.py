@@ -94,7 +94,7 @@ class HostFtl:
     def __init__(
         self,
         device: OpenChannelSSD,
-        op_ratio: float = 0.12,
+        logical_sectors: int,
         gc_low_water_blocks: int = 3,
         gc_step_pages: int = 1,
     ) -> None:
@@ -102,8 +102,8 @@ class HostFtl:
         geometry = device.geometry
         self.geometry = geometry
         spp = geometry.sectors_per_page
-        self.num_lpns = int(geometry.capacity_bytes * (1 - op_ratio)
-                            ) // geometry.sector_size
+        #: the sectors it exports (a config's ``logical_sectors``).
+        self.num_lpns = logical_sectors
         self.l2p = np.full(self.num_lpns, -1, dtype=np.int64)
         self.p2l = np.full(geometry.total_pages * spp, -1, dtype=np.int64)
         self.block_valid = np.zeros(geometry.total_blocks, dtype=np.int32)
@@ -300,7 +300,7 @@ def run_upper_bound_study() -> UpperBoundStudy:
     single-sector random writes — once through the firmware FTL, once
     through a :class:`HostFtl` with the drive's over-provisioning."""
     # The engine imports this package: import it at call time.
-    from repro.workloads.engine import run_timed
+    from repro.workloads.engine import precondition, run_timed
     from repro.workloads.patterns import Region
     from repro.workloads.spec import JobSpec
 
@@ -308,22 +308,15 @@ def run_upper_bound_study() -> UpperBoundStudy:
     measured = 6000
 
     device = TimedSSD(config)
-    rng = np.random.default_rng(4)
     span = int(device.num_sectors * 0.8)
-    for lba in range(0, span, 8):
-        device.submit("write", lba, min(8, span - lba), at_ns=device.now)
-    for _ in range(span // 2):
-        device.submit("write", int(rng.integers(span)), 1, at_ns=device.now)
+    precondition(device, 0.8, span // 2, np.random.default_rng(4))
     device.quiesce()
     job = JobSpec("probe", "randwrite", Region(0, span), io_count=measured,
                   iodepth=1, seed=9)
     blackbox = run_timed(device, [job]).jobs["probe"].latencies_us
 
-    geometry = config.geometry
-    host = HostFtl(OpenChannelSSD(geometry, config.timing_name),
-                   op_ratio=1 - config.logical_sectors
-                   / (geometry.capacity_bytes // geometry.sector_size),
-                   gc_step_pages=1)
+    host = HostFtl(OpenChannelSSD(config.geometry, config.timing_name),
+                   config.logical_sectors, gc_step_pages=1)
     rng = np.random.default_rng(4)
     span = int(host.num_lpns * 0.8)
     now = 0

@@ -373,6 +373,28 @@ def run_timed(
                      ops_before_degraded=deg.ops_before)
 
 
+def precondition(device: TimedSSD, fill: float = 0.0, overwrites: int = 0,
+                 rng: np.random.Generator | None = None) -> None:
+    """Put a study's drive in its starting state: write the first
+    ``fill`` of its sectors in order, 8 per write, then *overwrites*
+    one-sector writes at ``rng.integers(span)``, where ``span`` is the
+    filled region (the whole device when nothing was filled).
+
+    Every write is submitted at ``device.now``.  Nothing is flushed or
+    quiesced: each study ends its preparation as its protocol says."""
+    submit = device.submit
+    filled = int(device.num_sectors * fill)
+    for lba in range(0, filled, 8):
+        submit("write", lba, min(8, filled - lba), at_ns=device.now)
+    if not overwrites:
+        return
+    if rng is None:
+        raise ValueError("precondition: overwrites need an rng")
+    span = filled or device.num_sectors
+    for _ in range(overwrites):
+        submit("write", int(rng.integers(span)), 1, at_ns=device.now)
+
+
 def run_counter(device: TimedSSD, jobs: "list[JobSpec | RequestSource]",
                 sink: TraceSink | None = None) -> RunResult:
     """:func:`run_timed` on a zero-latency device, then one flush, both

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.blackbox.nand_page import sequential_write_sweep
-from repro.core.blackbox.waf import default_jobs, prime, run_waf_study
+from repro.core.blackbox.waf import default_jobs, run_waf_study
 from repro.core.modeling.fidelity import (
     MQSIM_ERROR_MARGIN,
     FtlVariant,
@@ -13,6 +13,7 @@ from repro.core.modeling.fidelity import (
 )
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import mqsim_baseline, mx500_like, tiny
+from repro.workloads.engine import precondition
 
 
 def small_mx500():
@@ -88,7 +89,7 @@ class TestWafStudy:
 
     def test_prime_fills_address_space(self):
         device = SimulatedSSD(tiny())
-        prime(device, fraction=0.5)
+        precondition(device, fill=0.5)
         mapped = device.ftl.mapping.mapped_count()
         assert mapped >= int(device.num_sectors * 0.45)
 

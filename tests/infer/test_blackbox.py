@@ -19,9 +19,9 @@ class TestCacheProbes:
             .infer_cache_designation()[0] == "mapping"
 
     def test_admission_always_vs_bypass(self):
-        assert bench(PolicyPoint()).infer_cache_admission() == "always"
+        assert bench(PolicyPoint()).infer_cache_admission()[0] == "always"
         assert bench(PolicyPoint(cache_admission="bypass")) \
-            .infer_cache_admission() == "bypass"
+            .infer_cache_admission()[0] == "bypass"
 
     def test_eviction_lru_vs_fifo(self):
         lab = bench(PolicyPoint())

@@ -176,13 +176,13 @@ class TestAblationGcPolicy:
     @pytest.fixture(scope="class")
     def wafs(self):
         from repro.exp import ChurnCell, run_churn_cell
-        from repro.ssd.config import GC_POLICIES
+        from repro.ssd.policy import victim_policies
         from repro.ssd.presets import tiny
 
         return {policy: run_churn_cell(ChurnCell(
                     tiny().with_changes(gc_policy=policy), writes=6000),
                     seed=3).waf
-                for policy in GC_POLICIES}
+                for policy in victim_policies.names()}
 
     @staticmethod
     def golden_wafs() -> dict[str, float]:

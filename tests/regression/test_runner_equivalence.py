@@ -14,14 +14,13 @@ from repro.core.blackbox.waf import (
     WafCellSpec,
     default_jobs,
     measure_waf_cell,
-    prime,
     run_waf_study,
 )
 from repro.core.modeling.fidelity import run_fidelity_study
 from repro.exp import Cell, ChurnCell, ResultCache, Runner, run_churn_cell
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import tiny
-from repro.workloads.engine import run_counter
+from repro.workloads.engine import precondition, run_counter
 
 
 class TestFidelityEquivalence:
@@ -64,11 +63,13 @@ class TestWafEquivalence:
 
     def test_cell_matches_a_hand_primed_device(self):
         """A WAF cell is the paper's protocol on one fresh device:
-        prime, snapshot SMART, run the jobs, take the delta."""
+        prime (a sequential fill and a flush), snapshot SMART, run the
+        jobs, take the delta."""
         config = tiny()
         job = default_jobs(config.logical_sectors, io_count=500)[0]
         device = SimulatedSSD(config)
-        prime(device, 0.6)
+        precondition(device, 0.6)
+        device.flush()
         before = device.smart_snapshot()
         run_counter(device, [job])
         delta = device.smart.delta(before)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.flash.geometry import Geometry
 from repro.ssd.config import SsdConfig
+from repro.ssd.ftl import Ftl
 from repro.ssd.presets import PRESETS
 
 _DEFAULT_BLOCKS = SsdConfig().geometry.total_blocks
@@ -89,6 +90,35 @@ class TestCapacity:
         buffered = SsdConfig(pslc_blocks=4)
         assert buffered.logical_sectors < base.logical_sectors
         assert buffered.pslc_reserved_bytes == 4 * base.geometry.block_bytes
+
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_fresh_spare_pool_is_the_configs(self, name, scale):
+        config = PRESETS[name](scale=scale)
+        ftl = Ftl(config)
+        sectors_per_block = (config.geometry.sectors_per_page
+                             * config.geometry.pages_per_block)
+        data_blocks = -(-ftl.num_lpns // sectors_per_block)
+        assert ftl.spare_blocks() == config.spare_blocks_at_birth == (
+            config.geometry.total_blocks
+            - len(ftl.allocator.excluded_blocks) - data_blocks)
+
+    def test_circulating_sectors(self):
+        # 4 planes of 64 blocks, 32 pages of 2 sectors: 64 sectors/block.
+        geometry = Geometry(channels=2, chips_per_channel=1, dies_per_chip=1,
+                            planes_per_die=2, blocks_per_plane=64,
+                            pages_per_block=32, page_size=8192,
+                            sector_size=4096)
+        base = SsdConfig(geometry=geometry, gc_low_water_blocks=1,
+                         gc_high_water_blocks=2)
+        # Each plane holds back 2 reserve + 3 open (host, gc, meta) blocks.
+        assert base.circulating_sectors == (256 - 4 * 5) * 64
+        assert base.with_changes(allocation_scheme="hotcold") \
+            .circulating_sectors == (256 - 4 * 6) * 64
+        assert base.with_changes(pslc_blocks=8).circulating_sectors \
+            == (256 - 8 - 4 * 5) * 64
+        assert base.with_changes(rain_stripe=3).circulating_sectors \
+            == (256 - 4 * 5) * 64 * 3 // 4
 
     def test_with_changes(self):
         base = SsdConfig()

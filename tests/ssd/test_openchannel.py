@@ -17,10 +17,13 @@ from repro.ssd.presets import mqsim_baseline
 CFG = mqsim_baseline(scale=4)
 
 
+#: the flash's sectors less 15 % over-provisioning.
+LOGICAL_SECTORS = int(CFG.geometry.capacity_bytes * 0.85) // CFG.geometry.sector_size
+
+
 def make_host(**kwargs):
     device = OpenChannelSSD(CFG.geometry, CFG.timing_name)
-    kwargs.setdefault("op_ratio", 0.15)
-    return HostFtl(device, **kwargs), device
+    return HostFtl(device, LOGICAL_SECTORS, **kwargs), device
 
 
 def churn(host, writes, region_fraction=0.8, seed=0):

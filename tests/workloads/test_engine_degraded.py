@@ -36,10 +36,8 @@ def read_only_device(zero_latency=False) -> TimedSSD:
     # The firing count is bounded (like campaign plans bound it): an
     # unlimited storm would burn the whole spare pool inside a single
     # write's retry loop and surface as OutOfSpace instead.
-    from repro.fleet.chaos import initial_spare_blocks
-
     config = tiny().with_changes(spare_blocks_min=4)
-    count = initial_spare_blocks(config) - config.spare_blocks_min + 2
+    count = config.spare_blocks_at_birth - config.spare_blocks_min + 2
     return faulted_device(
         FaultSpec("program_fail", at_op=20, count=count),
         spare_blocks_min=4, zero_latency=zero_latency,
