@@ -42,6 +42,7 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import (
     NULL_SINK,
+    TALLIES,
     CounterSink,
     HistogramSink,
     JsonlSink,
@@ -69,7 +70,7 @@ __all__ = [
     "BtreePageSplit", "BtreePageMerge",
     "TraceSink", "NullSink", "NULL_SINK",
     "CounterSink", "HistogramSink", "JsonlSink", "TeeSink",
-    "read_jsonl", "load_trace",
+    "read_jsonl", "load_trace", "TALLIES",
     "BucketAttribution", "TAIL_BUCKETS",
     "attribute_latencies", "attribute_tail", "stall_reconciliation",
 ]

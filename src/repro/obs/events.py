@@ -12,8 +12,8 @@ is a slotted dataclass (no ``__dict__``, compared by value) with
   :class:`~repro.obs.sinks.HistogramSink` builds distributions over.
   A negative headline value is a not-yet-measured sentinel (a
   counter-mode ``HostRequest``'s ``-1`` latency), not a measurement:
-  :meth:`TraceEvent.metric_value` states the rule, and the sinks apply
-  it inline.
+  :meth:`TraceEvent.metric_value` states the rule, and the sinks and
+  the tallying sites apply it inline.
 
 An event is immutable by convention: emitters build it, sinks read it,
 nobody assigns to it afterwards (the classes are not ``frozen`` because
@@ -24,8 +24,16 @@ sites that emit nearly every event — ``TimedSSD``'s scheduling pass and
 build ``FlashOpIssued`` themselves, ``WriteCache.insert``, the open-loop
 ``QueueDepth`` sites — pass fields positionally, so **field order is
 part of each event's contract**; ``tests/obs/test_event_contract.py``
-pins it per class.  New fields go last, with a default.  An enabled
-event costs its construction plus one ``emit`` call and nothing more.
+pins it per class.  New fields go last, with a default.
+
+An event reaches a sink one of two ways (see :mod:`repro.obs.sinks`).
+A recording sink gets every event built and passed to ``emit``: its
+construction plus one call.  An aggregating sink (one with ``tally``,
+such as :class:`~repro.obs.sinks.CounterSink`) gets no object at all
+from those hot sites: each adds its occurrences' count and headline
+values in locals and hands the sink one ``tally(name, count, total)``
+per call, applying :meth:`TraceEvent.metric_value`'s sentinel rule
+itself.  Rare events are built and emitted either way.
 
 Events deliberately carry plain ints/strings (no enums, no numpy
 scalars) so a JSONL trace round-trips through ``json`` without custom

@@ -11,12 +11,31 @@ With the default sink that is one attribute check per event; no event
 object is ever constructed.  Attaching any real sink flips ``enabled``
 and the same sites start streaming typed events.
 
+A sink receives events in one of two ways:
+
+* **Per event** (every sink): ``emit(event)`` with the built event, in
+  emission order.  Recording sinks — :class:`JsonlSink`,
+  :class:`HistogramSink`, :class:`TeeSink`, any user sink — take only
+  this, so a trace holds every occurrence and stays byte-identical.
+* **In aggregate** (a sink with ``tally``): the hottest sites — the
+  timed device's scheduling pass and ``submit``, the write cache's
+  ``insert_run``, the FTL's host read, page program and ``_emit``, the
+  engine's open-loop queue depth — build no event for it.  They add up
+  their occurrences and headline values in locals and call the sink's
+  ``tally(name, count, total)`` once per call of their own.  Rare events
+  (GC, faults, wear, pSLC) still arrive through ``emit``.
+
+:data:`TALLIES` is the one place that rule is resolved: a sink
+aggregates if and only if its class has ``tally``, and a subclass that
+overrides ``emit`` without overriding ``tally`` is taken to want the
+events themselves, so it gets per-event delivery.  To write a sink:
+keep what every event says, define ``emit`` only; keep counts and sums,
+define ``tally`` beside ``emit`` and make the two agree (the summary
+sinks apply :meth:`~repro.obs.events.TraceEvent.metric_value`'s rule:
+a negative headline value is a sentinel and adds nothing).
+
 Sinks are single-threaded (as is the whole simulator) and composable via
-:class:`TeeSink`.  The summary sinks read an event's headline value
-inline — ``getattr`` of its ``METRIC`` field, skipped when negative —
-which is :meth:`~repro.obs.events.TraceEvent.metric_value`'s rule
-without the call, so an enabled event costs its construction plus one
-``emit``.
+:class:`TeeSink`.
 """
 
 from __future__ import annotations
@@ -24,7 +43,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Protocol, runtime_checkable
+from typing import IO, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.obs.events import TraceEvent
 
@@ -61,7 +80,10 @@ class CounterSink:
 
     The cheapest always-on sink: attach it to answer "how many GC
     cycles / cache stalls / flash ops did this run cause, and how big
-    were they in total?".
+    were they in total?".  It aggregates: the hot sites hand it batches
+    through :meth:`tally` instead of one event each (see
+    :data:`TALLIES`).  A subclass that overrides :meth:`emit` to look at
+    events gets every event through it, tallied ones included.
     """
 
     enabled = True
@@ -80,6 +102,16 @@ class CounterSink:
                 # An int adds to a float total exactly as float(value)
                 # does (metric values stay far below 2**53).
                 self.metric_totals[name] += value
+
+    def tally(self, name: str, count: int, total: int | None = None) -> None:
+        """Take *count* events named *name* at once: :meth:`emit`'s rule
+        applied to a batch.  *total* is the sum of their non-negative
+        headline values, or None when none of them carried one (no
+        ``METRIC``, or only sentinels), which leaves ``metric_totals``
+        without a key for *name*, as :meth:`emit` would."""
+        self.counts[name] += count
+        if total is not None:
+            self.metric_totals[name] += total
 
     def close(self) -> None:
         pass
@@ -195,6 +227,36 @@ class TeeSink:
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
+
+
+class _TallyTable(dict):
+    """``TALLIES[sink.__class__]``: the ``tally`` function that class's
+    sinks aggregate through, or None when they must receive every event
+    through ``emit``.
+
+    The rule, resolved once per class on first sight: the nearest class
+    in the MRO that defines ``tally`` or ``emit`` decides, and it
+    aggregates if it defines ``tally``.  Keyed by class, so an instance
+    attribute shadowing ``emit`` (a profiler's wrapper, say) does not
+    turn a :class:`CounterSink` into a recording sink.  Hot sites look it
+    up once per call, after checking ``enabled``, and call
+    ``tally(sink, name, count, total)``: a dict lookup, where a helper
+    function's own call cost as much as the tally it saved."""
+
+    def __missing__(self, cls: type) -> Callable[..., None] | None:
+        tally = None
+        for klass in cls.__mro__:
+            attrs = vars(klass)
+            if "tally" in attrs:
+                tally = cls.tally
+                break
+            if "emit" in attrs:
+                break
+        self[cls] = tally
+        return tally
+
+
+TALLIES = _TallyTable()
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

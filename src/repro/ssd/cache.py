@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.obs.events import CacheAdmit, CacheFlush
-from repro.obs.sinks import NULL_SINK, TraceSink
+from repro.obs.sinks import NULL_SINK, TALLIES, TraceSink
 from repro.ssd.policy.base import CacheEvictionPolicy
 from repro.ssd.policy.cache import cache_eviction_policies
 
@@ -65,16 +65,21 @@ class WriteCache:
         """Buffer one sector write; returns True if it absorbed an older
         pending write to the same LPN."""
         self.insertions += 1
-        if lpn in self.pending:
-            self._on_hit(lpn, self.pending)
+        pending = self.pending
+        hit = lpn in pending
+        if hit:
+            self._on_hit(lpn, pending)
             self.hits += 1
-            if self.obs.enabled:
-                self.obs.emit(CacheAdmit(lpn, True))
-            return True
-        self.pending[lpn] = None
-        if self.obs.enabled:
-            self.obs.emit(CacheAdmit(lpn, False))
-        return False
+        else:
+            pending[lpn] = None
+        obs = self.obs
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if tally is None:
+                obs.emit(CacheAdmit(lpn, hit))
+            else:
+                tally(obs, "cache_admit", 1)
+        return hit
 
     def insert_run(self, lpn: int, stop: int) -> tuple[int, int]:
         """:meth:`insert` sectors ``lpn, lpn + 1, ...`` up to ``stop - 1``,
@@ -82,29 +87,37 @@ class WriteCache:
         capacity (so the caller flushes exactly where a per-sector
         ``insert`` loop checking ``len(cache) > capacity`` would).
         Returns ``(next_lpn, hits)``: the first sector not yet inserted
-        and how many of the inserted ones were write hits."""
+        and how many of the inserted ones were write hits.  An
+        aggregating sink gets one ``cache_admit`` tally for the run."""
         pending = self.pending
         # Free slots left; only a miss takes one.
         room = self.capacity - len(pending)
         obs = self.obs
+        emit = tally = None
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if tally is None:
+                emit = obs.emit
         first = lpn
         hits = 0
         while lpn < stop:
             if lpn in pending:
                 self._on_hit(lpn, pending)
                 hits += 1
-                if obs.enabled:
-                    obs.emit(CacheAdmit(lpn, True))
+                if emit is not None:
+                    emit(CacheAdmit(lpn, True))
             else:
                 pending[lpn] = None
                 room -= 1
-                if obs.enabled:
-                    obs.emit(CacheAdmit(lpn, False))
+                if emit is not None:
+                    emit(CacheAdmit(lpn, False))
             lpn += 1
             if room < 0:
                 break
         self.insertions += lpn - first
         self.hits += hits
+        if tally is not None and lpn > first:
+            tally(obs, "cache_admit", lpn - first)
         return lpn, hits
 
     def take_flush_batch(self, max_sectors: int) -> list[int]:
@@ -123,8 +136,13 @@ class WriteCache:
             return []
         batch = self._take(pending, n)
         batch.sort()
-        if self.obs.enabled:
-            self.obs.emit(CacheFlush(sectors=n, pending=len(pending)))
+        obs = self.obs
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if tally is not None:
+                tally(obs, "cache_flush", 1, n)
+            else:
+                obs.emit(CacheFlush(sectors=n, pending=len(pending)))
         return batch
 
     def drop(self, lpn: int) -> bool:

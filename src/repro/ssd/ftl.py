@@ -64,7 +64,7 @@ from repro.obs.events import (
     RainReconstruction,
     ReadRetry,
 )
-from repro.obs.sinks import NULL_SINK, TraceSink
+from repro.obs.sinks import NULL_SINK, TALLIES, TraceSink
 from repro.ssd.allocation import OutOfSpace, PageAllocator
 from repro.ssd.cache import WriteCache
 from repro.ssd.config import SsdConfig
@@ -343,6 +343,7 @@ class Ftl:
         ops = self._ops = []
         obs = self.obs
         traced = obs.enabled
+        tally = TALLIES[obs.__class__] if traced else None
         stats = self.stats
         pending = self.cache.pending
         staged = self._staged
@@ -363,12 +364,16 @@ class Ftl:
             if psa != UNMAPPED:
                 ppn = psa // spp
                 # The host read is the hottest flash-op site: it emits
-                # the op's event itself, as _emit would.
+                # (or tallies) the op's event itself, as _emit would.
                 ops.append(new_tuple(FlashOp,
                                      (_READ, ppn, _HOST, sector_size)))
                 if traced:
-                    obs.emit(FlashOpIssued("read", ppn, "host", sector_size,
-                                           self._active_policy))
+                    if tally is not None:
+                        tally(obs, "flash_op", 1, sector_size)
+                    else:
+                        obs.emit(FlashOpIssued("read", ppn, "host",
+                                               sector_size,
+                                               self._active_policy))
                 hard = hooked and injector.read_uncorrectable(ppn, sector)
                 if hard or ops_per_day:
                     self._check_read_integrity(ppn, sector, hard)
@@ -547,9 +552,14 @@ class Ftl:
         page_size = self._page_size
         self._ops.append(new_tuple(FlashOp,
                                    (_PROGRAM, ppn, reason, page_size)))
-        if self.obs.enabled:  # _emit's event, built here as on host reads
-            self.obs.emit(FlashOpIssued("program", ppn, reason._value_,
-                                        page_size, self._active_policy))
+        obs = self.obs
+        if obs.enabled:  # _emit's event, built here as on host reads
+            tally = TALLIES[obs.__class__]
+            if tally is not None:
+                tally(obs, "flash_op", 1, page_size)
+            else:
+                obs.emit(FlashOpIssued("program", ppn, reason._value_,
+                                       page_size, self._active_policy))
         base = ppn * spp
         # Mapping-eviction events come back merged and are applied only
         # once every sector of the page is mapped and its old copy
@@ -888,9 +898,13 @@ class Ftl:
         self.p2l[psas] = P2L_NONE
         self._block_valid_view[block] = 0
         page_size = self._page_size
-        emit = self._emit if self.obs.enabled else self._ops.append
+        obs = self.obs
+        emit, tally = self._op_sinks(obs)
         for ppn in pages_sorted:
             emit(new_tuple(FlashOp, (_READ, ppn, reason, page_size)))
+        if tally is not None and pages_sorted:
+            tally(obs, "flash_op", len(pages_sorted),
+                  len(pages_sorted) * page_size)
         self.stats.gc_migrated_sectors += len(live_lpns)
         self._migrate_sectors(live_lpns, reason)
         for tp_id in live_tps:
@@ -921,7 +935,8 @@ class Ftl:
         program_fails = self.injector.program_fails
         program = self.nand.program
         on_data_page = self.rain.on_data_page
-        emit = self._emit if self.obs.enabled else self._ops.append
+        obs = self.obs
+        emit, tally = self._op_sinks(obs)
         routed, route = self._routed, self._route
         block_birth = self.block_birth
         page_size = self._page_size
@@ -947,6 +962,8 @@ class Ftl:
                     committed = commit(lpns, ppns, committed)
                     self._program_parity_page()
         finally:
+            if tally is not None and ppns:
+                tally(obs, "flash_op", len(ppns), len(ppns) * page_size)
             commit(lpns, ppns, committed)
 
     def _commit_migrated(self, lpns: np.ndarray, ppns: list[int],
@@ -1018,10 +1035,18 @@ class Ftl:
                 if loaded.__class__ is tuple:
                     self._meta_reads[loaded[0]] = events, reads
             self._ops.extend(reads)
-            if self.obs.enabled:
-                emit, policy = self.obs.emit, self._active_policy
-                for op in reads:
-                    emit(FlashOpIssued("read", op[1], "meta", op[3], policy))
+            obs = self.obs
+            if obs.enabled and reads:
+                tally = TALLIES[obs.__class__]
+                if tally is not None:
+                    # Every META read moves one whole page.
+                    tally(obs, "flash_op", len(reads),
+                          len(reads) * self._page_size)
+                else:
+                    emit, policy = obs.emit, self._active_policy
+                    for op in reads:
+                        emit(FlashOpIssued("read", op[1], "meta", op[3],
+                                           policy))
         for tp_id in events.flush_tps:
             self._program_meta_page(tp_id)
 
@@ -1055,16 +1080,34 @@ class Ftl:
                 and self._p2l_view[slot0] <= META_P2L_BASE):
             self._invalidate_psa(slot0)
 
+    def _op_sinks(self, obs: TraceSink):
+        """``(emit, tally)`` for a loop of page ops under the sink *obs*:
+        with no sink, ``emit`` appends to ``_ops``; with a recording sink
+        it is :meth:`_emit`; with an aggregating one it appends, and the
+        loop tallies its ops in one call at the end (``tally`` is None
+        otherwise)."""
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if tally is None:
+                return self._emit, None
+            return self._ops.append, tally
+        return self._ops.append, None
+
     def _emit(self, op: FlashOp) -> None:
         self._ops.append(op)
-        if self.obs.enabled:
+        obs = self.obs
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if tally is not None:
+                tally(obs, "flash_op", 1, op[3])
+                return
             kind, target, reason, nbytes = op
             # ``_value_`` is the plain attribute behind ``Enum.value``.
             # The property is a Python-level descriptor call per access,
             # and a ``{member: str}`` dict is no cheaper: ``Enum.__hash__``
             # is Python-level too.
-            self.obs.emit(FlashOpIssued(kind._value_, target, reason._value_,
-                                        nbytes, self._active_policy))
+            obs.emit(FlashOpIssued(kind._value_, target, reason._value_,
+                                   nbytes, self._active_policy))
 
     def _check_range(self, lpn: int, nsectors: int) -> None:
         if nsectors < 1:

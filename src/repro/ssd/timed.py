@@ -67,7 +67,7 @@ from repro.flash.onfi import (
 from repro.flash.signals import SignalEmitter, SignalTrace
 from repro.flash.timing import PSLC, TimingProfile, profile
 from repro.obs.events import CacheStall, HostRequest, ResourceBusy
-from repro.obs.sinks import NULL_SINK, TraceSink
+from repro.obs.sinks import NULL_SINK, TALLIES, TraceSink
 from repro.sim.kernel import CapacityPool, Kernel, PowerLoss, Process, Resource
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import Ftl
@@ -212,7 +212,8 @@ class FlashTimeline:
 
         One pass does everything an op needs: SMART attribution, the
         resource claims, their ``resource_busy`` events when a sink is
-        attached, the ONFI cycles a :class:`BusTap` on the op's channel
+        attached (one ``tally`` for the pass when the sink aggregates),
+        the ONFI cycles a :class:`BusTap` on the op's channel
         sees, and — with a cache pool, for every host or pSLC program,
         the programs that carry cached sectors out of RAM — the cache
         release at the program's end.  An op's die, channel and array
@@ -228,7 +229,12 @@ class FlashTimeline:
         read_bus_ns = self._read_bus_ns
         read_pages = 0
         obs = self.kernel.obs
-        emit = obs.emit if obs.enabled else None
+        traced = obs.enabled
+        if traced:
+            tally = TALLIES[obs.__class__]
+            emit = obs.emit if tally is None else None
+            # An op's busy intervals (channel and die) sum to end - start.
+            busy_total = 0
         tap = self.bus_tap
         tapped = self.channels[tap.channel] if tap is not None else None
         pool = self.cache_pool
@@ -267,13 +273,17 @@ class FlashTimeline:
                 die.holds += 1
                 die.busy_ns += array_ns
                 die.free_at = array_end
-                if emit is not None:
-                    # ResourceBusy(resource, start_ns, busy_ns, wait_ns)
-                    emit(ResourceBusy(channel.name, start, cmd_ns,
-                                      start - earliest))
-                    emit(ResourceBusy(die.name, cmd_end, array_ns,
-                                      cmd_end - earliest))
-                    emit(ResourceBusy(channel.name, array_end, data_ns, 0))
+                if traced:
+                    if emit is None:
+                        busy_total += end - start
+                    else:
+                        # ResourceBusy(resource, start_ns, busy_ns, wait_ns)
+                        emit(ResourceBusy(channel.name, start, cmd_ns,
+                                          start - earliest))
+                        emit(ResourceBusy(die.name, cmd_end, array_ns,
+                                          cmd_end - earliest))
+                        emit(ResourceBusy(channel.name, array_end, data_ns,
+                                          0))
             else:
                 if kind is _PROGRAM:
                     if reason is _HOST:
@@ -297,11 +307,14 @@ class FlashTimeline:
                 die.holds += 1
                 die.busy_ns += array_ns
                 die.free_at = end
-                if emit is not None:
-                    emit(ResourceBusy(channel.name, start, bus_ns,
-                                      start - earliest))
-                    emit(ResourceBusy(die.name, bus_end, array_ns,
-                                      bus_end - earliest))
+                if traced:
+                    if emit is None:
+                        busy_total += end - start
+                    else:
+                        emit(ResourceBusy(channel.name, start, bus_ns,
+                                          start - earliest))
+                        emit(ResourceBusy(die.name, bus_end, array_ns,
+                                          bus_end - earliest))
                 if (pool is not None and kind is _PROGRAM
                         and (reason is _HOST or reason is _PSLC)):
                     # The program carries cached sectors back out of RAM.
@@ -309,6 +322,10 @@ class FlashTimeline:
             if end > flash_done:
                 flash_done = end
         smart.read_pages += read_pages
+        if traced and tally is not None and ops:
+            # Three intervals per read, two per program or erase.
+            tally(obs, "resource_busy", 2 * len(ops) + read_pages,
+                  busy_total)
         return flash_done
 
     def _op_bus_ns(self, op: FlashOp) -> int | tuple[int, int]:
@@ -492,8 +509,14 @@ class TimedSSD:
             kernel.now = at_ns
         self._last_host_ns = at_ns
         zero_latency = self.zero_latency
-        if zero_latency and self.obs.enabled:
-            self.obs.emit(HostRequest(kind, lba, nsectors))
+        obs = self.obs
+        if obs.enabled:
+            tally = TALLIES[obs.__class__]
+            if zero_latency:
+                if tally is None:
+                    obs.emit(HostRequest(kind, lba, nsectors))
+                else:
+                    tally(obs, "host_request", 1)  # a -1 sentinel: no total
         if kind == "write":
             ops = self.ftl.write(lba, nsectors)
             self.smart.host_sectors_written += nsectors
@@ -518,13 +541,16 @@ class TimedSSD:
                 complete = flash_done
         request = new_tuple(CompletedRequest,
                             (kind, lba, nsectors, at_ns, complete))
-        if self.obs.enabled:
-            stall = (complete - at_ns - self.controller_overhead_ns
-                     if kind == "write" else 0)
-            if stall < 0:
-                stall = 0
-            self.obs.emit(HostRequest(kind, lba, nsectors, at_ns,
-                                      complete - at_ns, stall))
+        if obs.enabled:
+            if tally is not None:
+                tally(obs, "host_request", 1, complete - at_ns)
+            else:
+                stall = (complete - at_ns - self.controller_overhead_ns
+                         if kind == "write" else 0)
+                if stall < 0:
+                    stall = 0
+                obs.emit(HostRequest(kind, lba, nsectors, at_ns,
+                                     complete - at_ns, stall))
         return request
 
     # -- synchronous sector commands -----------------------------------
@@ -562,9 +588,14 @@ class TimedSSD:
         self._absorbed_seen = absorbed_total
         when = self._cache_pool.acquire(at_ns, fresh, overshoot=nsectors)
         if when > at_ns and self.obs.enabled:
-            self.obs.emit(CacheStall(stall_ns=when - at_ns,
-                                     occupied=self._cache_pool.occupied,
-                                     capacity=self._cache_pool.capacity))
+            obs = self.obs
+            tally = TALLIES[obs.__class__]
+            if tally is not None:
+                tally(obs, "cache_stall", 1, when - at_ns)
+            else:
+                obs.emit(CacheStall(stall_ns=when - at_ns,
+                                    occupied=self._cache_pool.occupied,
+                                    capacity=self._cache_pool.capacity))
         return when + self.controller_overhead_ns
 
     def flush(self, at_ns: int | None = None) -> CompletedRequest:

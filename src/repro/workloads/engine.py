@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs.events import QueueDepth
-from repro.obs.sinks import TraceSink
+from repro.obs.sinks import TALLIES, TraceSink
 from repro.sim.kernel import PowerLoss
 from repro.ssd.allocation import OutOfSpace
 from repro.ssd.ftl import ReadOnlyError
@@ -259,9 +259,9 @@ def run_timed(
     replaying its recorded timeline) submit at their arrival times
     whatever the device is doing; the per-source queue depth at each
     arrival is emitted as a :class:`~repro.obs.events.QueueDepth`
-    event when a sink is attached.  Sources share the device, so their
-    requests contend for channels and dies — the source of the mixed-run
-    interference the paper measures.
+    event when a sink is attached (tallied, if the sink aggregates).
+    Sources share the device, so their requests contend for channels and
+    dies — the source of the mixed-run interference the paper measures.
 
     Passing *sink* attaches it to the device for the run, so every host
     request, cache event, GC cycle, and flash op it causes is traced
@@ -292,6 +292,7 @@ def run_timed(
     seq = len(ready)
     deg = _Degradation()
     obs = device.obs
+    tally = TALLIES[obs.__class__] if obs.enabled else None
     submit = device.submit
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
     while ready:
@@ -335,7 +336,11 @@ def run_timed(
                 while inflight and inflight[0] <= when:
                     heappop(inflight)
                 heapq.heappush(inflight, rearm_at)
-                obs.emit(QueueDepth(state.source.name, when, len(inflight)))
+                if tally is not None:
+                    tally(obs, "queue_depth", 1, len(inflight))
+                else:
+                    obs.emit(QueueDepth(state.source.name, when,
+                                        len(inflight)))
         seq += 1
         if arrivals is None:
             # Closed loop: the slot is free again.  An exhausted source's

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.obs import NULL_SINK, CounterSink
+from repro.obs import NULL_SINK, TALLIES, CounterSink
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.presets import evo840_like, tiny
 from repro.ssd.timed import TimedSSD
@@ -149,6 +149,38 @@ class TestSubsystemEvents:
         assert "foreground" in sink.triggers
 
 
+    def test_a_subclass_that_overrides_emit_sees_every_event(self):
+        """``Capture`` above overrides ``emit`` to look at events, so it
+        gets them one by one, the hot sites' included; a subclass that
+        overrides ``tally`` too aggregates again."""
+        class Seen(CounterSink):
+            def __init__(self):
+                super().__init__()
+                self.names = set()
+
+            def emit(self, event):
+                super().emit(event)
+                self.names.add(event.NAME)
+
+        class Summing(Seen):
+            def tally(self, name, count, total=None):
+                super().tally(name, count, total)
+
+        assert TALLIES[Seen] is None
+        assert TALLIES[Summing] is Summing.tally
+        sink = Seen()
+        device = TimedSSD(tiny())
+        device.attach_sink(sink)
+        for lba in range(0, 64, 4):
+            device.write_sectors(lba, 4)
+        device.flush()
+        device.read_sectors(0, 4)
+        for name in ("resource_busy", "host_request", "flash_op",
+                     "cache_admit", "cache_flush"):
+            assert name in sink.names, name
+            assert sink.count(name) > 0, name
+
+
 # ----------------------------------------------------------------------
 # What an enabled event costs
 # ----------------------------------------------------------------------
@@ -186,11 +218,23 @@ def _calls_and_events(sink) -> tuple[int, dict[str, int]]:
     return calls, events
 
 
+class _PerEventCounter(CounterSink):
+    """A ``CounterSink`` that defines ``emit`` (as the same function), so
+    it takes every event one by one: the recording sinks' path."""
+
+    emit = CounterSink.emit
+
+
 def test_an_enabled_event_costs_its_construction_and_one_emit():
-    traced, events = _calls_and_events(CounterSink())
+    traced, events = _calls_and_events(_PerEventCounter())
     untraced, _ = _calls_and_events(NULL_SINK)
     # The host page program and the host read emit their flash_op
     # without the _emit hop.
     assert events["flash_op"] == 2
     assert events["host_request"] == 2
     assert traced - untraced <= 2 * sum(events.values())
+    # Aggregating, the same sink keeps the same counts with one tally
+    # call per site: fewer calls than there are events.
+    tallied, same = _calls_and_events(CounterSink())
+    assert same == events
+    assert tallied - untraced < sum(events.values())
