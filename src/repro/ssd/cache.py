@@ -8,9 +8,10 @@ flash pages before programming) or be given to the mapping layer
 
 :class:`WriteCache` implements the data designation.  The mapping
 designation is wired in the FTL: the RAM budget is added to the mapping
-table's dirty-TP allowance and the data path runs through a minimal,
-one-page staging buffer (sectors are still packed into whole pages, but
-nothing is absorbed).
+table's dirty-TP allowance and the data path runs through a one-page
+:class:`WriteCache` (``sectors_per_page`` sectors), which still packs
+sectors into whole pages and absorbs a rewrite of a sector pending in
+it.  Only bypass admission's staging buffer absorbs nothing.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Write path (sectors in, flash pages out)::
                     take) -> [pSLC buffer] -> data page
       per data page:  allocate -> program -> PROGRAM op -> block_valid bump
                       -> MappingTable.update_page (old PSAs, merged events)
-        per sector:   stamp p2l/sector_valid -> invalidate owned old copy
+        per sector:   stamp p2l -> invalidate owned old copy
                   \\-> deferred mapping events -> dirty TP -> meta page
                   \\-> RAIN stripe accounting -> parity page
                   \\-> free-block pressure -> GC migrations
@@ -24,7 +24,7 @@ Migration path (GC, wear leveling, refresh, retirement, RAIN relocation)::
       per destination page:  allocate -> program fail? retire -> stamp
                              block_birth -> program -> PROGRAM op
       per run of pages:      MappingTable.silent_update_run -> stamp
-                             p2l/sector_valid -> ownership mask
+                             p2l -> ownership mask
                              (committed before a retirement or a parity
                              program, and at the end)
       -> meta pages for live TPs
@@ -54,7 +54,7 @@ from repro.flash.errors import (
     ReliabilityModel,
 )
 from repro.flash.geometry import Geometry
-from repro.flash.nand import NO_LPN, NandArray
+from repro.flash.nand import NandArray
 from repro.obs.events import (
     BlockRetired,
     DegradedModeChanged,
@@ -85,7 +85,8 @@ from repro.ssd.wearlevel import WearLeveler
 #: translation-page id is recovered as ``META_P2L_BASE - value``.
 META_P2L_BASE = -2
 
-#: p2l value of a slot holding nothing valid.
+#: p2l value of a slot holding nothing valid: a slot is valid exactly
+#: when its p2l entry is anything else.
 P2L_NONE = -1
 
 #: idle-time GC keeps this many blocks free beyond the high water
@@ -168,18 +169,18 @@ class Ftl:
         self._page_slots = np.arange(spp, dtype=np.int64)
         total_psas = geometry.total_pages * spp
         #: physical-sector -> logical-sector reverse map (see p2l codes
-        #: above).  Edited in place only — scalar views alias this buffer.
+        #: above), which is also the valid map: a sector is valid exactly
+        #: when its entry is not P2L_NONE.  Edited in place only — scalar
+        #: views alias this buffer.
         self.p2l = np.full(total_psas, P2L_NONE, dtype=np.int64)
-        #: edited in place only — scalar views alias this buffer.
-        self.sector_valid = np.zeros(total_psas, dtype=bool)
-        #: edited in place only — scalar views alias this buffer.
+        #: valid sectors per block.  Edited in place only — scalar views
+        #: alias this buffer.
         self.block_valid = np.zeros(geometry.total_blocks, dtype=np.int32)
-        # One-entry reads and writes go through memoryviews of the three
-        # buffers (items are plain int/bool, several times cheaper than
+        # One-entry reads and writes go through memoryviews of the two
+        # buffers (items are plain ints, several times cheaper than
         # numpy scalars); array-wide work — GC's nonzero scan,
         # check_invariants, recovery — uses the arrays.
         self._p2l_view = memoryview(self.p2l)
-        self._sector_valid_view = memoryview(self.sector_valid)
         self._block_valid_view = memoryview(self.block_valid)
 
         # pSLC buffer blocks are striped across planes (TurboWrite-style
@@ -534,8 +535,8 @@ class Ftl:
         :meth:`_migrate_sectors` instead.
 
         :meth:`MappingTable.update_page` maps the page's sectors; then
-        one loop, in slot order, stamps each slot in ``p2l``/
-        ``sector_valid`` and clears its old copy by the ownership rule of
+        one loop, in slot order, stamps each slot in ``p2l`` and clears
+        its old copy by the ownership rule of
         :meth:`_invalidate_old_copy`; ``block_valid`` takes one bump for
         the page.  This equals an ``update()`` + stamp + invalidate
         sequence per sector: ``update()`` never reads ``p2l``, and a
@@ -548,7 +549,7 @@ class Ftl:
             stream = self._route(stream, lpns)
         ppn = self._allocate_programmable_page(stream)
         lpns = lpns[:spp]
-        self.nand.program(ppn, lpn=lpns[0], oob=lpns)
+        self.nand.program(ppn, oob=lpns)
         page_size = self._page_size
         self._ops.append(new_tuple(FlashOp,
                                    (_PROGRAM, ppn, reason, page_size)))
@@ -570,7 +571,6 @@ class Ftl:
         # data, and newest-wins recovery would resurrect stale sectors.
         olds, events = self.mapping.update_page(lpns, base)
         p2l = self._p2l_view
-        sector_valid = self._sector_valid_view
         block_valid = self._block_valid_view
         sectors_per_block = self._sectors_per_block
         # One bump for the page: nothing below reads this block's count,
@@ -579,10 +579,7 @@ class Ftl:
         block_valid[ppn // self._ppb] += len(lpns)
         for psa, (lpn, old) in enumerate(zip(lpns, olds), base):
             p2l[psa] = lpn
-            sector_valid[psa] = True
-            if (old != UNMAPPED and old != psa and p2l[old] == lpn
-                    and sector_valid[old]):
-                sector_valid[old] = False
+            if old != UNMAPPED and old != psa and p2l[old] == lpn:
                 p2l[old] = P2L_NONE
                 block_valid[old // sectors_per_block] -= 1
         if self._has_pslc:
@@ -596,7 +593,7 @@ class Ftl:
         if not self._in_gc:
             self._ensure_free_space()
         ppn = self._allocate_programmable_page("host")
-        self.nand.program(ppn, lpn=int(NO_LPN))
+        self.nand.program(ppn)
         self.rain.note_parity(ppn)
         # Parity is never valid: it is overhead that GC erases freely.
         self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, OpReason.PARITY,
@@ -607,7 +604,7 @@ class Ftl:
             self._ensure_free_space()
         ppn = self._allocate_programmable_page("meta")
         code = _tp_to_p2l(tp_id)
-        self.nand.program(ppn, lpn=int(NO_LPN), oob=(code,))
+        self.nand.program(ppn, oob=(code,))
         self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, reason,
                                        self._page_size)))
         old = self.mapping.stored_ppn(tp_id)
@@ -615,7 +612,6 @@ class Ftl:
             self._invalidate_meta_page(old)
         slot0 = ppn * self._spp
         self._p2l_view[slot0] = code
-        self._sector_valid_view[slot0] = True
         self._block_valid_view[ppn // self._ppb] += 1
         self.mapping.note_flushed(tp_id, ppn)
         if self.rain.on_data_page(ppn):
@@ -697,7 +693,7 @@ class Ftl:
         ppn = self.pslc.stage_page(lpns)
         self.stats.pslc_staged_sectors += len(lpns)
         # Host data: counts as a host page even in the buffer.
-        self.nand.program(ppn, lpn=lpns[0], oob=lpns)
+        self.nand.program(ppn, oob=lpns)
         self._emit(new_tuple(FlashOp, (_PROGRAM, ppn, _HOST, self._page_size)))
 
     def _drain_pslc_block(self) -> bool:
@@ -885,17 +881,16 @@ class Ftl:
         first_psa = block * self._sectors_per_block
         last_psa = first_psa + self._sectors_per_block
         # nonzero() walks ascending, so live_lpns/live_tps keep psa
-        # order; clearing the whole slice only re-falsifies
+        # order; clearing the whole window only rewrites P2L_NONE over
         # already-invalid slots.
-        window = self.sector_valid[first_psa:last_psa]
-        psas = np.nonzero(window)[0] + first_psa
-        codes = self.p2l[psas]
+        window = self.p2l[first_psa:last_psa]
+        live = np.nonzero(window != P2L_NONE)[0]
+        codes = window[live]
         live_tps = [_p2l_to_tp(c)
                     for c in codes[codes <= META_P2L_BASE].tolist()]
         live_lpns = codes[codes >= 0]
-        pages_sorted = np.unique(psas // spp).tolist()
-        self.sector_valid[first_psa:last_psa] = False
-        self.p2l[psas] = P2L_NONE
+        pages_sorted = np.unique((live + first_psa) // spp).tolist()
+        window[:] = P2L_NONE
         self._block_valid_view[block] = 0
         page_size = self._page_size
         obs = self.obs
@@ -917,9 +912,8 @@ class Ftl:
 
         One loop takes every destination page through allocate →
         program-fail check (retiring the block on failure) →
-        ``block_birth`` stamp → program → op.  The map, ``p2l``,
-        ``sector_valid`` and ``block_valid`` state of the pages programmed
-        so far is committed by :meth:`_commit_migrated` before a
+        ``block_birth`` stamp → program → op.  The map, ``p2l`` and
+        ``block_valid`` state of the pages programmed so far is committed by :meth:`_commit_migrated` before a
         retirement or a RAIN parity program — both can migrate a block,
         which reads that state, and the failing block may hold this
         run's earlier pages — and once on the way out, an
@@ -955,7 +949,7 @@ class Ftl:
                     ppn = allocate_page(stream)
                 if ppn % ppb == 0:
                     block_birth[ppn // ppb] = self._op_seq
-                program(ppn, lpn=page[0], oob=page)
+                program(ppn, oob=page)
                 emit(new_tuple(FlashOp, (_PROGRAM, ppn, reason, page_size)))
                 ppns.append(ppn)
                 if on_data_page(ppn):
@@ -972,16 +966,16 @@ class Ftl:
         each of the run *lpns*, the run's last page possibly short — and
         return ``len(ppns)``, the count now committed.
 
-        Maps the sectors, stamps the reverse map and valid bitmap, counts
-        them into their blocks and clears their owned old copies, in
-        array operations, with the effect of committing one sector at a
-        time in order.  The ownership rule of :meth:`_invalidate_old_copy`
-        runs as one mask after every new slot is stamped: an old copy is
-        invalidated when it is mapped, is not the slot itself, still
-        belongs to the LPN and is valid.  Stamping first is what a
-        repeated LPN needs: :meth:`MappingTable.silent_update_run` gives
-        its later slot the earlier slot as the old copy, which must be
-        valid by then."""
+        Maps the sectors, stamps the reverse map, counts them into their
+        blocks and clears their owned old copies, in array operations,
+        with the effect of committing one sector at a time in order.  The
+        ownership rule of :meth:`_invalidate_old_copy` runs as one mask
+        after every new slot is stamped: an old copy is invalidated when
+        it is mapped, is not the slot itself and still belongs to the
+        LPN.  Stamping first is what a repeated LPN needs:
+        :meth:`MappingTable.silent_update_run` gives its later slot the
+        earlier slot as the old copy, which must belong to the LPN by
+        then."""
         last = len(ppns)
         if first == last:
             return last
@@ -990,9 +984,8 @@ class Ftl:
         psas = (np.array(ppns[first:], dtype=np.int64)[:, None] * spp
                 + self._page_slots).reshape(-1)[:len(lpns)]
         olds = self.mapping.silent_update_run(lpns, psas)
-        p2l, sector_valid = self.p2l, self.sector_valid
+        p2l = self.p2l
         p2l[psas] = lpns
-        sector_valid[psas] = True
         block_valid = self._block_valid_view
         ppb = self._ppb
         left = len(lpns)
@@ -1001,10 +994,8 @@ class Ftl:
             left -= spp
         moved = (olds != UNMAPPED) & (olds != psas)
         candidates = olds[moved]
-        owned = candidates[(p2l[candidates] == lpns[moved])
-                           & sector_valid[candidates]]
+        owned = candidates[p2l[candidates] == lpns[moved]]
         if len(owned):
-            sector_valid[owned] = False
             p2l[owned] = P2L_NONE
             sectors_per_block = self._sectors_per_block
             for psa in owned.tolist():
@@ -1068,16 +1059,14 @@ class Ftl:
         self._invalidate_psa(old)
 
     def _invalidate_psa(self, psa: int) -> None:
-        if not self._sector_valid_view[psa]:
-            return
-        self._sector_valid_view[psa] = False
+        """Invalidate the valid sector *psa* (callers have checked that
+        its p2l entry is the owner they expect)."""
         self._p2l_view[psa] = P2L_NONE
         self._block_valid_view[psa // self._sectors_per_block] -= 1
 
     def _invalidate_meta_page(self, ppn: int) -> None:
         slot0 = ppn * self.geometry.sectors_per_page
-        if (self._sector_valid_view[slot0]
-                and self._p2l_view[slot0] <= META_P2L_BASE):
+        if self._p2l_view[slot0] <= META_P2L_BASE:
             self._invalidate_psa(slot0)
 
     def _op_sinks(self, obs: TraceSink):
@@ -1129,16 +1118,16 @@ class Ftl:
         mapped = np.nonzero(self.mapping.l2p != UNMAPPED)[0]
         for lpn in mapped[: 10000]:
             psa = int(self.mapping.l2p[lpn])
-            assert self.sector_valid[psa], f"lpn {lpn} -> invalid psa {psa}"
             assert int(self.p2l[psa]) == lpn, (
                 f"p2l mismatch: lpn {lpn} -> psa {psa} -> {int(self.p2l[psa])}"
             )
-        # 2. Block valid counters match the sector_valid bitmap.
-        per_block = self.sector_valid.reshape(
+        # 2. Block valid counters count the valid (non-P2L_NONE) sectors.
+        valid = self.p2l != P2L_NONE
+        per_block = valid.reshape(
             self.geometry.total_blocks, self.geometry.pages_per_block * spp
         ).sum(axis=1)
         assert np.array_equal(per_block, self.block_valid), "block_valid drift"
         # 3. Valid sectors only exist on programmed pages.
-        valid_psas = np.nonzero(self.sector_valid)[0]
+        valid_psas = np.nonzero(valid)[0]
         pages = np.unique(valid_psas // spp)
         assert np.all(self.nand.page_state[pages] == 1), "valid sector on free page"

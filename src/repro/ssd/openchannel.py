@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flash.geometry import Geometry
-from repro.flash.nand import NO_LPN, NandArray
+from repro.flash.nand import NandArray
 from repro.flash.timing import TimingProfile, profile
 from repro.sim import Kernel
 from repro.ssd.ops import FlashOp, OpKind, OpReason
@@ -59,7 +59,7 @@ class OpenChannelSSD:
 
     def program_page(self, ppn: int, at_ns: int,
                      oob: tuple[int, ...] = ()) -> int:
-        self.nand.program(ppn, lpn=oob[0] if oob else int(NO_LPN), oob=oob or None)
+        self.nand.program(ppn, oob=oob or None)
         return self._time(FlashOp(OpKind.PROGRAM, ppn, OpReason.HOST), at_ns)
 
     def read_page(self, ppn: int, at_ns: int) -> int:

@@ -58,9 +58,10 @@ class DataDesignation:
     "mapping",
     schema={"cache_sectors": "RAM budget converts to dirty-TP slots"})
 class MappingDesignation:
-    """RAM buys dirty translation-page slots; data path keeps a minimal
-    one-page staging buffer (sectors still pack into whole pages, but
-    nothing is absorbed)."""
+    """RAM buys dirty translation-page slots; the data path keeps a
+    one-page write cache (``sectors_per_page`` sectors), which still
+    packs whole pages and absorbs rewrites of the sectors pending in
+    it."""
 
     name = "mapping"
 

@@ -99,7 +99,7 @@ def recover_ftl(
     tp_winner: dict[int, tuple[int, int]] = {}  # tp -> (seq, ppn or _LOST)
     for ppn in (int(p) for p in programmed[order]):
         report.pages_scanned += 1
-        oob = nand.read_oob(ppn)
+        oob = nand.read(ppn)
         if oob is None:
             continue  # parity / padding: carries no logical content
         seq = int(nand.page_seq[ppn])
@@ -168,8 +168,7 @@ def _pad_partial_blocks(ftl: Ftl, pslc_blocks: frozenset[int],
             continue
         report.blocks_padded += 1
         for page in range(ptr, geometry.pages_per_block):
-            nand.program(block * geometry.pages_per_block + page,
-                         lpn=int(NO_LPN))
+            nand.program(block * geometry.pages_per_block + page)
 
 
 def _apply_winners(
@@ -192,7 +191,6 @@ def _apply_winners(
         else:
             ftl.mapping.silent_update(lpn, psa)
             ftl.p2l[psa] = lpn
-            ftl.sector_valid[psa] = True
             report.sectors_recovered += 1
     for tp_id, (_, ppn) in tp_winner.items():
         if ppn == _LOST:
@@ -200,14 +198,13 @@ def _apply_winners(
         ftl.mapping.note_flushed(tp_id, ppn)
         slot0 = ppn * spp
         ftl.p2l[slot0] = META_P2L_BASE - tp_id
-        ftl.sector_valid[slot0] = True
         report.translation_pages_found += 1
 
 
 def _rebuild_block_accounting(ftl: Ftl, pslc_blocks: frozenset[int]) -> None:
     geometry = ftl.geometry
     spp = geometry.sectors_per_page
-    per_block = ftl.sector_valid.reshape(
+    per_block = (ftl.p2l != P2L_NONE).reshape(
         geometry.total_blocks, geometry.pages_per_block * spp
     ).sum(axis=1)
     ftl.block_valid[:] = per_block.astype(np.int32)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.geometry import Geometry
-from repro.flash.nand import NO_LPN, FlashViolation, NandArray, PageState
+from repro.flash.nand import FlashViolation, NandArray, PageState
 
 GEOM = Geometry(
     channels=1,
@@ -27,9 +27,9 @@ def nand():
 
 class TestProgram:
     def test_program_marks_page(self, nand):
-        nand.program(0, lpn=42)
+        nand.program(0, oob=(42,))
         assert nand.page_state[0] == PageState.PROGRAMMED
-        assert nand.page_lpn[0] == 42
+        assert nand.read(0) == (42,)
 
     def test_program_counts(self, nand):
         nand.program(0)
@@ -56,11 +56,6 @@ class TestProgram:
         with pytest.raises(FlashViolation):
             nand.program(GEOM.total_pages)
 
-    def test_oversized_payload_rejected(self):
-        nand = NandArray(GEOM, store_data=True)
-        with pytest.raises(FlashViolation):
-            nand.program(0, data=b"x" * (GEOM.page_size + 1))
-
     def test_oversized_oob_rejected_before_any_store(self):
         # A rejected program must leave the array untouched: the OOB
         # length check used to run after the page was marked programmed.
@@ -71,14 +66,14 @@ class TestProgram:
         )
         nand = NandArray(geometry)
         with pytest.raises(FlashViolation, match="OOB"):
-            nand.program(0, lpn=5, oob=(0, 1, 2, 3, 4))
-        assert nand.is_free(0)
+            nand.program(0, oob=(0, 1, 2, 3, 4))
+        assert nand.page_state[0] == PageState.FREE
         assert nand.block_write_ptr[0] == 0
         assert nand.counters.programs == 0
-        assert nand.page_lpn[0] == NO_LPN and nand.page_seq[0] == -1
-        assert nand.read_oob(0) is None
-        nand.program(0, lpn=5, oob=[0, 1, 2, 3])  # the corrected retry
-        assert nand.read_oob(0) == (0, 1, 2, 3)
+        assert nand.page_seq[0] == -1
+        assert nand.read(0) is None
+        nand.program(0, oob=[0, 1, 2, 3])  # the corrected retry
+        assert nand.read(0) == (0, 1, 2, 3)
         assert nand.page_seq[0] == 0
 
     def test_program_sees_state_staged_through_the_arrays(self, nand):
@@ -88,41 +83,28 @@ class TestProgram:
         nand.block_write_ptr[1] = 3
         with pytest.raises(FlashViolation, match="next page is 3"):
             nand.program(first)
-        nand.program(first + 3, lpn=9)
+        nand.program(first + 3, oob=(9,))
         assert nand.block_write_ptr[1] == 4
-        assert nand.block_stats(1).programmed_pages == 4
+        assert nand.read(first + 3) == (9,)
         nand.page_state[0] = PageState.PROGRAMMED
-        assert not nand.is_free(0)
         with pytest.raises(FlashViolation, match="already programmed"):
             nand.program(0)
 
 
 class TestRead:
     def test_read_free_page(self, nand):
-        lpn, data = nand.read(0)
-        assert lpn == NO_LPN
-        assert data is None
+        assert nand.read(0) is None
 
     def test_read_programmed_page_lpn(self, nand):
-        nand.program(0, lpn=7)
-        lpn, _ = nand.read(0)
-        assert lpn == 7
+        nand.program(0, oob=(7,))
+        assert nand.read(0) == (7,)
+        nand.program(1)  # no OOB record stored
+        assert nand.read(1) is None
 
     def test_read_counts(self, nand):
         nand.read(0)
         nand.read(0)
         assert nand.counters.reads == 2
-
-    def test_data_round_trip_when_stored(self):
-        nand = NandArray(GEOM, store_data=True)
-        nand.program(0, lpn=1, data=b"hello")
-        lpn, data = nand.read(0)
-        assert (lpn, data) == (1, b"hello")
-
-    def test_data_not_stored_by_default(self, nand):
-        nand.program(0, lpn=1, data=b"hello")
-        _, data = nand.read(0)
-        assert data is None
 
     def test_read_out_of_range(self, nand):
         with pytest.raises(FlashViolation):
@@ -132,10 +114,10 @@ class TestRead:
 class TestErase:
     def test_erase_frees_pages(self, nand):
         for page in range(GEOM.pages_per_block):
-            nand.program(page, lpn=page)
+            nand.program(page, oob=(page,))
         nand.erase(0)
         assert np.all(nand.page_state[: GEOM.pages_per_block] == PageState.FREE)
-        assert np.all(nand.page_lpn[: GEOM.pages_per_block] == NO_LPN)
+        assert np.all(nand.page_seq[: GEOM.pages_per_block] == -1)
 
     def test_erase_resets_write_pointer(self, nand):
         nand.program(0)
@@ -159,29 +141,29 @@ class TestErase:
         with pytest.raises(FlashViolation):
             nand.erase(GEOM.total_blocks)
 
-    def test_erase_clears_stored_data(self):
-        nand = NandArray(GEOM, store_data=True)
-        nand.program(0, data=b"x")
+    def test_erase_clears_stored_data(self, nand):
+        # The OOB record is all a page stores: erase drops it.
+        nand.program(0, oob=(3,))
         nand.erase(0)
-        _, data = nand.read(0)
-        assert data is None
+        assert nand.read(0) is None
 
 
 class TestInspection:
     def test_block_stats(self, nand):
+        # A block's stats are two cells: under sequential programming
+        # its write pointer is its programmed-page count.
         nand.program(0)
         nand.program(1)
-        stats = nand.block_stats(0)
-        assert stats.programmed_pages == 2
-        assert stats.write_pointer == 2
-        assert stats.erase_count == 0
+        programmed = np.count_nonzero(
+            nand.page_state[:GEOM.pages_per_block] == PageState.PROGRAMMED)
+        assert nand.block_write_ptr[0] == programmed == 2
+        assert nand.block_erase_count[0] == 0
 
     def test_lpns_in_block(self, nand):
-        nand.program(0, lpn=10)
-        nand.program(1, lpn=11)
-        lpns = nand.lpns_in_block(0)
-        assert lpns[0] == 10 and lpns[1] == 11
-        assert lpns[2] == NO_LPN
+        # A page's LPN stamp is its OOB record.
+        nand.program(0, oob=(10,))
+        nand.program(1, oob=(11,))
+        assert [nand.read(ppn) for ppn in range(3)] == [(10,), (11,), None]
 
     def test_wear_summary(self, nand):
         nand.erase(0)
@@ -190,11 +172,6 @@ class TestInspection:
         summary = nand.wear_summary()
         assert summary["max"] == 2
         assert summary["total"] == 3
-
-    def test_is_free(self, nand):
-        assert nand.is_free(0)
-        nand.program(0)
-        assert not nand.is_free(0)
 
 
 @settings(max_examples=30)
@@ -233,9 +210,9 @@ def test_clone_copies_each_state_array_once():
     from repro.ssd.presets import mqsim_baseline
 
     nand = NandArray(mqsim_baseline().geometry)
-    nand.program(0, lpn=7, oob=(7, 8))
+    nand.program(0, oob=(7, 8))
     nbytes = sum(array.nbytes for array in (
-        nand.page_state, nand.page_lpn, nand.page_seq, nand.block_erase_count,
+        nand.page_state, nand.page_seq, nand.block_erase_count,
         nand.block_write_ptr, nand.page_oob, nand.page_oob_len))
     tracemalloc.start()
     try:
@@ -245,10 +222,11 @@ def test_clone_copies_each_state_array_once():
         tracemalloc.stop()
     assert nbytes <= peak <= 1.2 * nbytes
     # The twin's views alias its own arrays, not the original's.
-    twin.program(1, lpn=9, oob=(9,))
+    twin.program(1, oob=(9,))
     twin.erase(5)
-    assert twin.read_oob(1) == (9,) and nand.is_free(1)
+    assert twin.read(1) == (9,) and nand.page_state[1] == PageState.FREE
     assert twin.block_erase_count[5] == 1 and nand.block_erase_count[5] == 0
-    assert twin.read_oob(0) == nand.read_oob(0) == (7, 8)
+    assert twin.read(0) == nand.read(0) == (7, 8)
     assert twin.wear_summary() != nand.wear_summary()
     assert twin.counters.programs == 2 and nand.counters.programs == 1
+    assert twin.counters.reads == 2 and nand.counters.reads == 1

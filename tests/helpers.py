@@ -136,6 +136,18 @@ def scan_candidates(selector, plane: int, exclude=()) -> list[int]:
     return result
 
 
+def oob_stamp(nand):
+    """Each page's logical stamp: slot 0 of its OOB record when that
+    holds an LPN, else ``NO_LPN`` (free, parity, padding and metadata
+    pages)."""
+    import numpy as np
+
+    from repro.flash.nand import NO_LPN
+
+    has_lpn = (nand.page_oob_len > 0) & (nand.page_oob[:, 0] >= 0)
+    return np.where(has_lpn, nand.page_oob[:, 0], NO_LPN)
+
+
 def migrate_per_page(ftl, lpns, reason) -> None:
     """Reference for ``Ftl._migrate_sectors``: the per-page silent
     migration loop it replaced, as GC ran it (``_in_gc`` set, so no
@@ -156,14 +168,13 @@ def migrate_per_page(ftl, lpns, reason) -> None:
         page = lpns[start : start + spp]
         stream = ftl._route("gc", page) if ftl._routed else "gc"
         ppn = ftl._allocate_programmable_page(stream)
-        ftl.nand.program(ppn, lpn=page[0], oob=page)
+        ftl.nand.program(ppn, oob=page)
         ftl._emit(FlashOp(OpKind.PROGRAM, ppn, reason, ftl._page_size))
         base = ppn * spp
         olds = [ftl.mapping.silent_update(lpn, psa)
                 for psa, lpn in enumerate(page, base)]
         for psa, lpn in enumerate(page, base):
             ftl.p2l[psa] = lpn
-            ftl.sector_valid[psa] = True
         ftl.block_valid[ppn // ppb] += len(page)
         for psa, (lpn, old) in enumerate(zip(page, olds), base):
             ftl._invalidate_old_copy(lpn, old, psa)
@@ -183,7 +194,7 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
     The page is allocated (after the free-space check) and programmed;
     then each sector in slot order is mapped with :func:`update_general`
     (the map's general body, with no lane),
-    stamped into ``p2l``/``sector_valid``/``block_valid`` and has its old
+    stamped into ``p2l``/``block_valid`` and has its old
     copy cleared by ``Ftl._invalidate_old_copy``.  Superseded pSLC copies
     go next, then the sectors' merged mapping events, then the RAIN
     count.  Install it with
@@ -199,14 +210,13 @@ def program_page_per_sector(ftl, lpns, stream, reason) -> None:
         stream = ftl._route(stream, lpns)
     ppn = ftl._allocate_programmable_page(stream)
     lpns = lpns[:spp]
-    ftl.nand.program(ppn, lpn=lpns[0], oob=lpns)
+    ftl.nand.program(ppn, oob=lpns)
     ftl._emit(FlashOp(OpKind.PROGRAM, ppn, reason, ftl._page_size))
     events = MappingEvents()
     for psa, lpn in enumerate(lpns, ppn * spp):
         old, sector_events = update_general(ftl.mapping, lpn, psa)
         events.merge(sector_events)
         ftl.p2l[psa] = lpn
-        ftl.sector_valid[psa] = True
         ftl.block_valid[ppn // ppb] += 1
         ftl._invalidate_old_copy(lpn, old, psa)
     if ftl.pslc.enabled:

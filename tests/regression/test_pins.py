@@ -31,14 +31,14 @@ from repro.flash.errors import FailureInjector, ReliabilityModel
 from repro.flash.timing import profile
 from repro.obs.events import ResourceBusy
 from repro.ssd.device import SimulatedSSD
-from repro.ssd.ftl import Ftl
+from repro.ssd.ftl import P2L_NONE, Ftl
 from repro.ssd.ops import OpReason
 from repro.ssd.presets import evo840_like, mqsim_baseline, mx500_like, tiny
 from repro.ssd.timed import BackgroundPolicy, BusTap, TimedSSD
 from repro.workloads.engine import run_timed
 from repro.workloads.patterns import Region
 from repro.workloads.spec import JobSpec
-from tests.helpers import ListSink, record_ops, record_requests
+from tests.helpers import ListSink, oob_stamp, record_ops, record_requests
 
 PINS = Path(__file__).with_name("pins.json")
 
@@ -109,9 +109,9 @@ def _ops(op_lists) -> list:
 def _state(ftl: Ftl) -> list:
     """The nine arrays and four statistics that define an FTL's state."""
     nand = ftl.nand
-    arrays = (ftl.mapping.l2p, ftl.p2l, ftl.sector_valid, ftl.block_valid,
-              nand.page_state, nand.page_lpn, nand.page_seq,
-              nand.block_erase_count, nand.block_write_ptr)
+    arrays = (ftl.mapping.l2p, ftl.p2l, ftl.p2l != P2L_NONE,
+              ftl.block_valid, nand.page_state, oob_stamp(nand),
+              nand.page_seq, nand.block_erase_count, nand.block_write_ptr)
     return [array.tobytes() for array in arrays] + [
         nand.wear_summary(), ftl.stats, ftl.mapping.stats, ftl.cache.hits]
 
@@ -322,7 +322,8 @@ class _Recorder:
     def digest(self) -> str:
         ftl = self.device.ftl
         return _digest(*self.op_lists, ftl.p2l.tobytes(),
-                       ftl.sector_valid.tobytes(), ftl.block_valid.tobytes(),
+                       (ftl.p2l != P2L_NONE).tobytes(),
+                       ftl.block_valid.tobytes(),
                        ftl.mapping.l2p.tobytes(), self.device.smart)
 
 
@@ -411,7 +412,7 @@ def _stale_and_disowned_old_copies(rec: _Recorder) -> None:
     # The two states the ownership rule guards against, made by hand
     # (no host workload reaches them since mapping events are deferred):
     # a map entry whose sector now belongs to another LPN, and one whose
-    # sector is already invalid but still carries the LPN.
+    # sector is already invalid.
     device = rec.device
     ftl = device.ftl
     for lba in range(0, 64, 4):
@@ -419,13 +420,13 @@ def _stale_and_disowned_old_copies(rec: _Recorder) -> None:
     rec.command("flush")
     ftl.mapping.silent_update(5, int(ftl.mapping.l2p[20]))
     disowned = int(ftl.mapping.l2p[6])
-    ftl.sector_valid[disowned] = False
+    ftl.p2l[disowned] = P2L_NONE
     ftl.block_valid[disowned // (4 * ftl.geometry.pages_per_block)] -= 1
     ftl._ops = []
     ftl._program_data_page([5, 6], stream="host", reason=OpReason.HOST)
     ftl._migrate_sectors([5, 6], OpReason.GC)
     rec(ftl._ops)
-    assert ftl.sector_valid[ftl.mapping.l2p[20]]
+    assert ftl.p2l[ftl.mapping.l2p[20]] != P2L_NONE
 
 
 def _trims_interleaved(rec: _Recorder) -> None:
@@ -507,8 +508,8 @@ _PAGE_PATH_DRIVES = [
                          ids=[drive.__name__.lstrip("_")
                               for _, drive in _PAGE_PATH_DRIVES])
 def test_page_path(make_config, drive, pin_id):
-    # Each digest covers every op list returned, p2l, sector_valid,
-    # block_valid, l2p and SMART.
+    # Each digest covers every op list returned, p2l, the valid map
+    # (p2l != P2L_NONE), block_valid, l2p and SMART.
     rec = _Recorder(SimulatedSSD(make_config()))
     drive(rec)
     rec.device.ftl.check_invariants()
@@ -558,7 +559,7 @@ def _integrity_reads(sink) -> tuple[SimulatedSSD, PlannedFaultInjector, list]:
 
 def test_read_integrity(pin_id):
     # Every op list returned, FtlStats, the injector's firing log,
-    # p2l / sector_valid / l2p and SMART, untraced; then the same drive
+    # p2l / the valid map / l2p and SMART, untraced; then the same drive
     # traced, with every event.
     plain, injector, returned = _integrity_reads(None)
     sink = ListSink()
@@ -571,7 +572,8 @@ def test_read_integrity(pin_id):
     assert stats.uncorrectable_reads > 0
     assert ftl.mapping.stats.chunk_loads > 1_000
     digest = _digest(_ops(returned), stats, injector.log, ftl.p2l.tobytes(),
-                     ftl.sector_valid.tobytes(), ftl.mapping.l2p.tobytes(),
+                     (ftl.p2l != P2L_NONE).tobytes(),
+                     ftl.mapping.l2p.tobytes(),
                      plain.smart, sink.events)
     check_pin(pin_id, digest,
               _summary(plain.smart, len(returned), events=sink.events))

@@ -12,10 +12,10 @@ from repro.flash.errors import FailureInjector
 from repro.flash.geometry import Geometry
 from repro.ssd.allocation import OutOfSpace
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import Ftl, ReadOnlyError
+from repro.ssd.ftl import P2L_NONE, Ftl, ReadOnlyError
 from repro.ssd.ops import OpKind, OpReason
 from repro.ssd.presets import evo840_like, mx500_like, tiny
-from tests.helpers import program_page_per_sector
+from tests.helpers import oob_stamp, program_page_per_sector
 
 
 def small_config(**overrides):
@@ -62,8 +62,8 @@ class TestWritePath:
         ftl.flush()
         psa2 = int(ftl.mapping.l2p[5])
         assert psa1 != psa2
-        assert not ftl.sector_valid[psa1]
-        assert ftl.sector_valid[psa2]
+        assert ftl.p2l[psa1] == P2L_NONE
+        assert ftl.p2l[psa2] == 5
 
     def test_sectors_packed_into_pages(self):
         config = small_config()
@@ -135,7 +135,7 @@ class TestTrim:
         psa = int(ftl.mapping.l2p[3])
         ftl.trim(3)
         assert int(ftl.mapping.l2p[3]) == -1
-        assert not ftl.sector_valid[psa]
+        assert ftl.p2l[psa] == P2L_NONE
         assert ftl.read(3) == []
 
     def test_trim_pending_cache_write(self):
@@ -200,7 +200,7 @@ class TestMetadataPath:
         ppn2 = int(ftl.mapping.tp_stored_ppn[0])
         assert ppn1 != ppn2
         slot0 = ppn1 * ftl.geometry.sectors_per_page
-        assert not ftl.sector_valid[slot0]
+        assert ftl.p2l[slot0] == P2L_NONE
 
 
 class TestRainIntegration:
@@ -218,14 +218,18 @@ class TestRainIntegration:
     def test_parity_never_valid(self):
         config = small_config(rain_stripe=2)
         ftl = Ftl(config)
+        ops = []
         for lpn in range(min(200, ftl.num_lpns)):
-            ftl.write(lpn)
-        ftl.flush()
+            ops += ftl.write(lpn)
+        ops += ftl.flush()
         ftl.check_invariants()
-        # All valid sectors belong to host data or metadata, never parity:
-        # parity pages carry no p2l entry, so validity implies p2l != -1.
-        valid = np.nonzero(ftl.sector_valid)[0]
-        assert np.all(ftl.p2l[valid] != -1)
+        # No parity page holds a valid sector: its slots carry no p2l
+        # entry.
+        parity = [op.target for op in ops if op.reason is OpReason.PARITY]
+        assert parity
+        slots = np.add.outer(np.array(parity) * ftl._spp,
+                             np.arange(ftl._spp))
+        assert np.all(ftl.p2l[slots] == P2L_NONE)
 
 
 class TestPslcIntegration:
@@ -296,7 +300,7 @@ class TestFailureHandling:
         # Write enough to allocate more pages, forcing one failure.
         next_ppn = None
         for candidate in range(ftl.geometry.total_pages):
-            if ftl.nand.is_free(candidate):
+            if ftl.nand.page_state[candidate] == 0:
                 next_ppn = candidate
                 break
         assert next_ppn is not None
@@ -419,7 +423,7 @@ def test_invariants_hold_under_random_workloads(seed, writes):
 
 def test_state_arrays_are_only_ever_edited_in_place():
     """ftl.py, mapping.py and nand.py read and write single entries of
-    p2l, sector_valid, block_valid, l2p, tp_stored_ppn and the NandArray
+    p2l, block_valid, l2p, tp_stored_ppn and the NandArray
     page/block arrays through memoryviews taken at construction (for a
     NAND clone, by ``clone``); rebinding one of the attributes to a new
     array anywhere else would leave its view on a dead buffer."""
@@ -432,12 +436,10 @@ def test_state_arrays_are_only_ever_edited_in_place():
     def arrays_and_views(ftl):
         nand = ftl.nand
         return ((ftl.p2l, ftl._p2l_view),
-                (ftl.sector_valid, ftl._sector_valid_view),
                 (ftl.block_valid, ftl._block_valid_view),
                 (ftl.mapping.l2p, ftl.mapping._l2p_view),
                 (ftl.mapping.tp_stored_ppn, ftl.mapping._tp_stored_view),
                 (nand.page_state, nand._page_state_view),
-                (nand.page_lpn, nand._page_lpn_view),
                 (nand.page_seq, nand._page_seq_view),
                 (nand.block_write_ptr, nand._block_write_ptr_view),
                 (nand.block_erase_count, nand._block_erase_count_view),
@@ -483,8 +485,8 @@ def _page_commit_state(ftl):
     return (mapping.l2p.tolist(), list(mapping._dirty), mapping._since_sync,
             mapping.stats, mapping.resident_chunk_ids(),
             mapping.tp_stored_ppn.tolist(), ftl.stats, ftl.p2l.tolist(),
-            ftl.sector_valid.tolist(), ftl.block_valid.tolist(),
-            ftl.nand.page_lpn.tolist(), dict(ftl.pslc.index),
+            ftl.block_valid.tolist(), oob_stamp(ftl.nand).tolist(),
+            dict(ftl.pslc.index),
             ftl.rain.data_pages, ftl.rain.parity_pages)
 
 

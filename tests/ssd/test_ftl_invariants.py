@@ -18,7 +18,7 @@ import pytest
 from repro.flash.nand import NO_LPN
 from repro.obs.events import GcFinished
 from repro.ssd.device import SimulatedSSD
-from repro.ssd.ftl import META_P2L_BASE
+from repro.ssd.ftl import META_P2L_BASE, P2L_NONE
 from repro.ssd.mapping import UNMAPPED
 from repro.ssd.presets import evo840_like, tiny
 from tests.helpers import record_ops
@@ -33,11 +33,10 @@ def assert_mapping_bijective(ftl) -> None:
     # No two LPNs share a live physical sector.
     assert len(np.unique(psas)) == len(psas), "duplicate live PPN"
     # Forward map lands on valid sectors owned by the same LPN.
-    assert ftl.sector_valid[psas].all(), "mapped LPN on invalid sector"
     assert np.array_equal(ftl.p2l[psas], mapped), "p2l does not round-trip"
     # Converse: every valid *data* sector is reachable from the map or
     # superseded by a pSLC-resident copy of the same LPN.
-    valid_data = np.nonzero(ftl.sector_valid & (ftl.p2l >= 0))[0]
+    valid_data = np.nonzero(ftl.p2l >= 0)[0]
     for psa in valid_data:
         lpn = int(ftl.p2l[psa])
         if int(ftl.mapping.l2p[lpn]) != psa:
@@ -55,15 +54,14 @@ def assert_page_accounting(ftl) -> None:
     free_pages = int(np.count_nonzero(page_state == 0))
     programmed_pages = int(np.count_nonzero(page_state == 1))
     assert free_pages + programmed_pages == geometry.total_pages
-    # Pages carrying at least one valid sector, from the sector bitmap.
-    valid_pages = int(np.count_nonzero(
-        ftl.sector_valid.reshape(-1, spp).any(axis=1)
-    ))
+    # Pages carrying at least one valid sector, from the reverse map.
+    valid = ftl.p2l != P2L_NONE
+    valid_pages = int(np.count_nonzero(valid.reshape(-1, spp).any(axis=1)))
     invalid_pages = programmed_pages - valid_pages
     assert invalid_pages >= 0, "valid sectors exceed programmed pages"
     assert valid_pages + invalid_pages + free_pages == geometry.total_pages
     # Valid sectors only ever sit on programmed pages.
-    valid_psas = np.nonzero(ftl.sector_valid)[0]
+    valid_psas = np.nonzero(valid)[0]
     assert np.all(page_state[valid_psas // spp] == 1)
 
 
@@ -144,7 +142,8 @@ class TestRandomizedInvariants:
             if psa is None:
                 psa = int(ftl.mapping.l2p[lpn])
             assert psa != UNMAPPED, f"written lpn {lpn} unmapped after flush"
-            assert ftl.sector_valid[psa], f"written lpn {lpn} on dead sector"
+            assert ftl.p2l[psa] != P2L_NONE, (
+                f"written lpn {lpn} on dead sector")
             ppn = psa // ftl.geometry.sectors_per_page
             assert ftl.nand.page_state[ppn] == 1, "mapped to unprogrammed page"
             # A host read must reach flash for this sector (no RAM copy

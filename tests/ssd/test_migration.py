@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from repro.flash.errors import FailureInjector
 from repro.ssd.allocation import OutOfSpace
-from repro.ssd.ftl import Ftl, ReadOnlyError
+from repro.ssd.ftl import P2L_NONE, Ftl, ReadOnlyError
 from repro.ssd.mapping import UNMAPPED
 from repro.ssd.ops import OpReason
 from repro.ssd.presets import tiny
-from tests.helpers import ListSink, migrate_per_page
+from tests.helpers import ListSink, migrate_per_page, oob_stamp
 
 
 def _config(rain_stripe: int, pslc: bool):
@@ -32,8 +32,9 @@ def _config(rain_stripe: int, pslc: bool):
 
 def _state(ftl: Ftl) -> tuple:
     nand, allocator, rain, pslc = ftl.nand, ftl.allocator, ftl.rain, ftl.pslc
-    arrays = (ftl.mapping.l2p, ftl.p2l, ftl.sector_valid, ftl.block_valid,
-              ftl.block_birth, nand.page_state, nand.page_lpn, nand.page_seq,
+    arrays = (ftl.mapping.l2p, ftl.p2l, ftl.p2l != P2L_NONE,
+              ftl.block_valid, ftl.block_birth, nand.page_state,
+              oob_stamp(nand), nand.page_seq,
               nand.block_erase_count, nand.block_write_ptr, nand.page_oob,
               nand.page_oob_len)
     return (
@@ -201,7 +202,7 @@ def test_parity_failure_mid_run_sees_the_committed_pages():
                 continue
             block = active.block_index
             window = slice(block * ppb * spp, (block + 1) * ppb * spp)
-            live = np.flatnonzero(ftl.sector_valid[window])
+            live = np.flatnonzero(ftl.p2l[window] != P2L_NONE)
             if len(live):
                 break
         victim = int(ftl.p2l[window][live[0]])

@@ -41,7 +41,7 @@ class TestOpenChannelDevice:
         programmed = device.program_page(0, at_ns=0, oob=(7,))
         assert programmed >= device.timing.program_ns
         assert device.read_page(0, at_ns=programmed) > programmed
-        assert device.nand.page_lpn[0] == 7
+        assert device.nand.read(0) == (7,)
 
     def test_raw_ops_respect_nand_rules(self):
         device = OpenChannelSSD(CFG.geometry, CFG.timing_name)

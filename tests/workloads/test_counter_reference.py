@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.device import SimulatedSSD
+from repro.ssd.ftl import P2L_NONE
 from repro.ssd.presets import tiny
 from repro.workloads.engine import run_counter
 from repro.workloads.patterns import Region
@@ -46,7 +47,7 @@ def job_mixes(draw) -> list[JobSpec]:
 def _state(device) -> list:
     ftl = device.ftl
     return [device.smart_snapshot(), ftl.p2l.tobytes(),
-            ftl.sector_valid.tobytes(), ftl.mapping.l2p.tobytes()]
+            (ftl.p2l != P2L_NONE).tobytes(), ftl.mapping.l2p.tobytes()]
 
 
 @settings(max_examples=30, deadline=None)
