@@ -5,7 +5,6 @@ from repro.flash.nand import (
     NO_LPN,
     FlashViolation,
     NandArray,
-    NandCounters,
     PageState,
 )
 from repro.flash.timing import MLC, PSLC, SLC, TLC, TimingProfile, profile
@@ -14,7 +13,6 @@ __all__ = [
     "Geometry",
     "PhysicalAddress",
     "NandArray",
-    "NandCounters",
     "FlashViolation",
     "PageState",
     "NO_LPN",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,21 +62,6 @@ class PageState:
 
 # Module-level copies for the per-page paths (no class lookup per use).
 _FREE, _PROGRAMMED = PageState.FREE, PageState.PROGRAMMED
-
-
-@dataclass
-class NandCounters:
-    """Raw operation counters maintained by the array itself.
-
-    These are ground truth; the SMART counters exposed by the device
-    (:mod:`repro.ssd.smart`) are derived from FTL-level accounting and may
-    legitimately disagree with these in the same ways a real drive's
-    counters disagree with its raw flash activity.
-    """
-
-    reads: int = 0
-    programs: int = 0
-    erases: int = 0
 
 
 class NandArray:
@@ -120,7 +104,6 @@ class NandArray:
                                 dtype=np.int64)
         self.page_oob_len = np.full(total_pages, _NO_OOB, dtype=np.int16)
         self._bind_views()
-        self.counters = NandCounters()
         self._program_counter = 0
 
     def _bind_views(self) -> None:
@@ -174,7 +157,6 @@ class NandArray:
         self._page_seq_view[ppn] = self._program_counter
         self._program_counter += 1
         self._block_write_ptr_view[block] = page + 1
-        self.counters.programs += 1
         if oob is not None:
             cells = self._page_oob_view
             cell = ppn * self._oob_slots
@@ -192,7 +174,6 @@ class NandArray:
         """
         if not 0 <= ppn < self.total_pages:
             raise FlashViolation(f"read: ppn {ppn} out of range")
-        self.counters.reads += 1
         n = self._page_oob_len_view[ppn]
         if n < 0:
             return None
@@ -209,10 +190,9 @@ class NandArray:
         self.page_oob_len[start:end] = _NO_OOB
         self._block_write_ptr_view[block_index] = 0
         self._block_erase_count_view[block_index] += 1
-        self.counters.erases += 1
 
     def clone(self) -> "NandArray":
-        """Deep-copy the array state (pages, OOB, wear, counters).
+        """Deep-copy the array state (pages, OOB, wear).
 
         The crash-consistency sweep snapshots the NAND at each cut point
         and runs power-loss recovery against the copy while the original
@@ -220,13 +200,11 @@ class NandArray:
         contents survive, RAM state does not.
         """
         # A shallow copy carries the geometry and every scalar; each state
-        # array is copied once (no throwaway arrays from __init__) and
-        # the counters are replaced below.
+        # array is copied once (no throwaway arrays from __init__).
         twin = copy.copy(self)
         for name in _STATE_ARRAYS:
             setattr(twin, name, getattr(self, name).copy())
         twin._bind_views()  # the copied views still alias self's arrays
-        twin.counters = replace(self.counters)
         return twin
 
     # ------------------------------------------------------------------

@@ -64,6 +64,19 @@ class PageAllocator:
     excluded_blocks:
         Blocks owned by someone else (e.g. the pSLC buffer) — never
         allocated here.
+    gc_low_water_blocks:
+        The FTL's GC low watermark: :attr:`planes_at_watermark` counts
+        the planes whose free pool is at or below it (-1 = none).
+
+    Every piece of block state is read off *nand* here, so an allocator
+    over a fresh array and one over a recovered array are built the same
+    way: blocks with write pointer 0 are free (the lowest index in each
+    plane popped first), fully-written blocks are sealed, and the blocks
+    that are not free are ranked by the program stamp of their page 0 —
+    the OOB sequence number, which survives power loss — so block age
+    (:attr:`block_alloc_seq`) is kept across a crash.  No block is open
+    until the first allocation; a partially-written block is neither
+    free nor sealed.
     """
 
     def __init__(
@@ -72,9 +85,9 @@ class PageAllocator:
         nand: NandArray,
         scheme: str | AllocationPolicy = "CWDP",
         excluded_blocks: frozenset[int] = frozenset(),
+        gc_low_water_blocks: int = -1,
     ) -> None:
         self.geometry = geometry
-        self.nand = nand
         self.policy = _resolve_policy(scheme)
         self.policy.bind(geometry)
         self.scheme = self.policy.name
@@ -85,33 +98,44 @@ class PageAllocator:
         self.route = self.policy.route
         self.excluded_blocks = excluded_blocks
 
-        self._ppb = geometry.pages_per_block
+        ppb = self._ppb = geometry.pages_per_block
         planes = self._planes = geometry.planes_total
+        bpp = geometry.blocks_per_plane
+        #: per-plane free pools; pop() yields the lowest block index first.
         self._free_blocks: list[list[int]] = [[] for _ in range(planes)]
-        for block_index in range(geometry.total_blocks):
-            if block_index in excluded_blocks:
-                continue
-            self._free_blocks[self._plane_of_block(block_index)].append(block_index)
-        for pool in self._free_blocks:
-            pool.reverse()  # pop() yields lowest block index first
-
-        self._active: dict[tuple[int, str], _ActiveBlock] = {}
-        self._stream_counters: dict[str, int] = {s: 0 for s in self.streams}
-        self._retired: set[int] = set()
-        #: monotonically increasing allocation stamp per block (for FIFO GC).
-        self.block_alloc_seq: dict[int, int] = {}
-        self._alloc_seq = 0
         #: per-plane sealed-block index: fully-written, non-active,
         #: non-retired blocks — exactly the GC candidate pool.  Kept
         #: incrementally on block state changes so victim selection is
         #: O(candidates), not a full plane scan per GC invocation.
         self._sealed: list[set[int]] = [set() for _ in range(planes)]
-        #: GC low watermark registered via :meth:`set_gc_watermark`
-        #: (-1 = none).  ``_low_planes`` counts planes whose free pool is
-        #: at or below it, so the FTL's free-space check is O(1) instead
-        #: of a per-program scan over every plane.
-        self._gc_low_water = -1
-        self._low_planes = 0
+        used: list[int] = []  # the blocks that are not free
+        write_ptr = nand.block_write_ptr.tolist()
+        for block in range(geometry.total_blocks - 1, -1, -1):
+            if block in excluded_blocks:
+                continue
+            ptr = write_ptr[block]
+            if ptr == 0:
+                self._free_blocks[block // bpp].append(block)
+                continue
+            used.append(block)
+            if ptr >= ppb:
+                self._sealed[block // bpp].add(block)
+        self._active: dict[tuple[int, str], _ActiveBlock] = {}
+        self._stream_counters: dict[str, int] = {s: 0 for s in self.streams}
+        self._retired: set[int] = set()
+        used.sort(key=nand.page_seq[::ppb].tolist().__getitem__)
+        #: monotonically increasing allocation stamp per block (for FIFO GC).
+        self.block_alloc_seq: dict[int, int] = {
+            block: rank for rank, block in enumerate(used, 1)
+        }
+        self._alloc_seq = len(used)
+        #: ``_low_planes`` counts planes whose free pool is at or below
+        #: the GC low watermark, so the FTL's free-space check is O(1)
+        #: instead of a per-program scan over every plane.
+        self._gc_low_water = gc_low_water_blocks
+        self._low_planes = sum(
+            1 for pool in self._free_blocks if len(pool) <= gc_low_water_blocks
+        )
 
     def _plane_of_block(self, block_index: int) -> int:
         return block_index // self.geometry.blocks_per_plane
@@ -213,58 +237,21 @@ class PageAllocator:
             if active.block_index == block_index:
                 del self._active[key]
 
-    def abandon_active(self, stream: str, plane: int) -> None:
-        """Drop the active block of a stream (used on program failure)."""
-        active = self._active.pop((plane, stream), None)
-        if (active is not None
-                and self.nand.block_write_ptr[active.block_index]
-                >= self.geometry.pages_per_block):
-            self._sealed[plane].add(active.block_index)
-
     # ------------------------------------------------------------------
     # Sealed-block index (GC candidate pool)
     # ------------------------------------------------------------------
 
     def sealed_blocks(self, plane: int) -> set[int]:
         """The incrementally-maintained GC candidate pool for *plane*:
-        fully-written blocks that are neither active nor retired."""
+        fully-written blocks that are neither active, retired nor
+        excluded.  The one statement of that rule: GC, wear levelling,
+        refresh and the host FTL all choose from it (sorted, where the
+        order matters)."""
         return self._sealed[plane]
-
-    def reindex_sealed(self) -> None:
-        """Rebuild the sealed-block index from NAND state.
-
-        Needed when flash content changes behind the allocator's back:
-        after crash recovery replays programs directly into the NAND
-        array, or in tests that stage block states by hand.  Mirrors
-        the definition the per-event updates maintain incrementally.
-        """
-        geometry = self.geometry
-        active = self.active_blocks()
-        write_ptr = self.nand.block_write_ptr
-        for plane in range(geometry.planes_total):
-            start = plane * geometry.blocks_per_plane
-            sealed = self._sealed[plane]
-            sealed.clear()
-            for block in range(start, start + geometry.blocks_per_plane):
-                if block in active or block in self._retired:
-                    continue
-                if block in self.excluded_blocks:
-                    continue
-                if write_ptr[block] >= geometry.pages_per_block:
-                    sealed.add(block)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def set_gc_watermark(self, low: int) -> None:
-        """Register the FTL's GC low watermark and (re)build the count of
-        planes at or below it; from here on the count is maintained
-        incrementally by every pool mutation."""
-        self._gc_low_water = low
-        self._low_planes = sum(
-            1 for pool in self._free_blocks if len(pool) <= low
-        )
 
     @property
     def planes_at_watermark(self) -> int:

@@ -53,8 +53,6 @@ class WriteCache:
         #: length to decide when to flush.
         self.pending: OrderedDict[int, None] = OrderedDict()
         self.obs: TraceSink = NULL_SINK
-        self.hits = 0
-        self.insertions = 0
 
     def __len__(self) -> int:
         return len(self.pending)
@@ -65,12 +63,10 @@ class WriteCache:
     def insert(self, lpn: int) -> bool:
         """Buffer one sector write; returns True if it absorbed an older
         pending write to the same LPN."""
-        self.insertions += 1
         pending = self.pending
         hit = lpn in pending
         if hit:
             self._on_hit(lpn, pending)
-            self.hits += 1
         else:
             pending[lpn] = None
         obs = self.obs
@@ -115,8 +111,6 @@ class WriteCache:
             lpn += 1
             if room < 0:
                 break
-        self.insertions += lpn - first
-        self.hits += hits
         if tally is not None and lpn > first:
             tally(obs, "cache_admit", lpn - first)
         return lpn, hits
@@ -152,9 +146,3 @@ class WriteCache:
             del self.pending[lpn]
             return True
         return False
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.insertions:
-            return 0.0
-        return self.hits / self.insertions

@@ -186,14 +186,17 @@ class Ftl:
         # pSLC buffer blocks are striped across planes (TurboWrite-style
         # fixed regions with full die parallelism).
         pslc_block_ids = list(config.pslc_block_ids())
-        self.pslc = PslcBuffer(geometry, pslc_block_ids)
+        self.pslc = PslcBuffer(geometry, pslc_block_ids,
+                               self.nand.block_write_ptr)
         #: the device has a pSLC buffer (fixed at construction): without
         #: one the page paths skip every buffer check.
         self._has_pslc = self.pslc.enabled
         excluded = frozenset(pslc_block_ids)
 
         self.allocator = PageAllocator(
-            geometry, self.nand, config.allocation_scheme, excluded_blocks=excluded
+            geometry, self.nand, config.allocation_scheme,
+            excluded_blocks=excluded,
+            gc_low_water_blocks=config.gc_low_water_blocks,
         )
         # Stream routing (e.g. hotcold separation) only exists when the
         # allocation policy declares extra streams; the default path
@@ -224,7 +227,6 @@ class Ftl:
             chunk_lpns=config.mapping_chunk_lpns,
             resident_chunks=config.mapping_resident_chunks,
         )
-        self.allocator.set_gc_watermark(config.gc_low_water_blocks)
         self.selector = VictimSelector(
             config.gc_policy,
             geometry,
@@ -627,14 +629,12 @@ class Ftl:
                 if ppn % ppb == 0:
                     self.block_birth[ppn // ppb] = self._op_seq
                 return ppn
-            block = ppn // ppb
-            plane = block // self.geometry.blocks_per_plane
-            self._retire_block(block, stream, plane)
+            self._retire_block(ppn // ppb)
 
-    def _retire_block(self, block: int, stream: str, plane: int) -> None:
-        """Program failure: salvage valid data, then retire the block."""
+    def _retire_block(self, block: int) -> None:
+        """Program failure: salvage valid data, then retire the block
+        (which closes it if it is open)."""
         self.stats.blocks_retired += 1
-        self.allocator.abandon_active(stream, plane)
         self.allocator.retire_block(block)
         migrated_before = self.stats.gc_migrated_sectors
         was_in_gc = self._in_gc
@@ -760,11 +760,10 @@ class Ftl:
     def _wear_level(self, budget: int) -> int:
         done = 0
         while done < budget and self.leveler.should_level():
-            decision = self.leveler.pick_victim()
-            if decision is None:
+            victim = self.leveler.pick_victim()
+            if victim is None:
                 break
-            self._reclaim_block(decision.victim_block, OpReason.WEAR,
-                                self.leveler.policy)
+            self._reclaim_block(victim, OpReason.WEAR, self.leveler.policy)
             self.stats.wear_migrations += 1
             done += 1
         return done
@@ -773,17 +772,15 @@ class Ftl:
         """Rewrite blocks whose data has aged past the refresh deadline
         (flash correct-and-refresh)."""
         horizon = self._op_seq - self.config.refresh_after_ops
-        birth = self.block_birth
-        aged = np.flatnonzero((birth >= 0) & (birth <= horizon)
-                              & (self.block_valid > 0)
-                              & (self.nand.block_write_ptr >= self._ppb))
-        allocator = self.allocator
-        busy = (allocator.active_blocks() | allocator.retired_blocks
-                | allocator.excluded_blocks)
-        # Ascending block order, then a stable sort by birth: oldest
-        # first, ties by block index.
-        stale = [block for block in aged.tolist() if block not in busy]
-        stale.sort(key=birth.item)
+        birth = self.block_birth.item
+        valid = self._block_valid_view
+        sealed = self.allocator.sealed_blocks
+        # Sealed blocks in ascending block order, then a stable sort by
+        # birth: oldest first, ties by block index.
+        stale = [block for plane in range(self.geometry.planes_total)
+                 for block in sorted(sealed(plane))
+                 if 0 <= birth(block) <= horizon and valid[block] > 0]
+        stale.sort(key=birth)
         done = 0
         for block in stale[:budget]:
             self._reclaim_block(block, OpReason.REFRESH, "")
@@ -922,7 +919,6 @@ class Ftl:
         lpns = np.asarray(lpns, dtype=np.int64)
         page_lpns = lpns.tolist()
         spp, ppb = self._spp, self._ppb
-        blocks_per_plane = self.geometry.blocks_per_plane
         # Looked up per call: perfbench shadows the first three on the
         # instances.
         allocate_page = self.allocator.allocate_page
@@ -944,8 +940,7 @@ class Ftl:
                 ppn = allocate_page(stream)
                 while program_fails(ppn):
                     committed = commit(lpns, ppns, committed)
-                    block = ppn // ppb
-                    self._retire_block(block, stream, block // blocks_per_plane)
+                    self._retire_block(ppn // ppb)
                     ppn = allocate_page(stream)
                 if ppn % ppb == 0:
                     block_birth[ppn // ppb] = self._op_seq

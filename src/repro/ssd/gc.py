@@ -64,10 +64,6 @@ class VictimSelector:
         #: it (and ``sample_size``) at choose() time, never capture it.
         self.rng = np.random.default_rng(seed)
         self._choose = policy.choose  # bound once: no per-GC dispatch
-        # Seed the allocator's sealed-block index from current NAND
-        # state: callers may have programmed flash before attaching a
-        # selector (crash-recovery replay, tests staging block states).
-        allocator.reindex_sealed()
 
     # ------------------------------------------------------------------
 

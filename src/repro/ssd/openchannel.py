@@ -36,6 +36,7 @@ from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.flash.timing import TimingProfile, profile
 from repro.sim import Kernel
+from repro.ssd.allocation import PageAllocator
 from repro.ssd.ops import FlashOp, OpKind, OpReason
 from repro.ssd.presets import mqsim_baseline
 from repro.ssd.timed import FlashTimeline, TimedSSD
@@ -111,14 +112,9 @@ class HostFtl:
         self.gc_step_pages = gc_step_pages
         self.stats = HostFtlStats()
 
-        planes = geometry.planes_total
-        self._free: list[list[int]] = [[] for _ in range(planes)]
-        for block in range(geometry.total_blocks):
-            self._free[block // geometry.blocks_per_plane].append(block)
-        for pool in self._free:
-            pool.reverse()
-        self._active: dict[tuple[int, str], tuple[int, int]] = {}
-        self._write_index = {"host": 0, "gc": 0}
+        #: the firmware FTL's block lifecycle, with PDWC's plane order:
+        #: page *i* of a stream goes to plane ``i % planes_total``.
+        self.allocator = PageAllocator(geometry, device.nand, "PDWC")
         self._pending: list[int] = []
         #: incremental-GC state: the victim being drained, if any.
         self._gc_victim: int | None = None
@@ -161,7 +157,7 @@ class HostFtl:
     def _program_batch(self, lpns: list[int], stream: str, at_ns: int) -> int:
         geometry = self.geometry
         spp = geometry.sectors_per_page
-        ppn = self._allocate_page(stream)
+        ppn = self.allocator.allocate_page(stream)
         complete = self.device.program_page(ppn, at_ns, oob=tuple(lpns))
         self.stats.programs += 1
         block = ppn // geometry.pages_per_block
@@ -176,36 +172,16 @@ class HostFtl:
             self.block_valid[block] += 1
         return complete
 
-    def _allocate_page(self, stream: str) -> int:
-        geometry = self.geometry
-        planes = geometry.planes_total
-        index = self._write_index[stream]
-        self._write_index[stream] = index + 1
-        for offset in range(planes):
-            plane = (index + offset) % planes
-            key = (plane, stream)
-            block, page = self._active.get(key, (-1, geometry.pages_per_block))
-            if page >= geometry.pages_per_block:
-                if not self._free[plane]:
-                    continue
-                block, page = self._free[plane].pop(), 0
-            self._active[key] = (block, page + 1)
-            return block * geometry.pages_per_block + page
-        raise RuntimeError("host FTL out of space")
-
     # ------------------------------------------------------------------
     # Incremental GC
     # ------------------------------------------------------------------
-
-    def _total_free(self) -> int:
-        return sum(len(pool) for pool in self._free)
 
     def _gc_step(self, at_ns: int) -> int:
         """Do a *bounded* slice of reclaim work: the host amortizes GC
         over requests instead of paying it in storms."""
         low_water = self.gc_low_water_blocks * self.geometry.planes_total
         if self._gc_victim is None:
-            if self._total_free() > low_water:
+            if self.allocator.total_free_blocks() > low_water:
                 return at_ns
             self._gc_victim = self._pick_victim()
             self._gc_cursor = 0
@@ -249,25 +225,18 @@ class HostFtl:
                 self.stats.gc_migrated_pages += 1
             complete = max(complete, self.device.erase_block(victim, at_ns))
             self.stats.erases += 1
-            plane = victim // geometry.blocks_per_plane
-            self._free[plane].append(victim)
+            self.allocator.release_block(victim)
             self._gc_victim = None
         return complete
 
     def _pick_victim(self) -> int | None:
-        geometry = self.geometry
-        active = {block for block, _ in self._active.values()}
-        free = {b for pool in self._free for b in pool}
-        best: tuple[int, int] | None = None
-        for block in range(geometry.total_blocks):
-            if block in active or block in free:
-                continue
-            if int(self.device.nand.block_write_ptr[block]) < geometry.pages_per_block:
-                continue
-            valid = int(self.block_valid[block])
-            if best is None or valid < best[0]:
-                best = (valid, block)
-        return best[1] if best else None
+        """Greedy over every plane's sealed blocks: fewest valid
+        sectors, ties to the lowest block."""
+        sealed = self.allocator.sealed_blocks
+        valid = self.block_valid
+        return min((block for plane in range(self.geometry.planes_total)
+                    for block in sealed(plane)),
+                   key=lambda block: (int(valid[block]), block), default=None)
 
 
 @dataclass

@@ -46,6 +46,7 @@ from repro.flash.errors import (
     FailureInjector,
     ReliabilityModel,
 )
+from repro.flash.geometry import Geometry
 from repro.flash.nand import NO_LPN, NandArray
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import META_P2L_BASE, P2L_NONE, Ftl, _p2l_to_tp
@@ -79,14 +80,18 @@ def recover_ftl(
     injector: FailureInjector | None = None,
     reliability: ReliabilityModel | None = None,
 ) -> tuple[Ftl, RecoveryReport]:
-    """Rebuild a working FTL over *nand* by scanning OOB records."""
-    ftl = Ftl(config, nand=nand, injector=injector, reliability=reliability)
+    """Rebuild a working FTL over *nand* by scanning OOB records.
+
+    *nand* is padded in place first; the FTL built over it then reads
+    its block state (free pools, sealed blocks, block age, pSLC fill)
+    off the padded array, as any FTL does."""
     report = RecoveryReport()
     geometry = config.geometry
     spp = geometry.sectors_per_page
     pslc_blocks = frozenset(config.pslc_block_ids())
 
-    _pad_partial_blocks(ftl, pslc_blocks, report)
+    _pad_partial_blocks(geometry, nand, report)
+    ftl = Ftl(config, nand=nand, injector=injector, reliability=reliability)
 
     # Scan programmed pages in program order: the newest copy wins.
     programmed = np.nonzero(nand.page_state == 1)[0]
@@ -129,8 +134,7 @@ def recover_ftl(
                 winner[code] = (seq, ppn * spp + slot if readable else _LOST)
 
     _apply_winners(ftl, winner, tp_winner, pslc_blocks, report)
-    _rebuild_block_accounting(ftl, pslc_blocks)
-    _rebuild_allocator(ftl, pslc_blocks)
+    _rebuild_block_accounting(ftl)
     return ftl, report
 
 
@@ -156,12 +160,10 @@ def _page_readable(
     return page_model.is_correctable(cycles, age_days)
 
 
-def _pad_partial_blocks(ftl: Ftl, pslc_blocks: frozenset[int],
+def _pad_partial_blocks(geometry: Geometry, nand: NandArray,
                         report: RecoveryReport) -> None:
     """Write-pointer padding: fill half-written blocks so every non-free
     block is fully written (and hence a legal GC candidate)."""
-    geometry = ftl.geometry
-    nand = ftl.nand
     for block in range(geometry.total_blocks):
         ptr = int(nand.block_write_ptr[block])
         if ptr == 0 or ptr >= geometry.pages_per_block:
@@ -201,35 +203,10 @@ def _apply_winners(
         report.translation_pages_found += 1
 
 
-def _rebuild_block_accounting(ftl: Ftl, pslc_blocks: frozenset[int]) -> None:
+def _rebuild_block_accounting(ftl: Ftl) -> None:
     geometry = ftl.geometry
     spp = geometry.sectors_per_page
     per_block = (ftl.p2l != P2L_NONE).reshape(
         geometry.total_blocks, geometry.pages_per_block * spp
     ).sum(axis=1)
     ftl.block_valid[:] = per_block.astype(np.int32)
-
-
-def _rebuild_allocator(ftl: Ftl, pslc_blocks: frozenset[int]) -> None:
-    """Free pool = never-programmed blocks (padding filled the rest)."""
-    geometry = ftl.geometry
-    nand = ftl.nand
-    allocator = ftl.allocator
-    allocator._free_blocks = [[] for _ in range(geometry.planes_total)]
-    allocator._active.clear()
-    for block in range(geometry.total_blocks):
-        if block in pslc_blocks or block in allocator.retired_blocks:
-            continue
-        if int(nand.block_write_ptr[block]) == 0:
-            plane = block // geometry.blocks_per_plane
-            allocator._free_blocks[plane].append(block)
-    for pool in allocator._free_blocks:
-        pool.sort(reverse=True)
-    # Padding just filled every partially-written block, so the GC
-    # candidate pool changed under the allocator: rebuild its index.
-    allocator.reindex_sealed()
-    # pSLC bookkeeping: resume each buffer block at its write pointer.
-    pslc = ftl.pslc
-    if pslc.enabled:
-        for block in pslc.blocks:
-            pslc._cursor[block] = int(nand.block_write_ptr[block])

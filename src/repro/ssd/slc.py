@@ -16,6 +16,8 @@ drain-induced background writes, a separate index structure).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.flash.geometry import Geometry
 from repro.obs.events import SlcMigration
 from repro.obs.sinks import NULL_SINK, TraceSink
@@ -24,19 +26,21 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 class PslcBuffer:
     """Block-granular pSLC staging area with a hashed LPN index."""
 
-    def __init__(self, geometry: Geometry, block_indices: list[int]) -> None:
+    def __init__(self, geometry: Geometry, block_indices: list[int],
+                 write_ptr: Sequence[int]) -> None:
         self.geometry = geometry
         self.blocks = list(block_indices)
         self._spp = geometry.sectors_per_page
         self._ppb = geometry.pages_per_block
         #: a buffer block's PSAs are ``[block * _spb, (block + 1) * _spb)``.
         self._spb = self._spp * self._ppb
-        #: per-block write cursors; pages are handed out round-robin
-        #: across blocks so bursts land on as many dies as the buffer
-        #: spans (the blocks themselves are plane-striped).  The one
-        #: record of the fill level (recovery sets it from the NAND's
-        #: write pointers).
-        self._cursor: dict[int, int] = {b: 0 for b in self.blocks}
+        #: per-block write cursors, taken from the NAND's *write_ptr*
+        #: (so a recovered buffer resumes where its blocks stop); pages
+        #: are handed out round-robin across blocks so bursts land on as
+        #: many dies as the buffer spans (the blocks themselves are
+        #: plane-striped).  The one record of the fill level.
+        self._cursor: dict[int, int] = {b: int(write_ptr[b])
+                                        for b in self.blocks}
         self._rr = 0
         #: the hashed index: lpn -> physical sector address within the
         #: buffer, in first-staged order (a re-staged LPN keeps its place).

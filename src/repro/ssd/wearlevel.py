@@ -11,8 +11,6 @@ black-box models cannot see; here it is an optional feature
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.flash.geometry import Geometry
@@ -22,13 +20,6 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.ssd.allocation import PageAllocator
 from repro.ssd.policy.base import WearPolicy
 from repro.ssd.policy.wear import wear_policies
-
-
-@dataclass
-class WearDecision:
-    """What the leveler wants migrated, if anything."""
-
-    victim_block: int
 
 
 class WearLeveler:
@@ -63,7 +54,6 @@ class WearLeveler:
         self.sample_size = max(2, sample_size)
         self.rng = np.random.default_rng(seed)
         self.obs: TraceSink = NULL_SINK
-        self.migrations = 0
 
     def spread(self) -> int:
         counts = self.nand.block_erase_count
@@ -80,29 +70,19 @@ class WearLeveler:
         return self.spread() > self.delta
 
     def eligible_blocks(self):
-        """Fully-written blocks that are neither active, retired, nor
-        excluded — the pool wear policies choose from, in block order."""
-        geometry = self.geometry
-        active = self.allocator.active_blocks()
-        retired = self.allocator.retired_blocks
-        excluded = self.allocator.excluded_blocks
-        write_ptr = self.nand.block_write_ptr
-        for block in range(geometry.total_blocks):
-            if block in active or block in retired or block in excluded:
-                continue
-            if write_ptr[block] < geometry.pages_per_block:
-                continue
-            yield block
+        """The allocator's sealed blocks — fully written, neither active,
+        retired nor excluded — the pool wear policies choose from, in
+        block order."""
+        sealed = self.allocator.sealed_blocks
+        for plane in range(self.geometry.planes_total):
+            yield from sorted(sealed(plane))
 
-    def pick_victim(self) -> WearDecision | None:
+    def pick_victim(self) -> int | None:
         """The policy's migration victim, or None if nothing is eligible."""
         victim = self._pick(self)
-        if victim is None:
-            return None
-        self.migrations += 1
-        if self.obs.enabled:
+        if victim is not None and self.obs.enabled:
             self.obs.emit(WearRebalance(
                 victim=victim,
                 erase_count=int(self.nand.block_erase_count[victim]),
                 spread=self.spread()))
-        return WearDecision(victim_block=victim)
+        return victim

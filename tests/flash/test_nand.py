@@ -32,9 +32,11 @@ class TestProgram:
         assert nand.read(0) == (42,)
 
     def test_program_counts(self, nand):
+        # The program sequence stamp counts the array's programs.
         nand.program(0)
-        nand.program(1)
-        assert nand.counters.programs == 2
+        nand.program(GEOM.pages_per_block)
+        assert nand.page_seq[0] == 0
+        assert nand.page_seq[GEOM.pages_per_block] == 1
 
     def test_double_program_rejected(self, nand):
         nand.program(0)
@@ -69,7 +71,6 @@ class TestProgram:
             nand.program(0, oob=(0, 1, 2, 3, 4))
         assert nand.page_state[0] == PageState.FREE
         assert nand.block_write_ptr[0] == 0
-        assert nand.counters.programs == 0
         assert nand.page_seq[0] == -1
         assert nand.read(0) is None
         nand.program(0, oob=[0, 1, 2, 3])  # the corrected retry
@@ -101,10 +102,16 @@ class TestRead:
         nand.program(1)  # no OOB record stored
         assert nand.read(1) is None
 
-    def test_read_counts(self, nand):
-        nand.read(0)
-        nand.read(0)
-        assert nand.counters.reads == 2
+    def test_read_leaves_the_array_unchanged(self, nand):
+        nand.program(0, oob=(7,))
+        before = [array.copy() for array in (
+            nand.page_state, nand.page_seq, nand.block_write_ptr,
+            nand.page_oob_len)]
+        assert nand.read(0) == nand.read(0) == (7,)
+        assert nand.read(1) is None
+        after = (nand.page_state, nand.page_seq, nand.block_write_ptr,
+                 nand.page_oob_len)
+        assert all((a == b).all() for a, b in zip(before, after))
 
     def test_read_out_of_range(self, nand):
         with pytest.raises(FlashViolation):
@@ -228,5 +235,4 @@ def test_clone_copies_each_state_array_once():
     assert twin.block_erase_count[5] == 1 and nand.block_erase_count[5] == 0
     assert twin.read(0) == nand.read(0) == (7, 8)
     assert twin.wear_summary() != nand.wear_summary()
-    assert twin.counters.programs == 2 and nand.counters.programs == 1
-    assert twin.counters.reads == 2 and nand.counters.reads == 1
+    assert twin.page_seq[1] == 1 and nand.page_seq[1] == -1

@@ -123,7 +123,7 @@ class TestSubsystemEvents:
             for _ in range(200):
                 device.write_sectors(int(rng.integers(hot)), 1)
             device.idle(max_blocks=4)
-        assert sink.count("wear_rebalance") == device.ftl.leveler.migrations
+        assert sink.count("wear_rebalance") == device.ftl.stats.wear_migrations
         assert sink.count("wear_rebalance") > 0
 
     def test_idle_gc_tagged_as_idle_trigger(self):

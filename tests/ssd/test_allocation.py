@@ -186,14 +186,38 @@ class TestLifecycle:
         b2 = alloc.allocate_page("host") // GEOM.pages_per_block
         assert alloc.block_alloc_seq[b2] > alloc.block_alloc_seq[b1]
 
-    def test_abandon_active(self):
-        alloc = make()
+
+class TestBuiltFromTheArray:
+    def test_block_state_read_off_the_nand(self):
+        ppb, bpp = GEOM.pages_per_block, GEOM.blocks_per_plane
+        nand = NandArray(GEOM)
+
+        def write(block, pages=ppb):
+            for page in range(pages):
+                nand.program(block * ppb + page)
+
+        write(5)            # plane 1, programmed first
+        write(1)            # plane 0
+        write(2, pages=1)   # plane 0, partially written
+        write(3)            # plane 0, excluded (another owner's block)
+        alloc = PageAllocator(GEOM, nand, "CWDP",
+                              excluded_blocks=frozenset({3}),
+                              gc_low_water_blocks=1)
+        assert alloc.sealed_blocks(0) == {1}
+        assert alloc.sealed_blocks(1) == {5}
+        assert alloc.active_blocks() == set()
+        # Free = write pointer 0; the partial and excluded blocks are not.
+        assert alloc.free_blocks_in_plane(0) == 1
+        assert alloc.free_blocks_in_plane(1) == bpp - 1
+        assert alloc.total_free_blocks() == GEOM.total_blocks - 4
+        assert alloc.planes_at_watermark == 1  # plane 0: one free block
+        # Age: the non-free blocks ranked by their page-0 program stamp.
+        assert alloc.block_alloc_seq == {5: 1, 1: 2, 2: 3}
+        # Lowest free block first; new blocks stamp after the ranks.
         ppn = alloc.allocate_page("host")
-        block = ppn // GEOM.pages_per_block
-        plane = block // GEOM.blocks_per_plane
-        alloc.abandon_active("host", plane)
-        nxt = alloc.allocate_page("host")
-        assert nxt // GEOM.pages_per_block != block
+        assert ppn == 0
+        assert alloc.block_alloc_seq[0] == 4
+        assert alloc.planes_at_watermark == 1  # plane 0 now has none
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +279,6 @@ class RefAllocator:
             self.free[plane].remove(block)
         self.open = {k: v for k, v in self.open.items() if v[0] != block}
 
-    def abandon(self, stream: str, plane: int) -> None:
-        slot = self.open.pop((plane, stream), None)
-        if slot is not None and slot[1] == REF_GEOM.pages_per_block:
-            self.sealed[plane].add(slot[0])
-
 
 _allocator_ops = st.lists(
     st.one_of(
@@ -268,8 +287,6 @@ _allocator_ops = st.lists(
         st.tuples(st.just("allocate"), st.integers(0, 3)),
         st.tuples(st.just("erase_release"), st.integers(0, 11)),
         st.tuples(st.just("retire"), st.integers(0, REF_GEOM.total_blocks - 1)),
-        st.tuples(st.just("abandon"), st.integers(0, 3),
-                  st.integers(0, REF_GEOM.planes_total - 1)),
     ),
     min_size=1, max_size=80,
 )
@@ -280,12 +297,11 @@ _allocator_ops = st.lists(
        ops=_allocator_ops)
 def test_allocator_matches_reference(scheme, ops):
     nand = NandArray(REF_GEOM)
-    alloc = PageAllocator(REF_GEOM, nand, scheme)
-    alloc.set_gc_watermark(LOW_WATER)
+    alloc = PageAllocator(REF_GEOM, nand, scheme, gc_low_water_blocks=LOW_WATER)
     streams = alloc.streams
     ref = RefAllocator(alloc.policy.scheme, streams)
     ppb = REF_GEOM.pages_per_block
-    closed: set[int] = set()  # retired or abandoned while open
+    closed: set[int] = set()  # retired while open
     for op in ops:
         if op[0] == "allocate":
             stream = streams[op[1] % len(streams)]
@@ -298,7 +314,7 @@ def test_allocator_matches_reference(scheme, ops):
                 ppn = alloc.allocate_page(stream)
                 assert ppn == expected
                 assert ppn // ppb not in closed
-                nand.program(ppn)  # abandon_active reads the write pointer
+                nand.program(ppn)
         elif op[0] == "erase_release":
             candidates = sorted(set().union(*ref.sealed))
             if candidates:
@@ -306,18 +322,11 @@ def test_allocator_matches_reference(scheme, ops):
                 nand.erase(block)
                 alloc.release_block(block)
                 ref.release(block)
-        elif op[0] == "retire":
+        else:
             closed.update(slot[0] for slot in ref.open.values()
                           if slot[0] == op[1])
             alloc.retire_block(op[1])
             ref.retire(op[1])
-        else:
-            stream = streams[op[1] % len(streams)]
-            slot = ref.open.get((op[2], stream))
-            if slot is not None and slot[1] < ppb:
-                closed.add(slot[0])
-            alloc.abandon_active(stream, op[2])
-            ref.abandon(stream, op[2])
         for plane in range(REF_GEOM.planes_total):
             assert alloc.sealed_blocks(plane) == ref.sealed[plane]
             assert alloc.free_blocks_in_plane(plane) == len(ref.free[plane])

@@ -17,11 +17,11 @@ GEOM = Geometry(
 
 def build(policy="greedy", fill_blocks=(), valid=None, seed=1):
     nand = NandArray(GEOM)
-    alloc = PageAllocator(GEOM, nand, "CWDP")
-    valid_arr = np.zeros(GEOM.total_blocks, dtype=np.int32)
     for block in fill_blocks:
         for page in range(GEOM.pages_per_block):
             nand.program(block * GEOM.pages_per_block + page)
+    alloc = PageAllocator(GEOM, nand, "CWDP")
+    valid_arr = np.zeros(GEOM.total_blocks, dtype=np.int32)
     if valid:
         for block, count in valid.items():
             valid_arr[block] = count

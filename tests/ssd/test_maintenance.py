@@ -36,8 +36,13 @@ class TestWearLeveler:
         blocks_per_plane=8, pages_per_block=4, page_size=8192, sector_size=4096,
     )
 
-    def build(self, delta=2):
+    def build(self, delta=2, full_blocks=()):
+        """A leveler over an array whose *full_blocks* are written
+        before the allocator reads its block state off it."""
         nand = NandArray(self.GEOM)
+        for block in full_blocks:
+            for page in range(self.GEOM.pages_per_block):
+                nand.program(block * self.GEOM.pages_per_block + page)
         alloc = PageAllocator(self.GEOM, nand, "CWDP")
         return WearLeveler(self.GEOM, nand, alloc, delta=delta), nand, alloc
 
@@ -54,15 +59,13 @@ class TestWearLeveler:
         assert leveler.should_level()
 
     def test_picks_coldest_full_block(self):
-        leveler, nand, alloc = self.build(delta=1)
         # Block 3 is fully written and cold; block 0 is worn.
-        for page in range(self.GEOM.pages_per_block):
-            nand.program(3 * self.GEOM.pages_per_block + page)
+        leveler, nand, _ = self.build(delta=1, full_blocks=[3])
         for _ in range(5):
             nand.erase(0)
-        decision = leveler.pick_victim()
-        assert decision is not None
-        assert decision.victim_block == 3
+        victim = leveler.pick_victim()
+        assert victim is not None
+        assert victim == 3
 
     def test_no_victim_when_nothing_full(self):
         leveler, nand, _ = self.build(delta=1)

@@ -39,7 +39,7 @@ def _state(ftl: Ftl) -> tuple:
               nand.page_oob_len)
     return (
         [array.tobytes() for array in arrays],
-        nand.counters, nand.wear_summary(),
+        nand.wear_summary(),
         rain._stripe_of, rain._open_members, rain._pending, rain._fill,
         rain.parity_pages, rain.data_pages,
         allocator._free_blocks, allocator._stream_counters,

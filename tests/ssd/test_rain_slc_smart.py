@@ -94,28 +94,39 @@ GEOM = Geometry(
     channels=1, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,
     blocks_per_plane=8, pages_per_block=4, page_size=8192, sector_size=4096,
 )
+#: the write pointers of a freshly erased array.
+FRESH = [0] * GEOM.total_blocks
 
 
 class TestPslc:
+    def test_cursors_resume_at_the_write_pointers(self):
+        write_ptr = list(FRESH)
+        write_ptr[0], write_ptr[1] = GEOM.pages_per_block, 1
+        buf = PslcBuffer(GEOM, [0, 1], write_ptr)
+        assert buf.used_fraction() == pytest.approx(5 / 8)
+        assert buf.pick_drain_block() == 0
+        # Block 0 is full: staging skips to block 1's next page.
+        assert buf.stage_page([3]) == GEOM.pages_per_block + 1
+
     def test_disabled_when_no_blocks(self):
-        buf = PslcBuffer(GEOM, [])
+        buf = PslcBuffer(GEOM, [], FRESH)
         assert not buf.enabled
         assert buf.used_fraction() == 0.0
 
     def test_stage_page_assigns_slots(self):
-        buf = PslcBuffer(GEOM, [0, 1])
+        buf = PslcBuffer(GEOM, [0, 1], FRESH)
         ppn = buf.stage_page([10, 11])
         assert [buf.lookup(10), buf.lookup(11)] == [ppn * 2, ppn * 2 + 1]
 
     def test_stage_page_size_validated(self):
-        buf = PslcBuffer(GEOM, [0])
+        buf = PslcBuffer(GEOM, [0], FRESH)
         with pytest.raises(ValueError):
             buf.stage_page([])
         with pytest.raises(ValueError):
             buf.stage_page([1, 2, 3])  # > sectors_per_page (2)
 
     def test_lookup_and_overwrite(self):
-        buf = PslcBuffer(GEOM, [0, 1])
+        buf = PslcBuffer(GEOM, [0, 1], FRESH)
         first = buf.stage_page([42])
         assert buf.lookup(42) == first * 2
         second = buf.stage_page([42])
@@ -123,14 +134,14 @@ class TestPslc:
         assert first != second
 
     def test_invalidate(self):
-        buf = PslcBuffer(GEOM, [0])
+        buf = PslcBuffer(GEOM, [0], FRESH)
         buf.stage_page([7])
         assert buf.invalidate(7)
         assert buf.lookup(7) is None
         assert not buf.invalidate(7)
 
     def test_used_fraction_grows(self):
-        buf = PslcBuffer(GEOM, [0, 1])
+        buf = PslcBuffer(GEOM, [0, 1], FRESH)
         assert buf.used_fraction() == 0.0
         buf.stage_page([0, 1])
         # Page-granular fill: 1 of (2 blocks x 4 pages) written.
@@ -139,7 +150,7 @@ class TestPslc:
         assert buf.used_fraction() == pytest.approx(2 / 8)
 
     def test_fills_then_rejects(self):
-        buf = PslcBuffer(GEOM, [0])
+        buf = PslcBuffer(GEOM, [0], FRESH)
         for page in range(GEOM.pages_per_block):
             buf.stage_page([2 * page, 2 * page + 1])
         assert not buf.has_space()
@@ -147,7 +158,7 @@ class TestPslc:
             buf.stage_page([999])
 
     def test_evict_block_returns_valid_pairs(self):
-        buf = PslcBuffer(GEOM, [0, 1])
+        buf = PslcBuffer(GEOM, [0, 1], FRESH)
         buf.stage_page([0, 1])
         buf.stage_page([2, 3])
         buf.invalidate(1)
@@ -161,7 +172,7 @@ class TestPslc:
             assert buf.lookup(lpn) is None
 
     def test_evicted_block_reusable(self):
-        buf = PslcBuffer(GEOM, [0])
+        buf = PslcBuffer(GEOM, [0], FRESH)
         for page in range(GEOM.pages_per_block):
             buf.stage_page([2 * page, 2 * page + 1])
         block = buf.pick_drain_block()
@@ -191,7 +202,7 @@ def test_buffer_matches_per_sector_reference_property(ops):
     the cursors against the per-sector buffer they replaced: the same
     results and raises, victims in the same order, and the same index
     (order included), cursors, round-robin position and fill level."""
-    fast = PslcBuffer(GEOM, _BUFFER_BLOCKS)
+    fast = PslcBuffer(GEOM, _BUFFER_BLOCKS, FRESH)
     reference = PslcBufferPerSector(GEOM, _BUFFER_BLOCKS)
     for name, arg in ops:
         outcomes = []

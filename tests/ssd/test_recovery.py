@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.ssd.ftl import Ftl
 from repro.ssd.mapping import UNMAPPED
-from repro.ssd.presets import tiny
+from repro.ssd.presets import mqsim_baseline, tiny
 from repro.ssd.recovery import recover_ftl
+from tests.helpers import scan_candidates
 
 
 def crash_and_recover(ftl):
@@ -163,3 +164,65 @@ def test_recovery_roundtrip_property(seed, writes):
         assert int(recovered.mapping.l2p[lpn]) == psa
     for lpn, psa in live_pslc.items():
         assert recovered.pslc.lookup(lpn) == psa
+
+
+def _planes_at_or_below_low_water(ftl) -> int:
+    low = ftl.config.gc_low_water_blocks
+    return sum(ftl.allocator.free_blocks_in_plane(plane) <= low
+               for plane in range(ftl.geometry.planes_total))
+
+
+@pytest.mark.parametrize("config", [tiny(), mqsim_baseline(4)],
+                         ids=["tiny", "mqsim_baseline-4"])
+def test_watermark_count_matches_the_pools_after_recovery(config):
+    """The allocator's count of planes at or below the GC low watermark
+    (which gates foreground GC) is built from the recovered pools, and
+    stays right through 2x capacity of further writes.
+
+    Writes go to random sectors of the lower half of the logical space:
+    GC churns at a moderate write amplification there on both presets
+    (``mqsim_baseline(4)`` over its whole space runs at hundreds).  Crash
+    points are random writes after GC has started, half of them drawn
+    among writes that leave some plane at the watermark."""
+    ftl = Ftl(config)
+    rng = np.random.default_rng(5)
+    n = ftl.num_lpns
+    span = n // 2
+    snapshots = []
+    while len(snapshots) < 4:
+        ftl.write(int(rng.integers(span)))
+        if not ftl.stats.gc_invocations or rng.random() > 0.01:
+            continue
+        if len(snapshots) % 2 and not ftl.allocator.planes_at_watermark:
+            continue
+        snapshots.append(ftl.nand.clone())
+    for nand in snapshots:
+        recovered, _ = recover_ftl(config, nand)
+        allocator = recovered.allocator
+        assert allocator.planes_at_watermark == (
+            _planes_at_or_below_low_water(recovered))
+        for plane in range(recovered.geometry.planes_total):
+            assert sorted(allocator.sealed_blocks(plane)) == (
+                scan_candidates(recovered.selector, plane))
+        for _ in range(2 * n):
+            recovered.write(int(rng.integers(span)))
+            assert allocator.planes_at_watermark >= 0
+            assert allocator.planes_at_watermark == (
+                _planes_at_or_below_low_water(recovered))
+        assert recovered.stats.gc_invocations > 0
+
+
+def test_fifo_victim_survives_recovery():
+    """Block age is read back from the page-0 program stamps: FIFO GC
+    picks the same oldest block after a crash as before it."""
+    ftl = Ftl(tiny().with_changes(gc_policy="fifo"))
+    rng = np.random.default_rng(3)
+    for _ in range(3 * ftl.num_lpns):
+        ftl.write(int(rng.integers(ftl.num_lpns)))
+    ftl.flush()
+    planes = range(ftl.geometry.planes_total)
+    before = [ftl.selector.select_victim(plane) for plane in planes]
+    assert None not in before
+    recovered, _ = crash_and_recover(ftl)
+    assert [recovered.selector.select_victim(plane)
+            for plane in planes] == before
