@@ -42,7 +42,7 @@ from repro.engines import (
     ycsb_spec_for_device,
 )
 from repro.fleet.spec import TENANT_MIXES
-from repro.ssd.policy import REGISTRIES
+from repro.ssd.policy import CONFIG_FIELDS, POLICIES, summary
 from repro.ssd.presets import PRESETS
 
 
@@ -427,15 +427,13 @@ def _probe_features(args, config, runner):
 
 
 def cmd_policies(args) -> int:
-    """List every registered FTL policy, per design knob."""
-    for knob, registry in REGISTRIES.items():
-        rows = []
-        for entry in registry:
-            fields = ", ".join(entry.schema) if entry.schema else "-"
-            rows.append([entry.name, entry.summary, fields])
+    """List every FTL policy, per design knob."""
+    for knob, table in POLICIES.items():
+        rows = [[name, summary(knob, name),
+                 CONFIG_FIELDS.get((knob, name), "-")] for name in table]
         print(format_table(
             ["policy", "summary", "config fields"],
-            rows, title=f"{knob} ({len(registry)} registered)",
+            rows, title=f"{knob} ({len(table)} registered)",
         ))
         print()
     return 0
@@ -811,7 +809,7 @@ COMMANDS = {
         _opt("--mixes", type=_names(YCSB_MIXES), default="a,b,c",
              help="comma-separated YCSB mix axis (default a,b,c)"),
         _opt("--alloc", default="",
-             choices=REGISTRIES["allocation_scheme"].names(),
+             choices=tuple(POLICIES["allocation_scheme"]),
              help="allocation_scheme override (e.g. hotcold)"),
         _opt("--records", type=_non_negative_int, default=0,
              help="key count (default: sized to the device)"),
@@ -843,12 +841,12 @@ COMMANDS = {
     "policy-grid": ("sweep the GC x cache x allocation policy grid", [
         _opt("--scale", default=4), _opt("--io-count", default=2_000),
         _opt("--bs"),
-        _opt("--gc", type=_names(REGISTRIES["gc_policy"].names()),
+        _opt("--gc", type=_names(tuple(POLICIES["gc_policy"])),
              default="", help="comma-separated gc_policy axis override"),
-        _opt("--cache", type=_names(REGISTRIES["cache_designation"].names()),
+        _opt("--cache", type=_names(tuple(POLICIES["cache_designation"])),
              default="",
              help="comma-separated cache_designation axis override"),
-        _opt("--alloc", type=_names(REGISTRIES["allocation_scheme"].names()),
+        _opt("--alloc", type=_names(tuple(POLICIES["allocation_scheme"])),
              default="", help="comma-separated allocation axis override"),
         *_PARALLEL,
     ], _study(_policy_grid, preset="mqsim")),

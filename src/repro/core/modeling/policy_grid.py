@@ -1,7 +1,7 @@
-"""Full design-grid sweep over the pluggable FTL policies.
+"""Full design-grid sweep over the FTL policy tables.
 
-The Fig 3 experiment flips one knob at a time; the registry makes the
-*cross product* cheap to express.  This module sweeps GC victim policy
+The Fig 3 experiment flips one knob at a time; named policy knobs make
+the *cross product* cheap to express.  This module sweeps GC victim policy
 × cache designation × allocation policy — roughly 3× the paper's
 original design space once the d-choices, CAT, and hot/cold policies
 are included — through the same cell machinery as the fidelity study,
@@ -19,9 +19,9 @@ from repro.core.modeling.fidelity import (
 from repro.exp.runner import Runner
 from repro.ssd.config import SsdConfig
 
-#: default grid axes: the paper's original knob values plus the
-#: registry-era additions (d_choices, cat victim policies; hotcold
-#: stream-separating allocation).
+#: default grid axes: the paper's original knob values plus three later
+#: additions (d_choices, cat victim policies; hotcold stream-separating
+#: allocation).
 GRID_GC_POLICIES = ("greedy", "randomized_greedy", "cost_benefit",
                     "d_choices", "cat")
 GRID_CACHE_DESIGNATIONS = ("data", "mapping")
@@ -41,8 +41,8 @@ def grid_variants(
 ) -> list[FtlVariant]:
     """Every combination of the three axes as an :class:`FtlVariant`.
 
-    Constructing the variant validates each name through the registries,
-    so a typo in an axis fails here with the valid choices listed.
+    Constructing the variant validates each name against its policy
+    table, so a typo in an axis fails here with the valid choices listed.
     """
     return [
         FtlVariant(

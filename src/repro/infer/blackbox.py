@@ -58,7 +58,7 @@ class BlackboxInference:
 
     *true_config* is used **only** to construct devices (the hardware
     under test); every inference works from ``self.base`` — the public
-    configuration with all six knobs reset to registry defaults.
+    configuration with all six knobs reset to their defaults.
     """
 
     def __init__(self, true_config: SsdConfig, loop: ToolLoop) -> None:

@@ -1,6 +1,6 @@
 """Policy grid points and the shared inference base configuration.
 
-A :class:`PolicyPoint` pins the six registry knobs the harness tries to
+A :class:`PolicyPoint` pins the six policy knobs the harness tries to
 recover; everything else about the device (geometry, timing, cache and
 GC budgets) is fixed by :func:`infer_base` so that behavioral
 differences between two devices can only come from the knobs.
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.flash.geometry import Geometry
 from repro.ssd.config import SsdConfig
-from repro.ssd.policy import REGISTRIES
+from repro.ssd.policy import POLICIES, check
 
 #: Knob names as the harness reports them.  ``allocation`` maps onto the
 #: config field ``allocation_scheme``; the rest match field names.
@@ -33,7 +33,7 @@ _CONFIG_FIELD = {
 
 @dataclass(frozen=True)
 class PolicyPoint:
-    """One point of the six-knob design grid (registry names)."""
+    """One point of the six-knob design grid (policy table names)."""
 
     gc_policy: str = "greedy"
     allocation: str = "CWDP"
@@ -44,7 +44,7 @@ class PolicyPoint:
 
     def __post_init__(self) -> None:
         for knob in KNOBS:
-            REGISTRIES[_CONFIG_FIELD[knob]].validate(getattr(self, knob))
+            check(_CONFIG_FIELD[knob], getattr(self, knob))
 
     def apply(self, base: SsdConfig) -> SsdConfig:
         """A copy of *base* with every knob set to this point."""
@@ -60,8 +60,8 @@ class PolicyPoint:
 
 
 def registry_names(knob: str) -> tuple[str, ...]:
-    """Registered policy names for one harness knob."""
-    return tuple(REGISTRIES[_CONFIG_FIELD[knob]].names())
+    """The policy names of one harness knob."""
+    return tuple(POLICIES[_CONFIG_FIELD[knob]])
 
 
 def random_points(n: int, seed: int = 0) -> list[PolicyPoint]:

@@ -6,8 +6,8 @@ spreads consecutive writes over its parallelism dimensions — Channel, Way
 CWDP vs. PDWC as one of its three "basic design features" in the Fig 3
 experiment.
 
-The ordering itself (and optional stream separation) is a pluggable
-policy from :mod:`repro.ssd.policy.allocation`; this module owns block
+The ordering itself (and optional stream separation) is a policy
+object from :data:`repro.ssd.policy.ALLOCATION`; this module owns block
 lifecycle: per-plane free-block pools, one active (partially-written)
 block per ``(plane, stream)``, bad-block retirement, and handing erased
 blocks back.  Write *streams* keep host data, GC migrations, and mapping
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
-from repro.ssd.policy.allocation import allocation_policies
-from repro.ssd.policy.base import AllocationPolicy
+from repro.ssd.policy import SchemeAllocation
 
 #: Builtin open-block streams (policies may add more via extra_streams).
 STREAMS = ("host", "gc", "meta")
@@ -39,17 +38,6 @@ class _ActiveBlock:
     next_page: int
 
 
-def _resolve_policy(scheme: str | AllocationPolicy) -> AllocationPolicy:
-    if not isinstance(scheme, str):
-        return scheme
-    if scheme in allocation_policies:
-        return allocation_policies.resolve(scheme)()
-    if scheme.upper() in allocation_policies:
-        return allocation_policies.resolve(scheme.upper())()
-    # Unknown either way: raise the registry's listing error.
-    return allocation_policies.resolve(scheme)()
-
-
 class PageAllocator:
     """Hands out physical pages according to an allocation policy.
 
@@ -57,10 +45,10 @@ class PageAllocator:
     ----------
     geometry, nand:
         The flash being allocated over.
-    scheme:
-        A registered policy name — a dimension permutation such as
-        ``"CWDP"``/``"PDWC"`` or a named policy like ``"hotcold"`` — or
-        an :class:`~repro.ssd.policy.base.AllocationPolicy` object.
+    policy:
+        The allocation object, e.g. ``SchemeAllocation("PDWC")`` or
+        ``HotColdAllocation()`` (what :data:`~repro.ssd.policy.ALLOCATION`
+        builds); bound to *geometry* here.
     excluded_blocks:
         Blocks owned by someone else (e.g. the pSLC buffer) — never
         allocated here.
@@ -83,19 +71,19 @@ class PageAllocator:
         self,
         geometry: Geometry,
         nand: NandArray,
-        scheme: str | AllocationPolicy = "CWDP",
+        policy: SchemeAllocation,
         excluded_blocks: frozenset[int] = frozenset(),
         gc_low_water_blocks: int = -1,
     ) -> None:
         self.geometry = geometry
-        self.policy = _resolve_policy(scheme)
-        self.policy.bind(geometry)
-        self.scheme = self.policy.name
-        self.streams: tuple[str, ...] = STREAMS + tuple(self.policy.extra_streams)
+        self.policy = policy
+        policy.bind(geometry)
+        self.scheme = policy.name
+        self.streams: tuple[str, ...] = STREAMS + policy.extra_streams
         # Bound once: the hot allocation path calls the policy's method
         # directly, with no per-allocation dispatch.
-        self.plane_for_index = self.policy.plane_for_index
-        self.route = self.policy.route
+        self.plane_for_index = policy.plane_for_index
+        self.route = policy.route
         self.excluded_blocks = excluded_blocks
 
         ppb = self._ppb = geometry.pages_per_block

@@ -17,11 +17,12 @@ it.  Only bypass admission's staging buffer absorbs nothing.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
+from typing import Callable
 
 from repro.obs.events import CacheAdmit, CacheFlush
 from repro.obs.sinks import NULL_SINK, TALLIES, TraceSink
-from repro.ssd.policy.base import CacheEvictionPolicy
-from repro.ssd.policy.cache import cache_eviction_policies
+from repro.ssd.policy import lru_hit
 
 
 class WriteCache:
@@ -30,23 +31,20 @@ class WriteCache:
     ``insert`` returns ``True`` on a *write hit* — the sector was already
     pending, so the new version replaces it and no flash write is owed for
     the older one (write absorption).  When occupancy exceeds the
-    capacity, the FTL asks for flush batches until it fits again.  The
-    eviction policy (default ``lru``) decides which pending sectors each
-    flush batch drains and whether a hit refreshes recency.
+    capacity, the FTL asks for flush batches until it fits again; each
+    batch drains the oldest pending sectors.  The eviction policy, an
+    ``on_hit(lpn, pending)`` entry of :data:`~repro.ssd.policy.EVICTION`
+    (default ``lru``), decides whether a hit refreshes a sector's age.
     """
 
     def __init__(
         self,
         capacity_sectors: int,
-        eviction: str | CacheEvictionPolicy = "lru",
+        eviction: Callable[[int, "OrderedDict[int, None]"], None] = lru_hit,
     ) -> None:
         if capacity_sectors < 1:
             raise ValueError("capacity_sectors must be >= 1")
-        if isinstance(eviction, str):
-            eviction = cache_eviction_policies.resolve(eviction)()
-        self.eviction = eviction.name
-        self._on_hit = eviction.on_hit  # bound once: no per-op dispatch
-        self._take = eviction.take
+        self._on_hit = eviction
         self.capacity = capacity_sectors
         #: the pending LPNs in the eviction policy's order.  Only the
         #: cache and its policy mutate it; the FTL's write path reads its
@@ -116,8 +114,8 @@ class WriteCache:
         return lpn, hits
 
     def take_flush_batch(self, max_sectors: int) -> list[int]:
-        """Remove up to *max_sectors* pending sectors, the next ones in
-        the eviction policy's order (one policy call for the batch).
+        """Remove up to *max_sectors* pending sectors, the oldest first
+        (the eviction policy has kept the pending dict in that order).
 
         The batch is returned sorted by LPN: the FTL packs one batch into
         one flash page, and real caches coalesce neighbouring sectors so
@@ -129,7 +127,9 @@ class WriteCache:
         n = min(max_sectors, len(pending))
         if not n:
             return []
-        batch = self._take(pending, n)
+        batch = list(islice(pending, n))
+        for lpn in batch:
+            del pending[lpn]
         batch.sort()
         obs = self.obs
         if obs.enabled:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field, replace
 from repro.flash.geometry import Geometry
 from repro.flash.timing import PROFILES
 from repro.ssd.allocation import STREAMS
-from repro.ssd.policy import (
-    allocation_policies,
-    cache_admission_policies,
-    cache_designations,
-    cache_eviction_policies,
-    victim_policies,
-    wear_policies,
-)
+from repro.ssd.policy import ALLOCATION, POLICIES, check
 
 
 @dataclass(frozen=True)
@@ -114,14 +107,10 @@ class SsdConfig:
     def __post_init__(self) -> None:
         if self.timing_name not in PROFILES:
             raise ValueError(f"unknown timing profile {self.timing_name!r}")
-        # Policy knobs resolve through the registries, whose errors name
-        # every valid choice.
-        victim_policies.validate(self.gc_policy)
-        cache_designations.validate(self.cache_designation)
-        cache_admission_policies.validate(self.cache_admission)
-        cache_eviction_policies.validate(self.cache_eviction)
-        allocation_policies.validate(self.allocation_scheme)
-        wear_policies.validate(self.wear_policy)
+        # Each policy knob names an entry of its table; an unknown name's
+        # error lists every valid choice.
+        for knob in POLICIES:
+            check(knob, getattr(self, knob))
         if not 0.0 <= self.op_ratio < 0.5:
             raise ValueError("op_ratio must be in [0, 0.5)")
         if self.gc_low_water_blocks < 0:
@@ -210,7 +199,7 @@ class SsdConfig:
         and open blocks (one per stream), times the RAIN data fraction."""
         geometry = self.geometry
         streams = len(STREAMS) + len(
-            allocation_policies.resolve(self.allocation_scheme)().extra_streams)
+            ALLOCATION[self.allocation_scheme]().extra_streams)
         blocks = (geometry.total_blocks - self.pslc_blocks
                   - geometry.planes_total
                   * (self.gc_high_water_blocks + streams))

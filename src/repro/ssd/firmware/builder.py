@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.firmware.isa import assemble
+from repro.ssd.policy import designate, parse_scheme
 
 MAGIC = b"SSDFW840"
 SECTION_HEADER = struct.Struct("<8sIII")
@@ -384,12 +385,10 @@ def alloc_core_source(memory_map: MemoryMap, config: SsdConfig) -> str:
     ``hotcold`` policy prepends its heat-table lookup and cold-stream
     latch to a CWDP base order.
     """
-    from repro.ssd.policy.allocation import SchemeAllocation
-
     name = config.allocation_scheme
     hotcold = name == "hotcold"
     scheme = "CWDP" if hotcold else name
-    dims = SchemeAllocation._parse_scheme(scheme, config.geometry)
+    dims = parse_scheme(scheme, config.geometry)
     lines = ["alloc_entry:"]
     lines += _ptr(1, memory_map.mmio_base, "request registers")
     lines += [f"    ldr r0, [r1, 0x{MMIO_LBA:x}]          ; allocation cursor"]
@@ -427,27 +426,17 @@ def alloc_core_source(memory_map: MemoryMap, config: SsdConfig) -> str:
 def cache_core_source(memory_map: MemoryMap, config: SsdConfig) -> str:
     """The write-cache core: designation constants, admission path,
     and eviction bookkeeping."""
-    from repro.ssd.policy.cache import (
-        cache_admission_policies,
-        cache_designations,
-    )
-
-    plan = cache_designations.resolve(config.cache_designation)().plan(
-        config.cache_sectors, config.geometry
-    )
-    admits = bool(getattr(
-        cache_admission_policies.resolve(config.cache_admission), "always", True
-    ))
+    cache_sectors, extra_dirty_tps = designate(config)
     lines = ["cache_entry:"]
     lines += _ptr(1, memory_map.mmio_base, "request registers")
     lines += [
-        f"    movi r2, 0x{plan.cache_sectors:x}",
+        f"    movi r2, 0x{cache_sectors:x}",
         f"    str r2, [r1, 0x{MMIO_CACHE_CAP:x}]          ; cache capacity (sectors)",
-        f"    movi r3, 0x{plan.extra_dirty_tps:x}",
+        f"    movi r3, 0x{extra_dirty_tps:x}",
         f"    str r3, [r1, 0x{MMIO_CACHE_TP:x}]          ; dirty-TP slots bought",
         f"    ldr r0, [r1, 0x{MMIO_LBA:x}]          ; incoming sector",
     ]
-    if admits:
+    if config.cache_admission != "bypass":
         lines += _ptr(4, memory_map.policy_table("cacheslot"), "pending set")
         lines += [
             "    and r5, r0, 0xfff",

@@ -46,6 +46,7 @@ from repro.ssd.firmware.builder import (
 from repro.ssd.firmware.isa import WORD, Op, decode_word
 from repro.ssd.firmware.obfuscation import obfuscate
 from repro.ssd.mapping import UNMAPPED
+from repro.ssd.policy import HotColdAllocation
 from repro.ssd.presets import evo840_like
 
 #: serialized entry for "mapped nowhere" (chunk resident, LPN unmapped).
@@ -307,9 +308,9 @@ class HackableSSD:
             values[:k] = erase[:k].astype("<u4")
         elif name == "heat":
             values[:] = 0
-            heat = getattr(ftl.allocator.policy, "_writes", None)
-            if heat:
-                for lpn, count in heat.items():
+            policy = ftl.allocator.policy
+            if isinstance(policy, HotColdAllocation):
+                for lpn, count in policy.heat.items():
                     values[lpn % n] = count & 0xFFFFFFFF
         elif name == "cacheslot":
             # Pending sectors in eviction order — what the flush engine

@@ -9,8 +9,8 @@ operation it causes.
 Write path (sectors in, flash pages out)::
 
     host request -> WriteCache.insert_run (absorb/pack, stops when over
-                    capacity) -> take_flush_batch (one eviction-policy
-                    take) -> [pSLC buffer] -> data page
+                    capacity) -> take_flush_batch (the oldest pending
+                    sectors) -> [pSLC buffer] -> data page
       per data page:  allocate -> program -> PROGRAM op -> block_valid bump
                       -> MappingTable.update_page (old PSAs, merged events)
         per sector:   stamp p2l -> invalidate owned old copy
@@ -76,7 +76,7 @@ from repro.ssd.mapping import (
     MappingTable,
 )
 from repro.ssd.ops import FlashOp, OpKind, OpReason, new_tuple
-from repro.ssd.policy import cache_admission_policies, cache_designations
+from repro.ssd.policy import ALLOCATION, EVICTION, VICTIM, WEAR, designate
 from repro.ssd.rain import RainAccountant
 from repro.ssd.slc import PslcBuffer
 from repro.ssd.wearlevel import WearLeveler
@@ -194,7 +194,7 @@ class Ftl:
         excluded = frozenset(pslc_block_ids)
 
         self.allocator = PageAllocator(
-            geometry, self.nand, config.allocation_scheme,
+            geometry, self.nand, ALLOCATION[config.allocation_scheme](),
             excluded_blocks=excluded,
             gc_low_water_blocks=config.gc_low_water_blocks,
         )
@@ -204,19 +204,15 @@ class Ftl:
         self._routed = bool(self.allocator.policy.extra_streams)
         self._route = self.allocator.route
 
-        designation = cache_designations.resolve(config.cache_designation)()
-        plan = designation.plan(config.cache_sectors, geometry)
-        dirty_limit = config.mapping_dirty_tp_limit + plan.extra_dirty_tps
-        self.cache = WriteCache(plan.cache_sectors,
-                                eviction=config.cache_eviction)
+        cache_sectors, extra_dirty_tps = designate(config)
+        dirty_limit = config.mapping_dirty_tp_limit + extra_dirty_tps
+        self.cache = WriteCache(cache_sectors,
+                                eviction=EVICTION[config.cache_eviction])
 
-        admission = cache_admission_policies.resolve(config.cache_admission)()
-        #: the policy admits unconditionally (the default): the write
-        #: path skips the per-sector admit() call.
-        self._admit_always = admission.always
-        self._admit = admission.admit
-        #: direct page-packing staging buffer for cache-bypassing
-        #: sectors (at most one page's worth pending).
+        #: bypass admission: host writes skip the cache and pack straight
+        #: into pages through the direct staging buffer below (at most
+        #: one page's worth pending).
+        self._bypass = config.cache_admission == "bypass"
         self._staged: list[int] = []
 
         self.mapping = MappingTable(
@@ -228,7 +224,7 @@ class Ftl:
             resident_chunks=config.mapping_resident_chunks,
         )
         self.selector = VictimSelector(
-            config.gc_policy,
+            VICTIM[config.gc_policy],
             geometry,
             self.nand,
             self.allocator,
@@ -239,13 +235,16 @@ class Ftl:
         self.leveler = WearLeveler(
             geometry, self.nand, self.allocator,
             delta=config.wear_leveling_delta,
-            policy=config.wear_policy,
+            policy=WEAR[config.wear_policy],
             sample_size=config.gc_sample_size,
         ) if config.wear_leveling else None
         #: host-sector-write sequence when each block was first programmed
         #: since its last erase (-1 = not programmed); drives refresh age.
-        self.block_birth = np.full(geometry.total_blocks, -1, dtype=np.int64)
-        self._op_seq = 0
+        #: Over an array that already holds data (recovery), the clock is
+        #: the one that survives power loss: a block is born at its page
+        #: 0's program stamp and the sequence resumes past the newest one.
+        self.block_birth = self.nand.page_seq[::ppb].copy()
+        self._op_seq = int(self.nand.page_seq.max()) + 1
         #: host commands seen (write/read/trim calls) — the op clock the
         #: fault injector's ``at_op`` triggers count against.
         self._host_ops = 0
@@ -294,38 +293,32 @@ class Ftl:
             self.injector.tick(self._host_ops)
         ops = self._ops = []
         stats = self.stats
+        stop = lpn + nsectors
+        if self._bypass:
+            for sector in range(lpn, stop):
+                stats.host_sector_writes += 1
+                self._op_seq += 1
+                self._stage_direct(sector)
+            return ops
         cache = self.cache
         pending, capacity = cache.pending, cache.capacity
-        stop = lpn + nsectors
-        if self._admit_always:
-            has_pslc = self._has_pslc
-            take = cache.take_flush_batch
-            spp = self._spp
-            # insert_run hands back control exactly where the cache went
-            # over capacity, so flushes interleave with admissions as a
-            # per-sector loop's would (block_birth reads _op_seq there).
-            while lpn < stop:
-                admitted_to, hits = cache.insert_run(lpn, stop)
-                stats.host_sector_writes += admitted_to - lpn
-                self._op_seq += admitted_to - lpn
-                stats.cache_absorbed += hits
-                lpn = admitted_to
-                while len(pending) > capacity:
-                    if has_pslc:
-                        self._commit_batch(take(spp))
-                    else:
-                        self._program_data_page(take(spp), "host", _HOST)
-            return ops
-        for sector in range(lpn, stop):
-            stats.host_sector_writes += 1
-            self._op_seq += 1
-            if not self._admit(sector, cache):
-                self._stage_direct(sector)
-                continue
-            if cache.insert(sector):
-                stats.cache_absorbed += 1
+        has_pslc = self._has_pslc
+        take = cache.take_flush_batch
+        spp = self._spp
+        # insert_run hands back control exactly where the cache went over
+        # capacity, so flushes interleave with admissions as a per-sector
+        # loop's would (block_birth reads _op_seq there).
+        while lpn < stop:
+            admitted_to, hits = cache.insert_run(lpn, stop)
+            stats.host_sector_writes += admitted_to - lpn
+            self._op_seq += admitted_to - lpn
+            stats.cache_absorbed += hits
+            lpn = admitted_to
             while len(pending) > capacity:
-                self._commit_batch(cache.take_flush_batch(self._spp))
+                if has_pslc:
+                    self._commit_batch(take(spp))
+                else:
+                    self._program_data_page(take(spp), "host", _HOST)
         return ops
 
     def read(self, lpn: int, nsectors: int = 1) -> list[FlashOp]:

@@ -5,16 +5,15 @@ GC victim-selection policy belongs to changes write amplification in
 first-order ways; the paper varies "randomized-greedy algorithm or greedy"
 as one of its three Fig 3 knobs.
 
-The actual selection algorithms live in
-:mod:`repro.ssd.policy.victim`; the :class:`VictimSelector` here owns
-the per-run state they share (candidate pool, seeded RNG stream, sample
-size) and acts as their decision *view*.  All randomness is seeded for
-reproducibility.
+The selection functions live in :data:`repro.ssd.policy.VICTIM`; the
+:class:`VictimSelector` here owns the per-run state they read
+(candidate pool, seeded RNG stream, sample size).  All randomness is
+seeded for reproducibility.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from repro.flash.nand import NandArray
 from repro.obs.events import GcVictimSelected
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.ssd.allocation import PageAllocator
-from repro.ssd.policy.base import VictimPolicy
-from repro.ssd.policy.victim import victim_policies
 
 
 class VictimSelector:
@@ -32,17 +29,17 @@ class VictimSelector:
 
     Parameters
     ----------
-    policy:
-        A registered policy name (see ``victim_policies.names()``, e.g.
-        ``greedy``, ``randomized_greedy``, ``d_choices``) or an object
-        satisfying :class:`~repro.ssd.policy.base.VictimPolicy`.
+    choose:
+        ``choose(pool, selector) -> block``, e.g. an entry of
+        :data:`~repro.ssd.policy.VICTIM`; its ``__name__`` is the policy
+        label trace events carry.
     valid_sectors:
         Device-wide per-block valid-sector counts, maintained by the FTL.
     """
 
     def __init__(
         self,
-        policy: str | VictimPolicy,
+        choose: Callable[[list[int], "VictimSelector"], int],
         geometry: Geometry,
         nand: NandArray,
         allocator: PageAllocator,
@@ -50,10 +47,8 @@ class VictimSelector:
         sample_size: int = 8,
         seed: int = 12345,
     ) -> None:
-        if isinstance(policy, str):
-            policy = victim_policies.resolve(policy)()
-        self._policy: VictimPolicy = policy
-        self.policy = policy.name
+        self._choose = choose
+        self.policy = choose.__name__
         self.geometry = geometry
         self.nand = nand
         self.allocator = allocator
@@ -63,7 +58,6 @@ class VictimSelector:
         #: seeded stream shared by every randomized policy; policies read
         #: it (and ``sample_size``) at choose() time, never capture it.
         self.rng = np.random.default_rng(seed)
-        self._choose = policy.choose  # bound once: no per-GC dispatch
 
     # ------------------------------------------------------------------
 

@@ -38,6 +38,7 @@ from repro.flash.timing import TimingProfile, profile
 from repro.sim import Kernel
 from repro.ssd.allocation import PageAllocator
 from repro.ssd.ops import FlashOp, OpKind, OpReason
+from repro.ssd.policy import SchemeAllocation
 from repro.ssd.presets import mqsim_baseline
 from repro.ssd.timed import FlashTimeline, TimedSSD
 
@@ -114,7 +115,8 @@ class HostFtl:
 
         #: the firmware FTL's block lifecycle, with PDWC's plane order:
         #: page *i* of a stream goes to plane ``i % planes_total``.
-        self.allocator = PageAllocator(geometry, device.nand, "PDWC")
+        self.allocator = PageAllocator(geometry, device.nand,
+                                       SchemeAllocation("PDWC"))
         self._pending: list[int] = []
         #: incremental-GC state: the victim being drained, if any.
         self._gc_victim: int | None = None

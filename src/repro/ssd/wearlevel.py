@@ -11,6 +11,8 @@ black-box models cannot see; here it is an optional feature
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.flash.geometry import Geometry
@@ -18,8 +20,7 @@ from repro.flash.nand import NandArray
 from repro.obs.events import WearRebalance
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.ssd.allocation import PageAllocator
-from repro.ssd.policy.base import WearPolicy
-from repro.ssd.policy.wear import wear_policies
+from repro.ssd.policy import coldest
 
 
 class WearLeveler:
@@ -27,8 +28,9 @@ class WearLeveler:
 
     Triggers when the erase-count spread (max - min over non-retired
     blocks) exceeds ``delta``; which block then migrates is delegated
-    to a :class:`~repro.ssd.policy.base.WearPolicy` (default
-    ``coldest``: the fully-written block with the lowest erase count).
+    to *policy*, ``pick(leveler) -> block | None`` (an entry of
+    :data:`~repro.ssd.policy.WEAR`; default ``coldest``: the
+    fully-written block with the lowest erase count).
     """
 
     def __init__(
@@ -37,16 +39,15 @@ class WearLeveler:
         nand: NandArray,
         allocator: PageAllocator,
         delta: int = 100,
-        policy: str | WearPolicy = "coldest",
+        policy: Callable[["WearLeveler"], int | None] = coldest,
         sample_size: int = 8,
         seed: int = 12345,
     ) -> None:
         if delta < 1:
             raise ValueError("delta must be >= 1")
-        if isinstance(policy, str):
-            policy = wear_policies.resolve(policy)()
-        self.policy = policy.name
-        self._pick = policy.pick  # bound once: no per-decision dispatch
+        #: the policy label trace events carry.
+        self.policy = policy.__name__
+        self._pick = policy
         self.geometry = geometry
         self.nand = nand
         self.allocator = allocator

@@ -16,7 +16,7 @@ from repro.ssd.firmware.builder import (
     memory_map_for,
 )
 from repro.ssd.firmware.device import HackableSSD
-from repro.ssd.policy import REGISTRIES
+from repro.ssd.policy import POLICIES
 
 BASE = infer_base()
 MM = memory_map_for(BASE)
@@ -66,11 +66,11 @@ class TestTableLayout:
 
 
 class TestPolicyDistinctness:
-    """Every registry point must assemble to a *distinct* observable
+    """Every policy table entry must assemble to a *distinct* observable
     firmware shape — otherwise the knob is unrecoverable by design."""
 
     def test_gc_features_cover_registry_and_are_distinct(self):
-        assert set(GC_FEATURES) == set(REGISTRIES["gc_policy"].names())
+        assert set(GC_FEATURES) == set(POLICIES["gc_policy"])
         signatures = list(GC_FEATURES.values())
         assert len(set(signatures)) == len(signatures)
 
@@ -84,7 +84,7 @@ class TestPolicyDistinctness:
     ])
     def test_knob_values_change_the_image(self, knob, field):
         blobs = {}
-        for name in REGISTRIES[knob].names():
+        for name in POLICIES[knob]:
             config = BASE.with_changes(**{field: name})
             image = build_firmware(memory_map_for(config), config)
             blobs[name] = b"".join(s.data for s in image.sections[5:])

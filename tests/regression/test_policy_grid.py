@@ -16,7 +16,7 @@ from repro.core.modeling.policy_grid import (
 )
 from repro.exp import ResultCache, Runner
 from repro.ssd.ftl import Ftl
-from repro.ssd.policy import REGISTRIES
+from repro.ssd.policy import POLICIES
 from repro.ssd.presets import mqsim_baseline, tiny
 
 #: A fast sub-grid: one legacy and one registry-era value per axis.
@@ -69,18 +69,9 @@ class TestGridShape:
                                                 ("greedy", "data", "hotcold")}
 
     def test_every_registered_policy_builds_a_device(self):
-        """Every (victim, designation, allocation) registry entry can
-        run inside a real FTL — not just the default-grid subset."""
+        """Every entry of every policy table can run inside a real FTL
+        — not just the default-grid subset."""
         base = tiny()
-        for gc in REGISTRIES["gc_policy"].names():
-            Ftl(base.with_changes(gc_policy=gc))
-        for cache in REGISTRIES["cache_designation"].names():
-            Ftl(base.with_changes(cache_designation=cache))
-        for alloc in REGISTRIES["allocation_scheme"].names():
-            Ftl(base.with_changes(allocation_scheme=alloc))
-        for admission in REGISTRIES["cache_admission"].names():
-            Ftl(base.with_changes(cache_admission=admission))
-        for eviction in REGISTRIES["cache_eviction"].names():
-            Ftl(base.with_changes(cache_eviction=eviction))
-        for wear in REGISTRIES["wear_policy"].names():
-            Ftl(base.with_changes(wear_policy=wear))
+        for knob, table in POLICIES.items():
+            for name in table:
+                Ftl(base.with_changes(**{knob: name}))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import OutOfSpace, PageAllocator
-from repro.ssd.policy.allocation import allocation_policies
+from repro.ssd.policy import ALLOCATION, SchemeAllocation
 
 GEOM = Geometry(
     channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=2,
@@ -17,7 +17,8 @@ GEOM = Geometry(
 
 def make(scheme="CWDP", excluded=frozenset()):
     nand = NandArray(GEOM)
-    return PageAllocator(GEOM, nand, scheme, excluded_blocks=excluded)
+    return PageAllocator(GEOM, nand, SchemeAllocation(scheme),
+                         excluded_blocks=excluded)
 
 
 def mixed_radix_plane(scheme: str, geometry: Geometry, index: int) -> int:
@@ -43,11 +44,11 @@ class TestSchemeOrdering:
                  planes_per_die=4, blocks_per_plane=2, pages_per_block=2,
                  page_size=8192, sector_size=4096),
     ], ids=["2x1x2x2", "3x2x1x2", "2x3x2x4"])
-    @pytest.mark.parametrize("name", allocation_policies.names())
+    @pytest.mark.parametrize("name", ALLOCATION)
     def test_plane_order_is_the_mixed_radix_decomposition(self, name, geometry):
         # SchemeAllocation serves one period of the order from a table;
         # indices run past three periods to pin the wrap-around.
-        alloc = PageAllocator(geometry, NandArray(geometry), name)
+        alloc = PageAllocator(geometry, NandArray(geometry), ALLOCATION[name]())
         scheme = alloc.policy.scheme  # hotcold orders planes as CWDP
         assert name in (scheme, "hotcold")
         for index in range(3 * geometry.planes_total + 5):
@@ -200,7 +201,7 @@ class TestBuiltFromTheArray:
         write(1)            # plane 0
         write(2, pages=1)   # plane 0, partially written
         write(3)            # plane 0, excluded (another owner's block)
-        alloc = PageAllocator(GEOM, nand, "CWDP",
+        alloc = PageAllocator(GEOM, nand, SchemeAllocation("CWDP"),
                               excluded_blocks=frozenset({3}),
                               gc_low_water_blocks=1)
         assert alloc.sealed_blocks(0) == {1}
@@ -297,7 +298,8 @@ _allocator_ops = st.lists(
        ops=_allocator_ops)
 def test_allocator_matches_reference(scheme, ops):
     nand = NandArray(REF_GEOM)
-    alloc = PageAllocator(REF_GEOM, nand, scheme, gc_low_water_blocks=LOW_WATER)
+    alloc = PageAllocator(REF_GEOM, nand, ALLOCATION[scheme](),
+                          gc_low_water_blocks=LOW_WATER)
     streams = alloc.streams
     ref = RefAllocator(alloc.policy.scheme, streams)
     ppb = REF_GEOM.pages_per_block

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.cache import WriteCache
+from repro.ssd.policy import EVICTION
 from tests.helpers import ListSink
 
 
@@ -125,7 +126,8 @@ def _insert_run_by_hand(cache, lpn, stop):
        with_sink=st.booleans())
 def test_insert_run_equals_an_insert_loop_property(runs, capacity, eviction,
                                                    with_sink):
-    caches = [WriteCache(capacity, eviction=eviction) for _ in range(2)]
+    caches = [WriteCache(capacity, eviction=EVICTION[eviction])
+              for _ in range(2)]
     sinks = [ListSink(), ListSink()]
     if with_sink:
         for cache, sink in zip(caches, sinks):

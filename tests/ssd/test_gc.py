@@ -6,7 +6,9 @@ import pytest
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import PageAllocator
+from repro.ssd.config import SsdConfig
 from repro.ssd.gc import VictimSelector
+from repro.ssd.policy import VICTIM, SchemeAllocation
 from tests.helpers import scan_candidates
 
 GEOM = Geometry(
@@ -20,12 +22,13 @@ def build(policy="greedy", fill_blocks=(), valid=None, seed=1):
     for block in fill_blocks:
         for page in range(GEOM.pages_per_block):
             nand.program(block * GEOM.pages_per_block + page)
-    alloc = PageAllocator(GEOM, nand, "CWDP")
+    alloc = PageAllocator(GEOM, nand, SchemeAllocation("CWDP"))
     valid_arr = np.zeros(GEOM.total_blocks, dtype=np.int32)
     if valid:
         for block, count in valid.items():
             valid_arr[block] = count
-    selector = VictimSelector(policy, GEOM, nand, alloc, valid_arr, seed=seed)
+    selector = VictimSelector(VICTIM[policy], GEOM, nand, alloc, valid_arr,
+                              seed=seed)
     return selector, alloc, nand
 
 
@@ -130,7 +133,7 @@ class TestOtherPolicies:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="valid choices"):
-            build("psychic")
+            SsdConfig(gc_policy="psychic")
 
 
 class TestIncrementalIndex:

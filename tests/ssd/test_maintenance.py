@@ -10,6 +10,7 @@ from repro.ssd.allocation import PageAllocator
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.ftl import Ftl
 from repro.ssd.ops import OpKind, OpReason
+from repro.ssd.policy import SchemeAllocation
 from repro.ssd.presets import tiny
 from repro.ssd.timed import TimedSSD
 from repro.ssd.wearlevel import WearLeveler
@@ -43,7 +44,7 @@ class TestWearLeveler:
         for block in full_blocks:
             for page in range(self.GEOM.pages_per_block):
                 nand.program(block * self.GEOM.pages_per_block + page)
-        alloc = PageAllocator(self.GEOM, nand, "CWDP")
+        alloc = PageAllocator(self.GEOM, nand, SchemeAllocation("CWDP"))
         return WearLeveler(self.GEOM, nand, alloc, delta=delta), nand, alloc
 
     def test_no_leveling_when_even(self):

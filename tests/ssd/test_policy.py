@@ -1,4 +1,4 @@
-"""The pluggable policy engine: registries, protocols, new policies."""
+"""The policy tables and the policies in them."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,20 @@ import pytest
 from repro.flash.geometry import Geometry
 from repro.flash.nand import NandArray
 from repro.ssd.allocation import PageAllocator
+from repro.ssd.config import SsdConfig
 from repro.ssd.gc import VictimSelector
 from repro.ssd.policy import (
-    REGISTRIES,
-    AllocationPolicy,
-    CacheAdmissionPolicy,
-    CacheDesignationPolicy,
-    CacheEvictionPolicy,
-    PolicyRegistry,
-    VictimPolicy,
-    WearPolicy,
-    allocation_policies,
-    cache_admission_policies,
-    cache_designations,
-    cache_eviction_policies,
-    victim_policies,
-    wear_policies,
+    ALLOCATION,
+    EVICTION,
+    POLICIES,
+    SCHEME_NAMES,
+    VICTIM,
+    WEAR,
+    HotColdAllocation,
+    SchemeAllocation,
+    designate,
+    summary,
 )
-from repro.ssd.policy.allocation import HotColdAllocation
 from repro.ssd.wearlevel import WearLeveler
 
 GEOM = Geometry(
@@ -31,91 +27,77 @@ GEOM = Geometry(
     blocks_per_plane=8, pages_per_block=4, page_size=8192, sector_size=4096,
 )
 
-PROTOCOLS = {
-    "gc_policy": VictimPolicy,
-    "allocation_scheme": AllocationPolicy,
-    "cache_designation": CacheDesignationPolicy,
-    "cache_admission": CacheAdmissionPolicy,
-    "cache_eviction": CacheEvictionPolicy,
-    "wear_policy": WearPolicy,
-}
 
-
-def build_selector(policy, fill_blocks=(), valid=None, seed=1):
+def build_selector(choose, fill_blocks=(), valid=None, seed=1):
+    if isinstance(choose, str):
+        choose = VICTIM[choose]
     nand = NandArray(GEOM)
     for block in fill_blocks:
         for page in range(GEOM.pages_per_block):
             nand.program(block * GEOM.pages_per_block + page)
-    alloc = PageAllocator(GEOM, nand, "CWDP")
+    alloc = PageAllocator(GEOM, nand, SchemeAllocation("CWDP"))
     valid_arr = np.zeros(GEOM.total_blocks, dtype=np.int32)
     if valid:
         for block, count in valid.items():
             valid_arr[block] = count
-    return VictimSelector(policy, GEOM, nand, alloc, valid_arr, seed=seed)
+    return VictimSelector(choose, GEOM, nand, alloc, valid_arr, seed=seed)
 
 
 class TestRegistry:
+    """The six tables: one per ``SsdConfig`` knob."""
+
     def test_registries_cover_every_knob(self):
-        assert set(REGISTRIES) == set(PROTOCOLS)
-        for knob, registry in REGISTRIES.items():
-            assert registry.knob == knob
-            assert len(registry) >= 2
+        assert list(POLICIES) == [
+            "gc_policy", "allocation_scheme", "cache_designation",
+            "cache_admission", "cache_eviction", "wear_policy"]
+        for knob, table in POLICIES.items():
+            assert len(table) >= 2, knob
+            assert getattr(SsdConfig(), knob) in table  # the default
 
     def test_every_entry_instantiates_and_conforms(self):
-        for knob, registry in REGISTRIES.items():
-            for entry in registry:
-                policy = entry.factory()
-                assert isinstance(policy, PROTOCOLS[knob]), (knob, entry.name)
-                assert policy.name == entry.name
-                assert entry.summary  # one-line doc required
+        """Every entry has a summary line; victim and wear functions are
+        named as their keys (the label trace events carry); allocation
+        factories build an object named as its key."""
+        for knob, table in POLICIES.items():
+            for name in table:
+                assert summary(knob, name), (knob, name)
+        for table in (VICTIM, WEAR):
+            for name, function in table.items():
+                assert function.__name__ == name
+        for name, factory in ALLOCATION.items():
+            assert factory().name == name
 
-    def test_unknown_name_lists_valid_choices(self):
+    @pytest.mark.parametrize("knob", list(POLICIES))
+    def test_unknown_name_lists_valid_choices(self, knob):
         with pytest.raises(ValueError) as excinfo:
-            victim_policies.resolve("psychic")
+            SsdConfig(**{knob: "psychic"})
         message = str(excinfo.value)
-        assert "unknown gc_policy 'psychic'" in message
-        for name in victim_policies.names():
+        assert f"unknown {knob} 'psychic'" in message
+        for name in POLICIES[knob]:
             assert name in message
 
-    def test_duplicate_registration_rejected(self):
-        registry = PolicyRegistry("demo_knob")
-        registry.register("one", lambda: None, summary="first")
-        with pytest.raises(ValueError, match="registered twice"):
-            registry.register("one", lambda: None, summary="again")
-
     def test_summary_defaults_to_docstring_first_line(self):
-        registry = PolicyRegistry("demo_knob")
-
-        @registry.register("documented")
-        class Documented:
-            """One line of summary.
-
-            More detail that must not leak into the summary.
-            """
-            name = "documented"
-
-        assert registry.entry("documented").summary == "One line of summary."
-
-    def test_undocumented_factory_rejected(self):
-        registry = PolicyRegistry("demo_knob")
-        with pytest.raises(ValueError, match="docstring"):
-            registry.register("bare", lambda: None)
+        assert summary("gc_policy", "cat") == (
+            "Cost-Age-Times (Chiang/Chang): minimize u/(1-u) * cleans / age —")
+        assert summary("cache_designation", "mapping") == (
+            "RAM buys dirty translation-page slots; the data path keeps a")
+        assert summary("allocation_scheme", "PDWC") == (
+            "plane-first dimension order plane/die/chip/channel")
 
     def test_contains_and_names_order(self):
-        assert "greedy" in victim_policies
-        assert "nope" not in victim_policies
-        assert victim_policies.names()[0] == "greedy"
+        assert "greedy" in VICTIM
+        assert "nope" not in VICTIM
+        assert next(iter(VICTIM)) == "greedy"
+        assert tuple(ALLOCATION)[:len(SCHEME_NAMES)] == SCHEME_NAMES
 
     def test_selector_accepts_policy_object(self):
-        """Injected objects bypass the registry (the seam tests use)."""
+        """Any ``choose(pool, selector)`` function drives the selector;
+        its name is the label."""
 
-        class FirstVictim:
-            name = "first"
+        def first(pool, selector):
+            return pool[0]
 
-            def choose(self, pool, view):
-                return pool[0]
-
-        selector = build_selector(FirstVictim(), fill_blocks=[2, 3],
+        selector = build_selector(first, fill_blocks=[2, 3],
                                   valid={2: 1, 3: 0})
         assert selector.policy == "first"
         assert selector.select_victim(0) == 2
@@ -175,7 +157,7 @@ class TestCat:
 class TestHotColdAllocation:
     def test_adds_cold_stream(self):
         nand = NandArray(GEOM)
-        alloc = PageAllocator(GEOM, nand, "hotcold")
+        alloc = PageAllocator(GEOM, nand, HotColdAllocation())
         assert alloc.scheme == "hotcold"
         assert alloc.streams == ("host", "gc", "meta", "cold")
         # Both streams allocate (distinct active blocks).
@@ -197,35 +179,41 @@ class TestHotColdAllocation:
 
     def test_plane_order_matches_cwdp_base(self):
         nand = NandArray(GEOM)
-        hot = PageAllocator(GEOM, nand, "hotcold")
-        ref = PageAllocator(GEOM, NandArray(GEOM), "CWDP")
+        hot = PageAllocator(GEOM, nand, HotColdAllocation())
+        ref = PageAllocator(GEOM, NandArray(GEOM), SchemeAllocation("CWDP"))
         for index in range(GEOM.planes_total * 2):
             assert hot.plane_for_index(index) == ref.plane_for_index(index)
 
 
 class TestCachePolicies:
     def test_designation_plans(self):
-        data = cache_designations.resolve("data")()
-        mapping = cache_designations.resolve("mapping")()
-        plan = data.plan(256, GEOM)
-        assert plan.cache_sectors == 256 and plan.extra_dirty_tps == 0
-        plan = mapping.plan(256, GEOM)
-        assert plan.cache_sectors == GEOM.sectors_per_page
-        assert plan.extra_dirty_tps == 256 * GEOM.sector_size // GEOM.page_size
+        data = SsdConfig(geometry=GEOM, cache_sectors=256)
+        mapping = data.with_changes(cache_designation="mapping")
+        assert designate(data) == (256, 0)
+        assert designate(mapping) == (
+            GEOM.sectors_per_page, 256 * GEOM.sector_size // GEOM.page_size)
 
     def test_data_designation_floors_at_one_page(self):
-        data = cache_designations.resolve("data")()
-        assert data.plan(1, GEOM).cache_sectors == GEOM.sectors_per_page
+        config = SsdConfig(geometry=GEOM, cache_sectors=1)
+        assert designate(config)[0] == GEOM.sectors_per_page
 
     def test_admission_flags(self):
-        assert cache_admission_policies.resolve("always")().always is True
-        assert cache_admission_policies.resolve("bypass")().always is False
+        """``bypass`` stages host sectors for direct page packing;
+        ``always`` buffers them in the write cache."""
+        from repro.ssd.ftl import Ftl
+        from repro.ssd.presets import tiny
+
+        for admission, cached in (("always", True), ("bypass", False)):
+            ftl = Ftl(tiny().with_changes(cache_admission=admission))
+            ftl.write(5)
+            assert (5 in ftl.cache) is cached, admission
+            assert ftl.stats.host_sector_writes == 1
 
     def test_fifo_eviction_ignores_hits(self):
         from repro.ssd.cache import WriteCache
 
-        lru = WriteCache(4, eviction="lru")
-        fifo = WriteCache(4, eviction="fifo")
+        lru = WriteCache(4, eviction=EVICTION["lru"])
+        fifo = WriteCache(4, eviction=EVICTION["fifo"])
         for cache in (lru, fifo):
             for lpn in (1, 2, 3):
                 cache.insert(lpn)
@@ -240,8 +228,8 @@ class TestWearPolicies:
         for block in (2, 3, 4):
             for page in range(GEOM.pages_per_block):
                 nand.program(block * GEOM.pages_per_block + page)
-        alloc = PageAllocator(GEOM, nand, "CWDP")
-        return WearLeveler(GEOM, nand, alloc, delta=1, policy=policy)
+        alloc = PageAllocator(GEOM, nand, SchemeAllocation("CWDP"))
+        return WearLeveler(GEOM, nand, alloc, delta=1, policy=WEAR[policy])
 
     def test_coldest_picks_lowest_erase_count(self):
         leveler = self._leveler("coldest")
@@ -258,43 +246,38 @@ class TestWearPolicies:
 
     def test_no_eligible_blocks_returns_none(self):
         nand = NandArray(GEOM)
-        alloc = PageAllocator(GEOM, nand, "CWDP")
-        leveler = WearLeveler(GEOM, nand, alloc, delta=1, policy="coldest")
+        alloc = PageAllocator(GEOM, nand, SchemeAllocation("CWDP"))
+        leveler = WearLeveler(GEOM, nand, alloc, delta=1,
+                              policy=WEAR["coldest"])
         assert leveler.pick_victim() is None
 
     def test_all_wear_policies_resolve(self):
-        for entry in wear_policies:
-            leveler = self._leveler(entry.name)
+        for name in WEAR:
+            leveler = self._leveler(name)
             assert leveler.pick_victim() is not None
 
 
 class TestConfigIntegration:
     def test_config_validates_every_policy_knob(self):
-        from repro.ssd.config import SsdConfig
-
         base = SsdConfig()
-        for knob, registry in REGISTRIES.items():
-            field = {"allocation_scheme": "allocation_scheme",
-                     "gc_policy": "gc_policy",
-                     "cache_designation": "cache_designation",
-                     "cache_admission": "cache_admission",
-                     "cache_eviction": "cache_eviction",
-                     "wear_policy": "wear_policy"}[knob]
+        for knob, table in POLICIES.items():
             with pytest.raises(ValueError, match="valid choices"):
-                base.with_changes(**{field: "not-a-policy"})
-            for name in registry.names():
-                base.with_changes(**{field: name})  # all accepted
+                base.with_changes(**{knob: "not-a-policy"})
+            for name in table:
+                base.with_changes(**{knob: name})  # all accepted
 
     def test_eviction_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="lru"):
-            cache_eviction_policies.resolve("mru")
+            SsdConfig(cache_eviction="mru")
 
     def test_allocation_lowercase_scheme_still_accepted(self):
         nand = NandArray(GEOM)
-        alloc = PageAllocator(GEOM, nand, "cwdp")
+        alloc = PageAllocator(GEOM, nand, SchemeAllocation("cwdp"))
         assert alloc.scheme == "CWDP"
 
     def test_allocation_registry_rejects_bad_scheme(self):
-        assert "CWDX" not in allocation_policies
+        assert "CWDX" not in ALLOCATION
         with pytest.raises(ValueError, match="valid choices"):
-            PageAllocator(GEOM, NandArray(GEOM), "CWDX")
+            SsdConfig(allocation_scheme="CWDX")
+        with pytest.raises(ValueError, match="letter 'X' invalid"):
+            PageAllocator(GEOM, NandArray(GEOM), SchemeAllocation("CWDX"))

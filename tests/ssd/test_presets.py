@@ -1,33 +1,20 @@
-"""Device presets resolve cleanly through the policy registries."""
+"""Device presets resolve cleanly through the policy tables."""
 
 import pytest
 
-from repro.ssd.policy import REGISTRIES
+from repro.ssd.policy import POLICIES
 from repro.ssd.presets import PRESETS
-
-KNOB_FIELDS = {
-    "gc_policy": "gc_policy",
-    "allocation_scheme": "allocation_scheme",
-    "cache_designation": "cache_designation",
-    "cache_admission": "cache_admission",
-    "cache_eviction": "cache_eviction",
-    "wear_policy": "wear_policy",
-}
 
 
 class TestPresetPolicyResolution:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_knob_is_registered(self, name):
-        """Each preset's policy strings exist in the registries — a
-        preset can never name a policy the engine cannot build."""
+        """Each preset's policy strings exist in the tables — a preset
+        can never name a policy the FTL cannot build."""
         config = PRESETS[name](scale=2)
-        for knob, field in KNOB_FIELDS.items():
-            value = getattr(config, field)
-            registry = REGISTRIES[knob]
-            assert value in registry, (name, knob, value)
-            # The factory actually builds the policy object.
-            policy = registry.resolve(value)()
-            assert policy.name == value
+        for knob, table in POLICIES.items():
+            value = getattr(config, knob)
+            assert value in table, (name, knob, value)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_devices_construct(self, name):

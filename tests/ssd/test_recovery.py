@@ -226,3 +226,26 @@ def test_fifo_victim_survives_recovery():
     recovered, _ = crash_and_recover(ftl)
     assert [recovered.selector.select_victim(plane)
             for plane in planes] == before
+
+
+def test_retention_refresh_sees_data_written_before_the_crash():
+    """Block birth is read back from the page-0 program stamps: data
+    programmed before a crash ages and is refreshed after it, as on a
+    device that never lost power."""
+    config = tiny().with_changes(refresh_after_ops=500)
+
+    def age_and_refresh(ftl):
+        for _ in range(600):
+            ftl.write(1)
+        ftl.idle_maintenance(8)
+        return ftl.stats.refreshed_blocks
+
+    ftl = Ftl(config)
+    for lpn in range(0, ftl.num_lpns, 2):
+        ftl.write(lpn)
+    ftl.flush()
+    recovered, _ = recover_ftl(config, ftl.nand.clone())
+    born = recovered.block_birth >= 0
+    assert (born == (recovered.nand.block_write_ptr > 0)).all()
+    assert age_and_refresh(ftl) == 8
+    assert age_and_refresh(recovered) == 8
