@@ -28,6 +28,8 @@ equal request budgets.
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,8 @@ from repro.sim.kernel import PowerLoss
 from repro.ssd.allocation import OutOfSpace
 from repro.ssd.ftl import ReadOnlyError
 from repro.ssd.smart import SmartCounters
-from repro.ssd.timed import CompletedRequest, TimedSSD
-from repro.workloads.source import RequestSource, as_source
+from repro.ssd.timed import TimedSSD
+from repro.workloads.source import _BLOCK_REQUESTS, RequestSource, as_source
 from repro.workloads.spec import JobSpec
 
 #: RNG stream constant for open-loop arrival gaps: a separate
@@ -80,23 +82,42 @@ class _Degradation:
 
 
 class _SourceState:
-    """One source's progress through :func:`run_timed`."""
+    """One source's progress through :func:`run_timed`.
 
-    __slots__ = ("source", "next_request", "issued", "done",
-                 "arrivals", "inflight", "failed")
+    What a run keeps of a request is 8 bytes: its latency in an int64
+    buffer.  The sector total and the finish time are running values,
+    and an open-loop source holds its arrival times as an int64 array,
+    one block of them at a time as Python ints."""
+
+    __slots__ = ("source", "next_request", "latencies_ns", "sectors",
+                 "last_complete_ns", "arrivals", "block", "cursor",
+                 "inflight", "failed")
 
     def __init__(self, source: RequestSource) -> None:
         self.source = source
         self.next_request = source.next_request
-        self.issued = 0
-        #: what the device returned for each request it accepted.
-        self.done: list[CompletedRequest] = []
-        #: open-loop submission times; None for a closed-loop source.
-        self.arrivals: list[int] | None = None
+        #: latency (ns) of each request the device accepted.
+        self.latencies_ns = array("q")
+        self.sectors = 0
+        self.last_complete_ns = 0
+        #: open-loop arrival blocks (:func:`_arrival_blocks`); None for
+        #: a closed-loop source.
+        self.arrivals: Iterator[list[int]] | None = None
+        #: the arrival block being served, and the index in it of the
+        #: last arrival submitted.
+        self.block: list[int] = []
+        self.cursor = 0
         #: completion times of requests in flight, kept only while a
         #: sink listens (it feeds nothing but ``QueueDepth`` events).
         self.inflight: list[int] = []
         self.failed = 0
+
+
+def _arrival_blocks(times: np.ndarray) -> Iterator[list[int]]:
+    """*times* as Python ints, ``_BLOCK_REQUESTS`` at a time.  The array
+    is freed once the last block has been served."""
+    for start in range(0, len(times), _BLOCK_REQUESTS):
+        yield times[start:start + _BLOCK_REQUESTS].tolist()
 
 
 @dataclass
@@ -181,8 +202,13 @@ def _arrival_times(job: JobSpec, t0: int) -> np.ndarray:
         gaps = _bursty_gaps(job, rng)
     else:
         gaps = np.full(job.io_count, mean_gap_ns)
-    gaps = np.maximum(gaps.astype(np.int64), 1)
-    return t0 + np.cumsum(gaps)
+    # In place: one int64 array beside the float gaps at the peak.
+    arrivals = gaps.astype(np.int64)
+    del gaps
+    np.maximum(arrivals, 1, out=arrivals)
+    np.cumsum(arrivals, out=arrivals)
+    arrivals += t0
+    return arrivals
 
 
 def _diurnal_gaps(job: JobSpec, rng: np.random.Generator) -> np.ndarray:
@@ -281,9 +307,10 @@ def run_timed(
     for state in states:
         source = state.source
         if source.is_open_loop:
-            state.arrivals = source.arrival_times(t0).tolist()
-            if len(state.arrivals) > 0:
-                ready.append((state.arrivals[0], len(ready), state))
+            state.arrivals = _arrival_blocks(source.arrival_times(t0))
+            state.block = block = next(state.arrivals, [])
+            if block:
+                ready.append((block[0], len(ready), state))
         else:
             for _ in range(source.iodepth):
                 ready.append((t0, len(ready), state))
@@ -315,7 +342,7 @@ def run_timed(
             else:
                 done = submit(kind, lba, nsectors, at_ns=when)
         except _FAULT_EXCEPTIONS as exc:
-            deg.note(exc, when, sum(len(s.done) for s in states))
+            deg.note(exc, when, sum(len(s.latencies_ns) for s in states))
             state.failed += 1
             if deg.dead:
                 heappop(ready)  # remaining pops drain as failures
@@ -325,10 +352,13 @@ def run_timed(
             # request takes no device time).
             rearm_at = when
         else:
-            # Latencies, sectors and the finish time are read off the
-            # completed requests after the loop.
-            state.done.append(done)
             rearm_at = done.complete_ns
+            # A submission can be clamped to the device clock, so the
+            # latency runs from the request's own submit time.
+            state.latencies_ns.append(rearm_at - done.submit_ns)
+            state.sectors += done.nsectors
+            if rearm_at > state.last_complete_ns:
+                state.last_complete_ns = rearm_at
             if arrivals is not None and obs.enabled:
                 # Queue-depth accounting: completions due by this arrival
                 # have drained; this request is now in flight.
@@ -347,9 +377,14 @@ def run_timed(
             # slots draw None on their next pop and leave the heap there.
             heapreplace(ready, (rearm_at, seq, state))
         else:
-            state.issued = issued = state.issued + 1
-            if issued < len(arrivals):
-                heapreplace(ready, (arrivals[issued], seq, state))
+            block = state.block
+            state.cursor = cursor = state.cursor + 1
+            if cursor == len(block):
+                # The next block; [] once every arrival was served.
+                state.block = block = next(arrivals, [])
+                state.cursor = cursor = 0
+            if block:
+                heapreplace(ready, (block[cursor], seq, state))
             else:
                 heappop(ready)
 
@@ -357,17 +392,17 @@ def run_timed(
     elapsed_total = 0
     for state in states:
         name = state.source.name
-        done = state.done
-        done_at = max([r.complete_ns for r in done], default=0)
-        elapsed = max(0, done_at - t0)
+        elapsed = max(0, state.last_complete_ns - t0)
         elapsed_total = max(elapsed_total, elapsed)
         left = state.source.remaining
         results[name] = JobResult(
             name=name,
-            requests=len(done),
-            sectors=sum([r.nsectors for r in done]),
-            latencies_us=np.asarray(
-                [(r.complete_ns - r.submit_ns) / 1_000 for r in done]),
+            requests=len(state.latencies_ns),
+            sectors=state.sectors,
+            # int64 ns below 2**53 convert exactly, so this rounds as
+            # the per-request (complete - submit) / 1_000 does.
+            latencies_us=np.frombuffer(state.latencies_ns,
+                                       dtype=np.int64) / 1_000,
             elapsed_ns=elapsed,
             # a dead device leaves budget in the heap; it all failed.
             failed_requests=state.failed + (left if left else 0),

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.flash.errors import ReliabilityModel
+from repro.flash.errors import FailureInjector, ReliabilityModel
 from repro.faults import FaultPlan, FaultSpec, PlannedFaultInjector
 from repro.obs import CounterSink
 from repro.ssd.ftl import Ftl, ReadOnlyError
-from repro.ssd.presets import tiny
+from repro.ssd.presets import evo840_like, tiny
+from repro.ssd.timed import TimedSSD
 
 #: same deliberately fragile flash as the reliability tests: cold data
 #: rots out of the ECC budget after ~5 simulated days.
@@ -139,6 +140,18 @@ class TestBlockRetirement:
             ftl.write(lpn % ftl.num_lpns)
         ftl.flush()
         assert ftl.spare_blocks() == clean.spare_blocks() - 2
+
+    def test_pslc_drain_erase_is_outside_the_fault_model(self):
+        # pSLC retirement is not modelled: a drained buffer block is
+        # erased without asking the injector, even one that fails
+        # every erase.
+        device = TimedSSD(evo840_like(4),
+                          injector=FailureInjector(erase_fail_prob=1.0))
+        for i in range(29):
+            device.write_sectors(8 * i, 8)
+        assert device.ftl.stats.pslc_drains == 5
+        assert device.ftl.stats.blocks_retired == 0
+        assert device.smart.erase_count == 5
 
 
 class TestReadOnlyMode:

@@ -235,13 +235,17 @@ class TestTimedSSD:
 
 
 def _mixed_requests(device: TimedSSD, count: int, seed: int,
-                    through_engine: bool) -> None:
-    """*count* random single-sector writes and reads, half each; the
-    engine's run result is dropped."""
+                    via: str) -> None:
+    """*count* random single-sector writes and reads, half each.  *via*
+    is ``"submit"`` (straight to the device) or the submission model of
+    one engine job (``"closed"`` or ``"open"``), whose run result is
+    dropped."""
     span = device.num_sectors
-    if through_engine:
+    if via != "submit":
+        rate = ({"submission": "open", "rate_iops": 20_000}
+                if via == "open" else {})
         run_timed(device, [JobSpec("mix", "randrw", Region(0, span),
-                                   io_count=count, seed=seed)])
+                                   io_count=count, seed=seed, **rate)])
         return
     rng = np.random.default_rng(seed)
     for lba, roll in zip(rng.integers(span, size=count).tolist(),
@@ -253,28 +257,32 @@ def _mixed_requests(device: TimedSSD, count: int, seed: int,
 def test_device_keeps_no_per_request_state():
     # A timed device's memory must not grow with the requests it serves:
     # what a caller wants to keep of a request, it keeps from the return
-    # value (run_timed keeps a run's latencies for as long as the run).
+    # value.  A run keeps 8 B per request (its latency) while it lasts,
+    # so the engine's peak stays a small constant per request too.
     requests = 20_000
-    for make_config, through_engine in itertools.product(
-            (tiny, mqsim_baseline), (False, True)):
+    cases = [*itertools.product((tiny, mqsim_baseline), ("submit", "closed")),
+             (mqsim_baseline, "open")]
+    for make_config, via in cases:
         device = TimedSSD(make_config())
         # Warm-up: the write cache, the kernel's heaps and the bus-time
         # caches reach their working size.
-        _mixed_requests(device, 5_000, seed=1, through_engine=through_engine)
+        _mixed_requests(device, 5_000, seed=1, via=via)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _mixed_requests(device, requests, seed=2,
-                            through_engine=through_engine)
+            _mixed_requests(device, requests, seed=2, via=via)
+            peak = tracemalloc.get_traced_memory()[1] - before
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        case = f"{make_config.__name__}, {via}"
         assert grown < 16 * requests, (
-            f"{grown / requests:.1f} B retained per request ("
-            f"{make_config.__name__}, "
-            f"{'run_timed' if through_engine else 'submit'})")
+            f"{grown / requests:.1f} B retained per request ({case})")
+        if via != "submit":
+            assert peak <= 32 * requests, (
+                f"{peak / requests:.1f} B peak per request ({case})")
 
 
 class TestBusTap:
