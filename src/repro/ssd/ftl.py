@@ -93,6 +93,11 @@ P2L_NONE = -1
 #: mark (one of §2.1's "unpredictable background operations").
 IDLE_GC_EXTRA_BLOCKS = 2
 
+#: entries of ``l2p`` (and, in whole blocks, of ``p2l``) that
+#: ``check_invariants`` reads per step.  Its temporaries are a few arrays
+#: of this length, so the audit's memory does not grow with the device.
+_AUDIT_CHUNK = 8192
+
 #: RBER attenuation per retry step (expected errors shrink by this
 #: factor each step of the ladder).
 READ_RETRY_RBER_FACTOR = 0.5
@@ -1100,22 +1105,46 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the cross-structure invariants that define FTL sanity."""
-        spp = self.geometry.sectors_per_page
-        # 1. Every mapped LPN points at a valid physical sector that maps back.
-        mapped = np.nonzero(self.mapping.l2p != UNMAPPED)[0]
-        for lpn in mapped[: 10000]:
-            psa = int(self.mapping.l2p[lpn])
-            assert int(self.p2l[psa]) == lpn, (
-                f"p2l mismatch: lpn {lpn} -> psa {psa} -> {int(self.p2l[psa])}"
-            )
-        # 2. Block valid counters count the valid (non-P2L_NONE) sectors.
-        valid = self.p2l != P2L_NONE
-        per_block = valid.reshape(
-            self.geometry.total_blocks, self.geometry.pages_per_block * spp
-        ).sum(axis=1)
-        assert np.array_equal(per_block, self.block_valid), "block_valid drift"
-        # 3. Valid sectors only exist on programmed pages.
-        valid_psas = np.nonzero(valid)[0]
-        pages = np.unique(valid_psas // spp)
-        assert np.all(self.nand.page_state[pages] == 1), "valid sector on free page"
+        """Assert the cross-structure invariants that define FTL sanity.
+
+        Every mapped LPN, every block and every valid sector is checked,
+        one fixed-size slice of the arrays at a time, so the temporaries
+        are a few ``_AUDIT_CHUNK``-entry arrays whatever the device size.
+        """
+        l2p, p2l = self.mapping.l2p, self.p2l
+        # 1. Every mapped LPN points at a physical sector that maps back.
+        for start in range(0, l2p.size, _AUDIT_CHUNK):
+            window = l2p[start:start + _AUDIT_CHUNK]
+            mapped = window != UNMAPPED
+            # p2l[psa] - offset is ``start`` for every entry that maps back.
+            back = p2l[window[mapped]]
+            back -= np.flatnonzero(mapped)
+            bad = np.flatnonzero(back != start)
+            if bad.size:
+                lpn = start + int(np.flatnonzero(mapped)[bad[0]])
+                psa = int(l2p[lpn])
+                raise AssertionError(
+                    f"p2l mismatch: lpn {lpn} -> psa {psa} -> {int(p2l[psa])}")
+            # Free this step's arrays before the next step builds its own.
+            del mapped, back
+        # 2. Block valid counters count the valid (non-P2L_NONE) sectors,
+        # 3. and valid sectors only exist on programmed pages.
+        spb, ppb = self._sectors_per_block, self._ppb
+        total_blocks = self.geometry.total_blocks
+        page_state, block_valid = self.nand.page_state, self.block_valid
+        step = max(1, _AUDIT_CHUNK // spb)
+        for b0 in range(0, total_blocks, step):
+            b1 = min(b0 + step, total_blocks)
+            valid = (p2l[b0 * spb:b1 * spb] != P2L_NONE).reshape(b1 - b0, spb)
+            counts = np.count_nonzero(valid, axis=1)
+            drift = np.flatnonzero(counts != block_valid[b0:b1])
+            if drift.size:
+                i = int(drift[0])
+                raise AssertionError(
+                    f"block_valid drift: block {b0 + i} holds {int(counts[i])} "
+                    f"valid sectors, block_valid says {int(block_valid[b0 + i])}")
+            live = valid.reshape(-1, self._spp).any(axis=1)
+            free = np.flatnonzero(live & (page_state[b0 * ppb:b1 * ppb] != 1))
+            if free.size:
+                raise AssertionError(
+                    f"valid sector on free page {b0 * ppb + int(free[0])}")

@@ -49,6 +49,9 @@ from repro.workloads.spec import JobSpec
 #: submission modes never perturbs a job's address/kind sequence.
 _ARRIVAL_STREAM = 0x0A221
 
+#: diurnal candidates thinned per step (see ``_diurnal_gaps``).
+_THINNING_STEP = 16384
+
 #: Degradations a device can announce mid-run that the engine survives:
 #: a read-only FTL and an exhausted spare pool fail the offending
 #: request (reads and flushes still serve); a power loss kills the
@@ -225,20 +228,41 @@ def _diurnal_gaps(job: JobSpec, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1e9 / job.rate_iops, size=job.io_count)
     peak_gap_ns = 1e9 / (job.rate_iops * (1.0 + amplitude))
     omega = 2.0 * np.pi / (job.diurnal_period_s * 1e9)
-    accepted: list[np.ndarray] = []
+    # Accepted times, turned into gaps in place at the end.
+    times = np.empty(job.io_count)
+    # The thinning ratio and the uniform draws of one step: a chunk's
+    # candidates are tested a step at a time in these two buffers, which
+    # draws the same uniforms, in the same order, as one call per chunk.
+    ratio = np.empty(_THINNING_STEP)
+    uniform = np.empty(_THINNING_STEP)
     kept = 0
     clock = 0.0
     while kept < job.io_count:
         chunk = max(256, 2 * (job.io_count - kept))
-        candidates = clock + np.cumsum(
-            rng.exponential(peak_gap_ns, size=chunk))
+        candidates = rng.exponential(peak_gap_ns, size=chunk)
+        np.cumsum(candidates, out=candidates)
+        candidates += clock
         clock = float(candidates[-1])
-        thin = (1.0 + amplitude * np.sin(omega * candidates)) / (1.0 + amplitude)
-        keep = candidates[rng.random(chunk) < thin]
-        accepted.append(keep)
-        kept += keep.size
-    times = np.concatenate(accepted)[:job.io_count]
-    return np.diff(times, prepend=0.0)
+        for lo in range(0, chunk, _THINNING_STEP):
+            if kept >= job.io_count:
+                break
+            step = candidates[lo:lo + _THINNING_STEP]
+            r, u = ratio[:step.size], uniform[:step.size]
+            # (1 + amplitude * sin(omega * t)) / (1 + amplitude)
+            np.multiply(step, omega, out=r)
+            np.sin(r, out=r)
+            r *= amplitude
+            r += 1.0
+            r /= 1.0 + amplitude
+            rng.random(out=u)
+            keep = step[u < r][:job.io_count - kept]
+            times[kept:kept + keep.size] = keep
+            kept += keep.size
+        # Free the chunk before the next one, or the diff below, runs.
+        del candidates, step
+    # In place, as ``np.diff(times, prepend=0.0)``.
+    np.subtract(times[1:], times[:-1], out=times[1:])
+    return times
 
 
 def _bursty_gaps(job: JobSpec, rng: np.random.Generator) -> np.ndarray:

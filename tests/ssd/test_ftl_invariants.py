@@ -12,6 +12,8 @@ dependency) assert the structural invariants that define FTL sanity:
   trace sink hooked on ``gc_finished``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.obs.events import GcFinished
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.ftl import META_P2L_BASE, P2L_NONE
 from repro.ssd.mapping import UNMAPPED
-from repro.ssd.presets import evo840_like, tiny
+from repro.ssd.presets import evo840_like, mqsim_baseline, tiny
 from tests.helpers import record_ops
 
 SEEDS = (1, 7, 23)
@@ -201,3 +203,79 @@ class TestPslcDeviceInvariants:
             in_buffer = ftl.pslc.lookup(lpn) is not None
             mapped = int(ftl.mapping.l2p[lpn]) != UNMAPPED
             assert in_buffer or mapped
+
+
+@pytest.fixture(scope="module")
+def filled_ftl():
+    """An ``mqsim_baseline`` FTL (1.5 MiB ``p2l``) nine tenths full,
+    with overwrites leaving most blocks partly valid."""
+    device = SimulatedSSD(mqsim_baseline())
+    span = device.num_sectors * 9 // 10
+    for lba in range(0, span - 64, 64):
+        device.write_sectors(lba, 64)
+    rng = np.random.default_rng(3)
+    for lba in rng.integers(span, size=2000):
+        device.write_sectors(int(lba), 8)
+    device.flush()
+    device.ftl.check_invariants()
+    return device.ftl
+
+
+class TestAuditCatchesFaults:
+    """``check_invariants`` reads every mapped LPN, every block and
+    every valid sector: each single corruption below must raise."""
+
+    def test_l2p_p2l_mismatch_past_the_first_mapped_lpns(self, filled_ftl):
+        ftl = filled_ftl
+        l2p = ftl.mapping.l2p
+        mapped = np.flatnonzero(l2p != UNMAPPED)
+        assert mapped.size > 100_000
+        lpn, other = int(mapped[-1]), int(mapped[-2])
+        psa, other_psa = int(l2p[lpn]), int(l2p[other])
+        l2p[lpn] = other_psa
+        try:
+            with pytest.raises(AssertionError, match=(
+                    f"p2l mismatch: lpn {lpn} -> psa {other_psa} -> {other}$")):
+                ftl.check_invariants()
+        finally:
+            l2p[lpn] = psa
+        ftl.check_invariants()
+
+    def test_block_valid_off_by_one(self, filled_ftl):
+        ftl = filled_ftl
+        block = int(np.flatnonzero(ftl.block_valid)[-1])
+        ftl.block_valid[block] -= 1
+        try:
+            with pytest.raises(AssertionError,
+                               match=f"block_valid drift: block {block} "):
+                ftl.check_invariants()
+        finally:
+            ftl.block_valid[block] += 1
+        ftl.check_invariants()
+
+    def test_valid_sector_on_free_page(self, filled_ftl):
+        ftl = filled_ftl
+        spp = ftl.geometry.sectors_per_page
+        page = int(np.flatnonzero(ftl.p2l != P2L_NONE)[-1]) // spp
+        state = ftl.nand.page_state
+        assert state[page] == 1
+        state[page] = 0
+        try:
+            with pytest.raises(AssertionError,
+                               match=f"valid sector on free page {page}$"):
+                ftl.check_invariants()
+        finally:
+            state[page] = 1
+        ftl.check_invariants()
+
+    def test_audit_memory_does_not_grow_with_the_map(self, filled_ftl):
+        ftl = filled_ftl
+        assert ftl.p2l.nbytes >= 1 << 20
+        tracemalloc.start()
+        try:
+            ftl.check_invariants()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ftl.p2l.nbytes // 4, (
+            f"audit peaked at {peak} B for a {ftl.p2l.nbytes} B p2l")

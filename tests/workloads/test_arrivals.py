@@ -6,6 +6,10 @@ dedicated arrival RNG stream), so both are pinned here alongside the
 statistical shape of each process.
 """
 
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,38 @@ class TestArrivalShapes:
         first_half = int((phase < 0.5).sum())
         second_half = int((phase >= 0.5).sum())
         assert first_half > 1.5 * second_half
+
+    @pytest.mark.parametrize("io_count, amplitude, period_s, digest", [
+        (20_000, 0.9, 0.05,
+         "9dcc49b9f341da26512b3a2de9a6c8969c3568fc91f7cec68186733a6ea97aa3"),
+        (300, 0.99, 0.001,
+         "c76c3198be1e7d5c3c5d3544f5e0437e69237aff31a9f542c868f9db84568b24"),
+    ])
+    def test_diurnal_arrivals_are_pinned(self, io_count, amplitude, period_s,
+                                         digest):
+        # Every arrival, bit for bit: thinning is done in steps, but the
+        # draws and their order are those of one call per chunk.
+        job = open_job("diurnal", io_count=io_count, rate=400_000.0,
+                       diurnal_amplitude=amplitude,
+                       diurnal_period_s=period_s)
+        times = _arrival_times(job, 1000)
+        assert times.dtype == np.int64
+        assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+
+    def test_diurnal_arrivals_peak_memory(self):
+        # Candidates (two per request in the first chunk) and the output
+        # are the only arrays that grow with the job.
+        job = open_job("diurnal", io_count=200_000)
+        _arrival_times(job, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _arrival_times(job, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * job.io_count, (
+            f"{peak / job.io_count:.1f} B peak per request")
 
     def test_diurnal_zero_amplitude_is_plain_poisson(self):
         flat = open_job("diurnal", diurnal_amplitude=0.0)
