@@ -38,7 +38,7 @@ from repro.flash.geometry import Geometry
 
 #: Marker for "no logical sector" in an OOB slot (e.g. a page that holds
 #: mapping metadata or parity).
-NO_LPN = np.int64(-1)
+NO_LPN = np.int32(-1)
 
 #: ``page_oob_len`` value for a page whose writer stored no OOB record
 #: (distinct from an explicitly-stored empty record of length 0).
@@ -101,7 +101,7 @@ class NandArray:
         #: unspecified; ``page_oob_len == -1`` means no record stored).
         self._oob_slots = max(1, geometry.sectors_per_page)
         self.page_oob = np.full((total_pages, self._oob_slots), NO_LPN,
-                                dtype=np.int64)
+                                dtype=np.int32)
         self.page_oob_len = np.full(total_pages, _NO_OOB, dtype=np.int16)
         self._bind_views()
         self._program_counter = 0

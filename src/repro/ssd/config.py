@@ -17,6 +17,10 @@ from repro.flash.timing import PROFILES
 from repro.ssd.allocation import STREAMS
 from repro.ssd.policy import ALLOCATION, POLICIES, check
 
+#: sector indexes the FTL can hold: ``l2p``, ``p2l`` and the NAND OOB
+#: stamps are ``int32`` arrays, so sectors ``0 .. MAX_SECTORS - 1`` fit.
+MAX_SECTORS = 1 << 31
+
 
 @dataclass(frozen=True)
 class SsdConfig:
@@ -129,6 +133,14 @@ class SsdConfig:
                 f"pslc_blocks must be below the geometry's "
                 f"{self.geometry.total_blocks} blocks (the main area "
                 f"needs at least one)")
+        # Logical sectors never outnumber physical ones (op_ratio and the
+        # pSLC blocks only take capacity away), so this bounds both.
+        physical = self.geometry.total_pages * self.geometry.sectors_per_page
+        if physical > MAX_SECTORS:
+            raise ValueError(
+                f"geometry holds {physical} physical sectors (total_pages x "
+                f"sectors_per_page); l2p/p2l entries are int32, so "
+                f"physical and logical_sectors must be at most {MAX_SECTORS}")
         if not 0.0 < self.pslc_drain_threshold <= 1.0:  # NaN fails too
             raise ValueError("pslc_drain_threshold must be in (0, 1]")
         if self.erase_limit < 1:

@@ -175,9 +175,10 @@ class Ftl:
         total_psas = geometry.total_pages * spp
         #: physical-sector -> logical-sector reverse map (see p2l codes
         #: above), which is also the valid map: a sector is valid exactly
-        #: when its entry is not P2L_NONE.  Edited in place only — scalar
-        #: views alias this buffer.
-        self.p2l = np.full(total_psas, P2L_NONE, dtype=np.int64)
+        #: when its entry is not P2L_NONE.  ``int32``, like ``l2p`` and
+        #: the OOB stamps (``SsdConfig`` bounds the sector count).  Edited
+        #: in place only — scalar views alias this buffer.
+        self.p2l = np.full(total_psas, P2L_NONE, dtype=np.int32)
         #: valid sectors per block.  Edited in place only — scalar views
         #: alias this buffer.
         self.block_valid = np.zeros(geometry.total_blocks, dtype=np.int32)
@@ -236,7 +237,7 @@ class Ftl:
             self.block_valid,
             sample_size=config.gc_sample_size,
         )
-        self.rain = RainAccountant(config.rain_stripe)
+        self.rain = RainAccountant(config.rain_stripe, geometry.total_pages)
         self.leveler = WearLeveler(
             geometry, self.nand, self.allocator,
             delta=config.wear_leveling_delta,

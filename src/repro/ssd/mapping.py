@@ -113,7 +113,7 @@ class MappingTable:
         self._tps_per_chunk = chunk_lpns // tp_lpns
 
         #: edited in place only — scalar views alias this buffer.
-        self.l2p = np.full(num_lpns, UNMAPPED, dtype=np.int64)
+        self.l2p = np.full(num_lpns, UNMAPPED, dtype=np.int32)
         #: the same buffer read and written one entry at a time: a
         #: memoryview item is a plain int, several times cheaper than a
         #: numpy scalar.  Array-wide readers keep using ``l2p``.
@@ -267,7 +267,7 @@ class MappingTable:
 
     def silent_update_run(self, lpns: np.ndarray, psas: np.ndarray) -> np.ndarray:
         """:meth:`silent_update` for a run of sectors in array operations:
-        ``lpns[i]`` to ``psas[i]`` (``int64`` arrays; the PSAs distinct,
+        ``lpns[i]`` to ``psas[i]`` (integer arrays; the PSAs distinct,
         as fresh sectors are).  Returns the old PSAs.
 
         Equal in every effect to calling ``silent_update`` per sector in

@@ -15,6 +15,8 @@ migrated by GC), which matches their write-amplification role.
 
 from __future__ import annotations
 
+from array import array
+
 
 class RainAccountant:
     """Tracks stripe fill; one parity page per ``stripe`` data pages.
@@ -22,13 +24,18 @@ class RainAccountant:
     When callers pass page numbers, the accountant additionally remembers
     stripe membership so the degraded read path can name the peer pages
     it must read to reconstruct an uncorrectable page
-    (:meth:`peers_of`).  Membership is kept for the life of the run;
-    stripes whose members were since erased still resolve (the
-    reconstruction model charges the reads regardless — real parity maps
-    are rebuilt lazily too).
+    (:meth:`peers_of`).  Membership is one ``(members, parity_ppn)``
+    record per stripe, its members an ``array('i')`` (4 bytes each, no
+    Python int per member), shared by all of them through ``_stripe_of``,
+    a list with one slot per physical page (*pages*, the device's page
+    count; every page number passed in must be below it).  Membership is
+    kept for the life of the run: a page resolves the record of the last
+    stripe finalized over it, and stripes whose members were since erased
+    or reprogrammed still resolve (the reconstruction model charges the
+    reads regardless — real parity maps are rebuilt lazily too).
     """
 
-    def __init__(self, stripe: int) -> None:
+    def __init__(self, stripe: int, pages: int = 0) -> None:
         if stripe != 0 and stripe < 2:
             raise ValueError("stripe must be 0 (disabled) or >= 2")
         self.stripe = stripe
@@ -36,14 +43,16 @@ class RainAccountant:
         self.parity_pages = 0
         self.data_pages = 0
         #: data PPNs of the stripe currently being filled.
-        self._open_members: list[int] = []
+        self._open_members = array("i")
         #: closed stripes awaiting their parity page (LIFO: a nested
         #: parity program — GC triggered by parity allocation — closes
         #: and finalizes the inner stripe first).
-        self._pending: list[list[int]] = []
-        #: data PPN -> its stripe's ``(members, parity_ppn)`` record; one
-        #: record object per stripe, shared by all its members.
-        self._stripe_of: dict[int, tuple[list[int], int]] = {}
+        self._pending: list[array] = []
+        #: data PPN -> its stripe's ``(members, parity_ppn)`` record (None
+        #: until a stripe over the page is finalized); one record object
+        #: per stripe, shared by all its members.
+        self._stripe_of: list[tuple[array, int] | None] = (
+            [None] * pages if stripe else [])
 
     @property
     def enabled(self) -> bool:
@@ -61,7 +70,7 @@ class RainAccountant:
             self._fill = 0
             self.parity_pages += 1
             self._pending.append(self._open_members)
-            self._open_members = []
+            self._open_members = array("i")
             return True
         return False
 
@@ -71,7 +80,7 @@ class RainAccountant:
             self._fill = 0
             self.parity_pages += 1
             self._pending.append(self._open_members)
-            self._open_members = []
+            self._open_members = array("i")
             return True
         return False
 
@@ -89,7 +98,7 @@ class RainAccountant:
         """Pages to read to reconstruct *ppn* (stripe peers + parity);
         empty when the stripe is unknown (page predates tracking or is
         itself parity)."""
-        stripe = self._stripe_of.get(ppn)
+        stripe = self._stripe_of[ppn]
         if stripe is None:
             return ()
         members, parity_ppn = stripe

@@ -107,11 +107,15 @@ def _ops(op_lists) -> list:
 
 
 def _state(ftl: Ftl) -> list:
-    """The nine arrays and four statistics that define an FTL's state."""
+    """The nine arrays and four statistics that define an FTL's state.
+
+    The LPN-valued arrays are hashed as ``int64``, the width the pins
+    were recorded at (the simulator stores them as ``int32``)."""
     nand = ftl.nand
-    arrays = (ftl.mapping.l2p, ftl.p2l, ftl.p2l != P2L_NONE,
-              ftl.block_valid, nand.page_state, oob_stamp(nand),
-              nand.page_seq, nand.block_erase_count, nand.block_write_ptr)
+    arrays = (ftl.mapping.l2p.astype(np.int64), ftl.p2l.astype(np.int64),
+              ftl.p2l != P2L_NONE, ftl.block_valid, nand.page_state,
+              oob_stamp(nand).astype(np.int64), nand.page_seq,
+              nand.block_erase_count, nand.block_write_ptr)
     return [array.tobytes() for array in arrays] + [
         nand.wear_summary(), ftl.stats, ftl.mapping.stats,
         ftl.stats.cache_absorbed]
@@ -322,10 +326,11 @@ class _Recorder:
 
     def digest(self) -> str:
         ftl = self.device.ftl
-        return _digest(*self.op_lists, ftl.p2l.tobytes(),
+        return _digest(*self.op_lists, ftl.p2l.astype(np.int64).tobytes(),
                        (ftl.p2l != P2L_NONE).tobytes(),
                        ftl.block_valid.tobytes(),
-                       ftl.mapping.l2p.tobytes(), self.device.smart)
+                       ftl.mapping.l2p.astype(np.int64).tobytes(),
+                       self.device.smart)
 
 
 def _fig4b_mix_into_gc(rec: _Recorder) -> None:
@@ -574,9 +579,10 @@ def test_read_integrity(pin_id):
     assert stats.read_retries > 0 and stats.rain_reconstructions > 0
     assert stats.uncorrectable_reads > 0
     assert ftl.mapping.stats.chunk_loads > 1_000
-    digest = _digest(_ops(returned), stats, injector.log, ftl.p2l.tobytes(),
+    digest = _digest(_ops(returned), stats, injector.log,
+                     ftl.p2l.astype(np.int64).tobytes(),
                      (ftl.p2l != P2L_NONE).tobytes(),
-                     ftl.mapping.l2p.tobytes(),
+                     ftl.mapping.l2p.astype(np.int64).tobytes(),
                      plain.smart, sink.events)
     check_pin(pin_id, digest,
               _summary(plain.smart, len(returned), events=sink.events))

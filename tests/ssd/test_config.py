@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash.geometry import Geometry
-from repro.ssd.config import SsdConfig
+from repro.ssd.config import MAX_SECTORS, SsdConfig
 from repro.ssd.ftl import Ftl
 from repro.ssd.presets import PRESETS
 
@@ -70,6 +70,23 @@ class TestValidation:
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):
             SsdConfig(**{field: value})
+
+    def test_sector_maps_must_fit_int32(self):
+        # 2**24 blocks of 64 two-sector pages: 2**31 sectors, the most
+        # int32 sector maps address.  A config allocates no arrays, so
+        # neither side of the edge costs memory.
+        def geometry(blocks: int) -> Geometry:
+            return Geometry(channels=1, chips_per_channel=1, dies_per_chip=1,
+                            planes_per_die=1, blocks_per_plane=blocks,
+                            pages_per_block=64, page_size=8192,
+                            sector_size=4096)
+
+        edge = SsdConfig(geometry=geometry(1 << 24), op_ratio=0.0)
+        assert edge.logical_sectors == MAX_SECTORS
+        with pytest.raises(ValueError, match=(
+                r"2147483776 physical sectors \(total_pages x "
+                r"sectors_per_page\).*logical_sectors")):
+            SsdConfig(geometry=geometry((1 << 24) + 1))
 
     def test_no_write_cache_ok(self):
         assert SsdConfig(cache_sectors=0).cache_sectors == 0

@@ -1,5 +1,7 @@
 """RAIN accounting, pSLC buffer, SMART counters."""
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,7 +44,7 @@ class TestRain:
             RainAccountant(1)
 
     def test_peers_are_the_rest_of_the_stripe_then_parity(self):
-        rain = RainAccountant(3)
+        rain = RainAccountant(3, pages=64)
         for ppn in (10, 11):
             assert not rain.on_data_page(ppn)
         assert rain.on_data_page(12)
@@ -54,7 +56,7 @@ class TestRain:
         assert rain.peers_of(13) == ()  # never striped
 
     def test_peers_of_a_flush_closed_partial_stripe(self):
-        rain = RainAccountant(4)
+        rain = RainAccountant(4, pages=16)
         rain.on_data_page(5)
         rain.on_data_page(6)
         assert rain.flush()
@@ -66,7 +68,7 @@ class TestRain:
         # Allocating the outer stripe's parity page can run GC, whose
         # migrations close (and finalize) a second stripe before the
         # outer parity is noted.
-        rain = RainAccountant(2)
+        rain = RainAccountant(2, pages=64)
         rain.on_data_page(1)
         assert rain.on_data_page(2)       # outer stripe closed
         rain.on_data_page(3)
@@ -80,14 +82,38 @@ class TestRain:
 
     def test_a_stripe_is_stored_once(self):
         # One record per stripe, not one peer tuple per member (which
-        # was k*k integers a stripe, kept for the life of the run).
-        rain = RainAccountant(15)
+        # was k*k integers a stripe, kept for the life of the run), its
+        # members packed as 4-byte machine ints rather than Python ints.
+        rain = RainAccountant(15, pages=128)
         for ppn in range(15):
             rain.on_data_page(ppn)
         rain.note_parity(99)
         records = {id(rain._stripe_of[ppn]) for ppn in range(15)}
         assert len(records) == 1
-        assert rain._stripe_of[0] == (list(range(15)), 99)
+        members, parity = rain._stripe_of[0]
+        assert members == array("i", range(15)) and parity == 99
+        assert rain._stripe_of[15:] == [None] * (128 - 15)
+
+    def test_a_reprogrammed_member_leaves_its_old_stripe_resolving(self):
+        # Pages 0-2 form a stripe; page 1's block is then erased and
+        # the page reprogrammed into a new stripe.  The old stripe's
+        # other members still name page 1 (the reads are charged, not
+        # performed), while page 1 itself resolves its newest stripe.
+        rain = RainAccountant(3, pages=32)
+        for ppn in (0, 1):
+            rain.on_data_page(ppn)
+        assert rain.on_data_page(2)
+        rain.note_parity(3)
+        for ppn in (1, 8):
+            rain.on_data_page(ppn)
+        # Before the new stripe is finalized, page 1 keeps its old record.
+        assert rain.peers_of(1) == (0, 2, 3)
+        assert rain.on_data_page(9)
+        rain.note_parity(10)
+        assert rain.peers_of(0) == (1, 2, 3)
+        assert rain.peers_of(2) == (0, 1, 3)
+        assert rain.peers_of(1) == (8, 9, 10)
+        assert rain.peers_of(8) == (1, 9, 10)
 
 
 GEOM = Geometry(
